@@ -4,6 +4,15 @@ Everything here is deliberately independent of the portal/split machinery:
 distances come from plain BFS over the structure, simplicity from a flood
 fill, convexity from the definition.  These are the reference answers the
 fast paths are tested against.
+
+Distances are integer matrices.  The convexity check takes one batched
+search from every (or every sampled) region node, in the smallest signed
+integer dtype that holds twice the structure size (int16 up to n = 16383),
+and tests each outside node of the region's neighbor ring against all pairs
+at once in preallocated buffers.  The half-sum distance identity takes, per
+region, one batched search over the retained edges from the distinct first
+nodes of its sampled pairs, and one portal-graph search per axis and
+distinct source portal.
 """
 
 from __future__ import annotations
@@ -68,6 +77,13 @@ def shortest_path_nodes(
     return {w for w in structure.nodes if du[w] + dv[w] == total}
 
 
+def _distance_dtype(n: int) -> np.dtype:
+    """Smallest signed integer dtype that holds 2n, the bound on a sum of two distances."""
+    return next(
+        np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= 2 * n
+    )
+
+
 class _IndexedGraph:
     """CSR adjacency over sorted nodes, for batched BFS."""
 
@@ -83,10 +99,15 @@ class _IndexedGraph:
         n = len(self.nodes)
         data = np.ones(len(rows), dtype=np.int8)
         self.matrix = csr_matrix((data, (rows, cols)), shape=(n, n))
+        self.dtype = _distance_dtype(n)
 
     def distances_from(self, sources: Sequence[int]) -> np.ndarray:
+        """Hop distances, shape (len(sources), n), as integers of ``self.dtype``.
+
+        An ``AmoebotStructure`` is connected, so every distance is finite.
+        """
         d = shortest_path(self.matrix, method="D", unweighted=True, indices=sources)
-        return d
+        return d.astype(self.dtype)
 
 
 def is_simple(nodes: Iterable[GridPoint]) -> bool:
@@ -95,6 +116,8 @@ def is_simple(nodes: Iterable[GridPoint]) -> bool:
     The input must be connected; only hole-freeness is checked here.
     """
     pts = set(GridPoint(a, b) for a, b in nodes)
+    if not pts:
+        raise DomainError("empty node set")
     a_lo = min(p.a for p in pts) - 1
     a_hi = max(p.a for p in pts) + 1
     b_lo = min(p.b for p in pts) - 1
@@ -158,12 +181,16 @@ def is_geodesically_convex(
         k = EXHAUSTIVE_CONVEXITY_LIMIT
         sources = np.sort(rng.choice(member_idx, size=k, replace=False))
 
-    dist = g.distances_from(list(sources))  # (S, n)
+    dist = g.distances_from(sources)  # (S, n)
     d_rr = dist[:, sources]  # (S, S) pair distances
+    ring_cols = np.ascontiguousarray(dist[:, ring_idx].T)  # (W, S): d(w, .) per ring node
+    del dist
+    through = np.empty_like(d_rr)
+    eq = np.empty(d_rr.shape, dtype=bool)
     # u, v violate via w iff d(u,w) + d(w,v) == d(u,v)
-    for w in ring_idx:
-        col = dist[:, w]
-        eq = (col[:, None] + col[None, :]) == d_rr
+    for w, col in zip(ring_idx, ring_cols):
+        np.add(col[:, None], col[None, :], out=through)
+        np.equal(through, d_rr, out=eq)
         if eq.any():
             ui, vi = np.argwhere(eq)[0]
             return False, (g.nodes[sources[ui]], g.nodes[sources[vi]], g.nodes[w])
@@ -298,57 +325,56 @@ def verify_decomposition(
         )
 
     # Half-sum distance identity on a sample of pairs of each simple region.
-    from .portals import AXES, portal_graph  # local import to avoid a cycle
-
     rng = np.random.default_rng(0)
     identity_ok = True
-    for r in regions:
-        if not is_simple(r.nodes) or not connected(r.nodes, r.edges):
+    for r, check in zip(regions, report.regions):
+        if not (check.simple_ok and check.connected_ok):
             continue
         nodes = sorted(r.nodes)
         if len(nodes) < 2:
             continue
-        graphs = {axis: portal_graph(r, axis) for axis in AXES}
-        sub = _region_graph(r)
-        pairs = []
-        limit = identity_pair_limit
-        if len(nodes) * (len(nodes) - 1) // 2 <= limit:
-            pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
+        if len(nodes) * (len(nodes) - 1) // 2 <= identity_pair_limit:
+            iu, iv = np.triu_indices(len(nodes), 1)
         else:
-            idx = rng.integers(0, len(nodes), size=(limit, 2))
-            pairs = [(nodes[i], nodes[j]) for i, j in idx if i != j]
-        for u, v in pairs:
-            d = sub[u].get(v)
-            if d is None:
-                d = _region_distance(r, u, v)
-                sub[u][v] = d
-            total = 0
-            for axis in AXES:
-                pg = graphs[axis]
-                dist = pg.distances_from([pg.portal_of(u).id])
-                total += dist[pg.portal_of(v).id]
-            if 2 * d != total:
-                identity_ok = False
-                break
-        if not identity_ok:
+            idx = rng.integers(0, len(nodes), size=(identity_pair_limit, 2))
+            idx = idx[idx[:, 0] != idx[:, 1]]
+            iu, iv = idx[:, 0], idx[:, 1]
+        d = _region_pair_distances(r, nodes, iu, iv)
+        if not np.array_equal(2 * d, _portal_distance_sums(r, nodes, iu, iv)):
+            identity_ok = False
             break
     report.distance_identity_ok = identity_ok
     return report
 
 
-def _region_graph(region: "Region") -> dict[GridPoint, dict[GridPoint, int]]:
-    return {p: {} for p in region.nodes}
+def _region_pair_distances(
+    region: "Region", nodes: list[GridPoint], iu: np.ndarray, iv: np.ndarray
+) -> np.ndarray:
+    """d(nodes[iu[k]], nodes[iv[k]]) over the region's retained edges.
+
+    One batched search from the distinct sources; the region must be connected.
+    """
+    index = {p: i for i, p in enumerate(nodes)}
+    rows = [index[u] for u, _ in region.edges]
+    cols = [index[v] for _, v in region.edges]
+    n = len(nodes)
+    matrix = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    sources, row_of = np.unique(iu, return_inverse=True)
+    d = shortest_path(matrix, method="D", directed=False, unweighted=True, indices=sources)
+    return d[row_of, iv].astype(np.int64)
 
 
-def _region_distance(region: "Region", u: GridPoint, v: GridPoint) -> int:
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        p = queue.popleft()
-        if p == v:
-            return dist[p]
-        for _, q in region.adjacency[p]:
-            if q not in dist:
-                dist[q] = dist[p] + 1
-                queue.append(q)
-    raise DomainError("nodes are not connected inside the region")
+def _portal_distance_sums(
+    region: "Region", nodes: list[GridPoint], iu: np.ndarray, iv: np.ndarray
+) -> np.ndarray:
+    """d_x + d_y + d_z between the portals of each pair, one BFS per axis and source portal."""
+    from .portals import AXES, portal_graph  # local import to avoid a cycle
+
+    total = np.zeros(len(iu), dtype=np.int64)
+    for axis in AXES:
+        pg = portal_graph(region, axis)
+        src = [pg.portal_of(nodes[i]).id for i in iu]
+        dst = [pg.portal_of(nodes[j]).id for j in iv]
+        rows = {s: pg.distances_from([s]) for s in set(src)}
+        total += [rows[s][t] for s, t in zip(src, dst)]
+    return total

@@ -1,13 +1,18 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amoegrid.decompose import decompose, occupied_run_count
+from amoegrid.decompose import Decomposition, decompose, occupied_run_count
 from amoegrid.errors import DomainError
 from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, Direction, GridPoint
 from amoegrid.oracle import (
+    EXHAUSTIVE_CONVEXITY_LIMIT,
+    _IndexedGraph,
     bfs_distances,
     global_maxima_oracle,
     is_geodesically_convex,
@@ -15,6 +20,7 @@ from amoegrid.oracle import (
     shortest_path_nodes,
     verify_decomposition,
 )
+from amoegrid.split import Region
 
 from test_grid import hexagon, parallelogram, random_structure
 
@@ -53,6 +59,21 @@ def test_is_simple():
     assert not is_simple(ring)
 
 
+def test_is_simple_empty_raises():
+    with pytest.raises(DomainError):
+        is_simple([])
+
+
+def test_indexed_graph_integer_distances_match_bfs():
+    s = random_structure(random.Random(4), 120)
+    g = _IndexedGraph(s)
+    dist = g.distances_from([0, 7])
+    assert dist.dtype == np.int16
+    for row, src in zip(dist, (0, 7)):
+        want = bfs_distances(s, g.nodes[src])
+        assert row.tolist() == [want[p] for p in g.nodes]
+
+
 def test_convexity_whole_structure_and_witness():
     s = AmoebotStructure(parallelogram(6, 4))
     ok, witness = is_geodesically_convex(s, s.nodes)
@@ -65,11 +86,48 @@ def test_convexity_whole_structure_and_witness():
     c_shape = [p for p in parallelogram(6, 4) if not (1 <= p.a <= 4 and p.b == 1)]
     ok, witness = is_geodesically_convex(s, c_shape)
     assert not ok
+    assert witness == (GridPoint(0, 0), GridPoint(1, 2), GridPoint(1, 1))
     u, v, w = witness
     assert w not in set(c_shape)
     du = bfs_distances(s, u)
     dv = bfs_distances(s, v)
     assert du[w] + dv[w] == du[v]
+
+
+def test_convexity_sampled_path_witness():
+    # a C shape too large for the exhaustive check: a seeded sample of
+    # sources is tested instead of every region node
+    pts = parallelogram(60, 54)
+    s = AmoebotStructure(pts)
+    c_shape = [p for p in pts if not (p.b == 20 and 1 <= p.a <= 58)]
+    assert len(c_shape) > EXHAUSTIVE_CONVEXITY_LIMIT
+    ok, witness = is_geodesically_convex(s, c_shape)
+    assert not ok
+    assert witness == (GridPoint(0, 0), GridPoint(1, 21), GridPoint(1, 20))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_convexity_matches_definition(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    s = random_structure(rng, data.draw(st.integers(2, 30), label="n"))
+    nodes = sorted(s.nodes)
+    region = {rng.choice(nodes)}
+    for _ in range(data.draw(st.integers(0, len(nodes) - 1), label="grow")):
+        rim = sorted({q for p in region for _, q in s.adjacency[p]} - region)
+        region.add(rng.choice(rim))
+    members = sorted(region)
+    want = all(
+        shortest_path_nodes(s, u, v) <= region
+        for i, u in enumerate(members)
+        for v in members[i + 1 :]
+    )
+    ok, witness = is_geodesically_convex(s, region)
+    assert ok == want
+    if not ok:
+        u, v, w = witness
+        assert u in region and v in region and w not in region
+        assert w in shortest_path_nodes(s, u, v)
 
 
 def test_convexity_region_outside_structure_raises():
@@ -145,3 +203,24 @@ def test_verify_reports_witness_for_fabricated_bad_region():
     assert not report.all_ok
     bad_checks = [r for r in report.regions if not r.convex_ok]
     assert bad_checks and bad_checks[0].witness is not None
+
+
+def test_verify_distance_identity_fails_on_slit_region():
+    # every node of the block, but the retained edges between rows 1 and 2
+    # are cut for 1 <= a <= 3: the region is simple, connected and convex,
+    # yet its retained-edge distances break the half-sum identity
+    s = AmoebotStructure(parallelogram(6, 4))
+    slit = {(u, v) for u, v in s.edges() if {u.b, v.b} == {1, 2} and 1 <= min(u.a, v.a) <= 3}
+    deco = Decomposition(
+        regions=[Region(s.nodes, s.edges() - slit, id=0)],
+        phase1_gates=[],
+        phase1_region_count=1,
+        tunnel_count=1,
+        tunnel_cases=[],
+        hole_count=0,
+    )
+    report = verify_decomposition(s, deco)
+    (check,) = report.regions
+    assert check.simple_ok and check.convex_ok and check.connected_ok and check.edges_ok
+    assert not report.distance_identity_ok
+    assert not report.all_ok
