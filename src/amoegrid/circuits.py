@@ -7,19 +7,22 @@ with no information about origin or multiplicity.
 
 Rounds are fully synchronous: activations read the previous round's inbox
 and their own state, emit a new pin configuration plus beeps, and beeps
-propagate on the updated configuration.  The implementation is array-based;
-protocols may be written per amoebot (reference style, used in tests) or
-vectorized, and both funnel through the same delivery path.
+propagate on the updated configuration.  The implementation is array-based:
+a protocol writes the pin configuration of every amoebot into ``World.pset``
+and the beeps of the round into a send matrix, and ``World.deliver`` returns
+what every partition set hears.  The primitives in ``amoegrid.primitives``
+are such protocols.  The tests keep a per-amoebot reference round and an
+explicit circuit listing (``tests/reference_circuits.py``) as the oracle of
+these semantics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import RoundBudgetExceeded, SimulationFault
+from .errors import SimulationFault
 from .grid import DIRECTIONS, AmoebotStructure, GridPoint
 
 OPPOSITE_SLOT = np.array([3, 4, 5, 0, 1, 2], dtype=np.int64)  # E,NNE,NNW,W,SSW,SSE
@@ -67,14 +70,6 @@ def _components(m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class Circuit:
-    """A connected component of partition sets."""
-
-    partition_sets: tuple[tuple[GridPoint, int], ...]  # (amoebot, local label)
-    amoebots: tuple[GridPoint, ...]
-
-
-@dataclass
 class SimulationTrace:
     seed: int
     nhat: int
@@ -84,9 +79,6 @@ class SimulationTrace:
     log_events: bool = False
     memory_audit: dict[str, int] = field(default_factory=dict)
     memory_warnings: list[str] = field(default_factory=list)
-
-    def enter_phase(self, name: str) -> "_PhaseMeter":
-        return _PhaseMeter(self, name)
 
     def note(self, message: str) -> None:
         if self.log_events:
@@ -107,23 +99,6 @@ class SimulationTrace:
         if self.log_events:
             lines.extend(self.events)
         return "\n".join(lines) + "\n"
-
-
-class _PhaseMeter:
-    def __init__(self, trace: SimulationTrace, name: str):
-        self.trace = trace
-        self.name = name
-
-    def __enter__(self):
-        self._start = self.trace.rounds
-        return self
-
-    def __exit__(self, *exc):
-        spent = self.trace.rounds - self._start
-        self.trace.phase_rounds[self.name] = (
-            self.trace.phase_rounds.get(self.name, 0) + spent
-        )
-        return False
 
 
 class World:
@@ -181,7 +156,6 @@ class World:
         self._stage_rows = np.zeros(0, dtype=np.int64)
         self._stage_cells = np.zeros(0, dtype=np.int64)
         self.rng_counter = np.zeros(self.n, dtype=np.int64)
-        self._ref_labels: dict[int, dict] = {}
 
     # -- configuration -------------------------------------------------------
 
@@ -192,9 +166,6 @@ class World:
     def park_label(self, d_idx: int, k: int) -> int:
         """Label a parked pin sits on: its edge is a private 2-pin channel."""
         return STAGE_LABELS + d_idx * self.c + k
-
-    def slot(self, d_idx: int, k: int) -> int:
-        return d_idx * self.c + k
 
     def mark_dirty(self) -> None:
         self._dirty = True
@@ -306,150 +277,3 @@ class World:
             if heard.any():
                 out[self._absorb_recv[heard]] = True
         return recv
-
-    def circuits_of(self) -> list[Circuit]:
-        """Explicit circuit objects over sets that own at least one live pin."""
-        if self._dirty:
-            self._recompute_circuits()
-        flat = self.pset.reshape(-1)
-        stage = flat < STAGE_LABELS
-        used: dict[tuple, set[tuple[int, int]]] = {}
-        for r in np.flatnonzero(self.pin_live):
-            if stage[r]:
-                key = ("s", int(self._stage_pin_comp[r]))
-            else:
-                pr = int(self.pin_partner[r])
-                if stage[pr]:
-                    key = ("s", int(self._stage_pin_comp[pr]))
-                else:
-                    key = ("p", min(r, pr))
-            used.setdefault(key, set()).add((int(self.pin_owner[r]), int(flat[r])))
-        out = []
-        for key in used:
-            sets = sorted(used[key])
-            members = tuple(sorted({self.nodes[o] for o, _ in sets}))
-            out.append(Circuit(tuple((self.nodes[o], l) for o, l in sets), members))
-        out.sort(key=lambda circ: circ.partition_sets[0])
-        return out
-
-    # -- per-amoebot reference semantics ---------------------------------------
-
-    def step(self, activation: Callable, states: dict, inbox: dict, order: Iterable[int] | None = None):
-        """One reference round: activations in any order, then delivery.
-
-        ``activation(node, state, inbox_labels) -> (state, pins, beeps)``
-        where pins maps a label to the (dir_idx, k) slots it groups and beeps
-        is the set of labels beeped on.  Returns (states, inboxes) for the
-        next round; the result is independent of ``order``.
-        """
-        new_states: dict[GridPoint, object] = {}
-        send = np.zeros((self.n, self.S), dtype=bool)
-        idx_order = list(range(self.n)) if order is None else list(order)
-        for i in idx_order:
-            p = self.nodes[i]
-            state, pins, beeps = activation(p, states.get(p), inbox.get(p, frozenset()))
-            new_states[p] = state
-            if pins is not None:
-                labels = sorted(pins)
-                if len(labels) > self.S:
-                    raise SimulationFault(f"{p}: too many partition sets")
-                label_to_int = {lab: j for j, lab in enumerate(labels)}
-                claimed = set()
-                row = self.pset[i]
-                for lab, slots in pins.items():
-                    for (d_idx, k) in slots:
-                        if (d_idx, k) in claimed:
-                            raise SimulationFault(f"{p}: pin ({d_idx},{k}) in two sets")
-                        claimed.add((d_idx, k))
-                        row[self.slot(d_idx, k)] = label_to_int[lab]
-                self._ref_labels[i] = label_to_int
-                self.mark_dirty()
-            for lab in beeps:
-                mapped = self._ref_labels.get(i, {}).get(lab)
-                if mapped is None:
-                    raise SimulationFault(f"{p}: beep on unknown set {lab!r}")
-                send[i, mapped] = True
-        recv = self.deliver(send)
-        new_inbox: dict[GridPoint, frozenset] = {}
-        for i in idx_order:
-            p = self.nodes[i]
-            heard = {
-                lab for lab, j in self._ref_labels.get(i, {}).items() if recv[i, j]
-            }
-            new_inbox[p] = frozenset(heard)
-        return new_states, new_inbox
-
-
-class Protocol:
-    """Vectorized protocol driven by ``run_protocol``.
-
-    Subclasses implement ``start`` and ``step``; ``step`` returns the send
-    matrix for this round (or None for an empty round) and may reconfigure
-    ``world.pset`` (marking it dirty) before returning.
-    """
-
-    name = "protocol"
-    min_c = 1
-    register_whitelist: frozenset[str] = frozenset()
-
-    def start(self, world: World) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def step(self, world: World, recv: np.ndarray) -> np.ndarray | None:  # pragma: no cover
-        raise NotImplementedError
-
-    def finished(self) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def registers(self) -> dict[str, np.ndarray]:
-        return {}
-
-
-def audit_registers(protocol: Protocol, trace: SimulationTrace, nhat: int) -> None:
-    """Record per-register maxima; flag values that grow beyond O(log^2 n)."""
-    limit = max(64, 4 * int(np.log2(max(nhat, 2))) ** 2)
-    for name, arr in protocol.registers().items():
-        if arr.size == 0:
-            continue
-        peak = int(np.max(np.abs(arr)))
-        trace.memory_audit[f"{protocol.name}.{name}"] = peak
-        if peak > limit and name not in protocol.register_whitelist:
-            trace.memory_warnings.append(
-                f"{protocol.name}.{name} reached {peak} (> {limit})"
-            )
-
-
-def run_protocol(
-    structure: AmoebotStructure,
-    protocol: Protocol,
-    seed: int = 0,
-    round_budget: int | None = None,
-    c: int | None = None,
-    nhat: int | None = None,
-    world: World | None = None,
-    trace: SimulationTrace | None = None,
-):
-    """Run one protocol to completion; returns (protocol, trace)."""
-    if world is None:
-        world = World(structure, c=c or max(2, protocol.min_c), seed=seed, nhat=nhat)
-    if world.c < protocol.min_c:
-        raise SimulationFault(
-            f"{protocol.name} needs {protocol.min_c} pins per edge, world has {world.c}"
-        )
-    if trace is None:
-        trace = SimulationTrace(seed=seed, nhat=world.nhat)
-    budget = round_budget if round_budget is not None else 64 * (world.nhat.bit_length() + 1)
-    protocol.start(world)
-    recv = np.zeros((world.n, world.S), dtype=bool)
-    while not protocol.finished():
-        send = protocol.step(world, recv)
-        if send is None:
-            send = np.zeros((world.n, world.S), dtype=bool)
-        recv = world.deliver(send)
-        trace.rounds += 1
-        if trace.rounds > budget:
-            raise RoundBudgetExceeded(
-                f"{protocol.name} exceeded {budget} rounds", trace=trace
-            )
-    audit_registers(protocol, trace, world.nhat)
-    return protocol, trace

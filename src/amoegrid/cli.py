@@ -90,28 +90,47 @@ def emit_json(decomposition, report, trace, path) -> None:
         fh.write("\n")
 
 
-def run_bench(sizes, seeds, holes_per, out) -> None:
+def bench_structures(sizes: str, seeds: int) -> list[tuple[int, int, int, AmoebotStructure]]:
+    """(n, holes, seed, structure) for each size and seed of a round-count sweep.
+
+    ``sizes`` is the comma-separated ``--bench`` list; each size gets one
+    hole per 128 nodes.  Raises ValueError or AmoegridError on invalid input.
+    """
+    try:
+        ns = [int(tok) for tok in sizes.split(",") if tok]
+    except ValueError:
+        raise ValueError(f"--bench takes comma-separated sizes, not {sizes!r}") from None
+    if not ns:
+        raise ValueError("--bench needs at least one size")
+    if seeds < 1:
+        raise ValueError(f"--bench-seeds must be at least 1, not {seeds}")
+    rows = []
+    for n in ns:
+        holes = max(1, n // 128)
+        for seed in range(seeds):
+            rows.append((n, holes, seed, generate_random(n, holes, seed)))
+    return rows
+
+
+def run_bench(structures, out) -> None:
     from .distalgo import run_distributed
 
     rows = []
-    for n in sizes:
-        holes = holes_per(n)
-        for seed in seeds:
-            structure = generate_random(n, holes, seed)
-            outcome = run_distributed(structure, seed=seed)
-            tr = outcome.trace
-            rows.append(
-                (
-                    n,
-                    holes,
-                    seed,
-                    tr.phase_rounds.get("phase1", 0),
-                    tr.phase_rounds.get("phase2", 0),
-                    tr.phase_rounds.get("phase3", 0),
-                    tr.rounds,
-                    tr.rounds / math.log2(max(n, 2)),
-                )
+    for n, holes, seed, structure in structures:
+        outcome = run_distributed(structure, seed=seed)
+        tr = outcome.trace
+        rows.append(
+            (
+                n,
+                holes,
+                seed,
+                tr.phase_rounds.get("phase1", 0),
+                tr.phase_rounds.get("phase2", 0),
+                tr.phase_rounds.get("phase3", 0),
+                tr.rounds,
+                tr.rounds / math.log2(max(n, 2)),
             )
+        )
     ratios = sorted(r[-1] for r in rows)
     median = ratios[len(ratios) // 2]
     print("n holes seed phase1 phase2 phase3 total rounds_per_log2n flag", file=out)
@@ -143,9 +162,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.bench:
-        sizes = [int(tok) for tok in args.bench.split(",") if tok]
-        seeds = list(range(args.bench_seeds))
-        run_bench(sizes, seeds, lambda n: max(1, n // 128), sys.stdout)
+        try:
+            structures = bench_structures(args.bench, args.bench_seeds)
+        except (ValueError, AmoegridError) as exc:
+            print(f"invalid input: {exc}", file=sys.stderr)
+            return EXIT_INVALID_INPUT
+        run_bench(structures, sys.stdout)
         return EXIT_OK
 
     if args.mode in ("distributed", "both") and args.seed is None:

@@ -1,4 +1,4 @@
-"""Centralized decomposition into simple, geodesically convex regions.
+"""Three-phase decomposition into simple, geodesically convex regions.
 
 Phase 1 splits the structure at the WNW-most and ESE-most boundary node of
 every inner hole (and their y-portals), leaving simple regions.  Phase 2
@@ -7,15 +7,25 @@ pruning the y-portal tree and splitting at branch portals and multi-degree
 gates.  Phase 3 makes every tunnel geodesically convex with a constant
 number of x/z-portal splits per tunnel, plus median-portal splits of the
 middle region when both axes leave one.
+
+Each phase is one plan that both engines run.  The plan applies every local
+rule itself and asks a decision provider for each decision that needs more
+than an amoebot's neighbourhood: the holes' extreme nodes, surviving and
+branch portals, the closest marked node to a chain end, the gate order,
+case-2 portals, the middle region and portal distances.  ``DirectDecisions``
+answers by computation and drives the centralized engine (``decompose``);
+the distributed engine (``amoegrid.distalgo``) answers the same questions
+with circuit rounds.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ContractViolation, DomainError
-from .grid import AmoebotStructure, Direction, GridPoint, find_holes, render_x
+from .grid import AmoebotStructure, Direction, GridPoint, find_holes
 from .portals import AXES, Axis, Portal, PortalGraph, compute_portals, portal_graph
 from .split import (
     SIDES,
@@ -24,16 +34,9 @@ from .split import (
     Region,
     SplitNodeSpec,
     resolve_spec,
+    side_names,
     split_many,
 )
-
-
-def _westernmost(nodes) -> GridPoint:
-    return min(nodes, key=lambda p: (render_x(p), p))
-
-
-def _northernmost(nodes) -> GridPoint:
-    return max(nodes, key=lambda p: (p.b, -render_x(p)))
 
 
 def _side_cross_dirs(axis: Axis, side: str) -> tuple[Direction, Direction]:
@@ -49,52 +52,106 @@ def _touches_outside(region: Region, p: GridPoint, axis: Axis, side: str) -> boo
     return p.neighbor(up) not in region.nodes or p.neighbor(down) not in region.nodes
 
 
+def _west_end(axis: Axis) -> int:
+    """Which end of an axis chain is westernmost: 0 (first) except on z."""
+    return 1 if axis is Axis.Z else 0
+
+
+def _portal_side_toward(pg: PortalGraph, pid: int, other_pid: int) -> str:
+    """Side of portal ``pid`` on which its neighbor ``other_pid`` lies."""
+    axis = pg.axis
+    line = next(p for p in pg.portals if p.id == pid).line
+    other_line = next(p for p in pg.portals if p.id == other_pid).line
+    names = [s[0] for s in SIDES[axis]]
+    # First listed side is the one whose cross directions increase the line key.
+    up_side, down_side = names
+    probe = next(p for p in pg.portals if p.id == pid).nodes[0]
+    up_dir = _side_cross_dirs(axis, up_side)[0]
+    if axis.line_key(probe.neighbor(up_dir)) > line:
+        plus, minus = up_side, down_side
+    else:  # the y axis: WNW cross directions decrease the line key a
+        plus, minus = down_side, up_side
+    return plus if other_line > line else minus
+
+
+class ChainQuery(NamedTuple):
+    """Which marked node of an axis chain lies closest to one of its ends?
+
+    ``end`` is 0 for the chain's first node and 1 for its last; ``region`` is
+    the region on whose circuits the question is asked.
+    """
+
+    region: Region
+    chain: tuple[GridPoint, ...]
+    marks: frozenset[GridPoint]
+    end: int
+
+
+@dataclass
+class PortalTree:
+    """Phase-2 state of one region: its y-portal graph and pruned portals."""
+
+    region: Region
+    graph: PortalGraph
+    gate_pids: set[int]
+    survivors: set[int] = field(default_factory=set)
+    survivor_nodes: frozenset[GridPoint] = frozenset()
+
+
 # -- phase 1 -------------------------------------------------------------------
 
 
-def hole_split_specs(structure: AmoebotStructure, hole) -> list[SplitNodeSpec]:
-    """The WNW-most and ESE-most boundary nodes of a hole with empty points."""
+def hole_extremes(hole) -> tuple[GridPoint, GridPoint]:
+    """The WNW-most and the ESE-most boundary node of a hole."""
     boundary = hole.boundary
-    v_wnw = min(boundary, key=lambda p: (p.a, -p.b))
-    v_ese = min(boundary, key=lambda p: (-p.a, -p.b))
+    return min(boundary, key=lambda p: (p.a, -p.b)), min(boundary, key=lambda p: (-p.a, -p.b))
+
+
+def hole_split_specs(hole) -> list[SplitNodeSpec]:
+    """The WNW-most and ESE-most boundary nodes of a hole with empty points."""
     specs = []
-    for v, prefs in ((v_wnw, (Direction.E, Direction.SSE)), (v_ese, (Direction.W, Direction.NNW))):
-        empty = None
-        for d in prefs:
-            if v.neighbor(d) in hole.cells:
-                empty = v.neighbor(d)
-                break
+    prefs_of = ((Direction.E, Direction.SSE), (Direction.W, Direction.NNW))
+    for v, prefs in zip(hole_extremes(hole), prefs_of):
+        empty = next((v.neighbor(d) for d in prefs if v.neighbor(d) in hole.cells), None)
         if empty is None:
             raise ContractViolation(f"extreme boundary node {v} has no hole cell beside it")
         specs.append(SplitNodeSpec(v, empty))
     return specs
 
 
-def phase1_simple(structure: AmoebotStructure) -> tuple[list[Region], list[Gate]]:
-    """Split at the extreme boundary nodes of every inner hole."""
+def _phase1_plan(structure: AmoebotStructure, decide) -> tuple[list[Region], list[Gate]]:
     root = Region.from_structure(structure)
     _, inner = find_holes(structure)
-    if not inner:
+    portals = compute_portals(root, Axis.Y) if inner else []
+    nodes = decide.hole_extreme_nodes(inner, portals)
+    # The empty points are local knowledge.  One node can be the WNW extreme
+    # of one hole and the ESE extreme of another, so every spec is kept.
+    specs = [spec for hole in inner for spec in hole_split_specs(hole)]
+    if nodes != {spec.node for spec in specs}:
+        raise ContractViolation("split nodes disagree with the holes' extreme nodes")
+    if not specs:
         return [root], []
 
-    portals = compute_portals(root, Axis.Y)
     owner: dict[GridPoint, Portal] = {}
     for portal in portals:
         for p in portal.nodes:
             owner[p] = portal
-
     by_portal: dict[int, tuple[Portal, list[NodeCut]]] = {}
-    for hole in inner:
-        for spec in hole_split_specs(structure, hole):
-            portal = owner[spec.node]
-            cut = resolve_spec(root, portal, spec)
-            entry = by_portal.setdefault(portal.id, (portal, []))
-            if cut not in entry[1]:
-                entry[1].append(cut)
+    for spec in specs:
+        portal = owner[spec.node]
+        cut = resolve_spec(root, portal, spec)
+        entry = by_portal.setdefault(portal.id, (portal, []))
+        if cut not in entry[1]:
+            entry[1].append(cut)
 
     regions = split_many(root, [entry for _, entry in sorted(by_portal.items())])
     gates = [g for r in regions for g in r.gates]
     return regions, gates
+
+
+def phase1_simple(structure: AmoebotStructure) -> tuple[list[Region], list[Gate]]:
+    """Split at the extreme boundary nodes of every inner hole."""
+    return _phase1_plan(structure, DIRECT)
 
 
 # -- phase 2 -------------------------------------------------------------------
@@ -118,72 +175,86 @@ def _prune_to_gates(pg: PortalGraph, gate_pids: set[int]) -> set[int]:
     return alive
 
 
-def phase2_tunnels(region: Region, gates: tuple[Gate, ...] | None = None) -> list[Region]:
-    """Split a simple region into tunnel regions meeting at most two gates."""
-    gates = region.gates if gates is None else tuple(gates)
-    if len(gates) <= 1:
-        return [region]
+def northmost_marks(
+    region: Region, chain: tuple[GridPoint, ...], side: str, survivor_nodes
+) -> list[GridPoint]:
+    """Members of a y-chain that head a run of surviving neighbours on ``side``.
 
-    pg = portal_graph(region, Axis.Y)
-    gate_pids = {pg.portal_of(g.nodes[0]).id for g in gates}
-    survivors = _prune_to_gates(pg, gate_pids)
-    survivor_nodes: set[GridPoint] = set()
-    for portal in pg.portals:
-        if portal.id in survivors:
-            survivor_nodes.update(portal.nodes)
+    A member counts when a retained cross edge on ``side`` leads into a
+    surviving portal and the chain member above it has no retained edge to
+    the surviving cell beside this member, so every run of neighbours along
+    the chain yields its northmost member.
+    """
+    up, down = _side_cross_dirs(Axis.Y, side)
+    members = set(chain)
+    marks = []
+    for p in chain:
+        beside_p = (p.neighbor(up), p.neighbor(down))
+        if not any(q in survivor_nodes and region.has_edge(p, q) for q in beside_p):
+            continue
+        north, beside = p.neighbor(Axis.Y.up), p.neighbor(up)
+        if (
+            north not in members
+            or not region.has_edge(p, north)
+            or not (beside in survivor_nodes and region.has_edge(north, beside))
+        ):
+            marks.append(p)
+    return marks
 
-    branch_pids = sorted(
-        pid
-        for pid in survivors
-        if pid not in gate_pids
-        and sum(1 for nb in pg.neighbor_map[pid] if nb in survivors) >= 3
-    )
-    by_id = {p.id: p for p in pg.portals}
-    children = (
-        split_many(region, [(by_id[pid], []) for pid in branch_pids])
-        if branch_pids
-        else [region]
-    )
+
+def _phase2_plan(regions: list[Region], decide) -> list[Region]:
+    trees = []
+    for r in regions:
+        if len(r.gates) >= 2:
+            pg = portal_graph(r, Axis.Y)
+            trees.append(PortalTree(r, pg, {pg.portal_of(g.nodes[0]).id for g in r.gates}))
+    if not trees:
+        return list(regions)
+
+    for tree, survivors in zip(trees, decide.surviving_portals(trees)):
+        tree.survivors = survivors
+        tree.survivor_nodes = frozenset(
+            p for pid in survivors for p in tree.graph.portals[pid].nodes
+        )
+    branches = decide.branch_portals(trees)
+
+    # Split at the branch portals; then every gate meeting two or more
+    # surviving runs keeps its top run and is cut at the other runs' heads.
+    kids: list[list[tuple[Region, list[NodeCut]]]] = []
+    asks: list[tuple[list[NodeCut], Gate, list[GridPoint]]] = []
+    queries: list[ChainQuery] = []
+    for tree, branch in zip(trees, branches):
+        portals = tree.graph.portals
+        children = [tree.region]
+        if branch:
+            children = split_many(tree.region, [(portals[pid], []) for pid in branch])
+        kids.append([(child, []) for child in children])
+        for child, cuts in kids[-1]:
+            for gate in child.gates:
+                marks = northmost_marks(child, gate.nodes, gate.side, tree.survivor_nodes)
+                if len(marks) >= 2:
+                    asks.append((cuts, gate, marks))
+                    queries.append(ChainQuery(tree.region, gate.nodes, frozenset(marks), 1))
+    for (cuts, gate, marks), top in zip(asks, decide.closest_marks(queries)):
+        for p in marks:
+            cut = NodeCut(p, gate.axis, gate.side)
+            if p != top and cut not in cuts:
+                cuts.append(cut)
 
     tunnels: list[Region] = []
-    for child in children:
-        cpg = portal_graph(child, Axis.Y)
-        child_survivors = {
-            p.id for p in cpg.portals if p.nodes[0] in survivor_nodes
-        }
-        cuts: list[NodeCut] = []
-        for gate in child.gates:
-            gate_pid = cpg.portal_of(gate.nodes[0]).id
-            adj = [
-                by_id_c
-                for by_id_c in cpg.neighbor_map[gate_pid]
-                if by_id_c in child_survivors
-            ]
-            if len(adj) < 2:
-                continue
-            portals_ns = sorted(
-                (next(p for p in cpg.portals if p.id == pid) for pid in adj),
-                key=lambda p: -max(q.b for q in p.nodes),
-            )
-            gate_nodes = gate.node_set
-            for p_i in portals_ns[1:]:
-                members = p_i.node_set
-                candidates = [
-                    g
-                    for g in gate.nodes
-                    if any(q in members for _, q in child.adjacency[g])
-                ]
-                if not candidates:
-                    raise ContractViolation("gate lost adjacency to a neighbor portal")
-                g_i = _northernmost(candidates)
-                cut = NodeCut(g_i, gate.axis, gate.side)
-                if cut not in cuts:
-                    cuts.append(cut)
-        if cuts:
-            tunnels.extend(split_many(child, [], cuts))
-        else:
-            tunnels.append(child)
+    kids_of = iter(kids)
+    for r in regions:
+        if len(r.gates) < 2:
+            tunnels.append(r)
+            continue
+        for child, cuts in next(kids_of):
+            tunnels.extend(split_many(child, [], cuts) if cuts else [child])
     return tunnels
+
+
+def phase2_tunnels(region: Region) -> list[Region]:
+    """Split a simple region into tunnel regions meeting at most two gates."""
+    return _phase2_plan([region], DIRECT)
 
 
 # -- phase 3 -------------------------------------------------------------------
@@ -236,123 +307,68 @@ def _gate_order_key(g: Gate) -> tuple:
     return (g.line, -max(p.b for p in g.nodes), g.nodes[0])
 
 
-def _portal_side_toward(pg: PortalGraph, pid: int, other_pid: int) -> str:
-    """Side of portal ``pid`` on which its neighbor ``other_pid`` lies."""
-    axis = pg.axis
-    line = next(p for p in pg.portals if p.id == pid).line
-    other_line = next(p for p in pg.portals if p.id == other_pid).line
-    names = [s[0] for s in SIDES[axis]]
-    # First listed side is the one whose cross directions increase the line key.
-    up_side, down_side = names
-    probe = next(p for p in pg.portals if p.id == pid).nodes[0]
-    up_dir = _side_cross_dirs(axis, up_side)[0]
-    if axis.line_key(probe.neighbor(up_dir)) > line:
-        plus, minus = up_side, down_side
-    else:  # the y axis: WNW cross directions decrease the line key a
-        plus, minus = down_side, up_side
-    return plus if other_line > line else minus
+def _closest(decide, region: Region, chain, marks, end: int) -> GridPoint:
+    return decide.closest_marks([ChainQuery(region, tuple(chain), frozenset(marks), end)])[0]
+
+
+def _cut_beside(
+    decide, tunnel: Region, portal: Portal, q: Axis, side: str, exclude
+) -> GridPoint | None:
+    """Westernmost node of ``portal`` outside ``exclude`` that misses a neighbor on ``side``."""
+    candidates = [
+        p for p in portal.nodes if p not in exclude and _touches_outside(tunnel, p, q, side)
+    ]
+    if not candidates:
+        return None
+    return _closest(decide, tunnel, portal.nodes, candidates, _west_end(q))
 
 
 def _axis_round(
-    tunnel: Region, q: Axis, gate_a: Gate, gate_b: Gate
+    tunnel: Region, q: Axis, gate_a: Gate, gate_b: Gate, decide
 ) -> tuple[list[tuple[Portal, list[NodeCut]]], AxisSplitInfo]:
     """Splitting portals and node cuts of the first phase-3 round for one axis."""
     qpg = portal_graph(tunnel, q)
-    pids_a = {qpg.portal_of(u).id for u in gate_a.nodes}
-    pids_b = {qpg.portal_of(u).id for u in gate_b.nodes}
-    by_id = {p.id: p for p in qpg.portals}
+    pids_a, pids_b = decide.crossing_portals(tunnel, qpg, gate_a, gate_b)
     common = pids_a & pids_b
-    gate_nodes = gate_a.node_set | gate_b.node_set
 
     if common:
-        lines = sorted(common, key=lambda pid: by_id[pid].line)
-        p_down, p_up = by_id[lines[0]], by_id[lines[-1]]
-        up_side, down_side = [s[0] for s in SIDES[q]]
+        # P-up and P-down cross G at its topmost and bottom-most common node.
+        crossing = [p for p in gate_a.nodes if qpg.portal_of(p).id in common]
+        p_up = qpg.portal_of(_closest(decide, tunnel, gate_a.nodes, crossing, 1))
+        p_down = qpg.portal_of(_closest(decide, tunnel, gate_a.nodes, crossing, 0))
+        gate_nodes = gate_a.node_set | gate_b.node_set
         splits: list[tuple[Portal, list[NodeCut]]] = []
-        info_nodes = {}
-        for portal, side, tag in ((p_up, up_side, "b_upper"), (p_down, down_side, "b_lower")):
-            candidates = [
-                p
-                for p in portal.nodes
-                if p not in gate_nodes and _touches_outside(tunnel, p, q, side)
-            ]
-            cuts = []
-            if candidates:
-                b = _westernmost(candidates)
-                cuts.append(NodeCut(b, q, side))
-                info_nodes[tag] = b
-            splits.append((portal, cuts))
+        b_nodes = []
+        for portal, side in zip((p_up, p_down), side_names(q)):
+            b = _cut_beside(decide, tunnel, portal, q, side, gate_nodes)
+            b_nodes.append(b)
+            splits.append((portal, [NodeCut(b, q, side)] if b is not None else []))
         if p_up.id == p_down.id:
-            merged_cuts = splits[0][1] + splits[1][1]
-            splits = [(p_up, merged_cuts)]
+            splits = [(p_up, splits[0][1] + splits[1][1])]
         info = AxisSplitInfo(
             q.value,
             1,
             upper=p_up.nodes,
             lower=p_down.nodes,
-            b_upper=info_nodes.get("b_upper"),
-            b_lower=info_nodes.get("b_lower"),
+            b_upper=b_nodes[0],
+            b_lower=b_nodes[1],
         )
         return splits, info
 
-    dist_b = qpg.distances_from(sorted(pids_b))
-    best = min(dist_b[pid] for pid in pids_a)
-    near_ids = [pid for pid in sorted(pids_a) if dist_b[pid] == best]
-    if len(near_ids) != 1:
-        raise ContractViolation(f"{q.value}-portal nearest to the far gate is not unique")
-    near = by_id[near_ids[0]]
-
-    dist_a = qpg.distances_from(sorted(pids_a))
-    best = min(dist_a[pid] for pid in pids_b)
-    far_ids = [pid for pid in sorted(pids_b) if dist_a[pid] == best]
-    if len(far_ids) != 1:
-        raise ContractViolation(f"{q.value}-portal nearest to the near gate is not unique")
-    far = by_id[far_ids[0]]
-
-    def toward(pid: int, dist: dict[int, int]) -> str:
-        if dist[pid] == 0:
-            raise ContractViolation("case 2 portal intersects both gates")
-        nxt = next(
-            nb for nb in qpg.neighbor_map[pid] if dist.get(nb, -2) == dist[pid] - 1
-        )
-        return _portal_side_toward(qpg, pid, nxt)
-
+    ends = decide.case2_portals(tunnel, qpg, gate_a, pids_a, pids_b)
     splits = []
-    info_nodes = {}
-    sides = {}
-    crossings = {}
-    for portal, own_gate, dist, tag in (
-        (near, gate_a, dist_b, "near"),
-        (far, gate_b, dist_a, "far"),
-    ):
-        side = toward(portal.id, dist)
-        sides[tag] = side
+    fields = {}
+    for (pid, toward), own_gate, tag in zip(ends, (gate_a, gate_b), ("near", "far")):
+        portal = qpg.portals[pid]
+        side = _portal_side_toward(qpg, pid, toward)
         crossing = own_gate.node_set & portal.node_set
-        crossings[tag] = min(crossing) if crossing else None
-        candidates = [
-            p
-            for p in portal.nodes
-            if p not in own_gate.node_set and _touches_outside(tunnel, p, q, side)
-        ]
-        cuts = []
-        if candidates:
-            b = _westernmost(candidates)
-            cuts.append(NodeCut(b, q, side))
-            info_nodes[tag] = b
-        splits.append((portal, cuts))
-    info = AxisSplitInfo(
-        q.value,
-        2,
-        near=near.nodes,
-        far=far.nodes,
-        b_near=info_nodes.get("near"),
-        b_far=info_nodes.get("far"),
-        near_side=sides["near"],
-        far_side=sides["far"],
-        near_crossing=crossings["near"],
-        far_crossing=crossings["far"],
-    )
-    return splits, info
+        b = _cut_beside(decide, tunnel, portal, q, side, own_gate.node_set)
+        splits.append((portal, [NodeCut(b, q, side)] if b is not None else []))
+        fields[tag] = portal.nodes
+        fields[f"b_{tag}"] = b
+        fields[f"{tag}_side"] = side
+        fields[f"{tag}_crossing"] = min(crossing) if crossing else None
+    return splits, AxisSplitInfo(q.value, 2, **fields)
 
 
 def _pick_point_gate(
@@ -449,72 +465,55 @@ def occupied_run_count(node_set, p: GridPoint) -> int:
 
 
 def _point_gate_plan(
-    m_region: Region, g: GridPoint, g2: GridPoint
+    m_region: Region, g: GridPoint, g2: GridPoint, decide
 ) -> tuple[list[tuple[Portal, list[NodeCut]]], dict[str, MedianInfo]]:
-    graphs = {q: portal_graph(m_region, q) for q in AXES}
-    dists = {}
+    """Median portals of M per axis, each with its cut node where both point
+    gates lie on one side of it."""
+    graphs, ends, paths = {}, {}, {}
     for q in AXES:
-        pg = graphs[q]
-        pid_g, pid_g2 = pg.portal_of(g).id, pg.portal_of(g2).id
-        from_g = pg.distances_from([pid_g])
-        from_g2 = pg.distances_from([pid_g2])
-        dists[q] = (pid_g, pid_g2, from_g, from_g2)
+        pg = graphs[q] = portal_graph(m_region, q)
+        ends[q] = pg.portal_of(g).id, pg.portal_of(g2).id
+        paths[q] = decide.path_distances(m_region, pg, *ends[q])
 
     # S_M: nodes whose portal lies on the g-g' tree path for every axis.
-    s_m = set()
-    for v in m_region.nodes:
-        on_all = True
-        for q in AXES:
-            pid_g, pid_g2, from_g, from_g2 = dists[q]
-            pid = graphs[q].portal_of(v).id
-            if from_g[pid] + from_g2[pid] != from_g[pid_g2]:
-                on_all = False
-                break
-        if on_all:
-            s_m.add(v)
+    s_m = {
+        v for v in m_region.nodes if all(graphs[q].portal_of(v).id in paths[q] for q in AXES)
+    }
     cut_set = {v for v in s_m if occupied_run_count(s_m, v) >= 2}
 
     splits: list[tuple[Portal, list[NodeCut]]] = []
     medians: dict[str, MedianInfo] = {}
     for q in AXES:
-        pg = graphs[q]
-        pid_g, pid_g2, from_g, from_g2 = dists[q]
-        d_q = from_g[pid_g2]
+        pg, path = graphs[q], paths[q]
+        pid_g, pid_g2 = ends[q]
+        d_q = path[pid_g2]
         want_g = (d_q + 1) // 2
-        want_g2 = d_q // 2
-        median_ids = [
-            p.id
-            for p in pg.portals
-            if from_g[p.id] == want_g and from_g2[p.id] == want_g2
-        ]
+        median_ids = [pid for pid, d in path.items() if d == want_g]
         if len(median_ids) != 1:
             raise ContractViolation(f"median {q.value}-portal is not unique")
-        median = next(p for p in pg.portals if p.id == median_ids[0])
+        median = pg.portals[median_ids[0]]
 
         if d_q == 0:
             same = True
-            sides = [s[0] for s in SIDES[q]]
+            sides = list(side_names(q))
         elif d_q == 1:
             same = True
             sides = [_portal_side_toward(pg, median.id, pid_g)]
         else:
-            toward_g = next(
-                nb for nb in pg.neighbor_map[median.id] if from_g.get(nb, -2) == want_g - 1
-            )
-            toward_g2 = next(
-                nb for nb in pg.neighbor_map[median.id] if from_g2.get(nb, -2) == want_g2 - 1
+            toward_g, toward_g2 = (
+                next(nb for nb in pg.neighbor_map[median.id] if path.get(nb) == want_g + step)
+                for step in (-1, 1)
             )
             side_g = _portal_side_toward(pg, median.id, toward_g)
-            side_g2 = _portal_side_toward(pg, median.id, toward_g2)
-            same = side_g == side_g2
+            same = side_g == _portal_side_toward(pg, median.id, toward_g2)
             sides = [side_g]
 
         cuts: list[NodeCut] = []
         b_node = None
         if same:
-            on_portal = cut_set & median.node_set
+            on_portal = [p for p in median.nodes if p in cut_set]
             if on_portal:
-                b_node = _westernmost(on_portal)
+                b_node = _closest(decide, m_region, median.nodes, on_portal, _west_end(q))
                 cuts = [NodeCut(b_node, q, s) for s in sides]
         splits.append((median, cuts))
         medians[q.value] = MedianInfo(q.value, d_q, median.nodes, same, b_node)
@@ -525,12 +524,11 @@ def point_gate_split(m_region: Region, g: GridPoint, g2: GridPoint) -> list[Regi
     """Split the middle region at its three median portals (single-node gates)."""
     if g not in m_region.nodes or g2 not in m_region.nodes:
         raise DomainError("point gates must lie in the region")
-    splits, _ = _point_gate_plan(m_region, g, g2)
+    splits, _ = _point_gate_plan(m_region, g, g2, DIRECT)
     return split_many(m_region, splits)
 
 
-def phase3_convex(tunnel: Region) -> tuple[list[Region], TunnelCaseData]:
-    """Split a tunnel region into geodesically convex regions."""
+def _phase3_plan(tunnel: Region, decide) -> tuple[list[Region], TunnelCaseData]:
     data = TunnelCaseData(tunnel_lineage=tunnel.lineage, gate_count=len(tunnel.gates))
     if len(tunnel.gates) < 2:
         return [tunnel], data
@@ -538,28 +536,113 @@ def phase3_convex(tunnel: Region) -> tuple[list[Region], TunnelCaseData]:
         raise ContractViolation(
             f"tunnel meets {len(tunnel.gates)} gates; phase 2 must leave at most two"
         )
-    gate_a, gate_b = sorted(tunnel.gates, key=_gate_order_key)
+    gate_a, gate_b = decide.gate_order(tunnel, *tunnel.gates)
 
     splits: list[tuple[Portal, list[NodeCut]]] = []
-    infos = {}
     for q in (Axis.X, Axis.Z):
-        axis_splits, info = _axis_round(tunnel, q, gate_a, gate_b)
+        axis_splits, info = _axis_round(tunnel, q, gate_a, gate_b, decide)
         splits.extend(axis_splits)
-        infos[q.value] = info
-    data.x, data.z = infos["x"], infos["z"]
+        setattr(data, q.value, info)
 
     children = split_many(tunnel, splits)
 
     if data.x.case == 2 and data.z.case == 2:
-        # M is the smallest qualifying child that holds a point gate at each end.
-        m_region, g, g2 = select_middle_region(children, data.x, data.z)
+        m_region, g, g2 = decide.middle_region(children, data.x, data.z)
         data.m_present = True
         data.g, data.g_prime = g, g2
-        plan, medians = _point_gate_plan(m_region, g, g2)
-        data.medians = medians
-        m_children = split_many(m_region, plan)
-        children = [r for r in children if r is not m_region] + m_children
+        plan, data.medians = _point_gate_plan(m_region, g, g2, decide)
+        children = [r for r in children if r is not m_region] + split_many(m_region, plan)
     return children, data
+
+
+def phase3_convex(tunnel: Region) -> tuple[list[Region], TunnelCaseData]:
+    """Split a tunnel region into geodesically convex regions."""
+    return _phase3_plan(tunnel, DIRECT)
+
+
+# -- decisions by direct computation ---------------------------------------------
+
+
+class DirectDecisions:
+    """Answers every decision of the plan by direct computation.
+
+    The distributed engine's provider answers the same calls with circuit
+    rounds; each method here is the reference for its decision.
+    """
+
+    def hole_extreme_nodes(self, inner, y_portals) -> set[GridPoint]:
+        """Phase 1: the WNW- and ESE-most boundary node of every inner hole."""
+        return {v for hole in inner for v in hole_extremes(hole)}
+
+    def surviving_portals(self, trees: list[PortalTree]) -> list[set[int]]:
+        """Phase 2: per region, the portals left by pruning non-gate leaves."""
+        return [_prune_to_gates(t.graph, t.gate_pids) for t in trees]
+
+    def branch_portals(self, trees: list[PortalTree]) -> list[list[int]]:
+        """Phase 2: per region, the non-gate survivors with three or more
+        surviving neighbours, in id order."""
+        return [
+            sorted(
+                pid
+                for pid in t.survivors - t.gate_pids
+                if sum(nb in t.survivors for nb in t.graph.neighbor_map[pid]) >= 3
+            )
+            for t in trees
+        ]
+
+    def closest_marks(self, queries: list[ChainQuery]) -> list[GridPoint]:
+        """Per query, the first marked chain node seen from the asked end."""
+        return [
+            next(p for p in (q.chain if q.end == 0 else reversed(q.chain)) if p in q.marks)
+            for q in queries
+        ]
+
+    def gate_order(self, tunnel: Region, gate_a: Gate, gate_b: Gate) -> tuple[Gate, Gate]:
+        """Phase 3: G before G' (the smaller y line, then the higher top)."""
+        return tuple(sorted((gate_a, gate_b), key=_gate_order_key))
+
+    def crossing_portals(
+        self, tunnel: Region, qpg: PortalGraph, gate_a: Gate, gate_b: Gate
+    ) -> tuple[set[int], set[int]]:
+        """Phase 3: the q-portals crossing each gate."""
+        return tuple({qpg.portal_of(u).id for u in gate.nodes} for gate in (gate_a, gate_b))
+
+    def case2_portals(
+        self, tunnel: Region, qpg: PortalGraph, gate_a: Gate, pids_a: set[int], pids_b: set[int]
+    ) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Phase 3, case 2: the portal of each gate nearest the other gate,
+        each with its neighbour toward the other gate, as (near, far)."""
+        out = []
+        for mine, other in ((pids_a, pids_b), (pids_b, pids_a)):
+            dist = qpg.distances_from(sorted(other))
+            best = min(dist[pid] for pid in mine)
+            ids = [pid for pid in sorted(mine) if dist[pid] == best]
+            if len(ids) != 1:
+                raise ContractViolation(
+                    f"{qpg.axis.value}-portal nearest to the other gate is not unique"
+                )
+            toward = next(nb for nb in qpg.neighbor_map[ids[0]] if dist.get(nb) == best - 1)
+            out.append((ids[0], toward))
+        return tuple(out)
+
+    def middle_region(
+        self, children: list[Region], info_x: AxisSplitInfo, info_z: AxisSplitInfo
+    ) -> tuple[Region, GridPoint, GridPoint]:
+        """Phase 3: the middle region M and its point gates g, g'."""
+        return select_middle_region(children, info_x, info_z)
+
+    def path_distances(
+        self, m_region: Region, pg: PortalGraph, pid_g: int, pid_g2: int
+    ) -> dict[int, int]:
+        """Point-gate split: every portal on the tree path from ``pid_g`` to
+        ``pid_g2``, with its distance from ``pid_g``."""
+        from_g = pg.distances_from([pid_g])
+        from_g2 = pg.distances_from([pid_g2])
+        d = from_g[pid_g2]
+        return {pid: dg for pid, dg in from_g.items() if dg + from_g2[pid] == d}
+
+
+DIRECT = DirectDecisions()
 
 
 # -- full pipeline -------------------------------------------------------------
@@ -589,29 +672,38 @@ class Decomposition:
         )
 
 
-def decompose(structure: AmoebotStructure) -> Decomposition:
-    """Run all three phases and renumber regions deterministically."""
-    regions1, gates = phase1_simple(structure)
-    tunnels: list[Region] = []
-    for r in regions1:
-        tunnels.extend(phase2_tunnels(r))
-    final: list[Region] = []
-    cases: list[TunnelCaseData] = []
-    for t in tunnels:
-        rs, data = phase3_convex(t)
-        final.extend(rs)
-        cases.append(data)
-    final.sort(key=lambda r: r.lineage)
-    final = [
-        Region(r.nodes, r.edges, r.gates, id=i, lineage=r.lineage)
-        for i, r in enumerate(final)
-    ]
+def assemble(
+    structure: AmoebotStructure,
+    regions1: list[Region],
+    gates: list[Gate],
+    tunnels: list[Region],
+    final: list[Region],
+    cases: list[TunnelCaseData],
+) -> Decomposition:
+    """The decomposition of the phases' outputs, regions renumbered by lineage."""
+    final = sorted(final, key=lambda r: r.lineage)
     _, inner = find_holes(structure)
     return Decomposition(
-        regions=final,
+        regions=[
+            Region(r.nodes, r.edges, r.gates, id=i, lineage=r.lineage)
+            for i, r in enumerate(final)
+        ],
         phase1_gates=gates,
         phase1_region_count=len(regions1),
         tunnel_count=len(tunnels),
         tunnel_cases=cases,
         hole_count=len(inner),
     )
+
+
+def decompose(structure: AmoebotStructure) -> Decomposition:
+    """Run all three phases and renumber regions deterministically."""
+    regions1, gates = phase1_simple(structure)
+    tunnels = [t for r in regions1 for t in phase2_tunnels(r)]
+    final: list[Region] = []
+    cases: list[TunnelCaseData] = []
+    for t in tunnels:
+        rs, data = phase3_convex(t)
+        final.extend(rs)
+        cases.append(data)
+    return assemble(structure, regions1, gates, tunnels, final, cases)

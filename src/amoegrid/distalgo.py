@@ -1,14 +1,16 @@
 """Distributed convex decomposition on the circuit simulator.
 
-Every decision mirrors the centralized pipeline but is computed by beep
-protocols: boundary classification and extreme-node selection by the
+The distributed engine runs the centralized engine's phase plans
+(``amoegrid.decompose``) and answers each of their decisions with circuit
+rounds through ``CircuitDecisions``: extreme-node selection by the
 boundary/maxima machinery, portal marking by single-round circuit beeps,
-tree pruning by fragment contraction, gate and node selections by the
-constant-round chain primitives, and median portals by paired distance
-streams.  Region identity itself lives only in per-amoebot retained-edge
-knowledge; the harness reconstructs explicit regions (the connected
-components of the copy graph) after each enactment, which is how outputs
-are compared with the centralized engine.
+tree pruning by fragment contraction, branch portals by the track degree
+test, gate and node selections by the constant-round chain primitives, and
+portal distances by counting streams.  Engine equality follows from the
+shared plan.  Region identity itself lives only in per-amoebot
+retained-edge knowledge; the harness reconstructs explicit regions (the
+connected components of the copy graph) after each enactment, which is how
+outputs are compared with the centralized engine.
 
 Regions run their stages in parallel on disjoint circuits; where a portal
 chain is shared by the two regions of a gate, the WNW-side region uses the
@@ -23,29 +25,27 @@ import numpy as np
 
 from .circuits import SimulationTrace, World
 from .decompose import (
-    AxisSplitInfo,
+    ChainQuery,
     Decomposition,
-    TunnelCaseData,
+    PortalTree,
     _gate_order_key,
-    _touches_outside,
-    hole_split_specs,
+    _phase1_plan,
+    _phase2_plan,
+    _phase3_plan,
+    assemble,
+    northmost_marks,
     select_middle_region,
 )
 from .errors import ContractViolation, RoundBudgetExceeded
-from .grid import DIRECTIONS, AmoebotStructure, GridPoint, direction_between, find_holes
-from .portals import AXES, Axis, Portal, compute_portals, portal_graph
-from .split import SIDES, NodeCut, Region, side_names, split_many
-from .primitives.basic import (
-    closest_on_portal,
-    closest_on_portal_batch,
-    degree_check,
-    degree_check_batch,
-)
+from .grid import DIRECTIONS, AmoebotStructure, GridPoint, direction_between
+from .portals import AXES, Axis, PortalGraph, portal_graph
+from .split import Gate, Region, side_names
+from .primitives.basic import closest_on_portal_batch, degree_check_batch
 from .primitives.boundary import BoundaryTest
 from .primitives.election import election_iters, run_election
 from .primitives.maxima import PSI, bits_to_int, chain_maxima
 from .primitives.pasc import Meter, run_counting_pasc
-from .primitives.trees import contract_tree, forest_from_chains, pasc_forest
+from .primitives.trees import PortalForest, contract_tree, forest_from_chains, pasc_forest
 
 SIDE_FIRST = {a: side_names(a)[0] for a in AXES}
 
@@ -94,10 +94,9 @@ class _RegionSpace:
             pins.append((iv, dv, k + self.koff[iv, dv]))
         return pins
 
-    def portal_forest(self, axis: Axis, instance: int = 0):
-        pg = portal_graph(self.region, axis)
+    def portal_forest(self, pg: PortalGraph, instance: int = 0) -> PortalForest:
         chains = [list(p.nodes) for p in pg.portals]
-        forest = forest_from_chains(
+        return forest_from_chains(
             self.world,
             chains,
             sorted(pg.adjacency),
@@ -105,13 +104,10 @@ class _RegionSpace:
             instance=np.full(len(chains), instance, dtype=np.int64),
             koff=self.koff,
         )
-        return pg, forest
 
 
-def _merge_forests(forests) -> object:
+def _merge_forests(forests: list[PortalForest]) -> PortalForest:
     """Concatenate PortalForests of disjoint regions into one."""
-    from .primitives.trees import PortalForest
-
     world = forests[0].world
     members, internal, links, inst = [], [], [], []
     koff = np.zeros((world.n, 6), dtype=np.int8)
@@ -125,7 +121,7 @@ def _merge_forests(forests) -> object:
         sel = f.koff != 0
         koff[sel] = f.koff[sel]
         base += f.ne
-    return PortalForest(world, members, internal, links, np.array(inst, dtype=np.int64), koff), None
+    return PortalForest(world, members, internal, links, np.array(inst, dtype=np.int64), koff)
 
 
 def _wire_region_circuits(world: World, spaces: list[_RegionSpace]) -> None:
@@ -136,443 +132,276 @@ def _wire_region_circuits(world: World, spaces: list[_RegionSpace]) -> None:
     world.mark_dirty()
 
 
-def _beep_on_regions(world: World, spaces, senders_idx, meter: Meter) -> np.ndarray:
-    """One round: the given nodes beep on their regions' circuits (label 0)."""
-    _wire_region_circuits(world, spaces)
-    send = np.zeros((world.n, world.S), dtype=bool)
-    for i in senders_idx:
-        send[i, 0] = True
-    recv = world.deliver(send)
-    meter.rounds += 1
-    return recv[:, 0]
-
-
-# -- phase 1 -------------------------------------------------------------------
-
-
-def dist_phase1(world: World, structure: AmoebotStructure, meter: Meter):
-    """Boundary classification, extreme-node selection, and the y splits."""
-    stage = BoundaryTest(world)
-    cyc = stage.cyc
-    root = Region.from_structure(structure)
-    if cyc.n_visits == 0:
-        return [root], []
-    inner_cycle, leaders, real_visit = stage.run(meter)
-    if not inner_cycle.any():
-        return [root], []
-
-    split_nodes: list[GridPoint] = []
-    for functional, tiebreak in (("WNW", "NNE"), ("ESE", "NNE")):
-        psi = PSI[functional](world.a, world.b).astype(np.int64)
-        first = chain_maxima(world, cyc, leaders, inner_cycle, real_visit.copy(), psi, meter)
-        psi2 = PSI[tiebreak](world.a, world.b).astype(np.int64)
-        second = chain_maxima(world, cyc, leaders, inner_cycle, first, psi2, meter)
-        for c in np.flatnonzero(inner_cycle):
-            vids = np.flatnonzero(second & (cyc.cycle_id == c))
-            nodes = {world.nodes[cyc.node[v]] for v in vids}
-            if len(nodes) != 1:
-                raise ContractViolation("extreme-node selection did not single out one amoebot")
-            split_nodes.append(next(iter(nodes)))
-
-    # empty points are local knowledge; reuse the centralized preference.
-    # One node can be the WNW extreme of one hole and the ESE extreme of
-    # another, so keep every spec.
-    _, inner = find_holes(structure)
-    specs = []
-    for hole in inner:
-        specs.extend(hole_split_specs(structure, hole))
-    by_node: dict[GridPoint, list] = {}
-    for s in specs:
-        by_node.setdefault(s.node, []).append(s)
-    if set(by_node) != set(split_nodes):
-        raise ContractViolation("distributed split nodes disagree with geometry")
-
-    # y-portals through the split set: one beep on portal circuits
-    portals = compute_portals(root, Axis.Y)
-    owner: dict[GridPoint, Portal] = {}
-    for portal in portals:
-        for p in portal.nodes:
-            owner[p] = portal
+def _wire_chains(world: World, chains, koff=None) -> None:
+    """Join each chain's consecutive members on pin k = 1 (plus the offset)."""
     world.reset_pins_isolated()
-    for portal in portals:
-        for u, v in zip(portal.nodes, portal.nodes[1:]):
+    for chain in chains:
+        for u, v in zip(chain, chain[1:]):
             iu, iv = world.index[u], world.index[v]
             du = DIRECTIONS.index(direction_between(u, v))
             dv = DIRECTIONS.index(direction_between(v, u))
-            world.pset[iu, du * world.c + 1] = 1
-            world.pset[iv, dv * world.c + 1] = 1
+            world.pset[iu, du * world.c + 1 + (koff[iu, du] if koff is not None else 0)] = 1
+            world.pset[iv, dv * world.c + 1 + (koff[iv, dv] if koff is not None else 0)] = 1
     world.mark_dirty()
+
+
+def _beep_from(world: World, nodes, meter: Meter) -> None:
+    """One round in which ``nodes`` beep on label 1 of the wired circuits."""
     send = np.zeros((world.n, world.S), dtype=bool)
-    for p in split_nodes:
+    for p in nodes:
         send[world.index[p], 1] = True
     world.deliver(send)
     meter.rounds += 1
 
-    from .split import resolve_spec
 
-    by_portal: dict[int, tuple[Portal, list[NodeCut]]] = {}
-    for p in sorted(set(split_nodes)):
-        portal = owner[p]
-        entry = by_portal.setdefault(portal.id, (portal, []))
-        for spec in by_node[p]:
-            cut = resolve_spec(root, portal, spec)
-            if cut not in entry[1]:
-                entry[1].append(cut)
-    regions = split_many(root, [entry for _, entry in sorted(by_portal.items())])
-    gates = [g for r in regions for g in r.gates]
-    return regions, gates
+class CircuitDecisions:
+    """Answers the phase plans' decisions with circuit rounds on one world.
+
+    Each method answers the ``DirectDecisions`` method of the same name and
+    charges its rounds to ``meter``.
+    """
+
+    def __init__(self, world: World, meter: Meter):
+        self.world = world
+        self.meter = meter
+        self._spaces: dict[Region, _RegionSpace] = {}
+
+    def _space(self, region: Region) -> _RegionSpace:
+        space = self._spaces.get(region)
+        if space is None:
+            space = self._spaces[region] = _RegionSpace(self.world, region)
+        return space
+
+    # -- phase 1 ---------------------------------------------------------------
+
+    def hole_extreme_nodes(self, inner, y_portals) -> set[GridPoint]:
+        """Boundary classification, extreme-node selection, and one beep
+        from the split nodes on their y-portals."""
+        world, meter = self.world, self.meter
+        stage = BoundaryTest(world)
+        cyc = stage.cyc
+        if cyc.n_visits == 0:
+            return set()
+        inner_cycle, leaders, real_visit = stage.run(meter)
+        if not inner_cycle.any():
+            return set()
+
+        split_nodes: set[GridPoint] = set()
+        for functional, tiebreak in (("WNW", "NNE"), ("ESE", "NNE")):
+            psi = PSI[functional](world.a, world.b).astype(np.int64)
+            first = chain_maxima(world, cyc, leaders, inner_cycle, real_visit.copy(), psi, meter)
+            psi2 = PSI[tiebreak](world.a, world.b).astype(np.int64)
+            second = chain_maxima(world, cyc, leaders, inner_cycle, first, psi2, meter)
+            for c in np.flatnonzero(inner_cycle):
+                vids = np.flatnonzero(second & (cyc.cycle_id == c))
+                nodes = {world.nodes[cyc.node[v]] for v in vids}
+                if len(nodes) != 1:
+                    raise ContractViolation("extreme-node selection did not single out one amoebot")
+                split_nodes |= nodes
+
+        _wire_chains(world, [p.nodes for p in y_portals])
+        _beep_from(world, split_nodes, meter)
+        return split_nodes
+
+    # -- phase 2 ---------------------------------------------------------------
+
+    def surviving_portals(self, trees: list[PortalTree]) -> list[set[int]]:
+        """An election of a root gate per region, then one contraction of
+        every region's y-portal tree in lockstep."""
+        world = self.world
+        spaces = [self._space(t.region) for t in trees]
+        # leader gate per region: portal representatives are local (no NNE edge)
+        listen = np.full(world.n, -1, dtype=np.int64)
+        candidates = np.zeros(world.n, dtype=bool)
+        _wire_region_circuits(world, spaces)
+        for t in trees:
+            for g in t.region.gates:
+                candidates[world.index[g.nodes[-1]]] = True
+            for p in t.region.nodes:
+                listen[world.index[p]] = 0
+        leaders = run_election(
+            world, listen, candidates, election_iters(world.nhat), tag=31, meter=self.meter
+        )
+
+        forests, roots, q_masks = [], {}, []
+        base = 0
+        for inst, (t, space) in enumerate(zip(trees, spaces)):
+            forest = space.portal_forest(t.graph, inst)
+            q = np.zeros(forest.ne, dtype=bool)
+            q[list(t.gate_pids)] = True
+            q_masks.append(q)
+            leader = next((g for g in t.region.gates if leaders[world.index[g.nodes[-1]]]), None)
+            if leader is None:  # election failure: fall back deterministically
+                leader = min(t.region.gates, key=_gate_order_key)
+            roots[inst] = t.graph.portal_of(leader.nodes[0]).id + base
+            forests.append(forest)
+            base += forest.ne
+        merged = _merge_forests(forests)
+        _, keep = contract_tree(world, merged, roots, np.concatenate(q_masks), self.meter)
+
+        out, base = [], 0
+        for forest in forests:
+            out.append({int(pid) for pid in np.flatnonzero(keep[base : base + forest.ne])})
+            base += forest.ne
+        return out
+
+    def branch_portals(self, trees: list[PortalTree]) -> list[list[int]]:
+        """One shared round of the track degree test: every surviving
+        non-gate portal counts the surviving runs beside it."""
+        world = self.world
+        instances, keys = [], []
+        for i, t in enumerate(trees):
+            koff = self._space(t.region).koff
+            for pid in sorted(t.survivors - t.gate_pids):
+                portal = t.graph.portals[pid]
+                shifts = np.zeros(world.n, dtype=np.int64)
+                for side in side_names(Axis.Y):
+                    for p in northmost_marks(t.region, portal.nodes, side, t.survivor_nodes):
+                        shifts[world.index[p]] += 1
+                instances.append((list(portal.nodes), shifts, 3, koff))
+                keys.append((i, pid))
+        out: list[list[int]] = [[] for _ in trees]
+        if instances:
+            for (i, pid), is_branch in zip(keys, degree_check_batch(world, instances, self.meter)):
+                if is_branch:
+                    out[i].append(pid)
+        return out
+
+    def closest_marks(self, queries: list[ChainQuery]) -> list[GridPoint]:
+        """One round answering every query on its region's chain pins."""
+        if not queries:
+            return []
+        world = self.world
+        instances = []
+        for q in queries:
+            marked = np.zeros(world.n, dtype=bool)
+            marked[[world.index[p] for p in q.marks]] = True
+            instances.append((list(q.chain), marked, q.end, self._space(q.region).koff))
+        return closest_on_portal_batch(world, instances, self.meter)
+
+    # -- phase 3 ---------------------------------------------------------------
+
+    def gate_order(self, tunnel: Region, gate_a: Gate, gate_b: Gate) -> tuple[Gate, Gate]:
+        """Line difference of the two gates by east/west hop counts on the
+        rooted y-portal path between them."""
+        world, meter = self.world, self.meter
+        pg = portal_graph(tunnel, Axis.Y)
+        forest = self._space(tunnel).portal_forest(pg)
+        pa = pg.portal_of(gate_a.nodes[0]).id
+        pb = pg.portal_of(gate_b.nodes[0]).id
+        if pa == pb:
+            raise ContractViolation("tunnel gates share a portal")
+        q = np.zeros(forest.ne, dtype=bool)
+        q[pa] = q[pb] = True
+        parents, keep = contract_tree(world, forest, {int(forest.instance[pa]): pa}, q, meter)
+        ef = pasc_forest(forest, parents, keep)
+        kept = np.flatnonzero(keep)
+        remap = {int(e): j for j, e in enumerate(kept)}
+        # east/west hop marks along the path toward the root pa
+        east = np.zeros(ef.ne, dtype=bool)
+        west = np.zeros(ef.ne, dtype=bool)
+        for e in kept:
+            e = int(e)
+            parent = int(parents[e])
+            if parent < 0 or not keep[parent]:
+                continue
+            # hop from parent to child: child line minus parent line
+            line_e = pg.portals[e].line
+            line_p = pg.portals[parent].line
+            if line_e > line_p:
+                east[remap[e]] = True
+            elif line_e < line_p:
+                west[remap[e]] = True
+        iters = int(np.ceil(np.log2(max(2, forest.ne)))) + 1
+        east_stream = run_counting_pasc(world, [ef], [east], iters, meter)[0]
+        west_stream = run_counting_pasc(world, [ef], [west], iters, meter)[0]
+        jb = remap[pb]
+        d_east = int(bits_to_int(east_stream)[jb]) + int(east[jb])
+        d_west = int(bits_to_int(west_stream)[jb]) + int(west[jb])
+        diff = d_east - d_west  # line(pb) - line(pa)
+        if diff == 0:  # same line: the gate with the higher top is G
+            a_first = max(p.b for p in gate_a.nodes) > max(p.b for p in gate_b.nodes)
+        else:
+            a_first = diff > 0
+        return (gate_a, gate_b) if a_first else (gate_b, gate_a)
+
+    def crossing_portals(
+        self, tunnel: Region, qpg: PortalGraph, gate_a: Gate, gate_b: Gate
+    ) -> tuple[set[int], set[int]]:
+        """One beep round from both gates on the q-portal circuits."""
+        _wire_chains(self.world, [p.nodes for p in qpg.portals], self._space(tunnel).koff)
+        _beep_from(self.world, gate_a.nodes + gate_b.nodes, self.meter)
+        return tuple({qpg.portal_of(u).id for u in gate.nodes} for gate in (gate_a, gate_b))
+
+    def case2_portals(
+        self, tunnel: Region, qpg: PortalGraph, gate_a: Gate, pids_a: set[int], pids_b: set[int]
+    ) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Prune the q-portal tree to the Steiner tree of both gates' portals,
+        rooted at the portal of G's top member; each gate's bridge portal is
+        its marked portal with a surviving unmarked neighbour."""
+        forest = self._space(tunnel).portal_forest(qpg)
+        q_mask = np.zeros(forest.ne, dtype=bool)
+        q_mask[list(pids_a | pids_b)] = True
+        root_pid = qpg.portal_of(gate_a.nodes[-1]).id
+        _, keep = contract_tree(self.world, forest, {0: root_pid}, q_mask, self.meter)
+
+        def bridge_end(mine: set[int]) -> tuple[int, int]:
+            found = []
+            for pid in sorted(mine):
+                if keep[pid]:
+                    toward = next(
+                        (nb for nb in qpg.neighbor_map[pid] if keep[nb] and nb not in mine), None
+                    )
+                    if toward is not None:
+                        found.append((pid, toward))
+            if len(found) != 1:
+                raise ContractViolation(
+                    f"{qpg.axis.value}: expected one bridge gate, found {[pid for pid, _ in found]}"
+                )
+            return found[0]
+
+        return bridge_end(pids_a), bridge_end(pids_b)
+
+    def middle_region(self, children: list[Region], info_x, info_z):
+        """Two rounds on the children's circuits for the gate-contact tests.
+
+        The rule is ``select_middle_region``'s, applied to the children; the
+        rounds carry no beeps (ROADMAP item 5).
+        """
+        world = self.world
+        _wire_region_circuits(world, [self._space(r) for r in children])
+        for _ in range(2):
+            world.deliver(np.zeros((world.n, world.S), dtype=bool))
+            self.meter.rounds += 1
+        return select_middle_region(children, info_x, info_z)
+
+    def path_distances(
+        self, m_region: Region, pg: PortalGraph, pid_g: int, pid_g2: int
+    ) -> dict[int, int]:
+        """Prune the portal tree to the g-g' path, then stream every path
+        portal's distance from g's portal."""
+        world, meter = self.world, self.meter
+        forest = self._space(m_region).portal_forest(pg)
+        q_mask = np.zeros(forest.ne, dtype=bool)
+        q_mask[pid_g] = q_mask[pid_g2] = True
+        parents, keep = contract_tree(world, forest, {0: pid_g}, q_mask, meter)
+        ef = pasc_forest(forest, parents, keep)
+        iters = int(np.ceil(np.log2(max(2, forest.ne)))) + 1
+        streams = run_counting_pasc(world, [ef], [np.ones(ef.ne, dtype=bool)], iters, meter)
+        return dict(zip(np.flatnonzero(keep).tolist(), bits_to_int(streams[0]).tolist()))
 
 
-# -- phase 2 -------------------------------------------------------------------
+# -- pipeline -------------------------------------------------------------------
+
+
+def dist_phase1(world: World, structure: AmoebotStructure, meter: Meter):
+    """Boundary classification, extreme-node selection, and the y splits."""
+    return _phase1_plan(structure, CircuitDecisions(world, meter))
 
 
 def dist_phase2(world: World, regions: list[Region], meter: Meter) -> list[Region]:
-    spaces = {r.id: _RegionSpace(world, r) for r in regions}
-    active = [r for r in regions if len(r.gates) >= 2]
-    if not active:
-        return list(regions)
-
-    # leader gate per region: portal representatives are local (no NNE edge)
-    listen = np.full(world.n, -1, dtype=np.int64)
-    candidates = np.zeros(world.n, dtype=bool)
-    _wire_region_circuits(world, [spaces[r.id] for r in active])
-    for r in active:
-        for g in r.gates:
-            rep = g.nodes[-1]
-            candidates[world.index[rep]] = True
-        for p in r.nodes:
-            listen[world.index[p]] = 0
-    leaders_mask = run_election(
-        world, listen, candidates, election_iters(world.nhat), tag=31, meter=meter
-    )
-
-    # rooted prune of each region's y-portal tree, all regions in lockstep
-    forests, graphs, roots, q_masks = [], [], {}, []
-    for inst, r in enumerate(active):
-        pg, forest = spaces[r.id].portal_forest(Axis.Y, inst)
-        graphs.append((r, pg, forest))
-        gate_pids = {pg.portal_of(g.nodes[0]).id for g in r.gates}
-        q = np.zeros(forest.ne, dtype=bool)
-        for pid in gate_pids:
-            q[pid] = True
-        q_masks.append(q)
-        leader_pid = None
-        for g in r.gates:
-            if leaders_mask[world.index[g.nodes[-1]]]:
-                leader_pid = pg.portal_of(g.nodes[0]).id
-                break
-        if leader_pid is None:  # election failure: fall back deterministically
-            leader_pid = pg.portal_of(sorted(r.gates, key=_gate_order_key)[0].nodes[0]).id
-        roots[inst] = leader_pid
-        forests.append(forest)
-
-    merged, _ = _merge_forests(forests)
-    base = 0
-    q_all = np.concatenate(q_masks) if q_masks else np.zeros(0, dtype=bool)
-    root_map = {}
-    for inst, forest in enumerate(forests):
-        root_map[inst] = roots[inst] + base
-        base += forest.ne
-    parents, keep = contract_tree(world, merged, root_map, q_all, meter)
-
-    # batched degree checks: every surviving non-gate portal of every region
-    # answers the run-count track test in a single shared round
-    region_data = []
-    deg_instances, deg_keys = [], []
-    base = 0
-    for (r, pg, forest), q in zip(graphs, q_masks):
-        ne = forest.ne
-        keep_r = keep[base : base + ne]
-        base += ne
-        survivors = {pid for pid in range(ne) if keep_r[pid]}
-        survivor_nodes = set()
-        for pid in survivors:
-            survivor_nodes.update(pg.portals[pid].nodes)
-        gate_pids = {pg.portal_of(g.nodes[0]).id for g in r.gates}
-        region_data.append((r, pg, survivors, survivor_nodes, gate_pids))
-        for pid in sorted(survivors - gate_pids):
-            portal = pg.portals[pid]
-            shifts = np.zeros(world.n, dtype=np.int64)
-            for p in portal.nodes:
-                cnt = 0
-                for side, up, dn in SIDES[Axis.Y]:
-                    adj_here = any(
-                        p.neighbor(d) in survivor_nodes and r.has_edge(p, p.neighbor(d))
-                        for d in (up, dn)
-                    )
-                    if not adj_here:
-                        continue
-                    nnw_cell = p.neighbor(up)
-                    north = p.neighbor(Axis.Y.up)
-                    northmost = (
-                        north not in portal.node_set
-                        or not r.has_edge(p, north)
-                        or not (nnw_cell in survivor_nodes and r.has_edge(north, nnw_cell))
-                    )
-                    if northmost:
-                        cnt += 1
-                shifts[world.index[p]] = cnt
-            deg_instances.append((list(portal.nodes), shifts, 3, spaces[r.id].koff))
-            deg_keys.append((r.id, pid))
-    deg_results = degree_check_batch(world, deg_instances, meter) if deg_instances else []
-    branch_of: dict[int, list] = {r.id: [] for r in active}
-    for (rid, pid), res in zip(deg_keys, deg_results):
-        if res:
-            branch_of[rid].append(pid)
-
-    # split at branch portals, then resolve all northernmost-removal
-    # selections of multi-degree gates in one batched round
-    out: list[Region] = [r for r in regions if len(r.gates) < 2]
-    pending: list[tuple[Region, list]] = []
-    sel_instances, sel_keys = [], []
-    for (r, pg, survivors, survivor_nodes, gate_pids) in region_data:
-        by_id = {p.id: p for p in pg.portals}
-        branch = [by_id[pid] for pid in branch_of[r.id]]
-        children = split_many(r, [(p, []) for p in branch]) if branch else [r]
-        for child in children:
-            gate_marks = []
-            for gate, marks, n_marks in _phase2_gate_marks(world, child, survivor_nodes):
-                if n_marks >= 2:
-                    sel_instances.append((list(gate.nodes), marks, 1, spaces[r.id].koff))
-                    sel_keys.append((len(pending), gate, marks))
-            pending.append((child, []))
-    tops = closest_on_portal_batch(world, sel_instances, meter) if sel_instances else []
-    for (slot, gate, marks), top in zip(sel_keys, tops):
-        child, cuts = pending[slot]
-        rest = marks.copy()
-        rest[world.index[top]] = False
-        for p in gate.nodes:
-            if rest[world.index[p]]:
-                cut = NodeCut(p, gate.axis, gate.side)
-                if cut not in cuts:
-                    cuts.append(cut)
-    for child, cuts in pending:
-        if cuts:
-            out.extend(split_many(child, [], cuts))
-        else:
-            out.append(child)
-    return out
-
-
-def _phase2_gate_marks(world, child: Region, survivor_nodes):
-    """Per gate: the northernmost member adjacent to each surviving run."""
-    res = []
-    for gate in child.gates:
-        up_dir, dn_dir = None, None
-        for side, up, dn in SIDES[Axis.Y]:
-            if side == gate.side:
-                up_dir, dn_dir = up, dn
-        marks = np.zeros(world.n, dtype=bool)
-        n_marks = 0
-        for p in gate.nodes:
-            adj = any(
-                p.neighbor(d) in survivor_nodes
-                and p.neighbor(d) in child.nodes
-                and child.has_edge(p, p.neighbor(d))
-                for d in (up_dir, dn_dir)
-            )
-            if not adj:
-                continue
-            north = p.neighbor(Axis.Y.up)
-            nnw = p.neighbor(up_dir)
-            northmost = (
-                north not in gate.node_set
-                or not child.has_edge(p, north)
-                or not (
-                    nnw in survivor_nodes
-                    and nnw in child.nodes
-                    and child.has_edge(north, nnw)
-                )
-            )
-            if northmost:
-                marks[world.index[p]] = True
-                n_marks += 1
-        res.append((gate, marks, n_marks))
-    return res
-
-
-# -- phase 3 -------------------------------------------------------------------
-
-
-def _compare_gate_lines(world, space, region, pg, forest, gate_a, gate_b, meter: Meter):
-    """True iff gate_a is the canonical G (smaller line, then higher top)."""
-    pa = pg.portal_of(gate_a.nodes[0]).id
-    pb = pg.portal_of(gate_b.nodes[0]).id
-    if pa == pb:
-        raise ContractViolation("tunnel gates share a portal")
-    q = np.zeros(forest.ne, dtype=bool)
-    q[pa] = q[pb] = True
-    parents, keep = contract_tree(world, forest, {int(forest.instance[pa]): pa}, q, meter)
-    ef = pasc_forest(forest, parents, keep)
-    kept = np.flatnonzero(keep)
-    remap = {int(e): j for j, e in enumerate(kept)}
-    # east/west hop marks along the path toward the root pa
-    east = np.zeros(ef.ne, dtype=bool)
-    west = np.zeros(ef.ne, dtype=bool)
-    for e in kept:
-        e = int(e)
-        paId = int(parents[e])
-        if paId < 0 or not keep[paId]:
-            continue
-        line_e = Axis.Y.line_key(pg.portals[e].nodes[0])
-        line_p = Axis.Y.line_key(pg.portals[paId].nodes[0])
-        # hop from parent to child: child line minus parent line
-        if line_e > line_p:
-            east[remap[e]] = True
-        elif line_e < line_p:
-            west[remap[e]] = True
-    iters = int(np.ceil(np.log2(max(2, forest.ne)))) + 1
-    east_stream = run_counting_pasc(world, [ef], [east], iters, meter)[0]
-    west_stream = run_counting_pasc(world, [ef], [west], iters, meter)[0]
-    je = remap[pb]
-    d_east = int(bits_to_int(east_stream)[je]) + int(east[je])
-    d_west = int(bits_to_int(west_stream)[je]) + int(west[je])
-    diff = d_east - d_west  # line(pb) - line(pa)
-    if diff > 0:
-        return True
-    if diff < 0:
-        return False
-    # same line: the gate with the higher top is canonical
-    return (-max(p.b for p in gate_a.nodes)) < (-max(p.b for p in gate_b.nodes))
-
-
-def _axis_round_dist(world, space, tunnel: Region, q_axis: Axis, gate_a, gate_b, meter: Meter):
-    """Distributed selection of the phase-3 splitting portals for one axis."""
-    qpg, forest = space.portal_forest(q_axis)
-    marks_a = {qpg.portal_of(u).id for u in gate_a.nodes}
-    marks_b = {qpg.portal_of(u).id for u in gate_b.nodes}
-    # one beep round on q-portal circuits marks portal_q(G)/portal_q(G')
-    _wire_axis_portals(world, space, qpg, q_axis)
-    send = np.zeros((world.n, world.S), dtype=bool)
-    for g in (gate_a, gate_b):
-        for p in g.nodes:
-            send[world.index[p], 1] = True
-    world.deliver(send)
-    meter.rounds += 1
-
-    common = marks_a & marks_b
-    by_id = {p.id: p for p in qpg.portals}
-    up_side, down_side = side_names(q_axis)
-    gate_nodes = gate_a.node_set | gate_b.node_set
-
-    if common:
-        # P-up / P-down: topmost and bottom-most both-marked crossing on G
-        both_marked = np.zeros(world.n, dtype=bool)
-        for pid in common:
-            cross = set(by_id[pid].nodes) & gate_a.node_set
-            for p in cross:
-                both_marked[world.index[p]] = True
-        top = closest_on_portal(world, list(gate_a.nodes), both_marked, 1, meter, koff=space.koff)
-        bot = closest_on_portal(world, list(gate_a.nodes), both_marked, 0, meter, koff=space.koff)
-        p_up = qpg.portal_of(top)
-        p_down = qpg.portal_of(bot)
-        splits, info_nodes = [], {}
-        for portal, side, tag in ((p_up, up_side, "b_upper"), (p_down, down_side, "b_lower")):
-            cand = np.zeros(world.n, dtype=bool)
-            any_c = False
-            for p in portal.nodes:
-                if p not in gate_nodes and _touches_outside(tunnel, p, q_axis, side):
-                    cand[world.index[p]] = True
-                    any_c = True
-            cuts = []
-            if any_c:
-                b = closest_on_portal(
-                    world, list(portal.nodes), cand, _west_end(q_axis), meter, koff=space.koff
-                )
-                cuts.append(NodeCut(b, q_axis, side))
-                info_nodes[tag] = b
-            splits.append((portal, cuts))
-        if p_up.id == p_down.id:
-            splits = [(p_up, splits[0][1] + splits[1][1])]
-        info = AxisSplitInfo(
-            q_axis.value, 1,
-            upper=p_up.nodes, lower=p_down.nodes,
-            b_upper=info_nodes.get("b_upper"), b_lower=info_nodes.get("b_lower"),
-        )
-        return splits, info
-
-    # case 2: prune to the Steiner tree of both mark sets, rooted at the
-    # portal of G's top member; the near gate is the unique marked portal
-    # with a surviving unmarked neighbor
-    q_mask = np.zeros(forest.ne, dtype=bool)
-    for pid in marks_a | marks_b:
-        q_mask[pid] = True
-    root_pid = qpg.portal_of(gate_a.nodes[-1]).id
-    parents, keep = contract_tree(world, forest, {0: root_pid}, q_mask, meter)
-
-    def bridge_end(my_marks, other_marks):
-        found = []
-        for pid in sorted(my_marks):
-            if not keep[pid]:
-                continue
-            for nb in qpg.neighbor_map[pid]:
-                if keep[nb] and nb not in my_marks:
-                    found.append(pid)
-                    break
-        if len(found) != 1:
-            raise ContractViolation(
-                f"{q_axis.value}: expected one bridge gate, found {found}"
-            )
-        return by_id[found[0]]
-
-    near = bridge_end(marks_a, marks_b)
-    far = bridge_end(marks_b, marks_a)
-
-    def r_side(portal, my_marks):
-        for nb in qpg.neighbor_map[portal.id]:
-            if keep[nb] and nb not in my_marks:
-                line_n = by_id[nb].line
-                return up_side if line_n > portal.line else down_side
-        raise ContractViolation("bridge neighbor vanished")
-
-    splits, info_nodes, sides, crossings = [], {}, {}, {}
-    for portal, own_gate, my_marks, tag in (
-        (near, gate_a, marks_a, "near"),
-        (far, gate_b, marks_b, "far"),
-    ):
-        side = r_side(portal, my_marks)
-        sides[tag] = side
-        crossing = own_gate.node_set & portal.node_set
-        crossings[tag] = min(crossing) if crossing else None
-        cand = np.zeros(world.n, dtype=bool)
-        any_c = False
-        for p in portal.nodes:
-            if p not in own_gate.node_set and _touches_outside(tunnel, p, q_axis, side):
-                cand[world.index[p]] = True
-                any_c = True
-        cuts = []
-        if any_c:
-            b = closest_on_portal(
-                world, list(portal.nodes), cand, _west_end(q_axis), meter, koff=space.koff
-            )
-            cuts.append(NodeCut(b, q_axis, side))
-            info_nodes[tag] = b
-        splits.append((portal, cuts))
-    info = AxisSplitInfo(
-        q_axis.value, 2,
-        near=near.nodes, far=far.nodes,
-        b_near=info_nodes.get("near"), b_far=info_nodes.get("far"),
-        near_side=sides["near"], far_side=sides["far"],
-        near_crossing=crossings["near"], far_crossing=crossings["far"],
-    )
-    return splits, info
-
-
-def _west_end(axis: Axis) -> int:
-    """Which chain end is westernmost: 0 for ascending-a axes, 1 for z."""
-    return 1 if axis is Axis.Z else 0
-
-
-def _wire_axis_portals(world, space, qpg, axis: Axis) -> None:
-    world.reset_pins_isolated()
-    for portal in qpg.portals:
-        for u, v in zip(portal.nodes, portal.nodes[1:]):
-            iu, iv = world.index[u], world.index[v]
-            du = DIRECTIONS.index(direction_between(u, v))
-            dv = DIRECTIONS.index(direction_between(v, u))
-            world.pset[iu, du * world.c + 1 + space.koff[iu, du]] = 1
-            world.pset[iv, dv * world.c + 1 + space.koff[iv, dv]] = 1
-    world.mark_dirty()
+    """Every region's phase-2 plan, batched on disjoint circuits."""
+    return _phase2_plan(regions, CircuitDecisions(world, meter))
 
 
 def dist_phase3(world: World, tunnels: list[Region], meter: Meter):
@@ -583,7 +412,7 @@ def dist_phase3(world: World, tunnels: list[Region], meter: Meter):
     count is the faithful account of the parallel composition.
     """
     out: list[Region] = []
-    cases: list[TunnelCaseData] = []
+    cases = []
     slowest = 0
     for tunnel in tunnels:
         sub = Meter()
@@ -596,158 +425,7 @@ def dist_phase3(world: World, tunnels: list[Region], meter: Meter):
 
 
 def _dist_phase3_tunnel(world: World, tunnel: Region, meter: Meter):
-    data = TunnelCaseData(tunnel_lineage=tunnel.lineage, gate_count=len(tunnel.gates))
-    if len(tunnel.gates) < 2:
-        return [tunnel], data
-    if len(tunnel.gates) > 2:
-        raise ContractViolation("tunnel meets more than two gates")
-    space = _RegionSpace(world, tunnel)
-    ga, gb = tunnel.gates
-    pg, forest = space.portal_forest(Axis.Y)
-    a_first = _compare_gate_lines(world, space, tunnel, pg, forest, ga, gb, meter)
-    gate_a, gate_b = (ga, gb) if a_first else (gb, ga)
-
-    splits, infos = [], {}
-    for q_axis in (Axis.X, Axis.Z):
-        axis_splits, info = _axis_round_dist(world, space, tunnel, q_axis, gate_a, gate_b, meter)
-        splits.extend(axis_splits)
-        infos[q_axis.value] = info
-    data.x, data.z = infos["x"], infos["z"]
-
-    children = split_many(tunnel, splits)
-
-    if data.x.case == 2 and data.z.case == 2:
-        m_region, g, g2 = _identify_m(world, children, data, meter)
-        data.m_present = True
-        data.g, data.g_prime = g, g2
-        m_children, medians = _dist_point_gate(world, m_region, g, g2, meter)
-        data.medians = medians
-        children = [r for r in children if r is not m_region] + m_children
-    return children, data
-
-
-def _identify_m(world, children, data, meter: Meter):
-    """Middle region M and its point gates g, g': one beep round per side.
-
-    The rule is ``select_middle_region``'s: the canonically smallest child
-    that meets a case-2 portal gate at each end and holds a point gate at
-    each end.
-    """
-    spaces = [_RegionSpace(world, r) for r in children]
-    # two beep rounds realize the membership tests on the children's circuits
-    _beep_on_regions(world, spaces, [], meter)
-    _beep_on_regions(world, spaces, [], meter)
-    return select_middle_region(children, data.x, data.z)
-
-
-def _dist_point_gate(world, m_region: Region, g, g2, meter: Meter):
-    """Median portals by paired distance streams; then the local cut rule."""
-    space = _RegionSpace(world, m_region)
-    from .decompose import MedianInfo, occupied_run_count
-
-    splits = []
-    medians = {}
-    s_m_masks = {}
-    graphs = {}
-    dists = {}
-    for q_axis in AXES:
-        qpg, forest = space.portal_forest(q_axis)
-        graphs[q_axis] = qpg
-        pid_g = qpg.portal_of(g).id
-        pid_g2 = qpg.portal_of(g2).id
-        q_mask = np.zeros(forest.ne, dtype=bool)
-        q_mask[pid_g] = q_mask[pid_g2] = True
-        parents, keep = contract_tree(world, forest, {0: pid_g}, q_mask, meter)
-        ef = pasc_forest(forest, parents, keep)
-        kept = np.flatnonzero(keep)
-        remap = {int(e): j for j, e in enumerate(kept)}
-        iters = int(np.ceil(np.log2(max(2, forest.ne)))) + 1
-        streams = run_counting_pasc(
-            world, [ef], [np.ones(ef.ne, dtype=bool)], iters, meter
-        )
-        d_from_g = np.full(forest.ne, -1, dtype=np.int64)
-        d_from_g[kept] = bits_to_int(streams[0])
-        # second stream rooted at g' runs on the path reversed: distances
-        # along a path satisfy d_g2 = d_q - d_g, known once d_q is streamed
-        d_q = int(d_from_g[pid_g2])
-        dists[q_axis] = (pid_g, pid_g2, d_from_g, d_q, keep)
-
-    for q_axis in AXES:
-        qpg = graphs[q_axis]
-        pid_g, pid_g2, d_from_g, d_q, keep = dists[q_axis]
-        want_g = (d_q + 1) // 2
-        median_ids = [
-            pid
-            for pid in np.flatnonzero(keep)
-            if d_from_g[pid] == want_g
-        ]
-        if len(median_ids) != 1:
-            raise ContractViolation("median portal not unique on the pruned path")
-        median = next(p for p in qpg.portals if p.id == median_ids[0])
-        dists[q_axis] = (pid_g, pid_g2, d_from_g, d_q, keep, median)
-
-    # S_M: on the pruned path for every axis
-    s_m = set()
-    for v in m_region.nodes:
-        ok = True
-        for q_axis in AXES:
-            qpg = graphs[q_axis]
-            pid_g, pid_g2, d_from_g, d_q, keep, _m = dists[q_axis]
-            pid = qpg.portal_of(v).id
-            if not keep[pid]:
-                ok = False
-                break
-        if ok:
-            s_m.add(v)
-    cut_set = {v for v in s_m if occupied_run_count(s_m, v) >= 2}
-
-    for q_axis in AXES:
-        qpg = graphs[q_axis]
-        pid_g, pid_g2, d_from_g, d_q, keep, median = dists[q_axis]
-        up_side, down_side = side_names(q_axis)
-
-        def side_toward(nb_pid):
-            return up_side if qpg.portals[nb_pid].line > median.line else down_side
-
-        if d_q == 0:
-            same = True
-            sides = [up_side, down_side]
-        elif d_q == 1:
-            same = True
-            sides = [side_toward(pid_g)]
-        else:
-            toward_g = next(
-                nb for nb in qpg.neighbor_map[median.id]
-                if keep[nb] and d_from_g[nb] == d_from_g[median.id] - 1
-            )
-            toward_g2 = next(
-                nb for nb in qpg.neighbor_map[median.id]
-                if keep[nb] and d_from_g[nb] == d_from_g[median.id] + 1
-            )
-            s1, s2 = side_toward(toward_g), side_toward(toward_g2)
-            same = s1 == s2
-            sides = [s1]
-
-        cuts = []
-        b_node = None
-        if same:
-            marked = np.zeros(world.n, dtype=bool)
-            any_m = False
-            for p in median.nodes:
-                if p in cut_set:
-                    marked[world.index[p]] = True
-                    any_m = True
-            if any_m:
-                b_node = closest_on_portal(
-                    world, list(median.nodes), marked, _west_end(q_axis), meter, koff=space.koff
-                )
-                cuts = [NodeCut(b_node, q_axis, s) for s in sides]
-        splits.append((median, cuts))
-        medians[q_axis.value] = MedianInfo(q_axis.value, d_q, median.nodes, same, b_node)
-    return split_many(m_region, splits), medians
-
-
-# -- pipeline -------------------------------------------------------------------
+    return _phase3_plan(tunnel, CircuitDecisions(world, meter))
 
 
 def run_distributed(
@@ -798,18 +476,5 @@ def run_distributed(
         if peak > limit:
             trace.memory_warnings.append(f"{name} reached {peak} (> {limit})")
 
-    final.sort(key=lambda r: r.lineage)
-    final = [
-        Region(r.nodes, r.edges, r.gates, id=i, lineage=r.lineage)
-        for i, r in enumerate(final)
-    ]
-    _, inner = find_holes(structure)
-    deco = Decomposition(
-        regions=final,
-        phase1_gates=gates,
-        phase1_region_count=len(regions1),
-        tunnel_count=len(tunnels),
-        tunnel_cases=cases,
-        hole_count=len(inner),
-    )
+    deco = assemble(structure, regions1, gates, tunnels, final, cases)
     return DistributedOutcome(deco, trace)

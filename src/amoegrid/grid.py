@@ -229,9 +229,6 @@ def find_holes(structure: AmoebotStructure) -> tuple[Hole, list[Hole]]:
     a_lo, a_hi, b_lo, b_hi = structure.bounding_box()
     a_lo, a_hi, b_lo, b_hi = a_lo - 1, a_hi + 1, b_lo - 1, b_hi + 1
 
-    def in_box(p: GridPoint) -> bool:
-        return a_lo <= p.a <= a_hi and b_lo <= p.b <= b_hi
-
     empty = {
         GridPoint(a, b)
         for a in range(a_lo, a_hi + 1)

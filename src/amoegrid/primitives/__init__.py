@@ -8,7 +8,7 @@ information that crosses amoebots rides a beep delivered by the simulator.
 from .basic import closest_on_portal, degree_check, region_has
 from .boundary import BoundaryTest, boundary_test
 from .chains import ChainSpace, CycleStructure, build_boundary_cycles
-from .election import CoinElection, elect, election_iters, election_trials
+from .election import election_iters, election_trials
 from .maxima import (
     chain_maxima,
     global_maxima_boundary,
@@ -16,7 +16,7 @@ from .maxima import (
     psi_values,
     structure_min_level,
 )
-from .pasc import CountingPascProtocol, ElementForest, Meter, run_counting_pasc
+from .pasc import ElementForest, Meter, run_counting_pasc
 from .trees import (
     PortalForest,
     contract_tree,
@@ -35,8 +35,6 @@ __all__ = [
     "ChainSpace",
     "CycleStructure",
     "build_boundary_cycles",
-    "CoinElection",
-    "elect",
     "election_iters",
     "election_trials",
     "chain_maxima",
@@ -44,7 +42,6 @@ __all__ = [
     "global_maxima_general",
     "psi_values",
     "structure_min_level",
-    "CountingPascProtocol",
     "ElementForest",
     "Meter",
     "run_counting_pasc",

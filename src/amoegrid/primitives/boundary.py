@@ -197,17 +197,13 @@ class BoundaryTest:
 def boundary_test(structure, seed: int = 0, nhat: int | None = None):
     """Standalone harness: classify each hole's boundary set.
 
-    Returns (classes, trace) where classes maps each cycle id to "inner" or
+    Returns (classes, meter) where classes maps each cycle id to "inner" or
     "outer" along with its visit node set, for oracle comparison.
     """
-    from ..circuits import SimulationTrace
-
     world = World(structure, c=10, seed=seed, nhat=nhat)
-    trace = SimulationTrace(seed=seed, nhat=world.nhat)
     meter = Meter()
     stage = BoundaryTest(world)
     inner_cycle, leaders, real_visit = stage.run(meter)
-    trace.rounds = meter.rounds
     cyc = stage.cyc
     out = []
     for c in range(cyc.n_cycles):
@@ -218,4 +214,4 @@ def boundary_test(structure, seed: int = 0, nhat: int | None = None):
         out.append(("inner" if inner_cycle[c] else "outer", frozenset(nodes)))
     if cyc.n_visits == 0:
         out.append(("outer", frozenset(structure.nodes)))
-    return out, trace
+    return out, meter

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..circuits import Protocol, World
+from ..circuits import World
 from .pasc import Meter
 
 #: pipeline budget multiplier: failure probability about n^(1 - PIPELINE_C0)
@@ -54,54 +54,6 @@ def run_election(
         send = np.zeros((world.n, world.S), dtype=bool)
         send.reshape(-1)[cell[heads[part]]] = True
     return active
-
-
-class CoinElection(Protocol):
-    """run_protocol wrapper: candidates on one global circuit."""
-
-    name = "coin-election"
-    min_c = 1
-
-    def __init__(self, candidates: np.ndarray, iters: int, tag: int = 1):
-        self.candidates = candidates
-        self.iters = iters
-        self.tag = tag
-        self.it = 0
-        self.active = candidates.copy()
-        self.heads = None
-
-    def start(self, world: World) -> None:
-        world.pset[:] = 0
-        world.mark_dirty()
-
-    def step(self, world: World, recv: np.ndarray):
-        if self.it > 0:
-            heard = recv[:, 0]
-            self.active &= ~(heard & ~self.heads)
-        if self.it >= self.iters:
-            self.done = True
-            return None
-        self.heads = world.coins(self.tag, self.active) & self.active
-        send = np.zeros((world.n, world.S), dtype=bool)
-        send[self.heads, 0] = True
-        self.it += 1
-        return send
-
-    def finished(self) -> bool:
-        return getattr(self, "done", False)
-
-
-def elect(structure, candidates_idx, seed=0, iters=None, nhat=None):
-    """Standalone election of one leader among the given node indices."""
-    from ..circuits import run_protocol
-
-    world = World(structure, c=2, seed=seed, nhat=nhat)
-    mask = np.zeros(world.n, dtype=bool)
-    mask[candidates_idx] = True
-    proto = CoinElection(mask, iters or election_iters(world.nhat))
-    proto, trace = run_protocol(structure, proto, seed=seed, world=world,
-                                round_budget=10 * (proto.iters + 2))
-    return np.flatnonzero(proto.active), trace
 
 
 def election_trials(

@@ -267,17 +267,14 @@ def chain_maxima(
 
 def global_maxima_boundary(structure, direction, r_nodes=None, seed: int = 0, nhat=None):
     """Standalone harness: maxima of a marked set lying on boundary cycles."""
-    from ..circuits import SimulationTrace
     from .boundary import BoundaryTest
 
     world = World(structure, c=10, seed=seed, nhat=nhat)
-    trace = SimulationTrace(seed=seed, nhat=world.nhat)
     meter = Meter()
     stage = BoundaryTest(world)
     cyc = stage.cyc
     if cyc.n_visits == 0:
-        trace.rounds = meter.rounds
-        return set(structure.nodes), trace
+        return set(structure.nodes), meter
     inner_cycle, leaders, real_visit = stage.run(meter)
 
     r_mask = np.zeros(world.n, dtype=bool)
@@ -306,8 +303,7 @@ def global_maxima_boundary(structure, direction, r_nodes=None, seed: int = 0, nh
 
     psi = psi_values(world, direction)
     win = chain_maxima(world, cyc, leaders, cycles_mask, r_visit, psi, meter)
-    trace.rounds = meter.rounds
-    return {world.nodes[cyc.node[v]] for v in np.flatnonzero(win)}, trace
+    return {world.nodes[cyc.node[v]] for v in np.flatnonzero(win)}, meter
 
 
 # -- general version -----------------------------------------------------------
@@ -405,11 +401,8 @@ def structure_min_level(structure, direction, seed: int = 0, nhat=None, world=No
 
 def global_maxima_general(structure, direction, r_nodes, seed: int = 0, nhat=None):
     """Maxima of an arbitrary marked set: O(log^2) consensus with recompute."""
-    from ..circuits import SimulationTrace
-
     world = World(structure, c=10, seed=seed, nhat=nhat)
     meter = Meter()
-    trace = SimulationTrace(seed=seed, nhat=world.nhat)
     root_mask, _ = structure_min_level(structure, direction, world=world, meter=meter)
     psi = psi_values(world, direction)
 
@@ -433,5 +426,4 @@ def global_maxima_general(structure, direction, r_nodes, seed: int = 0, nhat=Non
         meter.rounds += 1
         heard = recv[:, 0]
         candidates &= ~(heard & ~value_bit)
-    trace.rounds = meter.rounds
-    return {world.nodes[i] for i in np.flatnonzero(candidates)}, trace
+    return {world.nodes[i] for i in np.flatnonzero(candidates)}, meter

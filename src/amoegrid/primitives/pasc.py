@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..circuits import Protocol, World
+from ..circuits import World
 
 PinRef = tuple[int, int, int]  # (node index, direction index, pin k)
 
@@ -169,43 +169,3 @@ def run_counting_pasc(
         if echo is not None:
             echo(j, bits_now)
     return streams
-
-
-class CountingPascProtocol(Protocol):
-    """run_protocol adapter around the same iteration logic, for standalone use."""
-
-    name = "counting-pasc"
-    min_c = 10
-
-    def __init__(self, forests, marked, iters):
-        self.forests = forests
-        self.active = [m.copy() for m in marked]
-        self.flip = [np.zeros(f.ne, dtype=bool) for f in forests]
-        self.iters = iters
-        self.it = 0
-        self.done = False
-        self.streams = [np.zeros((f.ne, iters), dtype=bool) for f in forests]
-
-    def start(self, world: World) -> None:
-        pass
-
-    def step(self, world: World, recv: np.ndarray):
-        if self.it > 0:
-            for s, forest in enumerate(self.forests):
-                bits = forest.hears_b(recv) ^ self.flip[s]
-                self.streams[s][:, self.it - 1] = bits
-                self.active[s] &= ~bits
-                self.flip[s] |= bits
-        if self.it >= self.iters:
-            self.done = True
-            return None
-        send = np.zeros((world.n, world.S), dtype=bool)
-        world.reset_pins_isolated()
-        for forest, act in zip(self.forests, self.active):
-            forest.wire(act, reset=False)
-            forest.root_send(send)
-        self.it += 1
-        return send
-
-    def finished(self) -> bool:
-        return self.done

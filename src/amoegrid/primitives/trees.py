@@ -490,7 +490,6 @@ def _region_forest(world: World, region, axis) -> tuple[PortalForest, list]:
 
 def root_and_prune(region, axis, q_portal_ids, r_portal_id, seed: int = 0, nhat=None):
     """Harness entry: prune a region's portal tree to the marked portals."""
-    from ..circuits import SimulationTrace
     from ..grid import AmoebotStructure
 
     structure = AmoebotStructure(region.nodes)
@@ -503,16 +502,13 @@ def root_and_prune(region, axis, q_portal_ids, r_portal_id, seed: int = 0, nhat=
     if not q_mask[r_portal_id]:
         raise ContractViolation("the root must be one of the marked portals")
     parents, keep = contract_tree(world, forest, {0: r_portal_id}, q_mask, meter)
-    trace = SimulationTrace(seed=seed, nhat=world.nhat)
-    trace.rounds = meter.rounds
     survivors = {portals[e].id for e in np.flatnonzero(keep)}
     parent_map = {portals[e].id: (int(parents[e]) if parents[e] >= 0 else None) for e in range(forest.ne)}
-    return survivors, parent_map, trace
+    return survivors, parent_map, meter
 
 
 def tree_pasc_distances(region, axis, r_portal_id, seed: int = 0, nhat=None):
     """Harness entry: every portal's distance to the root portal, via PASC."""
-    from ..circuits import SimulationTrace
     from ..grid import AmoebotStructure
 
     structure = AmoebotStructure(region.nodes)
@@ -529,6 +525,4 @@ def tree_pasc_distances(region, axis, r_portal_id, seed: int = 0, nhat=None):
     from .maxima import bits_to_int
 
     dist = bits_to_int(streams[0])
-    trace = SimulationTrace(seed=seed, nhat=world.nhat)
-    trace.rounds = meter.rounds
-    return {portals[e].id: int(dist[e]) for e in range(forest.ne)}, trace
+    return {portals[e].id: int(dist[e]) for e in range(forest.ne)}, meter

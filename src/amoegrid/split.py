@@ -161,18 +161,6 @@ class Region:
     def retained_dirs(self, p: GridPoint) -> frozenset[Direction]:
         return frozenset(d for d, _ in self.retained_neighbors(p))
 
-    def is_connected(self) -> bool:
-        start = next(iter(self.nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            p = stack.pop()
-            for _, q in self.adjacency[p]:
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return len(seen) == len(self.nodes)
-
     def gate_for_node(self, p: GridPoint) -> Gate | None:
         for g in self.gates:
             if p in g.node_set:

@@ -1,12 +1,11 @@
 import random
 
 import numpy as np
-import pytest
 
-from amoegrid.circuits import STAGE_LABELS, Protocol, SimulationTrace, World, run_protocol
-from amoegrid.errors import RoundBudgetExceeded
+from amoegrid.circuits import SimulationTrace, World
 from amoegrid.grid import AmoebotStructure, Direction, GridPoint
 
+from reference_circuits import ReferenceRunner, circuits_of
 from test_grid import hexagon, random_structure
 
 
@@ -34,7 +33,7 @@ def test_single_global_circuit_broadcast():
 
 def test_isolated_pins_are_per_edge_circuits():
     w = line_world(4, c=1)
-    circuits = w.circuits_of()
+    circuits = circuits_of(w)
     # 3 edges, one pin each side, each edge its own circuit
     assert len(circuits) == 3
     for c in circuits:
@@ -100,66 +99,27 @@ def test_reference_step_order_invariance():
     s = AmoebotStructure(hexagon(2))
     results = []
     for order_seed in (None, 1, 2):
-        w = World(s, c=2)
+        runner = ReferenceRunner(World(s, c=2))
         states = {p: (p == GridPoint(0, 0)) for p in s.nodes}
         inbox = {}
         rng = random.Random(order_seed)
         for _ in range(4):
-            order = list(range(w.n))
+            order = list(range(s.n))
             if order_seed is not None:
                 rng.shuffle(order)
-            states, inbox = w.step(beep_wave_activation, states, inbox, order=order)
+            states, inbox = runner.step(beep_wave_activation, states, inbox, order=order)
         results.append((dict(states), dict(inbox)))
     assert results[0] == results[1] == results[2]
 
 
 def test_beep_wave_reaches_everyone_in_two_rounds():
     s = AmoebotStructure(hexagon(2))
-    w = World(s, c=2)
+    runner = ReferenceRunner(World(s, c=2))
     states = {p: (p == GridPoint(0, 0)) for p in s.nodes}
     inbox = {}
-    states, inbox = w.step(beep_wave_activation, states, inbox)
-    states, inbox = w.step(beep_wave_activation, states, inbox)
+    states, inbox = runner.step(beep_wave_activation, states, inbox)
+    states, inbox = runner.step(beep_wave_activation, states, inbox)
     assert all(states.values())
-
-
-class NoOpProtocol(Protocol):
-    name = "noop"
-
-    def start(self, world):
-        pass
-
-    def step(self, world, recv):
-        return None
-
-    def finished(self):
-        return True
-
-
-class ForeverProtocol(Protocol):
-    name = "forever"
-
-    def start(self, world):
-        pass
-
-    def step(self, world, recv):
-        return None
-
-    def finished(self):
-        return False
-
-
-def test_run_protocol_noop_zero_rounds():
-    s = AmoebotStructure([GridPoint(0, 0), GridPoint(1, 0)])
-    _, trace = run_protocol(s, NoOpProtocol(), seed=1)
-    assert trace.rounds == 0
-
-
-def test_run_protocol_budget_timeout():
-    s = AmoebotStructure([GridPoint(0, 0), GridPoint(1, 0)])
-    with pytest.raises(RoundBudgetExceeded) as err:
-        run_protocol(s, ForeverProtocol(), seed=1, round_budget=7)
-    assert err.value.trace.rounds == 8
 
 
 def test_parked_pins_form_private_channels():

@@ -106,6 +106,19 @@ def test_bench_smoke(capsys):
     assert len(out.strip().splitlines()) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--bench", "abc"],  # not a size
+        ["--bench", "3"],  # too small for the sweep's one hole
+        ["--bench", "64", "--bench-seeds", "0"],  # no runs to take a median of
+    ],
+)
+def test_bench_invalid_input_exit_code(args, capsys):
+    assert run_cli(["decompose", *args]) == 2
+    assert capsys.readouterr().err.startswith("invalid input: ")
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "amoegrid.cli", "decompose", "--gen", "30", "--seed", "0"],

@@ -174,12 +174,12 @@ def test_point_gate_split_adjacent_gates():
 
 
 def test_point_gate_split_medians_are_single_portals():
-    from amoegrid.decompose import _point_gate_plan
+    from amoegrid.decompose import DIRECT, _point_gate_plan
 
     s = AmoebotStructure(hexagon(3))
     region = Region.from_structure(s)
     g, g2 = GridPoint(-3, 0), GridPoint(3, 0)
-    plan, medians = _point_gate_plan(region, g, g2)
+    plan, medians = _point_gate_plan(region, g, g2, DIRECT)
     assert set(medians) == {"x", "y", "z"}
     for axis_name, info in medians.items():
         axis = Axis(axis_name)
@@ -188,9 +188,8 @@ def test_point_gate_split_medians_are_single_portals():
         assert info.d >= 0
 
 
-def test_point_gate_split_u_bend_triggers_node_split_and_stays_convex():
-    # U-shaped region: two arms around a blocked middle; at least one axis
-    # sees both point gates on the same side of its median portal.
+def u_bend() -> set[GridPoint]:
+    """U-shaped region: two arms around a blocked middle."""
     pts = set()
     for a in range(7):
         for b in range(2):
@@ -200,12 +199,18 @@ def test_point_gate_split_u_bend_triggers_node_split_and_stays_convex():
             pts.add(GridPoint(a, b))  # west arm
         for a in (5, 6):
             pts.add(GridPoint(a, b))  # east arm
-    s = AmoebotStructure(pts)
+    return pts
+
+
+def test_point_gate_split_u_bend_triggers_node_split_and_stays_convex():
+    # At least one axis sees both point gates on the same side of its
+    # median portal.
+    s = AmoebotStructure(u_bend())
     region = Region.from_structure(s)
     g, g2 = GridPoint(0, 5), GridPoint(6, 5)
-    from amoegrid.decompose import _point_gate_plan
+    from amoegrid.decompose import DIRECT, _point_gate_plan
 
-    plan, medians = _point_gate_plan(region, g, g2)
+    plan, medians = _point_gate_plan(region, g, g2, DIRECT)
     assert any(info.same_region for info in medians.values())
     assert any(info.b_node is not None for info in medians.values())
     parts = point_gate_split(region, g, g2)
@@ -249,3 +254,34 @@ def test_region_ids_sequential():
     s = generate_random(150, 2, 5)
     d = decompose(s)
     assert [r.id for r in d.regions] == list(range(len(d.regions)))
+
+
+def rotate60(p: GridPoint, turns: int) -> GridPoint:
+    """``p`` turned by ``turns`` times 60 degrees counterclockwise about the origin."""
+    for _ in range(turns):
+        p = GridPoint(-p.b, p.a + p.b)
+    return p
+
+
+@pytest.mark.parametrize("turns", range(6))
+def test_point_gate_plan_agrees_between_providers_on_rotated_u_bend(turns):
+    # The turns carry the median cuts across all three axes; on the y axis
+    # the first side name (WNW) faces the smaller line keys, unlike x and z.
+    from amoegrid.circuits import World
+    from amoegrid.decompose import DIRECT, _point_gate_plan
+    from amoegrid.distalgo import CircuitDecisions
+    from amoegrid.primitives.pasc import Meter
+    from amoegrid.split import split_many
+
+    s = AmoebotStructure({rotate60(p, turns) for p in u_bend()})
+    region = Region.from_structure(s)
+    g, g2 = rotate60(GridPoint(0, 5), turns), rotate60(GridPoint(6, 5), turns)
+    outcomes = []
+    for decide in (DIRECT, CircuitDecisions(World(s, c=10, seed=turns), Meter())):
+        plan, medians = _point_gate_plan(region, g, g2, decide)
+        parts = split_many(region, plan)
+        for r in parts:
+            ok, witness = is_geodesically_convex(s, r.nodes)
+            assert ok, (sorted(r.nodes), witness)
+        outcomes.append((sorted((sorted(r.nodes), sorted(r.edges)) for r in parts), medians))
+    assert outcomes[0] == outcomes[1]

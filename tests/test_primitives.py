@@ -14,7 +14,6 @@ from amoegrid.primitives import (
     boundary_test,
     closest_on_portal,
     degree_check,
-    elect,
     election_iters,
     election_trials,
     global_maxima_boundary,
@@ -23,17 +22,31 @@ from amoegrid.primitives import (
     root_and_prune,
     tree_pasc_distances,
 )
+from amoegrid.primitives.election import run_election
 from amoegrid.primitives.pasc import Meter
 from amoegrid.split import Region
 
 from test_grid import hexagon
 
 
+def elect(structure, candidates_idx, seed):
+    """Leaders among the candidates, elected on one circuit through every amoebot."""
+    world = World(structure, c=2, seed=seed)
+    world.pset[:] = 0
+    world.mark_dirty()
+    candidates = np.zeros(world.n, dtype=bool)
+    candidates[candidates_idx] = True
+    meter = Meter()
+    listen = np.zeros(world.n, dtype=np.int64)
+    active = run_election(world, listen, candidates, election_iters(world.nhat), tag=1, meter=meter)
+    return np.flatnonzero(active), meter
+
+
 def test_election_single_candidate():
     s = AmoebotStructure([GridPoint(a, 0) for a in range(8)])
-    leaders, trace = elect(s, [3], seed=1)
+    leaders, meter = elect(s, [3], seed=1)
     assert list(leaders) == [3]
-    assert trace.rounds <= 4 * election_iters(s.n)
+    assert meter.rounds <= 4 * election_iters(s.n)
 
 
 def test_election_unique_leader_many_seeds():
@@ -78,7 +91,7 @@ def test_boundary_test_matches_flood_fill():
 
 def test_boundary_test_single_amoebot_outer():
     s = AmoebotStructure([GridPoint(0, 0)])
-    classes, trace = boundary_test(s, seed=0)
+    classes, _ = boundary_test(s, seed=0)
     assert classes == [("outer", frozenset({GridPoint(0, 0)}))]
 
 
@@ -88,7 +101,7 @@ def test_pasc_distances_on_path_of_portals():
     region = Region.from_structure(s)
     pg = portal_graph(region, Axis.Y)
     root = pg.portals[0].id
-    got, trace = tree_pasc_distances(region, Axis.Y, root, seed=3)
+    got, _ = tree_pasc_distances(region, Axis.Y, root, seed=3)
     want = pg.distances_from([root])
     assert got == {k: int(v) for k, v in want.items()}
     assert max(got.values()) == 4
@@ -102,11 +115,11 @@ def test_pasc_distances_match_bfs_on_random_trees():
         axis = AXES[trial % 3]
         pg = portal_graph(region, axis)
         root = rng.choice(pg.portals).id
-        got, trace = tree_pasc_distances(region, axis, root, seed=trial)
+        got, meter = tree_pasc_distances(region, axis, root, seed=trial)
         want = {k: int(v) for k, v in pg.distances_from([root]).items()}
         assert got == want
         m = max(want.values())
-        assert trace.rounds <= 40 * (max(m, 2).bit_length() + 2)
+        assert meter.rounds <= 40 * (max(m, 2).bit_length() + 2)
 
 
 def test_root_and_prune_matches_union_of_paths():
@@ -234,5 +247,5 @@ def test_boundary_maxima_round_bound():
     for n in (64, 256):
         s = generate_random(n, max(1, n // 128), 0)
         outer, _ = find_holes(s)
-        _, trace = global_maxima_boundary(s, Direction.E, set(outer.boundary), seed=0)
-        assert trace.rounds <= 60 * math.log2(n) + 120
+        _, meter = global_maxima_boundary(s, Direction.E, set(outer.boundary), seed=0)
+        assert meter.rounds <= 60 * math.log2(n) + 120
