@@ -1,31 +1,26 @@
 """Convex decomposition of amoebot structures on the triangular grid."""
 
-from .grid import AmoebotStructure, Direction, GridPoint, Hole, boundary_cycles, find_holes
-from .portals import AXES, Axis, Portal, PortalGraph, compute_portals, portal_distance, portal_graph
-from .split import Gate, NodeCut, Region, SplitNodeSpec, split_at_portal, split_at_portal_and_nodes, split_many, split_region_at_node
+from .grid import AmoebotStructure, Direction, GridPoint, Hole, find_holes
+from .portals import AXES, Axis, Portal, PortalGraph, compute_portals, portal_graph
+from .split import Gate, NodeCut, Region, SplitNodeSpec, split_many
 
 __all__ = [
     "AmoebotStructure",
     "Direction",
     "GridPoint",
     "Hole",
-    "boundary_cycles",
     "find_holes",
     "AXES",
     "Axis",
     "Portal",
     "PortalGraph",
     "compute_portals",
-    "portal_distance",
     "portal_graph",
     "Gate",
     "NodeCut",
     "Region",
     "SplitNodeSpec",
-    "split_at_portal",
-    "split_at_portal_and_nodes",
     "split_many",
-    "split_region_at_node",
 ]
 
 __version__ = "0.1.0"

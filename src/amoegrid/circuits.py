@@ -75,14 +75,8 @@ class SimulationTrace:
     nhat: int
     rounds: int = 0
     phase_rounds: dict[str, int] = field(default_factory=dict)
-    events: list[str] = field(default_factory=list)
-    log_events: bool = False
     memory_audit: dict[str, int] = field(default_factory=dict)
     memory_warnings: list[str] = field(default_factory=list)
-
-    def note(self, message: str) -> None:
-        if self.log_events:
-            self.events.append(f"[{self.rounds}] {message}")
 
     def export_text(self) -> str:
         lines = [
@@ -96,8 +90,6 @@ class SimulationTrace:
             lines.append(f"register {name}: max {self.memory_audit[name]}")
         for w in self.memory_warnings:
             lines.append(f"memory warning: {w}")
-        if self.log_events:
-            lines.extend(self.events)
         return "\n".join(lines) + "\n"
 
 

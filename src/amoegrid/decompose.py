@@ -119,7 +119,7 @@ def hole_split_specs(hole) -> list[SplitNodeSpec]:
     return specs
 
 
-def _phase1_plan(structure: AmoebotStructure, decide) -> tuple[list[Region], list[Gate]]:
+def _phase1_plan(structure: AmoebotStructure, decide) -> tuple[list[Region], list[Gate], int]:
     root = Region.from_structure(structure)
     _, inner = find_holes(structure)
     portals = compute_portals(root, Axis.Y) if inner else []
@@ -130,7 +130,7 @@ def _phase1_plan(structure: AmoebotStructure, decide) -> tuple[list[Region], lis
     if nodes != {spec.node for spec in specs}:
         raise ContractViolation("split nodes disagree with the holes' extreme nodes")
     if not specs:
-        return [root], []
+        return [root], [], len(inner)
 
     owner: dict[GridPoint, Portal] = {}
     for portal in portals:
@@ -146,11 +146,14 @@ def _phase1_plan(structure: AmoebotStructure, decide) -> tuple[list[Region], lis
 
     regions = split_many(root, [entry for _, entry in sorted(by_portal.items())])
     gates = [g for r in regions for g in r.gates]
-    return regions, gates
+    return regions, gates, len(inner)
 
 
-def phase1_simple(structure: AmoebotStructure) -> tuple[list[Region], list[Gate]]:
-    """Split at the extreme boundary nodes of every inner hole."""
+def phase1_simple(structure: AmoebotStructure) -> tuple[list[Region], list[Gate], int]:
+    """Split at the extreme boundary nodes of every inner hole.
+
+    Returns the simple regions, their gates and the number of inner holes.
+    """
     return _phase1_plan(structure, DIRECT)
 
 
@@ -520,14 +523,6 @@ def _point_gate_plan(
     return splits, medians
 
 
-def point_gate_split(m_region: Region, g: GridPoint, g2: GridPoint) -> list[Region]:
-    """Split the middle region at its three median portals (single-node gates)."""
-    if g not in m_region.nodes or g2 not in m_region.nodes:
-        raise DomainError("point gates must lie in the region")
-    splits, _ = _point_gate_plan(m_region, g, g2, DIRECT)
-    return split_many(m_region, splits)
-
-
 def _phase3_plan(tunnel: Region, decide) -> tuple[list[Region], TunnelCaseData]:
     data = TunnelCaseData(tunnel_lineage=tunnel.lineage, gate_count=len(tunnel.gates))
     if len(tunnel.gates) < 2:
@@ -673,16 +668,15 @@ class Decomposition:
 
 
 def assemble(
-    structure: AmoebotStructure,
     regions1: list[Region],
     gates: list[Gate],
     tunnels: list[Region],
     final: list[Region],
     cases: list[TunnelCaseData],
+    hole_count: int,
 ) -> Decomposition:
     """The decomposition of the phases' outputs, regions renumbered by lineage."""
     final = sorted(final, key=lambda r: r.lineage)
-    _, inner = find_holes(structure)
     return Decomposition(
         regions=[
             Region(r.nodes, r.edges, r.gates, id=i, lineage=r.lineage)
@@ -692,13 +686,13 @@ def assemble(
         phase1_region_count=len(regions1),
         tunnel_count=len(tunnels),
         tunnel_cases=cases,
-        hole_count=len(inner),
+        hole_count=hole_count,
     )
 
 
 def decompose(structure: AmoebotStructure) -> Decomposition:
     """Run all three phases and renumber regions deterministically."""
-    regions1, gates = phase1_simple(structure)
+    regions1, gates, hole_count = phase1_simple(structure)
     tunnels = [t for r in regions1 for t in phase2_tunnels(r)]
     final: list[Region] = []
     cases: list[TunnelCaseData] = []
@@ -706,4 +700,4 @@ def decompose(structure: AmoebotStructure) -> Decomposition:
         rs, data = phase3_convex(t)
         final.extend(rs)
         cases.append(data)
-    return assemble(structure, regions1, gates, tunnels, final, cases)
+    return assemble(regions1, gates, tunnels, final, cases, hole_count)

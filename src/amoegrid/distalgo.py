@@ -20,6 +20,7 @@ low pin half and the ESE side the high half.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -43,9 +44,11 @@ from .split import Gate, Region, side_names
 from .primitives.basic import closest_on_portal_batch, degree_check_batch
 from .primitives.boundary import BoundaryTest
 from .primitives.election import election_iters, run_election
-from .primitives.maxima import PSI, bits_to_int, chain_maxima
-from .primitives.pasc import Meter, run_counting_pasc
-from .primitives.trees import PortalForest, contract_tree, forest_from_chains, pasc_forest
+from .primitives.maxima import PSI, chain_maxima
+# run_counting_pasc stays bound here: perfbench's tracer test checks that its
+# patch reaches the engine module as well as the primitives that call it.
+from .primitives.pasc import Meter, run_counting_pasc  # noqa: F401
+from .primitives.trees import PortalForest, contract_tree, forest_from_chains, stream_counts
 
 SIDE_FIRST = {a: side_names(a)[0] for a in AXES}
 
@@ -210,17 +213,21 @@ class CircuitDecisions:
         every region's y-portal tree in lockstep."""
         world = self.world
         spaces = [self._space(t.region) for t in trees]
-        # leader gate per region: portal representatives are local (no NNE edge)
-        listen = np.full(world.n, -1, dtype=np.int64)
+        # leader gate per region: portal representatives are local (no NNE
+        # edge); every amoebot listens on label 0, which only region
+        # circuits wire
         candidates = np.zeros(world.n, dtype=bool)
         _wire_region_circuits(world, spaces)
         for t in trees:
             for g in t.region.gates:
                 candidates[world.index[g.nodes[-1]]] = True
-            for p in t.region.nodes:
-                listen[world.index[p]] = 0
         leaders = run_election(
-            world, listen, candidates, election_iters(world.nhat), tag=31, meter=self.meter
+            world,
+            np.arange(world.n) * world.S,
+            candidates,
+            partial(world.coins, 31),
+            election_iters(world.nhat),
+            self.meter,
         )
 
         forests, roots, q_masks = [], {}, []
@@ -294,14 +301,10 @@ class CircuitDecisions:
         q = np.zeros(forest.ne, dtype=bool)
         q[pa] = q[pb] = True
         parents, keep = contract_tree(world, forest, {int(forest.instance[pa]): pa}, q, meter)
-        ef = pasc_forest(forest, parents, keep)
-        kept = np.flatnonzero(keep)
-        remap = {int(e): j for j, e in enumerate(kept)}
         # east/west hop marks along the path toward the root pa
-        east = np.zeros(ef.ne, dtype=bool)
-        west = np.zeros(ef.ne, dtype=bool)
-        for e in kept:
-            e = int(e)
+        east = np.zeros(forest.ne, dtype=bool)
+        west = np.zeros(forest.ne, dtype=bool)
+        for e in np.flatnonzero(keep):
             parent = int(parents[e])
             if parent < 0 or not keep[parent]:
                 continue
@@ -309,16 +312,11 @@ class CircuitDecisions:
             line_e = pg.portals[e].line
             line_p = pg.portals[parent].line
             if line_e > line_p:
-                east[remap[e]] = True
+                east[e] = True
             elif line_e < line_p:
-                west[remap[e]] = True
-        iters = int(np.ceil(np.log2(max(2, forest.ne)))) + 1
-        east_stream = run_counting_pasc(world, [ef], [east], iters, meter)[0]
-        west_stream = run_counting_pasc(world, [ef], [west], iters, meter)[0]
-        jb = remap[pb]
-        d_east = int(bits_to_int(east_stream)[jb]) + int(east[jb])
-        d_west = int(bits_to_int(west_stream)[jb]) + int(west[jb])
-        diff = d_east - d_west  # line(pb) - line(pa)
+                west[e] = True
+        n_east, n_west = stream_counts(world, forest, parents, keep, [east, west], meter)
+        diff = (n_east[pb] + east[pb]) - (n_west[pb] + west[pb])  # line(pb) - line(pa)
         if diff == 0:  # same line: the gate with the higher top is G
             a_first = max(p.b for p in gate_a.nodes) > max(p.b for p in gate_b.nodes)
         else:
@@ -385,17 +383,16 @@ class CircuitDecisions:
         q_mask = np.zeros(forest.ne, dtype=bool)
         q_mask[pid_g] = q_mask[pid_g2] = True
         parents, keep = contract_tree(world, forest, {0: pid_g}, q_mask, meter)
-        ef = pasc_forest(forest, parents, keep)
-        iters = int(np.ceil(np.log2(max(2, forest.ne)))) + 1
-        streams = run_counting_pasc(world, [ef], [np.ones(ef.ne, dtype=bool)], iters, meter)
-        return dict(zip(np.flatnonzero(keep).tolist(), bits_to_int(streams[0]).tolist()))
+        (dist,) = stream_counts(world, forest, parents, keep, [np.ones(forest.ne, dtype=bool)], meter)
+        return {int(e): int(dist[e]) for e in np.flatnonzero(keep)}
 
 
 # -- pipeline -------------------------------------------------------------------
 
 
 def dist_phase1(world: World, structure: AmoebotStructure, meter: Meter):
-    """Boundary classification, extreme-node selection, and the y splits."""
+    """Boundary classification, extreme-node selection, and the y splits;
+    returns the regions, their gates and the inner hole count."""
     return _phase1_plan(structure, CircuitDecisions(world, meter))
 
 
@@ -433,18 +430,17 @@ def run_distributed(
     seed: int = 0,
     nhat: int | None = None,
     round_budget: int | None = None,
-    log_events: bool = False,
 ) -> DistributedOutcome:
     """Full pipeline; the decomposition equals the centralized engine's."""
     world = World(structure, c=10, seed=seed, nhat=nhat)
-    trace = SimulationTrace(seed=seed, nhat=world.nhat, log_events=log_events)
+    trace = SimulationTrace(seed=seed, nhat=world.nhat)
     meter = Meter()
     budget = round_budget if round_budget is not None else 4000 * max(
         1, int(np.ceil(np.log2(max(2, world.nhat))))
     )
 
     start = meter.rounds
-    regions1, gates = dist_phase1(world, structure, meter)
+    regions1, gates, hole_count = dist_phase1(world, structure, meter)
     trace.phase_rounds["phase1"] = meter.rounds - start
 
     start = meter.rounds
@@ -476,5 +472,5 @@ def run_distributed(
         if peak > limit:
             trace.memory_warnings.append(f"{name} reached {peak} (> {limit})")
 
-    deco = assemble(structure, regions1, gates, tunnels, final, cases)
+    deco = assemble(regions1, gates, tunnels, final, cases, hole_count)
     return DistributedOutcome(deco, trace)

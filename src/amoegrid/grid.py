@@ -271,98 +271,3 @@ def find_holes(structure: AmoebotStructure) -> tuple[Hole, list[Hole]]:
     inner.sort(key=lambda h: min(h.cells))
     return outer, inner
 
-
-# -- boundary walking ---------------------------------------------------------
-#
-# Boundary cycles are orbits of a successor map on directed occupied edges.
-# Arriving at v heading d, the walk scans clockwise from the reverse of d
-# (exclusive) and leaves toward the first occupied neighbor.  The unoccupied
-# cells swept over belong to the hole the walk keeps on its left, and the
-# signed turn at v is (3 - k) sixths of a full angle when k directions were
-# scanned.  Summed around a cycle this is +6 for an inner hole and -6 for
-# the outer one.
-
-
-def boundary_step(
-    occupied, u: GridPoint, v: GridPoint
-) -> tuple[GridPoint, int, tuple[GridPoint, ...]]:
-    """Successor of the directed boundary edge (u, v).
-
-    Returns ``(w, turn, swept)`` where (v, w) is the next directed edge,
-    turn is in sixths of 360 degrees, and swept are the unoccupied cells
-    between the reverse direction and the exit direction.  Only the
-    6-neighborhood of v is inspected.
-    """
-    rev = direction_between(v, u)
-    swept: list[GridPoint] = []
-    for k in range(1, 7):
-        d = rev.rotated(-k)
-        w = v.neighbor(d)
-        if w in occupied:
-            return w, 3 - k, tuple(swept)
-        swept.append(w)
-    raise DomainError(f"{v} has no occupied neighbor")  # pragma: no cover
-
-
-def boundary_cycles(
-    structure: AmoebotStructure,
-) -> list[tuple[Hole, tuple[GridPoint, ...]]]:
-    """Wall-following cycles, one per hole, as ordered node sequences.
-
-    A node appears several times in a cycle when the boundary pinches at it.
-    For the degenerate single-node structure the outer cycle is that node.
-    """
-    outer, inner = find_holes(structure)
-    if structure.n == 1:
-        node = next(iter(structure.nodes))
-        return [(outer, (node,))]
-
-    cell_to_hole: dict[GridPoint, Hole] = {}
-    for h in [outer, *inner]:
-        for c in h.cells:
-            cell_to_hole[c] = h
-
-    directed = set()
-    for p in structure.nodes:
-        for _, q in p.neighborhood():
-            if q in structure.nodes:
-                directed.add((p, q))
-
-    cycles: list[tuple[Hole, tuple[GridPoint, ...]]] = []
-    remaining = set(directed)
-    for start in sorted(directed):
-        if start not in remaining:
-            continue
-        orbit = [start]
-        swept_cells: list[GridPoint] = []
-        edge = start
-        while True:
-            w, _, swept = boundary_step(structure.nodes, *edge)
-            swept_cells.extend(swept)
-            edge = (edge[1], w)
-            if edge == start:
-                break
-            orbit.append(edge)
-        for e in orbit:
-            remaining.discard(e)
-        if not swept_cells:
-            continue  # face orbit of a filled triangle, not a boundary
-        holes = {cell_to_hole[c] for c in swept_cells}
-        if len(holes) != 1:
-            raise DomainError("boundary walk swept cells of several holes")
-        cycles.append((holes.pop(), tuple(v for _, v in orbit)))
-
-    cycles.sort(key=lambda item: (item[0].kind != "outer", min(item[0].cells)))
-    return cycles
-
-
-def turning_total(structure: AmoebotStructure, cycle_start: tuple[GridPoint, GridPoint]) -> int:
-    """Total turning of the boundary cycle through the given directed edge."""
-    total = 0
-    edge = cycle_start
-    while True:
-        w, turn, _ = boundary_step(structure.nodes, *edge)
-        total += turn
-        edge = (edge[1], w)
-        if edge == cycle_start:
-            return total

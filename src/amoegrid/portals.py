@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import DomainError
 from .grid import Direction, GridPoint
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -137,13 +136,12 @@ class PortalGraph:
         return dist
 
 
-def compute_portals(region: "Region", axis: Axis) -> list[Portal]:
-    """Maximal chains of region nodes under retained edges parallel to ``axis``.
-
-    Portal ids follow the lexicographic order of each chain's minimal node.
-    """
+def axis_chains(
+    nodes: Iterable[GridPoint], axis: Axis, region: "Region"
+) -> list[tuple[GridPoint, ...]]:
+    """Maximal chains of ``nodes`` joined by the region's retained ``axis`` edges."""
     by_line: dict[int, list[GridPoint]] = {}
-    for p in region.nodes:
+    for p in nodes:
         by_line.setdefault(axis.line_key(p), []).append(p)
 
     chains: list[tuple[GridPoint, ...]] = []
@@ -151,17 +149,21 @@ def compute_portals(region: "Region", axis: Axis) -> list[Portal]:
         line_nodes.sort(key=axis.along_key)
         chain = [line_nodes[0]]
         for prev, cur in zip(line_nodes, line_nodes[1:]):
-            if (
-                axis.along_key(cur) == axis.along_key(prev) + 1
-                and region.has_edge(prev, cur)
-            ):
+            if axis.along_key(cur) == axis.along_key(prev) + 1 and region.has_edge(prev, cur):
                 chain.append(cur)
             else:
                 chains.append(tuple(chain))
                 chain = [cur]
         chains.append(tuple(chain))
+    return chains
 
-    chains.sort(key=lambda c: min(c))
+
+def compute_portals(region: "Region", axis: Axis) -> list[Portal]:
+    """Maximal chains of region nodes under retained edges parallel to ``axis``.
+
+    Portal ids follow the lexicographic order of each chain's minimal node.
+    """
+    chains = sorted(axis_chains(region.nodes, axis, region), key=min)
     return [Portal(axis, c, i) for i, c in enumerate(chains)]
 
 
@@ -179,23 +181,3 @@ def portal_graph(region: "Region", axis: Axis) -> PortalGraph:
             edges.add((pu, pv) if pu < pv else (pv, pu))
     return PortalGraph(axis, tuple(portals), frozenset(edges))
 
-
-def portal_of(region: "Region", p: GridPoint, axis: Axis) -> Portal:
-    if p not in region.nodes:
-        raise DomainError(f"{p} is not in the region")
-    for portal in compute_portals(region, axis):
-        if p in portal.node_set:
-            return portal
-    raise DomainError(f"no {axis.value}-portal contains {p}")  # pragma: no cover
-
-
-def portal_distance(region: "Region", u: GridPoint, v: GridPoint, axis: Axis) -> int:
-    """Distance between the portals of u and v in the axis portal graph."""
-    if u not in region.nodes or v not in region.nodes:
-        raise DomainError("both endpoints must lie in the region")
-    graph = portal_graph(region, axis)
-    pu, pv = graph.portal_of(u).id, graph.portal_of(v).id
-    dist = graph.distances_from([pu])
-    if pv not in dist:
-        raise DomainError("portals are not connected")  # pragma: no cover
-    return dist[pv]

@@ -5,50 +5,30 @@ per-amoebot local rules (expressed with arrays for speed), and every bit of
 information that crosses amoebots rides a beep delivered by the simulator.
 """
 
-from .basic import closest_on_portal, degree_check, region_has
-from .boundary import BoundaryTest, boundary_test
+from .basic import closest_on_portal_batch, degree_check_batch
+from .boundary import BoundaryTest
 from .chains import ChainSpace, CycleStructure, build_boundary_cycles
-from .election import election_iters, election_trials
-from .maxima import (
-    chain_maxima,
-    global_maxima_boundary,
-    global_maxima_general,
-    psi_values,
-    structure_min_level,
-)
-from .pasc import ElementForest, Meter, run_counting_pasc
-from .trees import (
-    PortalForest,
-    contract_tree,
-    forest_from_chains,
-    pasc_forest,
-    root_and_prune,
-    tree_pasc_distances,
-)
+from .election import election_iters, run_election
+from .maxima import chain_maxima
+from .pasc import ElementForest, Meter, bits_to_int, run_counting_pasc
+from .trees import PortalForest, contract_tree, forest_from_chains, stream_counts
 
 __all__ = [
-    "closest_on_portal",
-    "degree_check",
-    "region_has",
+    "closest_on_portal_batch",
+    "degree_check_batch",
     "BoundaryTest",
-    "boundary_test",
     "ChainSpace",
     "CycleStructure",
     "build_boundary_cycles",
     "election_iters",
-    "election_trials",
+    "run_election",
     "chain_maxima",
-    "global_maxima_boundary",
-    "global_maxima_general",
-    "psi_values",
-    "structure_min_level",
     "ElementForest",
     "Meter",
+    "bits_to_int",
     "run_counting_pasc",
     "PortalForest",
     "contract_tree",
     "forest_from_chains",
-    "pasc_forest",
-    "root_and_prune",
-    "tree_pasc_distances",
+    "stream_counts",
 ]

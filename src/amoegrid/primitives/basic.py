@@ -1,9 +1,9 @@
-"""Constant-round portal and region primitives.
+"""Constant-round portal-chain primitives, batched over pin-disjoint chains.
 
-All follow one pattern: wire a circuit scoped to the asking portal or
-region, let marked amoebots beep once, read the answer off the delivery.
-The directional variants cut the chain circuit inside marked members, so a
-beep from one endpoint reaches exactly the members up to the closest mark.
+Both follow one pattern: wire a circuit along each asking chain, let marked
+amoebots beep once, read the answer off the delivery.  The closest-mark
+query cuts the chain circuit inside marked members, so a beep from one
+endpoint reaches exactly the members up to the closest mark.
 """
 
 from __future__ import annotations
@@ -30,20 +30,6 @@ def _chain_slots(world: World, chain: list) -> list[tuple[int, int, int]]:
 
 def _koff(koff, i, d) -> int:
     return int(koff[i, d]) if koff is not None else 0
-
-
-def region_has(world: World, member_pins, s_nodes, meter: Meter) -> bool:
-    """Whether the marked set meets the region, over the region's circuit."""
-    world.reset_pins_isolated()
-    for i, d, k in member_pins:
-        world.pset[i, d * world.c + k] = 0
-    world.mark_dirty()
-    send = np.zeros((world.n, world.S), dtype=bool)
-    for i in s_nodes:
-        send[i, 0] = True
-    recv = world.deliver(send)
-    meter.rounds += 1
-    return bool(recv[:, 0].any())
 
 
 def closest_on_portal_batch(
@@ -102,18 +88,6 @@ def closest_on_portal_batch(
     return out
 
 
-def closest_on_portal(
-    world: World,
-    chain: list,
-    marked: np.ndarray,
-    from_end: int,
-    meter: Meter,
-    koff: np.ndarray | None = None,
-):
-    """Closest marked chain node to the given end (0 = first, 1 = last)."""
-    return closest_on_portal_batch(world, [(chain, marked, from_end, koff)], meter)[0]
-
-
 def degree_check_batch(
     world: World,
     instances: list[tuple[list, np.ndarray, int, np.ndarray | None]],
@@ -163,15 +137,3 @@ def degree_check_batch(
             raise ContractViolation(f"degree tracks arrived on {arrived}")
         out.append(arrived[0] >= threshold)
     return out
-
-
-def degree_check(
-    world: World,
-    chain: list,
-    shifts: np.ndarray,
-    threshold: int,
-    meter: Meter,
-    koff: np.ndarray | None = None,
-) -> bool:
-    """Single-chain wrapper around the batched track test."""
-    return degree_check_batch(world, [(chain, shifts, threshold, koff)], meter)[0]

@@ -15,7 +15,7 @@ import numpy as np
 from ..circuits import World, mix64
 from ..errors import ContractViolation
 from .chains import ChainSpace, CycleStructure, build_boundary_cycles
-from .election import election_iters
+from .election import election_iters, run_election
 from .pasc import Meter
 
 OFF_CYCLE = 0
@@ -41,39 +41,6 @@ def visit_coins(world: World, cyc: CycleStructure, active: np.ndarray, tag: int)
     return out
 
 
-def elect_visits(
-    world: World,
-    space: ChainSpace,
-    label_of: dict,
-    candidates: np.ndarray,
-    iters: int,
-    tag: int,
-    meter: Meter,
-) -> np.ndarray:
-    """Coin election among visits over already-wired cycle circuits."""
-    cyc = space.cyc
-    active = candidates.copy()
-    heads = np.zeros(cyc.n_visits, dtype=bool)
-    send = None
-    for it in range(iters + 1):
-        if send is not None:
-            recv = world.deliver(send)
-            meter.rounds += 1
-            heard = np.zeros(cyc.n_visits, dtype=bool)
-            for vid in np.flatnonzero(candidates):
-                lab = label_of.get((vid, OFF_CYCLE))
-                if lab is not None and recv[cyc.node[vid], lab]:
-                    heard[vid] = True
-            active &= ~(heard & ~heads)
-        if it == iters:
-            break
-        heads = visit_coins(world, cyc, active, tag) & active
-        send = np.zeros((world.n, world.S), dtype=bool)
-        for vid in np.flatnonzero(heads):
-            send[cyc.node[vid], label_of[(vid, OFF_CYCLE)]] = True
-    return active
-
-
 class BoundaryTest:
     """Stage object: classify all real cycles of a world as inner or outer."""
 
@@ -90,22 +57,23 @@ class BoundaryTest:
         every = np.ones(cyc.n_visits, dtype=bool)
         space = ChainSpace(world, cyc, every)
         label_of = space.wire({OFF_CYCLE: [("prev", 0), ("next", 0)]})
+        # flat (amoebot, label) cell of every visit's cycle circuit
+        labels = np.array([label_of[(vid, OFF_CYCLE)] for vid in range(cyc.n_visits)])
+        cell = cyc.node * world.S + labels
 
         # one round: visits that swept empty cells beep; hearers are on a
         # real boundary cycle rather than a filled-triangle face orbit
         send = np.zeros((world.n, world.S), dtype=bool)
-        for vid in np.flatnonzero(cyc.swept > 0):
-            send[cyc.node[vid], label_of[(vid, OFF_CYCLE)]] = True
+        send.reshape(-1)[cell[cyc.swept > 0]] = True
         recv = world.deliver(send)
         meter.rounds += 1
-        real_visit = np.zeros(cyc.n_visits, dtype=bool)
-        for vid in range(cyc.n_visits):
-            if recv[cyc.node[vid], label_of[(vid, OFF_CYCLE)]]:
-                real_visit[vid] = True
+        real_visit = recv.reshape(-1)[cell]
         if not np.array_equal(real_visit, cyc.real[cyc.cycle_id]):
             raise ContractViolation("real-cycle beep round disagrees with geometry")
 
-        leaders_mask = elect_visits(world, space, label_of, real_visit, iters, tag, meter)
+        leaders_mask = run_election(
+            world, cell, real_visit, lambda active: visit_coins(world, cyc, active, tag), iters, meter
+        )
         # unique leader per cycle w.h.p.; deterministic fallback keeps the
         # smallest visit so a rare tie cannot corrupt later phases
         leader_of_cycle = np.full(cyc.n_cycles, -1, dtype=np.int64)
@@ -193,25 +161,3 @@ class BoundaryTest:
 
         return inner_cycle, leader_of_cycle, real_visit
 
-
-def boundary_test(structure, seed: int = 0, nhat: int | None = None):
-    """Standalone harness: classify each hole's boundary set.
-
-    Returns (classes, meter) where classes maps each cycle id to "inner" or
-    "outer" along with its visit node set, for oracle comparison.
-    """
-    world = World(structure, c=10, seed=seed, nhat=nhat)
-    meter = Meter()
-    stage = BoundaryTest(world)
-    inner_cycle, leaders, real_visit = stage.run(meter)
-    cyc = stage.cyc
-    out = []
-    for c in range(cyc.n_cycles):
-        if not cyc.real[c]:
-            continue
-        vids = np.flatnonzero(cyc.cycle_id == c)
-        nodes = {world.nodes[i] for i in cyc.node[vids]}
-        out.append(("inner" if inner_cycle[c] else "outer", frozenset(nodes)))
-    if cyc.n_visits == 0:
-        out.append(("outer", frozenset(structure.nodes)))
-    return out, meter

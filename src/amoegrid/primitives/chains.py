@@ -1,10 +1,18 @@
 """Boundary visits and oriented chain wiring.
 
-A visit is a directed boundary edge arriving at an amoebot; the successor,
-turn, and swept cells follow from the 6-neighborhood alone (the wall-following
-rule of the grid module).  Pin budget on an edge: the direction from the
-smaller-index endpoint uses pin block 0..4, the reverse direction 5..9, so
-the two directed traversals of one edge never collide.
+A visit is a directed edge arriving at an amoebot.  Boundary cycles are the
+orbits of a wall-following successor map on visits, read off the
+6-neighborhood alone: arriving at v, the walk scans clockwise from the
+direction back to its predecessor (exclusive) and leaves toward the first
+occupied neighbor.  The unoccupied cells swept over belong to the hole the
+walk keeps on its left, and the signed turn at v is (3 - k) sixths of a full
+angle when k directions were scanned.  Summed around a cycle this is +6 for
+an inner hole and -6 for the outer one; orbits that sweep no cell are the
+faces of filled triangles, not boundaries.
+
+Pin budget on an edge: the direction from the smaller-index endpoint uses
+pin block 0..4, the reverse direction 5..9, so the two directed traversals
+of one edge never collide.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..circuits import World
-from ..grid import DIRECTIONS, GridPoint
+from ..grid import DIRECTIONS
 
 #: per-direction pin roles within a visit's 5-pin block
 K_CYCLE = 0  # election / cycle-wide circuits
@@ -38,8 +46,6 @@ class CycleStructure:
     cycle_id: np.ndarray
     n_cycles: int = 0
     real: np.ndarray = field(default=None)  # type: ignore[assignment]
-    # bookkeeping label of one swept cell per visit, for hole association
-    swept_cell: list = field(default_factory=list)
 
     @property
     def n_visits(self) -> int:
@@ -64,10 +70,8 @@ def build_boundary_cycles(world: World) -> CycleStructure:
     turn = np.zeros(nv, dtype=np.int64)
     swept = np.zeros(nv, dtype=np.int64)
     next_visit = np.zeros(nv, dtype=np.int64)
-    swept_cell: list[GridPoint | None] = [None] * nv
 
     for vid, (i, dp) in enumerate(rows):
-        p = world.nodes[i]
         for k in range(1, 7):
             d = DIRECTIONS[dp].rotated(-k)
             d_idx = DIRECTIONS.index(d)
@@ -75,9 +79,6 @@ def build_boundary_cycles(world: World) -> CycleStructure:
                 d_next[vid] = d_idx
                 turn[vid] = 3 - k
                 swept[vid] = k - 1
-                if k > 1:
-                    first = DIRECTIONS[dp].rotated(-1)
-                    swept_cell[vid] = p.neighbor(first)
                 w = nbr[i, d_idx]
                 # successor visit: at w, arrived from direction back to i
                 from_dir = DIRECTIONS.index(DIRECTIONS[d_idx].opposite)
@@ -112,7 +113,6 @@ def build_boundary_cycles(world: World) -> CycleStructure:
         cycle_id=cycle_id,
         n_cycles=n_cycles,
         real=real,
-        swept_cell=swept_cell,
     )
 
 

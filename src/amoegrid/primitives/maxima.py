@@ -1,16 +1,10 @@
-"""Directional global maxima.
+"""Directional global maxima of marked visits on boundary cycles.
 
-Boundary version: the elected leader cuts its cycle into an oriented chain;
-counting PASC streams hop counts, so every visit can follow its height
-offset to the leader under the ranking functional.  Blocks of about log(n)
-visits store the bits of their local winner's offset, and one bitwise pass
-over blocks selects the global maxima without recomputation.
-
-General version: the minimum level of the whole structure (found with the
-boundary version in the opposite direction) roots a level-synchronous PASC
-giving every amoebot nonnegative offset bits; maxima of an arbitrary marked
-set follow by a most-significant-bit-first consensus that recomputes the
-stream once per bit, as the amoebots cannot store it.
+The elected leader cuts its cycle into an oriented chain; counting PASC
+streams hop counts, so every visit can follow its height offset to the
+leader under the ranking functional.  Blocks of about log(n) visits store
+the bits of their local winner's offset, and one bitwise pass over blocks
+selects the global maxima without recomputation.
 """
 
 from __future__ import annotations
@@ -18,10 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..circuits import World
-from ..errors import ContractViolation
-from ..grid import Direction
 from .chains import ChainSpace, CycleStructure, K_P1, K_P2, K_S1, K_S2
-from .pasc import ElementForest, Meter, run_counting_pasc
+from .pasc import ElementForest, Meter, bits_to_int, run_counting_pasc
 
 #: ranking functionals by direction name; ESE/WNW rank like E/W
 PSI = {
@@ -34,16 +26,6 @@ PSI = {
     "ESE": lambda a, b: a,
     "WNW": lambda a, b: -a,
 }
-
-
-def psi_values(world: World, direction) -> np.ndarray:
-    name = direction.name if isinstance(direction, Direction) else str(direction)
-    return PSI[name](world.a, world.b).astype(np.int64)
-
-
-def bits_to_int(stream: np.ndarray) -> np.ndarray:
-    weights = 1 << np.arange(stream.shape[1], dtype=np.int64)
-    return stream.astype(np.int64) @ weights
 
 
 def chain_forest(
@@ -264,166 +246,3 @@ def chain_maxima(
 
     return winners & blk_alive
 
-
-def global_maxima_boundary(structure, direction, r_nodes=None, seed: int = 0, nhat=None):
-    """Standalone harness: maxima of a marked set lying on boundary cycles."""
-    from .boundary import BoundaryTest
-
-    world = World(structure, c=10, seed=seed, nhat=nhat)
-    meter = Meter()
-    stage = BoundaryTest(world)
-    cyc = stage.cyc
-    if cyc.n_visits == 0:
-        return set(structure.nodes), meter
-    inner_cycle, leaders, real_visit = stage.run(meter)
-
-    r_mask = np.zeros(world.n, dtype=bool)
-    if r_nodes is None:
-        r_mask[:] = True
-    else:
-        for p in r_nodes:
-            r_mask[world.index[p]] = True
-    r_visit = r_mask[cyc.node] & real_visit
-    # the marked set must lie on a single boundary cycle: pick the cycle
-    # whose node set covers it (node sets of different cycles may overlap)
-    cycles_mask = np.zeros(cyc.n_cycles, dtype=bool)
-    want = {i for i in np.flatnonzero(r_mask)}
-    chosen = None
-    for c in range(cyc.n_cycles):
-        if not cyc.real[c]:
-            continue
-        nodes_c = {int(i) for i in cyc.node[cyc.cycle_id == c]}
-        if want <= nodes_c:
-            chosen = c
-            break
-    if chosen is None:
-        raise ContractViolation("marked set does not lie on one boundary cycle")
-    cycles_mask[chosen] = True
-    r_visit &= cyc.cycle_id == chosen
-
-    psi = psi_values(world, direction)
-    win = chain_maxima(world, cyc, leaders, cycles_mask, r_visit, psi, meter)
-    return {world.nodes[cyc.node[v]] for v in np.flatnonzero(win)}, meter
-
-
-# -- general version -----------------------------------------------------------
-
-
-def level_pasc(
-    world: World,
-    psi: np.ndarray,
-    root_mask: np.ndarray,
-    iters: int,
-    meter: Meter,
-    capture: int | None = None,
-) -> np.ndarray:
-    """Level-synchronous counting PASC from the root level.
-
-    Every amoebot learns, least significant bit first, how many levels lie
-    strictly between the root level and its own; with the root at the global
-    minimum all offsets are the plain height psi - min(psi).  Returns the
-    bit matrix (n, iters), or just the captured bit column if ``capture``.
-    """
-    n = world.n
-    up_pins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    dn_pins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    lat_pins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i in range(n):
-        for d in range(6):
-            j = world.nbr[i, d]
-            if j < 0:
-                continue
-            dpsi = psi[j] - psi[i]
-            target = up_pins if dpsi > 0 else dn_pins if dpsi < 0 else lat_pins
-            target[i].append((d, 0))
-            (up_pins if dpsi > 0 else dn_pins if dpsi < 0 else lat_pins)  # noqa: B018
-    # label 1 = set A (carries P below, S above when active), label 2 = set B
-    active = np.ones(n, dtype=bool)  # per-level activity, uniform by rule
-    flip = np.zeros(n, dtype=bool)
-    bits = np.zeros((n, iters), dtype=bool)
-    c = world.c
-    for j in range(iters):
-        world.reset_pins_isolated()
-        pset = world.pset
-        for i in range(n):
-            a_lab, b_lab = 1, 2
-            for d, _ in dn_pins[i]:
-                pset[i, d * c + 0] = a_lab
-                pset[i, d * c + 1] = b_lab
-            for d, _ in lat_pins[i]:
-                pset[i, d * c + 0] = a_lab
-                pset[i, d * c + 1] = b_lab
-            for d, _ in up_pins[i]:
-                if active[i]:
-                    pset[i, d * c + 1] = a_lab  # S pin joins A: crossing
-                    pset[i, d * c + 0] = b_lab
-                else:
-                    pset[i, d * c + 0] = a_lab
-                    pset[i, d * c + 1] = b_lab
-        world.mark_dirty()
-        send = np.zeros((n, world.S), dtype=bool)
-        send[root_mask, 1] = True
-        recv = world.deliver(send)
-        meter.rounds += 1
-        heard_b = recv[:, 2]
-        bit = (heard_b ^ flip) & ~root_mask
-        bits[:, j] = bit
-        active &= ~bit
-        flip |= bit
-    return bits
-
-
-def structure_min_level(structure, direction, seed: int = 0, nhat=None, world=None, meter=None, boundary=None):
-    """Nodes of the structure's minimum level under the direction's functional."""
-    from .boundary import BoundaryTest
-
-    own = world is None
-    if own:
-        world = World(structure, c=10, seed=seed, nhat=nhat)
-        meter = Meter()
-    stage = boundary if boundary is not None else BoundaryTest(world)
-    cyc = stage.cyc
-    if cyc.n_visits == 0:
-        return np.ones(world.n, dtype=bool), meter
-    inner_cycle, leaders, real_visit = stage.run(meter)
-    outer_mask = np.zeros(cyc.n_cycles, dtype=bool)
-    for c in range(cyc.n_cycles):
-        outer_mask[c] = cyc.real[c] and not inner_cycle[c]
-    name = direction.name if isinstance(direction, Direction) else str(direction)
-    opposite = {"E": "W", "W": "E", "NNE": "SSW", "SSW": "NNE", "NNW": "SSE", "SSE": "NNW",
-                "ESE": "WNW", "WNW": "ESE"}[name]
-    psi_op = PSI[opposite](world.a, world.b).astype(np.int64)
-    win = chain_maxima(world, cyc, leaders, outer_mask, real_visit.copy(), psi_op, meter)
-    mask = np.zeros(world.n, dtype=bool)
-    mask[cyc.node[np.flatnonzero(win)]] = True
-    return mask, meter
-
-
-def global_maxima_general(structure, direction, r_nodes, seed: int = 0, nhat=None):
-    """Maxima of an arbitrary marked set: O(log^2) consensus with recompute."""
-    world = World(structure, c=10, seed=seed, nhat=nhat)
-    meter = Meter()
-    root_mask, _ = structure_min_level(structure, direction, world=world, meter=meter)
-    psi = psi_values(world, direction)
-
-    r_mask = np.zeros(world.n, dtype=bool)
-    for p in r_nodes:
-        r_mask[world.index[p]] = True
-
-    iters = int(np.ceil(np.log2(max(4, world.nhat)))) + 2
-    candidates = r_mask.copy()
-    # global circuit for the consensus beeps rides label 0 on pin k=2
-    for t in range(iters - 1, -1, -1):
-        bits = level_pasc(world, psi, root_mask, iters, meter)
-        value_bit = bits[:, t]
-        world.reset_pins_isolated()
-        world.pset[:, 2::world.c] = 0
-        world.mark_dirty()
-        send = np.zeros((world.n, world.S), dtype=bool)
-        speak = candidates & value_bit
-        send[speak, 0] = True
-        recv = world.deliver(send)
-        meter.rounds += 1
-        heard = recv[:, 0]
-        candidates &= ~(heard & ~value_bit)
-    return {world.nodes[i] for i in np.flatnonzero(candidates)}, meter

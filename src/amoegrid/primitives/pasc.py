@@ -124,6 +124,12 @@ class ElementForest:
                 send[i, lab] = True
 
 
+def bits_to_int(stream: np.ndarray) -> np.ndarray:
+    """Integers from least-significant-bit-first rows of a count stream."""
+    weights = 1 << np.arange(stream.shape[1], dtype=np.int64)
+    return stream.astype(np.int64) @ weights
+
+
 @dataclass
 class Meter:
     """Round counter shared by pipeline stages."""

@@ -20,7 +20,7 @@ import numpy as np
 from ..circuits import World
 from ..errors import ContractViolation
 from ..grid import DIRECTIONS, direction_between
-from .pasc import ElementForest, Meter, run_counting_pasc
+from .pasc import ElementForest, Meter, bits_to_int, run_counting_pasc
 
 # pin roles on designated link edges (plus koff): k2/k4 talk low-to-high,
 # k3/k0 talk high-to-low; k1/k4 double as the internal track pair for PASC
@@ -475,54 +475,29 @@ def pasc_forest(forest: PortalForest, parents: np.ndarray, keep: np.ndarray) -> 
     )
 
 
-# -- standalone harnesses -------------------------------------------------------
 
+def stream_counts(
+    world: World,
+    forest: PortalForest,
+    parents: np.ndarray,
+    keep: np.ndarray,
+    marks: list[np.ndarray],
+    meter: Meter,
+) -> list[np.ndarray]:
+    """Counting PASC over the rooted surviving elements, once per mark vector.
 
-def _region_forest(world: World, region, axis) -> tuple[PortalForest, list]:
-    from ..portals import portal_graph
-
-    pg = portal_graph(region, axis)
-    chains = [list(p.nodes) for p in pg.portals]
-    adjacency = sorted(pg.adjacency)
-    forest = forest_from_chains(world, chains, adjacency, region.has_edge)
-    return forest, list(pg.portals)
-
-
-def root_and_prune(region, axis, q_portal_ids, r_portal_id, seed: int = 0, nhat=None):
-    """Harness entry: prune a region's portal tree to the marked portals."""
-    from ..grid import AmoebotStructure
-
-    structure = AmoebotStructure(region.nodes)
-    world = World(structure, c=10, seed=seed, nhat=nhat)
-    meter = Meter()
-    forest, portals = _region_forest(world, region, axis)
-    q_mask = np.zeros(forest.ne, dtype=bool)
-    for pid in q_portal_ids:
-        q_mask[pid] = True
-    if not q_mask[r_portal_id]:
-        raise ContractViolation("the root must be one of the marked portals")
-    parents, keep = contract_tree(world, forest, {0: r_portal_id}, q_mask, meter)
-    survivors = {portals[e].id for e in np.flatnonzero(keep)}
-    parent_map = {portals[e].id: (int(parents[e]) if parents[e] >= 0 else None) for e in range(forest.ne)}
-    return survivors, parent_map, meter
-
-
-def tree_pasc_distances(region, axis, r_portal_id, seed: int = 0, nhat=None):
-    """Harness entry: every portal's distance to the root portal, via PASC."""
-    from ..grid import AmoebotStructure
-
-    structure = AmoebotStructure(region.nodes)
-    world = World(structure, c=10, seed=seed, nhat=nhat)
-    meter = Meter()
-    forest, portals = _region_forest(world, region, axis)
-    all_q = np.ones(forest.ne, dtype=bool)
-    parents, keep = contract_tree(world, forest, {0: r_portal_id}, all_q, meter)
-    ef = pasc_forest(forest, parents, np.ones(forest.ne, dtype=bool))
+    Each vector marks elements of ``forest``; its result gives every kept
+    element the count of marked elements before it on its root path (itself
+    excluded), and 0 to pruned ones.  With every element marked, that count
+    is the element's distance from its root.
+    """
+    ef = pasc_forest(forest, parents, keep)
+    kept = np.flatnonzero(keep)
     iters = int(np.ceil(np.log2(max(2, forest.ne)))) + 1
-    streams = run_counting_pasc(
-        world, [ef], [np.ones(forest.ne, dtype=bool)], iters, meter
-    )
-    from .maxima import bits_to_int
-
-    dist = bits_to_int(streams[0])
-    return {portals[e].id: int(dist[e]) for e in range(forest.ne)}, meter
+    out = []
+    for marked in marks:
+        stream = run_counting_pasc(world, [ef], [marked[kept]], iters, meter)[0]
+        counts = np.zeros(forest.ne, dtype=np.int64)
+        counts[kept] = bits_to_int(stream)
+        out.append(counts)
+    return out

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import ContractViolation, DomainError
 from .grid import AmoebotStructure, Direction, GridPoint, direction_between
-from .portals import Axis, Portal
+from .portals import Axis, Portal, axis_chains
 
 # Per axis: the two sides, each mapping to its (cross-up, cross-down)
 # directions.  The up member bundles with the positive portal direction
@@ -177,27 +177,6 @@ class Region:
 #   ("p", axis value, line, side)            portal-split side choice
 #   ("c", axis value, line-or-None, side, b) node-cut bundle choice, b in {U, D}
 _Copy = tuple
-
-
-def _run_chains(
-    axis: Axis, marked: set[GridPoint], region: "Region"
-) -> list[tuple[GridPoint, ...]]:
-    """Maximal chains of marked nodes under the region's retained axis edges."""
-    by_line: dict[int, list[GridPoint]] = {}
-    for p in marked:
-        by_line.setdefault(axis.line_key(p), []).append(p)
-    runs: list[tuple[GridPoint, ...]] = []
-    for line_nodes in by_line.values():
-        line_nodes.sort(key=axis.along_key)
-        chain = [line_nodes[0]]
-        for prev, cur in zip(line_nodes, line_nodes[1:]):
-            if axis.along_key(cur) == axis.along_key(prev) + 1 and region.has_edge(prev, cur):
-                chain.append(cur)
-            else:
-                runs.append(tuple(chain))
-                chain = [cur]
-        runs.append(tuple(chain))
-    return runs
 
 
 def split_many(
@@ -372,14 +351,14 @@ def split_many(
         for (axis, side), marked in sorted(
             new_marks.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
         ):
-            for run in _run_chains(axis, marked, child):
+            for run in axis_chains(marked, axis, child):
                 seen_runs.add((axis, side, run))
                 gates.append(Gate(axis, side, run, splitting_pid[(axis.value, run[0])], index))
         for g in region.gates:
             present = g.node_set & node_set
             if not present:
                 continue
-            for run in _run_chains(g.axis, set(present), child):
+            for run in axis_chains(present, g.axis, child):
                 key = (g.axis, g.side, run)
                 if key not in seen_runs:
                     seen_runs.add(key)
@@ -428,30 +407,3 @@ def resolve_spec(region: Region, portal: Portal, spec: SplitNodeSpec) -> NodeCut
             f"empty point of {spec.node} lies along the portal axis, not beside it"
         )
     return NodeCut(spec.node, portal.axis, side)
-
-
-def split_at_portal(region: Region, portal: Portal) -> list[Region]:
-    """Split a region at one portal (Case 1)."""
-    return split_many(region, [(portal, [])])
-
-
-def split_at_portal_and_nodes(
-    region: Region, portal: Portal, specs: Sequence[SplitNodeSpec]
-) -> list[Region]:
-    """Split a region at a portal and at nodes on it (Case 2)."""
-    cuts = [resolve_spec(region, portal, s) for s in specs]
-    return split_many(region, [(portal, cuts)])
-
-
-def split_region_at_node(region: Region, spec: SplitNodeSpec) -> list[Region]:
-    """Split a region at a single gate node (the node-only split of phase 2/3)."""
-    gate = region.gate_for_node(spec.node)
-    if gate is None:
-        raise DomainError(f"{spec.node} does not lie on a gate of the region")
-    if spec.empty_point in region.nodes:
-        raise DomainError(f"specified point {spec.empty_point} is occupied")
-    d = direction_between(spec.node, spec.empty_point)
-    side = side_of_direction(gate.axis, d)
-    if side is not None and side != gate.side:
-        raise DomainError("empty point lies on the far side of the gate")
-    return split_many(region, [], [NodeCut(spec.node, gate.axis, gate.side)])

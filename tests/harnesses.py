@@ -1,0 +1,357 @@
+"""Standalone harnesses and reference algorithms for the primitive tests.
+
+Each harness builds its own ``World`` around one primitive of
+``amoegrid.primitives`` (or one split of ``amoegrid.split``) and returns its
+answer in terms the tests can compare with a brute-force oracle.  The
+general-set maxima (``global_maxima_general``) is the O(log^2 n) baseline
+the boundary-chain maxima improves on; no engine runs it.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+
+import numpy as np
+
+from amoegrid.circuits import World
+from amoegrid.decompose import DIRECT, _point_gate_plan
+from amoegrid.errors import ContractViolation, DomainError
+from amoegrid.grid import AmoebotStructure, Direction, GridPoint, direction_between
+from amoegrid.portals import Axis, portal_graph
+from amoegrid.primitives import (
+    BoundaryTest,
+    Meter,
+    chain_maxima,
+    contract_tree,
+    election_iters,
+    forest_from_chains,
+    run_election,
+    stream_counts,
+)
+from amoegrid.primitives.maxima import PSI
+from amoegrid.split import NodeCut, Region, SplitNodeSpec, side_of_direction, split_many
+
+# -- splits and portal distances --------------------------------------------------
+
+
+def split_region_at_node(region: Region, spec: SplitNodeSpec) -> list[Region]:
+    """Split a region at a single gate node (the node-only split of phase 2/3)."""
+    gate = region.gate_for_node(spec.node)
+    if gate is None:
+        raise DomainError(f"{spec.node} does not lie on a gate of the region")
+    if spec.empty_point in region.nodes:
+        raise DomainError(f"specified point {spec.empty_point} is occupied")
+    d = direction_between(spec.node, spec.empty_point)
+    side = side_of_direction(gate.axis, d)
+    if side is not None and side != gate.side:
+        raise DomainError("empty point lies on the far side of the gate")
+    return split_many(region, [], [NodeCut(spec.node, gate.axis, gate.side)])
+
+
+def point_gate_split(m_region: Region, g: GridPoint, g2: GridPoint) -> list[Region]:
+    """Split the middle region at its three median portals (single-node gates)."""
+    if g not in m_region.nodes or g2 not in m_region.nodes:
+        raise DomainError("point gates must lie in the region")
+    splits, _ = _point_gate_plan(m_region, g, g2, DIRECT)
+    return split_many(m_region, splits)
+
+
+def portal_distance(region: Region, u: GridPoint, v: GridPoint, axis: Axis) -> int:
+    """Distance between the portals of u and v in the axis portal graph."""
+    if u not in region.nodes or v not in region.nodes:
+        raise DomainError("both endpoints must lie in the region")
+    graph = portal_graph(region, axis)
+    pu, pv = graph.portal_of(u).id, graph.portal_of(v).id
+    dist = graph.distances_from([pu])
+    if pv not in dist:
+        raise DomainError("portals are not connected")  # pragma: no cover
+    return dist[pv]
+
+
+# -- single-instance primitives ----------------------------------------------------
+
+
+def region_has(world: World, member_pins, s_nodes, meter: Meter) -> bool:
+    """Whether the marked set meets the region, over the region's circuit."""
+    world.reset_pins_isolated()
+    for i, d, k in member_pins:
+        world.pset[i, d * world.c + k] = 0
+    world.mark_dirty()
+    send = np.zeros((world.n, world.S), dtype=bool)
+    for i in s_nodes:
+        send[i, 0] = True
+    recv = world.deliver(send)
+    meter.rounds += 1
+    return bool(recv[:, 0].any())
+
+
+def election_trials(
+    n_candidates: int,
+    trials: int,
+    seed: int,
+    c0: int = 2,
+    batch: int | None = None,
+) -> tuple[int, int, int]:
+    """Monte-Carlo uniqueness statistics for the coin election.
+
+    Runs ``trials`` independent elections of ``n_candidates`` candidates,
+    each on its own circuit (batched as disjoint segments of line worlds,
+    which keeps every trial's circuit private).  Returns (unique, failed,
+    iters) where failed counts trials ending with more than one leader.
+    """
+    iters = election_iters(n_candidates, c0)
+    if batch is None:
+        batch = max(1, min(trials, 262144 // max(n_candidates, 1)))
+    total = batch * n_candidates
+    structure = AmoebotStructure([GridPoint(a, 0) for a in range(total)])
+    world = World(structure, c=2, seed=seed, nhat=n_candidates)
+    # one circuit per segment: amoebots join their east and west pins, but
+    # segment ends leave the bridging edge out
+    world.pset[:] = 1
+    seg = np.arange(total) // n_candidates
+    left_end = np.arange(total) % n_candidates == 0
+    right_end = np.arange(total) % n_candidates == n_candidates - 1
+    # E pins live at dir 0, W pins at dir 3
+    for k in range(world.c):
+        world.pset[right_end, 0 * world.c + k] = 2 + k
+        world.pset[left_end, 3 * world.c + k] = 4 + k
+    world.mark_dirty()
+    cell = np.arange(total) * world.S + 1  # every amoebot listens on label 1
+
+    unique = failed = 0
+    done = 0
+    meter = Meter()
+    chunk = 0
+    while done < trials:
+        m = min(batch, trials - done)
+        candidates = np.zeros(total, dtype=bool)
+        candidates[: m * n_candidates] = True
+        active = run_election(world, cell, candidates, partial(world.coins, 7 + chunk), iters, meter)
+        counts = np.bincount(seg[active], minlength=batch)[:m]
+        unique += int(np.sum(counts == 1))
+        failed += int(np.sum(counts != 1))
+        done += m
+        chunk += 1
+    return unique, failed, iters
+
+
+def boundary_test(structure, seed: int = 0, nhat: int | None = None):
+    """Classify each hole's boundary set.
+
+    Returns (classes, meter) where classes maps each cycle id to "inner" or
+    "outer" along with its visit node set, for oracle comparison.
+    """
+    world = World(structure, c=10, seed=seed, nhat=nhat)
+    meter = Meter()
+    stage = BoundaryTest(world)
+    inner_cycle, leaders, real_visit = stage.run(meter)
+    cyc = stage.cyc
+    out = []
+    for c in range(cyc.n_cycles):
+        if not cyc.real[c]:
+            continue
+        vids = np.flatnonzero(cyc.cycle_id == c)
+        nodes = {world.nodes[i] for i in cyc.node[vids]}
+        out.append(("inner" if inner_cycle[c] else "outer", frozenset(nodes)))
+    if cyc.n_visits == 0:
+        out.append(("outer", frozenset(structure.nodes)))
+    return out, meter
+
+
+# -- portal trees ----------------------------------------------------------------------
+
+
+def _region_forest(world: World, region, axis):
+    pg = portal_graph(region, axis)
+    chains = [list(p.nodes) for p in pg.portals]
+    adjacency = sorted(pg.adjacency)
+    forest = forest_from_chains(world, chains, adjacency, region.has_edge)
+    return forest, list(pg.portals)
+
+
+def root_and_prune(region, axis, q_portal_ids, r_portal_id, seed: int = 0, nhat=None):
+    """Prune a region's portal tree to the marked portals."""
+    structure = AmoebotStructure(region.nodes)
+    world = World(structure, c=10, seed=seed, nhat=nhat)
+    meter = Meter()
+    forest, portals = _region_forest(world, region, axis)
+    q_mask = np.zeros(forest.ne, dtype=bool)
+    for pid in q_portal_ids:
+        q_mask[pid] = True
+    if not q_mask[r_portal_id]:
+        raise ContractViolation("the root must be one of the marked portals")
+    parents, keep = contract_tree(world, forest, {0: r_portal_id}, q_mask, meter)
+    survivors = {portals[e].id for e in np.flatnonzero(keep)}
+    parent_map = {portals[e].id: (int(parents[e]) if parents[e] >= 0 else None) for e in range(forest.ne)}
+    return survivors, parent_map, meter
+
+
+def tree_pasc_distances(region, axis, r_portal_id, seed: int = 0, nhat=None):
+    """Every portal's distance to the root portal, via PASC."""
+    structure = AmoebotStructure(region.nodes)
+    world = World(structure, c=10, seed=seed, nhat=nhat)
+    meter = Meter()
+    forest, portals = _region_forest(world, region, axis)
+    all_q = np.ones(forest.ne, dtype=bool)
+    parents, _ = contract_tree(world, forest, {0: r_portal_id}, all_q, meter)
+    (dist,) = stream_counts(world, forest, parents, all_q, [all_q], meter)
+    return {portals[e].id: int(dist[e]) for e in range(forest.ne)}, meter
+
+
+# -- global maxima ---------------------------------------------------------------------
+
+
+def psi_values(world: World, direction) -> np.ndarray:
+    name = direction.name if isinstance(direction, Direction) else str(direction)
+    return PSI[name](world.a, world.b).astype(np.int64)
+
+
+def global_maxima_boundary(structure, direction, r_nodes=None, seed: int = 0, nhat=None):
+    """Maxima of a marked set lying on boundary cycles."""
+    world = World(structure, c=10, seed=seed, nhat=nhat)
+    meter = Meter()
+    stage = BoundaryTest(world)
+    cyc = stage.cyc
+    if cyc.n_visits == 0:
+        return set(structure.nodes), meter
+    inner_cycle, leaders, real_visit = stage.run(meter)
+
+    r_mask = np.zeros(world.n, dtype=bool)
+    if r_nodes is None:
+        r_mask[:] = True
+    else:
+        for p in r_nodes:
+            r_mask[world.index[p]] = True
+    r_visit = r_mask[cyc.node] & real_visit
+    # the marked set must lie on a single boundary cycle: pick the cycle
+    # whose node set covers it (node sets of different cycles may overlap)
+    cycles_mask = np.zeros(cyc.n_cycles, dtype=bool)
+    want = {i for i in np.flatnonzero(r_mask)}
+    chosen = None
+    for c in range(cyc.n_cycles):
+        if not cyc.real[c]:
+            continue
+        nodes_c = {int(i) for i in cyc.node[cyc.cycle_id == c]}
+        if want <= nodes_c:
+            chosen = c
+            break
+    if chosen is None:
+        raise ContractViolation("marked set does not lie on one boundary cycle")
+    cycles_mask[chosen] = True
+    r_visit &= cyc.cycle_id == chosen
+
+    psi = psi_values(world, direction)
+    win = chain_maxima(world, cyc, leaders, cycles_mask, r_visit, psi, meter)
+    return {world.nodes[cyc.node[v]] for v in np.flatnonzero(win)}, meter
+
+
+def level_pasc(
+    world: World,
+    psi: np.ndarray,
+    root_mask: np.ndarray,
+    iters: int,
+    meter: Meter,
+) -> np.ndarray:
+    """Level-synchronous counting PASC from the root level.
+
+    Every amoebot learns, least significant bit first, how many levels lie
+    strictly between the root level and its own; with the root at the global
+    minimum all offsets are the plain height psi - min(psi).  Returns the
+    bit matrix (n, iters).
+    """
+    n = world.n
+    up_pins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    dn_pins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    lat_pins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i in range(n):
+        for d in range(6):
+            j = world.nbr[i, d]
+            if j < 0:
+                continue
+            dpsi = psi[j] - psi[i]
+            target = up_pins if dpsi > 0 else dn_pins if dpsi < 0 else lat_pins
+            target[i].append((d, 0))
+    # label 1 = set A (carries P below, S above when active), label 2 = set B
+    active = np.ones(n, dtype=bool)  # per-level activity, uniform by rule
+    flip = np.zeros(n, dtype=bool)
+    bits = np.zeros((n, iters), dtype=bool)
+    c = world.c
+    for j in range(iters):
+        world.reset_pins_isolated()
+        pset = world.pset
+        for i in range(n):
+            a_lab, b_lab = 1, 2
+            for d, _ in dn_pins[i]:
+                pset[i, d * c + 0] = a_lab
+                pset[i, d * c + 1] = b_lab
+            for d, _ in lat_pins[i]:
+                pset[i, d * c + 0] = a_lab
+                pset[i, d * c + 1] = b_lab
+            for d, _ in up_pins[i]:
+                if active[i]:
+                    pset[i, d * c + 1] = a_lab  # S pin joins A: crossing
+                    pset[i, d * c + 0] = b_lab
+                else:
+                    pset[i, d * c + 0] = a_lab
+                    pset[i, d * c + 1] = b_lab
+        world.mark_dirty()
+        send = np.zeros((n, world.S), dtype=bool)
+        send[root_mask, 1] = True
+        recv = world.deliver(send)
+        meter.rounds += 1
+        heard_b = recv[:, 2]
+        bit = (heard_b ^ flip) & ~root_mask
+        bits[:, j] = bit
+        active &= ~bit
+        flip |= bit
+    return bits
+
+
+def structure_min_level(world: World, direction, meter: Meter) -> np.ndarray:
+    """Nodes of the structure's minimum level under the direction's functional."""
+    stage = BoundaryTest(world)
+    cyc = stage.cyc
+    if cyc.n_visits == 0:
+        return np.ones(world.n, dtype=bool)
+    inner_cycle, leaders, real_visit = stage.run(meter)
+    outer_mask = np.zeros(cyc.n_cycles, dtype=bool)
+    for c in range(cyc.n_cycles):
+        outer_mask[c] = cyc.real[c] and not inner_cycle[c]
+    name = direction.name if isinstance(direction, Direction) else str(direction)
+    opposite = {"E": "W", "W": "E", "NNE": "SSW", "SSW": "NNE", "NNW": "SSE", "SSE": "NNW",
+                "ESE": "WNW", "WNW": "ESE"}[name]
+    psi_op = PSI[opposite](world.a, world.b).astype(np.int64)
+    win = chain_maxima(world, cyc, leaders, outer_mask, real_visit.copy(), psi_op, meter)
+    mask = np.zeros(world.n, dtype=bool)
+    mask[cyc.node[np.flatnonzero(win)]] = True
+    return mask
+
+
+def global_maxima_general(structure, direction, r_nodes, seed: int = 0, nhat=None):
+    """Maxima of an arbitrary marked set: O(log^2) consensus with recompute."""
+    world = World(structure, c=10, seed=seed, nhat=nhat)
+    meter = Meter()
+    root_mask = structure_min_level(world, direction, meter)
+    psi = psi_values(world, direction)
+
+    r_mask = np.zeros(world.n, dtype=bool)
+    for p in r_nodes:
+        r_mask[world.index[p]] = True
+
+    iters = int(np.ceil(np.log2(max(4, world.nhat)))) + 2
+    candidates = r_mask.copy()
+    # global circuit for the consensus beeps rides label 0 on pin k=2
+    for t in range(iters - 1, -1, -1):
+        bits = level_pasc(world, psi, root_mask, iters, meter)
+        value_bit = bits[:, t]
+        world.reset_pins_isolated()
+        world.pset[:, 2::world.c] = 0
+        world.mark_dirty()
+        send = np.zeros((world.n, world.S), dtype=bool)
+        speak = candidates & value_bit
+        send[speak, 0] = True
+        recv = world.deliver(send)
+        meter.rounds += 1
+        heard = recv[:, 0]
+        candidates &= ~(heard & ~value_bit)
+    return {world.nodes[i] for i in np.flatnonzero(candidates)}, meter

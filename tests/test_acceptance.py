@@ -23,14 +23,14 @@ from amoegrid.oracle import (
     is_simple,
 )
 from amoegrid.portals import AXES, Axis, portal_graph
-from amoegrid.primitives import (
+from amoegrid.split import Region
+
+from harnesses import (
     election_trials,
     global_maxima_boundary,
     root_and_prune,
     tree_pasc_distances,
 )
-from amoegrid.split import Region
-
 from test_grid import hexagon
 
 
@@ -63,7 +63,7 @@ def test_criterion_1_phase1_counting_bounds(corpus):
     t0 = time.time()
     violations = 0
     for structure, holes in corpus:
-        regions, gates = phase1_simple(structure)
+        regions, gates, _ = phase1_simple(structure)
         if len(regions) > 3 * holes + 1 or len(gates) > 6 * holes:
             violations += 1
     elapsed = time.time() - t0

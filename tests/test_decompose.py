@@ -7,7 +7,6 @@ from amoegrid.decompose import (
     phase1_simple,
     phase2_tunnels,
     phase3_convex,
-    point_gate_split,
 )
 from amoegrid.errors import ContractViolation
 from amoegrid.generator import generate_random
@@ -21,6 +20,7 @@ from amoegrid.oracle import (
 from amoegrid.portals import Axis, compute_portals
 from amoegrid.split import Region
 
+from harnesses import point_gate_split
 from test_grid import hexagon, parallelogram
 
 
@@ -31,7 +31,7 @@ def carved(width, height, cells) -> AmoebotStructure:
 
 def test_phase1_hole_free_is_identity():
     s = AmoebotStructure(parallelogram(6, 5))
-    regions, gates = phase1_simple(s)
+    regions, gates, _ = phase1_simple(s)
     assert len(regions) == 1
     assert gates == []
     assert regions[0].nodes == s.nodes
@@ -39,7 +39,7 @@ def test_phase1_hole_free_is_identity():
 
 def test_phase1_single_hole_counts_and_simplicity():
     s = carved(9, 7, [GridPoint(4, 3)])
-    regions, gates = phase1_simple(s)
+    regions, gates, _ = phase1_simple(s)
     assert 1 <= len(regions) <= 4  # 3|H|+1
     assert len(gates) <= 6
     cover = set()
@@ -56,9 +56,9 @@ def test_phase1_many_holes_bounds():
         holes = rng.randint(1, 8)
         n = rng.randint(40 * holes // 2 + 60, 260)
         s = generate_random(n, holes, trial)
-        regions, gates = phase1_simple(s)
+        regions, gates, hole_count = phase1_simple(s)
         h = len(find_holes(s)[1])
-        assert h == holes
+        assert h == holes == hole_count
         assert len(regions) <= 3 * h + 1
         assert len(gates) <= 6 * h
         for r in regions:
@@ -76,7 +76,7 @@ def test_phase2_every_tunnel_meets_at_most_two_gates():
     rng = random.Random(4)
     for trial in range(20):
         s = generate_random(rng.randint(80, 240), rng.randint(1, 6), trial)
-        regions, _ = phase1_simple(s)
+        regions, _, _ = phase1_simple(s)
         for r in regions:
             for t in phase2_tunnels(r):
                 assert len(t.gates) <= 2

@@ -1,16 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
+from amoegrid.circuits import World
 from amoegrid.errors import DomainError, InvalidStructureError
-from amoegrid.grid import (
-    AmoebotStructure,
-    Direction,
-    GridPoint,
-    boundary_cycles,
-    find_holes,
-    turning_total,
-)
+from amoegrid.grid import AmoebotStructure, Direction, GridPoint, find_holes
+from amoegrid.primitives import build_boundary_cycles
 
 
 def hexagon(radius: int, center: GridPoint = GridPoint(0, 0)) -> list[GridPoint]:
@@ -160,23 +156,33 @@ def test_boundary_classification_covers_rim():
         assert claimed == rim
 
 
+def boundary_cycles(s: AmoebotStructure) -> list[tuple[tuple[GridPoint, ...], int]]:
+    """(visited nodes, turn total) of each real cycle of the engine's boundary walk."""
+    world = World(s)
+    cyc = build_boundary_cycles(world)
+    out = []
+    for c in np.flatnonzero(cyc.real):
+        vids = np.flatnonzero(cyc.cycle_id == c)
+        out.append((tuple(world.nodes[i] for i in cyc.node[vids]), int(cyc.turn[vids].sum())))
+    return out
+
+
 def test_boundary_cycle_hexagon_rim():
     s = AmoebotStructure(hexagon(1))
     cycles = boundary_cycles(s)
     assert len(cycles) == 1
-    hole, cyc = cycles[0]
-    assert hole.kind == "outer"
+    cyc, total = cycles[0]
+    assert total == -6  # the outer hole
     assert len(cyc) == 6
-    assert set(cyc) == set(hexagon(1)) - {GridPoint(0, 0)}
+    assert set(cyc) == set(hexagon(1)) - {GridPoint(0, 0)} == find_holes(s)[0].boundary
 
 
 def test_boundary_cycle_one_cell_hole():
     pts = [p for p in hexagon(1) if p != GridPoint(0, 0)]
     s = AmoebotStructure(pts)
     cycles = boundary_cycles(s)
-    kinds = sorted(h.kind for h, _ in cycles)
-    assert kinds == ["inner", "outer"]
-    inner_cycle = next(c for h, c in cycles if h.kind == "inner")
+    assert sorted(total for _, total in cycles) == [-6, 6]  # one outer, one inner
+    inner_cycle = next(c for c, total in cycles if total == 6)
     assert len(inner_cycle) == 6
 
 
@@ -184,13 +190,14 @@ def test_boundary_cycles_visit_exact_boundary_sets():
     rng = random.Random(11)
     for _ in range(30):
         s = random_structure(rng, rng.randint(2, 100))
-        for hole, cyc in boundary_cycles(s):
-            assert set(cyc) == set(hole.boundary)
+        outer, inner = find_holes(s)
+        walked = sorted(sorted(set(cyc)) for cyc, _ in boundary_cycles(s))
+        assert walked == sorted(sorted(h.boundary) for h in [outer, *inner])
 
 
 def test_turning_sign_separates_inner_and_outer():
     pts = set(parallelogram(9, 7)) - {GridPoint(4, 3), GridPoint(4, 4)}
     s = AmoebotStructure(pts)
-    for hole, cyc in boundary_cycles(s):
-        total = turning_total(s, (cyc[-1], cyc[0]))
-        assert total == (6 if hole.kind == "inner" else -6)
+    outer, inner = find_holes(s)
+    want = {outer.boundary: -6} | {h.boundary: 6 for h in inner}
+    assert {frozenset(cyc): total for cyc, total in boundary_cycles(s)} == want

@@ -64,7 +64,7 @@ def test_both_engines_decompose_and_agree(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_phase3_picks_the_middle_region_holding_both_point_gates(name):
     _, lineage, m_nodes, g, g2, not_m = CASES[name]
-    regions, _ = phase1_simple(load(name))
+    regions, _, _ = phase1_simple(load(name))
     tunnel = next(t for r in regions for t in phase2_tunnels(r) if t.lineage == lineage)
     out, data = phase3_convex(tunnel)
     assert data.x.case == 2 and data.z.case == 2

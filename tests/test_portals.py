@@ -6,9 +6,10 @@ from amoegrid.errors import DomainError
 from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, GridPoint
 from amoegrid.oracle import bfs_distances
-from amoegrid.portals import AXES, Axis, compute_portals, portal_distance, portal_graph
+from amoegrid.portals import AXES, Axis, compute_portals, portal_graph
 from amoegrid.split import Region
 
+from harnesses import portal_distance
 from test_grid import hexagon, parallelogram, random_structure
 
 

@@ -1,9 +1,13 @@
+import importlib
+import pkgutil
 import random
+from functools import partial
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from amoegrid import distalgo, primitives
 from amoegrid.circuits import World
 from amoegrid.errors import ContractViolation
 from amoegrid.generator import generate_random
@@ -11,10 +15,16 @@ from amoegrid.grid import AmoebotStructure, Direction, GridPoint, find_holes
 from amoegrid.oracle import global_maxima_oracle
 from amoegrid.portals import AXES, Axis, portal_graph
 from amoegrid.primitives import (
-    boundary_test,
-    closest_on_portal,
-    degree_check,
+    Meter,
+    closest_on_portal_batch,
+    degree_check_batch,
     election_iters,
+    run_election,
+)
+from amoegrid.split import Region
+
+from harnesses import (
+    boundary_test,
     election_trials,
     global_maxima_boundary,
     global_maxima_general,
@@ -22,10 +32,6 @@ from amoegrid.primitives import (
     root_and_prune,
     tree_pasc_distances,
 )
-from amoegrid.primitives.election import run_election
-from amoegrid.primitives.pasc import Meter
-from amoegrid.split import Region
-
 from test_grid import hexagon
 
 
@@ -37,8 +43,10 @@ def elect(structure, candidates_idx, seed):
     candidates = np.zeros(world.n, dtype=bool)
     candidates[candidates_idx] = True
     meter = Meter()
-    listen = np.zeros(world.n, dtype=np.int64)
-    active = run_election(world, listen, candidates, election_iters(world.nhat), tag=1, meter=meter)
+    cell = np.arange(world.n) * world.S  # every amoebot listens on label 0
+    active = run_election(
+        world, cell, candidates, partial(world.coins, 1), election_iters(world.nhat), meter
+    )
     return np.flatnonzero(active), meter
 
 
@@ -180,7 +188,7 @@ def test_degree_check_against_counts():
             shifts[w.index[p]] = v
             total += v
         thr = rng.randint(1, 4)
-        got = degree_check(w, chain, shifts, thr, Meter())
+        (got,) = degree_check_batch(w, [(chain, shifts, thr, None)], Meter())
         assert got == (total >= thr)
 
 
@@ -215,7 +223,7 @@ def test_closest_on_portal_matches_linear_scan():
         for j in ms:
             marked[w.index[chain[j]]] = True
         end = rng.randint(0, 1)
-        got = closest_on_portal(w, chain, marked, end, Meter())
+        (got,) = closest_on_portal_batch(w, [(chain, marked, end, None)], Meter())
         assert got == (chain[min(ms)] if end == 0 else chain[max(ms)])
 
 
@@ -249,3 +257,14 @@ def test_boundary_maxima_round_bound():
         outer, _ = find_holes(s)
         _, meter = global_maxima_boundary(s, Direction.E, set(outer.boundary), seed=0)
         assert meter.rounds <= 60 * math.log2(n) + 120
+
+
+def test_every_exported_primitive_is_imported_by_the_engine_or_another_primitive():
+    modules = [distalgo] + [
+        importlib.import_module(f"amoegrid.primitives.{m.name}")
+        for m in pkgutil.iter_modules(primitives.__path__)
+    ]
+    for name in primitives.__all__:
+        obj = getattr(primitives, name)
+        users = [m for m in modules if m.__name__ != obj.__module__ and vars(m).get(name) is obj]
+        assert users, f"{name} is exported but only {obj.__module__} binds it"

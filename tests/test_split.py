@@ -7,16 +7,9 @@ from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, Direction, GridPoint
 from amoegrid.oracle import connected, is_geodesically_convex, is_simple
 from amoegrid.portals import Axis, compute_portals, portal_graph
-from amoegrid.split import (
-    NodeCut,
-    Region,
-    SplitNodeSpec,
-    split_at_portal,
-    split_at_portal_and_nodes,
-    split_many,
-    split_region_at_node,
-)
+from amoegrid.split import NodeCut, Region, SplitNodeSpec, resolve_spec, split_many
 
+from harnesses import split_region_at_node
 from test_grid import hexagon, parallelogram
 
 
@@ -49,7 +42,7 @@ def check_split_invariants(region: Region, parts: list[Region]):
 def test_split_parallelogram_middle_portal():
     region = as_region(parallelogram(5, 3))
     portal = y_portal_through(region, GridPoint(2, 0))
-    parts = split_at_portal(region, portal)
+    parts = split_many(region, [(portal, [])])
     assert len(parts) == 2
     overlap = parts[0].nodes & parts[1].nodes
     assert overlap == portal.node_set
@@ -62,7 +55,7 @@ def test_split_parallelogram_middle_portal():
 def test_split_wnw_copy_keeps_only_west_cross_edges():
     region = as_region(parallelogram(5, 3))
     portal = y_portal_through(region, GridPoint(2, 0))
-    parts = split_at_portal(region, portal)
+    parts = split_many(region, [(portal, [])])
     west = next(p for p in parts if GridPoint(0, 0) in p.nodes)
     east = next(p for p in parts if GridPoint(4, 0) in p.nodes)
     probe = GridPoint(2, 1)
@@ -75,7 +68,7 @@ def test_split_wnw_copy_keeps_only_west_cross_edges():
 def test_split_bare_portal_is_identity():
     chain = as_region([GridPoint(0, b) for b in range(4)])
     portal = y_portal_through(chain, GridPoint(0, 0))
-    parts = split_at_portal(chain, portal)
+    parts = split_many(chain, [(portal, [])])
     assert len(parts) == 1
     assert parts[0].nodes == chain.nodes
     assert parts[0].edges == chain.edges
@@ -84,8 +77,8 @@ def test_split_bare_portal_is_identity():
 def test_case2_empty_spec_reduces_to_case1():
     region = as_region(parallelogram(5, 3))
     portal = y_portal_through(region, GridPoint(2, 0))
-    a = split_at_portal(region, portal)
-    b = split_at_portal_and_nodes(region, portal, [])
+    a = split_many(region, [(portal, [])])
+    b = split_many(region, [(portal, [resolve_spec(region, portal, s) for s in []])])
     assert [(r.nodes, r.edges) for r in a] == [(r.nodes, r.edges) for r in b]
 
 
@@ -102,8 +95,6 @@ def test_case2_node_splits_open_a_ring():
         (y_portal_through(region, v_wnw), SplitNodeSpec(v_wnw, hole)),
         (y_portal_through(region, v_ese), SplitNodeSpec(v_ese, hole)),
     ]
-    from amoegrid.split import resolve_spec
-
     parts = split_many(
         region, [(portal, [resolve_spec(region, portal, s)]) for portal, s in specs]
     )
@@ -117,18 +108,14 @@ def test_case2_rejects_occupied_point():
     region = as_region(parallelogram(5, 3))
     portal = y_portal_through(region, GridPoint(2, 0))
     with pytest.raises(DomainError):
-        split_at_portal_and_nodes(
-            region, portal, [SplitNodeSpec(GridPoint(2, 1), GridPoint(3, 1))]
-        )
+        resolve_spec(region, portal, SplitNodeSpec(GridPoint(2, 1), GridPoint(3, 1)))
 
 
 def test_case2_rejects_node_off_portal():
     region = as_region(parallelogram(5, 3))
     portal = y_portal_through(region, GridPoint(2, 0))
     with pytest.raises(DomainError):
-        split_at_portal_and_nodes(
-            region, portal, [SplitNodeSpec(GridPoint(0, 0), GridPoint(0, -1))]
-        )
+        resolve_spec(region, portal, SplitNodeSpec(GridPoint(0, 0), GridPoint(0, -1)))
 
 
 def test_node_only_split_separates_gate_with_two_neighbor_portals():
@@ -156,7 +143,7 @@ def test_node_only_split_noop_when_one_bundle():
     # North end of a gate: only the down bundle has edges, split is a no-op.
     region = as_region(parallelogram(4, 2))
     portal = y_portal_through(region, GridPoint(2, 0))
-    west = next(p for p in split_at_portal(region, portal) if GridPoint(0, 0) in p.nodes)
+    west = next(p for p in split_many(region, [(portal, [])]) if GridPoint(0, 0) in p.nodes)
     top = GridPoint(2, 1)
     parts = split_region_at_node(west, SplitNodeSpec(top, top.neighbor(Direction.NNE)))
     assert len(parts) == 1
@@ -171,7 +158,7 @@ def test_split_preserves_simplicity_and_convexity_on_random_regions():
         region = Region.from_structure(s)
         portals = compute_portals(region, Axis.Y)
         portal = portals[rng.randrange(len(portals))]
-        parts = split_at_portal(region, portal)
+        parts = split_many(region, [(portal, [])])
         check_split_invariants(region, parts)
         for part in parts:
             assert is_simple(part.nodes)
@@ -183,7 +170,7 @@ def test_split_preserves_simplicity_and_convexity_on_random_regions():
 def test_intra_portal_edges_shared_between_sides():
     region = as_region(parallelogram(5, 4))
     portal = y_portal_through(region, GridPoint(2, 0))
-    parts = split_at_portal(region, portal)
+    parts = split_many(region, [(portal, [])])
     chain_edges = {
         (portal.nodes[i], portal.nodes[i + 1]) for i in range(len(portal.nodes) - 1)
     }
@@ -204,10 +191,10 @@ def test_simultaneous_multi_portal_split_matches_sequential():
     simultaneous = split_many(region, [(p1, []), (p2, [])])
 
     sequential = []
-    for part in split_at_portal(region, p1):
+    for part in split_many(region, [(p1, [])]):
         if p2.node_set <= part.nodes:
             p2b = y_portal_through(part, GridPoint(6, 0))
-            sequential.extend(split_at_portal(part, p2b))
+            sequential.extend(split_many(part, [(p2b, [])]))
         else:
             sequential.append(part)
     assert sorted((tuple(sorted(r.nodes)), tuple(sorted(r.edges))) for r in simultaneous) == sorted(
