@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .decompose import Decomposition, decompose
-from .errors import AmoegridError, InvalidStructureError, RoundBudgetExceeded
+from .errors import AmoegridError, DomainError, InvalidStructureError, RoundBudgetExceeded
 from .generator import generate_random
 from .grid import AmoebotStructure
 from .oracle import verify_decomposition
@@ -174,6 +174,8 @@ def main(argv=None) -> int:
         parser.error("--mode distributed requires --seed")
 
     try:
+        if args.nhat is not None and args.nhat < 1:
+            raise DomainError(f"--nhat must be at least 1, not {args.nhat}")
         if args.gen is not None:
             structure = generate_random(args.gen, args.holes, args.seed or 0)
         elif args.file:

@@ -677,11 +677,10 @@ def assemble(
 ) -> Decomposition:
     """The decomposition of the phases' outputs, regions renumbered by lineage."""
     final = sorted(final, key=lambda r: r.lineage)
+    for i, r in enumerate(final):
+        r.id = i
     return Decomposition(
-        regions=[
-            Region(r.nodes, r.edges, r.gates, id=i, lineage=r.lineage)
-            for i, r in enumerate(final)
-        ],
+        regions=final,
         phase1_gates=gates,
         phase1_region_count=len(regions1),
         tunnel_count=len(tunnels),

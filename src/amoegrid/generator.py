@@ -147,6 +147,8 @@ def generate_random(n: int, holes: int, seed: int) -> AmoebotStructure:
     """
     if n < 1:
         raise AmoegridError("n must be positive")
+    if holes < 0:
+        raise AmoegridError(f"holes must be non-negative, not {holes}")
     if holes > 0 and n < 7 * holes + 6:
         raise AmoegridError(f"n={n} is too small for {holes} holes")
     for attempt in range(20):

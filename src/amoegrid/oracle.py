@@ -35,6 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Exhaustive all-pairs convexity checking is capped at this region size;
 #: larger regions fall back to seeded pair sampling.
 EXHAUSTIVE_CONVEXITY_LIMIT = 3000
+#: The half-sum distance identity is checked on all pairs of a region with at
+#: most this many pairs, and on this many seeded sample pairs otherwise.
+IDENTITY_PAIR_LIMIT = 400
 
 # Ordering functionals for "lies in direction d": each direction is ranked
 # by the portal index it advances (E/W by the y line a, NNE/SSW by the z
@@ -144,7 +147,6 @@ def is_geodesically_convex(
     structure: AmoebotStructure,
     region_nodes: Iterable[GridPoint],
     *,
-    sample_seed: int = 0,
     graph: "_IndexedGraph | None" = None,
 ) -> tuple[bool, tuple[GridPoint, GridPoint, GridPoint] | None]:
     """Check that every shortest path between region nodes stays inside.
@@ -177,7 +179,7 @@ def is_geodesically_convex(
     if len(member_idx) <= EXHAUSTIVE_CONVEXITY_LIMIT:
         sources = member_idx
     else:
-        rng = np.random.default_rng(sample_seed)
+        rng = np.random.default_rng(0)
         k = EXHAUSTIVE_CONVEXITY_LIMIT
         sources = np.sort(rng.choice(member_idx, size=k, replace=False))
 
@@ -286,9 +288,6 @@ class VerificationReport:
 def verify_decomposition(
     structure: AmoebotStructure,
     decomposition: "Decomposition",
-    *,
-    check_convexity: bool = True,
-    identity_pair_limit: int = 400,
 ) -> VerificationReport:
     """Aggregate oracle checks for a full decomposition."""
     regions = decomposition.regions
@@ -317,9 +316,7 @@ def verify_decomposition(
         edges_ok = all(e in induced for e in r.edges)
         conn_ok = connected(r.nodes, r.edges)
         simple_ok = is_simple(r.nodes)
-        convex_ok, witness = True, None
-        if check_convexity:
-            convex_ok, witness = is_geodesically_convex(structure, r.nodes, graph=graph)
+        convex_ok, witness = is_geodesically_convex(structure, r.nodes, graph=graph)
         report.regions.append(
             RegionCheck(r.id, simple_ok, convex_ok, conn_ok, edges_ok, witness)
         )
@@ -333,10 +330,10 @@ def verify_decomposition(
         nodes = sorted(r.nodes)
         if len(nodes) < 2:
             continue
-        if len(nodes) * (len(nodes) - 1) // 2 <= identity_pair_limit:
+        if len(nodes) * (len(nodes) - 1) // 2 <= IDENTITY_PAIR_LIMIT:
             iu, iv = np.triu_indices(len(nodes), 1)
         else:
-            idx = rng.integers(0, len(nodes), size=(identity_pair_limit, 2))
+            idx = rng.integers(0, len(nodes), size=(IDENTITY_PAIR_LIMIT, 2))
             idx = idx[idx[:, 0] != idx[:, 1]]
             iu, iv = idx[:, 0], idx[:, 1]
         d = _region_pair_distances(r, nodes, iu, iv)

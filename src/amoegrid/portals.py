@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, AbstractSet, Iterable
 
 from .grid import Direction, GridPoint
 
@@ -98,15 +98,6 @@ class PortalGraph:
             object.__setattr__(self, "_node_index", index)
             return self._node_index[p]
 
-    def neighbors(self, pid: int) -> list[int]:
-        out = []
-        for i, j in self.adjacency:
-            if i == pid:
-                out.append(j)
-            elif j == pid:
-                out.append(i)
-        return sorted(out)
-
     @property
     def neighbor_map(self) -> dict[int, list[int]]:
         try:
@@ -137,9 +128,13 @@ class PortalGraph:
 
 
 def axis_chains(
-    nodes: Iterable[GridPoint], axis: Axis, region: "Region"
+    nodes: Iterable[GridPoint], axis: Axis, edges: AbstractSet[tuple[GridPoint, GridPoint]]
 ) -> list[tuple[GridPoint, ...]]:
-    """Maximal chains of ``nodes`` joined by the region's retained ``axis`` edges."""
+    """Maximal chains of ``nodes`` joined by ``axis`` edges of ``edges``.
+
+    ``edges`` holds each edge once as a sorted ``(u, v)`` pair, as
+    ``Region.edges`` does.
+    """
     by_line: dict[int, list[GridPoint]] = {}
     for p in nodes:
         by_line.setdefault(axis.line_key(p), []).append(p)
@@ -149,7 +144,8 @@ def axis_chains(
         line_nodes.sort(key=axis.along_key)
         chain = [line_nodes[0]]
         for prev, cur in zip(line_nodes, line_nodes[1:]):
-            if axis.along_key(cur) == axis.along_key(prev) + 1 and region.has_edge(prev, cur):
+            edge = (prev, cur) if prev <= cur else (cur, prev)
+            if axis.along_key(cur) == axis.along_key(prev) + 1 and edge in edges:
                 chain.append(cur)
             else:
                 chains.append(tuple(chain))
@@ -163,7 +159,7 @@ def compute_portals(region: "Region", axis: Axis) -> list[Portal]:
 
     Portal ids follow the lexicographic order of each chain's minimal node.
     """
-    chains = sorted(axis_chains(region.nodes, axis, region), key=min)
+    chains = sorted(axis_chains(region.nodes, axis, region.edges), key=min)
     return [Portal(axis, c, i) for i, c in enumerate(chains)]
 
 

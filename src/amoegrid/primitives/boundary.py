@@ -21,6 +21,7 @@ from .pasc import Meter
 OFF_CYCLE = 0
 OFF_TRACK = 1  # tracks occupy offsets 1..5
 OFF_LEADER = 7  # leader listen sets occupy 7..11
+ELECTION_TAG = 11  # salt of the cycle leader election's coins
 
 
 def visit_coins(world: World, cyc: CycleStructure, active: np.ndarray, tag: int) -> np.ndarray:
@@ -44,15 +45,14 @@ def visit_coins(world: World, cyc: CycleStructure, active: np.ndarray, tag: int)
 class BoundaryTest:
     """Stage object: classify all real cycles of a world as inner or outer."""
 
-    def __init__(self, world: World, cyc: CycleStructure | None = None):
+    def __init__(self, world: World):
         self.world = world
-        self.cyc = cyc if cyc is not None else build_boundary_cycles(world)
+        self.cyc = build_boundary_cycles(world)
 
-    def run(self, meter: Meter, iters: int | None = None, tag: int = 11):
+    def run(self, meter: Meter):
         world, cyc = self.world, self.cyc
         if cyc.n_visits == 0:  # single amoebot: its boundary set is outer
             return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
-        iters = iters if iters is not None else election_iters(world.nhat)
 
         every = np.ones(cyc.n_visits, dtype=bool)
         space = ChainSpace(world, cyc, every)
@@ -72,7 +72,12 @@ class BoundaryTest:
             raise ContractViolation("real-cycle beep round disagrees with geometry")
 
         leaders_mask = run_election(
-            world, cell, real_visit, lambda active: visit_coins(world, cyc, active, tag), iters, meter
+            world,
+            cell,
+            real_visit,
+            lambda active: visit_coins(world, cyc, active, ELECTION_TAG),
+            election_iters(world.nhat),
+            meter,
         )
         # unique leader per cycle w.h.p.; deterministic fallback keeps the
         # smallest visit so a rare tie cannot corrupt later phases

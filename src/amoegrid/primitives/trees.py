@@ -156,7 +156,6 @@ class _Contraction:
             fr = _Fragment([e], has_r=bool(self.is_root[e]))
             self.frags[e] = fr
         self.links_of = links_of
-        self.done_elems = np.zeros(ne, dtype=bool)
 
     # -- live link helpers ----------------------------------------------------
 
@@ -279,7 +278,6 @@ class _Contraction:
 
             # round 4: rakes resolve and notify; accepted merges splice
             send = np.zeros((world.n, world.S), dtype=bool)
-            raked: list[int] = []
             for fid in unresolved:
                 if fid in proposals:
                     continue  # merging this iteration instead
@@ -297,14 +295,9 @@ class _Contraction:
                     if had_q:
                         sp1, _ = forest.channel(lid, e, 1)
                         send[sp1[0], world.park_label(sp1[1], sp1[2])] = True
-                    raked.append(fid)
             recv = world.deliver(send)
             meter.rounds += 1
-            # apply rake notifications: kill links, plant virtual marks
-            for fid in raked:
-                pass  # bookkeeping already done in _rake
-            for (fid, lid), _ in list(partner_coin.items()):
-                pass
+            # rake bookkeeping is done in _rake; kill links into resolved fragments
             for lid in range(len(self.live)):
                 if not self.live[lid]:
                     continue

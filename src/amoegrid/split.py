@@ -1,9 +1,14 @@
 """Region representation and the portal/node splitting operations.
 
 A split never duplicates coordinates: a "copy" of a node is its membership
-in several result regions with per-region retained edge sets.  Splitting is
-implemented by expanding each node into labeled copies, wiring retained
-edges between compatible copies, and taking connected components.
+in several result regions with per-region retained edge sets.  A split is
+one pass.  Only the nodes on a splitting portal or named by a cut are
+expanded into labelled copies; every other node is its one copy with all
+six directions.  The retained edges are wired between compatible copies,
+and each connected component of this copy graph, found from its smallest
+copy, yields the nodes, edges and gates of one child.  Children with the
+same nodes and edges merge their gates, and each child region is then
+built once.
 
 For a y-portal the two copies keep, besides the intra-portal edges, the
 cross edges toward NNW/W (the WNW copy) and toward SSE/E (the ESE copy).
@@ -15,7 +20,7 @@ under 120-degree rotations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -69,6 +74,9 @@ def cut_bundles(axis: Axis, side: str) -> tuple[frozenset[Direction], frozenset[
     raise DomainError(f"unknown side {side!r} for axis {axis.value}")
 
 
+_ALL_DIRS = frozenset(Direction)
+
+
 @dataclass(frozen=True)
 class Gate:
     """The intersection of a region with a splitting portal, on one side."""
@@ -76,8 +84,6 @@ class Gate:
     axis: Axis
     side: str
     nodes: tuple[GridPoint, ...]  # chain segment in positive-axis order
-    portal_id: int
-    region_id: int = -1
 
     @property
     def line(self) -> int:
@@ -108,7 +114,7 @@ class NodeCut:
 class Region:
     """A connected node set with its retained intra-region edges and gates."""
 
-    __slots__ = ("id", "lineage", "nodes", "edges", "gates", "_adjacency")
+    __slots__ = ("id", "lineage", "nodes", "edges", "gates")
 
     def __init__(
         self,
@@ -123,14 +129,10 @@ class Region:
             (u, v) if u <= v else (v, u) for u, v in edges
         )
         self.gates: tuple[Gate, ...] = tuple(
-            sorted(
-                (replace(g, region_id=id) for g in gates),
-                key=lambda g: (g.axis.value, g.line, g.side, g.nodes[0]),
-            )
+            sorted(gates, key=lambda g: (g.axis.value, g.line, g.side, g.nodes[0]))
         )
         self.id = id
         self.lineage = lineage
-        self._adjacency: dict[GridPoint, tuple[tuple[Direction, GridPoint], ...]] | None = None
 
     @classmethod
     def from_structure(cls, structure: AmoebotStructure) -> "Region":
@@ -142,24 +144,6 @@ class Region:
 
     def has_edge(self, u: GridPoint, v: GridPoint) -> bool:
         return ((u, v) if u <= v else (v, u)) in self.edges
-
-    @property
-    def adjacency(self) -> dict[GridPoint, tuple[tuple[Direction, GridPoint], ...]]:
-        if self._adjacency is None:
-            adj: dict[GridPoint, list[tuple[Direction, GridPoint]]] = {p: [] for p in self.nodes}
-            for u, v in self.edges:
-                adj[u].append((direction_between(u, v), v))
-                adj[v].append((direction_between(v, u), u))
-            self._adjacency = {p: tuple(sorted(lst, key=lambda t: t[1])) for p, lst in adj.items()}
-        return self._adjacency
-
-    def retained_neighbors(self, p: GridPoint) -> tuple[tuple[Direction, GridPoint], ...]:
-        if p not in self.nodes:
-            raise DomainError(f"{p} is not in the region")
-        return self.adjacency[p]
-
-    def retained_dirs(self, p: GridPoint) -> frozenset[Direction]:
-        return frozenset(d for d, _ in self.retained_neighbors(p))
 
     def gate_for_node(self, p: GridPoint) -> Gate | None:
         for g in self.gates:
@@ -177,6 +161,7 @@ class Region:
 #   ("p", axis value, line, side)            portal-split side choice
 #   ("c", axis value, line-or-None, side, b) node-cut bundle choice, b in {U, D}
 _Copy = tuple
+_Key = tuple[GridPoint, _Copy]
 
 
 def split_many(
@@ -189,7 +174,7 @@ def split_many(
     Node cuts listed inside a portal split apply to that portal's matching
     side copy; standalone ``node_cuts`` apply to nodes of existing gates.
     Result regions are the connected components of the copy graph, ordered
-    deterministically; each inherits lineage from ``region``.
+    by their smallest copy; each inherits lineage from ``region``.
     """
     for portal, cuts in portal_splits:
         if not portal.node_set <= region.nodes:
@@ -208,8 +193,11 @@ def split_many(
         for cut in cuts:
             cuts_at.setdefault(cut.node, []).append((cut.axis, portal.line, cut.side))
     for cut in node_cuts:
+        if cut.node not in region.nodes:
+            raise DomainError(f"{cut.node} is not in the region")
         allowed = side_dirs(cut.axis, cut.side)
-        if not region.retained_dirs(cut.node) <= allowed:
+        neighbors = cut.node.neighborhood()
+        if any(d not in allowed and region.has_edge(cut.node, q) for d, q in neighbors):
             raise DomainError(
                 f"{cut.node} retains edges outside the {cut.side} side of axis "
                 f"{cut.axis.value}; standalone cuts require a gate node"
@@ -217,42 +205,33 @@ def split_many(
         cuts_at.setdefault(cut.node, []).append((cut.axis, None, cut.side))
 
     def copies_of(p: GridPoint) -> list[tuple[_Copy, frozenset[Direction]]]:
-        psplits = portal_at.get(p, [])
-        pcuts = cuts_at.get(p, [])
-        if not psplits and not pcuts:
-            return [((), frozenset(Direction))]
-        out = []
         side_options = [
-            [(axis, line, name) for name in side_names(axis)] for axis, line in psplits
+            [(axis, line, name) for name in side_names(axis)] for axis, line in portal_at.get(p, [])
         ]
+        out = []
         for side_choice in product(*side_options):
-            base_tags = [("p", axis.value, line, name) for axis, line, name in side_choice]
-            allowed = frozenset(Direction)
-            for axis, line, name in side_choice:
+            allowed = _ALL_DIRS
+            for axis, _, name in side_choice:
                 allowed &= side_dirs(axis, name)
-            active_cuts = []
-            for axis, line, side in pcuts:
-                if line is None:
-                    active_cuts.append((axis, line, side))
-                elif any(ca is axis and cl == line and cn == side for ca, cl, cn in side_choice):
-                    active_cuts.append((axis, line, side))
             bundle_options = []
-            for axis, line, side in active_cuts:
-                up, down = cut_bundles(axis, side)
-                bundle_options.append(
-                    [(("c", axis.value, line, side, "U"), up), (("c", axis.value, line, side, "D"), down)]
-                )
+            for axis, line, side in cuts_at.get(p, []):
+                if line is None or (axis, line, side) in side_choice:
+                    up, down = cut_bundles(axis, side)
+                    tag = ("c", axis.value, line, side)
+                    bundle_options.append([(tag + ("U",), up), (tag + ("D",), down)])
             for bundles in product(*bundle_options):
-                tags = list(base_tags) + [t for t, _ in bundles]
+                tags = [("p", axis.value, line, name) for axis, line, name in side_choice]
                 dirs = allowed
-                for _, bundle in bundles:
+                for tag, bundle in bundles:
+                    tags.append(tag)
                     dirs &= bundle
                 out.append((tuple(sorted(tags)), dirs))
         return out
 
-    copies: dict[GridPoint, list[tuple[_Copy, frozenset[Direction]]]] = {
-        p: copies_of(p) for p in region.nodes
-    }
+    # Only nodes named by a portal or a cut have several copies; every other
+    # node is its one copy () with all six directions.
+    copies = {p: copies_of(p) for p in portal_at.keys() | cuts_at.keys()}
+    whole = [((), _ALL_DIRS)]
 
     def portal_tag(copy: _Copy, axis: Axis, line: int) -> str | None:
         for tag in copy:
@@ -260,135 +239,103 @@ def split_many(
                 return tag[3]
         return None
 
-    # Copy graph.
-    graph: dict[tuple[GridPoint, _Copy], list[tuple[GridPoint, _Copy]]] = {
-        (p, c): [] for p in region.nodes for c, _ in copies[p]
-    }
+    # Copy graph over the retained edges; a copy with no edge stays out.
+    graph: dict[_Key, list[_Key]] = {}
     for u, v in region.edges:
+        if u not in copies and v not in copies:
+            graph.setdefault((u, ()), []).append((v, ()))
+            graph.setdefault((v, ()), []).append((u, ()))
+            continue
         d = direction_between(u, v)
         d_rev = d.opposite
         shared = None
         for key in portal_at.get(u, []):
             if key in portal_at.get(v, []):
                 shared = key
-        for cu, dirs_u in copies[u]:
+        for cu, dirs_u in copies.get(u, whole):
             if d not in dirs_u:
                 continue
-            for cv, dirs_v in copies[v]:
+            for cv, dirs_v in copies.get(v, whole):
                 if d_rev not in dirs_v:
                     continue
                 if shared is not None and portal_tag(cu, *shared) != portal_tag(cv, *shared):
                     continue
-                graph[(u, cu)].append((v, cv))
-                graph[(v, cv)].append((u, cu))
+                graph.setdefault((u, cu), []).append((v, cv))
+                graph.setdefault((v, cv), []).append((u, cu))
 
-    # A copy whose bundle holds no actual edge is a phantom; drop it unless
-    # the node has no edges at all (then keep a single copy so coverage holds).
-    by_node: dict[GridPoint, list[tuple[GridPoint, _Copy]]] = {}
-    for key in graph:
-        by_node.setdefault(key[0], []).append(key)
-    dropped: set[tuple[GridPoint, _Copy]] = set()
-    for p, keys in by_node.items():
-        live = [k for k in keys if graph[k]]
-        if live:
-            dropped.update(k for k in keys if not graph[k])
-        else:
-            dropped.update(sorted(keys)[1:])
-    if dropped:
-        graph = {k: v for k, v in graph.items() if k not in dropped}
-
-    # Connected components, ordered by minimal copy.
-    components: list[list[tuple[GridPoint, _Copy]]] = []
-    unvisited = set(graph)
-    for start in sorted(graph):
-        if start not in unvisited:
-            continue
-        unvisited.discard(start)
-        comp = [start]
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nxt in graph[cur]:
-                if nxt in unvisited:
-                    unvisited.discard(nxt)
-                    comp.append(nxt)
-                    stack.append(nxt)
-        components.append(comp)
-    components.sort(key=lambda comp: min(comp))
-
-    # Gate bookkeeping: the splitting portals become gates of the children
-    # (with the side read off each component's own copy tags) and previous
-    # gates are inherited as the chain runs that survive in each child.
-    splitting_pid: dict[tuple[str, GridPoint], int] = {}
-    for portal, _ in portal_splits:
-        for p in portal.nodes:
-            splitting_pid[(portal.axis.value, p)] = portal.id
-
-    results: list[Region] = []
-    for index, comp in enumerate(components):
-        node_list = [p for p, _ in comp]
-        node_set = set(node_list)
-        if len(node_set) != len(node_list):
-            raise ContractViolation(
-                "a split produced a region containing two copies of one node"
-            )
-        comp_set = set(comp)
-        child_edges = set()
-        for (p, c) in comp:
-            for (q, cq) in graph[(p, c)]:
-                if (q, cq) in comp_set:
-                    child_edges.add((p, q) if p <= q else (q, p))
-        child = Region(node_set, child_edges, id=index, lineage=region.lineage + (index,))
-
-        new_marks: dict[tuple[Axis, str], set[GridPoint]] = {}
-        for p, c in comp:
-            for tag in c:
-                if tag[0] == "p":
-                    new_marks.setdefault((Axis(tag[1]), tag[3]), set()).add(p)
-
-        gates: list[Gate] = []
-        seen_runs: set[tuple[Axis, str, tuple[GridPoint, ...]]] = set()
-        for (axis, side), marked in sorted(
-            new_marks.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-        ):
-            for run in axis_chains(marked, axis, child):
-                seen_runs.add((axis, side, run))
-                gates.append(Gate(axis, side, run, splitting_pid[(axis.value, run[0])], index))
-        for g in region.gates:
-            present = g.node_set & node_set
-            if not present:
+    # Search from the copies in sorted order, so each component is found from
+    # its smallest copy.  A node with no edge keeps its smallest copy.
+    seen: set[_Key] = set()
+    merged: dict[tuple[frozenset, frozenset], list[Gate]] = {}
+    for p in sorted(region.nodes):
+        labels = [c for c, _ in copies.get(p, whole)]
+        starts = sorted(c for c in labels if (p, c) in graph) or [min(labels)]
+        for c in starts:
+            start = (p, c)
+            if start in seen:
                 continue
-            for run in axis_chains(present, g.axis, child):
-                key = (g.axis, g.side, run)
-                if key not in seen_runs:
-                    seen_runs.add(key)
-                    gates.append(Gate(g.axis, g.side, run, g.portal_id, index))
-
-        results.append(
-            Region(node_set, child_edges, gates, id=index, lineage=region.lineage + (index,))
-        )
-
-    # Copies on a side with no cross edges anywhere reproduce the input chain;
-    # collapse identical (nodes, edges) children, merging their gate lists.
-    merged: dict[tuple[frozenset, frozenset], Region] = {}
-    order: list[tuple[frozenset, frozenset]] = []
-    for child in results:
-        key = (child.nodes, child.edges)
-        if key not in merged:
-            merged[key] = child
-            order.append(key)
-        else:
-            keep = merged[key]
-            seen = {(g.axis, g.side, g.nodes) for g in keep.gates}
-            extra = [g for g in child.gates if (g.axis, g.side, g.nodes) not in seen]
-            merged[key] = Region(
-                keep.nodes, keep.edges, tuple(keep.gates) + tuple(extra),
-                id=keep.id, lineage=keep.lineage,
-            )
+            seen.add(start)
+            comp = [start]
+            for key in comp:
+                for nxt in graph.get(key, ()):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        comp.append(nxt)
+            nodes, edges, gates = _child(region, comp, graph)
+            key = (nodes, edges)
+            if key not in merged:
+                merged[key] = gates
+            else:
+                # Copies on a side with no cross edges anywhere reproduce the
+                # input chain; identical children merge their gate lists.
+                have = {(g.axis, g.side, g.nodes) for g in merged[key]}
+                merged[key] += [g for g in gates if (g.axis, g.side, g.nodes) not in have]
     return [
-        Region(r.nodes, r.edges, r.gates, id=i, lineage=region.lineage + (i,))
-        for i, r in enumerate(merged[k] for k in order)
+        Region(nodes, edges, gates, id=i, lineage=region.lineage + (i,))
+        for i, ((nodes, edges), gates) in enumerate(merged.items())
     ]
+
+
+def _child(
+    region: Region, comp: list[_Key], graph: dict[_Key, list[_Key]]
+) -> tuple[frozenset[GridPoint], frozenset[tuple[GridPoint, GridPoint]], list[Gate]]:
+    """Nodes, retained edges and gates of the child region of one component.
+
+    The splitting portals become gates of the child, with the side read off
+    its copies' tags, and the gates of ``region`` are inherited as the chain
+    runs that survive in the child.
+    """
+    nodes = frozenset(p for p, _ in comp)
+    if len(nodes) != len(comp):
+        raise ContractViolation("a split produced a region containing two copies of one node")
+    edges = set()
+    for key in comp:
+        p = key[0]
+        for q, _ in graph.get(key, ()):
+            edges.add((p, q) if p <= q else (q, p))
+    edges = frozenset(edges)
+
+    marks: dict[tuple[str, str], set[GridPoint]] = {}
+    for p, c in comp:
+        for tag in c:
+            if tag[0] == "p":
+                marks.setdefault((tag[1], tag[3]), set()).add(p)
+    gates: list[Gate] = []
+    seen_runs: set[tuple[Axis, str, tuple[GridPoint, ...]]] = set()
+    for (axis_value, side), marked in sorted(marks.items()):
+        axis = Axis(axis_value)
+        for run in axis_chains(marked, axis, edges):
+            seen_runs.add((axis, side, run))
+            gates.append(Gate(axis, side, run))
+    for g in region.gates:
+        present = g.node_set & nodes
+        if not present:
+            continue
+        for run in axis_chains(present, g.axis, edges):
+            if (g.axis, g.side, run) not in seen_runs:
+                seen_runs.add((g.axis, g.side, run))
+                gates.append(Gate(g.axis, g.side, run))
+    return nodes, edges, gates
 
 
 # -- public splitting operations ---------------------------------------------

@@ -119,6 +119,19 @@ def test_bench_invalid_input_exit_code(args, capsys):
     assert capsys.readouterr().err.startswith("invalid input: ")
 
 
+@pytest.mark.parametrize(
+    "args,reason",
+    [
+        (["--mode", "distributed", "--seed", "1", "--nhat", "0"], "--nhat must be at least 1"),
+        (["--mode", "distributed", "--seed", "1", "--nhat", "-3"], "--nhat must be at least 1"),
+        (["--holes", "-1"], "holes must be non-negative"),  # rejected before any attempt
+    ],
+)
+def test_invalid_gen_options_exit_code(args, reason, capsys):
+    assert run_cli(["decompose", "--gen", "64", *args]) == 2
+    assert capsys.readouterr().err.startswith(f"invalid input: {reason}")
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "amoegrid.cli", "decompose", "--gen", "30", "--seed", "0"],

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -150,9 +153,9 @@ def test_phase3_rejects_three_gates():
     nodes = set(parallelogram(6, 2))
     edges = AmoebotStructure(nodes).edges()
     gates = [
-        Gate(Axis.Y, "ESE", (GridPoint(0, 0), GridPoint(0, 1)), 0),
-        Gate(Axis.Y, "WNW", (GridPoint(5, 0), GridPoint(5, 1)), 1),
-        Gate(Axis.Y, "ESE", (GridPoint(2, 0), GridPoint(2, 1)), 2),
+        Gate(Axis.Y, "ESE", (GridPoint(0, 0), GridPoint(0, 1))),
+        Gate(Axis.Y, "WNW", (GridPoint(5, 0), GridPoint(5, 1))),
+        Gate(Axis.Y, "ESE", (GridPoint(2, 0), GridPoint(2, 1))),
     ]
     region = Region(nodes, edges, gates)
     with pytest.raises(ContractViolation):
@@ -285,3 +288,48 @@ def test_point_gate_plan_agrees_between_providers_on_rotated_u_bend(turns):
             assert ok, (sorted(r.nodes), witness)
         outcomes.append((sorted((sorted(r.nodes), sorted(r.edges)) for r in parts), medians))
     assert outcomes[0] == outcomes[1]
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# SHA-256 prefixes of everything a run produces: the JSON payload, the
+# lineages and gates of every region, the phase-1 gates and the tunnel cases,
+# then for the fixtures the distributed trace text and round count.
+# (structure, run_distributed seed or None, central digest, distributed digest)
+GOLDEN_OUTPUTS = [
+    ("gen_512_4_1", 1, "8b2016ee1b8e3210", "080dc738287df42e"),
+    ("gen_1024_8_7372", 3, "e89daa77b0095ed7", "5c3510af533e2280"),
+    ((256, 2, 11), None, "d456ec0b6c582f9f", None),
+    ((384, 3, 12), None, "83ab5857e06e3509", None),
+    ((512, 4, 13), None, "fa78b2d2d6553c87", None),
+    ((512, 6, 14), None, "fd9c962978059ef8", None),
+]
+
+
+def _digest(*parts) -> str:
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+
+
+def _gate_rows(gates) -> list:
+    return [(g.axis.value, g.side, g.nodes) for g in gates]
+
+
+@pytest.mark.parametrize("source,seed,central,distributed", GOLDEN_OUTPUTS)
+def test_outputs_are_byte_identical_to_golden(source, seed, central, distributed):
+    from amoegrid.cli import decomposition_payload, load_structure
+    from amoegrid.distalgo import run_distributed
+
+    if isinstance(source, str):
+        s = load_structure(FIXTURES / f"{source}.txt")
+    else:
+        s = generate_random(*source)
+    d = decompose(s)
+    assert _digest(
+        json.dumps(decomposition_payload(d, None, None), sort_keys=True),
+        [(r.lineage, _gate_rows(r.gates)) for r in d.regions],
+        _gate_rows(d.phase1_gates),
+        repr(d.tunnel_cases),
+    ) == central
+    if seed is not None:
+        trace = run_distributed(s, seed=seed).trace
+        assert _digest(trace.export_text(), trace.rounds) == distributed

@@ -59,8 +59,8 @@ def test_split_wnw_copy_keeps_only_west_cross_edges():
     west = next(p for p in parts if GridPoint(0, 0) in p.nodes)
     east = next(p for p in parts if GridPoint(4, 0) in p.nodes)
     probe = GridPoint(2, 1)
-    west_dirs = {d for d, _ in west.retained_neighbors(probe)}
-    east_dirs = {d for d, _ in east.retained_neighbors(probe)}
+    west_dirs = {d for d, q in probe.neighborhood() if west.has_edge(probe, q)}
+    east_dirs = {d for d, q in probe.neighborhood() if east.has_edge(probe, q)}
     assert west_dirs <= {Direction.NNE, Direction.SSW, Direction.NNW, Direction.W}
     assert east_dirs <= {Direction.NNE, Direction.SSW, Direction.E, Direction.SSE}
 
@@ -128,7 +128,7 @@ def test_node_only_split_separates_gate_with_two_neighbor_portals():
     gate_nodes = tuple(GridPoint(1, b) for b in range(5))
     nodes = set(gate_nodes) | {GridPoint(0, 0), GridPoint(0, 1), GridPoint(0, 3), GridPoint(0, 4)}
     edges = AmoebotStructure(nodes).edges()
-    region = Region(nodes, edges, [Gate(Axis.Y, "WNW", gate_nodes, 0)])
+    region = Region(nodes, edges, [Gate(Axis.Y, "WNW", gate_nodes)])
 
     cut_node = GridPoint(1, 1)
     parts = split_region_at_node(region, SplitNodeSpec(cut_node, GridPoint(0, 2)))
@@ -200,3 +200,18 @@ def test_simultaneous_multi_portal_split_matches_sequential():
     assert sorted((tuple(sorted(r.nodes)), tuple(sorted(r.edges))) for r in simultaneous) == sorted(
         (tuple(sorted(r.nodes)), tuple(sorted(r.edges))) for r in sequential
     )
+
+
+def test_split_many_rejects_out_of_domain_input():
+    region = as_region(parallelogram(5, 3))
+    portal = y_portal_through(region, GridPoint(2, 0))
+    outside = y_portal_through(as_region(parallelogram(8, 3)), GridPoint(6, 0))
+    with pytest.raises(DomainError, match="not contained in the region"):
+        split_many(region, [(outside, [])])
+    with pytest.raises(DomainError, match="not on the splitting portal"):
+        split_many(region, [(portal, [NodeCut(GridPoint(0, 0), Axis.Y, "WNW")])])
+    with pytest.raises(DomainError, match="is not in the region"):
+        split_many(region, [], [NodeCut(GridPoint(9, 9), Axis.Y, "WNW")])
+    # an interior node retains edges on both sides of its y line
+    with pytest.raises(DomainError, match="retains edges outside the WNW side"):
+        split_many(region, [], [NodeCut(GridPoint(2, 1), Axis.Y, "WNW")])
