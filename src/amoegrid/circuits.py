@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SimulationFault
+from .errors import DomainError, SimulationFault
 from .grid import DIRECTIONS, AmoebotStructure, GridPoint
 
 OPPOSITE_SLOT = np.array([3, 4, 5, 0, 1, 2], dtype=np.int64)  # E,NNE,NNW,W,SSW,SSE
@@ -99,6 +99,8 @@ class World:
     def __init__(self, structure: AmoebotStructure, c: int = 2, seed: int = 0, nhat: int | None = None):
         if c < 1:
             raise SimulationFault("need at least one pin per edge")
+        if nhat is not None and nhat < 1:
+            raise DomainError(f"nhat must be at least 1, not {nhat}")
         self.structure = structure
         self.c = c
         self.seed = seed

@@ -5,14 +5,19 @@ distances come from plain BFS over the structure, simplicity from a flood
 fill, convexity from the definition.  These are the reference answers the
 fast paths are tested against.
 
-Distances are integer matrices.  The convexity check takes one batched
-search from every (or every sampled) region node, in the smallest signed
-integer dtype that holds twice the structure size (int16 up to n = 16383),
-and tests each outside node of the region's neighbor ring against all pairs
-at once in preallocated buffers.  The half-sum distance identity takes, per
-region, one batched search over the retained edges from the distinct first
-nodes of its sampled pairs, and one portal-graph search per axis and
-distinct source portal.
+Distances are integer matrices, in the smallest signed integer dtype that
+holds twice the structure size (int16 up to n = 16383).  Convexity is
+decided exactly at every region size from the region's exit edges: a
+shortest path that leaves region R crosses an edge (u', w) with u' in R and
+w outside, so R is convex iff no such edge and v in R have
+d(u', v) == 1 + d(w, v).  One batched search from the smaller of the exit
+endpoints and the members decides it.  Only a non-convex region runs the
+all-pairs scan over its neighbor ring, which names the witness; sampling of
+sources above EXHAUSTIVE_CONVEXITY_LIMIT bounds only that witness search.
+
+The half-sum distance identity takes, per region, one batched search over
+the retained edges from the distinct first nodes of its sampled pairs, and
+one portal-graph search per axis and distinct source portal.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .decompose import Decomposition
     from .split import Region
 
-#: Exhaustive all-pairs convexity checking is capped at this region size;
-#: larger regions fall back to seeded pair sampling.
+#: The all-pairs witness scan of a non-convex region runs from every member
+#: up to this region size, and from this many seeded sample members above it.
 EXHAUSTIVE_CONVEXITY_LIMIT = 3000
 #: The half-sum distance identity is checked on all pairs of a region with at
 #: most this many pairs, and on this many seeded sample pairs otherwise.
@@ -152,38 +157,58 @@ def is_geodesically_convex(
     """Check that every shortest path between region nodes stays inside.
 
     Returns (ok, witness); the witness is a violating (u, v, w) triple.
-    Regions larger than EXHAUSTIVE_CONVEXITY_LIMIT are checked on a seeded
-    sample of node pairs instead of all pairs.
+    Convexity is decided exactly at every size, from the exit edges (u', w)
+    with u' inside and w outside: a shortest path that leaves the region
+    runs u' -> w -> v for some such edge and member v.  A non-convex region
+    gets the first witness of the all-pairs scan over its neighbor ring;
+    above EXHAUSTIVE_CONVEXITY_LIMIT that scan runs on a seeded sample of
+    sources, and when the sample holds no witness the exit witness
+    (u', v, w) is returned.
     """
     pts = frozenset(region_nodes)
     if not pts <= structure.nodes:
         raise DomainError("region is not contained in the structure")
     g = graph if graph is not None else _IndexedGraph(structure)
-    inside = np.fromiter((p in pts for p in g.nodes), dtype=bool, count=len(g.nodes))
-    member_idx = np.flatnonzero(inside)
-    outside_idx = np.flatnonzero(~inside)
-    if len(outside_idx) == 0 or len(member_idx) <= 1:
+    member_idx = np.sort(np.fromiter((g.index[p] for p in pts), dtype=np.int64, count=len(pts)))
+    if len(member_idx) == len(g.nodes) or len(member_idx) <= 1:
         return True, None
 
-    # A violating path must leave the region through a node adjacent to it,
-    # so it is enough to test outside nodes in the neighbor ring.
-    ring = set()
+    # exit edges (u', w): u' inside, w outside
+    exits = set()
     for p in pts:
         for _, q in p.neighborhood():
             if q in structure.nodes and q not in pts:
-                ring.add(g.index[q])
-    if not ring:
+                exits.add((g.index[p], g.index[q]))
+    if not exits:
         return True, None
-    ring_idx = np.fromiter(sorted(ring), dtype=np.int64)
+    exit_u, exit_w = np.array(sorted(exits), dtype=np.int64).T
 
+    # d is symmetric: search from the smaller of the endpoint and member sets.
+    ends = np.union1d(exit_u, exit_w)
+    searched = ends if len(ends) < len(member_idx) else member_idx
+    dist = g.distances_from(searched)
+    if searched is ends:
+        rows = dist[:, member_idx]
+        d_u, d_w = rows[np.searchsorted(ends, exit_u)], rows[np.searchsorted(ends, exit_w)]
+    else:
+        d_u, d_w = dist[:, exit_u].T, dist[:, exit_w].T
+    leaks = d_u == d_w + 1  # (E, S): a shortest u'-v path runs through w
+    if not leaks.any():
+        return True, None
+    e, j = np.argwhere(leaks)[0]
+    exit_witness = (g.nodes[exit_u[e]], g.nodes[member_idx[j]], g.nodes[exit_w[e]])
+
+    # Not convex: the all-pairs scan over the ring names the witness.
     if len(member_idx) <= EXHAUSTIVE_CONVEXITY_LIMIT:
         sources = member_idx
     else:
         rng = np.random.default_rng(0)
         k = EXHAUSTIVE_CONVEXITY_LIMIT
         sources = np.sort(rng.choice(member_idx, size=k, replace=False))
-
-    dist = g.distances_from(sources)  # (S, n)
+    if sources is not searched:
+        del dist
+        dist = g.distances_from(sources)  # (S, n)
+    ring_idx = np.unique(exit_w)
     d_rr = dist[:, sources]  # (S, S) pair distances
     ring_cols = np.ascontiguousarray(dist[:, ring_idx].T)  # (W, S): d(w, .) per ring node
     del dist
@@ -196,7 +221,8 @@ def is_geodesically_convex(
         if eq.any():
             ui, vi = np.argwhere(eq)[0]
             return False, (g.nodes[sources[ui]], g.nodes[sources[vi]], g.nodes[w])
-    return True, None
+    # only a sample of sources was scanned, and it holds no witness
+    return False, exit_witness
 
 
 def global_maxima_oracle(region_nodes: Iterable[GridPoint], direction) -> set[GridPoint]:

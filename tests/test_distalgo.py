@@ -5,6 +5,7 @@ import pytest
 
 from amoegrid.decompose import decompose
 from amoegrid.distalgo import run_distributed
+from amoegrid.errors import DomainError
 from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, GridPoint
 from amoegrid.oracle import is_geodesically_convex, is_simple, verify_decomposition
@@ -17,6 +18,13 @@ def test_single_node_trivial():
     out = run_distributed(s, seed=0)
     assert len(out.decomposition.regions) == 1
     assert out.trace.rounds <= 5
+
+
+@pytest.mark.parametrize("nhat", [0, -3])
+def test_nhat_below_one_raises(nhat):
+    s = AmoebotStructure(hexagon(1))
+    with pytest.raises(DomainError, match="nhat must be at least 1"):
+        run_distributed(s, seed=0, nhat=nhat)
 
 
 def test_hole_free_single_region():

@@ -106,6 +106,70 @@ def test_convexity_sampled_path_witness():
     assert witness == (GridPoint(0, 0), GridPoint(1, 21), GridPoint(1, 20))
 
 
+def test_convexity_sampled_path_exit_witness():
+    # a block plus a node x on the row above it, beside the one outside
+    # node w: every violating pair contains x, and the seeded sample of the
+    # witness scan misses x, so an exit edge names the witness
+    block = parallelogram(60, 51)
+    w, x = GridPoint(26, 51), GridPoint(27, 51)
+    s = AmoebotStructure(block + [w, x])
+    region = block + [x]
+    assert len(region) > EXHAUSTIVE_CONVEXITY_LIMIT
+    ok, witness = is_geodesically_convex(s, region)
+    assert not ok
+    assert witness == (GridPoint(26, 50), x, w)
+    assert w in shortest_path_nodes(s, GridPoint(26, 50), x)
+
+
+def _members_and_exit_endpoints(s, region):
+    """The two source sets the convexity search picks the smaller of."""
+    inside = set(region)
+    ends = set()
+    for p in inside:
+        for _, q in s.adjacency[p]:
+            if q not in inside:
+                ends |= {p, q}
+    return len(inside), len(ends)
+
+
+def test_convexity_searches_from_members_when_they_are_fewer():
+    s = AmoebotStructure(parallelogram(30, 30))
+    line = [GridPoint(a, 7) for a in range(3, 25)]
+    members, ends = _members_and_exit_endpoints(s, line)
+    assert ends > members
+    assert is_geodesically_convex(s, line) == (True, None)
+    bent = line + [GridPoint(24, 8), GridPoint(24, 9)]
+    ok, witness = is_geodesically_convex(s, bent)
+    assert not ok
+    u, v, w = witness
+    assert u in bent and v in bent and w not in bent
+    assert w in shortest_path_nodes(s, u, v)
+
+
+def test_convexity_searches_from_exit_endpoints_when_they_are_fewer():
+    s = AmoebotStructure(parallelogram(30, 30))
+    block = [p for p in s.nodes if 5 <= p.a < 25 and 5 <= p.b < 25]
+    members, ends = _members_and_exit_endpoints(s, block)
+    assert ends < members
+    assert is_geodesically_convex(s, block) == (True, None)
+    notched = [p for p in block if not (p.b == 15 and 6 <= p.a < 24)]
+    members, ends = _members_and_exit_endpoints(s, notched)
+    assert ends < members
+    ok, witness = is_geodesically_convex(s, notched)
+    assert not ok
+    u, v, w = witness
+    assert u in notched and v in notched and w not in notched
+    assert w in shortest_path_nodes(s, u, v)
+
+
+def test_convexity_large_convex_region_decided_exactly():
+    pts = parallelogram(70, 60)
+    s = AmoebotStructure(pts)
+    block = [p for p in pts if p.b <= 49]
+    assert len(block) > EXHAUSTIVE_CONVEXITY_LIMIT
+    assert is_geodesically_convex(s, block) == (True, None)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.data())
 def test_convexity_matches_definition(data):
@@ -128,6 +192,51 @@ def test_convexity_matches_definition(data):
         u, v, w = witness
         assert u in region and v in region and w not in region
         assert w in shortest_path_nodes(s, u, v)
+
+
+def _distance_matrix(s: AmoebotStructure) -> tuple[list[GridPoint], np.ndarray]:
+    """All-pairs hop distances from one ``bfs_distances`` per node."""
+    nodes = sorted(s.nodes)
+    rows = [bfs_distances(s, u) for u in nodes]
+    return nodes, np.array([[row[v] for v in nodes] for row in rows])
+
+
+def _convex_by_definition(nodes, dist, region) -> bool:
+    """``shortest_path_nodes(s, u, v) <= region`` for all u, v in the region,
+    over the whole distance matrix at once."""
+    inside = np.array([p in region for p in nodes])
+    r, o = np.flatnonzero(inside), np.flatnonzero(~inside)
+    d_ro = dist[np.ix_(r, o)]  # (S, W)
+    through = d_ro[:, None, :] + d_ro[None, :, :]  # d(u, w) + d(w, v)
+    return not (through == dist[np.ix_(r, r)][:, :, None]).any()
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.data())
+def test_convexity_matches_definition_around_holes(data):
+    # shortest paths that go around a hole: single regions of the
+    # decomposition, and unions of two regions that share an edge
+    n = data.draw(st.integers(64, 256), label="n")
+    holes = data.draw(st.integers(1, 3), label="holes")
+    s = generate_random(n, holes, data.draw(st.integers(0, 2**30), label="seed"))
+    regions = [r.nodes for r in decompose(s).regions]
+    regions += [
+        a | b
+        for i, a in enumerate(regions)
+        for b in regions[i + 1 :]
+        if any(q in b for p in a for _, q in s.adjacency[p])
+    ]
+    nodes, dist = _distance_matrix(s)
+    at = {p: i for i, p in enumerate(nodes)}
+    g = _IndexedGraph(s)
+    for region in regions:
+        ok, witness = is_geodesically_convex(s, region, graph=g)
+        assert ok == _convex_by_definition(nodes, dist, region)
+        if not ok:
+            u, v, w = witness
+            assert u in region and v in region and w not in region
+            # w lies on a shortest u-v path
+            assert dist[at[u], at[w]] + dist[at[w], at[v]] == dist[at[u], at[v]]
 
 
 def test_convexity_region_outside_structure_raises():
