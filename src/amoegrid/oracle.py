@@ -1,37 +1,40 @@
 """Brute-force verification of decomposition properties.
 
 Everything here is deliberately independent of the portal/split machinery:
-distances come from plain BFS over the structure, simplicity from a flood
-fill, convexity from the definition.  These are the reference answers the
-fast paths are tested against.
+distances come from plain BFS over the structure, simplicity from an
+Euler characteristic, convexity from the definition.  These are the reference
+answers the fast paths are tested against.
 
 Distances are integer matrices, in the smallest signed integer dtype that
-holds twice the structure size (int16 up to n = 16383).  Convexity is
-decided exactly at every region size from the region's exit edges: a
-shortest path that leaves region R crosses an edge (u', w) with u' in R and
-w outside, so R is convex iff no such edge and v in R have
-d(u', v) == 1 + d(w, v).  One batched search from the smaller of the exit
-endpoints and the members decides it.  Only a non-convex region runs the
-all-pairs scan over its neighbor ring, which names the witness; sampling of
-sources above EXHAUSTIVE_CONVEXITY_LIMIT bounds only that witness search.
+holds twice the size searched (int16 up to n = 16383); scipy's float64
+output exists only in blocks of source rows.  Convexity is decided exactly
+at every region size from the region's exit edges: a shortest path that
+leaves region R crosses an edge (u', w) with u' in R and w outside, so R is
+convex iff no such edge and v in R have d(u', v) == 1 + d(w, v).  A region
+is searched from the smaller of its exit endpoints and its members, and
+``verify_decomposition`` runs one search per structure, from the union of
+those sets over all regions.  Only a non-convex region runs the all-pairs
+scan over its neighbor ring, which names the witness; sampling of sources
+above EXHAUSTIVE_CONVEXITY_LIMIT bounds only that witness search.
 
-The half-sum distance identity takes, per region, one batched search over
-the retained edges from the distinct first nodes of its sampled pairs, and
-one portal-graph search per axis and distinct source portal.
+The half-sum distance identity takes one search per decomposition over the
+block-diagonal graph of every checked region's retained edges, from the
+distinct first nodes of all sampled pairs, and one portal-graph search per
+region, axis and distinct source portal.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import DomainError
-from .grid import AmoebotStructure, Direction, GridPoint, find_holes
+from .grid import DIRECTIONS, AmoebotStructure, Direction, GridPoint, find_holes
 
 if TYPE_CHECKING:  # pragma: no cover
     from .decompose import Decomposition
@@ -43,6 +46,8 @@ EXHAUSTIVE_CONVEXITY_LIMIT = 3000
 #: The half-sum distance identity is checked on all pairs of a region with at
 #: most this many pairs, and on this many seeded sample pairs otherwise.
 IDENTITY_PAIR_LIMIT = 400
+#: A distance search holds at most this many float64 cells (2 MB) at once.
+_SEARCH_BLOCK_CELLS = 1 << 18
 
 # Ordering functionals for "lies in direction d": each direction is ranked
 # by the portal index it advances (E/W by the y line a, NNE/SSW by the z
@@ -92,106 +97,132 @@ def _distance_dtype(n: int) -> np.dtype:
     )
 
 
+def _block_rows(n: int) -> int:
+    """Source rows per search block over an n-node graph."""
+    return max(1, _SEARCH_BLOCK_CELLS // n)
+
+
+def _search_blocks(matrix: csr_matrix, sources: np.ndarray, *, directed: bool = True):
+    """Yield (first row, float64 hop distances from the next ``_block_rows`` sources)."""
+    h = _block_rows(matrix.shape[0])
+    for start in range(0, len(sources), h):
+        yield start, dijkstra(
+            matrix, directed=directed, unweighted=True, indices=sources[start : start + h]
+        )
+
+
 class _IndexedGraph:
-    """CSR adjacency over sorted nodes, for batched BFS."""
+    """Symmetric CSR adjacency over sorted nodes, for batched BFS.
+
+    ``neighbors[i]`` holds the indices of node i's neighbours in ascending
+    order, after one -1 per missing neighbour.
+    """
 
     def __init__(self, structure: AmoebotStructure):
         self.nodes = sorted(structure.nodes)
         self.index = {p: i for i, p in enumerate(self.nodes)}
-        rows, cols = [], []
-        for p in self.nodes:
-            i = self.index[p]
-            for _, q in structure.adjacency[p]:
-                rows.append(i)
-                cols.append(self.index[q])
         n = len(self.nodes)
-        data = np.ones(len(rows), dtype=np.int8)
-        self.matrix = csr_matrix((data, (rows, cols)), shape=(n, n))
+        ab = np.array(self.nodes, dtype=np.int64).reshape(n, 2)
+        # b keeps a free column on each side, so a neighbour's key never
+        # wraps into another a
+        ab -= ab.min(axis=0) - 1
+        width = int(ab[:, 1].max()) + 2
+        keys = ab[:, 0] * width + ab[:, 1]  # ascending, as the nodes are sorted
+        neighbors = np.full((n, 6), -1, dtype=np.int64)
+        for k, d in enumerate(DIRECTIONS):
+            da, db = d.offset
+            want = keys + da * width + db
+            at = np.minimum(np.searchsorted(keys, want), n - 1)
+            hit = keys[at] == want
+            neighbors[hit, k] = at[hit]
+        neighbors.sort(axis=1)
+        self.neighbors = neighbors
+        present = neighbors >= 0
+        indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
+        indices = neighbors[present]
+        self.matrix = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
         self.dtype = _distance_dtype(n)
+
+    def members(self, nodes: Iterable[GridPoint]) -> np.ndarray:
+        """Sorted indices of ``nodes``, which must all be structure nodes."""
+        return np.sort(np.fromiter((self.index[p] for p in nodes), dtype=np.int64))
 
     def distances_from(self, sources: Sequence[int]) -> np.ndarray:
         """Hop distances, shape (len(sources), n), as integers of ``self.dtype``.
 
         An ``AmoebotStructure`` is connected, so every distance is finite.
         """
-        d = shortest_path(self.matrix, method="D", unweighted=True, indices=sources)
-        return d.astype(self.dtype)
+        sources = np.asarray(sources, dtype=np.int64)
+        out = np.empty((len(sources), len(self.nodes)), dtype=self.dtype)
+        for start, block in _search_blocks(self.matrix, sources):
+            out[start : start + len(block)] = block
+        return out
 
 
 def is_simple(nodes: Iterable[GridPoint]) -> bool:
     """True iff the bounded complement of the node set has no component.
 
-    The input must be connected; only hole-freeness is checked here.
+    The input must be connected; only hole-freeness is checked here.  The
+    nodes, their grid edges and the unit triangles they fill form a complex
+    whose Euler characteristic V - E + T is 1 minus its number of holes, and
+    on the triangular grid each hole is one component of the empty cells.
     """
-    pts = set(GridPoint(a, b) for a, b in nodes)
+    pts = list(nodes)
     if not pts:
         raise DomainError("empty node set")
-    a_lo = min(p.a for p in pts) - 1
-    a_hi = max(p.a for p in pts) + 1
-    b_lo = min(p.b for p in pts) - 1
-    b_hi = max(p.b for p in pts) + 1
-    empty = {
-        GridPoint(a, b)
-        for a in range(a_lo, a_hi + 1)
-        for b in range(b_lo, b_hi + 1)
-        if GridPoint(a, b) not in pts
-    }
-    start = GridPoint(a_lo, b_lo)
-    seen = {start}
-    stack = [start]
-    while stack:
-        p = stack.pop()
-        for _, q in p.neighborhood():
-            if q in empty and q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return len(seen) == len(empty)
+    ab = np.array(pts, dtype=np.int64).reshape(len(pts), 2)
+    ab -= ab.min(axis=0)
+    occupied = np.zeros(tuple(ab.max(axis=0) + 1), dtype=bool)
+    occupied[ab[:, 0], ab[:, 1]] = True
+    cross = occupied[1:, :-1] & occupied[:-1, 1:]  # edges (a + 1, b)-(a, b + 1)
+    euler = (
+        np.count_nonzero(occupied)
+        - np.count_nonzero(occupied[1:] & occupied[:-1])
+        - np.count_nonzero(occupied[:, 1:] & occupied[:, :-1])
+        - np.count_nonzero(cross)
+        + np.count_nonzero(cross & occupied[:-1, :-1])  # triangles with (a, b)
+        + np.count_nonzero(cross & occupied[1:, 1:])  # triangles with (a + 1, b + 1)
+    )
+    return int(euler) == 1
 
 
-def is_geodesically_convex(
-    structure: AmoebotStructure,
-    region_nodes: Iterable[GridPoint],
-    *,
-    graph: "_IndexedGraph | None" = None,
-) -> tuple[bool, tuple[GridPoint, GridPoint, GridPoint] | None]:
-    """Check that every shortest path between region nodes stays inside.
+class _ConvexityPlan(NamedTuple):
+    """The one search that decides a region's convexity."""
 
-    Returns (ok, witness); the witness is a violating (u, v, w) triple.
-    Convexity is decided exactly at every size, from the exit edges (u', w)
-    with u' inside and w outside: a shortest path that leaves the region
-    runs u' -> w -> v for some such edge and member v.  A non-convex region
-    gets the first witness of the all-pairs scan over its neighbor ring;
-    above EXHAUSTIVE_CONVEXITY_LIMIT that scan runs on a seeded sample of
-    sources, and when the sample holds no witness the exit witness
-    (u', v, w) is returned.
-    """
-    pts = frozenset(region_nodes)
-    if not pts <= structure.nodes:
-        raise DomainError("region is not contained in the structure")
-    g = graph if graph is not None else _IndexedGraph(structure)
-    member_idx = np.sort(np.fromiter((g.index[p] for p in pts), dtype=np.int64, count=len(pts)))
-    if len(member_idx) == len(g.nodes) or len(member_idx) <= 1:
-        return True, None
+    members: np.ndarray  # sorted structure indices of the region
+    exit_u: np.ndarray  # the exit edges (u', w) in sorted order, u' inside
+    exit_w: np.ndarray  # and w outside
+    searched: np.ndarray  # the exit endpoints, or ``members`` itself when not fewer
 
-    # exit edges (u', w): u' inside, w outside
-    exits = set()
-    for p in pts:
-        for _, q in p.neighborhood():
-            if q in structure.nodes and q not in pts:
-                exits.add((g.index[p], g.index[q]))
-    if not exits:
-        return True, None
-    exit_u, exit_w = np.array(sorted(exits), dtype=np.int64).T
 
+def _plan_convexity(g: _IndexedGraph, members: np.ndarray) -> _ConvexityPlan | None:
+    """The search a region needs; None when it is convex without one."""
+    if len(members) == len(g.nodes) or len(members) <= 1:
+        return None
+    inside = np.zeros(len(g.nodes) + 1, dtype=bool)
+    inside[members] = True
+    inside[-1] = True  # the -1 padding of ``g.neighbors`` is no exit
+    nbrs = g.neighbors[members]
+    leaves = ~inside[nbrs]
+    if not leaves.any():
+        return None
+    exit_u = np.repeat(members, leaves.sum(axis=1))
+    exit_w = nbrs[leaves]
     # d is symmetric: search from the smaller of the endpoint and member sets.
     ends = np.union1d(exit_u, exit_w)
-    searched = ends if len(ends) < len(member_idx) else member_idx
-    dist = g.distances_from(searched)
-    if searched is ends:
-        rows = dist[:, member_idx]
-        d_u, d_w = rows[np.searchsorted(ends, exit_u)], rows[np.searchsorted(ends, exit_w)]
-    else:
+    return _ConvexityPlan(members, exit_u, exit_w, ends if len(ends) < len(members) else members)
+
+
+def _decide_convexity(
+    g: _IndexedGraph, plan: _ConvexityPlan, dist: np.ndarray
+) -> tuple[bool, tuple[GridPoint, GridPoint, GridPoint] | None]:
+    """(ok, witness) of a planned region; ``dist`` holds its rows from ``plan.searched``."""
+    member_idx, exit_u, exit_w, searched = plan
+    if searched is member_idx:
         d_u, d_w = dist[:, exit_u].T, dist[:, exit_w].T
+    else:
+        rows = dist[:, member_idx]
+        d_u, d_w = rows[np.searchsorted(searched, exit_u)], rows[np.searchsorted(searched, exit_w)]
     leaks = d_u == d_w + 1  # (E, S): a shortest u'-v path runs through w
     if not leaks.any():
         return True, None
@@ -223,6 +254,33 @@ def is_geodesically_convex(
             return False, (g.nodes[sources[ui]], g.nodes[sources[vi]], g.nodes[w])
     # only a sample of sources was scanned, and it holds no witness
     return False, exit_witness
+
+
+def is_geodesically_convex(
+    structure: AmoebotStructure,
+    region_nodes: Iterable[GridPoint],
+    *,
+    graph: "_IndexedGraph | None" = None,
+) -> tuple[bool, tuple[GridPoint, GridPoint, GridPoint] | None]:
+    """Check that every shortest path between region nodes stays inside.
+
+    Returns (ok, witness); the witness is a violating (u, v, w) triple.
+    Convexity is decided exactly at every size, from the exit edges (u', w)
+    with u' inside and w outside: a shortest path that leaves the region
+    runs u' -> w -> v for some such edge and member v.  A non-convex region
+    gets the first witness of the all-pairs scan over its neighbor ring;
+    above EXHAUSTIVE_CONVEXITY_LIMIT that scan runs on a seeded sample of
+    sources, and when the sample holds no witness the exit witness
+    (u', v, w) is returned.
+    """
+    pts = frozenset(region_nodes)
+    if not pts <= structure.nodes:
+        raise DomainError("region is not contained in the structure")
+    g = graph if graph is not None else _IndexedGraph(structure)
+    plan = _plan_convexity(g, g.members(pts))
+    if plan is None:
+        return True, None
+    return _decide_convexity(g, plan, g.distances_from(plan.searched))
 
 
 def global_maxima_oracle(region_nodes: Iterable[GridPoint], direction) -> set[GridPoint]:
@@ -338,18 +396,34 @@ def verify_decomposition(
     )
     report.bound_checks["gates<=6H"] = len(decomposition.phase1_gates) <= 6 * n_holes
 
-    for r in regions:
-        edges_ok = all(e in induced for e in r.edges)
-        conn_ok = connected(r.nodes, r.edges)
-        simple_ok = is_simple(r.nodes)
-        convex_ok, witness = is_geodesically_convex(structure, r.nodes, graph=graph)
+    # One search from the union of every region's searched set decides convexity.
+    inside = [r.nodes <= structure.nodes for r in regions]
+    plans = [
+        _plan_convexity(graph, graph.members(r.nodes)) if ok else None
+        for r, ok in zip(regions, inside)
+    ]
+    searched = [plan.searched for plan in plans if plan is not None]
+    union = np.unique(np.concatenate(searched)) if searched else np.empty(0, dtype=np.int64)
+    dist = graph.distances_from(union)
+    for r, ok, plan in zip(regions, inside, plans):
+        edges_ok = r.edges <= induced and all(u in r.nodes and v in r.nodes for u, v in r.edges)
+        conn_ok = edges_ok and connected(r.nodes, r.edges)
+        simple_ok = bool(r.nodes) and is_simple(r.nodes)
+        if not ok:  # nodes outside the structure
+            convex_ok, witness = False, None
+        elif plan is None:
+            convex_ok, witness = True, None
+        else:
+            rows = dist[np.searchsorted(union, plan.searched)]
+            convex_ok, witness = _decide_convexity(graph, plan, rows)
         report.regions.append(
             RegionCheck(r.id, simple_ok, convex_ok, conn_ok, edges_ok, witness)
         )
+    del dist
 
     # Half-sum distance identity on a sample of pairs of each simple region.
     rng = np.random.default_rng(0)
-    identity_ok = True
+    samples = []
     for r, check in zip(regions, report.regions):
         if not (check.simple_ok and check.connected_ok):
             continue
@@ -362,29 +436,42 @@ def verify_decomposition(
             idx = rng.integers(0, len(nodes), size=(IDENTITY_PAIR_LIMIT, 2))
             idx = idx[idx[:, 0] != idx[:, 1]]
             iu, iv = idx[:, 0], idx[:, 1]
-        d = _region_pair_distances(r, nodes, iu, iv)
-        if not np.array_equal(2 * d, _portal_distance_sums(r, nodes, iu, iv)):
-            identity_ok = False
-            break
-    report.distance_identity_ok = identity_ok
+        samples.append((r, nodes, iu, iv))
+    report.distance_identity_ok = all(
+        np.array_equal(2 * d, _portal_distance_sums(r, nodes, iu, iv))
+        for (r, nodes, iu, iv), d in zip(samples, _region_pair_distances(samples))
+    )
     return report
 
 
 def _region_pair_distances(
-    region: "Region", nodes: list[GridPoint], iu: np.ndarray, iv: np.ndarray
-) -> np.ndarray:
-    """d(nodes[iu[k]], nodes[iv[k]]) over the region's retained edges.
+    samples: list[tuple["Region", list[GridPoint], np.ndarray, np.ndarray]],
+) -> list[np.ndarray]:
+    """d(nodes[iu[k]], nodes[iv[k]]) over each region's retained edges, per sample.
 
-    One batched search from the distinct sources; the region must be connected.
+    The retained edges of all regions form one block-diagonal graph, each
+    region's sorted nodes numbered from its own offset; one search runs from
+    the distinct sources of all regions.  Every region must be connected.
     """
-    index = {p: i for i, p in enumerate(nodes)}
-    rows = [index[u] for u, _ in region.edges]
-    cols = [index[v] for _, v in region.edges]
-    n = len(nodes)
-    matrix = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    sources, row_of = np.unique(iu, return_inverse=True)
-    d = shortest_path(matrix, method="D", directed=False, unweighted=True, indices=sources)
-    return d[row_of, iv].astype(np.int64)
+    if not samples:
+        return []
+    rows, cols, src, dst = [], [], [], []
+    offset = 0
+    for region, nodes, iu, iv in samples:
+        index = {p: offset + i for i, p in enumerate(nodes)}
+        rows += [index[u] for u, _ in region.edges]
+        cols += [index[v] for _, v in region.edges]
+        src.append(iu + offset)
+        dst.append(iv + offset)
+        offset += len(nodes)
+    matrix = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(offset, offset))
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    sources, row_of = np.unique(src, return_inverse=True)
+    out = np.empty(len(src), dtype=_distance_dtype(max(len(nodes) for _, nodes, _, _ in samples)))
+    for start, block in _search_blocks(matrix, sources, directed=False):
+        at = (row_of >= start) & (row_of < start + len(block))
+        out[at] = block[row_of[at] - start, dst[at]]
+    return np.split(out, np.cumsum([len(iu) for _, _, iu, _ in samples])[:-1])
 
 
 def _portal_distance_sums(

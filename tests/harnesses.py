@@ -1,4 +1,4 @@
-"""Standalone harnesses and reference algorithms for the primitive tests.
+"""Standalone harnesses and reference algorithms for the tests.
 
 Each harness builds its own ``World`` around one primitive of
 ``amoegrid.primitives`` (or one split of ``amoegrid.split``) and returns its
@@ -30,6 +30,38 @@ from amoegrid.primitives import (
 )
 from amoegrid.primitives.maxima import PSI
 from amoegrid.split import NodeCut, Region, SplitNodeSpec, side_of_direction, split_many
+
+# -- oracle references --------------------------------------------------------
+
+
+def is_simple_reference(nodes) -> bool:
+    """``oracle.is_simple`` by a flood fill of ``GridPoint`` sets: the empty
+    cells of the bounding box plus a one-cell margin must all be reached
+    from its corner."""
+    pts = set(GridPoint(a, b) for a, b in nodes)
+    if not pts:
+        raise DomainError("empty node set")
+    a_lo = min(p.a for p in pts) - 1
+    a_hi = max(p.a for p in pts) + 1
+    b_lo = min(p.b for p in pts) - 1
+    b_hi = max(p.b for p in pts) + 1
+    empty = {
+        GridPoint(a, b)
+        for a in range(a_lo, a_hi + 1)
+        for b in range(b_lo, b_hi + 1)
+        if GridPoint(a, b) not in pts
+    }
+    start = GridPoint(a_lo, b_lo)
+    seen = {start}
+    stack = [start]
+    while stack:
+        p = stack.pop()
+        for _, q in p.neighborhood():
+            if q in empty and q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return len(seen) == len(empty)
+
 
 # -- splits and portal distances --------------------------------------------------
 

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -6,13 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amoegrid.cli import load_structure
 from amoegrid.decompose import Decomposition, decompose, occupied_run_count
-from amoegrid.errors import DomainError
+from amoegrid.errors import DomainError, InvalidStructureError
 from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, Direction, GridPoint
 from amoegrid.oracle import (
     EXHAUSTIVE_CONVEXITY_LIMIT,
+    RegionCheck,
+    _block_rows,
     _IndexedGraph,
+    _plan_convexity,
     bfs_distances,
     global_maxima_oracle,
     is_geodesically_convex,
@@ -22,6 +28,7 @@ from amoegrid.oracle import (
 )
 from amoegrid.split import Region
 
+from harnesses import is_simple_reference
 from test_grid import hexagon, parallelogram, random_structure
 
 
@@ -64,6 +71,21 @@ def test_is_simple_empty_raises():
         is_simple([])
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_is_simple_matches_flood_fill_reference(data):
+    # grown connected sets, some with cells carved out so that they enclose holes
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    pts = set(random_structure(rng, data.draw(st.integers(1, 80), label="n")).nodes)
+    for _ in range(data.draw(st.integers(0, 8), label="carve")):
+        rest = pts - {rng.choice(sorted(pts))}
+        try:
+            pts = set(AmoebotStructure(rest).nodes)
+        except InvalidStructureError:  # empty or disconnected
+            pass
+    assert is_simple(pts) == is_simple_reference(pts)
+
+
 def test_indexed_graph_integer_distances_match_bfs():
     s = random_structure(random.Random(4), 120)
     g = _IndexedGraph(s)
@@ -72,6 +94,19 @@ def test_indexed_graph_integer_distances_match_bfs():
     for row, src in zip(dist, (0, 7)):
         want = bfs_distances(s, g.nodes[src])
         assert row.tolist() == [want[p] for p in g.nodes]
+
+
+def test_distances_from_matches_bfs_across_block_boundary():
+    s = generate_random(900, 3, 5)
+    g = _IndexedGraph(s)
+    h = _block_rows(len(g.nodes))
+    sources = np.arange(0, len(g.nodes), 2)[: h + 5]
+    assert len(sources) > h
+    dist = g.distances_from(sources)
+    assert dist.shape == (len(sources), len(g.nodes)) and dist.dtype == np.int16
+    for k in (0, h - 1, h, len(sources) - 1):
+        want = bfs_distances(s, g.nodes[sources[k]])
+        assert dist[k].tolist() == [want[p] for p in g.nodes]
 
 
 def test_convexity_whole_structure_and_witness():
@@ -194,6 +229,22 @@ def test_convexity_matches_definition(data):
         assert w in shortest_path_nodes(s, u, v)
 
 
+def _slit_region(s: AmoebotStructure, id: int) -> Region:
+    slit = {(u, v) for u, v in s.edges() if {u.b, v.b} == {1, 2} and 1 <= min(u.a, v.a) <= 3}
+    return Region(s.nodes, s.edges() - slit, id=id)
+
+
+def _adjacent_unions(s: AmoebotStructure, regions: list[Region]) -> list[Region]:
+    """The union of every two regions that share an edge, numbered after them."""
+    unions = []
+    for i, a in enumerate(regions):
+        for b in regions[i + 1 :]:
+            if any(q in b.nodes for p in a.nodes for _, q in s.adjacency[p]):
+                edges = (a.edges | b.edges) & s.edges()
+                unions.append(Region(a.nodes | b.nodes, edges, id=len(regions) + len(unions)))
+    return unions
+
+
 def _distance_matrix(s: AmoebotStructure) -> tuple[list[GridPoint], np.ndarray]:
     """All-pairs hop distances from one ``bfs_distances`` per node."""
     nodes = sorted(s.nodes)
@@ -219,13 +270,8 @@ def test_convexity_matches_definition_around_holes(data):
     n = data.draw(st.integers(64, 256), label="n")
     holes = data.draw(st.integers(1, 3), label="holes")
     s = generate_random(n, holes, data.draw(st.integers(0, 2**30), label="seed"))
-    regions = [r.nodes for r in decompose(s).regions]
-    regions += [
-        a | b
-        for i, a in enumerate(regions)
-        for b in regions[i + 1 :]
-        if any(q in b for p in a for _, q in s.adjacency[p])
-    ]
+    regions = list(decompose(s).regions)
+    regions = [r.nodes for r in regions + _adjacent_unions(s, regions)]
     nodes, dist = _distance_matrix(s)
     at = {p: i for i, p in enumerate(nodes)}
     g = _IndexedGraph(s)
@@ -288,10 +334,19 @@ def test_verify_decomposition_annulus_phase_output():
     assert report.counts["holes"] == 1
 
 
-def test_verify_reports_witness_for_fabricated_bad_region():
-    from amoegrid.decompose import Decomposition
-    from amoegrid.split import Region
+def _fabricated(regions: list[Region]) -> Decomposition:
+    return Decomposition(
+        regions=regions,
+        phase1_gates=[],
+        phase1_region_count=len(regions),
+        tunnel_count=len(regions),
+        tunnel_cases=[],
+        hole_count=0,
+    )
 
+
+def _c_shape_decomposition() -> tuple[AmoebotStructure, Decomposition]:
+    """A C-shaped region with a witness, and the missing middle as an edgeless region."""
     s = AmoebotStructure(parallelogram(6, 4))
     c_nodes = [p for p in parallelogram(6, 4) if not (1 <= p.a <= 4 and p.b == 1)]
     bad = Region(c_nodes, AmoebotStructure(c_nodes).edges() & s.edges(), id=0)
@@ -300,18 +355,44 @@ def test_verify_reports_witness_for_fabricated_bad_region():
         set(),
         id=1,
     )
-    deco = Decomposition(
-        regions=[bad, missing],
-        phase1_gates=[],
-        phase1_region_count=2,
-        tunnel_count=2,
-        tunnel_cases=[],
-        hole_count=0,
-    )
-    report = verify_decomposition(s, deco)
+    return s, _fabricated([bad, missing])
+
+
+def test_verify_reports_witness_for_fabricated_bad_region():
+    report = verify_decomposition(*_c_shape_decomposition())
     assert not report.all_ok
     bad_checks = [r for r in report.regions if not r.convex_ok]
     assert bad_checks and bad_checks[0].witness is not None
+
+
+def test_verify_reports_retained_edge_leaving_its_region():
+    s = AmoebotStructure(parallelogram(3, 1))
+    a, b, c = sorted(s.nodes)
+    report = verify_decomposition(s, _fabricated([Region([a, b], [(a, b), (b, c)], id=0), Region([c], [], id=1)]))
+    assert report.regions[0] == RegionCheck(0, True, True, False, False, None)
+    assert report.regions[1] == RegionCheck(1, True, True, True, True, None)
+    assert report.coverage_ok and not report.all_ok
+
+
+def test_verify_reports_region_node_outside_structure():
+    s = AmoebotStructure(parallelogram(3, 2))
+    outside = [GridPoint(3, 0), GridPoint(3, 1)]
+    deco = _fabricated(
+        [Region(s.nodes, s.edges(), id=0), Region(outside, [tuple(outside)], id=1), Region(outside[:1], [], id=2)]
+    )
+    report = verify_decomposition(s, deco)
+    assert report.regions[0] == RegionCheck(0, True, True, True, True, None)
+    # the edge between the two outside nodes is no structure edge
+    assert report.regions[1] == RegionCheck(1, True, False, False, False, None)
+    assert report.regions[2] == RegionCheck(2, True, False, True, True, None)
+    assert not report.coverage_ok and report.distance_identity_ok and not report.all_ok
+
+
+def test_verify_reports_empty_region():
+    s = AmoebotStructure(parallelogram(3, 2))
+    report = verify_decomposition(s, _fabricated([Region(s.nodes, s.edges(), id=0), Region([], [], id=1)]))
+    assert report.regions[1] == RegionCheck(1, False, True, False, True, None)
+    assert report.coverage_ok and not report.all_ok
 
 
 def test_verify_distance_identity_fails_on_slit_region():
@@ -319,17 +400,109 @@ def test_verify_distance_identity_fails_on_slit_region():
     # are cut for 1 <= a <= 3: the region is simple, connected and convex,
     # yet its retained-edge distances break the half-sum identity
     s = AmoebotStructure(parallelogram(6, 4))
-    slit = {(u, v) for u, v in s.edges() if {u.b, v.b} == {1, 2} and 1 <= min(u.a, v.a) <= 3}
-    deco = Decomposition(
-        regions=[Region(s.nodes, s.edges() - slit, id=0)],
-        phase1_gates=[],
-        phase1_region_count=1,
-        tunnel_count=1,
-        tunnel_cases=[],
-        hole_count=0,
-    )
-    report = verify_decomposition(s, deco)
+    report = verify_decomposition(s, _fabricated([_slit_region(s, 0)]))
     (check,) = report.regions
     assert check.simple_ok and check.convex_ok and check.connected_ok and check.edges_ok
     assert not report.distance_identity_ok
     assert not report.all_ok
+
+
+def _assert_batched_matches_single(s: AmoebotStructure, deco: Decomposition):
+    """Each region's convexity verdict in the batched report equals its own call."""
+    report = verify_decomposition(s, deco)
+    g = _IndexedGraph(s)
+    for r, check in zip(deco.regions, report.regions):
+        assert (check.convex_ok, check.witness) == is_geodesically_convex(s, r.nodes, graph=g)
+        assert check.convex_ok or check.witness is not None
+    return report
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(
+    n=st.integers(64, 512),
+    holes=st.integers(1, 4),
+    seed=st.integers(0, 2**30),
+)
+def test_batched_convexity_matches_single_region_calls(n, holes, seed):
+    s = generate_random(n, holes, seed)
+    regions = list(decompose(s).regions)
+    _assert_batched_matches_single(s, _fabricated(regions + _adjacent_unions(s, regions)))
+
+
+def test_batched_convexity_matches_single_region_calls_across_search_blocks():
+    # each row of the block is convex and searched from its members, so the
+    # rows together search from every node; two C shapes add witnesses
+    s = AmoebotStructure(parallelogram(24, 24))
+
+    def region(nodes, id):
+        return Region(nodes, {(u, v) for u, v in s.edges() if u in nodes and v in nodes}, id=id)
+
+    rows = [region({p for p in s.nodes if p.b == b}, b) for b in range(24)]
+    c_shapes = [region(rows[b].nodes | rows[b + 2].nodes | {GridPoint(0, b + 1)}, 24 + b) for b in (3, 15)]
+    deco = _fabricated(rows + c_shapes)
+    g = _IndexedGraph(s)
+    plans = [_plan_convexity(g, g.members(r.nodes)) for r in deco.regions]
+    searched = np.unique(np.concatenate([p.searched for p in plans if p is not None]))
+    assert len(searched) > _block_rows(s.n)
+    report = _assert_batched_matches_single(s, deco)
+    assert [c.convex_ok for c in report.regions] == [True] * 24 + [False] * 2
+
+
+def test_verify_runs_one_search_per_structure_and_one_per_decomposition(monkeypatch):
+    import amoegrid.oracle as oracle
+
+    s = generate_random(512, 4, 1)
+    deco = decompose(s)
+    calls = []  # (graph size, sources) per csgraph call
+    search = oracle.dijkstra
+
+    def counting_dijkstra(matrix, **kwargs):
+        calls.append((matrix.shape[0], len(kwargs["indices"])))
+        return search(matrix, **kwargs)
+
+    monkeypatch.setattr(oracle, "dijkstra", counting_dijkstra)
+    assert verify_decomposition(s, deco).all_ok
+    # the convexity search over the structure, then the identity search over
+    # the regions' block-diagonal graph (overlapping regions make it larger),
+    # each in full blocks of source rows but the last
+    sizes = [size for size, _ in calls]
+    assert sizes[0] == s.n and sizes[-1] > s.n
+    for size in (s.n, sizes[-1]):
+        rows = [k for n, k in calls if n == size]
+        assert all(k == _block_rows(size) for k in rows[:-1]) and rows[-1] <= _block_rows(size)
+    assert sizes == sorted(sizes)
+
+
+def test_batched_identity_fails_on_slit_region_after_a_passing_one():
+    s = AmoebotStructure(parallelogram(6, 4))
+    whole = Region(s.nodes, s.edges(), id=0)
+    assert verify_decomposition(s, _fabricated([whole])).distance_identity_ok
+    report = _assert_batched_matches_single(s, _fabricated([whole, _slit_region(s, 1)]))
+    assert all(c.simple_ok and c.convex_ok and c.connected_ok and c.edges_ok for c in report.regions)
+    assert not report.distance_identity_ok
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# SHA-256 prefixes of repr(verify_decomposition(...)): every verdict, count
+# and witness of the oracle.  (source, digest)
+GOLDEN_REPORTS = [
+    ("gen_512_4_1", "6b68cbf0f0f2440c"),
+    ("gen_1024_8_7372", "870f314d71f64d67"),
+    ((256, 2, 21), "85ec6818864b69ee"),
+    ((512, 4, 22), "bb378ed464d7b4a9"),
+    ((768, 6, 23), "8e9896110e0c1400"),
+    ((1024, 8, 24), "e95c577bb0fb8b36"),
+    ("c_shape", "00752297e14bb8f7"),
+]
+
+
+@pytest.mark.parametrize("source,digest", GOLDEN_REPORTS)
+def test_reports_are_byte_identical_to_golden(source, digest):
+    if source == "c_shape":
+        s, deco = _c_shape_decomposition()
+    else:
+        s = load_structure(FIXTURES / f"{source}.txt") if isinstance(source, str) else generate_random(*source)
+        deco = decompose(s)
+    report = verify_decomposition(s, deco)
+    assert hashlib.sha256(repr(report).encode()).hexdigest()[:16] == digest
