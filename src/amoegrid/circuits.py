@@ -23,9 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SimulationFault
-from .grid import DIRECTIONS, AmoebotStructure, GridPoint
-
-OPPOSITE_SLOT = np.array([3, 4, 5, 0, 1, 2], dtype=np.int64)  # E,NNE,NNW,W,SSW,SSE
+from .grid import AmoebotStructure, GridPoint, slot_between
 
 #: labels below this bound are free for protocol circuits; idle pins park
 #: above it, so every parked pin pair forms a private two-pin channel.
@@ -104,25 +102,13 @@ class World:
         self.structure = structure
         self.c = c
         self.seed = seed
-        self.nodes: list[GridPoint] = sorted(structure.nodes)
-        self.index: dict[GridPoint, int] = {p: i for i, p in enumerate(self.nodes)}
+        ix = structure.index
+        self.nodes: list[GridPoint] = ix.nodes
+        self.index: dict[GridPoint, int] = ix.row
         self.n = len(self.nodes)
         self.nhat = nhat if nhat is not None else self.n
         self.S = STAGE_LABELS + 6 * c  # stage labels plus one parking label per pin
-
-        self.a = np.array([p.a for p in self.nodes], dtype=np.int64)
-        self.b = np.array([p.b for p in self.nodes], dtype=np.int64)
-        # Nodes are sorted by (a, b), so this key is increasing; one spare
-        # b value on each side keeps a neighbor's key inside its own a row.
-        width = int(self.b.max() - self.b.min()) + 3
-        key = (self.a - self.a.min()) * width + (self.b - self.b.min() + 1)
-        nbr = np.full((self.n, 6), -1, dtype=np.int64)
-        for d_idx, d in enumerate(DIRECTIONS):
-            da, db = d.value
-            want = key + (da * width + db)
-            j = np.minimum(np.searchsorted(key, want), self.n - 1)
-            nbr[:, d_idx] = np.where(key[j] == want, j, -1)
-        self.nbr = nbr
+        self.a, self.b, self.nbr = ix.a, ix.b, ix.nbr
 
         # Flattened pin table: pin (i, d, k) at row i*6c + d*c + k.
         self.pin_owner = np.repeat(np.arange(self.n), 6 * c)
@@ -130,11 +116,11 @@ class World:
         kk = np.tile(np.arange(c), 6 * self.n)
         self.pin_dir = dd
         self.pin_k = kk
-        partner_node = nbr[self.pin_owner, dd]
+        partner_node = self.nbr[self.pin_owner, dd]
         self.pin_live = partner_node >= 0
         self.pin_partner = np.where(
             self.pin_live,
-            partner_node * (6 * c) + OPPOSITE_SLOT[dd] * c + kk,
+            partner_node * (6 * c) + (dd + 3) % 6 * c + kk,
             -1,
         )
 
@@ -160,6 +146,14 @@ class World:
     def park_label(self, d_idx: int, k: int) -> int:
         """Label a parked pin sits on: its edge is a private 2-pin channel."""
         return STAGE_LABELS + d_idx * self.c + k
+
+    def chain_slots(self, chain) -> list[tuple[int, int, int]]:
+        """(node index, slot toward the next member, slot toward the previous
+        member) along a chain of grid neighbours; -1 past either end."""
+        steps = [slot_between(u, v) for u, v in zip(chain, chain[1:])]
+        ups = steps + [-1]
+        downs = [-1] + [(d + 3) % 6 for d in steps]
+        return [(self.index[p], up, dn) for p, up, dn in zip(chain, ups, downs)]
 
     def mark_dirty(self) -> None:
         self._dirty = True

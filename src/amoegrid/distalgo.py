@@ -38,7 +38,7 @@ from .decompose import (
     select_middle_region,
 )
 from .errors import ContractViolation, RoundBudgetExceeded
-from .grid import DIRECTIONS, AmoebotStructure, GridPoint, direction_between
+from .grid import AmoebotStructure, GridPoint, slot_between
 from .portals import AXES, Axis, PortalGraph, portal_graph
 from .split import Gate, Region, side_names
 from .primitives.basic import closest_on_portal_batch, degree_check_batch
@@ -71,48 +71,37 @@ def _region_koff(region: Region) -> dict[tuple[GridPoint, GridPoint], int]:
 
 
 class _RegionSpace:
-    """Pin bookkeeping for one region on the shared world."""
+    """Pin bookkeeping for one region on the shared world.
+
+    ``rows``/``slots`` list both ends of every retained edge, and ``koff``
+    holds the region's pin offset at each of them.
+    """
 
     def __init__(self, world: World, region: Region):
         self.world = world
         self.region = region
         koff_map = _region_koff(region)
-        self.koff = np.zeros((world.n, 6), dtype=np.int8)
+        ends, shifts = [], []
         for u, v in region.edges:
-            shift = koff_map.get((u, v) if u <= v else (v, u), 0)
-            iu, iv = world.index[u], world.index[v]
-            du = DIRECTIONS.index(direction_between(u, v))
-            dv = DIRECTIONS.index(direction_between(v, u))
-            self.koff[iu, du] = shift
-            self.koff[iv, dv] = shift
+            d = slot_between(u, v)
+            ends += [(world.index[u], d), (world.index[v], (d + 3) % 6)]
+            shift = koff_map.get((u, v), 0)  # region edges are sorted pairs
+            shifts += [shift, shift]
+        self.rows, self.slots = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+        self.koff = np.zeros((world.n, 6), dtype=np.int8)
+        self.koff[self.rows, self.slots] = shifts
 
-    def circuit_pins(self, k: int = 0) -> list[tuple[int, int, int]]:
-        world = self.world
-        pins = []
-        for u, v in self.region.edges:
-            iu, iv = world.index[u], world.index[v]
-            du = DIRECTIONS.index(direction_between(u, v))
-            dv = DIRECTIONS.index(direction_between(v, u))
-            pins.append((iu, du, k + self.koff[iu, du]))
-            pins.append((iv, dv, k + self.koff[iv, dv]))
-        return pins
-
-    def portal_forest(self, pg: PortalGraph, instance: int = 0) -> PortalForest:
+    def portal_forest(self, pg: PortalGraph) -> PortalForest:
         chains = [list(p.nodes) for p in pg.portals]
         return forest_from_chains(
-            self.world,
-            chains,
-            sorted(pg.adjacency),
-            self.region.has_edge,
-            instance=np.full(len(chains), instance, dtype=np.int64),
-            koff=self.koff,
+            self.world, chains, sorted(pg.adjacency), self.region.has_edge, koff=self.koff
         )
 
 
 def _merge_forests(forests: list[PortalForest]) -> PortalForest:
     """Concatenate PortalForests of disjoint regions into one."""
     world = forests[0].world
-    members, internal, links, inst = [], [], [], []
+    members, internal, links = [], [], []
     koff = np.zeros((world.n, 6), dtype=np.int8)
     base = 0
     for f in forests:
@@ -120,18 +109,18 @@ def _merge_forests(forests: list[PortalForest]) -> PortalForest:
         internal.extend(f.internal)
         for e1, e2, n1, d1, n2, d2 in f.links:
             links.append((e1 + base, e2 + base, n1, d1, n2, d2))
-        inst.extend(f.instance.tolist())
         sel = f.koff != 0
         koff[sel] = f.koff[sel]
         base += f.ne
-    return PortalForest(world, members, internal, links, np.array(inst, dtype=np.int64), koff)
+    return PortalForest(world, members, internal, links, koff)
 
 
 def _wire_region_circuits(world: World, spaces: list[_RegionSpace]) -> None:
+    """Join each region's retained edges into one circuit on label 0, pin k = 0."""
     world.reset_pins_isolated()
     for space in spaces:
-        for i, d, k in space.circuit_pins(0):
-            world.pset[i, d * world.c + k] = 0
+        rows, slots = space.rows, space.slots
+        world.pset[rows, slots * world.c + space.koff[rows, slots]] = 0
     world.mark_dirty()
 
 
@@ -139,12 +128,10 @@ def _wire_chains(world: World, chains, koff=None) -> None:
     """Join each chain's consecutive members on pin k = 1 (plus the offset)."""
     world.reset_pins_isolated()
     for chain in chains:
-        for u, v in zip(chain, chain[1:]):
-            iu, iv = world.index[u], world.index[v]
-            du = DIRECTIONS.index(direction_between(u, v))
-            dv = DIRECTIONS.index(direction_between(v, u))
-            world.pset[iu, du * world.c + 1 + (koff[iu, du] if koff is not None else 0)] = 1
-            world.pset[iv, dv * world.c + 1 + (koff[iv, dv] if koff is not None else 0)] = 1
+        for i, up, dn in world.chain_slots(chain):
+            for d in (up, dn):
+                if d >= 0:
+                    world.pset[i, d * world.c + 1 + (koff[i, d] if koff is not None else 0)] = 1
     world.mark_dirty()
 
 
@@ -230,17 +217,17 @@ class CircuitDecisions:
             self.meter,
         )
 
-        forests, roots, q_masks = [], {}, []
+        forests, roots, q_masks = [], [], []
         base = 0
-        for inst, (t, space) in enumerate(zip(trees, spaces)):
-            forest = space.portal_forest(t.graph, inst)
+        for t, space in zip(trees, spaces):
+            forest = space.portal_forest(t.graph)
             q = np.zeros(forest.ne, dtype=bool)
             q[list(t.gate_pids)] = True
             q_masks.append(q)
             leader = next((g for g in t.region.gates if leaders[world.index[g.nodes[-1]]]), None)
             if leader is None:  # election failure: fall back deterministically
                 leader = min(t.region.gates, key=_gate_order_key)
-            roots[inst] = t.graph.portal_of(leader.nodes[0]).id + base
+            roots.append(t.graph.portal_of(leader.nodes[0]).id + base)
             forests.append(forest)
             base += forest.ne
         merged = _merge_forests(forests)
@@ -300,7 +287,7 @@ class CircuitDecisions:
             raise ContractViolation("tunnel gates share a portal")
         q = np.zeros(forest.ne, dtype=bool)
         q[pa] = q[pb] = True
-        parents, keep = contract_tree(world, forest, {int(forest.instance[pa]): pa}, q, meter)
+        parents, keep = contract_tree(world, forest, [pa], q, meter)
         # east/west hop marks along the path toward the root pa
         east = np.zeros(forest.ne, dtype=bool)
         west = np.zeros(forest.ne, dtype=bool)
@@ -341,7 +328,7 @@ class CircuitDecisions:
         q_mask = np.zeros(forest.ne, dtype=bool)
         q_mask[list(pids_a | pids_b)] = True
         root_pid = qpg.portal_of(gate_a.nodes[-1]).id
-        _, keep = contract_tree(self.world, forest, {0: root_pid}, q_mask, self.meter)
+        _, keep = contract_tree(self.world, forest, [root_pid], q_mask, self.meter)
 
         def bridge_end(mine: set[int]) -> tuple[int, int]:
             found = []
@@ -382,7 +369,7 @@ class CircuitDecisions:
         forest = self._space(m_region).portal_forest(pg)
         q_mask = np.zeros(forest.ne, dtype=bool)
         q_mask[pid_g] = q_mask[pid_g2] = True
-        parents, keep = contract_tree(world, forest, {0: pid_g}, q_mask, meter)
+        parents, keep = contract_tree(world, forest, [pid_g], q_mask, meter)
         (dist,) = stream_counts(world, forest, parents, keep, [np.ones(forest.ne, dtype=bool)], meter)
         return {int(e): int(dist[e]) for e in np.flatnonzero(keep)}
 

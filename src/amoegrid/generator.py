@@ -11,7 +11,7 @@ import bisect
 import random
 
 from .errors import AmoegridError
-from .grid import AmoebotStructure, GridPoint, find_holes
+from .grid import AmoebotStructure, GridPoint, find_holes, is_connected
 
 
 def _grow_blob(n: int, rng: random.Random) -> set[GridPoint]:
@@ -48,19 +48,6 @@ def _grow_blob(n: int, rng: random.Random) -> set[GridPoint]:
     return blob
 
 
-def _is_connected(pts: set[GridPoint]) -> bool:
-    start = next(iter(pts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        p = stack.pop()
-        for _, q in p.neighborhood():
-            if q in pts and q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return len(seen) == len(pts)
-
-
 def _interior(pts: set[GridPoint]) -> list[GridPoint]:
     """Sorted cells whose six neighbors are all occupied."""
     return sorted(p for p in pts if all(q in pts for _, q in p.neighborhood()))
@@ -95,7 +82,7 @@ def _carve_one(
         ring = {q for c in cluster for _, q in c.neighborhood()} - cluster
         if not ring <= pts:
             continue
-        if not _is_connected(ring) and not _is_connected(pts - cluster):
+        if not is_connected(ring) and not is_connected(pts - cluster):
             continue
         pts -= cluster
         for c in cluster | ring:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import AbstractSet, Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import DomainError, InvalidStructureError
 
@@ -34,24 +36,10 @@ class Direction(Enum):
     def opposite(self) -> "Direction":
         return _OPPOSITE[self]
 
-    def rotated(self, steps: int) -> "Direction":
-        """Rotate counterclockwise by ``steps`` times 60 degrees."""
-        return _CCW_ORDER[(_CCW_INDEX[self] + steps) % 6]
 
-
-# Counterclockwise angular order, starting at E (0, 60, ..., 300 degrees).
-_CCW_ORDER = (
-    Direction.E,
-    Direction.NNE,
-    Direction.NNW,
-    Direction.W,
-    Direction.SSW,
-    Direction.SSE,
-)
-_CCW_INDEX = {d: i for i, d in enumerate(_CCW_ORDER)}
-_OPPOSITE = {d: d.rotated(3) for d in Direction}
-
-#: Fixed direction order used by neighborhood queries.
+#: The six directions counterclockwise from E (0, 60, ..., 300 degrees).  A
+#: direction's slot is its index here, so the opposite of slot d is
+#: (d + 3) % 6 and a turn by k sixths counterclockwise is (d + k) % 6.
 DIRECTIONS = (
     Direction.E,
     Direction.NNE,
@@ -61,7 +49,8 @@ DIRECTIONS = (
     Direction.SSE,
 )
 
-_OFFSET_TO_DIRECTION = {d.offset: d for d in Direction}
+_OPPOSITE = {d: DIRECTIONS[(k + 3) % 6] for k, d in enumerate(DIRECTIONS)}
+_SLOT_OF_OFFSET = {d.value: k for k, d in enumerate(DIRECTIONS)}
 
 # Plain-tuple offsets; enum ``.value`` lookups dominate hot neighbor loops.
 _OFFSETS = {d: d.value for d in Direction}
@@ -98,31 +87,77 @@ class GridPoint(NamedTuple):
         return (self.a + self.b / 2.0, self.b * 0.8660254037844386)
 
 
-def direction_between(u: GridPoint, v: GridPoint) -> Direction:
-    """Direction of the grid step from ``u`` to its neighbor ``v``."""
+def slot_between(u: GridPoint, v: GridPoint) -> int:
+    """Slot (index in ``DIRECTIONS``) of the grid step from ``u`` to its neighbor ``v``."""
     try:
-        return _OFFSET_TO_DIRECTION[(v.a - u.a, v.b - u.b)]
+        return _SLOT_OF_OFFSET[(v[0] - u[0], v[1] - u[1])]
     except KeyError:
         raise DomainError(f"{u} and {v} are not grid neighbors") from None
 
 
-def render_x(p: GridPoint) -> int:
-    """Twice the rendering x coordinate; integral, orders points west to east."""
-    return 2 * p.a + p.b
+def direction_between(u: GridPoint, v: GridPoint) -> Direction:
+    """Direction of the grid step from ``u`` to its neighbor ``v``."""
+    return DIRECTIONS[slot_between(u, v)]
+
+
+def is_connected(pts: AbstractSet[GridPoint]) -> bool:
+    """Whether a nonempty node set is connected under grid adjacency."""
+    start = next(iter(pts))
+    seen = {start}
+    stack = [start]
+    while stack:
+        p = stack.pop()
+        for _, q in p.neighborhood():
+            if q in pts and q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return len(seen) == len(pts)
+
+
+class StructureIndex:
+    """Integer encoding of a structure, shared by every array-based layer.
+
+    Nodes are numbered in sorted order; ``row`` maps a node to its number,
+    ``a``/``b`` hold the coordinates by number, and ``nbr[i, d]`` is the
+    number of node i's neighbour in slot d (the order of ``DIRECTIONS``), or
+    -1 where that cell is empty.  The arrays are read-only.
+    """
+
+    __slots__ = ("nodes", "row", "a", "b", "nbr")
+
+    def __init__(self, nodes: Iterable[GridPoint]):
+        self.nodes: list[GridPoint] = sorted(nodes)
+        self.row: dict[GridPoint, int] = {p: i for i, p in enumerate(self.nodes)}
+        n = len(self.nodes)
+        ab = np.array(self.nodes, dtype=np.int64).reshape(n, 2)
+        self.a, self.b = np.ascontiguousarray(ab.T)
+        # Nodes are sorted by (a, b), so this key is increasing; one spare
+        # b value on each side keeps a neighbor's key inside its own a row.
+        width = int(self.b.max() - self.b.min()) + 3
+        key = (self.a - self.a.min()) * width + (self.b - self.b.min() + 1)
+        nbr = np.full((n, 6), -1, dtype=np.int64)
+        for d, direction in enumerate(DIRECTIONS):
+            da, db = direction.offset
+            want = key + (da * width + db)
+            j = np.minimum(np.searchsorted(key, want), n - 1)
+            nbr[:, d] = np.where(key[j] == want, j, -1)
+        self.nbr = nbr
+        for arr in (self.a, self.b, self.nbr):
+            arr.flags.writeable = False
 
 
 class AmoebotStructure:
     """A connected set of occupied grid nodes with induced adjacency."""
 
-    __slots__ = ("nodes", "_adjacency")
+    __slots__ = ("nodes", "_index")
 
     def __init__(self, nodes: Iterable[GridPoint]):
         pts = frozenset(GridPoint(a, b) for a, b in nodes)
         if not pts:
             raise InvalidStructureError("structure must contain at least one node")
         self.nodes: frozenset[GridPoint] = pts
-        self._adjacency: dict[GridPoint, tuple[tuple[Direction, GridPoint], ...]] | None = None
-        if not self._connected():
+        self._index: StructureIndex | None = None
+        if not is_connected(pts):
             raise InvalidStructureError("structure is not connected")
 
     @property
@@ -135,32 +170,20 @@ class AmoebotStructure:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def _connected(self) -> bool:
-        start = next(iter(self.nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            p = stack.pop()
-            for _, q in p.neighborhood():
-                if q in self.nodes and q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return len(seen) == len(self.nodes)
-
     @property
-    def adjacency(self) -> dict[GridPoint, tuple[tuple[Direction, GridPoint], ...]]:
-        if self._adjacency is None:
-            self._adjacency = {
-                p: tuple((d, q) for d, q in p.neighborhood() if q in self.nodes)
-                for p in self.nodes
-            }
-        return self._adjacency
+    def index(self) -> StructureIndex:
+        """The structure's integer encoding, built on first use."""
+        if self._index is None:
+            self._index = StructureIndex(self.nodes)
+        return self._index
 
     def neighbors(self, p: GridPoint) -> list[tuple[Direction, GridPoint]]:
         """Occupied neighbors of ``p`` in fixed direction order E,NNE,NNW,W,SSW,SSE."""
         if p not in self.nodes:
             raise DomainError(f"{p} is not part of the structure")
-        return list(self.adjacency[p])
+        ix = self.index
+        row = ix.nbr[ix.row[p]].tolist()
+        return [(DIRECTIONS[d], ix.nodes[j]) for d, j in enumerate(row) if j >= 0]
 
     def edges(self) -> set[tuple[GridPoint, GridPoint]]:
         """Induced edges as sorted node pairs."""

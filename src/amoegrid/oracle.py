@@ -1,9 +1,9 @@
 """Brute-force verification of decomposition properties.
 
 Everything here is deliberately independent of the portal/split machinery:
-distances come from plain BFS over the structure, simplicity from an
-Euler characteristic, convexity from the definition.  These are the reference
-answers the fast paths are tested against.
+distances come from plain BFS over the structure, simplicity and the hole
+count from an Euler characteristic, convexity from the definition.  These
+are the reference answers the fast paths are tested against.
 
 Distances are integer matrices, in the smallest signed integer dtype that
 holds twice the size searched (int16 up to n = 16383); scipy's float64
@@ -25,7 +25,6 @@ region, axis and distinct source portal.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -34,7 +33,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import DomainError
-from .grid import DIRECTIONS, AmoebotStructure, Direction, GridPoint, find_holes
+from .grid import AmoebotStructure, GridPoint
 
 if TYPE_CHECKING:  # pragma: no cover
     from .decompose import Decomposition
@@ -48,46 +47,6 @@ EXHAUSTIVE_CONVEXITY_LIMIT = 3000
 IDENTITY_PAIR_LIMIT = 400
 #: A distance search holds at most this many float64 cells (2 MB) at once.
 _SEARCH_BLOCK_CELLS = 1 << 18
-
-# Ordering functionals for "lies in direction d": each direction is ranked
-# by the portal index it advances (E/W by the y line a, NNE/SSW by the z
-# line a+b, NNW/SSE by the x line b); the non-lattice WNW/ESE orderings
-# used for hole split points also rank by the y line.
-DIRECTION_RANK = {
-    Direction.E: lambda p: p.a,
-    Direction.W: lambda p: -p.a,
-    Direction.NNE: lambda p: p.a + p.b,
-    Direction.SSW: lambda p: -(p.a + p.b),
-    Direction.NNW: lambda p: p.b,
-    Direction.SSE: lambda p: -p.b,
-    "ESE": lambda p: p.a,
-    "WNW": lambda p: -p.a,
-}
-
-
-def bfs_distances(structure: AmoebotStructure, source: GridPoint) -> dict[GridPoint, int]:
-    if source not in structure.nodes:
-        raise DomainError(f"{source} is not in the structure")
-    dist = {source: 0}
-    queue = deque([source])
-    adj = structure.adjacency
-    while queue:
-        p = queue.popleft()
-        for _, q in adj[p]:
-            if q not in dist:
-                dist[q] = dist[p] + 1
-                queue.append(q)
-    return dist
-
-
-def shortest_path_nodes(
-    structure: AmoebotStructure, u: GridPoint, v: GridPoint
-) -> set[GridPoint]:
-    """All nodes on some shortest u-v path, via two breadth-first searches."""
-    du = bfs_distances(structure, u)
-    dv = bfs_distances(structure, v)
-    total = du[v]
-    return {w for w in structure.nodes if du[w] + dv[w] == total}
 
 
 def _distance_dtype(n: int) -> np.dtype:
@@ -112,31 +71,18 @@ def _search_blocks(matrix: csr_matrix, sources: np.ndarray, *, directed: bool = 
 
 
 class _IndexedGraph:
-    """Symmetric CSR adjacency over sorted nodes, for batched BFS.
+    """Symmetric CSR adjacency over the structure's index, for batched BFS.
 
     ``neighbors[i]`` holds the indices of node i's neighbours in ascending
     order, after one -1 per missing neighbour.
     """
 
     def __init__(self, structure: AmoebotStructure):
-        self.nodes = sorted(structure.nodes)
-        self.index = {p: i for i, p in enumerate(self.nodes)}
+        ix = structure.index
+        self.nodes = ix.nodes
+        self.index = ix.row
         n = len(self.nodes)
-        ab = np.array(self.nodes, dtype=np.int64).reshape(n, 2)
-        # b keeps a free column on each side, so a neighbour's key never
-        # wraps into another a
-        ab -= ab.min(axis=0) - 1
-        width = int(ab[:, 1].max()) + 2
-        keys = ab[:, 0] * width + ab[:, 1]  # ascending, as the nodes are sorted
-        neighbors = np.full((n, 6), -1, dtype=np.int64)
-        for k, d in enumerate(DIRECTIONS):
-            da, db = d.offset
-            want = keys + da * width + db
-            at = np.minimum(np.searchsorted(keys, want), n - 1)
-            hit = keys[at] == want
-            neighbors[hit, k] = at[hit]
-        neighbors.sort(axis=1)
-        self.neighbors = neighbors
+        self.neighbors = neighbors = np.sort(ix.nbr, axis=1)
         present = neighbors >= 0
         indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
         indices = neighbors[present]
@@ -159,13 +105,12 @@ class _IndexedGraph:
         return out
 
 
-def is_simple(nodes: Iterable[GridPoint]) -> bool:
-    """True iff the bounded complement of the node set has no component.
+def euler_characteristic(nodes: Iterable[GridPoint]) -> int:
+    """V - E + T of the complex of the nodes, their grid edges and the unit
+    triangles they fill.
 
-    The input must be connected; only hole-freeness is checked here.  The
-    nodes, their grid edges and the unit triangles they fill form a complex
-    whose Euler characteristic V - E + T is 1 minus its number of holes, and
-    on the triangular grid each hole is one component of the empty cells.
+    On the triangular grid each hole of the complex is one component of the
+    bounded empty cells, so a connected node set has 1 - (V - E + T) holes.
     """
     pts = list(nodes)
     if not pts:
@@ -175,7 +120,7 @@ def is_simple(nodes: Iterable[GridPoint]) -> bool:
     occupied = np.zeros(tuple(ab.max(axis=0) + 1), dtype=bool)
     occupied[ab[:, 0], ab[:, 1]] = True
     cross = occupied[1:, :-1] & occupied[:-1, 1:]  # edges (a + 1, b)-(a, b + 1)
-    euler = (
+    return int(
         np.count_nonzero(occupied)
         - np.count_nonzero(occupied[1:] & occupied[:-1])
         - np.count_nonzero(occupied[:, 1:] & occupied[:, :-1])
@@ -183,7 +128,15 @@ def is_simple(nodes: Iterable[GridPoint]) -> bool:
         + np.count_nonzero(cross & occupied[:-1, :-1])  # triangles with (a, b)
         + np.count_nonzero(cross & occupied[1:, 1:])  # triangles with (a + 1, b + 1)
     )
-    return int(euler) == 1
+
+
+def is_simple(nodes: Iterable[GridPoint]) -> bool:
+    """True iff the bounded complement of the node set has no component.
+
+    The input must be connected; only hole-freeness is checked here, as an
+    Euler characteristic of 1.
+    """
+    return euler_characteristic(nodes) == 1
 
 
 class _ConvexityPlan(NamedTuple):
@@ -283,25 +236,6 @@ def is_geodesically_convex(
     return _decide_convexity(g, plan, g.distances_from(plan.searched))
 
 
-def global_maxima_oracle(region_nodes: Iterable[GridPoint], direction) -> set[GridPoint]:
-    """Brute-force argmin of f_d(R, w), the count of R-nodes beyond w in d."""
-    pts = list(region_nodes)
-    if not pts:
-        raise DomainError("empty node set")
-    rank = DIRECTION_RANK[direction]
-    best: set[GridPoint] = set()
-    best_count = None
-    for w in pts:
-        rw = rank(w)
-        count = sum(1 for v in pts if rank(v) > rw)
-        if best_count is None or count < best_count:
-            best_count = count
-            best = {w}
-        elif count == best_count:
-            best.add(w)
-    return best
-
-
 def connected(nodes: Iterable[GridPoint], edges: Iterable[tuple[GridPoint, GridPoint]]) -> bool:
     pts = set(nodes)
     if not pts:
@@ -380,8 +314,7 @@ def verify_decomposition(
         covered |= r.nodes
     coverage_ok = covered == structure.nodes
 
-    _, inner = find_holes(structure)
-    n_holes = len(inner)
+    n_holes = 1 - euler_characteristic(structure.nodes)
     graph = _IndexedGraph(structure)
     induced = structure.edges()
 

@@ -110,9 +110,6 @@ class PortalGraph:
             object.__setattr__(self, "_neighbor_map", nm)
             return self._neighbor_map
 
-    def is_tree(self) -> bool:
-        return len(self.adjacency) == len(self.portals) - 1
-
     def distances_from(self, sources: Iterable[int]) -> dict[int, int]:
         """BFS distances from a set of portal ids; unreachable ids are absent."""
         dist = {pid: 0 for pid in sources}

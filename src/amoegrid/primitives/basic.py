@@ -12,20 +12,9 @@ import numpy as np
 
 from ..circuits import World
 from ..errors import ContractViolation
-from ..grid import DIRECTIONS, direction_between
 from .pasc import Meter
 
 K_CHAIN = 1
-
-
-def _chain_slots(world: World, chain: list) -> list[tuple[int, int, int]]:
-    """(node index, up dir, down dir) along an ordered node chain."""
-    out = []
-    for j, p in enumerate(chain):
-        up = DIRECTIONS.index(direction_between(p, chain[j + 1])) if j + 1 < len(chain) else -1
-        dn = DIRECTIONS.index(direction_between(p, chain[j - 1])) if j > 0 else -1
-        out.append((world.index[p], up, dn))
-    return out
 
 
 def _koff(koff, i, d) -> int:
@@ -48,7 +37,7 @@ def closest_on_portal_batch(
     send = np.zeros((world.n, world.S), dtype=bool)
     for chain, marked, from_end, koff in instances:
         chain = list(reversed(chain)) if from_end == 1 else list(chain)
-        slots = _chain_slots(world, chain)
+        slots = world.chain_slots(chain)
         marks = [bool(marked[world.index[p]]) for p in chain]
         if not any(marks):
             raise ContractViolation("closest_on_portal needs a nonempty marked set")
@@ -106,7 +95,7 @@ def degree_check_batch(
     for chain, shifts, threshold, koff in instances:
         if threshold > 4:
             raise ContractViolation("degree tracks exceed the pin budget")
-        slots = _chain_slots(world, chain)
+        slots = world.chain_slots(chain)
         sh = [int(shifts[world.index[p]]) for p in chain]
         prepared.append((slots, sh, threshold))
         if len(chain) == 1:

@@ -88,16 +88,14 @@ class BoundaryTest:
                 leader_of_cycle[c] = vid
 
         # turning round: five shifted tracks, leader listens on its prev side
-        groups: dict[int, dict[int, list]] = {}
-        per_visit_groups = {}
+        plans = {}
         for vid in np.flatnonzero(real_visit):
             t = int(cyc.turn[vid]) % 5
             plan = {}
             for tau in range(5):
                 plan.setdefault(OFF_TRACK + (tau + t) % 5, []).append(("next", (tau + t) % 5))
                 plan.setdefault(OFF_TRACK + (tau + t) % 5, []).append(("prev", tau))
-            per_visit_groups[vid] = plan
-        leader_special = {}
+            plans[int(vid)] = plan
         for c in range(cyc.n_cycles):
             vid = leader_of_cycle[c]
             if vid < 0:
@@ -105,23 +103,10 @@ class BoundaryTest:
             plan = {OFF_TRACK + tau: [("next", tau)] for tau in range(5)}
             for tau in range(5):
                 plan[OFF_LEADER + tau] = [("prev", tau)]
-            leader_special[int(vid)] = plan
+            plans[int(vid)] = plan
 
         space_real = ChainSpace(world, cyc, real_visit)
-        label_of = space_real.wire(
-            {}, leader_special=leader_special
-        )
-        # non-leader visits use their own shifted plans
-        for vid, plan in per_visit_groups.items():
-            if vid in leader_special:
-                continue
-            for offset, pins in plan.items():
-                label = space_real.window[vid] + offset
-                for end, k in pins:
-                    i, d, kk = space_real.link_pin(vid, end, k)
-                    world.pset[i, d * world.c + kk] = label
-                label_of[(vid, offset)] = label
-        world.mark_dirty()
+        label_of = space_real.wire({}, special=plans)
 
         send = np.zeros((world.n, world.S), dtype=bool)
         for c in range(cyc.n_cycles):

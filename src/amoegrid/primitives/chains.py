@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..circuits import World
-from ..grid import DIRECTIONS
 
 #: per-direction pin roles within a visit's 5-pin block
 K_CYCLE = 0  # election / cycle-wide circuits
@@ -73,16 +72,13 @@ def build_boundary_cycles(world: World) -> CycleStructure:
 
     for vid, (i, dp) in enumerate(rows):
         for k in range(1, 7):
-            d = DIRECTIONS[dp].rotated(-k)
-            d_idx = DIRECTIONS.index(d)
-            if nbr[i, d_idx] >= 0:
-                d_next[vid] = d_idx
+            d = (dp - k) % 6  # k sixths clockwise
+            if nbr[i, d] >= 0:
+                d_next[vid] = d
                 turn[vid] = 3 - k
                 swept[vid] = k - 1
-                w = nbr[i, d_idx]
-                # successor visit: at w, arrived from direction back to i
-                from_dir = DIRECTIONS.index(DIRECTIONS[d_idx].opposite)
-                next_visit[vid] = visits[(w, from_dir)]
+                # successor visit: at the neighbour, arrived from direction back to i
+                next_visit[vid] = visits[(nbr[i, d], (d + 3) % 6)]
                 break
 
     prev_visit = np.zeros(nv, dtype=np.int64)
@@ -129,8 +125,6 @@ class ChainSpace:
             raise ValueError("chain wiring needs 10 pins per edge")
         self.world = world
         self.cyc = cyc
-        self.active = active
-        order = np.argsort(cyc.node[active].astype(np.int64), kind="stable")
         self.vids = np.flatnonzero(active)
         # label window per visit: slot-in-node * 16
         win = {}
@@ -178,17 +172,17 @@ class ChainSpace:
         self,
         groups: dict[int, list[tuple[str, int]]],
         cut_before: np.ndarray | None = None,
-        leader_special: dict[int, dict[int, list[tuple[str, int]]]] | None = None,
+        special: dict[int, dict[int, list[tuple[str, int]]]] | None = None,
     ) -> dict[tuple[int, int], int]:
         """Assign pins: per visit, label-offset -> [(end, k), ...] pin groups.
 
         Returns a map (visit, label_offset) -> global label for beeping.
         Visits with ``cut_before`` leave their prev pins isolated.
-        ``leader_special`` overrides the group map for specific visits.
+        ``special`` maps a visit to its own group map, used in place of ``groups``.
         """
         world = self.world
         world.reset_pins_isolated()
-        special = leader_special or {}
+        special = special or {}
         plain = ~np.isin(self.vids, np.fromiter(special, dtype=np.int64, count=len(special)))
         # Distinct visits never share a pin, so the visits of one pin group
         # are written at once; each visit still sees its groups in order.

@@ -68,7 +68,6 @@ def chain_forest(
     return ElementForest(
         world,
         parent,
-        cyc.cycle_id[vids],
         members,
         up_p,
         up_s,
@@ -149,8 +148,7 @@ def chain_maxima(
     rank = np.zeros(cyc.n_visits, dtype=np.int64)
     rank[vids] = bits_to_int(streams[0])
     c_up = bits_to_int(streams[1])
-    f_dn = chain_forest(world, cyc, space, vids, cut_block, K_P1, K_S1, 12, 13)
-    streams = run_counting_pasc(world, [f_dn], [delta[vids] < 0], s + 2, meter)
+    streams = run_counting_pasc(world, [f_all], [delta[vids] < 0], s + 2, meter)
     c_dn = bits_to_int(streams[0])
     local_pot = np.zeros(cyc.n_visits, dtype=np.int64)
     local_pot[vids] = (c_up + (delta[vids] > 0)) - (c_dn + (delta[vids] < 0))

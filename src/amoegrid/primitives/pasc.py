@@ -12,7 +12,7 @@ which keeps every instance on the same round schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,12 +29,10 @@ class ElementForest:
     ``up_p``/``up_s`` point toward the parent; ``dn_p``/``dn_s`` collect the
     matching pins toward all children; ``int_p``/``int_s`` are the two
     internal tracks that carry the signal through multi-node elements.
-    ``bcast`` gives per-node instance-circuit pins (label 15 reserved).
     """
 
     world: World
     parent: np.ndarray  # (E,) element id or -1
-    instance: np.ndarray  # (E,)
     members: list[np.ndarray]
     up_p: list[list[PinRef]]
     up_s: list[list[PinRef]]
@@ -44,8 +42,6 @@ class ElementForest:
     int_s: list[list[PinRef]]
     label_a: list[dict[int, int]]  # per element: node -> label of set A
     label_b: list[dict[int, int]]
-    bcast: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    bcast_label: int = 47
 
     @property
     def ne(self) -> int:
@@ -72,9 +68,6 @@ class ElementForest:
                 elem.append(e)
                 when.append(w)
 
-        bcast = self.bcast_label
-        for node, pins in self.bcast.items():
-            put([(node, d, k) for d, k in pins], {node: bcast}, 0, 0)
         for e in range(self.ne):
             la, lb = self.label_a[e], self.label_b[e]
             put(self.up_p[e], la, e, 0)
@@ -87,11 +80,9 @@ class ElementForest:
             put(self.dn_s[e], lb, e, 2)
         return tuple(np.array(xs, dtype=np.int64) for xs in (idx, lab, elem, when))
 
-    def wire(self, active: np.ndarray, reset: bool = True) -> None:
-        """Configure pins for one parity round given the active element set."""
+    def wire(self, active: np.ndarray) -> None:
+        """Add this forest's pins for one parity round, given the active elements."""
         world = self.world
-        if reset:
-            world.reset_pins_isolated()
         idx, lab, elem, when = self._plan
         on = active[elem] if self.ne else np.zeros(len(elem), dtype=bool)
         keep = (when == 0) | ((when == 1) & on) | ((when == 2) & ~on)
@@ -160,7 +151,7 @@ def run_counting_pasc(
         send = np.zeros((world.n, world.S), dtype=bool)
         world.reset_pins_isolated()
         for forest, act in zip(forests, active):
-            forest.wire(act, reset=False)
+            forest.wire(act)
             forest.root_send(send)
         recv = world.deliver(send)
         meter.rounds += 1

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..circuits import World
 from ..errors import ContractViolation
-from ..grid import DIRECTIONS, direction_between
+from ..grid import slot_between
 from .pasc import ElementForest, Meter, bits_to_int, run_counting_pasc
 
 # pin roles on designated link edges (plus koff): k2/k4 talk low-to-high,
@@ -35,7 +35,6 @@ class PortalForest:
     members: list[np.ndarray]  # node indices in chain order
     internal: list[list[tuple[int, int]]]  # (node, dir) axis-edge slots, both ends
     links: list[tuple[int, int, int, int, int, int]]  # e1, e2, n1, d1, n2, d2
-    instance: np.ndarray
     koff: np.ndarray  # (n, 6) pin offsets for gate-shared edges
 
     @property
@@ -78,7 +77,6 @@ def forest_from_chains(
     chains: list[list],
     adjacency: list[tuple[int, int]],
     has_edge,
-    instance: np.ndarray | None = None,
     koff: np.ndarray | None = None,
 ) -> PortalForest:
     """Build a PortalForest from node chains and element adjacency.
@@ -88,15 +86,15 @@ def forest_from_chains(
     """
     if koff is None:
         koff = np.zeros((world.n, 6), dtype=np.int8)
-    members = [np.array([world.index[p] for p in chain], dtype=np.int64) for chain in chains]
+    members: list[np.ndarray] = []
     internal: list[list[tuple[int, int]]] = []
     for chain in chains:
+        slots = world.chain_slots(chain)
+        members.append(np.array([i for i, _, _ in slots], dtype=np.int64))
         pins: list[tuple[int, int]] = []
-        for u, v in zip(chain, chain[1:]):
-            du = DIRECTIONS.index(direction_between(u, v))
-            dv = DIRECTIONS.index(direction_between(v, u))
-            pins.append((world.index[u], du))
-            pins.append((world.index[v], dv))
+        for (iu, du, _), (iv, _, dv) in zip(slots, slots[1:]):
+            pins.append((iu, du))
+            pins.append((iv, dv))
         internal.append(pins)
     owner = {}
     for e, chain in enumerate(chains):
@@ -114,18 +112,9 @@ def forest_from_chains(
         if best is None:
             raise ContractViolation("adjacent portals share no retained edge")
         _, _, p, q = best
-        links.append(
-            (
-                e1,
-                e2,
-                world.index[p],
-                DIRECTIONS.index(direction_between(p, q)),
-                world.index[q],
-                DIRECTIONS.index(direction_between(q, p)),
-            )
-        )
-    inst = instance if instance is not None else np.zeros(len(chains), dtype=np.int64)
-    return PortalForest(world, members, internal, links, inst, koff)
+        d = slot_between(p, q)
+        links.append((e1, e2, world.index[p], d, world.index[q], (d + 3) % 6))
+    return PortalForest(world, members, internal, links, koff)
 
 
 @dataclass
@@ -137,16 +126,14 @@ class _Fragment:
 
 
 class _Contraction:
-    def __init__(self, world: World, forest: PortalForest, root_eid: dict[int, int], q_mask: np.ndarray):
+    def __init__(self, world: World, forest: PortalForest, roots: list[int], q_mask: np.ndarray):
         self.world = world
         self.forest = forest
         self.q = q_mask.copy()
-        self.root_of_instance = root_eid
         ne = forest.ne
         self.parent_link = np.full(ne, -1, dtype=np.int64)  # resolved parent eid
         self.is_root = np.zeros(ne, dtype=bool)
-        for inst, eid in root_eid.items():
-            self.is_root[eid] = True
+        self.is_root[np.asarray(roots, dtype=np.int64)] = True
         self.pruned = np.zeros(ne, dtype=bool)
         self.live = np.ones(len(forest.links), dtype=bool)
         self.frag_of = np.arange(ne, dtype=np.int64)
@@ -392,12 +379,12 @@ class _Contraction:
 def contract_tree(
     world: World,
     forest: PortalForest,
-    root_eid: dict[int, int],
+    roots: list[int],
     q_mask: np.ndarray,
     meter: Meter,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Parent pointers toward each instance root, plus prune survivors."""
-    ctr = _Contraction(world, forest, root_eid, q_mask)
+    """Parent pointers toward the root element of each tree, plus prune survivors."""
+    ctr = _Contraction(world, forest, roots, q_mask)
     budget = 8 * (int(np.ceil(np.log2(max(2, forest.ne)))) + 4)
     ctr.run(meter, budget)
     return ctr.parent_link, ~ctr.pruned
@@ -455,7 +442,6 @@ def pasc_forest(forest: PortalForest, parents: np.ndarray, keep: np.ndarray) -> 
     return ElementForest(
         world,
         parent,
-        forest.instance[kept],
         members,
         up_p,
         up_s,

@@ -25,7 +25,14 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import ContractViolation, DomainError
-from .grid import AmoebotStructure, Direction, GridPoint, direction_between
+from .grid import (
+    DIRECTIONS,
+    AmoebotStructure,
+    Direction,
+    GridPoint,
+    direction_between,
+    slot_between,
+)
 from .portals import Axis, Portal, axis_chains
 
 # Per axis: the two sides, each mapping to its (cross-up, cross-down)
@@ -59,22 +66,24 @@ def side_of_direction(axis: Axis, d: Direction) -> str | None:
     return None
 
 
-def side_dirs(axis: Axis, side: str) -> frozenset[Direction]:
-    for name, up, down in SIDES[axis]:
-        if name == side:
-            return frozenset((axis.up, axis.down, up, down))
-    raise DomainError(f"unknown side {side!r} for axis {axis.value}")
+def _slot_mask(*dirs: Direction) -> int:
+    return sum(1 << DIRECTIONS.index(d) for d in dirs)
 
 
-def cut_bundles(axis: Axis, side: str) -> tuple[frozenset[Direction], frozenset[Direction]]:
-    """(up bundle, down bundle) of retained directions for a node cut."""
-    for name, up, down in SIDES[axis]:
-        if name == side:
-            return frozenset((axis.up, up)), frozenset((axis.down, down))
-    raise DomainError(f"unknown side {side!r} for axis {axis.value}")
-
-
-_ALL_DIRS = frozenset(Direction)
+# Directions a copy retains, as 6-bit masks over the slots of ``DIRECTIONS``:
+# per (axis, side) the side copy's four directions, and the (up, down) bundles
+# of a node cut on that side.
+_SIDE_MASK = {
+    (axis, name): _slot_mask(axis.up, axis.down, up, down)
+    for axis, sides in SIDES.items()
+    for name, up, down in sides
+}
+_CUT_BUNDLES = {
+    (axis, name): (_slot_mask(axis.up, up), _slot_mask(axis.down, down))
+    for axis, sides in SIDES.items()
+    for name, up, down in sides
+}
+_ALL_SLOTS = 0b111111
 
 
 @dataclass(frozen=True)
@@ -145,12 +154,6 @@ class Region:
     def has_edge(self, u: GridPoint, v: GridPoint) -> bool:
         return ((u, v) if u <= v else (v, u)) in self.edges
 
-    def gate_for_node(self, p: GridPoint) -> Gate | None:
-        for g in self.gates:
-            if p in g.node_set:
-                return g
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Region(id={self.id}, n={self.n}, gates={len(self.gates)})"
 
@@ -195,28 +198,33 @@ def split_many(
     for cut in node_cuts:
         if cut.node not in region.nodes:
             raise DomainError(f"{cut.node} is not in the region")
-        allowed = side_dirs(cut.axis, cut.side)
+        allowed = _SIDE_MASK.get((cut.axis, cut.side))
+        if allowed is None:
+            raise DomainError(f"unknown side {cut.side!r} for axis {cut.axis.value}")
         neighbors = cut.node.neighborhood()
-        if any(d not in allowed and region.has_edge(cut.node, q) for d, q in neighbors):
+        if any(
+            not allowed >> d & 1 and region.has_edge(cut.node, q)
+            for d, (_, q) in enumerate(neighbors)
+        ):
             raise DomainError(
                 f"{cut.node} retains edges outside the {cut.side} side of axis "
                 f"{cut.axis.value}; standalone cuts require a gate node"
             )
         cuts_at.setdefault(cut.node, []).append((cut.axis, None, cut.side))
 
-    def copies_of(p: GridPoint) -> list[tuple[_Copy, frozenset[Direction]]]:
+    def copies_of(p: GridPoint) -> list[tuple[_Copy, int]]:
         side_options = [
             [(axis, line, name) for name in side_names(axis)] for axis, line in portal_at.get(p, [])
         ]
         out = []
         for side_choice in product(*side_options):
-            allowed = _ALL_DIRS
+            allowed = _ALL_SLOTS
             for axis, _, name in side_choice:
-                allowed &= side_dirs(axis, name)
+                allowed &= _SIDE_MASK[axis, name]
             bundle_options = []
             for axis, line, side in cuts_at.get(p, []):
                 if line is None or (axis, line, side) in side_choice:
-                    up, down = cut_bundles(axis, side)
+                    up, down = _CUT_BUNDLES[axis, side]
                     tag = ("c", axis.value, line, side)
                     bundle_options.append([(tag + ("U",), up), (tag + ("D",), down)])
             for bundles in product(*bundle_options):
@@ -231,7 +239,7 @@ def split_many(
     # Only nodes named by a portal or a cut have several copies; every other
     # node is its one copy () with all six directions.
     copies = {p: copies_of(p) for p in portal_at.keys() | cuts_at.keys()}
-    whole = [((), _ALL_DIRS)]
+    whole = [((), _ALL_SLOTS)]
 
     def portal_tag(copy: _Copy, axis: Axis, line: int) -> str | None:
         for tag in copy:
@@ -246,17 +254,17 @@ def split_many(
             graph.setdefault((u, ()), []).append((v, ()))
             graph.setdefault((v, ()), []).append((u, ()))
             continue
-        d = direction_between(u, v)
-        d_rev = d.opposite
+        d = slot_between(u, v)
+        bit_u, bit_v = 1 << d, 1 << (d + 3) % 6
         shared = None
         for key in portal_at.get(u, []):
             if key in portal_at.get(v, []):
                 shared = key
         for cu, dirs_u in copies.get(u, whole):
-            if d not in dirs_u:
+            if not dirs_u & bit_u:
                 continue
             for cv, dirs_v in copies.get(v, whole):
-                if d_rev not in dirs_v:
+                if not dirs_v & bit_v:
                     continue
                 if shared is not None and portal_tag(cu, *shared) != portal_tag(cv, *shared):
                     continue

@@ -9,6 +9,7 @@ the boundary-chain maxima improves on; no engine runs it.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
 
 import numpy as np
@@ -63,12 +64,89 @@ def is_simple_reference(nodes) -> bool:
     return len(seen) == len(empty)
 
 
+def bfs_distances(structure: AmoebotStructure, source: GridPoint) -> dict[GridPoint, int]:
+    """Hop distance from ``source`` to every node, by one breadth-first search."""
+    if source not in structure.nodes:
+        raise DomainError(f"{source} is not in the structure")
+    ix = structure.index
+    nbr = ix.nbr.tolist()
+    dist = [-1] * len(ix.nodes)
+    start = ix.row[source]
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        i = queue.popleft()
+        for j in nbr[i]:
+            if j >= 0 and dist[j] < 0:
+                dist[j] = dist[i] + 1
+                queue.append(j)
+    return dict(zip(ix.nodes, dist))
+
+
+def shortest_path_nodes(
+    structure: AmoebotStructure, u: GridPoint, v: GridPoint
+) -> set[GridPoint]:
+    """All nodes on some shortest u-v path, via two breadth-first searches."""
+    du = bfs_distances(structure, u)
+    dv = bfs_distances(structure, v)
+    total = du[v]
+    return {w for w in structure.nodes if du[w] + dv[w] == total}
+
+
+# Ordering functionals for "lies in direction d": each direction is ranked
+# by the portal index it advances (E/W by the y line a, NNE/SSW by the z
+# line a+b, NNW/SSE by the x line b); the non-lattice WNW/ESE orderings
+# used for hole split points also rank by the y line.
+DIRECTION_RANK = {
+    Direction.E: lambda p: p.a,
+    Direction.W: lambda p: -p.a,
+    Direction.NNE: lambda p: p.a + p.b,
+    Direction.SSW: lambda p: -(p.a + p.b),
+    Direction.NNW: lambda p: p.b,
+    Direction.SSE: lambda p: -p.b,
+    "ESE": lambda p: p.a,
+    "WNW": lambda p: -p.a,
+}
+
+
+def global_maxima_oracle(region_nodes, direction) -> set[GridPoint]:
+    """Brute-force argmin of f_d(R, w), the count of R-nodes beyond w in d."""
+    pts = list(region_nodes)
+    if not pts:
+        raise DomainError("empty node set")
+    rank = DIRECTION_RANK[direction]
+    best: set[GridPoint] = set()
+    best_count = None
+    for w in pts:
+        rw = rank(w)
+        count = sum(1 for v in pts if rank(v) > rw)
+        if best_count is None or count < best_count:
+            best_count = count
+            best = {w}
+        elif count == best_count:
+            best.add(w)
+    return best
+
+
+def portal_graph_is_tree(pg) -> bool:
+    """Whether a (connected) portal graph has one edge fewer than portals."""
+    return len(pg.adjacency) == len(pg.portals) - 1
+
+
 # -- splits and portal distances --------------------------------------------------
+
+
+def gate_for_node(region: Region, p: GridPoint):
+    """The first gate of the region that holds ``p``, or None."""
+    for g in region.gates:
+        if p in g.node_set:
+            return g
+    return None
 
 
 def split_region_at_node(region: Region, spec: SplitNodeSpec) -> list[Region]:
     """Split a region at a single gate node (the node-only split of phase 2/3)."""
-    gate = region.gate_for_node(spec.node)
+    gate = gate_for_node(region, spec.node)
     if gate is None:
         raise DomainError(f"{spec.node} does not lie on a gate of the region")
     if spec.empty_point in region.nodes:
@@ -212,7 +290,7 @@ def root_and_prune(region, axis, q_portal_ids, r_portal_id, seed: int = 0, nhat=
         q_mask[pid] = True
     if not q_mask[r_portal_id]:
         raise ContractViolation("the root must be one of the marked portals")
-    parents, keep = contract_tree(world, forest, {0: r_portal_id}, q_mask, meter)
+    parents, keep = contract_tree(world, forest, [r_portal_id], q_mask, meter)
     survivors = {portals[e].id for e in np.flatnonzero(keep)}
     parent_map = {portals[e].id: (int(parents[e]) if parents[e] >= 0 else None) for e in range(forest.ne)}
     return survivors, parent_map, meter
@@ -225,7 +303,7 @@ def tree_pasc_distances(region, axis, r_portal_id, seed: int = 0, nhat=None):
     meter = Meter()
     forest, portals = _region_forest(world, region, axis)
     all_q = np.ones(forest.ne, dtype=bool)
-    parents, _ = contract_tree(world, forest, {0: r_portal_id}, all_q, meter)
+    parents, _ = contract_tree(world, forest, [r_portal_id], all_q, meter)
     (dist,) = stream_counts(world, forest, parents, all_q, [all_q], meter)
     return {portals[e].id: int(dist[e]) for e in range(forest.ne)}, meter
 

@@ -2,10 +2,21 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amoegrid.circuits import World
 from amoegrid.errors import DomainError, InvalidStructureError
-from amoegrid.grid import AmoebotStructure, Direction, GridPoint, find_holes
+from amoegrid.grid import (
+    DIRECTIONS,
+    AmoebotStructure,
+    Direction,
+    GridPoint,
+    direction_between,
+    find_holes,
+    slot_between,
+)
+from amoegrid.oracle import _IndexedGraph
 from amoegrid.primitives import build_boundary_cycles
 
 
@@ -81,6 +92,42 @@ def test_neighbors_matches_offset_scan():
                 (d, p.neighbor(d)) for d in Direction if p.neighbor(d) in s.nodes
             ]
             assert s.neighbors(p) == expected
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_structure_index_matches_neighborhood(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    s = random_structure(rng, data.draw(st.integers(1, 80), label="n"))
+    ix = s.index
+    assert ix is s.index  # built once, then cached on the structure
+    assert ix.nodes == sorted(s.nodes)
+    assert all(ix.row[p] == i for i, p in enumerate(ix.nodes))
+    assert ix.a.tolist() == [p.a for p in ix.nodes]
+    assert ix.b.tolist() == [p.b for p in ix.nodes]
+    for i, p in enumerate(ix.nodes):
+        for d, (direction, q) in enumerate(p.neighborhood()):
+            assert DIRECTIONS[d] is direction
+            want = ix.row[q] if q in s.nodes else -1
+            assert ix.nbr[i, d] == want
+            assert slot_between(p, q) == DIRECTIONS.index(direction_between(p, q)) == d
+            assert slot_between(q, p) == (d + 3) % 6
+    with pytest.raises(DomainError):
+        slot_between(GridPoint(0, 0), GridPoint(2, 0))
+
+
+def test_world_and_oracle_graph_read_the_structure_index():
+    s = AmoebotStructure(hexagon(3))
+    ix = s.index
+    w = World(s, c=2)
+    assert w.nbr is ix.nbr and w.a is ix.a and w.b is ix.b
+    assert w.nodes is ix.nodes and w.index is ix.row
+    g = _IndexedGraph(s)
+    assert g.nodes is ix.nodes and g.index is ix.row
+    assert np.array_equal(g.neighbors, np.sort(ix.nbr, axis=1))
+    assert World(s, c=10).nbr is ix.nbr
+    with pytest.raises(ValueError):
+        ix.nbr[0, 0] = 0  # shared by every reader, so read-only
 
 
 def test_disconnected_structure_rejected():

@@ -1,0 +1,50 @@
+"""Layout checks over the source tree: ``src/`` holds no dead names."""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "amoegrid"
+SCANNED = (PACKAGE, ROOT / "perfbench")
+
+
+def _defined_names(tree: ast.Module) -> list[tuple[str, str]]:
+    """(label, identifier) of the module's top-level functions and classes
+    and of its classes' non-dunder methods."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    out.append((f"{node.name}.{item.name}", item.name))
+    return out
+
+
+def test_every_src_name_is_used_in_src_or_perfbench():
+    """A function, class or method whose identifier appears as a word only in
+    its own definition is called by nothing the engines, the oracle, the CLI
+    or the benchmark run; it belongs in ``tests/`` or nowhere."""
+    words: Counter[str] = Counter()
+    definitions: Counter[str] = Counter()
+    candidates = []
+    for top in SCANNED:
+        for path in sorted(top.rglob("*.py")):
+            text = path.read_text()
+            tree = ast.parse(text)
+            words.update(re.findall(r"\w+", text))
+            definitions.update(
+                node.name
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            )
+            if top == PACKAGE:
+                rel = path.relative_to(PACKAGE)
+                candidates += [(f"{rel}:{label}", name) for label, name in _defined_names(tree)]
+    dead = [label for label, name in candidates if words[name] <= definitions[name]]
+    assert dead == []

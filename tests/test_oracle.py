@@ -12,23 +12,26 @@ from amoegrid.cli import load_structure
 from amoegrid.decompose import Decomposition, decompose, occupied_run_count
 from amoegrid.errors import DomainError, InvalidStructureError
 from amoegrid.generator import generate_random
-from amoegrid.grid import AmoebotStructure, Direction, GridPoint
+from amoegrid.grid import AmoebotStructure, Direction, GridPoint, find_holes
 from amoegrid.oracle import (
     EXHAUSTIVE_CONVEXITY_LIMIT,
     RegionCheck,
     _block_rows,
     _IndexedGraph,
     _plan_convexity,
-    bfs_distances,
-    global_maxima_oracle,
+    euler_characteristic,
     is_geodesically_convex,
     is_simple,
-    shortest_path_nodes,
     verify_decomposition,
 )
 from amoegrid.split import Region
 
-from harnesses import is_simple_reference
+from harnesses import (
+    bfs_distances,
+    global_maxima_oracle,
+    is_simple_reference,
+    shortest_path_nodes,
+)
 from test_grid import hexagon, parallelogram, random_structure
 
 
@@ -84,6 +87,17 @@ def test_is_simple_matches_flood_fill_reference(data):
         except InvalidStructureError:  # empty or disconnected
             pass
     assert is_simple(pts) == is_simple_reference(pts)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    n=st.integers(41, 400),  # 7 * holes + 6 cells at least, as the generator needs
+    holes=st.integers(0, 5),
+    seed=st.integers(0, 2**30),
+)
+def test_hole_count_from_euler_characteristic_matches_find_holes(n, holes, seed):
+    s = generate_random(n, holes, seed)
+    assert 1 - euler_characteristic(s.nodes) == len(find_holes(s)[1]) == holes
 
 
 def test_indexed_graph_integer_distances_match_bfs():
@@ -161,7 +175,7 @@ def _members_and_exit_endpoints(s, region):
     inside = set(region)
     ends = set()
     for p in inside:
-        for _, q in s.adjacency[p]:
+        for _, q in s.neighbors(p):
             if q not in inside:
                 ends |= {p, q}
     return len(inside), len(ends)
@@ -213,7 +227,7 @@ def test_convexity_matches_definition(data):
     nodes = sorted(s.nodes)
     region = {rng.choice(nodes)}
     for _ in range(data.draw(st.integers(0, len(nodes) - 1), label="grow")):
-        rim = sorted({q for p in region for _, q in s.adjacency[p]} - region)
+        rim = sorted({q for p in region for _, q in s.neighbors(p)} - region)
         region.add(rng.choice(rim))
     members = sorted(region)
     want = all(
@@ -239,7 +253,7 @@ def _adjacent_unions(s: AmoebotStructure, regions: list[Region]) -> list[Region]
     unions = []
     for i, a in enumerate(regions):
         for b in regions[i + 1 :]:
-            if any(q in b.nodes for p in a.nodes for _, q in s.adjacency[p]):
+            if any(q in b.nodes for p in a.nodes for _, q in s.neighbors(p)):
                 edges = (a.edges | b.edges) & s.edges()
                 unions.append(Region(a.nodes | b.nodes, edges, id=len(regions) + len(unions)))
     return unions

@@ -5,11 +5,10 @@ import pytest
 from amoegrid.errors import DomainError
 from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, GridPoint
-from amoegrid.oracle import bfs_distances
 from amoegrid.portals import AXES, Axis, compute_portals, portal_graph
 from amoegrid.split import Region
 
-from harnesses import portal_distance
+from harnesses import bfs_distances, portal_distance, portal_graph_is_tree
 from test_grid import hexagon, parallelogram, random_structure
 
 
@@ -68,13 +67,13 @@ def test_portal_graphs_of_simple_regions_are_trees():
         region = Region.from_structure(s)
         for axis in AXES:
             g = portal_graph(region, axis)
-            assert g.is_tree()
+            assert portal_graph_is_tree(g)
 
 
 def test_annulus_y_portal_graph_has_cycle():
     pts = [p for p in hexagon(2) if p != GridPoint(0, 0)]
     g = portal_graph(as_region(pts), Axis.Y)
-    assert not g.is_tree()
+    assert not portal_graph_is_tree(g)
     assert len(g.adjacency) >= len(g.portals)
 
 

@@ -12,7 +12,6 @@ from amoegrid.circuits import World
 from amoegrid.errors import ContractViolation
 from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, Direction, GridPoint, find_holes
-from amoegrid.oracle import global_maxima_oracle
 from amoegrid.portals import AXES, Axis, portal_graph
 from amoegrid.primitives import (
     Meter,
@@ -28,6 +27,7 @@ from harnesses import (
     election_trials,
     global_maxima_boundary,
     global_maxima_general,
+    global_maxima_oracle,
     region_has,
     root_and_prune,
     tree_pasc_distances,
