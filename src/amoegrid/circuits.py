@@ -114,8 +114,6 @@ class World:
         self.pin_owner = np.repeat(np.arange(self.n), 6 * c)
         dd = np.tile(np.repeat(np.arange(6), c), self.n)
         kk = np.tile(np.arange(c), 6 * self.n)
-        self.pin_dir = dd
-        self.pin_k = kk
         partner_node = self.nbr[self.pin_owner, dd]
         self.pin_live = partner_node >= 0
         self.pin_partner = np.where(

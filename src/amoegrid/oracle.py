@@ -17,10 +17,11 @@ those sets over all regions.  Only a non-convex region runs the all-pairs
 scan over its neighbor ring, which names the witness; sampling of sources
 above EXHAUSTIVE_CONVEXITY_LIMIT bounds only that witness search.
 
-The half-sum distance identity takes one search per decomposition over the
-block-diagonal graph of every checked region's retained edges, from the
-distinct first nodes of all sampled pairs, and one portal-graph search per
-region, axis and distinct source portal.
+The half-sum distance identity takes four searches per decomposition, each
+from the distinct first nodes of all sampled pairs: one over the
+block-diagonal graph of every checked region's retained edges, and one per
+axis over its quotient by the portals, the components of that axis's
+retained edges.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import DomainError
 from .grid import AmoebotStructure, GridPoint
@@ -355,9 +356,19 @@ def verify_decomposition(
     del dist
 
     # Half-sum distance identity on a sample of pairs of each simple region.
+    two_d, portal_sums = _half_sum_sides(_identity_samples(regions, report.regions))
+    report.distance_identity_ok = np.array_equal(two_d, portal_sums)
+    return report
+
+
+def _identity_samples(
+    regions: Sequence["Region"], checks: Sequence[RegionCheck]
+) -> list[tuple["Region", list[GridPoint], np.ndarray, np.ndarray]]:
+    """(region, sorted nodes, iu, iv) of each simple, connected region of two or
+    more nodes: all pairs up to IDENTITY_PAIR_LIMIT, seeded sample pairs above."""
     rng = np.random.default_rng(0)
     samples = []
-    for r, check in zip(regions, report.regions):
+    for r, check in zip(regions, checks):
         if not (check.simple_ok and check.connected_ok):
             continue
         nodes = sorted(r.nodes)
@@ -370,54 +381,50 @@ def verify_decomposition(
             idx = idx[idx[:, 0] != idx[:, 1]]
             iu, iv = idx[:, 0], idx[:, 1]
         samples.append((r, nodes, iu, iv))
-    report.distance_identity_ok = all(
-        np.array_equal(2 * d, _portal_distance_sums(r, nodes, iu, iv))
-        for (r, nodes, iu, iv), d in zip(samples, _region_pair_distances(samples))
-    )
-    return report
+    return samples
 
 
-def _region_pair_distances(
-    samples: list[tuple["Region", list[GridPoint], np.ndarray, np.ndarray]],
-) -> list[np.ndarray]:
-    """d(nodes[iu[k]], nodes[iv[k]]) over each region's retained edges, per sample.
+def _adjacency(u: np.ndarray, v: np.ndarray, n: int) -> csr_matrix:
+    """The n-node graph with the edges (u[k], v[k]), for undirected searches."""
+    return csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
 
-    The retained edges of all regions form one block-diagonal graph, each
-    region's sorted nodes numbered from its own offset; one search runs from
-    the distinct sources of all regions.  Every region must be connected.
-    """
-    if not samples:
-        return []
-    rows, cols, src, dst = [], [], [], []
-    offset = 0
-    for region, nodes, iu, iv in samples:
-        index = {p: offset + i for i, p in enumerate(nodes)}
-        rows += [index[u] for u, _ in region.edges]
-        cols += [index[v] for _, v in region.edges]
-        src.append(iu + offset)
-        dst.append(iv + offset)
-        offset += len(nodes)
-    matrix = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(offset, offset))
-    src, dst = np.concatenate(src), np.concatenate(dst)
+
+def _pair_distances(matrix: csr_matrix, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Undirected hop distances d(src[k], dst[k]), one search from the distinct sources."""
     sources, row_of = np.unique(src, return_inverse=True)
-    out = np.empty(len(src), dtype=_distance_dtype(max(len(nodes) for _, nodes, _, _ in samples)))
+    out = np.empty(len(src), dtype=np.int64)
     for start, block in _search_blocks(matrix, sources, directed=False):
         at = (row_of >= start) & (row_of < start + len(block))
         out[at] = block[row_of[at] - start, dst[at]]
-    return np.split(out, np.cumsum([len(iu) for _, _, iu, _ in samples])[:-1])
+    return out
 
 
-def _portal_distance_sums(
-    region: "Region", nodes: list[GridPoint], iu: np.ndarray, iv: np.ndarray
-) -> np.ndarray:
-    """d_x + d_y + d_z between the portals of each pair, one BFS per axis and source portal."""
-    from .portals import AXES, portal_graph  # local import to avoid a cycle
+def _half_sum_sides(
+    samples: list[tuple["Region", list[GridPoint], np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(2 d, d_x + d_y + d_z) of every sampled pair over the regions' retained edges.
 
-    total = np.zeros(len(iu), dtype=np.int64)
-    for axis in AXES:
-        pg = portal_graph(region, axis)
-        src = [pg.portal_of(nodes[i]).id for i in iu]
-        dst = [pg.portal_of(nodes[j]).id for j in iv]
-        rows = {s: pg.distances_from([s]) for s in set(src)}
-        total += [rows[s][t] for s, t in zip(src, dst)]
-    return total
+    Each region's sorted nodes are numbered from its own offset, so the
+    retained edges form one block-diagonal graph, searched once for d.  An
+    axis's portals are the components of its retained edges; one search over
+    their quotient by the other retained edges gives d_axis.  Every region
+    must be connected.
+    """
+    if not samples:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    edges, src, dst, n = [], [], [], 0
+    for region, nodes, iu, iv in samples:
+        index = {p: n + i for i, p in enumerate(nodes)}
+        edges += [(index[p], index[q], p.a - q.a, p.b - q.b) for p, q in region.edges]
+        src.append(iu + n)
+        dst.append(iv + n)
+        n += len(nodes)
+    u, v, da, db = np.array(edges, dtype=np.int64).reshape(-1, 4).T
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    d = _pair_distances(_adjacency(u, v, n), src, dst)
+    portal_sums = np.zeros(len(src), dtype=np.int64)
+    for along in (db == 0, da == 0, da + db == 0):  # x, y and z edges
+        k, portal = connected_components(_adjacency(u[along], v[along], n), directed=False)
+        quotient = _adjacency(portal[u[~along]], portal[v[~along]], k)
+        portal_sums += _pair_distances(quotient, portal[src], portal[dst])
+    return 2 * d, portal_sums

@@ -214,33 +214,25 @@ def chain_maxima(
         echo=echo,
     )
 
-    # 6. cross-block consensus on the stored bits, blocks speak by rank
+    # 6. cross-block consensus on the stored bits, blocks speak by rank;
+    # pin 0 carries the block circuit and pin 1 the cycle circuit, both
+    # wired once since no round rewires them
+    wire_circuits(cut_block, 0, 0)
+    node, block_label, cycle_label = cyc.node[vids], space._win, space._win + 1
+    np.put(world.pset, space._prev0 + 1, cycle_label)
+    np.put(world.pset, space._next0 + 1, cycle_label)
+    world.mark_dirty()
     blk_alive = part.copy()
+    in_multi = multi_block[cyc.cycle_id[vids]]
     for t in range(b_global - 1, -1, -1):
-        labels_block = wire_circuits(cut_block, 0, 0)
-        labels_cycle = {}
-        for v in vids:
-            v = int(v)
-            label = space.window[v] + 1
-            for end in ("prev", "next"):
-                i, d, kk = space.link_pin(v, end, 1)
-                world.pset[i, d * world.c + kk] = label
-            labels_cycle[v] = label
-        world.mark_dirty()
+        speak = (rank[vids] == t) & stored[vids, t] & blk_alive[vids] & in_multi
         send = np.zeros((world.n, world.S), dtype=bool)
-        for v in vids:
-            v = int(v)
-            if rank[v] == t and stored[v, t] and blk_alive[v] and multi_block[cyc.cycle_id[v]]:
-                send[cyc.node[v], labels_cycle[v]] = True
-                send[cyc.node[v], labels_block[(v, 0)]] = True
+        send[node[speak], cycle_label[speak]] = True
+        send[node[speak], block_label[speak]] = True
         recv = world.deliver(send)
         meter.rounds += 1
-        for v in vids:
-            v = int(v)
-            if not multi_block[cyc.cycle_id[v]] or not blk_alive[v]:
-                continue
-            if recv[cyc.node[v], labels_cycle[v]] and not recv[cyc.node[v], labels_block[(v, 0)]]:
-                blk_alive[v] = False
+        lose = in_multi & blk_alive[vids] & recv[node, cycle_label] & ~recv[node, block_label]
+        blk_alive[vids[lose]] = False
 
     return winners & blk_alive
 

@@ -166,6 +166,21 @@ def point_gate_split(m_region: Region, g: GridPoint, g2: GridPoint) -> list[Regi
     return split_many(m_region, splits)
 
 
+def portal_distance_sums_reference(
+    region: Region, nodes: list[GridPoint], iu: np.ndarray, iv: np.ndarray
+) -> np.ndarray:
+    """d_x + d_y + d_z between the portals of each pair ``nodes[iu[k]], nodes[iv[k]]``,
+    from the region's own portal graphs, one BFS per axis and source portal."""
+    total = np.zeros(len(iu), dtype=np.int64)
+    for axis in Axis:
+        pg = portal_graph(region, axis)
+        src = [pg.portal_of(nodes[i]).id for i in iu]
+        dst = [pg.portal_of(nodes[j]).id for j in iv]
+        rows = {s: pg.distances_from([s]) for s in set(src)}
+        total += [rows[s][t] for s, t in zip(src, dst)]
+    return total
+
+
 def portal_distance(region: Region, u: GridPoint, v: GridPoint, axis: Axis) -> int:
     """Distance between the portals of u and v in the axis portal graph."""
     if u not in region.nodes or v not in region.nodes:

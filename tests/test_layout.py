@@ -48,3 +48,21 @@ def test_every_src_name_is_used_in_src_or_perfbench():
                 candidates += [(f"{rel}:{label}", name) for label, name in _defined_names(tree)]
     dead = [label for label, name in candidates if words[name] <= definitions[name]]
     assert dead == []
+
+
+def test_oracle_imports_no_engine_module_at_run_time():
+    """The oracle's answers are the references the engines are tested
+    against, so outside ``TYPE_CHECKING`` it imports none of their modules."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    type_only = {
+        id(inner)
+        for node in tree.body
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+        for inner in ast.walk(node)
+    }
+    modules = {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and id(node) not in type_only
+    }
+    assert "grid" in modules and not modules & {"portals", "split", "decompose"}

@@ -17,6 +17,8 @@ from amoegrid.oracle import (
     EXHAUSTIVE_CONVEXITY_LIMIT,
     RegionCheck,
     _block_rows,
+    _half_sum_sides,
+    _identity_samples,
     _IndexedGraph,
     _plan_convexity,
     euler_characteristic,
@@ -30,6 +32,7 @@ from harnesses import (
     bfs_distances,
     global_maxima_oracle,
     is_simple_reference,
+    portal_distance_sums_reference,
     shortest_path_nodes,
 )
 from test_grid import hexagon, parallelogram, random_structure
@@ -462,29 +465,58 @@ def test_batched_convexity_matches_single_region_calls_across_search_blocks():
     assert [c.convex_ok for c in report.regions] == [True] * 24 + [False] * 2
 
 
-def test_verify_runs_one_search_per_structure_and_one_per_decomposition(monkeypatch):
+def test_verify_runs_one_search_per_structure_and_four_per_decomposition(monkeypatch):
     import amoegrid.oracle as oracle
 
     s = generate_random(512, 4, 1)
     deco = decompose(s)
-    calls = []  # (graph size, sources) per csgraph call
-    search = oracle.dijkstra
+    searches = []  # (graph size, sources, source rows per csgraph call) per search
+    blocks, search = oracle._search_blocks, oracle.dijkstra
+
+    def recording_blocks(matrix, sources, **kwargs):
+        searches.append((matrix.shape[0], len(sources), []))
+        return blocks(matrix, sources, **kwargs)
 
     def counting_dijkstra(matrix, **kwargs):
-        calls.append((matrix.shape[0], len(kwargs["indices"])))
+        size, _, rows = searches[-1]
+        assert matrix.shape[0] == size
+        rows.append(len(kwargs["indices"]))
         return search(matrix, **kwargs)
 
+    monkeypatch.setattr(oracle, "_search_blocks", recording_blocks)
     monkeypatch.setattr(oracle, "dijkstra", counting_dijkstra)
     assert verify_decomposition(s, deco).all_ok
     # the convexity search over the structure, then the identity search over
     # the regions' block-diagonal graph (overlapping regions make it larger),
-    # each in full blocks of source rows but the last
-    sizes = [size for size, _ in calls]
-    assert sizes[0] == s.n and sizes[-1] > s.n
-    for size in (s.n, sizes[-1]):
-        rows = [k for n, k in calls if n == size]
-        assert all(k == _block_rows(size) for k in rows[:-1]) and rows[-1] <= _block_rows(size)
-    assert sizes == sorted(sizes)
+    # then one search per axis over its portal quotient of that graph
+    assert len(searches) == 5
+    sizes = [size for size, _, _ in searches]
+    assert sizes[0] == s.n and sizes[1] > s.n
+    assert all(size < sizes[1] for size in sizes[2:])
+    # the quotient searches start from the portals of the identity sources
+    assert all(0 < k <= searches[1][1] for _, k, _ in searches[2:])
+    # each in full blocks of source rows but the last, covering every source
+    for size, k, rows in searches:
+        assert sum(rows) == k
+        assert all(r == _block_rows(size) for r in rows[:-1]) and 0 < rows[-1] <= _block_rows(size)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(
+    n=st.integers(64, 512),
+    holes=st.integers(1, 4),
+    seed=st.integers(0, 2**30),
+)
+def test_batched_portal_sums_match_per_region_portal_graphs(n, holes, seed):
+    s = generate_random(n, holes, seed)
+    regions = list(decompose(s).regions)
+    deco = _fabricated(regions + _adjacent_unions(s, regions))
+    report = verify_decomposition(s, deco)
+    samples = _identity_samples(deco.regions, report.regions)
+    two_d, portal_sums = _half_sum_sides(samples)
+    want = np.concatenate([portal_distance_sums_reference(*sample) for sample in samples])
+    assert portal_sums.tolist() == want.tolist()
+    assert report.distance_identity_ok == np.array_equal(two_d, want)
 
 
 def test_batched_identity_fails_on_slit_region_after_a_passing_one():
