@@ -90,3 +90,34 @@ def test_rounds_scale_logarithmically_small_sweep():
         out = run_distributed(s, seed=0)
         ratios.append(out.trace.rounds / math.log2(n))
     assert ratios[-1] <= ratios[0] * 1.25
+
+
+# SHA-256 prefix of the delivery sequence of run_distributed(gen_512_4_1,
+# seed=1): per delivery, the flat (amoebot, label) cells that beeped and the
+# cells that heard.  A change to how the primitives wire their pins must
+# leave every beep and every hearer as they are.
+DELIVERY_DIGEST = (744, 469, "c5d1173f24019a68")
+
+
+def test_delivery_sequence_is_byte_identical_to_golden(monkeypatch):
+    import hashlib
+    from pathlib import Path
+
+    from amoegrid.circuits import World
+
+    digest = hashlib.sha256()
+    deliveries = 0
+    deliver = World.deliver
+
+    def recorded(self, send):
+        nonlocal deliveries
+        recv = deliver(self, send)
+        digest.update(np.flatnonzero(send).astype(np.int64).tobytes() + b"|")
+        digest.update(np.flatnonzero(recv).astype(np.int64).tobytes() + b";")
+        deliveries += 1
+        return recv
+
+    monkeypatch.setattr(World, "deliver", recorded)
+    path = Path(__file__).parent / "fixtures" / "gen_512_4_1.txt"
+    out = run_distributed(AmoebotStructure.from_text(path.read_text()), seed=1)
+    assert (deliveries, out.trace.rounds, digest.hexdigest()[:16]) == DELIVERY_DIGEST
