@@ -23,12 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SimulationFault
-from .grid import AmoebotStructure, GridPoint, slot_between
+from .grid import AmoebotStructure, GridPoint
 
 #: labels below this bound are free for protocol circuits; idle pins park
 #: above it, so every parked pin pair forms a private two-pin channel.
 #: Sixteen labels per directed-edge visit times up to six visits per node.
 STAGE_LABELS = 96
+
+#: pins per half of an edge's pin block; a pin offset of 0 or HALF_PINS
+#: picks a half, so pin roles run 0..HALF_PINS-1
+HALF_PINS = 5
 
 
 def mix64(*columns) -> np.ndarray:
@@ -110,7 +114,7 @@ class World:
         self.S = STAGE_LABELS + 6 * c  # stage labels plus one parking label per pin
         self.a, self.b, self.nbr = ix.a, ix.b, ix.nbr
 
-        # Flattened pin table: pin (i, d, k) at row i*6c + d*c + k.
+        # Flattened pin table: pin (i, d, k) at row i*6c + d*c + k (pin_index).
         self.pin_owner = np.repeat(np.arange(self.n), 6 * c)
         dd = np.tile(np.repeat(np.arange(6), c), self.n)
         kk = np.tile(np.arange(c), 6 * self.n)
@@ -141,17 +145,50 @@ class World:
         self.pset = self._isolated.copy()
         self.mark_dirty()
 
-    def park_label(self, d_idx: int, k: int) -> int:
-        """Label a parked pin sits on: its edge is a private 2-pin channel."""
-        return STAGE_LABELS + d_idx * self.c + k
+    def wire(self, pins: np.ndarray, labels) -> None:
+        """Isolate every pin, then put ``labels`` on the flat pins ``pins``:
+        a primitive's whole pin plan, written at once."""
+        self.reset_pins_isolated()
+        np.put(self.pset, pins, labels)
+        self.mark_dirty()
 
-    def chain_slots(self, chain) -> list[tuple[int, int, int]]:
-        """(node index, slot toward the next member, slot toward the previous
-        member) along a chain of grid neighbours; -1 past either end."""
-        steps = [slot_between(u, v) for u, v in zip(chain, chain[1:])]
-        ups = steps + [-1]
-        downs = [-1] + [(d + 3) % 6 for d in steps]
-        return [(self.index[p], up, dn) for p, up, dn in zip(chain, ups, downs)]
+    def pin_index(self, rows, slots, k, koff: np.ndarray) -> np.ndarray:
+        """Flat ``pset`` index of pin role ``k`` on edge slot ``slots`` of
+        amoebots ``rows``, in the pin half ``koff[rows, slots]`` (0 or
+        ``HALF_PINS``) of that edge."""
+        rows, slots = np.asarray(rows, dtype=np.int64), np.asarray(slots, dtype=np.int64)
+        return rows * (6 * self.c) + slots * self.c + k + koff[rows, slots]
+
+    def park_cell(self, pins: np.ndarray) -> np.ndarray:
+        """Flat send/recv cell of the parked set of each flat pin index: a
+        parked pin sits on its own label, so its edge is a private 2-pin
+        channel."""
+        rows, pin = np.divmod(pins, 6 * self.c)
+        return rows * self.S + STAGE_LABELS + pin
+
+    def chain_slots(self, chains) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, up, dn, start) of a batch of chains of grid neighbours.
+
+        ``rows`` lists every chain's members in order, chain j at
+        ``rows[start[j]:start[j + 1]]``; ``up`` is each member's slot toward
+        the next member and ``dn`` toward the previous one, -1 past either end.
+        """
+        start = np.zeros(len(chains) + 1, dtype=np.int64)
+        np.cumsum([len(chain) for chain in chains], out=start[1:])
+        rows = np.fromiter(
+            (self.index[p] for chain in chains for p in chain), dtype=np.int64, count=int(start[-1])
+        )
+        up = np.full(len(rows), -1, dtype=np.int64)
+        dn = np.full(len(rows), -1, dtype=np.int64)
+        step = np.ones(len(rows), dtype=bool)
+        step[start[1:][start[1:] > start[:-1]] - 1] = False  # last members
+        j = np.flatnonzero(step)
+        hit = self.nbr[rows[j]] == rows[j + 1][:, None]
+        if not hit.any(axis=1).all():
+            raise DomainError("consecutive chain members are not grid neighbors")
+        up[j] = hit.argmax(axis=1)
+        dn[j + 1] = (up[j] + 3) % 6
+        return rows, up, dn, start
 
     def mark_dirty(self) -> None:
         self._dirty = True

@@ -14,7 +14,8 @@ outputs are compared with the centralized engine.
 
 Regions run their stages in parallel on disjoint circuits; where a portal
 chain is shared by the two regions of a gate, the WNW-side region uses the
-low pin half and the ESE side the high half.
+low pin half and the ESE side the high half.  README.md, "The pin plan",
+lists the pin roles, halves and label bands of every primitive.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .circuits import SimulationTrace, World
+from .circuits import HALF_PINS, SimulationTrace, World
 from .decompose import (
     ChainQuery,
     Decomposition,
@@ -60,10 +61,10 @@ class DistributedOutcome:
 
 
 def _region_koff(region: Region) -> dict[tuple[GridPoint, GridPoint], int]:
-    """Pin offset of this region on gate-chain edges it shares with a sibling."""
+    """Pin half of this region on gate-chain edges it shares with a sibling."""
     off: dict[tuple[GridPoint, GridPoint], int] = {}
     for g in region.gates:
-        shift = 0 if g.side == SIDE_FIRST[g.axis] else 5
+        shift = 0 if g.side == SIDE_FIRST[g.axis] else HALF_PINS
         for u, v in zip(g.nodes, g.nodes[1:]):
             e = (u, v) if u <= v else (v, u)
             off[e] = shift
@@ -94,7 +95,7 @@ class _RegionSpace:
     def portal_forest(self, pg: PortalGraph) -> PortalForest:
         chains = [list(p.nodes) for p in pg.portals]
         return forest_from_chains(
-            self.world, chains, sorted(pg.adjacency), self.region.has_edge, koff=self.koff
+            self.world, chains, sorted(pg.adjacency), self.region.has_edge, self.koff
         )
 
 
@@ -106,33 +107,26 @@ def _merge_forests(forests: list[PortalForest]) -> PortalForest:
     base = 0
     for f in forests:
         members.extend(f.members)
-        internal.extend(f.internal)
+        internal.append(f.internal + (base, 0, 0))
         for e1, e2, n1, d1, n2, d2 in f.links:
             links.append((e1 + base, e2 + base, n1, d1, n2, d2))
         sel = f.koff != 0
         koff[sel] = f.koff[sel]
         base += f.ne
-    return PortalForest(world, members, internal, links, koff)
+    return PortalForest(world, members, np.concatenate(internal), links, koff)
 
 
 def _wire_region_circuits(world: World, spaces: list[_RegionSpace]) -> None:
     """Join each region's retained edges into one circuit on label 0, pin k = 0."""
-    world.reset_pins_isolated()
-    for space in spaces:
-        rows, slots = space.rows, space.slots
-        world.pset[rows, slots * world.c + space.koff[rows, slots]] = 0
-    world.mark_dirty()
+    world.wire(np.concatenate([world.pin_index(s.rows, s.slots, 0, s.koff) for s in spaces]), 0)
 
 
-def _wire_chains(world: World, chains, koff=None) -> None:
+def _wire_chains(world: World, chains, koff: np.ndarray) -> None:
     """Join each chain's consecutive members on pin k = 1 (plus the offset)."""
-    world.reset_pins_isolated()
-    for chain in chains:
-        for i, up, dn in world.chain_slots(chain):
-            for d in (up, dn):
-                if d >= 0:
-                    world.pset[i, d * world.c + 1 + (koff[i, d] if koff is not None else 0)] = 1
-    world.mark_dirty()
+    rows, up, dn, _ = world.chain_slots(chains)
+    rows, slots = np.concatenate((rows, rows)), np.concatenate((up, dn))
+    live = slots >= 0
+    world.wire(world.pin_index(rows[live], slots[live], 1, koff), 1)
 
 
 def _beep_from(world: World, nodes, meter: Meter) -> None:
@@ -189,7 +183,7 @@ class CircuitDecisions:
                     raise ContractViolation("extreme-node selection did not single out one amoebot")
                 split_nodes |= nodes
 
-        _wire_chains(world, [p.nodes for p in y_portals])
+        _wire_chains(world, [p.nodes for p in y_portals], np.zeros((world.n, 6), dtype=np.int8))
         _beep_from(world, split_nodes, meter)
         return split_nodes
 

@@ -34,7 +34,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import DomainError
-from .grid import AmoebotStructure, GridPoint
+from .grid import AmoebotStructure, GridPoint, StructureIndex
 
 if TYPE_CHECKING:  # pragma: no cover
     from .decompose import Decomposition
@@ -317,7 +317,6 @@ def verify_decomposition(
 
     n_holes = 1 - euler_characteristic(structure.nodes)
     graph = _IndexedGraph(structure)
-    induced = structure.edges()
 
     report = VerificationReport(coverage_ok=coverage_ok)
     report.counts = {
@@ -340,7 +339,7 @@ def verify_decomposition(
     union = np.unique(np.concatenate(searched)) if searched else np.empty(0, dtype=np.int64)
     dist = graph.distances_from(union)
     for r, ok, plan in zip(regions, inside, plans):
-        edges_ok = r.edges <= induced and all(u in r.nodes and v in r.nodes for u, v in r.edges)
+        edges_ok = _edges_inside(structure.index, r)
         conn_ok = edges_ok and connected(r.nodes, r.edges)
         simple_ok = bool(r.nodes) and is_simple(r.nodes)
         if not ok:  # nodes outside the structure
@@ -361,6 +360,23 @@ def verify_decomposition(
     return report
 
 
+def _edges_inside(index: StructureIndex, region: "Region") -> bool:
+    """Whether every retained edge is a sorted pair of grid neighbours that
+    are both region members and structure nodes."""
+    nodes, row = region.nodes, index.row
+    ends = [
+        (row.get(u, -1), row.get(v, -1))
+        for u, v in region.edges
+        if u < v and u in nodes and v in nodes
+    ]
+    if len(ends) != len(region.edges):
+        return False
+    i, j = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    if (i < 0).any() or (j < 0).any():
+        return False
+    return bool((index.nbr[i] == j[:, None]).any(axis=1).all())
+
+
 def _identity_samples(
     regions: Sequence["Region"], checks: Sequence[RegionCheck]
 ) -> list[tuple["Region", list[GridPoint], np.ndarray, np.ndarray]]:
@@ -368,6 +384,7 @@ def _identity_samples(
     more nodes: all pairs up to IDENTITY_PAIR_LIMIT, seeded sample pairs above."""
     rng = np.random.default_rng(0)
     samples = []
+    pair_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for r, check in zip(regions, checks):
         if not (check.simple_ok and check.connected_ok):
             continue
@@ -375,7 +392,9 @@ def _identity_samples(
         if len(nodes) < 2:
             continue
         if len(nodes) * (len(nodes) - 1) // 2 <= IDENTITY_PAIR_LIMIT:
-            iu, iv = np.triu_indices(len(nodes), 1)
+            if len(nodes) not in pair_tables:
+                pair_tables[len(nodes)] = np.triu_indices(len(nodes), 1)
+            iu, iv = pair_tables[len(nodes)]
         else:
             idx = rng.integers(0, len(nodes), size=(IDENTITY_PAIR_LIMIT, 2))
             idx = idx[idx[:, 0] != idx[:, 1]]

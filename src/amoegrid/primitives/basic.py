@@ -10,20 +10,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..circuits import World
+from ..circuits import HALF_PINS, World
 from ..errors import ContractViolation
-from .pasc import Meter
+from .pasc import NO_PINS, Meter
 
 K_CHAIN = 1
-
-
-def _koff(koff, i, d) -> int:
-    return int(koff[i, d]) if koff is not None else 0
+#: closest-mark labels: a chain's through set, and a mark's down and up sets
+THROUGH, MARK_DOWN, MARK_UP = 4, 5, 6
+#: degree track t rides label TRACK0 + t
+TRACK0 = 20
 
 
 def closest_on_portal_batch(
     world: World,
-    instances: list[tuple[list, np.ndarray, int, np.ndarray | None]],
+    instances: list[tuple[list, np.ndarray, int, np.ndarray]],
     meter: Meter,
 ) -> list:
     """One round answering (chain, marked, from_end, koff) queries in parallel.
@@ -31,55 +31,38 @@ def closest_on_portal_batch(
     Chains must be pin-disjoint (distinct chains, or the two sides of a
     shared gate chain with different pin offsets).
     """
-    world.reset_pins_isolated()
-    c = world.c
-    prepared = []
+    chains = [list(reversed(chain)) if end == 1 else list(chain) for chain, _, end, _ in instances]
+    rows, up, dn, start = world.chain_slots(chains)
+    pins, labels, marks = [NO_PINS], [NO_PINS], []
     send = np.zeros((world.n, world.S), dtype=bool)
-    for chain, marked, from_end, koff in instances:
-        chain = list(reversed(chain)) if from_end == 1 else list(chain)
-        slots = world.chain_slots(chain)
-        marks = [bool(marked[world.index[p]]) for p in chain]
-        if not any(marks):
+    for (_, marked, _, koff), a, b in zip(instances, start, start[1:]):
+        r, m = rows[a:b], marked[rows[a:b]]
+        if not m.any():
             raise ContractViolation("closest_on_portal needs a nonempty marked set")
-        for (i, up, dn), m in zip(slots, marks):
-            if m:
-                if dn >= 0:
-                    world.pset[i, dn * c + K_CHAIN + _koff(koff, i, dn)] = 5
-                if up >= 0:
-                    world.pset[i, up * c + K_CHAIN + _koff(koff, i, up)] = 6
-            else:
-                if dn >= 0:
-                    world.pset[i, dn * c + K_CHAIN + _koff(koff, i, dn)] = 4
-                if up >= 0:
-                    world.pset[i, up * c + K_CHAIN + _koff(koff, i, up)] = 4
-        head_i, head_up, _ = slots[0]
-        if head_up >= 0 and not marks[0]:
-            send[head_i, 4] = True
-        elif head_up >= 0 and marks[0]:
-            send[head_i, 6] = True
-        prepared.append((chain, slots, marks))
-    world.mark_dirty()
+        # each member's down pin, then its up pin; a mark splits them
+        slots = np.stack((dn[a:b], up[a:b]), axis=1)
+        live = slots >= 0
+        pins.append(world.pin_index(r[:, None], slots, K_CHAIN, koff)[live])
+        labels.append(np.where(m[:, None], (MARK_DOWN, MARK_UP), THROUGH)[live])
+        if up[a] >= 0:
+            send[r[0], MARK_UP if m[0] else THROUGH] = True
+        marks.append(m)
+    world.wire(np.concatenate(pins), np.concatenate(labels))
     recv = world.deliver(send)
     meter.rounds += 1
     out = []
-    for chain, slots, marks in prepared:
-        if marks[0]:
-            out.append(chain[0])
-            continue
-        hit = None
-        for j, ((i, up, dn), m) in enumerate(zip(slots, marks)):
-            if m and recv[i, 5]:
-                hit = chain[j]
-                break
-        if hit is None:
+    for chain, m, a, b in zip(chains, marks, start, start[1:]):
+        hit = m & recv[rows[a:b], MARK_DOWN]
+        hit[0] |= m[0]
+        if not hit.any():
             raise ContractViolation("beep did not reach any marked member")
-        out.append(hit)
+        out.append(chain[int(hit.argmax())])
     return out
 
 
 def degree_check_batch(
     world: World,
-    instances: list[tuple[list, np.ndarray, int, np.ndarray | None]],
+    instances: list[tuple[list, np.ndarray, int, np.ndarray]],
     meter: Meter,
 ) -> list[bool]:
     """One round answering (chain, shifts, threshold, koff) queries in parallel.
@@ -88,41 +71,38 @@ def degree_check_batch(
     routes incoming track t to min(t + shift, threshold).  Used for portal
     degree tests where a shift marks the start of a new neighbor run.
     """
-    world.reset_pins_isolated()
-    c = world.c
+    rows, up, dn, start = world.chain_slots([chain for chain, *_ in instances])
+    pins, labels, shifts = [NO_PINS], [NO_PINS], []
     send = np.zeros((world.n, world.S), dtype=bool)
-    prepared = []
-    for chain, shifts, threshold, koff in instances:
-        if threshold > 4:
+    for (_, shift, threshold, koff), a, b in zip(instances, start, start[1:]):
+        if threshold >= HALF_PINS:
             raise ContractViolation("degree tracks exceed the pin budget")
-        slots = world.chain_slots(chain)
-        sh = [int(shifts[world.index[p]]) for p in chain]
-        prepared.append((slots, sh, threshold))
-        if len(chain) == 1:
+        sh = shift[rows[a:b]]
+        shifts.append(sh)
+        if b - a == 1:
             continue
-        n_tracks = threshold + 1
-        for j, (i, up, dn) in enumerate(slots):
-            if j == 0:
-                for t in range(n_tracks):
-                    world.pset[i, up * c + t + _koff(koff, i, up)] = 20 + t
-            else:
-                for t in range(n_tracks):
-                    out = min(t + sh[j], threshold)
-                    world.pset[i, dn * c + t + _koff(koff, i, dn)] = 20 + out
-                    if up >= 0:
-                        world.pset[i, up * c + out + _koff(koff, i, up)] = 20 + out
-        send[slots[0][0], 20 + min(sh[0], threshold)] = True
-    world.mark_dirty()
+        t = np.arange(threshold + 1)
+        pins.append(world.pin_index(rows[a], up[a], t, koff))
+        labels.append(TRACK0 + t)
+        # every later member routes track t in on its down pin to track
+        # out on its up pin
+        r, u, out = rows[a + 1 : b, None], up[a + 1 : b, None], np.minimum(t + sh[1:, None], threshold)
+        pins.append(world.pin_index(r, dn[a + 1 : b, None], t, koff).ravel())
+        labels.append((TRACK0 + out).ravel())
+        live = np.broadcast_to(u >= 0, out.shape)
+        pins.append(world.pin_index(r, u, out, koff)[live])
+        labels.append(TRACK0 + out[live])
+        send[rows[a], TRACK0 + min(sh[0], threshold)] = True
+    world.wire(np.concatenate(pins), np.concatenate(labels))
     recv = world.deliver(send)
     meter.rounds += 1
     out = []
-    for slots, sh, threshold in prepared:
-        if len(slots) == 1:
-            out.append(sh[0] >= threshold)
+    for (_, _, threshold, _), sh, b in zip(instances, shifts, start[1:]):
+        if len(sh) == 1:
+            out.append(bool(sh[0] >= threshold))
             continue
-        last_i = slots[-1][0]
-        arrived = [t for t in range(threshold + 1) if recv[last_i, 20 + t]]
+        arrived = np.flatnonzero(recv[rows[b - 1], TRACK0 : TRACK0 + threshold + 1])
         if len(arrived) != 1:
-            raise ContractViolation(f"degree tracks arrived on {arrived}")
-        out.append(arrived[0] >= threshold)
+            raise ContractViolation(f"degree tracks arrived on {arrived.tolist()}")
+        out.append(bool(arrived[0] >= threshold))
     return out

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..circuits import World, mix64
 from ..errors import ContractViolation
-from .chains import ChainSpace, CycleStructure, build_boundary_cycles
+from .chains import TURN_TRACKS, ChainSpace, CycleStructure, build_boundary_cycles
 from .election import election_iters, run_election
 from .pasc import Meter
 
@@ -56,10 +56,9 @@ class BoundaryTest:
 
         every = np.ones(cyc.n_visits, dtype=bool)
         space = ChainSpace(world, cyc, every)
-        label_of = space.wire({OFF_CYCLE: [("prev", 0), ("next", 0)]})
+        space.wire(space.cycle_plan(0, OFF_CYCLE))
         # flat (amoebot, label) cell of every visit's cycle circuit
-        labels = np.array([label_of[(vid, OFF_CYCLE)] for vid in range(cyc.n_visits)])
-        cell = cyc.node * world.S + labels
+        cell = cyc.node * world.S + space.win + OFF_CYCLE
 
         # one round: visits that swept empty cells beep; hearers are on a
         # real boundary cycle rather than a filled-triangle face orbit
@@ -86,66 +85,51 @@ class BoundaryTest:
             c = cyc.cycle_id[vid]
             if leader_of_cycle[c] < 0:
                 leader_of_cycle[c] = vid
+        leaders = leader_of_cycle[leader_of_cycle >= 0]
 
-        # turning round: five shifted tracks, leader listens on its prev side
-        plans = {}
-        for vid in np.flatnonzero(real_visit):
-            t = int(cyc.turn[vid]) % 5
-            plan = {}
-            for tau in range(5):
-                plan.setdefault(OFF_TRACK + (tau + t) % 5, []).append(("next", (tau + t) % 5))
-                plan.setdefault(OFF_TRACK + (tau + t) % 5, []).append(("prev", tau))
-            plans[int(vid)] = plan
-        for c in range(cyc.n_cycles):
-            vid = leader_of_cycle[c]
-            if vid < 0:
-                continue
-            plan = {OFF_TRACK + tau: [("next", tau)] for tau in range(5)}
-            for tau in range(5):
-                plan[OFF_LEADER + tau] = [("prev", tau)]
-            plans[int(vid)] = plan
-
-        space_real = ChainSpace(world, cyc, real_visit)
-        label_of = space_real.wire({}, special=plans)
-
+        # turning round: five tracks, track tau arriving on prev pin tau
+        # leaves on next pin (tau + turn) mod 5; a leader passes its tracks
+        # straight out and listens on its prev side
+        real = ChainSpace(world, cyc, real_visit)
+        lead = np.zeros(cyc.n_visits, dtype=bool)
+        lead[leaders] = True
+        lead = lead[real.vids, None]
+        tau = np.arange(TURN_TRACKS)
+        out = np.where(lead, tau, (tau + cyc.turn[real.vids, None]) % TURN_TRACKS)
+        win = real.win[:, None]
+        real.wire(
+            ((real.next0[:, None] + out).ravel(), (win + OFF_TRACK + out).ravel()),
+            (
+                (real.prev0[:, None] + tau).ravel(),
+                (win + np.where(lead, OFF_LEADER + tau, OFF_TRACK + out)).ravel(),
+            ),
+        )
+        lead_node, lead_win = cyc.node[leaders], real.win[real.pos[leaders]]
         send = np.zeros((world.n, world.S), dtype=bool)
-        for c in range(cyc.n_cycles):
-            vid = leader_of_cycle[c]
-            if vid >= 0:
-                send[cyc.node[vid], label_of[(int(vid), OFF_TRACK + 0)]] = True
+        send[lead_node, lead_win + OFF_TRACK] = True
         recv = world.deliver(send)
         meter.rounds += 1
 
         inner_cycle = np.zeros(cyc.n_cycles, dtype=bool)
-        for c in range(cyc.n_cycles):
-            vid = int(leader_of_cycle[c])
-            if vid < 0:
-                continue
-            heard = [
-                tau
-                for tau in range(5)
-                if recv[cyc.node[vid], label_of[(vid, OFF_LEADER + tau)]]
-            ]
+        for vid, i, w in zip(leaders, lead_node, lead_win):
+            heard = np.flatnonzero(recv[i, w + OFF_LEADER : w + OFF_LEADER + TURN_TRACKS]).tolist()
             if len(heard) != 1:
                 raise ContractViolation(f"turning test heard tracks {heard}")
             total = (heard[0] + int(cyc.turn[vid])) % 5
             if total == 1:
-                inner_cycle[c] = True
+                inner_cycle[cyc.cycle_id[vid]] = True
             elif total != 4:
                 raise ContractViolation(f"turning total {total} mod 5 is not +-6")
 
         # classification broadcast: leaders of inner cycles beep once
-        label_of = space_real.wire({OFF_CYCLE: [("prev", 0), ("next", 0)]})
+        real.wire(real.cycle_plan(0, OFF_CYCLE))
         send = np.zeros((world.n, world.S), dtype=bool)
-        for c in np.flatnonzero(inner_cycle):
-            vid = leader_of_cycle[c]
-            send[cyc.node[vid], label_of[(int(vid), OFF_CYCLE)]] = True
+        inner_leaders = leader_of_cycle[inner_cycle]
+        send[cyc.node[inner_leaders], real.win[real.pos[inner_leaders]] + OFF_CYCLE] = True
         recv = world.deliver(send)
         meter.rounds += 1
         heard_inner = np.zeros(cyc.n_visits, dtype=bool)
-        for vid in np.flatnonzero(real_visit):
-            if recv[cyc.node[vid], label_of[(vid, OFF_CYCLE)]]:
-                heard_inner[vid] = True
+        heard_inner[real.vids] = recv[real.node, real.win + OFF_CYCLE]
         if not np.array_equal(heard_inner, inner_cycle[cyc.cycle_id] & real_visit):
             raise ContractViolation("classification broadcast mismatch")
 

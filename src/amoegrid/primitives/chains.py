@@ -11,7 +11,7 @@ an inner hole and -6 for the outer one; orbits that sweep no cell are the
 faces of filled triangles, not boundaries.
 
 Pin budget on an edge: the direction from the smaller-index endpoint uses
-pin block 0..4, the reverse direction 5..9, so the two directed traversals
+pin half 0..4, the reverse direction 5..9, so the two directed traversals
 of one edge never collide.
 """
 
@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..circuits import World
+from ..circuits import HALF_PINS, STAGE_LABELS, World
 
-#: per-direction pin roles within a visit's 5-pin block
+#: per-direction pin roles within a visit's 5-pin half
 K_CYCLE = 0  # election / cycle-wide circuits
 K_P1, K_S1 = 1, 2  # first counting-PASC track pair
 K_P2, K_S2 = 3, 4  # second pair (parallel count) and token lanes
@@ -116,96 +116,43 @@ class ChainSpace:
     """Pin bookkeeping for a set of visits treated as chains.
 
     Each visit owns a label window in its amoebot's label space and five pins
-    per link direction; the prev link is cut wherever ``cut_before`` is set,
-    which turns cycles into leader-rooted chains.
+    per link direction: the direction from the smaller-index endpoint uses
+    pin half 0..4, the reverse direction 5..9.  ``vids`` are the visits in
+    order; per visit, ``node`` is its amoebot, ``win`` its window, and
+    ``prev0``/``next0`` the flat pin of role 0 on its prev and next link
+    (role k is ``prev0 + k``).  ``pos`` maps a visit to its place in
+    ``vids``, -1 outside.
     """
 
     def __init__(self, world: World, cyc: CycleStructure, active: np.ndarray):
-        if world.c < 10:
+        if world.c < 2 * HALF_PINS:
             raise ValueError("chain wiring needs 10 pins per edge")
         self.world = world
         self.cyc = cyc
         self.vids = np.flatnonzero(active)
-        # label window per visit: slot-in-node * 16
-        win = {}
-        counts: dict[int, int] = {}
-        for vid in self.vids:
-            i = int(cyc.node[vid])
-            win[vid] = counts.get(i, 0) * 16
-            counts[i] = counts.get(i, 0) + 1
-        from ..circuits import STAGE_LABELS
-
-        if counts and max(counts.values()) * 16 > STAGE_LABELS:
+        self.pos = np.full(cyc.n_visits, -1, dtype=np.int64)
+        self.pos[self.vids] = np.arange(len(self.vids))
+        self.node = cyc.node[self.vids].astype(np.int64)
+        # label window per visit: its rank among its amoebot's visits * 16
+        order = np.argsort(self.node, kind="stable")
+        first = np.searchsorted(self.node[order], self.node[order], side="left")
+        rank = np.empty(len(self.vids), dtype=np.int64)
+        rank[order] = np.arange(len(self.vids)) - first
+        if len(rank) and (rank.max() + 1) * 16 > STAGE_LABELS:
             raise ValueError("too many visits per amoebot for the label space")
-        self.window = win
-        self._win = np.array([win[v] for v in self.vids], dtype=np.int64)
-        # flat pset index of pin 0 of each visit's prev and next link block,
-        # by the rule of link_pin
-        i = cyc.node[self.vids].astype(np.int64)
-        six_c = 6 * world.c
-        d = cyc.d_prev[self.vids].astype(np.int64)
-        j = world.nbr[i, d]
-        self._prev0 = i * six_c + d * world.c + np.where(j < i, 0, 5)
-        d = cyc.d_next[self.vids].astype(np.int64)
-        j = world.nbr[i, d]
-        self._next0 = i * six_c + d * world.c + np.where(i < j, 0, 5)
+        self.win = rank * 16
+        # half of each directed edge i -> nbr[i, d] at node i
+        ascending = np.where(np.arange(world.n)[:, None] < world.nbr, 0, HALF_PINS)
+        self.prev0 = world.pin_index(self.node, cyc.d_prev[self.vids], 0, HALF_PINS - ascending)
+        self.next0 = world.pin_index(self.node, cyc.d_next[self.vids], 0, ascending)
 
-    def _block(self, i: int, j: int) -> int:
-        """Pin block of the directed edge i -> j (0 if i is the smaller index)."""
-        return 0 if i < j else 5
+    def cycle_plan(self, k: int, offset: int, cut_before: np.ndarray | None = None):
+        """(pins, labels): pin k of every visit's prev and next link on label
+        window + offset; visits with ``cut_before`` leave their prev pin out."""
+        keep = slice(None) if cut_before is None else ~cut_before[self.vids]
+        pins = np.concatenate((self.prev0[keep], self.next0)) + k
+        return pins, np.concatenate((self.win[keep], self.win)) + offset
 
-    def link_pin(self, vid: int, end: str, k: int) -> tuple[int, int, int]:
-        """(node, dir_idx, pin) of a visit's prev- or next-link pin."""
-        cyc = self.cyc
-        i = int(cyc.node[vid])
-        if end == "prev":
-            d = int(cyc.d_prev[vid])
-            j = int(self.world.nbr[i, d])
-            block = self._block(j, i)  # prev link is the directed edge j -> i
-        else:
-            d = int(cyc.d_next[vid])
-            j = int(self.world.nbr[i, d])
-            block = self._block(i, j)
-        return i, d, block + k
-
-    def wire(
-        self,
-        groups: dict[int, list[tuple[str, int]]],
-        cut_before: np.ndarray | None = None,
-        special: dict[int, dict[int, list[tuple[str, int]]]] | None = None,
-    ) -> dict[tuple[int, int], int]:
-        """Assign pins: per visit, label-offset -> [(end, k), ...] pin groups.
-
-        Returns a map (visit, label_offset) -> global label for beeping.
-        Visits with ``cut_before`` leave their prev pins isolated.
-        ``special`` maps a visit to its own group map, used in place of ``groups``.
-        """
-        world = self.world
-        world.reset_pins_isolated()
-        special = special or {}
-        plain = ~np.isin(self.vids, np.fromiter(special, dtype=np.int64, count=len(special)))
-        # Distinct visits never share a pin, so the visits of one pin group
-        # are written at once; each visit still sees its groups in order.
-        for offset, pins in groups.items():
-            for end, k in pins:
-                keep = plain
-                if end == "prev" and cut_before is not None:
-                    keep = plain & ~cut_before[self.vids]
-                base = self._prev0 if end == "prev" else self._next0
-                np.put(world.pset, base[keep] + k, self._win[keep] + offset)
-        label_of = {
-            (int(v), offset): int(w) + offset
-            for v, w in zip(self.vids[plain], self._win[plain])
-            for offset in groups
-        }
-        for vid, plan in special.items():
-            if vid not in self.window:
-                continue
-            for offset, pins in plan.items():
-                label = self.window[vid] + offset
-                for end, k in pins:
-                    i, d, kk = self.link_pin(vid, end, k)
-                    world.pset[i, d * world.c + kk] = label
-                label_of[(vid, offset)] = label
-        world.mark_dirty()
-        return label_of
+    def wire(self, *plans: tuple[np.ndarray, np.ndarray]) -> None:
+        """Wire the (pins, labels) plans at once."""
+        self.world.wire(*(np.concatenate(part) for part in zip(*plans)))

@@ -13,106 +13,109 @@ which keeps every instance on the same round schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from ..circuits import World
 
-PinRef = tuple[int, int, int]  # (node index, direction index, pin k)
+NO_PINS = np.zeros(0, dtype=np.int64)
 
 
 @dataclass
 class ElementForest:
-    """Rooted forest of elements with wiring pins.
+    """Rooted forest of elements as one flat pin plan.
 
-    ``up_p``/``up_s`` point toward the parent; ``dn_p``/``dn_s`` collect the
-    matching pins toward all children; ``int_p``/``int_s`` are the two
-    internal tracks that carry the signal through multi-node elements.
+    Each element's set A takes its primary up and internal pins and, when
+    the element is active, the secondary pins toward its children (else the
+    primary ones); its set B takes the remaining tracks.  ``pin`` and
+    ``label`` list the writes, ``elem`` their element and ``when`` whether
+    they apply always (0), if the element is active (1) or if not (2).
+    ``b_elem``/``b_cell`` are the flat recv cells of every member's B set
+    and ``root_cell`` the send cell on which each root injects the stream.
     """
 
     world: World
     parent: np.ndarray  # (E,) element id or -1
-    members: list[np.ndarray]
-    up_p: list[list[PinRef]]
-    up_s: list[list[PinRef]]
-    dn_p: list[list[PinRef]]
-    dn_s: list[list[PinRef]]
-    int_p: list[list[PinRef]]
-    int_s: list[list[PinRef]]
-    label_a: list[dict[int, int]]  # per element: node -> label of set A
-    label_b: list[dict[int, int]]
+    pin: np.ndarray
+    label: np.ndarray
+    elem: np.ndarray
+    when: np.ndarray
+    b_elem: np.ndarray
+    b_cell: np.ndarray
+    root_cell: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        world: World,
+        parent: np.ndarray,
+        members: tuple[np.ndarray, np.ndarray],
+        labels: tuple[np.ndarray, np.ndarray],
+        child: np.ndarray,
+        up: tuple[np.ndarray, np.ndarray],
+        down: tuple[np.ndarray, np.ndarray],
+        internal: tuple[np.ndarray, np.ndarray, np.ndarray] = (NO_PINS, NO_PINS, NO_PINS),
+    ) -> ElementForest:
+        """The plan of a forest from its link and internal track pins.
+
+        ``members`` is (element, node row) of every member and ``labels`` the
+        (A, B) label of each element.  ``child`` lists the elements with a
+        parent; ``up``/``down`` hold the (primary, secondary) pin of each
+        child's parent link on the child's and on the parent's side, and
+        ``internal`` the (element, primary, secondary) internal track pins.
+        """
+        (up_pri, up_sec), (dn_pri, dn_sec), (in_elem, in_pri, in_sec) = up, down, internal
+        par = parent[child]
+        groups = (  # (element, pin, set B?, when)
+            (child, up_pri, 0, 0),
+            (in_elem, in_pri, 0, 0),
+            (par, dn_sec, 0, 1),
+            (par, dn_pri, 0, 2),
+            (child, up_sec, 1, 0),
+            (in_elem, in_sec, 1, 0),
+            (par, dn_pri, 1, 1),
+            (par, dn_sec, 1, 2),
+        )
+        elem = np.concatenate([e for e, *_ in groups])
+        in_b = np.concatenate([np.full(len(e), b, dtype=bool) for e, _, b, _ in groups])
+        set_a, set_b = labels
+        m_elem, m_row = members
+        first = np.full(len(parent), world.n, dtype=np.int64)
+        np.minimum.at(first, m_elem, m_row)
+        roots = np.flatnonzero(parent < 0)
+        return cls(
+            world,
+            parent,
+            pin=np.concatenate([p for _, p, *_ in groups]),
+            label=np.where(in_b, set_b[elem], set_a[elem]),
+            elem=elem,
+            when=np.concatenate([np.full(len(e), w, dtype=np.int8) for e, *_, w in groups]),
+            b_elem=m_elem,
+            b_cell=m_row * world.S + set_b[m_elem],
+            root_cell=first[roots] * world.S + set_a[roots],
+        )
 
     @property
     def ne(self) -> int:
         return len(self.parent)
 
-    @cached_property
-    def _plan(self) -> tuple[np.ndarray, ...]:
-        """Flat pin writes in wiring order, each tagged by when it applies.
-
-        Per element: its A set takes up/internal primary pins and, when
-        active, the secondary down pins (else the primary ones); its B set
-        the remaining tracks.  ``when`` is 0 always, 1 if active, 2 if not.
-        """
-        c = self.world.c
-        idx: list[int] = []
-        lab: list[int] = []
-        elem: list[int] = []
-        when: list[int] = []
-
-        def put(pins, labels, e, w):
-            for i, d, k in pins:
-                idx.append(i * 6 * c + d * c + k)
-                lab.append(labels[i])
-                elem.append(e)
-                when.append(w)
-
-        for e in range(self.ne):
-            la, lb = self.label_a[e], self.label_b[e]
-            put(self.up_p[e], la, e, 0)
-            put(self.int_p[e], la, e, 0)
-            put(self.dn_s[e], la, e, 1)
-            put(self.dn_p[e], la, e, 2)
-            put(self.up_s[e], lb, e, 0)
-            put(self.int_s[e], lb, e, 0)
-            put(self.dn_p[e], lb, e, 1)
-            put(self.dn_s[e], lb, e, 2)
-        return tuple(np.array(xs, dtype=np.int64) for xs in (idx, lab, elem, when))
-
-    def wire(self, active: np.ndarray) -> None:
-        """Add this forest's pins for one parity round, given the active elements."""
-        world = self.world
-        idx, lab, elem, when = self._plan
-        on = active[elem] if self.ne else np.zeros(len(elem), dtype=bool)
+    def plan(self, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(pins, labels) of this forest for one parity round, given the
+        active elements."""
+        on = active[self.elem]
+        when = self.when
         keep = (when == 0) | ((when == 1) & on) | ((when == 2) & ~on)
-        np.put(world.pset, idx[keep], lab[keep])
-        world.mark_dirty()
-
-    @cached_property
-    def _b_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """(element, flat recv cell) of every member's B set."""
-        S = self.world.S
-        pairs = [(e, i * S + lab) for e in range(self.ne) for i, lab in self.label_b[e].items()]
-        return (
-            np.array([e for e, _ in pairs], dtype=np.int64),
-            np.array([x for _, x in pairs], dtype=np.int64),
-        )
+        return self.pin[keep], self.label[keep]
 
     def hears_b(self, recv: np.ndarray) -> np.ndarray:
         """Per element: did its secondary-parity set receive a beep."""
-        elem, cell = self._b_cells
         out = np.zeros(self.ne, dtype=bool)
-        out[elem[recv.reshape(-1)[cell]]] = True
+        out[self.b_elem[recv.reshape(-1)[self.b_cell]]] = True
         return out
 
     def root_send(self, send: np.ndarray) -> None:
-        """Roots inject the stream on their set A (one member suffices)."""
-        for e in np.flatnonzero(self.parent < 0):
-            la = self.label_a[int(e)]
-            if la:
-                i, lab = next(iter(sorted(la.items())))
-                send[i, lab] = True
+        """Roots inject the stream on their set A (at their smallest member)."""
+        send.reshape(-1)[self.root_cell] = True
 
 
 def bits_to_int(stream: np.ndarray) -> np.ndarray:
@@ -148,10 +151,10 @@ def run_counting_pasc(
     flip = [np.zeros(f.ne, dtype=bool) for f in forests]
     streams = [np.zeros((f.ne, iters), dtype=bool) for f in forests]
     for j in range(iters):
+        plans = [forest.plan(act) for forest, act in zip(forests, active)]
+        world.wire(*(np.concatenate(part) for part in zip(*plans)))
         send = np.zeros((world.n, world.S), dtype=bool)
-        world.reset_pins_isolated()
-        for forest, act in zip(forests, active):
-            forest.wire(act)
+        for forest in forests:
             forest.root_send(send)
         recv = world.deliver(send)
         meter.rounds += 1

@@ -14,6 +14,7 @@ two-pin channels of the designated edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,13 +34,18 @@ class PortalForest:
 
     world: World
     members: list[np.ndarray]  # node indices in chain order
-    internal: list[list[tuple[int, int]]]  # (node, dir) axis-edge slots, both ends
+    internal: np.ndarray  # (m, 3) element, node, slot: both ends of each axis edge inside an element
     links: list[tuple[int, int, int, int, int, int]]  # e1, e2, n1, d1, n2, d2
     koff: np.ndarray  # (n, 6) pin offsets for gate-shared edges
 
     @property
     def ne(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def link_table(self) -> np.ndarray:
+        """``links`` as an (L, 6) array."""
+        return np.array(self.links, dtype=np.int64).reshape(-1, 6)
 
     def links_of(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.ne)]
@@ -48,28 +54,33 @@ class PortalForest:
             out[e2].append(lid)
         return out
 
-    def link_pin(self, lid: int, eid: int, k: int) -> tuple[int, int, int]:
-        e1, e2, n1, d1, n2, d2 = self.links[lid]
-        if eid == e1:
-            return n1, d1, k + int(self.koff[n1, d1])
-        if eid == e2:
-            return n2, d2, k + int(self.koff[n2, d2])
-        raise ValueError("element not on link")
+    def link_pins(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat pin of role k at the e1 end and at the e2 end of every link."""
+        _, _, n1, d1, n2, d2 = self.link_table.T
+        return (
+            self.world.pin_index(n1, d1, k, self.koff),
+            self.world.pin_index(n2, d2, k, self.koff),
+        )
 
-    def channel(self, lid: int, sender_eid: int, role: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-        """(sender pin, receiver pin) of a directional parked channel.
+    @cached_property
+    def _channels(self) -> list:
+        """[link][0 if e1 sends else 1][role] -> [send cell, recv cell]."""
+        world, lt = self.world, self.link_table
+        ends = lt[:, 2:].reshape(-1, 2, 2, 1)  # link, end, (node, slot)
+        sender_low = np.stack((lt[:, 2] < lt[:, 4], lt[:, 4] < lt[:, 2]), axis=1)[:, :, None]
+        k = np.where(sender_low, (K_LINK_P, K_INT2), (K_LINK_S, 0))
+        send = world.pin_index(ends[:, :, 0], ends[:, :, 1], k, self.koff)
+        recv = world.pin_index(ends[:, ::-1, 0], ends[:, ::-1, 1], k, self.koff)
+        return np.stack((world.park_cell(send), world.park_cell(recv)), axis=3).tolist()
+
+    def channel(self, lid: int, sender_eid: int, role: int) -> list[int]:
+        """[sender's send cell, receiver's recv cell] of a directional
+        parked channel.
 
         role 0 is the primary bit, role 1 the secondary bit of that sender.
         The lower-node side talks on k2/k4, the higher side on k3/k0.
         """
-        e1, e2, n1, d1, n2, d2 = self.links[lid]
-        low_first = n1 < n2
-        sender_is_e1 = sender_eid == e1
-        low_sender = sender_is_e1 == low_first
-        k = (K_LINK_P, K_INT2)[role] if low_sender else (K_LINK_S, 0)[role]
-        if sender_is_e1:
-            return (n1, d1, k + int(self.koff[n1, d1])), (n2, d2, k + int(self.koff[n2, d2]))
-        return (n2, d2, k + int(self.koff[n2, d2])), (n1, d1, k + int(self.koff[n1, d1]))
+        return self._channels[lid][sender_eid != self.links[lid][0]][role]
 
 
 def forest_from_chains(
@@ -77,25 +88,20 @@ def forest_from_chains(
     chains: list[list],
     adjacency: list[tuple[int, int]],
     has_edge,
-    koff: np.ndarray | None = None,
+    koff: np.ndarray,
 ) -> PortalForest:
     """Build a PortalForest from node chains and element adjacency.
 
     The designated edge of each element pair is the lexicographically
     smallest connecting grid edge, a choice each portal can settle locally.
     """
-    if koff is None:
-        koff = np.zeros((world.n, 6), dtype=np.int8)
-    members: list[np.ndarray] = []
-    internal: list[list[tuple[int, int]]] = []
-    for chain in chains:
-        slots = world.chain_slots(chain)
-        members.append(np.array([i for i, _, _ in slots], dtype=np.int64))
-        pins: list[tuple[int, int]] = []
-        for (iu, du, _), (iv, _, dv) in zip(slots, slots[1:]):
-            pins.append((iu, du))
-            pins.append((iv, dv))
-        internal.append(pins)
+    rows, up, _, start = world.chain_slots(chains)
+    members = [rows[a:b] for a, b in zip(start, start[1:])]
+    elem = np.repeat(np.arange(len(chains)), np.diff(start))
+    j = np.flatnonzero(up >= 0)  # members j and j + 1 share an axis edge
+    internal = np.stack(
+        (elem[j], rows[j], up[j], elem[j], rows[j + 1], (up[j] + 3) % 6), axis=1
+    ).reshape(-1, 3)
     owner = {}
     for e, chain in enumerate(chains):
         for p in chain:
@@ -138,11 +144,12 @@ class _Contraction:
         self.live = np.ones(len(forest.links), dtype=bool)
         self.frag_of = np.arange(ne, dtype=np.int64)
         self.frags: dict[int, _Fragment] = {}
-        links_of = forest.links_of()
+        self.joined = np.zeros(len(forest.links), dtype=bool)  # links merged into a fragment
         for e in range(ne):
-            fr = _Fragment([e], has_r=bool(self.is_root[e]))
-            self.frags[e] = fr
-        self.links_of = links_of
+            self.frags[e] = _Fragment([e], has_r=bool(self.is_root[e]))
+        self.links_of = forest.links_of()
+        self.has_internal = np.zeros(ne, dtype=bool)
+        self.has_internal[forest.internal[:, 0]] = True
 
     # -- live link helpers ----------------------------------------------------
 
@@ -161,33 +168,24 @@ class _Contraction:
         return out
 
     def wire_fragment_circuits(self) -> dict[int, tuple[int, int]]:
-        """Label-3 circuits per unresolved fragment; returns a beep pin per fid."""
+        """Label-3 circuits per unresolved fragment, over its elements'
+        internal tracks and the links joining them; returns a beep pin per fid."""
         world, forest = self.world, self.forest
-        world.reset_pins_isolated()
-        pset = world.pset
-        c = world.c
+        open_elem = np.zeros(forest.ne, dtype=bool)
         beep_at: dict[int, tuple[int, int]] = {}
         for fid, fr in self.frags.items():
             if fr.resolved:
                 continue
-            wired_any = False
-            for e in fr.elems:
-                for node, d in forest.internal[e]:
-                    pset[node, d * c + K_INT1 + forest.koff[node, d]] = 3
-                    wired_any = True
-            for a, b in zip(fr.elems, fr.elems[1:]):
-                for lid in self.links_of[a]:
-                    ll = self.forest.links[lid]
-                    if {ll[0], ll[1]} == {a, b}:
-                        for side in (a, b):
-                            node, d, k = forest.link_pin(lid, side, K_LINK_P)
-                            pset[node, d * c + k] = 3
-                        wired_any = True
-                        break
-            head = fr.elems[-1]
-            head_node = int(forest.members[head][0])
-            beep_at[fid] = (head_node, 3 if wired_any else -1)
-        world.mark_dirty()
+            open_elem[fr.elems] = True
+            wired = len(fr.elems) > 1 or self.has_internal[fr.elems].any()
+            beep_at[fid] = (int(forest.members[fr.elems[-1]][0]), 3 if wired else -1)
+        elem, rows, slots = forest.internal.T
+        inside = self.joined & open_elem[forest.link_table[:, 0]]
+        pins = [
+            world.pin_index(rows[open_elem[elem]], slots[open_elem[elem]], K_INT1, forest.koff),
+            *(end[inside] for end in forest.link_pins(K_LINK_P)),
+        ]
+        world.wire(np.concatenate(pins), 3)
         return beep_at
 
     # -- main loop -------------------------------------------------------------
@@ -202,51 +200,40 @@ class _Contraction:
             # round 1: head coins broadcast on fragment circuits
             beep_at = self.wire_fragment_circuits()
             coins: dict[int, bool] = {}
-            send = np.zeros((world.n, world.S), dtype=bool)
+            cells = []
             for fid in unresolved:
-                head = self.frags[fid].elems[-1]
-                head_node = int(forest.members[head][0])
-                mask = np.zeros(world.n, dtype=bool)
-                mask[head_node] = True
-                coin = bool(world.coins(23, mask)[head_node])
-                coins[fid] = coin
                 node, lab = beep_at[fid]
+                mask = np.zeros(world.n, dtype=bool)
+                mask[node] = True
+                coins[fid] = coin = bool(world.coins(23, mask)[node])
                 if coin and lab >= 0:
-                    send[node, lab] = True
-            world.deliver(send)
-            meter.rounds += 1
+                    cells.append(node * world.S + lab)
+            self._beep(cells, meter)
 
             # round 2: coins and mergeability over live links
             ext: dict[int, list[tuple[int, int]]] = {
                 fid: self.external_links(fid) for fid in unresolved
             }
-            send = np.zeros((world.n, world.S), dtype=bool)
+            cells = []
             for fid in unresolved:
                 mergeable = len(ext[fid]) <= 2
                 for lid, e in ext[fid]:
-                    sp0, _ = forest.channel(lid, e, 0)
-                    sp1, _ = forest.channel(lid, e, 1)
                     if coins[fid]:
-                        send[sp0[0], world.park_label(sp0[1], sp0[2])] = True
+                        cells.append(forest.channel(lid, e, 0)[0])
                     if mergeable:
-                        send[sp1[0], world.park_label(sp1[1], sp1[2])] = True
-            recv = world.deliver(send)
-            meter.rounds += 1
+                        cells.append(forest.channel(lid, e, 1)[0])
+            heard = self._beep(cells, meter)
             partner_coin: dict[tuple[int, int], bool] = {}
             partner_mergeable: dict[tuple[int, int], bool] = {}
             for fid in unresolved:
                 for lid, e in ext[fid]:
                     other = self._other_elem(lid, e)
-                    _, rp0 = forest.channel(lid, other, 0)
-                    _, rp1 = forest.channel(lid, other, 1)
-                    partner_coin[(fid, lid)] = bool(recv[rp0[0], world.park_label(rp0[1], rp0[2])])
-                    partner_mergeable[(fid, lid)] = bool(
-                        recv[rp1[0], world.park_label(rp1[1], rp1[2])]
-                    )
+                    partner_coin[(fid, lid)] = bool(heard[forest.channel(lid, other, 0)[1]])
+                    partner_mergeable[(fid, lid)] = bool(heard[forest.channel(lid, other, 1)[1]])
 
             # round 3: heads fragments propose into one tails neighbor
             proposals: dict[int, tuple[int, int]] = {}
-            send = np.zeros((world.n, world.S), dtype=bool)
+            cells = []
             for fid in unresolved:
                 if not coins[fid] or len(ext[fid]) > 2 or not ext[fid]:
                     continue
@@ -258,13 +245,13 @@ class _Contraction:
                 if choice is None:
                     continue
                 proposals[fid] = choice
-                sp0, _ = forest.channel(choice[0], choice[1], 0)
-                send[sp0[0], world.park_label(sp0[1], sp0[2])] = True
-            recv = world.deliver(send)
-            meter.rounds += 1
+                cells.append(forest.channel(choice[0], choice[1], 0)[0])
+            self._beep(cells, meter)
 
-            # round 4: rakes resolve and notify; accepted merges splice
-            send = np.zeros((world.n, world.S), dtype=bool)
+            # round 4: rakes resolve and notify their attachment, which
+            # kills the raked link on the rake bit and takes over the Q mark
+            # on the mark bit; accepted merges splice
+            cells, rakes = [], []
             for fid in unresolved:
                 if fid in proposals:
                     continue  # merging this iteration instead
@@ -277,14 +264,19 @@ class _Contraction:
                 elif len(links) == 1 and not fr.has_r:
                     lid, e = links[0]
                     had_q = self._rake(fid, lid, e)
-                    sp0, _ = forest.channel(lid, e, 0)
-                    send[sp0[0], world.park_label(sp0[1], sp0[2])] = True
+                    cells.append(forest.channel(lid, e, 0)[0])
                     if had_q:
-                        sp1, _ = forest.channel(lid, e, 1)
-                        send[sp1[0], world.park_label(sp1[1], sp1[2])] = True
-            recv = world.deliver(send)
-            meter.rounds += 1
-            # rake bookkeeping is done in _rake; kill links into resolved fragments
+                        cells.append(forest.channel(lid, e, 1)[0])
+                    rakes.append((lid, e, had_q))
+            heard = self._beep(cells, meter)
+            for lid, e, had_q in rakes:
+                raked, marked = (bool(heard[forest.channel(lid, e, role)[1]]) for role in (0, 1))
+                if not raked or marked != had_q:
+                    raise ContractViolation("the attachment heard another rake than the one resolved")
+                self.live[lid] = False
+                if marked:
+                    self.q[self._other_elem(lid, e)] = True
+            # kill links into resolved fragments
             for lid in range(len(self.live)):
                 if not self.live[lid]:
                     continue
@@ -302,6 +294,14 @@ class _Contraction:
 
         if any(not fr.resolved for fr in self.frags.values()):
             raise ContractViolation("tree contraction did not finish in budget")
+
+    def _beep(self, cells: list[int], meter: Meter) -> np.ndarray:
+        """One round in which the flat send cells beep; the flat recv."""
+        send = np.zeros(self.world.n * self.world.S, dtype=bool)
+        send[cells] = True
+        recv = self.world.deliver(send.reshape(self.world.n, self.world.S))
+        meter.rounds += 1
+        return recv.reshape(-1)
 
     def _end_rank(self, fid: int, e: int) -> int:
         fr = self.frags[fid]
@@ -328,12 +328,10 @@ class _Contraction:
             for i, e in enumerate(elems):
                 if i < q_pos[0]:
                     self.pruned[e] = True
-            self.q[other] = True  # the raked marks act through the attachment
         else:
             for e in elems:
                 self.pruned[e] = True
         fr.resolved = True
-        self.live[lid] = False
         return bool(q_pos)
 
     def _finalize_root_fragment(self, fid: int) -> None:
@@ -374,6 +372,7 @@ class _Contraction:
             self.frag_of[e] = target
         del self.frags[fid]
         self.live[lid] = False
+        self.joined[lid] = True
 
 
 def contract_tree(
@@ -391,68 +390,39 @@ def contract_tree(
 
 
 def pasc_forest(forest: PortalForest, parents: np.ndarray, keep: np.ndarray) -> ElementForest:
-    """ElementForest over the surviving rooted elements, wired for PASC."""
+    """ElementForest over the surviving rooted elements, wired for PASC:
+    tracks on the link pins k2/k3 and the internal pins k1/k4, sets on
+    labels 1 and 2."""
     world = forest.world
     kept = np.flatnonzero(keep)
-    remap = {int(e): j for j, e in enumerate(kept)}
-    parent = np.full(len(kept), -1, dtype=np.int64)
-    members, up_p, up_s, dn_p, dn_s, int_p, int_s = [], [], [], [], [], [], []
-    label_a, label_b = [], []
-    link_by_pair = {}
-    for lid, (e1, e2, *_rest) in enumerate(forest.links):
-        link_by_pair[(e1, e2)] = lid
-        link_by_pair[(e2, e1)] = lid
-    dn_p_map: dict[int, list] = {int(e): [] for e in kept}
-    dn_s_map: dict[int, list] = {int(e): [] for e in kept}
-    for e in kept:
-        e = int(e)
-        pa = int(parents[e])
-        if pa >= 0 and keep[pa]:
-            lid = link_by_pair[(e, pa)]
-            n, d, k = forest.link_pin(lid, pa, K_LINK_P)
-            dn_p_map[pa].append((n, d, k))
-            n, d, k = forest.link_pin(lid, pa, K_LINK_S)
-            dn_s_map[pa].append((n, d, k))
-    for e in kept:
-        e = int(e)
-        members.append(forest.members[e])
-        pa = int(parents[e])
-        if pa >= 0 and keep[pa]:
-            parent[remap[e]] = remap[pa]
-            lid = link_by_pair[(e, pa)]
-            n, d, k = forest.link_pin(lid, e, K_LINK_P)
-            up_p.append([(n, d, k)])
-            n, d, k = forest.link_pin(lid, e, K_LINK_S)
-            up_s.append([(n, d, k)])
-        else:
-            up_p.append([])
-            up_s.append([])
-        dn_p.append(dn_p_map[e])
-        dn_s.append(dn_s_map[e])
-        ip, is_ = [], []
-        for node, d in forest.internal[e]:
-            ip.append((node, d, K_INT1 + int(forest.koff[node, d])))
-            is_.append((node, d, K_INT2 + int(forest.koff[node, d])))
-        int_p.append(ip)
-        int_s.append(is_)
-        la = {int(n): 1 for n in forest.members[e]}
-        lb = {int(n): 2 for n in forest.members[e]}
-        label_a.append(la)
-        label_b.append(lb)
-    return ElementForest(
+    remap = np.full(forest.ne, -1, dtype=np.int64)
+    remap[kept] = np.arange(len(kept))
+    pa = parents[kept]
+    parent = np.where(pa >= 0, remap[pa], -1)
+    # tree links whose child is at the e1 end, and at the e2 end
+    e1, e2 = forest.link_table[:, 0], forest.link_table[:, 1]
+    tree = keep[e1] & keep[e2]
+    at1, at2 = tree & (parents[e1] == e2), tree & (parents[e2] == e1)
+    (p1, p2), (s1, s2) = forest.link_pins(K_LINK_P), forest.link_pins(K_LINK_S)
+    elem, rows, slots = forest.internal[keep[forest.internal[:, 0]]].T
+    ones = np.ones(len(kept), dtype=np.int64)
+    return ElementForest.build(
         world,
         parent,
-        members,
-        up_p,
-        up_s,
-        dn_p,
-        dn_s,
-        int_p,
-        int_s,
-        label_a,
-        label_b,
+        (
+            np.repeat(np.arange(len(kept)), [len(forest.members[e]) for e in kept]),
+            np.concatenate([forest.members[e] for e in kept]),
+        ),
+        (ones, 2 * ones),
+        remap[np.concatenate((e1[at1], e2[at2]))],
+        (np.concatenate((p1[at1], p2[at2])), np.concatenate((s1[at1], s2[at2]))),
+        (np.concatenate((p2[at1], p1[at2])), np.concatenate((s2[at1], s1[at2]))),
+        (
+            remap[elem],
+            world.pin_index(rows, slots, K_INT1, forest.koff),
+            world.pin_index(rows, slots, K_INT2, forest.koff),
+        ),
     )
-
 
 
 def stream_counts(

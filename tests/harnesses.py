@@ -290,7 +290,7 @@ def _region_forest(world: World, region, axis):
     pg = portal_graph(region, axis)
     chains = [list(p.nodes) for p in pg.portals]
     adjacency = sorted(pg.adjacency)
-    forest = forest_from_chains(world, chains, adjacency, region.has_edge)
+    forest = forest_from_chains(world, chains, adjacency, region.has_edge, np.zeros((world.n, 6), dtype=np.int8))
     return forest, list(pg.portals)
 
 

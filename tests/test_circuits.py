@@ -124,13 +124,18 @@ def test_beep_wave_reaches_everyone_in_two_rounds():
 
 def test_parked_pins_form_private_channels():
     w = line_world(4, c=2)
+    no_offset = np.zeros((w.n, 6), dtype=np.int8)
+
+    def parked(i, d, k):  # flat send/recv cell of pin (i, d, k)'s parked set
+        return w.park_cell(w.pin_index(i, d, k, no_offset))
+
     send = np.zeros((w.n, w.S), dtype=bool)
-    send[1, w.park_label(0, 1)] = True  # node 1 beeps east edge pin 1
-    recv = w.deliver(send)
-    assert recv[2, w.park_label(3, 1)]  # east neighbor hears on its west pin
-    assert recv[1, w.park_label(0, 1)]  # sender hears its own set
-    assert not recv[0, w.park_label(0, 1)]
-    assert not recv[3, w.park_label(3, 1)]
+    send.reshape(-1)[parked(1, 0, 1)] = True  # node 1 beeps east edge pin 1
+    recv = w.deliver(send).reshape(-1)
+    assert recv[parked(2, 3, 1)]  # east neighbor hears on its west pin
+    assert recv[parked(1, 0, 1)]  # sender hears its own set
+    assert not recv[parked(0, 0, 1)]
+    assert not recv[parked(3, 3, 1)]
 
 
 def test_coin_streams_deterministic_and_order_independent():

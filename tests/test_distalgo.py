@@ -121,3 +121,38 @@ def test_delivery_sequence_is_byte_identical_to_golden(monkeypatch):
     path = Path(__file__).parent / "fixtures" / "gen_512_4_1.txt"
     out = run_distributed(AmoebotStructure.from_text(path.read_text()), seed=1)
     assert (deliveries, out.trace.rounds, digest.hexdigest()[:16]) == DELIVERY_DIGEST
+
+
+@pytest.mark.parametrize("name", ["gen_512_4_1", "gen_1024_8_7372"])
+def test_regions_sharing_a_gate_chain_take_opposite_pin_halves(name):
+    """The two regions of every phase-1 and phase-2 gate retain its chain's
+    edges, and their circuits sit on pin offsets 0 and HALF_PINS there."""
+    from collections import defaultdict
+    from pathlib import Path
+
+    from amoegrid.circuits import HALF_PINS, World
+    from amoegrid.decompose import phase1_simple, phase2_tunnels
+    from amoegrid.distalgo import _RegionSpace
+    from amoegrid.grid import slot_between
+
+    path = Path(__file__).parent / "fixtures" / f"{name}.txt"
+    s = AmoebotStructure.from_text(path.read_text())
+    world = World(s, c=10)
+    regions1, _, _ = phase1_simple(s)
+    tunnels = [t for r in regions1 for t in phase2_tunnels(r)]
+    for regions in (regions1, tunnels):
+        offsets = defaultdict(list)  # gate-chain edge -> offsets at both ends, per region
+        for r in regions:
+            koff = _RegionSpace(world, r).koff
+            for g in r.gates:
+                for u, v in zip(g.nodes, g.nodes[1:]):
+                    edge = (u, v) if u <= v else (v, u)
+                    assert edge in r.edges
+                    ends = (
+                        koff[world.index[u], slot_between(u, v)],
+                        koff[world.index[v], slot_between(v, u)],
+                    )
+                    offsets[edge].append(ends)
+        assert offsets
+        for edge, ends in offsets.items():
+            assert sorted(ends) == [(0, 0), (HALF_PINS, HALF_PINS)], edge

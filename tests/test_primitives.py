@@ -188,7 +188,7 @@ def test_degree_check_against_counts():
             shifts[w.index[p]] = v
             total += v
         thr = rng.randint(1, 4)
-        (got,) = degree_check_batch(w, [(chain, shifts, thr, None)], Meter())
+        (got,) = degree_check_batch(w, [(chain, shifts, thr, np.zeros((w.n, 6), dtype=np.int8))], Meter())
         assert got == (total >= thr)
 
 
@@ -223,7 +223,7 @@ def test_closest_on_portal_matches_linear_scan():
         for j in ms:
             marked[w.index[chain[j]]] = True
         end = rng.randint(0, 1)
-        (got,) = closest_on_portal_batch(w, [(chain, marked, end, None)], Meter())
+        (got,) = closest_on_portal_batch(w, [(chain, marked, end, np.zeros((w.n, 6), dtype=np.int8))], Meter())
         assert got == (chain[min(ms)] if end == 0 else chain[max(ms)])
 
 
@@ -268,3 +268,29 @@ def test_every_exported_primitive_is_imported_by_the_engine_or_another_primitive
         obj = getattr(primitives, name)
         users = [m for m in modules if m.__name__ != obj.__module__ and vars(m).get(name) is obj]
         assert users, f"{name} is exported but only {obj.__module__} binds it"
+
+
+def test_pin_roles_fit_in_one_pin_half():
+    """Every pin role, turning track and degree track lies in 0..HALF_PINS-1,
+    so a pin offset of 0 or HALF_PINS keeps two circuits on one edge apart."""
+    from amoegrid.circuits import HALF_PINS
+    from amoegrid.primitives import basic, chains, trees
+
+    roles = {
+        f"{m.__name__}.{name}": value
+        for m in (basic, chains, trees)
+        for name, value in vars(m).items()
+        if name.startswith("K_")
+    }
+    roles["turning tracks"] = chains.TURN_TRACKS - 1
+    assert len(roles) == 11
+    assert all(0 <= k < HALF_PINS for k in roles.values()), roles
+
+    chain = [GridPoint(0, b) for b in range(3)]
+    w = World(AmoebotStructure(chain), c=10)
+    no_offset = np.zeros((w.n, 6), dtype=np.int8)
+    shifts = np.ones(w.n, dtype=np.int64)
+    (got,) = degree_check_batch(w, [(chain, shifts, HALF_PINS - 1, no_offset)], Meter())
+    assert not got
+    with pytest.raises(ContractViolation, match="pin budget"):
+        degree_check_batch(w, [(chain, shifts, HALF_PINS, no_offset)], Meter())
