@@ -115,7 +115,7 @@ class BoundaryTest:
             heard = np.flatnonzero(recv[i, w + OFF_LEADER : w + OFF_LEADER + TURN_TRACKS]).tolist()
             if len(heard) != 1:
                 raise ContractViolation(f"turning test heard tracks {heard}")
-            total = (heard[0] + int(cyc.turn[vid])) % 5
+            total = (heard[0] + int(cyc.turn[vid])) % TURN_TRACKS
             if total == 1:
                 inner_cycle[cyc.cycle_id[vid]] = True
             elif total != 4:
