@@ -60,12 +60,12 @@ def _west_end(axis: Axis) -> int:
 def _portal_side_toward(pg: PortalGraph, pid: int, other_pid: int) -> str:
     """Side of portal ``pid`` on which its neighbor ``other_pid`` lies."""
     axis = pg.axis
-    line = next(p for p in pg.portals if p.id == pid).line
-    other_line = next(p for p in pg.portals if p.id == other_pid).line
+    line = pg.portals[pid].line
+    other_line = pg.portals[other_pid].line
     names = [s[0] for s in SIDES[axis]]
     # First listed side is the one whose cross directions increase the line key.
     up_side, down_side = names
-    probe = next(p for p in pg.portals if p.id == pid).nodes[0]
+    probe = pg.portals[pid].nodes[0]
     up_dir = _side_cross_dirs(axis, up_side)[0]
     if axis.line_key(probe.neighbor(up_dir)) > line:
         plus, minus = up_side, down_side

@@ -164,8 +164,6 @@ class CircuitDecisions:
         world, meter = self.world, self.meter
         stage = BoundaryTest(world)
         cyc = stage.cyc
-        if cyc.n_visits == 0:
-            return set()
         inner_cycle, leaders, real_visit = stage.run(meter)
         if not inner_cycle.any():
             return set()

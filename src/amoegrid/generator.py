@@ -1,7 +1,7 @@
 """Seeded random amoebot structures with a prescribed number of inner holes.
 
 Structures grow by biased accretion around the origin, then hole clusters
-are carved and re-validated with the flood-fill hole finder.  Generation is
+are carved and re-validated with the hole finder.  Generation is
 deterministic per (n, holes, seed).
 """
 

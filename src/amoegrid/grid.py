@@ -120,10 +120,11 @@ class StructureIndex:
     Nodes are numbered in sorted order; ``row`` maps a node to its number,
     ``a``/``b`` hold the coordinates by number, and ``nbr[i, d]`` is the
     number of node i's neighbour in slot d (the order of ``DIRECTIONS``), or
-    -1 where that cell is empty.  The arrays are read-only.
+    -1 where that cell is empty.  ``cycles`` holds the boundary orbits,
+    built on first use.  The arrays are read-only.
     """
 
-    __slots__ = ("nodes", "row", "a", "b", "nbr")
+    __slots__ = ("nodes", "row", "a", "b", "nbr", "_cycles")
 
     def __init__(self, nodes: Iterable[GridPoint]):
         self.nodes: list[GridPoint] = sorted(nodes)
@@ -144,6 +145,93 @@ class StructureIndex:
         self.nbr = nbr
         for arr in (self.a, self.b, self.nbr):
             arr.flags.writeable = False
+        self._cycles: CycleStructure | None = None
+
+    @property
+    def cycles(self) -> "CycleStructure":
+        """The wall-following orbits of every boundary visit."""
+        if self._cycles is None:
+            self._cycles = _wall_walk(self.nbr)
+        return self._cycles
+
+
+@dataclass(frozen=True)
+class CycleStructure:
+    """All boundary visits of a structure, orbit by orbit.
+
+    A visit is a directed edge arriving at an amoebot.  Boundary cycles are
+    the orbits of a wall-following successor map on visits, read off the
+    6-neighborhood alone: arriving at v, the walk scans clockwise from the
+    direction back to its predecessor (exclusive) and leaves toward the
+    first occupied neighbor.  The unoccupied cells swept over belong to the
+    hole the walk keeps on its left, and the signed turn at v is (3 - k)
+    sixths of a full angle when k directions were scanned.  Summed around a
+    cycle this is +6 for an inner hole and -6 for the outer one; orbits that
+    sweep no cell are the faces of filled triangles, not boundaries.
+
+    Visits are numbered in (node, ``d_prev``) order and cycle ids in the
+    order of each orbit's smallest visit.  Per visit: ``node`` is its
+    amoebot, ``d_prev``/``d_next`` the slots toward its predecessor and
+    successor node, ``turn`` in sixths of 360 degrees, ``swept`` the number
+    of empty cells scanned over, ``prev_visit``/``next_visit`` its orbit
+    neighbours and ``cycle_id`` its orbit.  ``real`` marks, per cycle, the
+    orbits that sweep a cell.  The arrays are read-only; visit and node
+    numbers are int32, slots and turns int8.
+    """
+
+    node: np.ndarray
+    d_prev: np.ndarray
+    d_next: np.ndarray
+    turn: np.ndarray
+    swept: np.ndarray
+    prev_visit: np.ndarray
+    next_visit: np.ndarray
+    cycle_id: np.ndarray
+    real: np.ndarray
+
+    @property
+    def n_visits(self) -> int:
+        return len(self.node)
+
+    @property
+    def n_cycles(self) -> int:
+        return len(self.real)
+
+
+def _wall_walk(nbr: np.ndarray) -> CycleStructure:
+    """The ``CycleStructure`` of the neighbour table ``nbr``."""
+    occupied = nbr >= 0
+    node, d_prev = np.nonzero(occupied)
+    nv = len(node)
+    visit_of = np.full(nbr.size, -1, dtype=np.int64)
+    visit_of[np.flatnonzero(occupied)] = np.arange(nv)
+    # scan k = 1..6 sixths clockwise; k = 6 is the occupied slot d_prev itself
+    scan = (d_prev[:, None] - np.arange(1, 7)) % 6
+    k = occupied[node[:, None], scan].argmax(axis=1) + 1
+    d_next = (d_prev - k) % 6
+    next_visit = visit_of[nbr[node, d_next] * 6 + (d_next + 3) % 6]
+    prev_visit = np.argsort(next_visit)  # the inverse permutation
+    # smallest visit of each orbit by pointer doubling: after t steps, low
+    # covers the 2^t visits from each visit on; once a step changes nothing,
+    # each orbit's windows agree on its minimum
+    low, step = np.arange(nv), next_visit
+    while True:
+        lower = np.minimum(low, low[step])
+        if np.array_equal(lower, low):
+            break
+        low, step = lower, step[step]
+    first, cycle_id = np.unique(low, return_inverse=True)
+    real = np.zeros(len(first), dtype=bool)
+    real[cycle_id[k > 1]] = True
+    # the arrays live as long as the structure, so they are stored narrow
+    num, small = np.int32, np.int8
+    cyc = CycleStructure(
+        node.astype(num), d_prev.astype(small), d_next.astype(small), (3 - k).astype(small),
+        (k - 1).astype(small), prev_visit.astype(num), next_visit.astype(num), cycle_id.astype(num), real,
+    )
+    for arr in vars(cyc).values():
+        arr.flags.writeable = False
+    return cyc
 
 
 class AmoebotStructure:
@@ -195,11 +283,6 @@ class AmoebotStructure:
                     out.add((p, q) if p <= q else (q, p))
         return out
 
-    def bounding_box(self) -> tuple[int, int, int, int]:
-        a_vals = [p.a for p in self.nodes]
-        b_vals = [p.b for p in self.nodes]
-        return min(a_vals), max(a_vals), min(b_vals), max(b_vals)
-
     # -- text format ---------------------------------------------------------
 
     @classmethod
@@ -235,8 +318,10 @@ class AmoebotStructure:
 class Hole:
     """A connected component of the unoccupied complement.
 
-    The outer hole is unbounded; its ``cells`` field stores only the portion
-    inside a one-ring extension of the structure's bounding box.
+    ``boundary`` is the set of structure nodes beside the component.  An
+    inner hole's ``cells`` are all of its cells; the outer hole is
+    unbounded, so its ``cells`` are only the cells its boundary walk sweeps,
+    those beside the structure.
     """
 
     kind: str  # "inner" or "outer"
@@ -244,53 +329,52 @@ class Hole:
     boundary: frozenset[GridPoint]
 
 
+_SLOT_OFFSETS = np.array([d.offset for d in DIRECTIONS], dtype=np.int64)
+
+
 def find_holes(structure: AmoebotStructure) -> tuple[Hole, list[Hole]]:
-    """Classify complement components into the outer hole and inner holes.
+    """The outer hole and the inner holes, read off the boundary orbits.
 
-    Inner holes are returned sorted by their minimal cell for determinism.
+    Each real orbit of ``structure.index.cycles`` bounds one component of
+    the complement: the orbit's turn total is +6 around an inner hole and
+    -6 around the outer one.  An inner hole's cells are its orbit's swept
+    cells closed under empty neighbours, which adds the cells of a wide
+    hole's interior.  Inner holes are returned sorted by their minimal cell
+    for determinism.
     """
-    a_lo, a_hi, b_lo, b_hi = structure.bounding_box()
-    a_lo, a_hi, b_lo, b_hi = a_lo - 1, a_hi + 1, b_lo - 1, b_hi + 1
+    ix = structure.index
+    cyc = ix.cycles
+    if cyc.n_visits == 0:  # a lone amoebot: every neighbour cell is outer
+        (p,) = structure.nodes
+        return Hole("outer", frozenset(q for _, q in p.neighborhood()), structure.nodes), []
+    # the j-th cell a visit sweeps lies j sixths clockwise of d_prev
+    j = np.arange(1, 6)
+    vid, col = np.nonzero(j <= cyc.swept[:, None])
+    slot = (cyc.d_prev[vid] - j[col]) % 6
+    cell_a, cell_b = (np.stack((ix.a, ix.b), axis=1)[cyc.node[vid]] + _SLOT_OFFSETS[slot]).T
+    cell_cycle = cyc.cycle_id[vid]
+    total = np.bincount(cyc.cycle_id, weights=cyc.turn, minlength=cyc.n_cycles)
 
-    empty = {
-        GridPoint(a, b)
-        for a in range(a_lo, a_hi + 1)
-        for b in range(b_lo, b_hi + 1)
-        if GridPoint(a, b) not in structure.nodes
-    }
-
-    components: list[set[GridPoint]] = []
-    unvisited = set(empty)
-    while unvisited:
-        start = unvisited.pop()
-        comp = {start}
-        stack = [start]
-        while stack:
-            p = stack.pop()
-            for _, q in p.neighborhood():
-                if q in unvisited:
-                    unvisited.discard(q)
-                    comp.add(q)
-                    stack.append(q)
-        components.append(comp)
-
-    corner = GridPoint(a_lo, b_lo)
-    outer_cells = next(c for c in components if corner in c)
-
-    def boundary_of(cells: set[GridPoint]) -> frozenset[GridPoint]:
-        out = set()
-        for c in cells:
-            for _, q in c.neighborhood():
-                if q in structure.nodes:
-                    out.add(q)
-        return frozenset(out)
-
-    outer = Hole("outer", frozenset(outer_cells), boundary_of(outer_cells))
-    inner = [
-        Hole("inner", frozenset(c), boundary_of(c))
-        for c in components
-        if c is not outer_cells
-    ]
+    outer = None
+    inner = []
+    for c in np.flatnonzero(cyc.real).tolist():
+        boundary = frozenset(ix.nodes[i] for i in cyc.node[cyc.cycle_id == c].tolist())
+        mine = cell_cycle == c
+        cells = {_tuple_new(GridPoint, ab) for ab in zip(cell_a[mine].tolist(), cell_b[mine].tolist())}
+        if total[c] < 0:
+            outer = Hole("outer", frozenset(cells), boundary)
+        else:
+            inner.append(Hole("inner", _closed(cells, structure.nodes), boundary))
     inner.sort(key=lambda h: min(h.cells))
     return outer, inner
 
+
+def _closed(cells: set[GridPoint], nodes: AbstractSet[GridPoint]) -> frozenset[GridPoint]:
+    """``cells`` and every empty cell reachable from them."""
+    stack = list(cells)
+    while stack:
+        for _, q in stack.pop().neighborhood():
+            if q not in cells and q not in nodes:
+                cells.add(q)
+                stack.append(q)
+    return frozenset(cells)

@@ -7,7 +7,7 @@ information that crosses amoebots rides a beep delivered by the simulator.
 
 from .basic import closest_on_portal_batch, degree_check_batch
 from .boundary import BoundaryTest
-from .chains import ChainSpace, CycleStructure, build_boundary_cycles
+from .chains import ChainSpace
 from .election import election_iters, run_election
 from .maxima import chain_maxima
 from .pasc import ElementForest, Meter, bits_to_int, run_counting_pasc
@@ -18,8 +18,6 @@ __all__ = [
     "degree_check_batch",
     "BoundaryTest",
     "ChainSpace",
-    "CycleStructure",
-    "build_boundary_cycles",
     "election_iters",
     "run_election",
     "chain_maxima",

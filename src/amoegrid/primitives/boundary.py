@@ -14,7 +14,8 @@ import numpy as np
 
 from ..circuits import World, mix64
 from ..errors import ContractViolation
-from .chains import TURN_TRACKS, ChainSpace, CycleStructure, build_boundary_cycles
+from ..grid import CycleStructure
+from .chains import TURN_TRACKS, ChainSpace
 from .election import election_iters, run_election
 from .pasc import Meter
 
@@ -47,7 +48,7 @@ class BoundaryTest:
 
     def __init__(self, world: World):
         self.world = world
-        self.cyc = build_boundary_cycles(world)
+        self.cyc = world.structure.index.cycles
 
     def run(self, meter: Meter):
         world, cyc = self.world, self.cyc

@@ -1,14 +1,4 @@
-"""Boundary visits and oriented chain wiring.
-
-A visit is a directed edge arriving at an amoebot.  Boundary cycles are the
-orbits of a wall-following successor map on visits, read off the
-6-neighborhood alone: arriving at v, the walk scans clockwise from the
-direction back to its predecessor (exclusive) and leaves toward the first
-occupied neighbor.  The unoccupied cells swept over belong to the hole the
-walk keeps on its left, and the signed turn at v is (3 - k) sixths of a full
-angle when k directions were scanned.  Summed around a cycle this is +6 for
-an inner hole and -6 for the outer one; orbits that sweep no cell are the
-faces of filled triangles, not boundaries.
+"""Oriented chain wiring over boundary visits (``ChainSpace``).
 
 Pin budget on an edge: the direction from the smaller-index endpoint uses
 pin half 0..4, the reverse direction 5..9, so the two directed traversals
@@ -17,11 +7,10 @@ of one edge never collide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..circuits import HALF_PINS, STAGE_LABELS, World
+from ..grid import CycleStructure
 
 #: per-direction pin roles within a visit's 5-pin half
 K_CYCLE = 0  # election / cycle-wide circuits
@@ -29,87 +18,6 @@ K_P1, K_S1 = 1, 2  # first counting-PASC track pair
 K_P2, K_S2 = 3, 4  # second pair (parallel count) and token lanes
 
 TURN_TRACKS = 5
-
-
-@dataclass
-class CycleStructure:
-    """All boundary visits of a structure, orbit by orbit."""
-
-    node: np.ndarray  # visit -> node index
-    d_prev: np.ndarray  # direction index toward the predecessor node
-    d_next: np.ndarray  # direction index toward the successor node
-    turn: np.ndarray  # in sixths of 360 degrees
-    swept: np.ndarray  # number of empty cells scanned over
-    prev_visit: np.ndarray
-    next_visit: np.ndarray
-    cycle_id: np.ndarray
-    n_cycles: int = 0
-    real: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    @property
-    def n_visits(self) -> int:
-        return len(self.node)
-
-
-def build_boundary_cycles(world: World) -> CycleStructure:
-    """Enumerate directed-edge orbits; local rule per visit, orbits for ids."""
-    nbr = world.nbr
-    visits: dict[tuple[int, int], int] = {}
-    rows: list[tuple[int, int]] = []
-    for i in range(world.n):
-        for d in range(6):
-            if nbr[i, d] >= 0:
-                visits[(i, d)] = len(rows)
-                rows.append((i, d))
-
-    node = np.array([r[0] for r in rows], dtype=np.int64)
-    d_prev = np.array([r[1] for r in rows], dtype=np.int64)
-    nv = len(rows)
-    d_next = np.zeros(nv, dtype=np.int64)
-    turn = np.zeros(nv, dtype=np.int64)
-    swept = np.zeros(nv, dtype=np.int64)
-    next_visit = np.zeros(nv, dtype=np.int64)
-
-    for vid, (i, dp) in enumerate(rows):
-        for k in range(1, 7):
-            d = (dp - k) % 6  # k sixths clockwise
-            if nbr[i, d] >= 0:
-                d_next[vid] = d
-                turn[vid] = 3 - k
-                swept[vid] = k - 1
-                # successor visit: at the neighbour, arrived from direction back to i
-                next_visit[vid] = visits[(nbr[i, d], (d + 3) % 6)]
-                break
-
-    prev_visit = np.zeros(nv, dtype=np.int64)
-    prev_visit[next_visit] = np.arange(nv)
-
-    cycle_id = np.full(nv, -1, dtype=np.int64)
-    n_cycles = 0
-    for vid in range(nv):
-        if cycle_id[vid] >= 0:
-            continue
-        cur = vid
-        while cycle_id[cur] < 0:
-            cycle_id[cur] = n_cycles
-            cur = int(next_visit[cur])
-        n_cycles += 1
-
-    real = np.zeros(n_cycles, dtype=bool)
-    np.logical_or.at(real, cycle_id, swept > 0)
-
-    return CycleStructure(
-        node=node,
-        d_prev=d_prev,
-        d_next=d_next,
-        turn=turn,
-        swept=swept,
-        prev_visit=prev_visit,
-        next_visit=next_visit,
-        cycle_id=cycle_id,
-        n_cycles=n_cycles,
-        real=real,
-    )
 
 
 class ChainSpace:

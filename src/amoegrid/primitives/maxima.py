@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..circuits import World
-from .chains import ChainSpace, CycleStructure, K_P1, K_P2, K_S1, K_S2
+from ..grid import CycleStructure
+from .chains import ChainSpace, K_P1, K_P2, K_S1, K_S2
 from .pasc import ElementForest, Meter, bits_to_int, run_counting_pasc
 
 #: ranking functionals by direction name; ESE/WNW rank like E/W

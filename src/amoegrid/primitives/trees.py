@@ -231,7 +231,8 @@ class _Contraction:
                     partner_coin[(fid, lid)] = bool(heard[forest.channel(lid, other, 0)[1]])
                     partner_mergeable[(fid, lid)] = bool(heard[forest.channel(lid, other, 1)[1]])
 
-            # round 3: heads fragments propose into one tails neighbor
+            # round 3: heads fragments propose into one tails neighbor, whose
+            # end of the link hears the proposal
             proposals: dict[int, tuple[int, int]] = {}
             cells = []
             for fid in unresolved:
@@ -246,7 +247,10 @@ class _Contraction:
                     continue
                 proposals[fid] = choice
                 cells.append(forest.channel(choice[0], choice[1], 0)[0])
-            self._beep(cells, meter)
+            heard = self._beep(cells, meter)
+            accepted = {fid: pick for fid, pick in proposals.items() if heard[forest.channel(*pick, 0)[1]]}
+            if accepted != proposals:
+                raise ContractViolation("a target did not hear the proposal sent to it")
 
             # round 4: rakes resolve and notify their attachment, which
             # kills the raked link on the rake bit and takes over the Q mark
@@ -285,7 +289,7 @@ class _Contraction:
                 if self.frags[f1].resolved or self.frags[f2].resolved:
                     self.live[lid] = False
 
-            for fid, (lid, e) in proposals.items():
+            for fid, (lid, e) in accepted.items():
                 other = self._other_elem(lid, e)
                 target = self.frag_of[other]
                 if self.frags[target].resolved or coins.get(target, True):

@@ -17,7 +17,14 @@ import numpy as np
 from amoegrid.circuits import World
 from amoegrid.decompose import DIRECT, _point_gate_plan
 from amoegrid.errors import ContractViolation, DomainError
-from amoegrid.grid import AmoebotStructure, Direction, GridPoint, direction_between
+from amoegrid.grid import (
+    AmoebotStructure,
+    CycleStructure,
+    Direction,
+    GridPoint,
+    Hole,
+    direction_between,
+)
 from amoegrid.portals import Axis, portal_graph
 from amoegrid.primitives import (
     BoundaryTest,
@@ -62,6 +69,100 @@ def is_simple_reference(nodes) -> bool:
                 seen.add(q)
                 stack.append(q)
     return len(seen) == len(empty)
+
+
+def rotate60(p: GridPoint, turns: int) -> GridPoint:
+    """``p`` turned by ``turns`` times 60 degrees counterclockwise about the origin."""
+    for _ in range(turns):
+        p = GridPoint(-p.b, p.a + p.b)
+    return p
+
+
+def find_holes_reference(structure: AmoebotStructure) -> tuple[Hole, list[Hole]]:
+    """``grid.find_holes`` by a flood fill of ``GridPoint`` sets over the
+    empty cells of the bounding box plus a one-cell margin.  The outer
+    hole's ``cells`` are only the part inside that box."""
+    pts = structure.nodes
+    a_lo = min(p.a for p in pts) - 1
+    a_hi = max(p.a for p in pts) + 1
+    b_lo = min(p.b for p in pts) - 1
+    b_hi = max(p.b for p in pts) + 1
+    unvisited = {
+        GridPoint(a, b)
+        for a in range(a_lo, a_hi + 1)
+        for b in range(b_lo, b_hi + 1)
+        if GridPoint(a, b) not in pts
+    }
+    components: list[set[GridPoint]] = []
+    while unvisited:
+        start = unvisited.pop()
+        comp = {start}
+        stack = [start]
+        while stack:
+            p = stack.pop()
+            for _, q in p.neighborhood():
+                if q in unvisited:
+                    unvisited.discard(q)
+                    comp.add(q)
+                    stack.append(q)
+        components.append(comp)
+
+    def boundary_of(cells: set[GridPoint]) -> frozenset[GridPoint]:
+        return frozenset(q for c in cells for _, q in c.neighborhood() if q in pts)
+
+    corner = GridPoint(a_lo, b_lo)
+    outer_cells = next(c for c in components if corner in c)
+    outer = Hole("outer", frozenset(outer_cells), boundary_of(outer_cells))
+    inner = [Hole("inner", frozenset(c), boundary_of(c)) for c in components if c is not outer_cells]
+    inner.sort(key=lambda h: min(h.cells))
+    return outer, inner
+
+
+def boundary_cycles_reference(nbr: np.ndarray) -> CycleStructure:
+    """``StructureIndex.cycles`` by a loop over the visits: the walk rule per
+    visit, then one orbit at a time for the cycle ids."""
+    n = len(nbr)
+    visits: dict[tuple[int, int], int] = {}
+    rows: list[tuple[int, int]] = []
+    for i in range(n):
+        for d in range(6):
+            if nbr[i, d] >= 0:
+                visits[(i, d)] = len(rows)
+                rows.append((i, d))
+
+    nv = len(rows)
+    node = np.array([r[0] for r in rows], dtype=np.int64)
+    d_prev = np.array([r[1] for r in rows], dtype=np.int64)
+    d_next = np.zeros(nv, dtype=np.int64)
+    turn = np.zeros(nv, dtype=np.int64)
+    swept = np.zeros(nv, dtype=np.int64)
+    next_visit = np.zeros(nv, dtype=np.int64)
+    for vid, (i, dp) in enumerate(rows):
+        for k in range(1, 7):
+            d = (dp - k) % 6  # k sixths clockwise
+            if nbr[i, d] >= 0:
+                d_next[vid] = d
+                turn[vid] = 3 - k
+                swept[vid] = k - 1
+                # successor visit: at the neighbour, arrived from direction back to i
+                next_visit[vid] = visits[(nbr[i, d], (d + 3) % 6)]
+                break
+
+    prev_visit = np.zeros(nv, dtype=np.int64)
+    prev_visit[next_visit] = np.arange(nv)
+    cycle_id = np.full(nv, -1, dtype=np.int64)
+    n_cycles = 0
+    for vid in range(nv):
+        if cycle_id[vid] >= 0:
+            continue
+        cur = vid
+        while cycle_id[cur] < 0:
+            cycle_id[cur] = n_cycles
+            cur = int(next_visit[cur])
+        n_cycles += 1
+    real = np.zeros(n_cycles, dtype=bool)
+    np.logical_or.at(real, cycle_id, swept > 0)
+    return CycleStructure(node, d_prev, d_next, turn, swept, prev_visit, next_visit, cycle_id, real)
 
 
 def bfs_distances(structure: AmoebotStructure, source: GridPoint) -> dict[GridPoint, int]:

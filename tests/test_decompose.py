@@ -23,7 +23,7 @@ from amoegrid.oracle import (
 from amoegrid.portals import Axis, compute_portals
 from amoegrid.split import Region
 
-from harnesses import point_gate_split
+from harnesses import point_gate_split, rotate60
 from test_grid import hexagon, parallelogram
 
 
@@ -257,13 +257,6 @@ def test_region_ids_sequential():
     s = generate_random(150, 2, 5)
     d = decompose(s)
     assert [r.id for r in d.regions] == list(range(len(d.regions)))
-
-
-def rotate60(p: GridPoint, turns: int) -> GridPoint:
-    """``p`` turned by ``turns`` times 60 degrees counterclockwise about the origin."""
-    for _ in range(turns):
-        p = GridPoint(-p.b, p.a + p.b)
-    return p
 
 
 @pytest.mark.parametrize("turns", range(6))

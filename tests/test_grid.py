@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from amoegrid.grid import (
     find_holes,
     slot_between,
 )
+from amoegrid.generator import generate_random
 from amoegrid.oracle import _IndexedGraph
-from amoegrid.primitives import build_boundary_cycles
+from harnesses import boundary_cycles_reference, find_holes_reference, rotate60
 
 
 def hexagon(radius: int, center: GridPoint = GridPoint(0, 0)) -> list[GridPoint]:
@@ -204,13 +206,12 @@ def test_boundary_classification_covers_rim():
 
 
 def boundary_cycles(s: AmoebotStructure) -> list[tuple[tuple[GridPoint, ...], int]]:
-    """(visited nodes, turn total) of each real cycle of the engine's boundary walk."""
-    world = World(s)
-    cyc = build_boundary_cycles(world)
+    """(visited nodes, turn total) of each real cycle of the structure's boundary walk."""
+    ix, cyc = s.index, s.index.cycles
     out = []
     for c in np.flatnonzero(cyc.real):
         vids = np.flatnonzero(cyc.cycle_id == c)
-        out.append((tuple(world.nodes[i] for i in cyc.node[vids]), int(cyc.turn[vids].sum())))
+        out.append((tuple(ix.nodes[i] for i in cyc.node[vids]), int(cyc.turn[vids].sum())))
     return out
 
 
@@ -221,7 +222,7 @@ def test_boundary_cycle_hexagon_rim():
     cyc, total = cycles[0]
     assert total == -6  # the outer hole
     assert len(cyc) == 6
-    assert set(cyc) == set(hexagon(1)) - {GridPoint(0, 0)} == find_holes(s)[0].boundary
+    assert set(cyc) == set(hexagon(1)) - {GridPoint(0, 0)} == find_holes_reference(s)[0].boundary
 
 
 def test_boundary_cycle_one_cell_hole():
@@ -237,7 +238,7 @@ def test_boundary_cycles_visit_exact_boundary_sets():
     rng = random.Random(11)
     for _ in range(30):
         s = random_structure(rng, rng.randint(2, 100))
-        outer, inner = find_holes(s)
+        outer, inner = find_holes_reference(s)
         walked = sorted(sorted(set(cyc)) for cyc, _ in boundary_cycles(s))
         assert walked == sorted(sorted(h.boundary) for h in [outer, *inner])
 
@@ -245,6 +246,50 @@ def test_boundary_cycles_visit_exact_boundary_sets():
 def test_turning_sign_separates_inner_and_outer():
     pts = set(parallelogram(9, 7)) - {GridPoint(4, 3), GridPoint(4, 4)}
     s = AmoebotStructure(pts)
-    outer, inner = find_holes(s)
+    outer, inner = find_holes_reference(s)
     want = {outer.boundary: -6} | {h.boundary: 6 for h in inner}
     assert {frozenset(cyc): total for cyc, total in boundary_cycles(s)} == want
+
+
+def assert_walk_and_holes_match_references(s: AmoebotStructure) -> None:
+    """The index's orbit arrays equal the per-visit loop's, and ``find_holes``
+    equals the flood fill: the inner holes' cells, boundaries and order, and
+    the outer boundary."""
+    got, want = s.index.cycles, boundary_cycles_reference(s.index.nbr)
+    for f in fields(want):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+    outer, inner = find_holes(s)
+    ref_outer, ref_inner = find_holes_reference(s)
+    assert inner == ref_inner
+    assert outer.boundary == ref_outer.boundary
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 512),
+    holes=st.integers(0, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_walk_and_holes_match_references_on_generated_structures(n, holes, seed):
+    holes = min(holes, max(0, (n - 6) // 7))  # the generator's hole limit
+    assert_walk_and_holes_match_references(generate_random(n, holes, seed))
+
+
+HAND_BUILT = {
+    # a hole of 19 cells whose inner 7 touch no amoebot
+    "wide_hole": set(parallelogram(9, 9)) - set(hexagon(2, GridPoint(4, 4))),
+    # a ring one amoebot wide around a 4 x 3 hole
+    "width_1_corridor": {p for p in parallelogram(6, 5) if p.a in (0, 5) or p.b in (0, 4)},
+    "holes_one_cell_apart": set(parallelogram(9, 7)) - {GridPoint(3, 3), GridPoint(5, 3)},
+    # (3, 3) is the ESE extreme of the left hole and the WNW extreme of the right one
+    "extreme_of_two_holes": set(parallelogram(8, 7)) - {GridPoint(2, 3), GridPoint(4, 2)},
+    "one_node": {GridPoint(0, 0)},
+}
+
+
+@pytest.mark.parametrize("turns", range(6))
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_walk_and_holes_match_references_on_rotated_inputs(name, turns):
+    assert_walk_and_holes_match_references(
+        AmoebotStructure(rotate60(p, turns) for p in HAND_BUILT[name])
+    )

@@ -26,28 +26,40 @@ def _defined_names(tree: ast.Module) -> list[tuple[str, str]]:
     return out
 
 
+def _dead_names(scanned: list[Path], owners: list[Path]) -> list[str]:
+    """Labels of the names defined in ``owners`` whose identifier appears as
+    a word in the ``scanned`` files no more often than it is defined there."""
+    words: Counter[str] = Counter()
+    definitions: Counter[str] = Counter()
+    for path in scanned:
+        text = path.read_text()
+        words.update(re.findall(r"\w+", text))
+        definitions.update(
+            node.name
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        )
+    candidates = [
+        (f"{path.relative_to(ROOT)}:{label}", name)
+        for path in owners
+        for label, name in _defined_names(ast.parse(path.read_text()))
+    ]
+    return [label for label, name in candidates if words[name] <= definitions[name]]
+
+
 def test_every_src_name_is_used_in_src_or_perfbench():
     """A function, class or method whose identifier appears as a word only in
     its own definition is called by nothing the engines, the oracle, the CLI
     or the benchmark run; it belongs in ``tests/`` or nowhere."""
-    words: Counter[str] = Counter()
-    definitions: Counter[str] = Counter()
-    candidates = []
-    for top in SCANNED:
-        for path in sorted(top.rglob("*.py")):
-            text = path.read_text()
-            tree = ast.parse(text)
-            words.update(re.findall(r"\w+", text))
-            definitions.update(
-                node.name
-                for node in ast.walk(tree)
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            )
-            if top == PACKAGE:
-                rel = path.relative_to(PACKAGE)
-                candidates += [(f"{rel}:{label}", name) for label, name in _defined_names(tree)]
-    dead = [label for label, name in candidates if words[name] <= definitions[name]]
-    assert dead == []
+    scanned = [path for top in SCANNED for path in sorted(top.rglob("*.py"))]
+    assert _dead_names(scanned, sorted(PACKAGE.rglob("*.py"))) == []
+
+
+def test_every_harness_is_called_by_a_test_or_another_harness():
+    """The harnesses and reference algorithms exist only for the tests, so
+    each one must be called from a test module or from another harness."""
+    tests = ROOT / "tests"
+    assert _dead_names(sorted(tests.glob("*.py")), [tests / "harnesses.py"]) == []
 
 
 def test_oracle_imports_no_engine_module_at_run_time():

@@ -25,6 +25,7 @@ from amoegrid.split import Region
 from harnesses import (
     boundary_test,
     election_trials,
+    find_holes_reference,
     global_maxima_boundary,
     global_maxima_general,
     global_maxima_oracle,
@@ -89,7 +90,7 @@ def test_boundary_test_matches_flood_fill():
     for seed in range(6):
         s = generate_random(90, seed % 3, seed)
         classes, _ = boundary_test(s, seed=seed)
-        outer, inner = find_holes(s)
+        outer, inner = find_holes_reference(s)
         got_inner = sorted(nodes for kind, nodes in classes if kind == "inner")
         want_inner = sorted(frozenset(h.boundary) for h in inner)
         assert got_inner == want_inner
