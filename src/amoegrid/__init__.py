@@ -2,7 +2,7 @@
 
 from .grid import AmoebotStructure, Direction, GridPoint, Hole, find_holes
 from .portals import AXES, Axis, Portal, PortalGraph, compute_portals, portal_graph
-from .split import Gate, NodeCut, Region, SplitNodeSpec, split_many
+from .split import Gate, NodeCut, Region, split_many
 
 __all__ = [
     "AmoebotStructure",
@@ -19,7 +19,6 @@ __all__ = [
     "Gate",
     "NodeCut",
     "Region",
-    "SplitNodeSpec",
     "split_many",
 ]
 

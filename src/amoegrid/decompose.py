@@ -25,18 +25,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ContractViolation, DomainError
-from .grid import AmoebotStructure, Direction, GridPoint, find_holes
+from .grid import AmoebotStructure, Direction, GridPoint, StructureIndex
 from .portals import AXES, Axis, Portal, PortalGraph, compute_portals, portal_graph
-from .split import (
-    SIDES,
-    Gate,
-    NodeCut,
-    Region,
-    SplitNodeSpec,
-    resolve_spec,
-    side_names,
-    split_many,
-)
+from .split import SIDES, Gate, NodeCut, Region, side_names, split_many
 
 
 def _side_cross_dirs(axis: Axis, side: str) -> tuple[Direction, Direction]:
@@ -101,52 +92,35 @@ class PortalTree:
 # -- phase 1 -------------------------------------------------------------------
 
 
-def hole_extremes(hole) -> tuple[GridPoint, GridPoint]:
-    """The WNW-most and the ESE-most boundary node of a hole."""
-    boundary = hole.boundary
-    return min(boundary, key=lambda p: (p.a, -p.b)), min(boundary, key=lambda p: (-p.a, -p.b))
-
-
-def hole_split_specs(hole) -> list[SplitNodeSpec]:
-    """The WNW-most and ESE-most boundary nodes of a hole with empty points."""
-    specs = []
-    prefs_of = ((Direction.E, Direction.SSE), (Direction.W, Direction.NNW))
-    for v, prefs in zip(hole_extremes(hole), prefs_of):
-        empty = next((v.neighbor(d) for d in prefs if v.neighbor(d) in hole.cells), None)
-        if empty is None:
-            raise ContractViolation(f"extreme boundary node {v} has no hole cell beside it")
-        specs.append(SplitNodeSpec(v, empty))
-    return specs
-
-
 def _phase1_plan(structure: AmoebotStructure, decide) -> tuple[list[Region], list[Gate], int]:
     root = Region.from_structure(structure)
-    _, inner = find_holes(structure)
-    portals = compute_portals(root, Axis.Y) if inner else []
-    nodes = decide.hole_extreme_nodes(inner, portals)
-    # The empty points are local knowledge.  One node can be the WNW extreme
-    # of one hole and the ESE extreme of another, so every spec is kept.
-    specs = [spec for hole in inner for spec in hole_split_specs(hole)]
-    if nodes != {spec.node for spec in specs}:
-        raise ContractViolation("split nodes disagree with the holes' extreme nodes")
-    if not specs:
-        return [root], [], len(inner)
+    ix = structure.index
+    holes = int(ix.cycles.inner.sum())
+    portals = compute_portals(root, Axis.Y) if holes else []
+    wnw, ese = decide.hole_extreme_nodes(ix, portals)
+    if not holes:
+        return [root], [], 0
 
+    # Stepping west from a hole cell reaches an amoebot on the hole's
+    # boundary, so every hole cell has a larger a than the hole's WNW-most
+    # node: that node's hole cells are E or SSE of it, on the ESE side of its
+    # y-portal.  Likewise the ESE-most node's hole cells are W or NNW of it,
+    # on the WNW side.  A node that is the WNW extreme of one hole and the
+    # ESE extreme of another is cut on both sides.
+    cuts = [NodeCut(v, Axis.Y, "ESE") for v in sorted(wnw)]
+    cuts += [NodeCut(v, Axis.Y, "WNW") for v in sorted(ese)]
     owner: dict[GridPoint, Portal] = {}
     for portal in portals:
         for p in portal.nodes:
             owner[p] = portal
     by_portal: dict[int, tuple[Portal, list[NodeCut]]] = {}
-    for spec in specs:
-        portal = owner[spec.node]
-        cut = resolve_spec(root, portal, spec)
-        entry = by_portal.setdefault(portal.id, (portal, []))
-        if cut not in entry[1]:
-            entry[1].append(cut)
+    for cut in cuts:
+        portal = owner[cut.node]
+        by_portal.setdefault(portal.id, (portal, []))[1].append(cut)
 
     regions = split_many(root, [entry for _, entry in sorted(by_portal.items())])
     gates = [g for r in regions for g in r.gates]
-    return regions, gates, len(inner)
+    return regions, gates, holes
 
 
 def phase1_simple(structure: AmoebotStructure) -> tuple[list[Region], list[Gate], int]:
@@ -565,9 +539,20 @@ class DirectDecisions:
     rounds; each method here is the reference for its decision.
     """
 
-    def hole_extreme_nodes(self, inner, y_portals) -> set[GridPoint]:
-        """Phase 1: the WNW- and ESE-most boundary node of every inner hole."""
-        return {v for hole in inner for v in hole_extremes(hole)}
+    def hole_extreme_nodes(
+        self, ix: StructureIndex, y_portals: list[Portal]
+    ) -> tuple[frozenset[GridPoint], frozenset[GridPoint]]:
+        """Phase 1: the WNW-most and the ESE-most boundary node of every
+        inner hole, each the NNE-most among ties, as (wnw, ese)."""
+        cyc = ix.cycles
+        on_hole = cyc.inner[cyc.cycle_id]
+        boundaries: dict[int, list[GridPoint]] = {}
+        for c, i in zip(cyc.cycle_id[on_hole].tolist(), cyc.node[on_hole].tolist()):
+            boundaries.setdefault(c, []).append(ix.nodes[i])
+        return (
+            frozenset(min(b, key=lambda p: (p.a, -p.b)) for b in boundaries.values()),
+            frozenset(min(b, key=lambda p: (-p.a, -p.b)) for b in boundaries.values()),
+        )
 
     def surviving_portals(self, trees: list[PortalTree]) -> list[set[int]]:
         """Phase 2: per region, the portals left by pruning non-gate leaves."""

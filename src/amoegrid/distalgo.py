@@ -39,8 +39,8 @@ from .decompose import (
     select_middle_region,
 )
 from .errors import ContractViolation, RoundBudgetExceeded
-from .grid import AmoebotStructure, GridPoint, slot_between
-from .portals import AXES, Axis, PortalGraph, portal_graph
+from .grid import AmoebotStructure, GridPoint, StructureIndex, slot_between
+from .portals import AXES, Axis, Portal, PortalGraph, portal_graph
 from .split import Gate, Region, side_names
 from .primitives.basic import closest_on_portal_batch, degree_check_batch
 from .primitives.boundary import BoundaryTest
@@ -158,7 +158,9 @@ class CircuitDecisions:
 
     # -- phase 1 ---------------------------------------------------------------
 
-    def hole_extreme_nodes(self, inner, y_portals) -> set[GridPoint]:
+    def hole_extreme_nodes(
+        self, ix: StructureIndex, y_portals: list[Portal]
+    ) -> tuple[frozenset[GridPoint], frozenset[GridPoint]]:
         """Boundary classification, extreme-node selection, and one beep
         from the split nodes on their y-portals."""
         world, meter = self.world, self.meter
@@ -166,24 +168,27 @@ class CircuitDecisions:
         cyc = stage.cyc
         inner_cycle, leaders, real_visit = stage.run(meter)
         if not inner_cycle.any():
-            return set()
+            return frozenset(), frozenset()
 
-        split_nodes: set[GridPoint] = set()
+        extremes = []
         for functional, tiebreak in (("WNW", "NNE"), ("ESE", "NNE")):
             psi = PSI[functional](world.a, world.b).astype(np.int64)
             first = chain_maxima(world, cyc, leaders, inner_cycle, real_visit.copy(), psi, meter)
             psi2 = PSI[tiebreak](world.a, world.b).astype(np.int64)
             second = chain_maxima(world, cyc, leaders, inner_cycle, first, psi2, meter)
+            nodes: set[GridPoint] = set()
             for c in np.flatnonzero(inner_cycle):
                 vids = np.flatnonzero(second & (cyc.cycle_id == c))
-                nodes = {world.nodes[cyc.node[v]] for v in vids}
-                if len(nodes) != 1:
+                mine = {world.nodes[cyc.node[v]] for v in vids}
+                if len(mine) != 1:
                     raise ContractViolation("extreme-node selection did not single out one amoebot")
-                split_nodes |= nodes
+                nodes |= mine
+            extremes.append(frozenset(nodes))
+        wnw, ese = extremes
 
         _wire_chains(world, [p.nodes for p in y_portals], np.zeros((world.n, 6), dtype=np.int8))
-        _beep_from(world, split_nodes, meter)
-        return split_nodes
+        _beep_from(world, wnw | ese, meter)
+        return wnw, ese
 
     # -- phase 2 ---------------------------------------------------------------
 
@@ -343,7 +348,7 @@ class CircuitDecisions:
         """Two rounds on the children's circuits for the gate-contact tests.
 
         The rule is ``select_middle_region``'s, applied to the children; the
-        rounds carry no beeps (ROADMAP item 5).
+        rounds carry no beeps (ROADMAP item 4).
         """
         world = self.world
         _wire_region_circuits(world, [self._space(r) for r in children])

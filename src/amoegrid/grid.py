@@ -95,11 +95,6 @@ def slot_between(u: GridPoint, v: GridPoint) -> int:
         raise DomainError(f"{u} and {v} are not grid neighbors") from None
 
 
-def direction_between(u: GridPoint, v: GridPoint) -> Direction:
-    """Direction of the grid step from ``u`` to its neighbor ``v``."""
-    return DIRECTIONS[slot_between(u, v)]
-
-
 def is_connected(pts: AbstractSet[GridPoint]) -> bool:
     """Whether a nonempty node set is connected under grid adjacency."""
     start = next(iter(pts))
@@ -175,8 +170,9 @@ class CycleStructure:
     successor node, ``turn`` in sixths of 360 degrees, ``swept`` the number
     of empty cells scanned over, ``prev_visit``/``next_visit`` its orbit
     neighbours and ``cycle_id`` its orbit.  ``real`` marks, per cycle, the
-    orbits that sweep a cell.  The arrays are read-only; visit and node
-    numbers are int32, slots and turns int8.
+    orbits that sweep a cell, and ``inner`` the real orbits whose turn total
+    is positive: the boundaries of inner holes.  The arrays are read-only;
+    visit and node numbers are int32, slots and turns int8.
     """
 
     node: np.ndarray
@@ -188,6 +184,7 @@ class CycleStructure:
     next_visit: np.ndarray
     cycle_id: np.ndarray
     real: np.ndarray
+    inner: np.ndarray
 
     @property
     def n_visits(self) -> int:
@@ -223,11 +220,13 @@ def _wall_walk(nbr: np.ndarray) -> CycleStructure:
     first, cycle_id = np.unique(low, return_inverse=True)
     real = np.zeros(len(first), dtype=bool)
     real[cycle_id[k > 1]] = True
+    inner = real & (np.bincount(cycle_id, weights=3 - k, minlength=len(first)) > 0)
     # the arrays live as long as the structure, so they are stored narrow
     num, small = np.int32, np.int8
     cyc = CycleStructure(
         node.astype(num), d_prev.astype(small), d_next.astype(small), (3 - k).astype(small),
         (k - 1).astype(small), prev_visit.astype(num), next_visit.astype(num), cycle_id.astype(num), real,
+        inner,
     )
     for arr in vars(cyc).values():
         arr.flags.writeable = False
@@ -336,11 +335,10 @@ def find_holes(structure: AmoebotStructure) -> tuple[Hole, list[Hole]]:
     """The outer hole and the inner holes, read off the boundary orbits.
 
     Each real orbit of ``structure.index.cycles`` bounds one component of
-    the complement: the orbit's turn total is +6 around an inner hole and
-    -6 around the outer one.  An inner hole's cells are its orbit's swept
-    cells closed under empty neighbours, which adds the cells of a wide
-    hole's interior.  Inner holes are returned sorted by their minimal cell
-    for determinism.
+    the complement: an inner hole where ``cycles.inner`` marks it, else the
+    outer one.  An inner hole's cells are its orbit's swept cells closed
+    under empty neighbours, which adds the cells of a wide hole's interior.
+    Inner holes are returned sorted by their minimal cell for determinism.
     """
     ix = structure.index
     cyc = ix.cycles
@@ -353,7 +351,6 @@ def find_holes(structure: AmoebotStructure) -> tuple[Hole, list[Hole]]:
     slot = (cyc.d_prev[vid] - j[col]) % 6
     cell_a, cell_b = (np.stack((ix.a, ix.b), axis=1)[cyc.node[vid]] + _SLOT_OFFSETS[slot]).T
     cell_cycle = cyc.cycle_id[vid]
-    total = np.bincount(cyc.cycle_id, weights=cyc.turn, minlength=cyc.n_cycles)
 
     outer = None
     inner = []
@@ -361,10 +358,10 @@ def find_holes(structure: AmoebotStructure) -> tuple[Hole, list[Hole]]:
         boundary = frozenset(ix.nodes[i] for i in cyc.node[cyc.cycle_id == c].tolist())
         mine = cell_cycle == c
         cells = {_tuple_new(GridPoint, ab) for ab in zip(cell_a[mine].tolist(), cell_b[mine].tolist())}
-        if total[c] < 0:
-            outer = Hole("outer", frozenset(cells), boundary)
-        else:
+        if cyc.inner[c]:
             inner.append(Hole("inner", _closed(cells, structure.nodes), boundary))
+        else:
+            outer = Hole("outer", frozenset(cells), boundary)
     inner.sort(key=lambda h: min(h.cells))
     return outer, inner
 

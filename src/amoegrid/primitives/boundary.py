@@ -121,6 +121,8 @@ class BoundaryTest:
                 inner_cycle[cyc.cycle_id[vid]] = True
             elif total != 4:
                 raise ContractViolation(f"turning total {total} mod 5 is not +-6")
+        if not np.array_equal(inner_cycle, cyc.inner):
+            raise ContractViolation("turning test disagrees with geometry")
 
         # classification broadcast: leaders of inner cycles beep once
         real.wire(real.cycle_plan(0, OFF_CYCLE))

@@ -13,9 +13,8 @@ built once.
 For a y-portal the two copies keep, besides the intra-portal edges, the
 cross edges toward NNW/W (the WNW copy) and toward SSE/E (the ESE copy).
 Splitting additionally at a node on the portal divides the copy on the
-side of the node's specified empty grid point into an up bundle and a
-down bundle.  The x- and z-portal variants are the images of the y rules
-under 120-degree rotations.
+cut's side into an up bundle and a down bundle.  The x- and z-portal
+variants are the images of the y rules under 120-degree rotations.
 """
 
 from __future__ import annotations
@@ -25,14 +24,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import ContractViolation, DomainError
-from .grid import (
-    DIRECTIONS,
-    AmoebotStructure,
-    Direction,
-    GridPoint,
-    direction_between,
-    slot_between,
-)
+from .grid import DIRECTIONS, AmoebotStructure, Direction, GridPoint, slot_between
 from .portals import Axis, Portal, axis_chains
 
 # Per axis: the two sides, each mapping to its (cross-up, cross-down)
@@ -56,14 +48,6 @@ SIDES: dict[Axis, tuple[tuple[str, Direction, Direction], ...]] = {
 
 def side_names(axis: Axis) -> tuple[str, str]:
     return tuple(s[0] for s in SIDES[axis])  # type: ignore[return-value]
-
-
-def side_of_direction(axis: Axis, d: Direction) -> str | None:
-    """Side of the axis a cross direction points to; None for portal directions."""
-    for name, up, down in SIDES[axis]:
-        if d is up or d is down:
-            return name
-    return None
 
 
 def _slot_mask(*dirs: Direction) -> int:
@@ -101,14 +85,6 @@ class Gate:
     @property
     def node_set(self) -> frozenset[GridPoint]:
         return frozenset(self.nodes)
-
-
-@dataclass(frozen=True)
-class SplitNodeSpec:
-    """A node on a splitting portal together with its specified empty point."""
-
-    node: GridPoint
-    empty_point: GridPoint
 
 
 @dataclass(frozen=True)
@@ -344,21 +320,3 @@ def _child(
                 seen_runs.add((g.axis, g.side, run))
                 gates.append(Gate(g.axis, g.side, run))
     return nodes, edges, gates
-
-
-# -- public splitting operations ---------------------------------------------
-
-
-def resolve_spec(region: Region, portal: Portal, spec: SplitNodeSpec) -> NodeCut:
-    """Turn an empty-point node spec into a side-resolved cut."""
-    if spec.node not in portal.node_set:
-        raise DomainError(f"{spec.node} does not lie on the splitting portal")
-    if spec.empty_point in region.nodes:
-        raise DomainError(f"specified point {spec.empty_point} is occupied")
-    d = direction_between(spec.node, spec.empty_point)
-    side = side_of_direction(portal.axis, d)
-    if side is None:
-        raise DomainError(
-            f"empty point of {spec.node} lies along the portal axis, not beside it"
-        )
-    return NodeCut(spec.node, portal.axis, side)

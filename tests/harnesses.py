@@ -10,6 +10,7 @@ the boundary-chain maxima improves on; no engine runs it.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -18,14 +19,16 @@ from amoegrid.circuits import World
 from amoegrid.decompose import DIRECT, _point_gate_plan
 from amoegrid.errors import ContractViolation, DomainError
 from amoegrid.grid import (
+    DIRECTIONS,
     AmoebotStructure,
     CycleStructure,
     Direction,
     GridPoint,
     Hole,
-    direction_between,
+    find_holes,
+    slot_between,
 )
-from amoegrid.portals import Axis, portal_graph
+from amoegrid.portals import Axis, Portal, portal_graph
 from amoegrid.primitives import (
     BoundaryTest,
     Meter,
@@ -37,7 +40,7 @@ from amoegrid.primitives import (
     stream_counts,
 )
 from amoegrid.primitives.maxima import PSI
-from amoegrid.split import NodeCut, Region, SplitNodeSpec, side_of_direction, split_many
+from amoegrid.split import SIDES, NodeCut, Region, split_many
 
 # -- oracle references --------------------------------------------------------
 
@@ -162,7 +165,12 @@ def boundary_cycles_reference(nbr: np.ndarray) -> CycleStructure:
         n_cycles += 1
     real = np.zeros(n_cycles, dtype=bool)
     np.logical_or.at(real, cycle_id, swept > 0)
-    return CycleStructure(node, d_prev, d_next, turn, swept, prev_visit, next_visit, cycle_id, real)
+    total = np.zeros(n_cycles, dtype=np.int64)
+    np.add.at(total, cycle_id, turn)
+    inner = real & (total > 0)
+    return CycleStructure(
+        node, d_prev, d_next, turn, swept, prev_visit, next_visit, cycle_id, real, inner
+    )
 
 
 def bfs_distances(structure: AmoebotStructure, source: GridPoint) -> dict[GridPoint, int]:
@@ -245,6 +253,60 @@ def gate_for_node(region: Region, p: GridPoint):
     return None
 
 
+@dataclass(frozen=True)
+class SplitNodeSpec:
+    """A node on a splitting portal together with its specified empty point."""
+
+    node: GridPoint
+    empty_point: GridPoint
+
+
+def side_of_direction(axis: Axis, d: Direction) -> str | None:
+    """Side of the axis a cross direction points to; None for portal directions."""
+    for name, up, down in SIDES[axis]:
+        if d is up or d is down:
+            return name
+    return None
+
+
+def resolve_spec(region: Region, portal: Portal, spec: SplitNodeSpec) -> NodeCut:
+    """Turn an empty-point node spec into a side-resolved cut."""
+    if spec.node not in portal.node_set:
+        raise DomainError(f"{spec.node} does not lie on the splitting portal")
+    if spec.empty_point in region.nodes:
+        raise DomainError(f"specified point {spec.empty_point} is occupied")
+    side = side_of_direction(portal.axis, DIRECTIONS[slot_between(spec.node, spec.empty_point)])
+    if side is None:
+        raise DomainError(
+            f"empty point of {spec.node} lies along the portal axis, not beside it"
+        )
+    return NodeCut(spec.node, portal.axis, side)
+
+
+def hole_split_specs_reference(
+    structure: AmoebotStructure,
+) -> list[tuple[SplitNodeSpec, SplitNodeSpec]]:
+    """Phase 1's split nodes by the empty-cell lookup: per inner hole of
+    ``find_holes``, its WNW-most and its ESE-most boundary node, each with
+    the first of its preferred neighbour cells that lies in ``hole.cells``."""
+    out = []
+    prefs_of = ((Direction.E, Direction.SSE), (Direction.W, Direction.NNW))
+    for hole in find_holes(structure)[1]:
+        boundary = hole.boundary
+        extremes = (
+            min(boundary, key=lambda p: (p.a, -p.b)),
+            min(boundary, key=lambda p: (-p.a, -p.b)),
+        )
+        specs = []
+        for v, prefs in zip(extremes, prefs_of):
+            empty = next((v.neighbor(d) for d in prefs if v.neighbor(d) in hole.cells), None)
+            if empty is None:
+                raise ContractViolation(f"extreme boundary node {v} has no hole cell beside it")
+            specs.append(SplitNodeSpec(v, empty))
+        out.append(tuple(specs))
+    return out
+
+
 def split_region_at_node(region: Region, spec: SplitNodeSpec) -> list[Region]:
     """Split a region at a single gate node (the node-only split of phase 2/3)."""
     gate = gate_for_node(region, spec.node)
@@ -252,8 +314,7 @@ def split_region_at_node(region: Region, spec: SplitNodeSpec) -> list[Region]:
         raise DomainError(f"{spec.node} does not lie on a gate of the region")
     if spec.empty_point in region.nodes:
         raise DomainError(f"specified point {spec.empty_point} is occupied")
-    d = direction_between(spec.node, spec.empty_point)
-    side = side_of_direction(gate.axis, d)
+    side = side_of_direction(gate.axis, DIRECTIONS[slot_between(spec.node, spec.empty_point)])
     if side is not None and side != gate.side:
         raise DomainError("empty point lies on the far side of the gate")
     return split_many(region, [], [NodeCut(spec.node, gate.axis, gate.side)])

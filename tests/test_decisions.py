@@ -12,10 +12,17 @@ from pathlib import Path
 import pytest
 
 from amoegrid import distalgo
-from amoegrid.decompose import DIRECT, DirectDecisions, decompose
+from amoegrid.circuits import World
+from amoegrid.decompose import DIRECT, DirectDecisions, decompose, phase1_simple
 from amoegrid.distalgo import CircuitDecisions, run_distributed
+from amoegrid.errors import ContractViolation
 from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure
+from amoegrid.oracle import verify_decomposition
+from amoegrid.primitives import Meter
+
+from harnesses import rotate60
+from test_grid import HAND_BUILT
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -51,10 +58,13 @@ def structures():
         yield f"gen_{n}_{holes}_{500 + i}", generate_random(n, holes, 500 + i), i
 
 
+def region_rows(regions) -> list:
+    return [(r.id, r.lineage, r.nodes, r.edges, r.gates) for r in regions]
+
+
 def fields(deco) -> tuple:
-    regions = [(r.id, r.lineage, r.nodes, r.edges, r.gates) for r in deco.regions]
     return (
-        regions,
+        region_rows(deco.regions),
         deco.phase1_gates,
         deco.phase1_region_count,
         deco.tunnel_count,
@@ -70,3 +80,36 @@ def test_providers_agree_on_every_decision_and_output(asked):
         assert outcome.decomposition.canonical() == central.canonical(), label
         assert fields(outcome.decomposition) == fields(central), label
     assert sorted(asked) == DECISIONS
+
+
+@pytest.mark.parametrize("turns", range(6))
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_phase1_providers_agree_on_rotated_hand_built_inputs(asked, name, turns):
+    s = AmoebotStructure(rotate60(p, turns) for p in HAND_BUILT[name])
+    regions, gates, holes = distalgo.dist_phase1(World(s, c=10, seed=turns), s, Meter())
+    want_regions, want_gates, want_holes = phase1_simple(s)
+    assert region_rows(regions) == region_rows(want_regions)
+    assert (gates, holes) == (want_gates, want_holes)
+    assert asked == {"hole_extreme_nodes": 1}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ContractViolation,
+    reason=(
+        "the middle region M (6 nodes) has both point gates g = (-10, 3) and "
+        "g' = (-8, 1) on its own WSW z-gate, so d_z = 0 and _point_gate_plan cuts "
+        "b = (-9, 2) on both z sides; the x median (-10, 2)-(-9, 2) and the y "
+        "median (-9, 1)-(-9, 2) also pass through b, and the edge (-10, 2)-(-9, 1) "
+        "of the filled triangle at b survives in the x:S and the y:WNW copy, so "
+        "the copy graph joins b's WSW-U copy to its WSW-D copy"
+    ),
+)
+def test_engines_agree_and_verify_on_a_hole_with_interior_cells():
+    s = AmoebotStructure.from_text((FIXTURES / "wide_hole_rot2.txt").read_text())
+    central = decompose(s)
+    outcome = run_distributed(s, seed=0)
+    assert outcome.decomposition.canonical() == central.canonical()
+    assert fields(outcome.decomposition) == fields(central)
+    report = verify_decomposition(s, central)
+    assert report.all_ok, "\n".join(report.summary_lines())

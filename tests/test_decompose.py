@@ -5,7 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from amoegrid.decompose import (
+    DIRECT,
     decompose,
     phase1_simple,
     phase2_tunnels,
@@ -23,8 +27,8 @@ from amoegrid.oracle import (
 from amoegrid.portals import Axis, compute_portals
 from amoegrid.split import Region
 
-from harnesses import point_gate_split, rotate60
-from test_grid import hexagon, parallelogram
+from harnesses import hole_split_specs_reference, point_gate_split, resolve_spec, rotate60
+from test_grid import HAND_BUILT, hexagon, parallelogram
 
 
 def carved(width, height, cells) -> AmoebotStructure:
@@ -66,6 +70,48 @@ def test_phase1_many_holes_bounds():
         assert len(gates) <= 6 * h
         for r in regions:
             assert is_simple(r.nodes)
+
+
+def assert_extremes_cut_on_the_side_of_their_hole_cells(s: AmoebotStructure) -> None:
+    """The direct provider's extreme nodes are the empty-cell lookup's, and
+    each lookup spec resolves to the side phase 1 cuts: ESE for a hole's
+    WNW-most node, WNW for its ESE-most node."""
+    pairs = hole_split_specs_reference(s)
+    wnw, ese = DIRECT.hole_extreme_nodes(s.index, [])
+    assert wnw == {w.node for w, _ in pairs}
+    assert ese == {e.node for _, e in pairs}
+    root = Region.from_structure(s)
+    owner = {p: portal for portal in compute_portals(root, Axis.Y) for p in portal.nodes}
+    for w, e in pairs:
+        assert resolve_spec(root, owner[w.node], w).side == "ESE"
+        assert resolve_spec(root, owner[e.node], e).side == "WNW"
+
+
+@pytest.mark.parametrize("turns", range(6))
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_phase1_cut_sides_match_hole_cells_on_rotated_inputs(name, turns):
+    assert_extremes_cut_on_the_side_of_their_hole_cells(
+        AmoebotStructure(rotate60(p, turns) for p in HAND_BUILT[name])
+    )
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(n=st.integers(1, 512), holes=st.integers(0, 8), seed=st.integers(0, 2**16))
+def test_phase1_cut_sides_match_hole_cells_on_generated_structures(n, holes, seed):
+    holes = min(holes, max(0, (n - 6) // 7))  # the generator's hole limit
+    assert_extremes_cut_on_the_side_of_their_hole_cells(generate_random(n, holes, seed))
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+def test_phase1_cut_sides_match_hole_cells_around_wide_holes(radius):
+    for width in range(9, 12):
+        for height in range(9, 12):
+            hole = hexagon(radius, GridPoint(width // 2, height // 2))
+            pts = set(parallelogram(width, height)) - set(hole)
+            for turns in range(6):
+                assert_extremes_cut_on_the_side_of_their_hole_cells(
+                    AmoebotStructure(rotate60(p, turns) for p in pts)
+                )
 
 
 def test_phase2_zero_or_one_gate_unchanged():

@@ -78,3 +78,18 @@ def test_oracle_imports_no_engine_module_at_run_time():
         if isinstance(node, ast.ImportFrom) and id(node) not in type_only
     }
     assert "grid" in modules and not modules & {"portals", "split", "decompose"}
+
+
+def test_no_engine_module_imports_find_holes():
+    """Both engines read the holes off the boundary orbits; ``find_holes``
+    and its flood of hole interiors serve only the generator and the tests."""
+    engines = [PACKAGE / "decompose.py", PACKAGE / "distalgo.py"]
+    engines += sorted((PACKAGE / "primitives").glob("*.py"))
+    importers = [
+        path.relative_to(ROOT).as_posix()
+        for path in engines
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(alias.name.split(".")[-1] == "find_holes" for alias in node.names)
+    ]
+    assert importers == []

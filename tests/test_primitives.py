@@ -11,7 +11,7 @@ from amoegrid import distalgo, primitives
 from amoegrid.circuits import World
 from amoegrid.errors import ContractViolation
 from amoegrid.generator import generate_random
-from amoegrid.grid import AmoebotStructure, Direction, GridPoint, find_holes
+from amoegrid.grid import AmoebotStructure, Direction, GridPoint, find_holes, slot_between
 from amoegrid.portals import AXES, Axis, portal_graph
 from amoegrid.primitives import (
     Meter,
@@ -200,12 +200,10 @@ def test_region_has_matches_set_intersection():
         w = World(s, c=10)
         region = Region.from_structure(s)
         pins = []
-        from amoegrid.grid import DIRECTIONS, direction_between
-
         for u, v in region.edges:
             iu, iv = w.index[u], w.index[v]
-            pins.append((iu, DIRECTIONS.index(direction_between(u, v)), 0))
-            pins.append((iv, DIRECTIONS.index(direction_between(v, u)), 0))
+            pins.append((iu, slot_between(u, v), 0))
+            pins.append((iv, slot_between(v, u), 0))
         members = sorted(s.nodes)
         subset = rng.sample(members, rng.randint(0, len(members)))
         got = region_has(w, pins, [w.index[p] for p in subset], Meter())

@@ -7,9 +7,9 @@ from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, Direction, GridPoint
 from amoegrid.oracle import connected, is_geodesically_convex, is_simple
 from amoegrid.portals import Axis, compute_portals, portal_graph
-from amoegrid.split import NodeCut, Region, SplitNodeSpec, resolve_spec, split_many
+from amoegrid.split import NodeCut, Region, split_many
 
-from harnesses import split_region_at_node
+from harnesses import SplitNodeSpec, resolve_spec, split_region_at_node
 from test_grid import hexagon, parallelogram
 
 
