@@ -9,11 +9,12 @@ Rounds are fully synchronous: activations read the previous round's inbox
 and their own state, emit a new pin configuration plus beeps, and beeps
 propagate on the updated configuration.  The implementation is array-based:
 a protocol writes the pin configuration of every amoebot into ``World.pset``
-and the beeps of the round into a send matrix, and ``World.deliver`` returns
-what every partition set hears.  The primitives in ``amoegrid.primitives``
-are such protocols.  The tests keep a per-amoebot reference round and an
-explicit circuit listing (``tests/reference_circuits.py``) as the oracle of
-these semantics.
+and names the partition sets that beep; ``World.beep`` is the one charged
+round: it builds the send matrix, ``World.deliver`` returns what every
+partition set hears, and the round is added to the caller's ``Meter``.  The
+primitives in ``amoegrid.primitives`` are such protocols.  The tests keep a
+per-amoebot reference round and an explicit circuit listing
+(``tests/reference_circuits.py``) as the oracle of these semantics.
 """
 
 from __future__ import annotations
@@ -69,6 +70,13 @@ def _components(m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             if np.array_equal(jumped, root):
                 break
             root = jumped
+
+
+@dataclass
+class Meter:
+    """Round counter shared by pipeline stages; ``World.beep`` charges it."""
+
+    rounds: int = 0
 
 
 @dataclass
@@ -255,6 +263,15 @@ class World:
         absorbed = parked_partner[keepers]
         self._absorb_recv = self.pin_owner[absorbed] * self.S + flat[absorbed]
         self._dirty = False
+
+    def beep(self, cells: np.ndarray | list[int], meter: Meter) -> np.ndarray:
+        """One charged round: the flat ``amoebot * S + label`` send cells
+        ``cells`` beep, and ``meter`` counts the round; returns the recv."""
+        send = np.zeros((self.n, self.S), dtype=bool)
+        send.reshape(-1)[cells] = True
+        recv = self.deliver(send)
+        meter.rounds += 1
+        return recv
 
     def deliver(self, send: np.ndarray) -> np.ndarray:
         """One synchronous beep exchange on the current pin configuration.

@@ -182,7 +182,7 @@ def main(argv=None) -> int:
             structure = load_structure(args.file)
         else:
             parser.error("either FILE or --gen is required")
-    except (InvalidStructureError, FileNotFoundError, AmoegridError) as exc:
+    except (InvalidStructureError, OSError, UnicodeDecodeError, AmoegridError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .circuits import HALF_PINS, SimulationTrace, World
+from .circuits import HALF_PINS, Meter, SimulationTrace, World
 from .decompose import (
     ChainQuery,
     Decomposition,
@@ -48,7 +48,7 @@ from .primitives.election import election_iters, run_election
 from .primitives.maxima import PSI, chain_maxima
 # run_counting_pasc stays bound here: perfbench's tracer test checks that its
 # patch reaches the engine module as well as the primitives that call it.
-from .primitives.pasc import Meter, run_counting_pasc  # noqa: F401
+from .primitives.pasc import run_counting_pasc  # noqa: F401
 from .primitives.trees import PortalForest, contract_tree, forest_from_chains, stream_counts
 
 SIDE_FIRST = {a: side_names(a)[0] for a in AXES}
@@ -131,11 +131,7 @@ def _wire_chains(world: World, chains, koff: np.ndarray) -> None:
 
 def _beep_from(world: World, nodes, meter: Meter) -> None:
     """One round in which ``nodes`` beep on label 1 of the wired circuits."""
-    send = np.zeros((world.n, world.S), dtype=bool)
-    for p in nodes:
-        send[world.index[p], 1] = True
-    world.deliver(send)
-    meter.rounds += 1
+    world.beep([world.index[p] * world.S + 1 for p in nodes], meter)
 
 
 class CircuitDecisions:
@@ -353,8 +349,7 @@ class CircuitDecisions:
         world = self.world
         _wire_region_circuits(world, [self._space(r) for r in children])
         for _ in range(2):
-            world.deliver(np.zeros((world.n, world.S), dtype=bool))
-            self.meter.rounds += 1
+            world.beep([], self.meter)
         return select_middle_region(children, info_x, info_z)
 
     def path_distances(

@@ -10,7 +10,7 @@ from .boundary import BoundaryTest
 from .chains import ChainSpace
 from .election import election_iters, run_election
 from .maxima import chain_maxima
-from .pasc import ElementForest, Meter, bits_to_int, run_counting_pasc
+from .pasc import ElementForest, bits_to_int, run_counting_pasc
 from .trees import PortalForest, contract_tree, forest_from_chains, stream_counts
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "run_election",
     "chain_maxima",
     "ElementForest",
-    "Meter",
     "bits_to_int",
     "run_counting_pasc",
     "PortalForest",

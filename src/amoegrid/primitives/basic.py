@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..circuits import HALF_PINS, World
+from ..circuits import HALF_PINS, Meter, World
 from ..errors import ContractViolation
-from .pasc import NO_PINS, Meter
+from .pasc import NO_PINS
 
 K_CHAIN = 1
 #: closest-mark labels: a chain's through set, and a mark's down and up sets
@@ -33,8 +33,7 @@ def closest_on_portal_batch(
     """
     chains = [list(reversed(chain)) if end == 1 else list(chain) for chain, _, end, _ in instances]
     rows, up, dn, start = world.chain_slots(chains)
-    pins, labels, marks = [NO_PINS], [NO_PINS], []
-    send = np.zeros((world.n, world.S), dtype=bool)
+    pins, labels, marks, cells = [NO_PINS], [NO_PINS], [], []
     for (_, marked, _, koff), a, b in zip(instances, start, start[1:]):
         r, m = rows[a:b], marked[rows[a:b]]
         if not m.any():
@@ -45,11 +44,10 @@ def closest_on_portal_batch(
         pins.append(world.pin_index(r[:, None], slots, K_CHAIN, koff)[live])
         labels.append(np.where(m[:, None], (MARK_DOWN, MARK_UP), THROUGH)[live])
         if up[a] >= 0:
-            send[r[0], MARK_UP if m[0] else THROUGH] = True
+            cells.append(r[0] * world.S + (MARK_UP if m[0] else THROUGH))
         marks.append(m)
     world.wire(np.concatenate(pins), np.concatenate(labels))
-    recv = world.deliver(send)
-    meter.rounds += 1
+    recv = world.beep(cells, meter)
     out = []
     for chain, m, a, b in zip(chains, marks, start, start[1:]):
         hit = m & recv[rows[a:b], MARK_DOWN]
@@ -72,8 +70,7 @@ def degree_check_batch(
     degree tests where a shift marks the start of a new neighbor run.
     """
     rows, up, dn, start = world.chain_slots([chain for chain, *_ in instances])
-    pins, labels, shifts = [NO_PINS], [NO_PINS], []
-    send = np.zeros((world.n, world.S), dtype=bool)
+    pins, labels, shifts, cells = [NO_PINS], [NO_PINS], [], []
     for (_, shift, threshold, koff), a, b in zip(instances, start, start[1:]):
         if threshold >= HALF_PINS:
             raise ContractViolation("degree tracks exceed the pin budget")
@@ -92,10 +89,9 @@ def degree_check_batch(
         live = np.broadcast_to(u >= 0, out.shape)
         pins.append(world.pin_index(r, u, out, koff)[live])
         labels.append(TRACK0 + out[live])
-        send[rows[a], TRACK0 + min(sh[0], threshold)] = True
+        cells.append(rows[a] * world.S + TRACK0 + min(sh[0], threshold))
     world.wire(np.concatenate(pins), np.concatenate(labels))
-    recv = world.deliver(send)
-    meter.rounds += 1
+    recv = world.beep(cells, meter)
     out = []
     for (_, _, threshold, _), sh, b in zip(instances, shifts, start[1:]):
         if len(sh) == 1:

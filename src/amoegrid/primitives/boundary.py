@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..circuits import World, mix64
+from ..circuits import Meter, World, mix64
 from ..errors import ContractViolation
 from ..grid import CycleStructure
 from .chains import TURN_TRACKS, ChainSpace
 from .election import election_iters, run_election
-from .pasc import Meter
 
 OFF_CYCLE = 0
 OFF_TRACK = 1  # tracks occupy offsets 1..5
@@ -63,10 +62,7 @@ class BoundaryTest:
 
         # one round: visits that swept empty cells beep; hearers are on a
         # real boundary cycle rather than a filled-triangle face orbit
-        send = np.zeros((world.n, world.S), dtype=bool)
-        send.reshape(-1)[cell[cyc.swept > 0]] = True
-        recv = world.deliver(send)
-        meter.rounds += 1
+        recv = world.beep(cell[cyc.swept > 0], meter)
         real_visit = recv.reshape(-1)[cell]
         if not np.array_equal(real_visit, cyc.real[cyc.cycle_id]):
             raise ContractViolation("real-cycle beep round disagrees with geometry")
@@ -106,10 +102,7 @@ class BoundaryTest:
             ),
         )
         lead_node, lead_win = cyc.node[leaders], real.win[real.pos[leaders]]
-        send = np.zeros((world.n, world.S), dtype=bool)
-        send[lead_node, lead_win + OFF_TRACK] = True
-        recv = world.deliver(send)
-        meter.rounds += 1
+        recv = world.beep(lead_node * world.S + lead_win + OFF_TRACK, meter)
 
         inner_cycle = np.zeros(cyc.n_cycles, dtype=bool)
         for vid, i, w in zip(leaders, lead_node, lead_win):
@@ -126,11 +119,9 @@ class BoundaryTest:
 
         # classification broadcast: leaders of inner cycles beep once
         real.wire(real.cycle_plan(0, OFF_CYCLE))
-        send = np.zeros((world.n, world.S), dtype=bool)
         inner_leaders = leader_of_cycle[inner_cycle]
-        send[cyc.node[inner_leaders], real.win[real.pos[inner_leaders]] + OFF_CYCLE] = True
-        recv = world.deliver(send)
-        meter.rounds += 1
+        lead_cell = cyc.node[inner_leaders] * world.S + real.win[real.pos[inner_leaders]]
+        recv = world.beep(lead_cell + OFF_CYCLE, meter)
         heard_inner = np.zeros(cyc.n_visits, dtype=bool)
         heard_inner[real.vids] = recv[real.node, real.win + OFF_CYCLE]
         if not np.array_equal(heard_inner, inner_cycle[cyc.cycle_id] & real_visit):

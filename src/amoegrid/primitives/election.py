@@ -12,8 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..circuits import World
-from .pasc import Meter
+from ..circuits import Meter, World
 
 #: pipeline budget multiplier: failure probability about n^(1 - PIPELINE_C0)
 PIPELINE_C0 = 5
@@ -40,17 +39,8 @@ def run_election(
     ``iters`` one-round iterations.
     """
     active = candidates.copy()
-    heads = np.zeros(len(cell), dtype=bool)
-    send = None
-    for it in range(iters + 1):
-        if send is not None:
-            recv = world.deliver(send)
-            meter.rounds += 1
-            heard = recv.reshape(-1)[cell]
-            active &= ~(heard & ~heads)
-        if it == iters:
-            break
+    for _ in range(iters):
         heads = coins(active) & active
-        send = np.zeros((world.n, world.S), dtype=bool)
-        send.reshape(-1)[cell[heads]] = True
+        heard = world.beep(cell[heads], meter).reshape(-1)[cell]
+        active &= ~(heard & ~heads)
     return active

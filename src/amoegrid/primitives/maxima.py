@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..circuits import World
+from ..circuits import Meter, World
 from ..grid import CycleStructure
 from .chains import ChainSpace, K_P1, K_P2, K_S1, K_S2
-from .pasc import ElementForest, Meter, bits_to_int, run_counting_pasc
+from .pasc import ElementForest, bits_to_int, run_counting_pasc
 
 #: ranking functionals by direction name; ESE/WNW rank like E/W
 PSI = {
@@ -66,8 +66,10 @@ def chain_maxima(
     if vids.size == 0:
         return np.zeros(cyc.n_visits, dtype=bool)
     space = ChainSpace(world, cyc, part)
-    # every visit's block circuit: pin 0 of its links on its window label
-    node, label = space.node, space.win
+    # every visit's block circuit: pin 0 of its links on its window label,
+    # at the flat send/recv cell ``cell``
+    node = space.node
+    cell = node * world.S + space.win
 
     def wire_blocks(cut: np.ndarray) -> None:
         space.wire(space.cycle_plan(0, 0, cut))
@@ -93,12 +95,9 @@ def chain_maxima(
 
     # 2. clear each chain's last start so no stored block is too short
     wire_blocks(start)
-    send = np.zeros((world.n, world.S), dtype=bool)
     last = is_leader[cyc.next_visit[vids]]
-    send[node[last], label[last]] = True
-    recv = world.deliver(send)
-    meter.rounds += 1
-    start[vids[start[vids] & ~is_leader[vids] & recv[node, label]]] = False
+    heard = world.beep(cell[last], meter).reshape(-1)[cell]
+    start[vids[start[vids] & ~is_leader[vids] & heard]] = False
     cut_block = start.copy()
 
     # 3. block-local rank and height offsets (small, stored per amoebot)
@@ -126,12 +125,9 @@ def chain_maxima(
     wire_blocks(cut_block)
     for t in range(s + 3, -1, -1):
         bit = ((local_pot[vids] + bias_local) >> t & 1).astype(bool)
-        send = np.zeros((world.n, world.S), dtype=bool)
         speak = winners[vids] & bit
-        send[node[speak], label[speak]] = True
-        recv = world.deliver(send)
-        meter.rounds += 1
-        winners[vids[winners[vids] & ~bit & recv[node, label]]] = False
+        heard = world.beep(cell[speak], meter).reshape(-1)[cell]
+        winners[vids[winners[vids] & ~bit & heard]] = False
 
     multi_block = np.zeros(cyc.n_cycles, dtype=bool)
     multi_block[cyc.cycle_id[start & ~is_leader]] = True
@@ -156,12 +152,9 @@ def chain_maxima(
         carry = (t >= 2).astype(np.int64)
         borrow = (t < 0).astype(np.int64)
         wire_blocks(cut_block)
-        send = np.zeros((world.n, world.S), dtype=bool)
         speak = winners[vids] & out[vids]
-        send[node[speak], label[speak]] = True
-        recv = world.deliver(send)
-        meter.rounds += 1
-        stored[vids, j] |= (rank[vids] == j) & recv[node, label]
+        heard = world.beep(cell[speak], meter).reshape(-1)[cell]
+        stored[vids, j] |= (rank[vids] == j) & heard
 
     run_counting_pasc(
         world,
@@ -176,17 +169,13 @@ def chain_maxima(
     # pin 0 carries the block circuit and pin 1 the cycle circuit (label
     # window + 1), both wired once since no round rewires them
     space.wire(space.cycle_plan(0, 0, cut_block), space.cycle_plan(1, 1))
-    cycle_label = label + 1
+    cycle_cell = cell + 1
     blk_alive = part.copy()
     in_multi = multi_block[cyc.cycle_id[vids]]
     for t in range(b_global - 1, -1, -1):
         speak = (rank[vids] == t) & stored[vids, t] & blk_alive[vids] & in_multi
-        send = np.zeros((world.n, world.S), dtype=bool)
-        send[node[speak], cycle_label[speak]] = True
-        send[node[speak], label[speak]] = True
-        recv = world.deliver(send)
-        meter.rounds += 1
-        lose = in_multi & blk_alive[vids] & recv[node, cycle_label] & ~recv[node, label]
+        recv = world.beep(np.concatenate((cycle_cell[speak], cell[speak])), meter).reshape(-1)
+        lose = in_multi & blk_alive[vids] & recv[cycle_cell] & ~recv[cell]
         blk_alive[vids[lose]] = False
 
     return winners & blk_alive

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..circuits import World
+from ..circuits import Meter, World
 
 NO_PINS = np.zeros(0, dtype=np.int64)
 
@@ -113,22 +113,11 @@ class ElementForest:
         out[self.b_elem[recv.reshape(-1)[self.b_cell]]] = True
         return out
 
-    def root_send(self, send: np.ndarray) -> None:
-        """Roots inject the stream on their set A (at their smallest member)."""
-        send.reshape(-1)[self.root_cell] = True
-
 
 def bits_to_int(stream: np.ndarray) -> np.ndarray:
     """Integers from least-significant-bit-first rows of a count stream."""
     weights = 1 << np.arange(stream.shape[1], dtype=np.int64)
     return stream.astype(np.int64) @ weights
-
-
-@dataclass
-class Meter:
-    """Round counter shared by pipeline stages."""
-
-    rounds: int = 0
 
 
 def run_counting_pasc(
@@ -153,11 +142,7 @@ def run_counting_pasc(
     for j in range(iters):
         plans = [forest.plan(act) for forest, act in zip(forests, active)]
         world.wire(*(np.concatenate(part) for part in zip(*plans)))
-        send = np.zeros((world.n, world.S), dtype=bool)
-        for forest in forests:
-            forest.root_send(send)
-        recv = world.deliver(send)
-        meter.rounds += 1
+        recv = world.beep(np.concatenate([f.root_cell for f in forests]), meter)
         bits_now = []
         for s, forest in enumerate(forests):
             heard = forest.hears_b(recv)

@@ -18,10 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ..circuits import World
+from ..circuits import Meter, World
 from ..errors import ContractViolation
 from ..grid import slot_between
-from .pasc import ElementForest, Meter, bits_to_int, run_counting_pasc
+from .pasc import ElementForest, bits_to_int, run_counting_pasc
 
 # pin roles on designated link edges (plus koff): k2/k4 talk low-to-high,
 # k3/k0 talk high-to-low; k1/k4 double as the internal track pair for PASC
@@ -208,7 +208,7 @@ class _Contraction:
                 coins[fid] = coin = bool(world.coins(23, mask)[node])
                 if coin and lab >= 0:
                     cells.append(node * world.S + lab)
-            self._beep(cells, meter)
+            world.beep(cells, meter)
 
             # round 2: coins and mergeability over live links
             ext: dict[int, list[tuple[int, int]]] = {
@@ -222,7 +222,7 @@ class _Contraction:
                         cells.append(forest.channel(lid, e, 0)[0])
                     if mergeable:
                         cells.append(forest.channel(lid, e, 1)[0])
-            heard = self._beep(cells, meter)
+            heard = world.beep(cells, meter).reshape(-1)
             partner_coin: dict[tuple[int, int], bool] = {}
             partner_mergeable: dict[tuple[int, int], bool] = {}
             for fid in unresolved:
@@ -247,7 +247,7 @@ class _Contraction:
                     continue
                 proposals[fid] = choice
                 cells.append(forest.channel(choice[0], choice[1], 0)[0])
-            heard = self._beep(cells, meter)
+            heard = world.beep(cells, meter).reshape(-1)
             accepted = {fid: pick for fid, pick in proposals.items() if heard[forest.channel(*pick, 0)[1]]}
             if accepted != proposals:
                 raise ContractViolation("a target did not hear the proposal sent to it")
@@ -272,7 +272,7 @@ class _Contraction:
                     if had_q:
                         cells.append(forest.channel(lid, e, 1)[0])
                     rakes.append((lid, e, had_q))
-            heard = self._beep(cells, meter)
+            heard = world.beep(cells, meter).reshape(-1)
             for lid, e, had_q in rakes:
                 raked, marked = (bool(heard[forest.channel(lid, e, role)[1]]) for role in (0, 1))
                 if not raked or marked != had_q:
@@ -298,14 +298,6 @@ class _Contraction:
 
         if any(not fr.resolved for fr in self.frags.values()):
             raise ContractViolation("tree contraction did not finish in budget")
-
-    def _beep(self, cells: list[int], meter: Meter) -> np.ndarray:
-        """One round in which the flat send cells beep; the flat recv."""
-        send = np.zeros(self.world.n * self.world.S, dtype=bool)
-        send[cells] = True
-        recv = self.world.deliver(send.reshape(self.world.n, self.world.S))
-        meter.rounds += 1
-        return recv.reshape(-1)
 
     def _end_rank(self, fid: int, e: int) -> int:
         fr = self.frags[fid]

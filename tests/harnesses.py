@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from amoegrid.circuits import World
+from amoegrid.circuits import Meter, World
 from amoegrid.decompose import DIRECT, _point_gate_plan
 from amoegrid.errors import ContractViolation, DomainError
 from amoegrid.grid import (
@@ -31,7 +31,6 @@ from amoegrid.grid import (
 from amoegrid.portals import Axis, Portal, portal_graph
 from amoegrid.primitives import (
     BoundaryTest,
-    Meter,
     chain_maxima,
     contract_tree,
     election_iters,
@@ -364,11 +363,7 @@ def region_has(world: World, member_pins, s_nodes, meter: Meter) -> bool:
     for i, d, k in member_pins:
         world.pset[i, d * world.c + k] = 0
     world.mark_dirty()
-    send = np.zeros((world.n, world.S), dtype=bool)
-    for i in s_nodes:
-        send[i, 0] = True
-    recv = world.deliver(send)
-    meter.rounds += 1
+    recv = world.beep([i * world.S for i in s_nodes], meter)
     return bool(recv[:, 0].any())
 
 
@@ -582,10 +577,7 @@ def level_pasc(
                     pset[i, d * c + 0] = a_lab
                     pset[i, d * c + 1] = b_lab
         world.mark_dirty()
-        send = np.zeros((n, world.S), dtype=bool)
-        send[root_mask, 1] = True
-        recv = world.deliver(send)
-        meter.rounds += 1
+        recv = world.beep(np.flatnonzero(root_mask) * world.S + 1, meter)
         heard_b = recv[:, 2]
         bit = (heard_b ^ flip) & ~root_mask
         bits[:, j] = bit
@@ -634,11 +626,8 @@ def global_maxima_general(structure, direction, r_nodes, seed: int = 0, nhat=Non
         world.reset_pins_isolated()
         world.pset[:, 2::world.c] = 0
         world.mark_dirty()
-        send = np.zeros((world.n, world.S), dtype=bool)
         speak = candidates & value_bit
-        send[speak, 0] = True
-        recv = world.deliver(send)
-        meter.rounds += 1
+        recv = world.beep(np.flatnonzero(speak) * world.S, meter)
         heard = recv[:, 0]
         candidates &= ~(heard & ~value_bit)
     return {world.nodes[i] for i in np.flatnonzero(candidates)}, meter

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 
-from amoegrid.circuits import SimulationTrace, World
+from amoegrid.circuits import STAGE_LABELS, Meter, SimulationTrace, World
 from amoegrid.grid import AmoebotStructure, Direction, GridPoint
 
 from reference_circuits import ReferenceRunner, circuits_of
@@ -86,6 +86,32 @@ def test_circuits_match_component_oracle_on_random_configs():
             }
             for lab in live_labels:
                 assert recv[i, lab] == (find((i, lab)) == root), (trial, i, lab)
+
+
+def test_beep_is_one_charged_deliver_of_its_cells():
+    """``World.beep`` hears what ``deliver`` hears from the dense send of its
+    cells, given as a list, an array or nothing, and charges one round; a
+    bare ``deliver`` charges none."""
+    rng = random.Random(11)
+    for trial in range(15):
+        s = random_structure(rng, rng.randint(2, 40))
+        w = World(s, c=2)
+        for i in range(w.n):
+            for slot in range(12):
+                if rng.random() < 0.7:  # the rest stay parked
+                    w.pset[i, slot] = rng.randrange(4)
+        w.mark_dirty()
+        labels = [*range(4), *(STAGE_LABELS + slot for slot in range(12))]
+        chosen = [rng.randrange(w.n) * w.S + rng.choice(labels) for _ in range(rng.randint(1, 5))]
+        meter = Meter()
+        for cells in (chosen, np.array(chosen), []):
+            send = np.zeros((w.n, w.S), dtype=bool)
+            send.reshape(-1)[cells] = True
+            before = meter.rounds
+            recv = w.beep(cells, meter)
+            assert meter.rounds == before + 1, trial
+            assert np.array_equal(recv, w.deliver(send)), trial
+            assert meter.rounds == before + 1, trial
 
 
 def beep_wave_activation(p, state, inbox):

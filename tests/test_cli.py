@@ -13,8 +13,15 @@ def run_cli(args):
     return main(args)
 
 
-def test_load_missing_file(tmp_path):
-    assert run_cli(["decompose", str(tmp_path / "nope.txt")]) == 2
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+def test_load_missing_file(tmp_path, capsys, kind):
+    path = tmp_path / "input.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf-8":
+        path.write_bytes(b"0 0\n\xff\xfe 1\n")
+    assert run_cli(["decompose", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("invalid input: ")
 
 
 def test_empty_file_rejected(tmp_path):

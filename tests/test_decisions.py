@@ -12,14 +12,13 @@ from pathlib import Path
 import pytest
 
 from amoegrid import distalgo
-from amoegrid.circuits import World
+from amoegrid.circuits import Meter, World
 from amoegrid.decompose import DIRECT, DirectDecisions, decompose, phase1_simple
 from amoegrid.distalgo import CircuitDecisions, run_distributed
 from amoegrid.errors import ContractViolation
 from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure
 from amoegrid.oracle import verify_decomposition
-from amoegrid.primitives import Meter
 
 from harnesses import rotate60
 from test_grid import HAND_BUILT

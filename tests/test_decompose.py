@@ -309,10 +309,9 @@ def test_region_ids_sequential():
 def test_point_gate_plan_agrees_between_providers_on_rotated_u_bend(turns):
     # The turns carry the median cuts across all three axes; on the y axis
     # the first side name (WNW) faces the smaller line keys, unlike x and z.
-    from amoegrid.circuits import World
+    from amoegrid.circuits import Meter, World
     from amoegrid.decompose import DIRECT, _point_gate_plan
     from amoegrid.distalgo import CircuitDecisions
-    from amoegrid.primitives.pasc import Meter
     from amoegrid.split import split_many
 
     s = AmoebotStructure({rotate60(p, turns) for p in u_bend()})

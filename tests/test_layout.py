@@ -80,6 +80,41 @@ def test_oracle_imports_no_engine_module_at_run_time():
     assert "grid" in modules and not modules & {"portals", "split", "decompose"}
 
 
+def _sites(match) -> list[str]:
+    """``module:Class.function`` of every AST node of ``src/`` that
+    ``match`` accepts, in file order."""
+    out = []
+
+    def visit(node, module: str, scope: tuple[str, ...]) -> None:
+        if match(node):
+            out.append(f"{module}:{'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, module, scope + (child.name,) if named else scope)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.relative_to(PACKAGE).as_posix(), ())
+    return out
+
+
+def test_every_round_is_charged_by_world_beep():
+    """A beep round is one ``World.beep``: only it calls ``deliver`` and
+    adds to a meter's rounds, besides ``dist_phase3`` adding the rounds of
+    its slowest tunnel, which ran on a meter of its own."""
+    delivers = _sites(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "deliver"
+    )
+    charges = _sites(
+        lambda node: isinstance(node, ast.AugAssign)
+        and isinstance(node.target, ast.Attribute)
+        and node.target.attr == "rounds"
+    )
+    assert delivers == ["circuits.py:World.beep"]
+    assert charges == ["circuits.py:World.beep", "distalgo.py:dist_phase3"]
+
+
 def test_no_engine_module_imports_find_holes():
     """Both engines read the holes off the boundary orbits; ``find_holes``
     and its flood of hole interiors serve only the generator and the tests."""

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from amoegrid import distalgo, primitives
-from amoegrid.circuits import World
+from amoegrid.circuits import Meter, World
 from amoegrid.errors import ContractViolation
 from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, Direction, GridPoint, find_holes, slot_between
 from amoegrid.portals import AXES, Axis, portal_graph
 from amoegrid.primitives import (
-    Meter,
     closest_on_portal_batch,
     degree_check_batch,
     election_iters,
