@@ -30,7 +30,7 @@ EXIT_TIMEOUT = 3
 
 
 def load_structure(path) -> AmoebotStructure:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     return AmoebotStructure.from_text(text)
 
 
@@ -142,6 +142,11 @@ def run_bench(structures, out) -> None:
         )
 
 
+def invalid_input(exc: Exception) -> int:
+    print(f"invalid input: {exc}", file=sys.stderr)
+    return EXIT_INVALID_INPUT
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="amoegrid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -165,8 +170,7 @@ def main(argv=None) -> int:
         try:
             structures = bench_structures(args.bench, args.bench_seeds)
         except (ValueError, AmoegridError) as exc:
-            print(f"invalid input: {exc}", file=sys.stderr)
-            return EXIT_INVALID_INPUT
+            return invalid_input(exc)
         run_bench(structures, sys.stdout)
         return EXIT_OK
 
@@ -183,11 +187,13 @@ def main(argv=None) -> int:
         else:
             parser.error("either FILE or --gen is required")
     except (InvalidStructureError, OSError, UnicodeDecodeError, AmoegridError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        return invalid_input(exc)
 
     if args.save:
-        Path(args.save).write_text(structure.to_text(), encoding="utf-8")
+        try:
+            Path(args.save).write_text(structure.to_text(), encoding="utf-8")
+        except OSError as exc:
+            return invalid_input(exc)
 
     trace = None
     try:
@@ -220,10 +226,13 @@ def main(argv=None) -> int:
     if trace is not None and args.trace:
         sys.stdout.write(trace.export_text())
 
-    if args.svg:
-        emit_svg(structure, deco, args.svg)
-    if args.json:
-        emit_json(deco, report, trace, args.json)
+    try:
+        if args.svg:
+            emit_svg(structure, deco, args.svg)
+        if args.json:
+            emit_json(deco, report, trace, args.json)
+    except OSError as exc:
+        return invalid_input(exc)
 
     if report is not None and not report.all_ok:
         return EXIT_VERIFY_FAILED

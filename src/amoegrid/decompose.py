@@ -639,12 +639,6 @@ class Decomposition:
     tunnel_cases: list[TunnelCaseData]
     hole_count: int
 
-    def coverage(self) -> set[GridPoint]:
-        out: set[GridPoint] = set()
-        for r in self.regions:
-            out |= r.nodes
-        return out
-
     def canonical(self) -> tuple:
         """Region multiset as sorted (nodes, edges) pairs, for comparisons."""
         return tuple(

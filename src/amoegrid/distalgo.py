@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .primitives.maxima import PSI, chain_maxima
 # run_counting_pasc stays bound here: perfbench's tracer test checks that its
 # patch reaches the engine module as well as the primitives that call it.
 from .primitives.pasc import run_counting_pasc  # noqa: F401
-from .primitives.trees import PortalForest, contract_tree, forest_from_chains, stream_counts
+from .primitives.trees import contract_tree, portal_forest, stream_counts
 
 SIDE_FIRST = {a: side_names(a)[0] for a in AXES}
 
@@ -91,29 +92,6 @@ class _RegionSpace:
         self.rows, self.slots = np.array(ends, dtype=np.int64).reshape(-1, 2).T
         self.koff = np.zeros((world.n, 6), dtype=np.int8)
         self.koff[self.rows, self.slots] = shifts
-
-    def portal_forest(self, pg: PortalGraph) -> PortalForest:
-        chains = [list(p.nodes) for p in pg.portals]
-        return forest_from_chains(
-            self.world, chains, sorted(pg.adjacency), self.region.has_edge, self.koff
-        )
-
-
-def _merge_forests(forests: list[PortalForest]) -> PortalForest:
-    """Concatenate PortalForests of disjoint regions into one."""
-    world = forests[0].world
-    members, internal, links = [], [], []
-    koff = np.zeros((world.n, 6), dtype=np.int8)
-    base = 0
-    for f in forests:
-        members.extend(f.members)
-        internal.append(f.internal + (base, 0, 0))
-        for e1, e2, n1, d1, n2, d2 in f.links:
-            links.append((e1 + base, e2 + base, n1, d1, n2, d2))
-        sel = f.koff != 0
-        koff[sel] = f.koff[sel]
-        base += f.ne
-    return PortalForest(world, members, np.concatenate(internal), links, koff)
 
 
 def _wire_region_circuits(world: World, spaces: list[_RegionSpace]) -> None:
@@ -210,27 +188,18 @@ class CircuitDecisions:
             self.meter,
         )
 
-        forests, roots, q_masks = [], [], []
-        base = 0
-        for t, space in zip(trees, spaces):
-            forest = space.portal_forest(t.graph)
-            q = np.zeros(forest.ne, dtype=bool)
-            q[list(t.gate_pids)] = True
-            q_masks.append(q)
+        forest = portal_forest(world, [(t.graph, space.koff) for t, space in zip(trees, spaces)])
+        bases = list(accumulate((len(t.graph.portals) for t in trees), initial=0))
+        q = np.zeros(forest.ne, dtype=bool)
+        roots = []
+        for t, base in zip(trees, bases):
+            q[[base + pid for pid in t.gate_pids]] = True
             leader = next((g for g in t.region.gates if leaders[world.index[g.nodes[-1]]]), None)
             if leader is None:  # election failure: fall back deterministically
                 leader = min(t.region.gates, key=_gate_order_key)
-            roots.append(t.graph.portal_of(leader.nodes[0]).id + base)
-            forests.append(forest)
-            base += forest.ne
-        merged = _merge_forests(forests)
-        _, keep = contract_tree(world, merged, roots, np.concatenate(q_masks), self.meter)
-
-        out, base = [], 0
-        for forest in forests:
-            out.append({int(pid) for pid in np.flatnonzero(keep[base : base + forest.ne])})
-            base += forest.ne
-        return out
+            roots.append(base + t.graph.portal_of(leader.nodes[0]).id)
+        _, keep = contract_tree(world, forest, roots, q, self.meter)
+        return [{int(pid) for pid in np.flatnonzero(keep[a:b])} for a, b in zip(bases, bases[1:])]
 
     def branch_portals(self, trees: list[PortalTree]) -> list[list[int]]:
         """One shared round of the track degree test: every surviving
@@ -273,7 +242,7 @@ class CircuitDecisions:
         rooted y-portal path between them."""
         world, meter = self.world, self.meter
         pg = portal_graph(tunnel, Axis.Y)
-        forest = self._space(tunnel).portal_forest(pg)
+        forest = portal_forest(world, [(pg, self._space(tunnel).koff)])
         pa = pg.portal_of(gate_a.nodes[0]).id
         pb = pg.portal_of(gate_b.nodes[0]).id
         if pa == pb:
@@ -317,7 +286,7 @@ class CircuitDecisions:
         """Prune the q-portal tree to the Steiner tree of both gates' portals,
         rooted at the portal of G's top member; each gate's bridge portal is
         its marked portal with a surviving unmarked neighbour."""
-        forest = self._space(tunnel).portal_forest(qpg)
+        forest = portal_forest(self.world, [(qpg, self._space(tunnel).koff)])
         q_mask = np.zeros(forest.ne, dtype=bool)
         q_mask[list(pids_a | pids_b)] = True
         root_pid = qpg.portal_of(gate_a.nodes[-1]).id
@@ -358,7 +327,7 @@ class CircuitDecisions:
         """Prune the portal tree to the g-g' path, then stream every path
         portal's distance from g's portal."""
         world, meter = self.world, self.meter
-        forest = self._space(m_region).portal_forest(pg)
+        forest = portal_forest(world, [(pg, self._space(m_region).koff)])
         q_mask = np.zeros(forest.ne, dtype=bool)
         q_mask[pid_g] = q_mask[pid_g2] = True
         parents, keep = contract_tree(world, forest, [pid_g], q_mask, meter)

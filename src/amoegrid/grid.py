@@ -109,6 +109,11 @@ def is_connected(pts: AbstractSet[GridPoint]) -> bool:
     return len(seen) == len(pts)
 
 
+#: bound on the absolute value of a coordinate read from text: the structure
+#: index holds coordinates and their ±1 neighbour offsets in int64
+COORD_LIMIT = 2**62
+
+
 class StructureIndex:
     """Integer encoding of a structure, shared by every array-based layer.
 
@@ -300,6 +305,8 @@ class AmoebotStructure:
                 p = GridPoint(int(parts[0]), int(parts[1]))
             except ValueError:
                 raise InvalidStructureError(f"line {lineno}: non-integer coordinate in {raw!r}") from None
+            if max(abs(p.a), abs(p.b)) >= COORD_LIMIT:
+                raise InvalidStructureError(f"line {lineno}: coordinate out of range in {raw!r}")
             if p in seen:
                 raise InvalidStructureError(f"line {lineno}: duplicate point {p}")
             seen.add(p)

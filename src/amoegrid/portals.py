@@ -81,11 +81,17 @@ class Portal:
 
 @dataclass(frozen=True)
 class PortalGraph:
-    """Portals of one axis plus their adjacency under retained cross edges."""
+    """Portals of one axis plus their adjacency under retained cross edges.
+
+    ``links`` maps each adjacent pair ``(i, j)``, ``i < j``, in sorted
+    order to its designated edge: the smallest retained edge between the
+    two portals, written as (node of portal i, node of portal j).
+    """
 
     axis: Axis
     portals: tuple[Portal, ...]
     adjacency: frozenset[tuple[int, int]]
+    links: dict[tuple[int, int], tuple[GridPoint, GridPoint]]
 
     def portal_of(self, p: GridPoint) -> Portal:
         try:
@@ -161,16 +167,25 @@ def compute_portals(region: "Region", axis: Axis) -> list[Portal]:
 
 
 def portal_graph(region: "Region", axis: Axis) -> PortalGraph:
-    """Portal adjacency graph of the region for one axis."""
+    """Portal adjacency graph of the region for one axis, with the
+    designated edge of every adjacent pair: a choice each portal can settle
+    locally."""
     portals = compute_portals(region, axis)
     owner: dict[GridPoint, int] = {}
     for portal in portals:
         for p in portal.nodes:
             owner[p] = portal.id
-    edges = set()
-    for u, v in region.edges:
-        pu, pv = owner[u], owner[v]
+    smallest: dict[tuple[int, int], tuple[GridPoint, GridPoint]] = {}
+    for edge in region.edges:
+        pu, pv = owner[edge[0]], owner[edge[1]]
         if pu != pv:
-            edges.add((pu, pv) if pu < pv else (pv, pu))
-    return PortalGraph(axis, tuple(portals), frozenset(edges))
+            pair = (pu, pv) if pu < pv else (pv, pu)
+            best = smallest.get(pair)
+            if best is None or edge < best:
+                smallest[pair] = edge
+    links = {
+        pair: (u, v) if owner[u] == pair[0] else (v, u)
+        for pair, (u, v) in sorted(smallest.items())
+    }
+    return PortalGraph(axis, tuple(portals), frozenset(links), links)
 

@@ -11,7 +11,7 @@ from .chains import ChainSpace
 from .election import election_iters, run_election
 from .maxima import chain_maxima
 from .pasc import ElementForest, bits_to_int, run_counting_pasc
-from .trees import PortalForest, contract_tree, forest_from_chains, stream_counts
+from .trees import contract_tree, portal_forest, stream_counts
 
 __all__ = [
     "closest_on_portal_batch",
@@ -24,8 +24,7 @@ __all__ = [
     "ElementForest",
     "bits_to_int",
     "run_counting_pasc",
-    "PortalForest",
     "contract_tree",
-    "forest_from_chains",
+    "portal_forest",
     "stream_counts",
 ]

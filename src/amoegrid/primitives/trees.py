@@ -13,7 +13,7 @@ two-pin channels of the designated edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,57 +21,56 @@ import numpy as np
 from ..circuits import Meter, World
 from ..errors import ContractViolation
 from ..grid import slot_between
+from ..portals import PortalGraph
 from .pasc import ElementForest, bits_to_int, run_counting_pasc
 
-# pin roles on designated link edges (plus koff): k2/k4 talk low-to-high,
-# k3/k0 talk high-to-low; k1/k4 double as the internal track pair for PASC
+# pin roles on designated link edges: k2/k4 talk low-to-high, k3/k0 talk
+# high-to-low; k1/k4 double as the internal track pair for PASC
 K_INT1, K_LINK_P, K_LINK_S, K_INT2 = 1, 2, 3, 4
 
 
 @dataclass
 class PortalForest:
-    """Elements (portal chains) of one axis over a node subset of the world."""
+    """Elements (portal chains) of one axis over a node subset of the world.
+
+    Pins are flat role-0 pins in the pin half of the element's region, so
+    role k of a pin is at ``pin + k``.
+    """
 
     world: World
     members: list[np.ndarray]  # node indices in chain order
-    internal: np.ndarray  # (m, 3) element, node, slot: both ends of each axis edge inside an element
-    links: list[tuple[int, int, int, int, int, int]]  # e1, e2, n1, d1, n2, d2
-    koff: np.ndarray  # (n, 6) pin offsets for gate-shared edges
+    internal: np.ndarray  # (m, 2) element, pin: both ends of each axis edge inside an element
+    link_table: np.ndarray  # (L, 4) e1, e2, pin at the e1 end, pin at the e2 end
 
     @property
     def ne(self) -> int:
         return len(self.members)
 
     @cached_property
-    def link_table(self) -> np.ndarray:
-        """``links`` as an (L, 6) array."""
-        return np.array(self.links, dtype=np.int64).reshape(-1, 6)
+    def link_ends(self) -> list[list[int]]:
+        """[e1, e2] of every link."""
+        return self.link_table[:, :2].tolist()
 
     def links_of(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.ne)]
-        for lid, (e1, e2, *_rest) in enumerate(self.links):
+        for lid, (e1, e2) in enumerate(self.link_ends):
             out[e1].append(lid)
             out[e2].append(lid)
         return out
 
     def link_pins(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Flat pin of role k at the e1 end and at the e2 end of every link."""
-        _, _, n1, d1, n2, d2 = self.link_table.T
-        return (
-            self.world.pin_index(n1, d1, k, self.koff),
-            self.world.pin_index(n2, d2, k, self.koff),
-        )
+        return self.link_table[:, 2] + k, self.link_table[:, 3] + k
 
     @cached_property
     def _channels(self) -> list:
         """[link][0 if e1 sends else 1][role] -> [send cell, recv cell]."""
-        world, lt = self.world, self.link_table
-        ends = lt[:, 2:].reshape(-1, 2, 2, 1)  # link, end, (node, slot)
-        sender_low = np.stack((lt[:, 2] < lt[:, 4], lt[:, 4] < lt[:, 2]), axis=1)[:, :, None]
+        ends = self.link_table[:, 2:]  # link, end; a flat pin orders like its node row
+        sender_low = (ends < ends[:, ::-1])[:, :, None]
         k = np.where(sender_low, (K_LINK_P, K_INT2), (K_LINK_S, 0))
-        send = world.pin_index(ends[:, :, 0], ends[:, :, 1], k, self.koff)
-        recv = world.pin_index(ends[:, ::-1, 0], ends[:, ::-1, 1], k, self.koff)
-        return np.stack((world.park_cell(send), world.park_cell(recv)), axis=3).tolist()
+        send, recv = ends[:, :, None] + k, ends[:, ::-1, None] + k
+        park = self.world.park_cell
+        return np.stack((park(send), park(recv)), axis=3).tolist()
 
     def channel(self, lid: int, sender_eid: int, role: int) -> list[int]:
         """[sender's send cell, receiver's recv cell] of a directional
@@ -80,53 +79,43 @@ class PortalForest:
         role 0 is the primary bit, role 1 the secondary bit of that sender.
         The lower-node side talks on k2/k4, the higher side on k3/k0.
         """
-        return self._channels[lid][sender_eid != self.links[lid][0]][role]
+        return self._channels[lid][sender_eid != self.link_ends[lid][0]][role]
 
 
-def forest_from_chains(
-    world: World,
-    chains: list[list],
-    adjacency: list[tuple[int, int]],
-    has_edge,
-    koff: np.ndarray,
-) -> PortalForest:
-    """Build a PortalForest from node chains and element adjacency.
+def portal_forest(world: World, graphs: list[tuple[PortalGraph, np.ndarray]]) -> PortalForest:
+    """One PortalForest over the portal graphs of disjoint regions.
 
-    The designated edge of each element pair is the lexicographically
-    smallest connecting grid edge, a choice each portal can settle locally.
+    Each graph comes with its region's ``(n, 6)`` pin-half array; its
+    portals are the next elements, and its designated edges
+    (``PortalGraph.links``) the links between them.  Every pin is stored in
+    its own region's half, so sibling regions share one forest without
+    sharing pins.
     """
-    rows, up, _, start = world.chain_slots(chains)
-    members = [rows[a:b] for a, b in zip(start, start[1:])]
-    elem = np.repeat(np.arange(len(chains)), np.diff(start))
-    j = np.flatnonzero(up >= 0)  # members j and j + 1 share an axis edge
-    internal = np.stack(
-        (elem[j], rows[j], up[j], elem[j], rows[j + 1], (up[j] + 3) % 6), axis=1
-    ).reshape(-1, 3)
-    owner = {}
-    for e, chain in enumerate(chains):
-        for p in chain:
-            owner[p] = e
-    links = []
-    for e1, e2 in adjacency:
-        best = None
-        for p in chains[e1]:
-            for d, q in p.neighborhood():
-                if owner.get(q) == e2 and has_edge(p, q):
-                    cand = (min(p, q), max(p, q), p, q)
-                    if best is None or cand[:2] < best[:2]:
-                        best = cand
-        if best is None:
-            raise ContractViolation("adjacent portals share no retained edge")
-        _, _, p, q = best
-        d = slot_between(p, q)
-        links.append((e1, e2, world.index[p], d, world.index[q], (d + 3) % 6))
-    return PortalForest(world, members, internal, links, koff)
+
+    def edge_pins(n1, d1, n2, koff) -> np.ndarray:
+        """(E, 2) role-0 pins at both ends of the edges from rows n1 on slots d1 to rows n2."""
+        ends = (world.pin_index(n1, d1, 0, koff), world.pin_index(n2, (d1 + 3) % 6, 0, koff))
+        return np.stack(ends, axis=1)
+
+    members, internal, links = [], [], []
+    for pg, koff in graphs:
+        base = len(members)
+        rows, up, _, start = world.chain_slots([p.nodes for p in pg.portals])
+        members += [rows[a:b] for a, b in zip(start, start[1:])]
+        elem = base + np.repeat(np.arange(len(pg.portals)), np.diff(start))
+        j = np.flatnonzero(up >= 0)  # members j and j + 1 share an axis edge
+        pins = edge_pins(rows[j], up[j], rows[j + 1], koff).ravel()
+        internal.append(np.stack((np.repeat(elem[j], 2), pins), axis=1))
+        ends = [(world.index[p], slot_between(p, q), world.index[q]) for p, q in pg.links.values()]
+        n1, d1, n2 = np.array(ends, dtype=np.int64).reshape(-1, 3).T
+        pairs = base + np.array(list(pg.links), dtype=np.int64).reshape(-1, 2)
+        links.append(np.column_stack((pairs, edge_pins(n1, d1, n2, koff))))
+    return PortalForest(world, members, np.concatenate(internal), np.concatenate(links))
 
 
 @dataclass
 class _Fragment:
     elems: list[int]  # path order; external links only at the two ends
-    end_links: list[int | None] = field(default_factory=lambda: [None, None])
     has_r: bool = False
     resolved: bool = False
 
@@ -141,10 +130,10 @@ class _Contraction:
         self.is_root = np.zeros(ne, dtype=bool)
         self.is_root[np.asarray(roots, dtype=np.int64)] = True
         self.pruned = np.zeros(ne, dtype=bool)
-        self.live = np.ones(len(forest.links), dtype=bool)
+        self.live = np.ones(len(forest.link_table), dtype=bool)
         self.frag_of = np.arange(ne, dtype=np.int64)
         self.frags: dict[int, _Fragment] = {}
-        self.joined = np.zeros(len(forest.links), dtype=bool)  # links merged into a fragment
+        self.joined = np.zeros(len(forest.link_table), dtype=bool)  # links merged into a fragment
         for e in range(ne):
             self.frags[e] = _Fragment([e], has_r=bool(self.is_root[e]))
         self.links_of = forest.links_of()
@@ -161,7 +150,7 @@ class _Contraction:
             for lid in self.links_of[e]:
                 if not self.live[lid]:
                     continue
-                e1, e2 = self.forest.links[lid][:2]
+                e1, e2 = self.forest.link_ends[lid]
                 other = e2 if e1 == e else e1
                 if self.frag_of[other] != fid:
                     out.append((lid, e))
@@ -179,10 +168,10 @@ class _Contraction:
             open_elem[fr.elems] = True
             wired = len(fr.elems) > 1 or self.has_internal[fr.elems].any()
             beep_at[fid] = (int(forest.members[fr.elems[-1]][0]), 3 if wired else -1)
-        elem, rows, slots = forest.internal.T
+        elem, pins = forest.internal.T
         inside = self.joined & open_elem[forest.link_table[:, 0]]
         pins = [
-            world.pin_index(rows[open_elem[elem]], slots[open_elem[elem]], K_INT1, forest.koff),
+            pins[open_elem[elem]] + K_INT1,
             *(end[inside] for end in forest.link_pins(K_LINK_P)),
         ]
         world.wire(np.concatenate(pins), 3)
@@ -284,7 +273,7 @@ class _Contraction:
             for lid in range(len(self.live)):
                 if not self.live[lid]:
                     continue
-                e1, e2 = self.forest.links[lid][:2]
+                e1, e2 = self.forest.link_ends[lid]
                 f1, f2 = self.frag_of[e1], self.frag_of[e2]
                 if self.frags[f1].resolved or self.frags[f2].resolved:
                     self.live[lid] = False
@@ -304,7 +293,7 @@ class _Contraction:
         return 1 if fr.elems[-1] == e else 0
 
     def _other_elem(self, lid: int, e: int) -> int:
-        e1, e2 = self.forest.links[lid][:2]
+        e1, e2 = self.forest.link_ends[lid]
         return e2 if e1 == e else e1
 
     def _rake(self, fid: int, lid: int, attach_elem: int) -> bool:
@@ -400,7 +389,7 @@ def pasc_forest(forest: PortalForest, parents: np.ndarray, keep: np.ndarray) -> 
     tree = keep[e1] & keep[e2]
     at1, at2 = tree & (parents[e1] == e2), tree & (parents[e2] == e1)
     (p1, p2), (s1, s2) = forest.link_pins(K_LINK_P), forest.link_pins(K_LINK_S)
-    elem, rows, slots = forest.internal[keep[forest.internal[:, 0]]].T
+    elem, pins = forest.internal[keep[forest.internal[:, 0]]].T
     ones = np.ones(len(kept), dtype=np.int64)
     return ElementForest.build(
         world,
@@ -413,11 +402,7 @@ def pasc_forest(forest: PortalForest, parents: np.ndarray, keep: np.ndarray) -> 
         remap[np.concatenate((e1[at1], e2[at2]))],
         (np.concatenate((p1[at1], p2[at2])), np.concatenate((s1[at1], s2[at2]))),
         (np.concatenate((p2[at1], p1[at2])), np.concatenate((s2[at1], s1[at2]))),
-        (
-            remap[elem],
-            world.pin_index(rows, slots, K_INT1, forest.koff),
-            world.pin_index(rows, slots, K_INT2, forest.koff),
-        ),
+        (remap[elem], pins + K_INT1, pins + K_INT2),
     )
 
 

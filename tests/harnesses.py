@@ -34,7 +34,7 @@ from amoegrid.primitives import (
     chain_maxima,
     contract_tree,
     election_iters,
-    forest_from_chains,
+    portal_forest,
     run_election,
     stream_counts,
 )
@@ -445,10 +445,7 @@ def boundary_test(structure, seed: int = 0, nhat: int | None = None):
 
 def _region_forest(world: World, region, axis):
     pg = portal_graph(region, axis)
-    chains = [list(p.nodes) for p in pg.portals]
-    adjacency = sorted(pg.adjacency)
-    forest = forest_from_chains(world, chains, adjacency, region.has_edge, np.zeros((world.n, 6), dtype=np.int8))
-    return forest, list(pg.portals)
+    return portal_forest(world, [(pg, np.zeros((world.n, 6), dtype=np.int8))]), list(pg.portals)
 
 
 def root_and_prune(region, axis, q_portal_ids, r_portal_id, seed: int = 0, nhat=None):

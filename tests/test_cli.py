@@ -24,15 +24,47 @@ def test_load_missing_file(tmp_path, capsys, kind):
     assert capsys.readouterr().err.startswith("invalid input: ")
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "99999999999999999999 0",  # beyond int64
+        "0 4611686018427387904",  # 2**62
+        "-4611686018427387904 0",
+    ],
+)
+def test_out_of_range_coordinate_rejected(tmp_path, capsys, line):
+    path = tmp_path / "input.txt"
+    path.write_text(line + "\n")
+    assert run_cli(["decompose", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("invalid input: line 1: coordinate out of range")
+
+
+def test_largest_coordinate_accepted(tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    limit = 2**62 - 1
+    path.write_text(f"{limit} {-limit}\n{limit - 1} {-limit}\n")
+    assert run_cli(["decompose", str(path), "--verify"]) == 0
+    assert "regions=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option", ["--save", "--svg", "--json"])
+@pytest.mark.parametrize("target", ["directory", "missing-directory"])
+def test_unwritable_output_exit_code(tmp_path, capsys, option, target):
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "out"
+    assert run_cli(["decompose", "--gen", "30", "--seed", "0", option, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("invalid input: ")
+
+
 def test_empty_file_rejected(tmp_path):
     f = tmp_path / "empty.txt"
     f.write_text("")
     assert run_cli(["decompose", str(f)]) == 2
 
 
-def test_single_node_file(tmp_path, capsys):
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+def test_single_node_file(tmp_path, capsys, bom):
     f = tmp_path / "one.txt"
-    f.write_text("0 0\n")
+    f.write_text(bom + "0 0\n", encoding="utf-8")
     assert run_cli(["decompose", str(f), "--verify"]) == 0
     out = capsys.readouterr().out
     assert "regions=1" in out

@@ -124,16 +124,18 @@ def test_delivery_sequence_is_byte_identical_to_golden(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["gen_512_4_1", "gen_1024_8_7372"])
-def test_regions_sharing_a_gate_chain_take_opposite_pin_halves(name):
+def test_regions_sharing_a_gate_chain_take_opposite_pin_halves(name, monkeypatch):
     """The two regions of every phase-1 and phase-2 gate retain its chain's
-    edges, and their circuits sit on pin offsets 0 and HALF_PINS there."""
-    from collections import defaultdict
+    edges, and their circuits sit on pin offsets 0 and HALF_PINS there; the
+    one contraction phase 2 runs over all its regions keeps both halves."""
+    from collections import Counter, defaultdict
     from pathlib import Path
 
-    from amoegrid.circuits import HALF_PINS, World
+    from amoegrid.circuits import HALF_PINS, Meter, World
     from amoegrid.decompose import phase1_simple, phase2_tunnels
-    from amoegrid.distalgo import _RegionSpace
+    from amoegrid.distalgo import _RegionSpace, dist_phase1, dist_phase2
     from amoegrid.grid import slot_between
+    from amoegrid.primitives.trees import K_INT1, _Contraction
 
     path = Path(__file__).parent / "fixtures" / f"{name}.txt"
     s = AmoebotStructure.from_text(path.read_text())
@@ -156,3 +158,32 @@ def test_regions_sharing_a_gate_chain_take_opposite_pin_halves(name):
         assert offsets
         for edge, ends in offsets.items():
             assert sorted(ends) == [(0, 0), (HALF_PINS, HALF_PINS)], edge
+
+    # the first wiring of phase 2's contraction: every element is its own
+    # open fragment, so each region's gate chain carries label 3 in its half
+    wirings = []
+    wire = _Contraction.wire_fragment_circuits
+
+    def recorded(self):
+        beep_at = wire(self)
+        wirings.append(self.world.pset.copy())
+        return beep_at
+
+    monkeypatch.setattr(_Contraction, "wire_fragment_circuits", recorded)
+    meter = Meter()
+    contracted, _, _ = dist_phase1(world, s, meter)
+    dist_phase2(world, contracted, meter)
+    pset = wirings[0]
+    sharers = Counter(
+        (u, v) if u <= v else (v, u)
+        for r in contracted
+        if len(r.gates) >= 2
+        for g in r.gates
+        for u, v in zip(g.nodes, g.nodes[1:])
+    )
+    shared = [edge for edge, count in sharers.items() if count == 2]
+    assert shared
+    for u, v in shared:
+        for p, q in ((u, v), (v, u)):
+            pin = slot_between(p, q) * world.c + K_INT1
+            assert pset[world.index[p], [pin, pin + HALF_PINS]].tolist() == [3, 3], (p, q)

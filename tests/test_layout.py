@@ -1,7 +1,6 @@
 """Layout checks over the source tree: ``src/`` holds no dead names."""
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -26,31 +25,45 @@ def _defined_names(tree: ast.Module) -> list[tuple[str, str]]:
     return out
 
 
+def _uses(tree: ast.Module) -> Counter[str]:
+    """Identifier uses in a module: names, attributes, imported names, and
+    string constants that are identifiers (perfbench names the callables it
+    traces in strings)."""
+    uses: Counter[str] = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            uses.update(node.name.split("."))
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+        ):
+            uses[node.value] += 1
+    return uses
+
+
 def _dead_names(scanned: list[Path], owners: list[Path]) -> list[str]:
-    """Labels of the names defined in ``owners`` whose identifier appears as
-    a word in the ``scanned`` files no more often than it is defined there."""
-    words: Counter[str] = Counter()
-    definitions: Counter[str] = Counter()
+    """Labels of the names defined in ``owners`` that no code of the
+    ``scanned`` files uses."""
+    uses: Counter[str] = Counter()
     for path in scanned:
-        text = path.read_text()
-        words.update(re.findall(r"\w+", text))
-        definitions.update(
-            node.name
-            for node in ast.walk(ast.parse(text))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        )
-    candidates = [
-        (f"{path.relative_to(ROOT)}:{label}", name)
+        uses.update(_uses(ast.parse(path.read_text())))
+    return [
+        f"{path.relative_to(ROOT)}:{label}"
         for path in owners
         for label, name in _defined_names(ast.parse(path.read_text()))
+        if not uses[name]
     ]
-    return [label for label, name in candidates if words[name] <= definitions[name]]
 
 
 def test_every_src_name_is_used_in_src_or_perfbench():
-    """A function, class or method whose identifier appears as a word only in
-    its own definition is called by nothing the engines, the oracle, the CLI
-    or the benchmark run; it belongs in ``tests/`` or nowhere."""
+    """A function, class or method whose identifier no code uses is called
+    by nothing the engines, the oracle, the CLI or the benchmark run; it
+    belongs in ``tests/`` or nowhere."""
     scanned = [path for top in SCANNED for path in sorted(top.rglob("*.py"))]
     assert _dead_names(scanned, sorted(PACKAGE.rglob("*.py"))) == []
 

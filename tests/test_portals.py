@@ -2,14 +2,15 @@ import random
 
 import pytest
 
+from amoegrid.decompose import phase1_simple
 from amoegrid.errors import DomainError
 from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, GridPoint
 from amoegrid.portals import AXES, Axis, compute_portals, portal_graph
 from amoegrid.split import Region
 
-from harnesses import bfs_distances, portal_distance, portal_graph_is_tree
-from test_grid import hexagon, parallelogram, random_structure
+from harnesses import bfs_distances, portal_distance, portal_graph_is_tree, rotate60
+from test_grid import HAND_BUILT, hexagon, parallelogram, random_structure
 
 
 def as_region(pts) -> Region:
@@ -51,6 +52,36 @@ def test_portal_partition_matches_component_oracle():
                 v = u.neighbor(axis.up)
                 if v in region.nodes and region.has_edge(u, v):
                     assert owner[u] == owner[v]
+
+
+def _link_rule_inputs():
+    sizes = ((120, 1, 3), (200, 2, 8), (300, 3, 5))
+    structures = [generate_random(n, holes, seed) for n, holes, seed in sizes]
+    structures += [
+        AmoebotStructure(rotate60(p, turns) for p in pts)
+        for _, pts in sorted(HAND_BUILT.items())
+        for turns in range(6)
+    ]
+    for s in structures:
+        yield Region.from_structure(s)
+        yield from phase1_simple(s)[0]
+
+
+def test_designated_link_is_the_smallest_retained_edge_between_two_portals():
+    """Every adjacent pair, and only those, has a designated link: the
+    smallest retained edge joining the two portals, oriented from the lower
+    portal id."""
+    for region in _link_rule_inputs():
+        for axis in AXES:
+            pg = portal_graph(region, axis)
+            owner = {p: portal.id for portal in pg.portals for p in portal.nodes}
+            expected = {}
+            for u, v in sorted(region.edges):
+                i, j = owner[u], owner[v]
+                if i != j:
+                    expected.setdefault((min(i, j), max(i, j)), (u, v) if i < j else (v, u))
+            assert list(pg.links) == sorted(pg.adjacency)
+            assert pg.links == expected
 
 
 def test_portal_graph_single_portal():
