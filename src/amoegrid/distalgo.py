@@ -144,12 +144,18 @@ class CircuitDecisions:
         if not inner_cycle.any():
             return frozenset(), frozenset()
 
+        # WNW is the maximum of -a and ESE of +a, so both share one call's
+        # streams; the NNE tie-breaks then share a second call
+        east = PSI["E"](world.a, world.b).astype(np.int64)
+        firsts = chain_maxima(
+            world, cyc, leaders, inner_cycle, east, [(real_visit, -1), (real_visit, 1)], meter
+        )
+        nne = PSI["NNE"](world.a, world.b).astype(np.int64)
+        seconds = chain_maxima(
+            world, cyc, leaders, inner_cycle, nne, [(first, 1) for first in firsts], meter
+        )
         extremes = []
-        for functional, tiebreak in (("WNW", "NNE"), ("ESE", "NNE")):
-            psi = PSI[functional](world.a, world.b).astype(np.int64)
-            first = chain_maxima(world, cyc, leaders, inner_cycle, real_visit.copy(), psi, meter)
-            psi2 = PSI[tiebreak](world.a, world.b).astype(np.int64)
-            second = chain_maxima(world, cyc, leaders, inner_cycle, first, psi2, meter)
+        for second in seconds:
             nodes: set[GridPoint] = set()
             for c in np.flatnonzero(inner_cycle):
                 vids = np.flatnonzero(second & (cyc.cycle_id == c))

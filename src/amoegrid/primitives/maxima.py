@@ -4,7 +4,9 @@ The elected leader cuts its cycle into an oriented chain; counting PASC
 streams hop counts, so every visit can follow its height offset to the
 leader under the ranking functional.  Blocks of about log(n) visits store
 the bits of their local winner's offset, and one bitwise pass over blocks
-selects the global maxima without recomputation.
+selects the global maxima without recomputation.  One call serves up to two
+instances of one functional, each a marked set and a sign: they share every
+stream and beep their consensus in the same rounds.
 """
 
 from __future__ import annotations
@@ -51,28 +53,52 @@ def chain_forest(
     )
 
 
+#: instances one call runs: instance k beeps on pin roles 2k and 2k + 1 and
+#: labels window + 2k and + 2k + 1, and a 5-pin half holds two such pairs
+MAX_INSTANCES = 2
+
+
 def chain_maxima(
     world: World,
     cyc: CycleStructure,
     leader_of_cycle: np.ndarray,
     cycles_mask: np.ndarray,
-    r_visit: np.ndarray,
     psi: np.ndarray,
+    instances: list[tuple[np.ndarray, int]],
     meter: Meter,
-) -> np.ndarray:
-    """Visit mask of the psi-maxima over the marked visits of chosen cycles."""
+) -> list[np.ndarray]:
+    """Per instance (marked visits, sign), the visit mask of the maxima of
+    sign * psi over its marked visits on the chosen cycles.
+
+    The block starts, ranks, up/down counts and offset streams depend on psi
+    only, so they run once; an instance of sign -1 reads the up and down
+    streams swapped.  Instance k's consensus and echo beeps use pin roles
+    2k/2k+1 and labels window + 2k/+2k+1, in the same rounds as the other's.
+    """
+    if not 1 <= len(instances) <= MAX_INSTANCES:
+        raise ValueError(f"chain_maxima runs 1 to {MAX_INSTANCES} instances")
+    signs = [sign for _, sign in instances]
     part = cycles_mask[cyc.cycle_id] & cyc.real[cyc.cycle_id]
     vids = np.flatnonzero(part)
     if vids.size == 0:
-        return np.zeros(cyc.n_visits, dtype=bool)
+        return [np.zeros(cyc.n_visits, dtype=bool) for _ in instances]
     space = ChainSpace(world, cyc, part)
-    # every visit's block circuit: pin 0 of its links on its window label,
-    # at the flat send/recv cell ``cell``
+    # every visit's circuits: instance k's block circuit on pin 2k of its
+    # links and label window + 2k, at the flat send/recv cell ``cell`` + 2k;
+    # its cycle circuit on pin and label 2k + 1
     node = space.node
     cell = node * world.S + space.win
+    roles = [2 * k for k in range(len(instances))]
 
-    def wire_blocks(cut: np.ndarray) -> None:
-        space.wire(space.cycle_plan(0, 0, cut))
+    def wire_blocks(cut: np.ndarray, roles: list[int]) -> None:
+        space.wire(*(space.cycle_plan(r, r, cut) for r in roles))
+
+    def beep(speak: list[np.ndarray], offsets: list[int]) -> list[np.ndarray]:
+        """One round: the visits of ``speak[i]`` beep at ``cell`` +
+        ``offsets[i]``; per offset, which visits heard a beep there."""
+        cells = np.concatenate([cell[m] + off for m, off in zip(speak, offsets)])
+        recv = world.beep(cells, meter).reshape(-1)
+        return [recv[cell + off] for off in offsets]
 
     is_leader = np.zeros(cyc.n_visits, dtype=bool)
     leaders = leader_of_cycle[cycles_mask]
@@ -94,9 +120,9 @@ def chain_maxima(
     start |= is_leader
 
     # 2. clear each chain's last start so no stored block is too short
-    wire_blocks(start)
+    wire_blocks(start, [0])
     last = is_leader[cyc.next_visit[vids]]
-    heard = world.beep(cell[last], meter).reshape(-1)[cell]
+    (heard,) = beep([last], [0])
     start[vids[start[vids] & ~is_leader[vids] & heard]] = False
     cut_block = start.copy()
 
@@ -115,46 +141,43 @@ def chain_maxima(
     c_up = bits_to_int(streams[1])
     streams = run_counting_pasc(world, [f_all], [delta[vids] < 0], s + 2, meter)
     c_dn = bits_to_int(streams[0])
-    local_pot = np.zeros(cyc.n_visits, dtype=np.int64)
-    local_pot[vids] = (c_up + (delta[vids] > 0)) - (c_dn + (delta[vids] < 0))
+    local_pot = (c_up + (delta[vids] > 0)) - (c_dn + (delta[vids] < 0))
 
-    # 4. block-local consensus among marked visits
-    candidates = r_visit & part
+    # 4. block-local consensus among each instance's marked visits
     bias_local = 1 << (s + 2)
-    winners = candidates.copy()
-    wire_blocks(cut_block)
+    winners = [marks & part for marks, _ in instances]
+    wire_blocks(cut_block, roles)
     for t in range(s + 3, -1, -1):
-        bit = ((local_pot[vids] + bias_local) >> t & 1).astype(bool)
-        speak = winners[vids] & bit
-        heard = world.beep(cell[speak], meter).reshape(-1)[cell]
-        winners[vids[winners[vids] & ~bit & heard]] = False
+        bits = [((sign * local_pot + bias_local) >> t & 1).astype(bool) for sign in signs]
+        heard = beep([w[vids] & bit for w, bit in zip(winners, bits)], roles)
+        for w, bit, h in zip(winners, bits, heard):
+            w[vids[w[vids] & ~bit & h]] = False
 
     multi_block = np.zeros(cyc.n_cycles, dtype=bool)
     multi_block[cyc.cycle_id[start & ~is_leader]] = True
 
-    # 5. global offsets echoed into block storage (multi-block cycles only)
+    # 5. global offsets echoed into block storage (multi-block cycles only);
+    # per instance, a bit-serial sign * (ups - downs) with its own carry and
+    # borrow, seeded by the visit's own step
     f_up_g = chain_forest(space, is_leader, K_P1, K_S1, 12, 13)
     f_dn_g = chain_forest(space, is_leader, K_P2, K_S2, 14, 15)
-    stored = np.zeros((cyc.n_visits, b_global), dtype=bool)
-    carry = (delta > 0).astype(np.int64)
-    borrow = (delta < 0).astype(np.int64)
+    stored = [np.zeros((cyc.n_visits, b_global), dtype=bool) for _ in instances]
+    carry = [(sign * delta[vids] > 0).astype(np.int64) for sign in signs]
+    borrow = [(sign * delta[vids] < 0).astype(np.int64) for sign in signs]
 
     def echo(j: int, bits_now) -> None:
-        nonlocal carry, borrow
-        up_b = np.zeros(cyc.n_visits, dtype=np.int64)
-        dn_b = np.zeros(cyc.n_visits, dtype=np.int64)
-        up_b[vids] = bits_now[0]
-        dn_b[vids] = bits_now[1]
-        t = up_b + carry - dn_b - borrow
-        if j == b_global - 1:
-            t = t + 1  # bias 2**(b_global - 1) keeps offsets nonnegative
-        out = (t & 1).astype(bool)
-        carry = (t >= 2).astype(np.int64)
-        borrow = (t < 0).astype(np.int64)
-        wire_blocks(cut_block)
-        speak = winners[vids] & out[vids]
-        heard = world.beep(cell[speak], meter).reshape(-1)[cell]
-        stored[vids, j] |= (rank[vids] == j) & heard
+        speak = []
+        for k, sign in enumerate(signs):
+            ups, downs = bits_now if sign > 0 else bits_now[::-1]
+            t = ups + carry[k] - downs - borrow[k]
+            if j == b_global - 1:
+                t = t + 1  # bias 2**(b_global - 1) keeps offsets nonnegative
+            carry[k] = (t >= 2).astype(np.int64)
+            borrow[k] = (t < 0).astype(np.int64)
+            speak.append(winners[k][vids] & (t & 1).astype(bool))
+        wire_blocks(cut_block, roles)
+        for k, heard in enumerate(beep(speak, roles)):
+            stored[k][vids, j] |= (rank[vids] == j) & heard
 
     run_counting_pasc(
         world,
@@ -166,16 +189,21 @@ def chain_maxima(
     )
 
     # 6. cross-block consensus on the stored bits, blocks speak by rank;
-    # pin 0 carries the block circuit and pin 1 the cycle circuit (label
-    # window + 1), both wired once since no round rewires them
-    space.wire(space.cycle_plan(0, 0, cut_block), space.cycle_plan(1, 1))
-    cycle_cell = cell + 1
-    blk_alive = part.copy()
+    # each instance's block and cycle circuits are wired once, since no
+    # round rewires them
+    cycle_roles = [r + 1 for r in roles]
+    blocks = [space.cycle_plan(r, r, cut_block) for r in roles]
+    space.wire(*blocks, *(space.cycle_plan(r, r) for r in cycle_roles))
+    blk_alive = [part.copy() for _ in instances]
     in_multi = multi_block[cyc.cycle_id[vids]]
     for t in range(b_global - 1, -1, -1):
-        speak = (rank[vids] == t) & stored[vids, t] & blk_alive[vids] & in_multi
-        recv = world.beep(np.concatenate((cycle_cell[speak], cell[speak])), meter).reshape(-1)
-        lose = in_multi & blk_alive[vids] & recv[cycle_cell] & ~recv[cell]
-        blk_alive[vids[lose]] = False
+        speak = [
+            (rank[vids] == t) & st[vids, t] & alive[vids] & in_multi
+            for st, alive in zip(stored, blk_alive)
+        ]
+        heard = beep(speak + speak, cycle_roles + roles)
+        on_cycle, in_block = heard[: len(roles)], heard[len(roles) :]
+        for alive, cyc_heard, blk_heard in zip(blk_alive, on_cycle, in_block):
+            alive[vids[in_multi & alive[vids] & cyc_heard & ~blk_heard]] = False
 
-    return winners & blk_alive
+    return [w & alive for w, alive in zip(winners, blk_alive)]

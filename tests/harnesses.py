@@ -520,7 +520,7 @@ def global_maxima_boundary(structure, direction, r_nodes=None, seed: int = 0, nh
     r_visit &= cyc.cycle_id == chosen
 
     psi = psi_values(world, direction)
-    win = chain_maxima(world, cyc, leaders, cycles_mask, r_visit, psi, meter)
+    (win,) = chain_maxima(world, cyc, leaders, cycles_mask, psi, [(r_visit, 1)], meter)
     return {world.nodes[cyc.node[v]] for v in np.flatnonzero(win)}, meter
 
 
@@ -593,11 +593,9 @@ def structure_min_level(world: World, direction, meter: Meter) -> np.ndarray:
     outer_mask = np.zeros(cyc.n_cycles, dtype=bool)
     for c in range(cyc.n_cycles):
         outer_mask[c] = cyc.real[c] and not inner_cycle[c]
-    name = direction.name if isinstance(direction, Direction) else str(direction)
-    opposite = {"E": "W", "W": "E", "NNE": "SSW", "SSW": "NNE", "NNW": "SSE", "SSE": "NNW",
-                "ESE": "WNW", "WNW": "ESE"}[name]
-    psi_op = PSI[opposite](world.a, world.b).astype(np.int64)
-    win = chain_maxima(world, cyc, leaders, outer_mask, real_visit.copy(), psi_op, meter)
+    # the minimum level is the maximum of -psi
+    psi = psi_values(world, direction)
+    (win,) = chain_maxima(world, cyc, leaders, outer_mask, psi, [(real_visit, -1)], meter)
     mask = np.zeros(world.n, dtype=bool)
     mask[cyc.node[np.flatnonzero(win)]] = True
     return mask

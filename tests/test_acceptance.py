@@ -14,7 +14,7 @@ from amoegrid.cli import decomposition_payload
 from amoegrid.decompose import decompose, phase1_simple
 from amoegrid.distalgo import run_distributed
 from amoegrid.generator import generate_random
-from amoegrid.grid import AmoebotStructure, Direction, GridPoint, find_holes
+from amoegrid.grid import AmoebotStructure, Direction, find_holes
 from amoegrid.oracle import (
     _IndexedGraph,
     is_geodesically_convex,

@@ -3,7 +3,7 @@ import random
 import numpy as np
 
 from amoegrid.circuits import STAGE_LABELS, Meter, SimulationTrace, World
-from amoegrid.grid import AmoebotStructure, Direction, GridPoint
+from amoegrid.grid import AmoebotStructure, GridPoint
 
 from reference_circuits import ReferenceRunner, circuits_of
 from test_grid import hexagon, random_structure

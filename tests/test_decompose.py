@@ -335,8 +335,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # then for the fixtures the distributed trace text and round count.
 # (structure, run_distributed seed or None, central digest, distributed digest)
 GOLDEN_OUTPUTS = [
-    ("gen_512_4_1", 1, "8b2016ee1b8e3210", "080dc738287df42e"),
-    ("gen_1024_8_7372", 3, "e89daa77b0095ed7", "5c3510af533e2280"),
+    ("gen_512_4_1", 1, "8b2016ee1b8e3210", "4efe9d02868ff040"),
+    ("gen_1024_8_7372", 3, "e89daa77b0095ed7", "57be7ae7f545ea4c"),
     ((256, 2, 11), None, "d456ec0b6c582f9f", None),
     ((384, 3, 12), None, "83ab5857e06e3509", None),
     ((512, 4, 13), None, "fa78b2d2d6553c87", None),

