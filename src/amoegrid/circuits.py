@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SimulationFault
-from .grid import AmoebotStructure, GridPoint
+from .grid import AmoebotStructure, GridPoint, components
 
 #: labels below this bound are free for protocol circuits; idle pins park
 #: above it, so every parked pin pair forms a private two-pin channel.
@@ -48,28 +48,6 @@ def mix64(*columns) -> np.ndarray:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         acc = z ^ (z >> np.uint64(31))
     return acc
-
-
-def _components(m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Component root of each node of the undirected graph 0..m-1 with edges (u, v).
-
-    Each pass hooks every root onto the smaller root across each edge and
-    then lets pointers jump to their roots; every component that still has
-    an edge to another one merges, so the passes are logarithmic in m.
-    """
-    root = np.arange(m)
-    while True:
-        ru, rv = root[u], root[v]
-        if np.array_equal(ru, rv):
-            return root
-        low = np.minimum(ru, rv)
-        np.minimum.at(root, ru, low)
-        np.minimum.at(root, rv, low)
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
 
 
 @dataclass
@@ -242,7 +220,7 @@ class World:
         live_here = self.pin_live[stage_rows]
         partner_stage = live_here & stage[np.maximum(partner, 0)]
         linked = partner[partner_stage]
-        root = _components(
+        root = components(
             m,
             pin_set[partner_stage],
             table[self.pin_owner[linked] * STAGE_LABELS + flat[linked]],

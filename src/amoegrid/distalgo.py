@@ -39,14 +39,14 @@ from .decompose import (
     northmost_marks,
     select_middle_region,
 )
-from .errors import ContractViolation, RoundBudgetExceeded
-from .grid import AmoebotStructure, GridPoint, StructureIndex, slot_between
-from .portals import AXES, Axis, Portal, PortalGraph, portal_graph
+from .errors import ContractViolation, DomainError, RoundBudgetExceeded
+from .grid import AmoebotStructure, GridPoint, StructureIndex
+from .portals import AXES, UP_SLOT, Axis, Portal, PortalGraph, portal_graph
 from .split import Gate, Region, side_names
 from .primitives.basic import closest_on_portal_batch, degree_check_batch
 from .primitives.boundary import BoundaryTest
 from .primitives.election import election_iters, run_election
-from .primitives.maxima import PSI, chain_maxima
+from .primitives.maxima import chain_maxima
 # run_counting_pasc stays bound here: perfbench's tracer test checks that its
 # patch reaches the engine module as well as the primitives that call it.
 from .primitives.pasc import run_counting_pasc  # noqa: F401
@@ -61,37 +61,29 @@ class DistributedOutcome:
     trace: SimulationTrace
 
 
-def _region_koff(region: Region) -> dict[tuple[GridPoint, GridPoint], int]:
-    """Pin half of this region on gate-chain edges it shares with a sibling."""
-    off: dict[tuple[GridPoint, GridPoint], int] = {}
-    for g in region.gates:
-        shift = 0 if g.side == SIDE_FIRST[g.axis] else HALF_PINS
-        for u, v in zip(g.nodes, g.nodes[1:]):
-            e = (u, v) if u <= v else (v, u)
-            off[e] = shift
-    return off
-
-
 class _RegionSpace:
     """Pin bookkeeping for one region on the shared world.
 
     ``rows``/``slots`` list both ends of every retained edge, and ``koff``
-    holds the region's pin offset at each of them.
+    holds the region's pin offset at each of them: the pin half of its side
+    on the gate-chain edges it shares with a sibling, 0 elsewhere.
     """
 
     def __init__(self, world: World, region: Region):
+        ix, eids = region.index, region.eids
+        if ix is not world.structure.index:
+            raise DomainError("the region does not lie on the world's structure index")
         self.world = world
         self.region = region
-        koff_map = _region_koff(region)
-        ends, shifts = [], []
-        for u, v in region.edges:
-            d = slot_between(u, v)
-            ends += [(world.index[u], d), (world.index[v], (d + 3) % 6)]
-            shift = koff_map.get((u, v), 0)  # region edges are sorted pairs
-            shifts += [shift, shift]
-        self.rows, self.slots = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+        shift = np.zeros(len(ix.eu), dtype=np.int8)
+        for g in region.gates:
+            chain = np.fromiter((ix.row[p] for p in g.nodes), dtype=np.int64, count=len(g.nodes))
+            shift[ix.eid[chain[:-1], UP_SLOT[g.axis]]] = 0 if g.side == SIDE_FIRST[g.axis] else HALF_PINS
+        slot = ix.eslot[eids]
+        self.rows = np.concatenate((ix.eu[eids], ix.ev[eids]))
+        self.slots = np.concatenate((slot, (slot + 3) % 6))
         self.koff = np.zeros((world.n, 6), dtype=np.int8)
-        self.koff[self.rows, self.slots] = shifts
+        self.koff[self.rows, self.slots] = np.tile(shift[eids], 2)
 
 
 def _wire_region_circuits(world: World, spaces: list[_RegionSpace]) -> None:
@@ -146,13 +138,11 @@ class CircuitDecisions:
 
         # WNW is the maximum of -a and ESE of +a, so both share one call's
         # streams; the NNE tie-breaks then share a second call
-        east = PSI["E"](world.a, world.b).astype(np.int64)
         firsts = chain_maxima(
-            world, cyc, leaders, inner_cycle, east, [(real_visit, -1), (real_visit, 1)], meter
+            world, cyc, leaders, inner_cycle, world.a, [(real_visit, -1), (real_visit, 1)], meter
         )
-        nne = PSI["NNE"](world.a, world.b).astype(np.int64)
         seconds = chain_maxima(
-            world, cyc, leaders, inner_cycle, nne, [(first, 1) for first in firsts], meter
+            world, cyc, leaders, inner_cycle, world.a + world.b, [(first, 1) for first in firsts], meter
         )
         extremes = []
         for second in seconds:

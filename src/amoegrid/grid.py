@@ -109,6 +109,40 @@ def is_connected(pts: AbstractSet[GridPoint]) -> bool:
     return len(seen) == len(pts)
 
 
+def sorted_contains(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Which of ``values`` occur in the sorted array ``ids``."""
+    pos = np.searchsorted(ids, values)
+    hit = pos < len(ids)
+    hit[hit] = ids[pos[hit]] == values[hit]
+    return hit
+
+
+def components(m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Component root of each node of the undirected graph 0..m-1 with edges (u, v).
+
+    The root is the component's smallest node.  Each pass hooks every root
+    onto the smaller root across each edge and then lets pointers jump to
+    their roots; every component that still has an edge to another one
+    merges, so the passes are logarithmic in m.
+    """
+    root = np.arange(m)
+    while True:
+        ru, rv = root[u], root[v]
+        if np.array_equal(ru, rv):
+            return root
+        low = np.minimum(ru, rv)
+        np.minimum.at(root, ru, low)
+        np.minimum.at(root, rv, low)
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+
+#: slots of NNE, SSE and E, the steps to a larger (a, b), in increasing order of the neighbour
+_AHEAD_SLOTS = (1, 5, 0)
+
 #: bound on the absolute value of a coordinate read from text: the structure
 #: index holds coordinates and their ±1 neighbour offsets in int64
 COORD_LIMIT = 2**62
@@ -120,11 +154,15 @@ class StructureIndex:
     Nodes are numbered in sorted order; ``row`` maps a node to its number,
     ``a``/``b`` hold the coordinates by number, and ``nbr[i, d]`` is the
     number of node i's neighbour in slot d (the order of ``DIRECTIONS``), or
-    -1 where that cell is empty.  ``cycles`` holds the boundary orbits,
-    built on first use.  The arrays are read-only.
+    -1 where that cell is empty.  The undirected edges are numbered in
+    (``eu``, ``ev``) order with ``eu < ev``, which is the order of their
+    sorted ``GridPoint`` pairs; ``eslot`` is the slot from ``eu`` to ``ev``
+    and ``eid[i, d]`` the edge at slot d of node i, or -1.  The edge list
+    and ``cycles``, the boundary orbits, are built on first use.  The
+    arrays are read-only.
     """
 
-    __slots__ = ("nodes", "row", "a", "b", "nbr", "_cycles")
+    __slots__ = ("nodes", "row", "a", "b", "nbr", "_edges", "_cycles")
 
     def __init__(self, nodes: Iterable[GridPoint]):
         self.nodes: list[GridPoint] = sorted(nodes)
@@ -132,20 +170,54 @@ class StructureIndex:
         n = len(self.nodes)
         ab = np.array(self.nodes, dtype=np.int64).reshape(n, 2)
         self.a, self.b = np.ascontiguousarray(ab.T)
-        # Nodes are sorted by (a, b), so this key is increasing; one spare
-        # b value on each side keeps a neighbor's key inside its own a row.
-        width = int(self.b.max() - self.b.min()) + 3
-        key = (self.a - self.a.min()) * width + (self.b - self.b.min() + 1)
         nbr = np.full((n, 6), -1, dtype=np.int64)
-        for d, direction in enumerate(DIRECTIONS):
-            da, db = direction.offset
-            want = key + (da * width + db)
-            j = np.minimum(np.searchsorted(key, want), n - 1)
-            nbr[:, d] = np.where(key[j] == want, j, -1)
+        if n:
+            # Nodes are sorted by (a, b), so this key is increasing; one spare
+            # b value on each side keeps a neighbor's key inside its own a row.
+            width = int(self.b.max() - self.b.min()) + 3
+            key = (self.a - self.a.min()) * width + (self.b - self.b.min() + 1)
+            for d, direction in enumerate(DIRECTIONS):
+                da, db = direction.offset
+                want = key + (da * width + db)
+                j = np.minimum(np.searchsorted(key, want), n - 1)
+                nbr[:, d] = np.where(key[j] == want, j, -1)
         self.nbr = nbr
         for arr in (self.a, self.b, self.nbr):
             arr.flags.writeable = False
+        self._edges: tuple[np.ndarray, ...] | None = None
         self._cycles: CycleStructure | None = None
+
+    def _edge_list(self) -> tuple[np.ndarray, ...]:
+        """(eu, ev, eslot, eid), built on first use."""
+        if self._edges is None:
+            # NNE, SSE and E lead to larger (a, b), in that order, so listing
+            # each row's edges toward them numbers the edges in (eu, ev) order
+            ahead = np.array(_AHEAD_SLOTS, dtype=np.int64)
+            ends = self.nbr[:, ahead]
+            eu, k = np.nonzero(ends >= 0)
+            ev, eslot = ends[eu, k], ahead[k]
+            eid = np.full(self.nbr.shape, -1, dtype=np.int64)
+            eid[eu, eslot] = eid[ev, (eslot + 3) % 6] = np.arange(len(eu))
+            self._edges = (eu, ev, eslot, eid)
+            for arr in self._edges:
+                arr.flags.writeable = False
+        return self._edges
+
+    @property
+    def eu(self) -> np.ndarray:
+        return self._edge_list()[0]
+
+    @property
+    def ev(self) -> np.ndarray:
+        return self._edge_list()[1]
+
+    @property
+    def eslot(self) -> np.ndarray:
+        return self._edge_list()[2]
+
+    @property
+    def eid(self) -> np.ndarray:
+        return self._edge_list()[3]
 
     @property
     def cycles(self) -> "CycleStructure":
@@ -279,13 +351,9 @@ class AmoebotStructure:
 
     def edges(self) -> set[tuple[GridPoint, GridPoint]]:
         """Induced edges as sorted node pairs."""
-        out = set()
-        for p in self.nodes:
-            for d in (Direction.E, Direction.NNE, Direction.NNW):
-                q = p.neighbor(d)
-                if q in self.nodes:
-                    out.add((p, q) if p <= q else (q, p))
-        return out
+        ix = self.index
+        pts = ix.nodes
+        return {(pts[u], pts[v]) for u, v in zip(ix.eu.tolist(), ix.ev.tolist())}
 
     # -- text format ---------------------------------------------------------
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, AbstractSet, Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .grid import Direction, GridPoint
+import numpy as np
+
+from .grid import DIRECTIONS, Direction, GridPoint
 
 if TYPE_CHECKING:  # pragma: no cover
     from .split import Region
@@ -44,16 +46,15 @@ class Axis(Enum):
             return p.a
         return p.a + p.b
 
-    def along_key(self, p: GridPoint) -> int:
-        """Position of ``p`` along its line, increasing toward ``up``."""
-        if self is Axis.X:
-            return p.a
-        return p.b
-
 
 _AXIS_UP = {Axis.X: Direction.E, Axis.Y: Direction.NNE, Axis.Z: Direction.NNW}
 
 AXES = (Axis.X, Axis.Y, Axis.Z)
+
+#: slot of each axis's positive direction
+UP_SLOT = {axis: DIRECTIONS.index(up) for axis, up in _AXIS_UP.items()}
+#: ``StructureIndex.eslot`` of each axis's edges: E, NNE and SSE
+_EDGE_SLOT = {Axis.X: 0, Axis.Y: 1, Axis.Z: 5}
 
 
 @dataclass(frozen=True)
@@ -130,31 +131,27 @@ class PortalGraph:
         return dist
 
 
-def axis_chains(
-    nodes: Iterable[GridPoint], axis: Axis, edges: AbstractSet[tuple[GridPoint, GridPoint]]
-) -> list[tuple[GridPoint, ...]]:
-    """Maximal chains of ``nodes`` joined by ``axis`` edges of ``edges``.
+def axis_chains(region: "Region", axis: Axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maximal chains of region nodes joined by retained ``axis`` edges.
 
-    ``edges`` holds each edge once as a sorted ``(u, v)`` pair, as
-    ``Region.edges`` does.
+    Returns the region positions of its nodes sorted by (line, along), in
+    which every chain is a run in positive-axis order; the bounds of the
+    runs, chain c being ``sorted[bounds[c]:bounds[c + 1]]``; and the chains
+    in the order of each one's smallest node, which is portal id order.
     """
-    by_line: dict[int, list[GridPoint]] = {}
-    for p in nodes:
-        by_line.setdefault(axis.line_key(p), []).append(p)
-
-    chains: list[tuple[GridPoint, ...]] = []
-    for line_nodes in by_line.values():
-        line_nodes.sort(key=axis.along_key)
-        chain = [line_nodes[0]]
-        for prev, cur in zip(line_nodes, line_nodes[1:]):
-            edge = (prev, cur) if prev <= cur else (cur, prev)
-            if axis.along_key(cur) == axis.along_key(prev) + 1 and edge in edges:
-                chain.append(cur)
-            else:
-                chains.append(tuple(chain))
-                chain = [cur]
-        chains.append(tuple(chain))
-    return chains
+    ix, rows = region.index, region.rows
+    a, b = ix.a[rows], ix.b[rows]
+    line, along = (b, a) if axis is Axis.X else (a, b) if axis is Axis.Y else (a + b, b)
+    at = np.lexsort((along, line))
+    # A retained axis edge leads from its lower end to the next node of the
+    # sort.  Edges run from the smaller node, so that is their first end on
+    # x and y (E, NNE) and their second on z (SSE).
+    pu, pv = region.edge_ends
+    along_axis = ix.eslot[region.eids] == _EDGE_SLOT[axis]
+    joined = np.zeros(len(rows), dtype=bool)
+    joined[(pv if axis is Axis.Z else pu)[along_axis]] = True
+    bounds = np.concatenate(([0], np.flatnonzero(~joined[at[:-1]]) + 1, [len(at)]))
+    return at, bounds, np.argsort(np.minimum.reduceat(at, bounds[:-1]))
 
 
 def compute_portals(region: "Region", axis: Axis) -> list[Portal]:
@@ -162,30 +159,40 @@ def compute_portals(region: "Region", axis: Axis) -> list[Portal]:
 
     Portal ids follow the lexicographic order of each chain's minimal node.
     """
-    chains = sorted(axis_chains(region.nodes, axis, region.edges), key=min)
-    return [Portal(axis, c, i) for i, c in enumerate(chains)]
+    return _portals(region, axis, *axis_chains(region, axis))
+
+
+def _portals(region: "Region", axis: Axis, at, bounds, order) -> list[Portal]:
+    pts = region.index.nodes
+    nodes = [pts[i] for i in region.rows[at].tolist()]
+    b = bounds.tolist()
+    return [Portal(axis, tuple(nodes[b[c] : b[c + 1]]), pid) for pid, c in enumerate(order.tolist())]
 
 
 def portal_graph(region: "Region", axis: Axis) -> PortalGraph:
     """Portal adjacency graph of the region for one axis, with the
     designated edge of every adjacent pair: a choice each portal can settle
     locally."""
-    portals = compute_portals(region, axis)
-    owner: dict[GridPoint, int] = {}
-    for portal in portals:
-        for p in portal.nodes:
-            owner[p] = portal.id
-    smallest: dict[tuple[int, int], tuple[GridPoint, GridPoint]] = {}
-    for edge in region.edges:
-        pu, pv = owner[edge[0]], owner[edge[1]]
-        if pu != pv:
-            pair = (pu, pv) if pu < pv else (pv, pu)
-            best = smallest.get(pair)
-            if best is None or edge < best:
-                smallest[pair] = edge
+    at, bounds, order = axis_chains(region, axis)
+    pid = np.empty(len(order), dtype=np.int64)
+    pid[order] = np.arange(len(order))
+    owner = np.empty(len(at), dtype=np.int64)
+    owner[at] = np.repeat(pid, np.diff(bounds))
+    pu, pv = region.edge_ends
+    ou, ov = owner[pu], owner[pv]
+    # Edge ids order like sorted node pairs, so the first cross edge of a
+    # pair of portals in edge id order is its designated edge.
+    lo, hi = np.minimum(ou, ov), np.maximum(ou, ov)
+    cross = np.flatnonzero(lo != hi)
+    cross = cross[np.argsort(lo[cross] * len(order) + hi[cross], kind="stable")]
+    lo, hi = lo[cross], hi[cross]
+    smallest = np.ones(len(cross), dtype=bool)
+    smallest[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    cross, lo, hi = cross[smallest], lo[smallest], hi[smallest]
+    pts, rows = region.index.nodes, region.rows
+    ends = zip(rows[pu[cross]].tolist(), rows[pv[cross]].tolist(), (ou[cross] == lo).tolist())
     links = {
-        pair: (u, v) if owner[u] == pair[0] else (v, u)
-        for pair, (u, v) in sorted(smallest.items())
+        (i, j): (pts[u], pts[v]) if u_is_i else (pts[v], pts[u])
+        for i, j, (u, v, u_is_i) in zip(lo.tolist(), hi.tolist(), ends)
     }
-    return PortalGraph(axis, tuple(portals), frozenset(links), links)
-
+    return PortalGraph(axis, tuple(_portals(region, axis, at, bounds, order)), frozenset(links), links)

@@ -18,19 +18,6 @@ from ..grid import CycleStructure
 from .chains import ChainSpace, K_P1, K_P2, K_S1, K_S2
 from .pasc import ElementForest, bits_to_int, run_counting_pasc
 
-#: ranking functionals by direction name; ESE/WNW rank like E/W
-PSI = {
-    "E": lambda a, b: a,
-    "W": lambda a, b: -a,
-    "NNE": lambda a, b: a + b,
-    "SSW": lambda a, b: -(a + b),
-    "NNW": lambda a, b: b,
-    "SSE": lambda a, b: -b,
-    "ESE": lambda a, b: a,
-    "WNW": lambda a, b: -a,
-}
-
-
 def chain_forest(
     space: ChainSpace, cut_before: np.ndarray, kp: int, ks: int, off_a: int, off_b: int
 ) -> ElementForest:

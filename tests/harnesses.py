@@ -4,7 +4,9 @@ Each harness builds its own ``World`` around one primitive of
 ``amoegrid.primitives`` (or one split of ``amoegrid.split``) and returns its
 answer in terms the tests can compare with a brute-force oracle.  The
 general-set maxima (``global_maxima_general``) is the O(log^2 n) baseline
-the boundary-chain maxima improves on; no engine runs it.
+the boundary-chain maxima improves on; no engine runs it.  The ``*_reference``
+splits and portal scans work on ``GridPoint`` sets and dicts, the
+representation the array versions in ``amoegrid`` replaced.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
+from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from amoegrid.grid import (
     find_holes,
     slot_between,
 )
-from amoegrid.portals import Axis, Portal, portal_graph
+from amoegrid.portals import Axis, Portal, PortalGraph, portal_graph
 from amoegrid.primitives import (
     BoundaryTest,
     chain_maxima,
@@ -38,8 +42,17 @@ from amoegrid.primitives import (
     run_election,
     stream_counts,
 )
-from amoegrid.primitives.maxima import PSI
-from amoegrid.split import SIDES, NodeCut, Region, split_many
+from amoegrid.split import (
+    _ALL_SLOTS,
+    _CUT_BUNDLES,
+    _SIDE_MASK,
+    SIDES,
+    Gate,
+    NodeCut,
+    Region,
+    side_names,
+    split_many,
+)
 
 # -- oracle references --------------------------------------------------------
 
@@ -354,6 +367,257 @@ def portal_distance(region: Region, u: GridPoint, v: GridPoint, axis: Axis) -> i
     return dist[pv]
 
 
+# -- dict-based split and portal references ----------------------------------------
+
+_Copy = tuple
+_Key = tuple[GridPoint, _Copy]
+
+
+def _along_key(axis: Axis, p: GridPoint) -> int:
+    """Position of ``p`` along its ``axis`` line, increasing toward ``axis.up``."""
+    return p.a if axis is Axis.X else p.b
+
+
+def axis_chains_reference(
+    nodes: Iterable[GridPoint], axis: Axis, edges: AbstractSet[tuple[GridPoint, GridPoint]]
+) -> list[tuple[GridPoint, ...]]:
+    """Maximal chains of ``nodes`` joined by ``axis`` edges of ``edges``, by
+    grouping the points per line.
+
+    ``edges`` holds each edge once as a sorted ``(u, v)`` pair, as
+    ``Region.edges`` does.
+    """
+    by_line: dict[int, list[GridPoint]] = {}
+    for p in nodes:
+        by_line.setdefault(axis.line_key(p), []).append(p)
+
+    chains: list[tuple[GridPoint, ...]] = []
+    for line_nodes in by_line.values():
+        line_nodes.sort(key=lambda p: _along_key(axis, p))
+        chain = [line_nodes[0]]
+        for prev, cur in zip(line_nodes, line_nodes[1:]):
+            edge = (prev, cur) if prev <= cur else (cur, prev)
+            if _along_key(axis, cur) == _along_key(axis, prev) + 1 and edge in edges:
+                chain.append(cur)
+            else:
+                chains.append(tuple(chain))
+                chain = [cur]
+        chains.append(tuple(chain))
+    return chains
+
+
+def compute_portals_reference(region: Region, axis: Axis) -> list[Portal]:
+    """``portals.compute_portals`` from the region's ``GridPoint`` sets.
+
+    Portal ids follow the lexicographic order of each chain's minimal node.
+    """
+    chains = sorted(axis_chains_reference(region.nodes, axis, region.edges), key=min)
+    return [Portal(axis, c, i) for i, c in enumerate(chains)]
+
+
+def portal_graph_reference(region: Region, axis: Axis) -> PortalGraph:
+    """``portals.portal_graph`` by a dict scan of the region's edge set for
+    the smallest edge between each pair of portals."""
+    portals = compute_portals_reference(region, axis)
+    owner: dict[GridPoint, int] = {}
+    for portal in portals:
+        for p in portal.nodes:
+            owner[p] = portal.id
+    smallest: dict[tuple[int, int], tuple[GridPoint, GridPoint]] = {}
+    for edge in region.edges:
+        pu, pv = owner[edge[0]], owner[edge[1]]
+        if pu != pv:
+            pair = (pu, pv) if pu < pv else (pv, pu)
+            best = smallest.get(pair)
+            if best is None or edge < best:
+                smallest[pair] = edge
+    links = {
+        pair: (u, v) if owner[u] == pair[0] else (v, u)
+        for pair, (u, v) in sorted(smallest.items())
+    }
+    return PortalGraph(axis, tuple(portals), frozenset(links), links)
+
+
+def split_many_reference(
+    region: Region,
+    portal_splits: Sequence[tuple[Portal, Sequence[NodeCut]]],
+    node_cuts: Sequence[NodeCut] = (),
+) -> list[Region]:
+    """``split.split_many`` by a search of a dict-based copy graph over the
+    region's ``GridPoint`` edge set.
+
+    Node cuts listed inside a portal split apply to that portal's matching
+    side copy; standalone ``node_cuts`` apply to nodes of existing gates.
+    Result regions are the connected components of the copy graph, ordered
+    by their smallest copy; each inherits lineage from ``region``.
+    """
+    for portal, cuts in portal_splits:
+        if not portal.node_set <= region.nodes:
+            raise DomainError("splitting portal is not contained in the region")
+        for cut in cuts:
+            if cut.node not in portal.node_set:
+                raise DomainError(f"split node {cut.node} not on the splitting portal")
+
+    # Constraints per node.
+    portal_at: dict[GridPoint, list[tuple[Axis, int]]] = {}
+    cuts_at: dict[GridPoint, list[tuple[Axis, int | None, str]]] = {}
+    for portal, cuts in portal_splits:
+        key = (portal.axis, portal.line)
+        for p in portal.nodes:
+            portal_at.setdefault(p, []).append(key)
+        for cut in cuts:
+            cuts_at.setdefault(cut.node, []).append((cut.axis, portal.line, cut.side))
+    for cut in node_cuts:
+        if cut.node not in region.nodes:
+            raise DomainError(f"{cut.node} is not in the region")
+        allowed = _SIDE_MASK.get((cut.axis, cut.side))
+        if allowed is None:
+            raise DomainError(f"unknown side {cut.side!r} for axis {cut.axis.value}")
+        neighbors = cut.node.neighborhood()
+        if any(
+            not allowed >> d & 1 and region.has_edge(cut.node, q)
+            for d, (_, q) in enumerate(neighbors)
+        ):
+            raise DomainError(
+                f"{cut.node} retains edges outside the {cut.side} side of axis "
+                f"{cut.axis.value}; standalone cuts require a gate node"
+            )
+        cuts_at.setdefault(cut.node, []).append((cut.axis, None, cut.side))
+
+    def copies_of(p: GridPoint) -> list[tuple[_Copy, int]]:
+        side_options = [
+            [(axis, line, name) for name in side_names(axis)] for axis, line in portal_at.get(p, [])
+        ]
+        out = []
+        for side_choice in product(*side_options):
+            allowed = _ALL_SLOTS
+            for axis, _, name in side_choice:
+                allowed &= _SIDE_MASK[axis, name]
+            bundle_options = []
+            for axis, line, side in cuts_at.get(p, []):
+                if line is None or (axis, line, side) in side_choice:
+                    up, down = _CUT_BUNDLES[axis, side]
+                    tag = ("c", axis.value, line, side)
+                    bundle_options.append([(tag + ("U",), up), (tag + ("D",), down)])
+            for bundles in product(*bundle_options):
+                tags = [("p", axis.value, line, name) for axis, line, name in side_choice]
+                dirs = allowed
+                for tag, bundle in bundles:
+                    tags.append(tag)
+                    dirs &= bundle
+                out.append((tuple(sorted(tags)), dirs))
+        return out
+
+    # Only nodes named by a portal or a cut have several copies; every other
+    # node is its one copy () with all six directions.
+    copies = {p: copies_of(p) for p in portal_at.keys() | cuts_at.keys()}
+    whole = [((), _ALL_SLOTS)]
+
+    def portal_tag(copy: _Copy, axis: Axis, line: int) -> str | None:
+        for tag in copy:
+            if tag[0] == "p" and tag[1] == axis.value and tag[2] == line:
+                return tag[3]
+        return None
+
+    # Copy graph over the retained edges; a copy with no edge stays out.
+    graph: dict[_Key, list[_Key]] = {}
+    for u, v in region.edges:
+        if u not in copies and v not in copies:
+            graph.setdefault((u, ()), []).append((v, ()))
+            graph.setdefault((v, ()), []).append((u, ()))
+            continue
+        d = slot_between(u, v)
+        bit_u, bit_v = 1 << d, 1 << (d + 3) % 6
+        shared = None
+        for key in portal_at.get(u, []):
+            if key in portal_at.get(v, []):
+                shared = key
+        for cu, dirs_u in copies.get(u, whole):
+            if not dirs_u & bit_u:
+                continue
+            for cv, dirs_v in copies.get(v, whole):
+                if not dirs_v & bit_v:
+                    continue
+                if shared is not None and portal_tag(cu, *shared) != portal_tag(cv, *shared):
+                    continue
+                graph.setdefault((u, cu), []).append((v, cv))
+                graph.setdefault((v, cv), []).append((u, cu))
+
+    # Search from the copies in sorted order, so each component is found from
+    # its smallest copy.  A node with no edge keeps its smallest copy.
+    seen: set[_Key] = set()
+    merged: dict[tuple[frozenset, frozenset], list[Gate]] = {}
+    for p in sorted(region.nodes):
+        labels = [c for c, _ in copies.get(p, whole)]
+        starts = sorted(c for c in labels if (p, c) in graph) or [min(labels)]
+        for c in starts:
+            start = (p, c)
+            if start in seen:
+                continue
+            seen.add(start)
+            comp = [start]
+            for key in comp:
+                for nxt in graph.get(key, ()):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        comp.append(nxt)
+            nodes, edges, gates = _child_reference(region, comp, graph)
+            key = (nodes, edges)
+            if key not in merged:
+                merged[key] = gates
+            else:
+                # Copies on a side with no cross edges anywhere reproduce the
+                # input chain; identical children merge their gate lists.
+                have = {(g.axis, g.side, g.nodes) for g in merged[key]}
+                merged[key] += [g for g in gates if (g.axis, g.side, g.nodes) not in have]
+    return [
+        Region(nodes, edges, gates, id=i, lineage=region.lineage + (i,))
+        for i, ((nodes, edges), gates) in enumerate(merged.items())
+    ]
+
+
+def _child_reference(
+    region: Region, comp: list[_Key], graph: dict[_Key, list[_Key]]
+) -> tuple[frozenset[GridPoint], frozenset[tuple[GridPoint, GridPoint]], list[Gate]]:
+    """Nodes, retained edges and gates of the child region of one component.
+
+    The splitting portals become gates of the child, with the side read off
+    its copies' tags, and the gates of ``region`` are inherited as the chain
+    runs that survive in the child.
+    """
+    nodes = frozenset(p for p, _ in comp)
+    if len(nodes) != len(comp):
+        raise ContractViolation("a split produced a region containing two copies of one node")
+    edges = set()
+    for key in comp:
+        p = key[0]
+        for q, _ in graph.get(key, ()):
+            edges.add((p, q) if p <= q else (q, p))
+    edges = frozenset(edges)
+
+    marks: dict[tuple[str, str], set[GridPoint]] = {}
+    for p, c in comp:
+        for tag in c:
+            if tag[0] == "p":
+                marks.setdefault((tag[1], tag[3]), set()).add(p)
+    gates: list[Gate] = []
+    seen_runs: set[tuple[Axis, str, tuple[GridPoint, ...]]] = set()
+    for (axis_value, side), marked in sorted(marks.items()):
+        axis = Axis(axis_value)
+        for run in axis_chains_reference(marked, axis, edges):
+            seen_runs.add((axis, side, run))
+            gates.append(Gate(axis, side, run))
+    for g in region.gates:
+        present = g.node_set & nodes
+        if not present:
+            continue
+        for run in axis_chains_reference(present, g.axis, edges):
+            if (g.axis, g.side, run) not in seen_runs:
+                seen_runs.add((g.axis, g.side, run))
+                gates.append(Gate(g.axis, g.side, run))
+    return nodes, edges, gates
+
+
 # -- single-instance primitives ----------------------------------------------------
 
 
@@ -478,6 +742,19 @@ def tree_pasc_distances(region, axis, r_portal_id, seed: int = 0, nhat=None):
 
 
 # -- global maxima ---------------------------------------------------------------------
+
+
+#: ranking functionals by direction name; ESE/WNW rank like E/W
+PSI = {
+    "E": lambda a, b: a,
+    "W": lambda a, b: -a,
+    "NNE": lambda a, b: a + b,
+    "SSW": lambda a, b: -(a + b),
+    "NNW": lambda a, b: b,
+    "SSE": lambda a, b: -b,
+    "ESE": lambda a, b: a,
+    "WNW": lambda a, b: -a,
+}
 
 
 def psi_values(world: World, direction) -> np.ndarray:

@@ -115,6 +115,13 @@ def test_structure_index_matches_neighborhood(data):
             assert slot_between(q, p) == (d + 3) % 6
     with pytest.raises(DomainError):
         slot_between(GridPoint(0, 0), GridPoint(2, 0))
+    # the edge list: sorted node pairs in order, each at its slot from both ends
+    pairs = [(ix.nodes[u], ix.nodes[v]) for u, v in zip(ix.eu.tolist(), ix.ev.tolist())]
+    assert pairs == sorted({(p, q) if p < q else (q, p) for p in s.nodes for _, q in s.neighbors(p)})
+    assert s.edges() == set(pairs)
+    for e, (u, v, d) in enumerate(zip(ix.eu.tolist(), ix.ev.tolist(), ix.eslot.tolist())):
+        assert ix.nbr[u, d] == v and ix.eid[u, d] == ix.eid[v, (d + 3) % 6] == e
+    assert (ix.eid >= 0).sum() == 2 * len(pairs)
 
 
 def test_world_and_oracle_graph_read_the_structure_index():

@@ -1,16 +1,26 @@
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amoegrid.errors import DomainError
+from amoegrid.errors import ContractViolation, DomainError
 from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, Direction, GridPoint
 from amoegrid.oracle import connected, is_geodesically_convex, is_simple
-from amoegrid.portals import Axis, compute_portals
-from amoegrid.split import NodeCut, Region, split_many
+from amoegrid.portals import AXES, Axis, compute_portals, portal_graph
+from amoegrid.split import Gate, NodeCut, Region, split_many
 
-from harnesses import SplitNodeSpec, resolve_spec, split_region_at_node
-from test_grid import hexagon, parallelogram
+from harnesses import (
+    SplitNodeSpec,
+    portal_graph_reference,
+    resolve_spec,
+    rotate60,
+    split_many_reference,
+    split_region_at_node,
+)
+from test_grid import HAND_BUILT, hexagon, parallelogram
 
 
 def as_region(pts) -> Region:
@@ -215,3 +225,120 @@ def test_split_many_rejects_out_of_domain_input():
     # an interior node retains edges on both sides of its y line
     with pytest.raises(DomainError, match="retains edges outside the WNW side"):
         split_many(region, [], [NodeCut(GridPoint(2, 1), Axis.Y, "WNW")])
+
+
+# -- the array split and portal scan against their dict-based references ------------
+
+
+def recorded_splits(monkeypatch, structure: AmoebotStructure) -> list[tuple]:
+    """(region, portal splits, node cuts, the children's fields or the
+    raised error) of every ``split_many`` call ``decompose`` makes on
+    ``structure``.  The fields are read at the call: the engine renumbers
+    the final regions afterwards."""
+    from amoegrid import decompose as engine
+
+    calls = []
+
+    def recording(region, portal_splits, node_cuts=()):
+        try:
+            out = split_many(region, portal_splits, node_cuts)
+        except ContractViolation as exc:
+            calls.append((region, portal_splits, node_cuts, exc))
+            raise
+        calls.append((region, portal_splits, node_cuts, region_fields(out)))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "split_many", recording)
+        try:
+            engine.decompose(structure)
+        except ContractViolation:
+            pass
+    return calls
+
+
+def region_fields(regions: list[Region]) -> list[tuple]:
+    return [(r.id, r.lineage, r.nodes, r.edges, r.gates) for r in regions]
+
+
+def assert_splits_match_references(monkeypatch, structure: AmoebotStructure) -> int:
+    """Every split and every input region's portal graphs equal the
+    references'; returns the number of splits checked."""
+    calls = recorded_splits(monkeypatch, structure)
+    for region, portal_splits, node_cuts, got in calls:
+        for axis in AXES:
+            have, want = portal_graph(region, axis), portal_graph_reference(region, axis)
+            assert (have.portals, have.adjacency, have.links) == (want.portals, want.adjacency, want.links)
+            assert list(have.links) == list(want.links)
+            assert compute_portals(region, axis) == list(want.portals)
+        if isinstance(got, ContractViolation):
+            with pytest.raises(ContractViolation, match=str(got)):
+                split_many_reference(region, portal_splits, node_cuts)
+        else:
+            assert got == region_fields(split_many_reference(region, portal_splits, node_cuts))
+    return len(calls)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n=st.integers(1, 512), holes=st.integers(0, 8), seed=st.integers(0, 2**16))
+def test_splits_and_portal_graphs_match_references_on_generated_structures(n, holes, seed):
+    holes = min(holes, max(0, (n - 6) // 7))  # the generator's hole limit
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_splits_match_references(monkeypatch, generate_random(n, holes, seed))
+
+
+@pytest.mark.parametrize("turns", range(6))
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_splits_and_portal_graphs_match_references_on_rotated_inputs(monkeypatch, name, turns):
+    s = AmoebotStructure(rotate60(p, turns) for p in HAND_BUILT[name])
+    assert_splits_match_references(monkeypatch, s)
+
+
+def test_both_splits_raise_the_same_violation_on_a_wide_hole(monkeypatch):
+    s = AmoebotStructure.from_text((Path(__file__).parent / "fixtures" / "wide_hole_rot2.txt").read_text())
+    calls = recorded_splits(monkeypatch, s)
+    assert isinstance(calls[-1][3], ContractViolation)
+    assert str(calls[-1][3]) == "a split produced a region containing two copies of one node"
+    assert_splits_match_references(monkeypatch, s)
+
+
+@pytest.mark.parametrize("engine", ["decompose", "run_distributed"])
+def test_engines_build_one_structure_index_per_structure(monkeypatch, engine):
+    """Every region of a run, and every split and portal scan of it, lives
+    on the structure's one index."""
+    from amoegrid import decompose as central, distalgo
+    from amoegrid.grid import StructureIndex
+
+    built = []
+    init = StructureIndex.__init__
+
+    def counted(self, nodes):
+        built.append(self)
+        init(self, nodes)
+
+    monkeypatch.setattr(StructureIndex, "__init__", counted)
+    run = {"decompose": central.decompose, "run_distributed": distalgo.run_distributed}[engine]
+    for seed in range(3):
+        s = AmoebotStructure(generate_random(300, 3, seed).nodes)
+        built.clear()
+        run(s)
+        assert built == [s.index]
+
+
+@pytest.mark.parametrize("axis", list(AXES))
+def test_an_edgeless_node_keeps_its_smallest_copy_as_in_the_reference(axis):
+    lone = as_region([GridPoint(0, 0)])
+    (portal,) = compute_portals(lone, axis)
+    want = region_fields(split_many_reference(lone, [(portal, [])]))
+    assert region_fields(split_many(lone, [(portal, [])])) == want
+
+
+def test_a_gate_run_breaks_at_an_edge_its_child_lacks_as_in_the_reference():
+    # the region's y-gate lost its middle edge in an earlier split; the
+    # x-portal splitting now crosses the gate above the gap
+    nodes = set(parallelogram(4, 5))
+    edges = AmoebotStructure(nodes).edges() - {(GridPoint(3, 1), GridPoint(3, 2))}
+    region = Region(nodes, edges, [Gate(Axis.Y, "ESE", tuple(GridPoint(3, b) for b in range(5)))])
+    splitting = next(p for p in compute_portals(region, Axis.X) if GridPoint(0, 3) in p.node_set)
+    want = region_fields(split_many_reference(region, [(splitting, [])]))
+    assert region_fields(split_many(region, [(splitting, [])])) == want
