@@ -94,7 +94,6 @@ class World:
         self.seed = seed
         ix = structure.index
         self.nodes: list[GridPoint] = ix.nodes
-        self.index: dict[GridPoint, int] = ix.row
         self.n = len(self.nodes)
         self.nhat = nhat if nhat is not None else self.n
         self.S = STAGE_LABELS + 6 * c  # stage labels plus one parking label per pin
@@ -153,7 +152,8 @@ class World:
         return rows * self.S + STAGE_LABELS + pin
 
     def chain_slots(self, chains) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, up, dn, start) of a batch of chains of grid neighbours.
+        """(rows, up, dn, start) of a batch of chains of grid neighbours,
+        each given by its members' rows.
 
         ``rows`` lists every chain's members in order, chain j at
         ``rows[start[j]:start[j + 1]]``; ``up`` is each member's slot toward
@@ -161,9 +161,7 @@ class World:
         """
         start = np.zeros(len(chains) + 1, dtype=np.int64)
         np.cumsum([len(chain) for chain in chains], out=start[1:])
-        rows = np.fromiter(
-            (self.index[p] for chain in chains for p in chain), dtype=np.int64, count=int(start[-1])
-        )
+        rows = np.concatenate([np.zeros(0, dtype=np.int64), *chains])
         up = np.full(len(rows), -1, dtype=np.int64)
         dn = np.full(len(rows), -1, dtype=np.int64)
         step = np.ones(len(rows), dtype=bool)

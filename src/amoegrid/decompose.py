@@ -24,23 +24,18 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import ContractViolation, DomainError
-from .grid import AmoebotStructure, Direction, GridPoint, StructureIndex
-from .portals import AXES, Axis, Portal, PortalGraph, compute_portals, portal_graph
+import numpy as np
+
+from .errors import ContractViolation
+from .grid import AmoebotStructure, GridPoint, StructureIndex, sorted_contains
+from .portals import AXES, UP_SLOT, Axis, Portal, PortalGraph, compute_portals, portal_graph
 from .split import SIDES, Gate, NodeCut, Region, side_names, split_many
 
 
-def _side_cross_dirs(axis: Axis, side: str) -> tuple[Direction, Direction]:
-    for name, up, down in SIDES[axis]:
-        if name == side:
-            return up, down
-    raise DomainError(f"no side {side} on axis {axis.value}")  # pragma: no cover
-
-
-def _touches_outside(region: Region, p: GridPoint, axis: Axis, side: str) -> bool:
-    """True if ``p`` misses a neighbor on the given side of its axis line."""
-    up, down = _side_cross_dirs(axis, side)
-    return p.neighbor(up) not in region.nodes or p.neighbor(down) not in region.nodes
+def _touches_outside(region: Region, rows: np.ndarray, axis: Axis, side: str) -> np.ndarray:
+    """Which nodes at ``rows`` miss a region neighbour on the given side of their axis line."""
+    beside = region.index.nbr[rows][:, SIDES[axis, side]]
+    return ~sorted_contains(region.rows, beside).all(axis=1)
 
 
 def _west_end(axis: Axis) -> int:
@@ -50,43 +45,38 @@ def _west_end(axis: Axis) -> int:
 
 def _portal_side_toward(pg: PortalGraph, pid: int, other_pid: int) -> str:
     """Side of portal ``pid`` on which its neighbor ``other_pid`` lies."""
-    axis = pg.axis
-    line = pg.portals[pid].line
-    other_line = pg.portals[other_pid].line
-    names = [s[0] for s in SIDES[axis]]
-    # First listed side is the one whose cross directions increase the line key.
-    up_side, down_side = names
-    probe = pg.portals[pid].nodes[0]
-    up_dir = _side_cross_dirs(axis, up_side)[0]
-    if axis.line_key(probe.neighbor(up_dir)) > line:
-        plus, minus = up_side, down_side
-    else:  # the y axis: WNW cross directions decrease the line key a
-        plus, minus = down_side, up_side
-    return plus if other_line > line else minus
+    # The cross edges of the first side of x and z lead to larger line keys,
+    # those of the first side of y (WNW) to smaller ones.
+    minus, plus = side_names(pg.axis)
+    if pg.axis is not Axis.Y:
+        minus, plus = plus, minus
+    return plus if pg.portals[other_pid].line > pg.portals[pid].line else minus
 
 
 class ChainQuery(NamedTuple):
     """Which marked node of an axis chain lies closest to one of its ends?
 
-    ``end`` is 0 for the chain's first node and 1 for its last; ``region`` is
-    the region on whose circuits the question is asked.
+    ``chain`` and ``marks`` are index rows; ``end`` is 0 for the chain's
+    first node and 1 for its last; ``region`` is the region on whose
+    circuits the question is asked.
     """
 
     region: Region
-    chain: tuple[GridPoint, ...]
-    marks: frozenset[GridPoint]
+    chain: np.ndarray
+    marks: np.ndarray
     end: int
 
 
 @dataclass
 class PortalTree:
-    """Phase-2 state of one region: its y-portal graph and pruned portals."""
+    """Phase-2 state of one region: its y-portal graph and pruned portals,
+    and the sorted index rows of the surviving portals' nodes."""
 
     region: Region
     graph: PortalGraph
     gate_pids: set[int]
     survivors: set[int] = field(default_factory=set)
-    survivor_nodes: frozenset[GridPoint] = frozenset()
+    survivor_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
 
 # -- phase 1 -------------------------------------------------------------------
@@ -152,31 +142,41 @@ def _prune_to_gates(pg: PortalGraph, gate_pids: set[int]) -> set[int]:
     return alive
 
 
+def _on_portals(pg: PortalGraph, pids) -> np.ndarray:
+    """Which region nodes, by position, lie on the portals ``pids`` of ``pg``."""
+    on = np.zeros(len(pg.portals), dtype=bool)
+    on[list(pids)] = True
+    return on[pg.owner]
+
+
 def northmost_marks(
-    region: Region, chain: tuple[GridPoint, ...], side: str, survivor_nodes
-) -> list[GridPoint]:
-    """Members of a y-chain that head a run of surviving neighbours on ``side``.
+    region: Region, chain: np.ndarray, side: str, survivor_rows: np.ndarray
+) -> np.ndarray:
+    """Members of a y-chain, given by its index rows, that head a run of
+    surviving neighbours on ``side``.
 
     A member counts when a retained cross edge on ``side`` leads into a
     surviving portal and the chain member above it has no retained edge to
     the surviving cell beside this member, so every run of neighbours along
-    the chain yields its northmost member.
+    the chain yields its northmost member.  ``survivor_rows`` are sorted.
     """
-    up, down = _side_cross_dirs(Axis.Y, side)
-    members = set(chain)
-    marks = []
-    for p in chain:
-        beside_p = (p.neighbor(up), p.neighbor(down))
-        if not any(q in survivor_nodes and region.has_edge(p, q) for q in beside_p):
-            continue
-        north, beside = p.neighbor(Axis.Y.up), p.neighbor(up)
-        if (
-            north not in members
-            or not region.has_edge(p, north)
-            or not (beside in survivor_nodes and region.has_edge(north, beside))
-        ):
-            marks.append(p)
-    return marks
+    ix = region.index
+    up, down = SIDES[Axis.Y, side]
+    nbr, eid = ix.nbr[chain], ix.eid[chain]
+
+    def into_survivor(e, q):  # a retained edge e leads to a surviving node q
+        return sorted_contains(region.eids, e) & sorted_contains(survivor_rows, q)
+
+    crossing = into_survivor(eid[:, up], nbr[:, up]) | into_survivor(eid[:, down], nbr[:, down])
+    # from the member north of p, the cell beside p on ``side`` lies in the
+    # side's down slot
+    north = nbr[:, UP_SLOT[Axis.Y]]
+    continued = (
+        sorted_contains(np.sort(chain), north)
+        & sorted_contains(region.eids, eid[:, UP_SLOT[Axis.Y]])
+        & into_survivor(ix.eid[north, down], nbr[:, up])
+    )
+    return chain[crossing & ~continued]
 
 
 def _phase2_plan(regions: list[Region], decide) -> list[Region]:
@@ -184,21 +184,20 @@ def _phase2_plan(regions: list[Region], decide) -> list[Region]:
     for r in regions:
         if len(r.gates) >= 2:
             pg = portal_graph(r, Axis.Y)
-            trees.append(PortalTree(r, pg, {pg.portal_of(g.nodes[0]).id for g in r.gates}))
+            heads = pg.portal_ids(r.index.rows_of([g.nodes[0] for g in r.gates]))
+            trees.append(PortalTree(r, pg, set(heads.tolist())))
     if not trees:
         return list(regions)
 
     for tree, survivors in zip(trees, decide.surviving_portals(trees)):
         tree.survivors = survivors
-        tree.survivor_nodes = frozenset(
-            p for pid in survivors for p in tree.graph.portals[pid].nodes
-        )
+        tree.survivor_rows = tree.graph.rows[_on_portals(tree.graph, survivors)]
     branches = decide.branch_portals(trees)
 
     # Split at the branch portals; then every gate meeting two or more
     # surviving runs keeps its top run and is cut at the other runs' heads.
     kids: list[list[tuple[Region, list[NodeCut]]]] = []
-    asks: list[tuple[list[NodeCut], Gate, list[GridPoint]]] = []
+    asks: list[tuple[list[NodeCut], Gate, np.ndarray]] = []
     queries: list[ChainQuery] = []
     for tree, branch in zip(trees, branches):
         portals = tree.graph.portals
@@ -208,13 +207,15 @@ def _phase2_plan(regions: list[Region], decide) -> list[Region]:
         kids.append([(child, []) for child in children])
         for child, cuts in kids[-1]:
             for gate in child.gates:
-                marks = northmost_marks(child, gate.nodes, gate.side, tree.survivor_nodes)
+                chain = child.index.rows_of(gate.nodes)
+                marks = northmost_marks(child, chain, gate.side, tree.survivor_rows)
                 if len(marks) >= 2:
                     asks.append((cuts, gate, marks))
-                    queries.append(ChainQuery(tree.region, gate.nodes, frozenset(marks), 1))
+                    queries.append(ChainQuery(tree.region, chain, marks, 1))
+    pts = trees[0].region.index.nodes
     for (cuts, gate, marks), top in zip(asks, decide.closest_marks(queries)):
-        for p in marks:
-            cut = NodeCut(p, gate.axis, gate.side)
+        for p in marks.tolist():
+            cut = NodeCut(pts[p], gate.axis, gate.side)
             if p != top and cut not in cuts:
                 cuts.append(cut)
 
@@ -284,40 +285,44 @@ def _gate_order_key(g: Gate) -> tuple:
     return (g.line, -max(p.b for p in g.nodes), g.nodes[0])
 
 
-def _closest(decide, region: Region, chain, marks, end: int) -> GridPoint:
-    return decide.closest_marks([ChainQuery(region, tuple(chain), frozenset(marks), end)])[0]
+def _closest(decide, region: Region, chain: np.ndarray, marks: np.ndarray, end: int) -> int:
+    return decide.closest_marks([ChainQuery(region, chain, marks, end)])[0]
 
 
 def _cut_beside(
-    decide, tunnel: Region, portal: Portal, q: Axis, side: str, exclude
+    decide, tunnel: Region, portal: Portal, q: Axis, side: str, exclude: np.ndarray
 ) -> GridPoint | None:
-    """Westernmost node of ``portal`` outside ``exclude`` that misses a neighbor on ``side``."""
-    candidates = [
-        p for p in portal.nodes if p not in exclude and _touches_outside(tunnel, p, q, side)
-    ]
-    if not candidates:
+    """Westernmost node of ``portal`` outside the sorted rows ``exclude``
+    that misses a neighbor on ``side``."""
+    chain = portal.rows
+    candidates = chain[~sorted_contains(exclude, chain) & _touches_outside(tunnel, chain, q, side)]
+    if not len(candidates):
         return None
-    return _closest(decide, tunnel, portal.nodes, candidates, _west_end(q))
+    return tunnel.index.nodes[_closest(decide, tunnel, chain, candidates, _west_end(q))]
 
 
 def _axis_round(
     tunnel: Region, q: Axis, gate_a: Gate, gate_b: Gate, decide
 ) -> tuple[list[tuple[Portal, list[NodeCut]]], AxisSplitInfo]:
     """Splitting portals and node cuts of the first phase-3 round for one axis."""
+    ix = tunnel.index
     qpg = portal_graph(tunnel, q)
     pids_a, pids_b = decide.crossing_portals(tunnel, qpg, gate_a, gate_b)
     common = pids_a & pids_b
 
     if common:
         # P-up and P-down cross G at its topmost and bottom-most common node.
-        crossing = [p for p in gate_a.nodes if qpg.portal_of(p).id in common]
-        p_up = qpg.portal_of(_closest(decide, tunnel, gate_a.nodes, crossing, 1))
-        p_down = qpg.portal_of(_closest(decide, tunnel, gate_a.nodes, crossing, 0))
-        gate_nodes = gate_a.node_set | gate_b.node_set
+        chain = ix.rows_of(gate_a.nodes)
+        crossing = chain[[pid in common for pid in qpg.portal_ids(chain).tolist()]]
+        p_up, p_down = (
+            qpg.portals[qpg.portal_ids(_closest(decide, tunnel, chain, crossing, end))]
+            for end in (1, 0)
+        )
+        gate_rows = np.sort(ix.rows_of(gate_a.nodes + gate_b.nodes))
         splits: list[tuple[Portal, list[NodeCut]]] = []
         b_nodes = []
         for portal, side in zip((p_up, p_down), side_names(q)):
-            b = _cut_beside(decide, tunnel, portal, q, side, gate_nodes)
+            b = _cut_beside(decide, tunnel, portal, q, side, gate_rows)
             b_nodes.append(b)
             splits.append((portal, [NodeCut(b, q, side)] if b is not None else []))
         if p_up.id == p_down.id:
@@ -338,13 +343,15 @@ def _axis_round(
     for (pid, toward), own_gate, tag in zip(ends, (gate_a, gate_b), ("near", "far")):
         portal = qpg.portals[pid]
         side = _portal_side_toward(qpg, pid, toward)
-        crossing = own_gate.node_set & portal.node_set
-        b = _cut_beside(decide, tunnel, portal, q, side, own_gate.node_set)
+        own_rows = np.sort(ix.rows_of(own_gate.nodes))
+        crossing = portal.rows[sorted_contains(own_rows, portal.rows)]
+        b = _cut_beside(decide, tunnel, portal, q, side, own_rows)
         splits.append((portal, [NodeCut(b, q, side)] if b is not None else []))
         fields[tag] = portal.nodes
         fields[f"b_{tag}"] = b
         fields[f"{tag}_side"] = side
-        fields[f"{tag}_crossing"] = min(crossing) if crossing else None
+        # rows number the nodes in sorted order, so the smallest row is the smallest node
+        fields[f"{tag}_crossing"] = ix.nodes[crossing.min()] if len(crossing) else None
     return splits, AxisSplitInfo(q.value, 2, **fields)
 
 
@@ -365,14 +372,10 @@ def _pick_point_gate(
     b_x = info.b_near if end == "near" else info.b_far
     b_z = info_z.b_near if end == "near" else info_z.b_far
     inter = near_x & near_z
-    if inter:
-        w = next(iter(inter))
-        if w in m_region.nodes:
-            return w
-    for b in (b_x, b_z):
-        if b is not None and b in m_region.nodes:
-            return b
-    return None
+    candidates = [next(iter(inter))] if inter else []
+    candidates += [b for b in (b_x, b_z) if b is not None]
+    inside = sorted_contains(m_region.rows, m_region.index.rows_of(candidates))
+    return candidates[int(inside.argmax())] if inside.any() else None
 
 
 def _m_contact(child: Region, q: Axis, info: AxisSplitInfo, end: str) -> bool:
@@ -420,25 +423,18 @@ def select_middle_region(
             qualified.append((r, g, g2))
     if not qualified:
         raise ContractViolation("no point-gate candidate inside the middle region")
-    return min(qualified, key=lambda c: tuple(sorted(c[0].nodes)))
+    return min(qualified, key=lambda c: c[0].rows.tolist())
 
 
-def occupied_run_count(node_set, p: GridPoint) -> int:
-    """Maximal cyclic runs of set members around ``p``; >= 2 marks a cut node.
+def occupied_run_count(ix: StructureIndex, members: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per node at ``rows``: the maximal cyclic runs of the sorted rows
+    ``members`` among its six neighbours; >= 2 marks a cut node.
 
     Valid as a cut test only for hole-free sets, where the two local runs
     cannot reconnect around an enclosed empty cell.
     """
-    ring = [p.neighbor(d) in node_set for d in (
-        Direction.E, Direction.NNE, Direction.NNW, Direction.W, Direction.SSW, Direction.SSE,
-    )]
-    if all(ring):
-        return 0
-    runs = 0
-    for i in range(6):
-        if ring[i] and not ring[i - 1]:
-            runs += 1
-    return runs
+    ring = sorted_contains(members, ix.nbr[rows])
+    return (ring & ~np.roll(ring, 1, axis=1)).sum(axis=1)
 
 
 def _point_gate_plan(
@@ -446,17 +442,17 @@ def _point_gate_plan(
 ) -> tuple[list[tuple[Portal, list[NodeCut]]], dict[str, MedianInfo]]:
     """Median portals of M per axis, each with its cut node where both point
     gates lie on one side of it."""
+    ix = m_region.index
+    point_gates = ix.rows_of([g, g2])
     graphs, ends, paths = {}, {}, {}
     for q in AXES:
         pg = graphs[q] = portal_graph(m_region, q)
-        ends[q] = pg.portal_of(g).id, pg.portal_of(g2).id
+        ends[q] = tuple(pg.portal_ids(point_gates).tolist())
         paths[q] = decide.path_distances(m_region, pg, *ends[q])
 
     # S_M: nodes whose portal lies on the g-g' tree path for every axis.
-    s_m = {
-        v for v in m_region.nodes if all(graphs[q].portal_of(v).id in paths[q] for q in AXES)
-    }
-    cut_set = {v for v in s_m if occupied_run_count(s_m, v) >= 2}
+    s_m = m_region.rows[np.logical_and.reduce([_on_portals(graphs[q], paths[q]) for q in AXES])]
+    cut_set = s_m[occupied_run_count(ix, s_m, s_m) >= 2]
 
     splits: list[tuple[Portal, list[NodeCut]]] = []
     medians: dict[str, MedianInfo] = {}
@@ -488,9 +484,9 @@ def _point_gate_plan(
         cuts: list[NodeCut] = []
         b_node = None
         if same:
-            on_portal = [p for p in median.nodes if p in cut_set]
-            if on_portal:
-                b_node = _closest(decide, m_region, median.nodes, on_portal, _west_end(q))
+            on_portal = median.rows[sorted_contains(cut_set, median.rows)]
+            if len(on_portal):
+                b_node = ix.nodes[_closest(decide, m_region, median.rows, on_portal, _west_end(q))]
                 cuts = [NodeCut(b_node, q, s) for s in sides]
         splits.append((median, cuts))
         medians[q.value] = MedianInfo(q.value, d_q, median.nodes, same, b_node)
@@ -570,12 +566,13 @@ class DirectDecisions:
             for t in trees
         ]
 
-    def closest_marks(self, queries: list[ChainQuery]) -> list[GridPoint]:
-        """Per query, the first marked chain node seen from the asked end."""
-        return [
-            next(p for p in (q.chain if q.end == 0 else reversed(q.chain)) if p in q.marks)
-            for q in queries
-        ]
+    def closest_marks(self, queries: list[ChainQuery]) -> list[int]:
+        """Per query, the row of the first marked chain node seen from the asked end."""
+        out = []
+        for q in queries:
+            chain, marks = q.chain.tolist(), set(q.marks.tolist())
+            out.append(next(p for p in (chain if q.end == 0 else reversed(chain)) if p in marks))
+        return out
 
     def gate_order(self, tunnel: Region, gate_a: Gate, gate_b: Gate) -> tuple[Gate, Gate]:
         """Phase 3: G before G' (the smaller y line, then the higher top)."""
@@ -585,7 +582,8 @@ class DirectDecisions:
         self, tunnel: Region, qpg: PortalGraph, gate_a: Gate, gate_b: Gate
     ) -> tuple[set[int], set[int]]:
         """Phase 3: the q-portals crossing each gate."""
-        return tuple({qpg.portal_of(u).id for u in gate.nodes} for gate in (gate_a, gate_b))
+        rows_of = tunnel.index.rows_of
+        return tuple(set(qpg.portal_ids(rows_of(gate.nodes)).tolist()) for gate in (gate_a, gate_b))
 
     def case2_portals(
         self, tunnel: Region, qpg: PortalGraph, gate_a: Gate, pids_a: set[int], pids_b: set[int]

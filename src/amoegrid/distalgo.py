@@ -77,7 +77,7 @@ class _RegionSpace:
         self.region = region
         shift = np.zeros(len(ix.eu), dtype=np.int8)
         for g in region.gates:
-            chain = np.fromiter((ix.row[p] for p in g.nodes), dtype=np.int64, count=len(g.nodes))
+            chain = ix.rows_of(g.nodes)
             shift[ix.eid[chain[:-1], UP_SLOT[g.axis]]] = 0 if g.side == SIDE_FIRST[g.axis] else HALF_PINS
         slot = ix.eslot[eids]
         self.rows = np.concatenate((ix.eu[eids], ix.ev[eids]))
@@ -91,17 +91,18 @@ def _wire_region_circuits(world: World, spaces: list[_RegionSpace]) -> None:
     world.wire(np.concatenate([world.pin_index(s.rows, s.slots, 0, s.koff) for s in spaces]), 0)
 
 
-def _wire_chains(world: World, chains, koff: np.ndarray) -> None:
-    """Join each chain's consecutive members on pin k = 1 (plus the offset)."""
+def _wire_chains(world: World, chains: list[np.ndarray], koff: np.ndarray) -> None:
+    """Join each chain's consecutive members, given by their rows, on pin
+    k = 1 (plus the offset)."""
     rows, up, dn, _ = world.chain_slots(chains)
     rows, slots = np.concatenate((rows, rows)), np.concatenate((up, dn))
     live = slots >= 0
     world.wire(world.pin_index(rows[live], slots[live], 1, koff), 1)
 
 
-def _beep_from(world: World, nodes, meter: Meter) -> None:
-    """One round in which ``nodes`` beep on label 1 of the wired circuits."""
-    world.beep([world.index[p] * world.S + 1 for p in nodes], meter)
+def _beep_from(world: World, rows: np.ndarray, meter: Meter) -> None:
+    """One round in which the amoebots at ``rows`` beep on label 1 of the wired circuits."""
+    world.beep(rows * world.S + 1, meter)
 
 
 class CircuitDecisions:
@@ -144,20 +145,19 @@ class CircuitDecisions:
         seconds = chain_maxima(
             world, cyc, leaders, inner_cycle, world.a + world.b, [(first, 1) for first in firsts], meter
         )
-        extremes = []
+        extremes: list[set[int]] = []
         for second in seconds:
-            nodes: set[GridPoint] = set()
+            rows: set[int] = set()
             for c in np.flatnonzero(inner_cycle):
-                vids = np.flatnonzero(second & (cyc.cycle_id == c))
-                mine = {world.nodes[cyc.node[v]] for v in vids}
+                mine = set(cyc.node[second & (cyc.cycle_id == c)].tolist())
                 if len(mine) != 1:
                     raise ContractViolation("extreme-node selection did not single out one amoebot")
-                nodes |= mine
-            extremes.append(frozenset(nodes))
-        wnw, ese = extremes
+                rows |= mine
+            extremes.append(rows)
 
-        _wire_chains(world, [p.nodes for p in y_portals], np.zeros((world.n, 6), dtype=np.int8))
-        _beep_from(world, wnw | ese, meter)
+        _wire_chains(world, [p.rows for p in y_portals], np.zeros((world.n, 6), dtype=np.int8))
+        _beep_from(world, np.fromiter(set.union(*extremes), dtype=np.int64), meter)
+        wnw, ese = (frozenset(world.nodes[i] for i in rows) for rows in extremes)
         return wnw, ese
 
     # -- phase 2 ---------------------------------------------------------------
@@ -172,9 +172,9 @@ class CircuitDecisions:
         # circuits wire
         candidates = np.zeros(world.n, dtype=bool)
         _wire_region_circuits(world, spaces)
-        for t in trees:
-            for g in t.region.gates:
-                candidates[world.index[g.nodes[-1]]] = True
+        tops = [world.structure.index.rows_of([g.nodes[-1] for g in t.region.gates]) for t in trees]
+        for rows in tops:
+            candidates[rows] = True
         leaders = run_election(
             world,
             np.arange(world.n) * world.S,
@@ -188,12 +188,13 @@ class CircuitDecisions:
         bases = list(accumulate((len(t.graph.portals) for t in trees), initial=0))
         q = np.zeros(forest.ne, dtype=bool)
         roots = []
-        for t, base in zip(trees, bases):
+        for t, base, rows in zip(trees, bases, tops):
             q[[base + pid for pid in t.gate_pids]] = True
-            leader = next((g for g in t.region.gates if leaders[world.index[g.nodes[-1]]]), None)
-            if leader is None:  # election failure: fall back deterministically
-                leader = min(t.region.gates, key=_gate_order_key)
-            roots.append(base + t.graph.portal_of(leader.nodes[0]).id)
+            won = np.flatnonzero(leaders[rows])
+            # the first elected gate; on an election failure, fall back deterministically
+            leader = t.region.gates[won[0]] if len(won) else min(t.region.gates, key=_gate_order_key)
+            (root,) = t.graph.portal_ids(t.region.index.rows_of(leader.nodes[:1]))
+            roots.append(base + int(root))
         _, keep = contract_tree(world, forest, roots, q, self.meter)
         return [{int(pid) for pid in np.flatnonzero(keep[a:b])} for a, b in zip(bases, bases[1:])]
 
@@ -205,12 +206,11 @@ class CircuitDecisions:
         for i, t in enumerate(trees):
             koff = self._space(t.region).koff
             for pid in sorted(t.survivors - t.gate_pids):
-                portal = t.graph.portals[pid]
+                chain = t.graph.portals[pid].rows
                 shifts = np.zeros(world.n, dtype=np.int64)
                 for side in side_names(Axis.Y):
-                    for p in northmost_marks(t.region, portal.nodes, side, t.survivor_nodes):
-                        shifts[world.index[p]] += 1
-                instances.append((list(portal.nodes), shifts, 3, koff))
+                    shifts[northmost_marks(t.region, chain, side, t.survivor_rows)] += 1
+                instances.append((chain, shifts, 3, koff))
                 keys.append((i, pid))
         out: list[list[int]] = [[] for _ in trees]
         if instances:
@@ -219,7 +219,7 @@ class CircuitDecisions:
                     out[i].append(pid)
         return out
 
-    def closest_marks(self, queries: list[ChainQuery]) -> list[GridPoint]:
+    def closest_marks(self, queries: list[ChainQuery]) -> list[int]:
         """One round answering every query on its region's chain pins."""
         if not queries:
             return []
@@ -227,8 +227,8 @@ class CircuitDecisions:
         instances = []
         for q in queries:
             marked = np.zeros(world.n, dtype=bool)
-            marked[[world.index[p] for p in q.marks]] = True
-            instances.append((list(q.chain), marked, q.end, self._space(q.region).koff))
+            marked[q.marks] = True
+            instances.append((q.chain, marked, q.end, self._space(q.region).koff))
         return closest_on_portal_batch(world, instances, self.meter)
 
     # -- phase 3 ---------------------------------------------------------------
@@ -239,8 +239,7 @@ class CircuitDecisions:
         world, meter = self.world, self.meter
         pg = portal_graph(tunnel, Axis.Y)
         forest = portal_forest(world, [(pg, self._space(tunnel).koff)])
-        pa = pg.portal_of(gate_a.nodes[0]).id
-        pb = pg.portal_of(gate_b.nodes[0]).id
+        pa, pb = pg.portal_ids(tunnel.index.rows_of([gate_a.nodes[0], gate_b.nodes[0]])).tolist()
         if pa == pb:
             raise ContractViolation("tunnel gates share a portal")
         q = np.zeros(forest.ne, dtype=bool)
@@ -272,9 +271,10 @@ class CircuitDecisions:
         self, tunnel: Region, qpg: PortalGraph, gate_a: Gate, gate_b: Gate
     ) -> tuple[set[int], set[int]]:
         """One beep round from both gates on the q-portal circuits."""
-        _wire_chains(self.world, [p.nodes for p in qpg.portals], self._space(tunnel).koff)
-        _beep_from(self.world, gate_a.nodes + gate_b.nodes, self.meter)
-        return tuple({qpg.portal_of(u).id for u in gate.nodes} for gate in (gate_a, gate_b))
+        rows_a, rows_b = (tunnel.index.rows_of(gate.nodes) for gate in (gate_a, gate_b))
+        _wire_chains(self.world, [p.rows for p in qpg.portals], self._space(tunnel).koff)
+        _beep_from(self.world, np.concatenate((rows_a, rows_b)), self.meter)
+        return tuple(set(qpg.portal_ids(rows).tolist()) for rows in (rows_a, rows_b))
 
     def case2_portals(
         self, tunnel: Region, qpg: PortalGraph, gate_a: Gate, pids_a: set[int], pids_b: set[int]
@@ -285,7 +285,7 @@ class CircuitDecisions:
         forest = portal_forest(self.world, [(qpg, self._space(tunnel).koff)])
         q_mask = np.zeros(forest.ne, dtype=bool)
         q_mask[list(pids_a | pids_b)] = True
-        root_pid = qpg.portal_of(gate_a.nodes[-1]).id
+        (root_pid,) = qpg.portal_ids(tunnel.index.rows_of(gate_a.nodes[-1:]))
         _, keep = contract_tree(self.world, forest, [root_pid], q_mask, self.meter)
 
         def bridge_end(mine: set[int]) -> tuple[int, int]:
@@ -309,7 +309,7 @@ class CircuitDecisions:
         """Two rounds on the children's circuits for the gate-contact tests.
 
         The rule is ``select_middle_region``'s, applied to the children; the
-        rounds carry no beeps (ROADMAP item 4).
+        rounds carry no beeps (ROADMAP item 3).
         """
         world = self.world
         _wire_region_circuits(world, [self._space(r) for r in children])

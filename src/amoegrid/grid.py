@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Iterable, NamedTuple
+from typing import AbstractSet, Collection, Iterable, NamedTuple
 
 import numpy as np
 
@@ -32,10 +32,6 @@ class Direction(Enum):
     def offset(self) -> tuple[int, int]:
         return self.value
 
-    @property
-    def opposite(self) -> "Direction":
-        return _OPPOSITE[self]
-
 
 #: The six directions counterclockwise from E (0, 60, ..., 300 degrees).  A
 #: direction's slot is its index here, so the opposite of slot d is
@@ -49,11 +45,6 @@ DIRECTIONS = (
     Direction.SSE,
 )
 
-_OPPOSITE = {d: DIRECTIONS[(k + 3) % 6] for k, d in enumerate(DIRECTIONS)}
-_SLOT_OF_OFFSET = {d.value: k for k, d in enumerate(DIRECTIONS)}
-
-# Plain-tuple offsets; enum ``.value`` lookups dominate hot neighbor loops.
-_OFFSETS = {d: d.value for d in Direction}
 _E, _NNE, _NNW, _W, _SSW, _SSE = DIRECTIONS
 _tuple_new = tuple.__new__
 
@@ -63,11 +54,6 @@ class GridPoint(NamedTuple):
 
     a: int
     b: int
-
-    def neighbor(self, d: Direction) -> "GridPoint":
-        da, db = _OFFSETS[d]
-        a, b = self
-        return _tuple_new(GridPoint, (a + da, b + db))
 
     def neighborhood(self) -> tuple[tuple[Direction, "GridPoint"], ...]:
         """The six neighbors in the fixed order of ``DIRECTIONS``."""
@@ -87,14 +73,6 @@ class GridPoint(NamedTuple):
         return (self.a + self.b / 2.0, self.b * 0.8660254037844386)
 
 
-def slot_between(u: GridPoint, v: GridPoint) -> int:
-    """Slot (index in ``DIRECTIONS``) of the grid step from ``u`` to its neighbor ``v``."""
-    try:
-        return _SLOT_OF_OFFSET[(v[0] - u[0], v[1] - u[1])]
-    except KeyError:
-        raise DomainError(f"{u} and {v} are not grid neighbors") from None
-
-
 def is_connected(pts: AbstractSet[GridPoint]) -> bool:
     """Whether a nonempty node set is connected under grid adjacency."""
     start = next(iter(pts))
@@ -111,10 +89,10 @@ def is_connected(pts: AbstractSet[GridPoint]) -> bool:
 
 def sorted_contains(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Which of ``values`` occur in the sorted array ``ids``."""
-    pos = np.searchsorted(ids, values)
-    hit = pos < len(ids)
-    hit[hit] = ids[pos[hit]] == values[hit]
-    return hit
+    if not len(ids):
+        return np.zeros(values.shape, dtype=bool)
+    # a value past the last id is clipped onto it, which it cannot equal
+    return ids.take(np.searchsorted(ids, values), mode="clip") == values
 
 
 def components(m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -202,6 +180,12 @@ class StructureIndex:
             for arr in self._edges:
                 arr.flags.writeable = False
         return self._edges
+
+    def rows_of(self, points: Collection[GridPoint]) -> np.ndarray:
+        """Index rows of ``points``, -1 for a point off the index: the one
+        place a node named by its coordinates gets its row."""
+        row = self.row
+        return np.fromiter((row.get(p, -1) for p in points), dtype=np.int64, count=len(points))
 
     @property
     def eu(self) -> np.ndarray:

@@ -27,7 +27,7 @@ retained edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -79,9 +79,8 @@ class _IndexedGraph:
     """
 
     def __init__(self, structure: AmoebotStructure):
-        ix = structure.index
+        ix = self.index = structure.index
         self.nodes = ix.nodes
-        self.index = ix.row
         n = len(self.nodes)
         self.neighbors = neighbors = np.sort(ix.nbr, axis=1)
         present = neighbors >= 0
@@ -90,9 +89,9 @@ class _IndexedGraph:
         self.matrix = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
         self.dtype = _distance_dtype(n)
 
-    def members(self, nodes: Iterable[GridPoint]) -> np.ndarray:
+    def members(self, nodes: Collection[GridPoint]) -> np.ndarray:
         """Sorted indices of ``nodes``, which must all be structure nodes."""
-        return np.sort(np.fromiter((self.index[p] for p in nodes), dtype=np.int64))
+        return np.sort(self.index.rows_of(nodes))
 
     def distances_from(self, sources: Sequence[int]) -> np.ndarray:
         """Hop distances, shape (len(sources), n), as integers of ``self.dtype``.
@@ -363,15 +362,11 @@ def verify_decomposition(
 def _edges_inside(index: StructureIndex, region: "Region") -> bool:
     """Whether every retained edge is a sorted pair of grid neighbours that
     are both region members and structure nodes."""
-    nodes, row = region.nodes, index.row
-    ends = [
-        (row.get(u, -1), row.get(v, -1))
-        for u, v in region.edges
-        if u < v and u in nodes and v in nodes
-    ]
-    if len(ends) != len(region.edges):
+    nodes = region.nodes
+    ends = [p for u, v in region.edges if u < v and u in nodes and v in nodes for p in (u, v)]
+    if len(ends) != 2 * len(region.edges):
         return False
-    i, j = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    i, j = index.rows_of(ends).reshape(-1, 2).T
     if (i < 0).any() or (j < 0).any():
         return False
     return bool((index.nbr[i] == j[:, None]).any(axis=1).all())

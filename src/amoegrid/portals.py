@@ -10,13 +10,13 @@ distance satisfies d(u, v) = (d_x + d_y + d_z) / 2.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .grid import DIRECTIONS, Direction, GridPoint
+from .grid import GridPoint
 
 if TYPE_CHECKING:  # pragma: no cover
     from .split import Region
@@ -29,15 +29,6 @@ class Axis(Enum):
     Y = "y"  # NNE-SSW edges, chains of constant a
     Z = "z"  # NNW-SSE edges, chains of constant a + b
 
-    @property
-    def up(self) -> Direction:
-        """Positive chain direction (E for x, NNE for y, NNW for z)."""
-        return _AXIS_UP[self]
-
-    @property
-    def down(self) -> Direction:
-        return _AXIS_UP[self].opposite
-
     def line_key(self, p: GridPoint) -> int:
         """Identifier of the infinite grid line through ``p`` parallel to this axis."""
         if self is Axis.X:
@@ -47,23 +38,23 @@ class Axis(Enum):
         return p.a + p.b
 
 
-_AXIS_UP = {Axis.X: Direction.E, Axis.Y: Direction.NNE, Axis.Z: Direction.NNW}
-
 AXES = (Axis.X, Axis.Y, Axis.Z)
 
-#: slot of each axis's positive direction
-UP_SLOT = {axis: DIRECTIONS.index(up) for axis, up in _AXIS_UP.items()}
+#: slot of each axis's positive chain direction: E, NNE and NNW
+UP_SLOT = {Axis.X: 0, Axis.Y: 1, Axis.Z: 2}
 #: ``StructureIndex.eslot`` of each axis's edges: E, NNE and SSE
 _EDGE_SLOT = {Axis.X: 0, Axis.Y: 1, Axis.Z: 5}
 
 
 @dataclass(frozen=True)
 class Portal:
-    """A maximal chain of region nodes along one axis, in positive-axis order."""
+    """A maximal chain of region nodes along one axis, in positive-axis order;
+    ``rows`` are the same nodes' index rows."""
 
     axis: Axis
     nodes: tuple[GridPoint, ...]
     id: int
+    rows: np.ndarray = field(compare=False, repr=False)
 
     @property
     def line(self) -> int:
@@ -80,30 +71,26 @@ class Portal:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PortalGraph:
     """Portals of one axis plus their adjacency under retained cross edges.
 
     ``links`` maps each adjacent pair ``(i, j)``, ``i < j``, in sorted
     order to its designated edge: the smallest retained edge between the
-    two portals, written as (node of portal i, node of portal j).
+    two portals, written as (row of its node on portal i, row of its node on
+    portal j).  ``rows`` are the region's sorted node rows and ``owner`` the
+    id of the portal through the node at each of their positions.
     """
 
     axis: Axis
     portals: tuple[Portal, ...]
-    adjacency: frozenset[tuple[int, int]]
-    links: dict[tuple[int, int], tuple[GridPoint, GridPoint]]
+    links: dict[tuple[int, int], tuple[int, int]]
+    rows: np.ndarray
+    owner: np.ndarray
 
-    def portal_of(self, p: GridPoint) -> Portal:
-        try:
-            return self._node_index[p]
-        except AttributeError:
-            index = {}
-            for portal in self.portals:
-                for node in portal.nodes:
-                    index[node] = portal
-            object.__setattr__(self, "_node_index", index)
-            return self._node_index[p]
+    def portal_ids(self, rows) -> np.ndarray:
+        """Ids of the portals through the region nodes at index rows ``rows``."""
+        return self.owner[np.searchsorted(self.rows, rows)]
 
     @property
     def neighbor_map(self) -> dict[int, list[int]]:
@@ -111,7 +98,7 @@ class PortalGraph:
             return self._neighbor_map
         except AttributeError:
             nm: dict[int, list[int]] = {p.id: [] for p in self.portals}
-            for i, j in sorted(self.adjacency):
+            for i, j in self.links:
                 nm[i].append(j)
                 nm[j].append(i)
             object.__setattr__(self, "_neighbor_map", nm)
@@ -163,10 +150,14 @@ def compute_portals(region: "Region", axis: Axis) -> list[Portal]:
 
 
 def _portals(region: "Region", axis: Axis, at, bounds, order) -> list[Portal]:
+    rows = region.rows[at]
     pts = region.index.nodes
-    nodes = [pts[i] for i in region.rows[at].tolist()]
+    nodes = [pts[i] for i in rows.tolist()]
     b = bounds.tolist()
-    return [Portal(axis, tuple(nodes[b[c] : b[c + 1]]), pid) for pid, c in enumerate(order.tolist())]
+    return [
+        Portal(axis, tuple(nodes[b[c] : b[c + 1]]), pid, rows[b[c] : b[c + 1]])
+        for pid, c in enumerate(order.tolist())
+    ]
 
 
 def portal_graph(region: "Region", axis: Axis) -> PortalGraph:
@@ -189,10 +180,9 @@ def portal_graph(region: "Region", axis: Axis) -> PortalGraph:
     smallest = np.ones(len(cross), dtype=bool)
     smallest[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
     cross, lo, hi = cross[smallest], lo[smallest], hi[smallest]
-    pts, rows = region.index.nodes, region.rows
-    ends = zip(rows[pu[cross]].tolist(), rows[pv[cross]].tolist(), (ou[cross] == lo).tolist())
-    links = {
-        (i, j): (pts[u], pts[v]) if u_is_i else (pts[v], pts[u])
-        for i, j, (u, v, u_is_i) in zip(lo.tolist(), hi.tolist(), ends)
-    }
-    return PortalGraph(axis, tuple(_portals(region, axis, at, bounds, order)), frozenset(links), links)
+    u_is_i = ou[cross] == lo
+    rows = region.rows
+    on_i = rows[np.where(u_is_i, pu[cross], pv[cross])]
+    on_j = rows[np.where(u_is_i, pv[cross], pu[cross])]
+    links = dict(zip(zip(lo.tolist(), hi.tolist()), zip(on_i.tolist(), on_j.tolist())))
+    return PortalGraph(axis, tuple(_portals(region, axis, at, bounds, order)), links, rows, owner)

@@ -23,15 +23,17 @@ TRACK0 = 20
 
 def closest_on_portal_batch(
     world: World,
-    instances: list[tuple[list, np.ndarray, int, np.ndarray]],
+    instances: list[tuple[np.ndarray, np.ndarray, int, np.ndarray]],
     meter: Meter,
-) -> list:
-    """One round answering (chain, marked, from_end, koff) queries in parallel.
+) -> list[int]:
+    """One round answering (chain, marked, from_end, koff) queries in parallel;
+    each answer is the row of the closest marked member.
 
-    Chains must be pin-disjoint (distinct chains, or the two sides of a
-    shared gate chain with different pin offsets).
+    A chain is its members' rows.  Chains must be pin-disjoint (distinct
+    chains, or the two sides of a shared gate chain with different pin
+    offsets).
     """
-    chains = [list(reversed(chain)) if end == 1 else list(chain) for chain, _, end, _ in instances]
+    chains = [chain[::-1] if end == 1 else chain for chain, _, end, _ in instances]
     rows, up, dn, start = world.chain_slots(chains)
     pins, labels, marks, cells = [NO_PINS], [NO_PINS], [], []
     for (_, marked, _, koff), a, b in zip(instances, start, start[1:]):
@@ -49,25 +51,26 @@ def closest_on_portal_batch(
     world.wire(np.concatenate(pins), np.concatenate(labels))
     recv = world.beep(cells, meter)
     out = []
-    for chain, m, a, b in zip(chains, marks, start, start[1:]):
+    for m, a, b in zip(marks, start, start[1:]):
         hit = m & recv[rows[a:b], MARK_DOWN]
         hit[0] |= m[0]
         if not hit.any():
             raise ContractViolation("beep did not reach any marked member")
-        out.append(chain[int(hit.argmax())])
+        out.append(int(rows[a + hit.argmax()]))
     return out
 
 
 def degree_check_batch(
     world: World,
-    instances: list[tuple[list, np.ndarray, int, np.ndarray]],
+    instances: list[tuple[np.ndarray, np.ndarray, int, np.ndarray]],
     meter: Meter,
 ) -> list[bool]:
     """One round answering (chain, shifts, threshold, koff) queries in parallel.
 
-    Tracks 0..threshold run down each chain on pins k = track; every node
-    routes incoming track t to min(t + shift, threshold).  Used for portal
-    degree tests where a shift marks the start of a new neighbor run.
+    A chain is its members' rows.  Tracks 0..threshold run down each chain
+    on pins k = track; every node routes incoming track t to
+    min(t + shift, threshold).  Used for portal degree tests where a shift
+    marks the start of a new neighbor run.
     """
     rows, up, dn, start = world.chain_slots([chain for chain, *_ in instances])
     pins, labels, shifts, cells = [NO_PINS], [NO_PINS], [], []

@@ -20,7 +20,6 @@ import numpy as np
 
 from ..circuits import Meter, World
 from ..errors import ContractViolation
-from ..grid import slot_between
 from ..portals import PortalGraph
 from .pasc import ElementForest, bits_to_int, run_counting_pasc
 
@@ -100,14 +99,14 @@ def portal_forest(world: World, graphs: list[tuple[PortalGraph, np.ndarray]]) ->
     members, internal, links = [], [], []
     for pg, koff in graphs:
         base = len(members)
-        rows, up, _, start = world.chain_slots([p.nodes for p in pg.portals])
+        rows, up, _, start = world.chain_slots([p.rows for p in pg.portals])
         members += [rows[a:b] for a, b in zip(start, start[1:])]
         elem = base + np.repeat(np.arange(len(pg.portals)), np.diff(start))
         j = np.flatnonzero(up >= 0)  # members j and j + 1 share an axis edge
         pins = edge_pins(rows[j], up[j], rows[j + 1], koff).ravel()
         internal.append(np.stack((np.repeat(elem[j], 2), pins), axis=1))
-        ends = [(world.index[p], slot_between(p, q), world.index[q]) for p, q in pg.links.values()]
-        n1, d1, n2 = np.array(ends, dtype=np.int64).reshape(-1, 3).T
+        n1, n2 = np.array(list(pg.links.values()), dtype=np.int64).reshape(-1, 2).T
+        d1 = (world.nbr[n1] == n2[:, None]).argmax(axis=1)
         pairs = base + np.array(list(pg.links), dtype=np.int64).reshape(-1, 2)
         links.append(np.column_stack((pairs, edge_pins(n1, d1, n2, koff))))
     return PortalForest(world, members, np.concatenate(internal), np.concatenate(links))

@@ -27,60 +27,38 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ContractViolation, DomainError
-from .grid import (
-    DIRECTIONS,
-    AmoebotStructure,
-    Direction,
-    GridPoint,
-    StructureIndex,
-    components,
-    slot_between,
-    sorted_contains,
-)
+from .grid import AmoebotStructure, GridPoint, StructureIndex, components, sorted_contains
 from .portals import UP_SLOT, Axis, Portal
 
-# Per axis: the two sides, each mapping to its (cross-up, cross-down)
-# directions.  The up member bundles with the positive portal direction
-# when a node split divides a side copy.
-SIDES: dict[Axis, tuple[tuple[str, Direction, Direction], ...]] = {
-    Axis.Y: (
-        ("WNW", Direction.NNW, Direction.W),
-        ("ESE", Direction.E, Direction.SSE),
-    ),
-    Axis.X: (
-        ("N", Direction.NNE, Direction.NNW),
-        ("S", Direction.SSE, Direction.SSW),
-    ),
-    Axis.Z: (
-        ("ENE", Direction.NNE, Direction.E),
-        ("WSW", Direction.W, Direction.SSW),
-    ),
+#: Per (axis, side): the slots (cross-up, cross-down) of the side's cross
+#: edges, the two sides of an axis in ``side_names`` order.  The up member
+#: bundles with the positive portal direction when a node split divides a
+#: side copy.
+SIDES: dict[tuple[Axis, str], tuple[int, int]] = {
+    (Axis.Y, "WNW"): (2, 3),  # NNW, W
+    (Axis.Y, "ESE"): (0, 5),  # E, SSE
+    (Axis.X, "N"): (1, 2),  # NNE, NNW
+    (Axis.X, "S"): (5, 4),  # SSE, SSW
+    (Axis.Z, "ENE"): (1, 0),  # NNE, E
+    (Axis.Z, "WSW"): (3, 4),  # W, SSW
 }
 
-
-_SIDE_NAMES = {axis: tuple(s[0] for s in sides) for axis, sides in SIDES.items()}
+_SIDE_NAMES = {axis: tuple(name for a, name in SIDES if a is axis) for axis in Axis}
 
 
 def side_names(axis: Axis) -> tuple[str, str]:
     return _SIDE_NAMES[axis]  # type: ignore[return-value]
 
 
-def _slot_mask(*dirs: Direction) -> int:
-    return sum(1 << DIRECTIONS.index(d) for d in dirs)
-
-
-# Directions a copy retains, as 6-bit masks over the slots of ``DIRECTIONS``:
-# per (axis, side) the side copy's four directions, and the (up, down) bundles
-# of a node cut on that side.
+# Slots a copy retains, as 6-bit masks: per (axis, side) the side copy's four
+# slots, and the (up, down) bundles of a node cut on that side.
 _SIDE_MASK = {
-    (axis, name): _slot_mask(axis.up, axis.down, up, down)
-    for axis, sides in SIDES.items()
-    for name, up, down in sides
+    (axis, name): 1 << UP_SLOT[axis] | 1 << (UP_SLOT[axis] + 3) % 6 | 1 << up | 1 << down
+    for (axis, name), (up, down) in SIDES.items()
 }
 _CUT_BUNDLES = {
-    (axis, name): (_slot_mask(axis.up, up), _slot_mask(axis.down, down))
-    for axis, sides in SIDES.items()
-    for name, up, down in sides
+    (axis, name): (1 << UP_SLOT[axis] | 1 << up, 1 << (UP_SLOT[axis] + 3) % 6 | 1 << down)
+    for (axis, name), (up, down) in SIDES.items()
 }
 _ALL_SLOTS = 0b111111
 
@@ -121,49 +99,21 @@ class Region:
     A region lives on a structure index: ``rows`` are its nodes' index rows
     and ``eids`` its retained edges' ids in the index's edge list, both
     sorted.  ``nodes`` and ``edges`` are the same as a ``GridPoint`` set and
-    a set of sorted pairs, built from the arrays on first use.
-
-    The constructor takes the sets and builds the arrays on an index of the
-    nodes and edge ends given; the engines share one structure index through
-    ``from_structure`` and ``on_index``.
+    a set of sorted pairs, built from the arrays on first use.  The engines
+    share one structure index through ``from_structure``.
     """
 
     __slots__ = ("id", "lineage", "index", "rows", "eids", "gates", "_nodes", "_edges", "_ends")
 
     def __init__(
         self,
-        nodes: Iterable[GridPoint],
-        edges: Iterable[tuple[GridPoint, GridPoint]],
-        gates: Iterable[Gate] = (),
-        id: int = 0,
-        lineage: tuple[int, ...] = (),
-    ):
-        nodes = frozenset(nodes)
-        edges = frozenset((u, v) if u <= v else (v, u) for u, v in edges)
-        ix = StructureIndex(nodes.union(*edges))
-        rows = np.sort(np.fromiter((ix.row[p] for p in nodes), dtype=np.int64, count=len(nodes)))
-        eids = np.sort(np.fromiter(
-            (ix.eid[ix.row[u], slot_between(u, v)] for u, v in edges), dtype=np.int64, count=len(edges)
-        ))
-        self._set(ix, rows, eids, gates, id, lineage)
-        self._nodes, self._edges = nodes, edges
-
-    @classmethod
-    def on_index(
-        cls,
         index: StructureIndex,
         rows: np.ndarray,
         eids: np.ndarray,
         gates: Iterable[Gate] = (),
         id: int = 0,
         lineage: tuple[int, ...] = (),
-    ) -> "Region":
-        """The region of the sorted node rows ``rows`` and retained edge ids ``eids`` of ``index``."""
-        region = cls.__new__(cls)
-        region._set(index, rows, eids, gates, id, lineage)
-        return region
-
-    def _set(self, index, rows, eids, gates, id, lineage) -> None:
+    ):
         self.index: StructureIndex = index
         self.rows: np.ndarray = rows
         self.eids: np.ndarray = eids
@@ -175,7 +125,7 @@ class Region:
     @classmethod
     def from_structure(cls, structure: AmoebotStructure) -> "Region":
         ix = structure.index
-        return cls.on_index(ix, np.arange(len(ix.nodes)), np.arange(len(ix.eu)))
+        return cls(ix, np.arange(len(ix.nodes)), np.arange(len(ix.eu)))
 
     @property
     def nodes(self) -> frozenset[GridPoint]:
@@ -205,9 +155,6 @@ class Region:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def has_edge(self, u: GridPoint, v: GridPoint) -> bool:
-        return ((u, v) if u <= v else (v, u)) in self.edges
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Region(id={self.id}, n={self.n}, gates={len(self.gates)})"
@@ -241,7 +188,7 @@ def split_many(
     # the splitting portals, then the gates of the region.
     chains = [portal.nodes for portal, _ in portal_splits] + [g.nodes for g in region.gates]
     starts = np.cumsum([0] + [len(chain) for chain in chains]).tolist()
-    chain_rows = _rows_of(ix, [p for chain in chains for p in chain])
+    chain_rows = ix.rows_of([p for chain in chains for p in chain])
     inside = sorted_contains(rows, chain_rows)
     chain_pos = np.searchsorted(rows, chain_rows)  # region position of each chain node
 
@@ -262,7 +209,7 @@ def split_many(
             k = int(chain_pos[lo + portal.nodes.index(cut.node)])
             cuts_at.setdefault(k, []).append((cut.axis.value, key[1], cut.side))
     for cut in node_cuts:
-        row = _rows_of(ix, [cut.node])
+        row = ix.rows_of([cut.node])
         if not sorted_contains(rows, row)[0]:
             raise DomainError(f"{cut.node} is not in the region")
         allowed = _SIDE_MASK.get((cut.axis, cut.side))
@@ -342,7 +289,7 @@ def split_many(
             have = merged[key][2]
             have += [x for x in g if x not in have]
     return [
-        Region.on_index(ix, r, e, g, id=i, lineage=region.lineage + (i,))
+        Region(ix, r, e, g, id=i, lineage=region.lineage + (i,))
         for i, (r, e, g) in enumerate(merged.values())
     ]
 
@@ -494,8 +441,3 @@ def _copies_of(
 def _cut(arr: np.ndarray, bounds: list[int]) -> list[np.ndarray]:
     """``arr[bounds[i]:bounds[i + 1]]`` for every i."""
     return [arr[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _rows_of(ix: StructureIndex, pts: Sequence[GridPoint]) -> np.ndarray:
-    """Index rows of ``pts``, -1 for a point off the index."""
-    return np.fromiter((ix.row.get(p, -1) for p in pts), dtype=np.int64, count=len(pts))

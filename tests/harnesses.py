@@ -29,8 +29,8 @@ from amoegrid.grid import (
     Direction,
     GridPoint,
     Hole,
+    StructureIndex,
     find_holes,
-    slot_between,
 )
 from amoegrid.portals import Axis, Portal, PortalGraph, portal_graph
 from amoegrid.primitives import (
@@ -84,6 +84,20 @@ def is_simple_reference(nodes) -> bool:
                 seen.add(q)
                 stack.append(q)
     return len(seen) == len(empty)
+
+
+def neighbor(p: GridPoint, d: Direction) -> GridPoint:
+    """The grid neighbour of ``p`` in direction ``d``."""
+    da, db = d.offset
+    return GridPoint(p.a + da, p.b + db)
+
+
+def slot_between(u: GridPoint, v: GridPoint) -> int:
+    """Slot (index in ``DIRECTIONS``) of the grid step from ``u`` to its neighbor ``v``."""
+    try:
+        return DIRECTIONS.index(Direction((v[0] - u[0], v[1] - u[1])))
+    except ValueError:
+        raise DomainError(f"{u} and {v} are not grid neighbors") from None
 
 
 def rotate60(p: GridPoint, turns: int) -> GridPoint:
@@ -251,7 +265,37 @@ def global_maxima_oracle(region_nodes, direction) -> set[GridPoint]:
 
 def portal_graph_is_tree(pg) -> bool:
     """Whether a (connected) portal graph has one edge fewer than portals."""
-    return len(pg.adjacency) == len(pg.portals) - 1
+    return len(pg.links) == len(pg.portals) - 1
+
+
+# -- regions and portals by their GridPoint sets ------------------------------------
+
+
+def region_from_sets(
+    nodes: Iterable[GridPoint],
+    edges: Iterable[tuple[GridPoint, GridPoint]],
+    gates: Iterable[Gate] = (),
+    id: int = 0,
+    lineage: tuple[int, ...] = (),
+) -> Region:
+    """The region of a node set and its retained edges, on a private index
+    of the nodes and edge ends given."""
+    nodes = frozenset(nodes)
+    edges = frozenset((u, v) if u <= v else (v, u) for u, v in edges)
+    ix = StructureIndex(nodes.union(*edges))
+    slots = np.array([slot_between(u, v) for u, v in edges], dtype=np.int64)
+    eids = ix.eid[ix.rows_of([u for u, _ in edges]), slots]
+    return Region(ix, np.sort(ix.rows_of(nodes)), np.sort(eids), gates, id, lineage)
+
+
+def has_edge(region: Region, u: GridPoint, v: GridPoint) -> bool:
+    """Whether the region retains the edge between ``u`` and ``v``."""
+    return ((u, v) if u <= v else (v, u)) in region.edges
+
+
+def portal_of(pg: PortalGraph) -> dict[GridPoint, Portal]:
+    """The portal of ``pg`` through each node."""
+    return {p: portal for portal in pg.portals for p in portal.nodes}
 
 
 # -- splits and portal distances --------------------------------------------------
@@ -275,8 +319,8 @@ class SplitNodeSpec:
 
 def side_of_direction(axis: Axis, d: Direction) -> str | None:
     """Side of the axis a cross direction points to; None for portal directions."""
-    for name, up, down in SIDES[axis]:
-        if d is up or d is down:
+    for (side_axis, name), slots in SIDES.items():
+        if side_axis is axis and DIRECTIONS.index(d) in slots:
             return name
     return None
 
@@ -311,7 +355,7 @@ def hole_split_specs_reference(
         )
         specs = []
         for v, prefs in zip(extremes, prefs_of):
-            empty = next((v.neighbor(d) for d in prefs if v.neighbor(d) in hole.cells), None)
+            empty = next((neighbor(v, d) for d in prefs if neighbor(v, d) in hole.cells), None)
             if empty is None:
                 raise ContractViolation(f"extreme boundary node {v} has no hole cell beside it")
             specs.append(SplitNodeSpec(v, empty))
@@ -348,8 +392,9 @@ def portal_distance_sums_reference(
     total = np.zeros(len(iu), dtype=np.int64)
     for axis in Axis:
         pg = portal_graph(region, axis)
-        src = [pg.portal_of(nodes[i]).id for i in iu]
-        dst = [pg.portal_of(nodes[j]).id for j in iv]
+        owner = portal_of(pg)
+        src = [owner[nodes[i]].id for i in iu]
+        dst = [owner[nodes[j]].id for j in iv]
         rows = {s: pg.distances_from([s]) for s in set(src)}
         total += [rows[s][t] for s, t in zip(src, dst)]
     return total
@@ -360,7 +405,8 @@ def portal_distance(region: Region, u: GridPoint, v: GridPoint, axis: Axis) -> i
     if u not in region.nodes or v not in region.nodes:
         raise DomainError("both endpoints must lie in the region")
     graph = portal_graph(region, axis)
-    pu, pv = graph.portal_of(u).id, graph.portal_of(v).id
+    owner = portal_of(graph)
+    pu, pv = owner[u].id, owner[v].id
     dist = graph.distances_from([pu])
     if pv not in dist:
         raise DomainError("portals are not connected")  # pragma: no cover
@@ -374,7 +420,7 @@ _Key = tuple[GridPoint, _Copy]
 
 
 def _along_key(axis: Axis, p: GridPoint) -> int:
-    """Position of ``p`` along its ``axis`` line, increasing toward ``axis.up``."""
+    """Position of ``p`` along its ``axis`` line, increasing in the positive chain direction."""
     return p.a if axis is Axis.X else p.b
 
 
@@ -412,7 +458,7 @@ def compute_portals_reference(region: Region, axis: Axis) -> list[Portal]:
     Portal ids follow the lexicographic order of each chain's minimal node.
     """
     chains = sorted(axis_chains_reference(region.nodes, axis, region.edges), key=min)
-    return [Portal(axis, c, i) for i, c in enumerate(chains)]
+    return [Portal(axis, c, i, region.index.rows_of(c)) for i, c in enumerate(chains)]
 
 
 def portal_graph_reference(region: Region, axis: Axis) -> PortalGraph:
@@ -431,11 +477,13 @@ def portal_graph_reference(region: Region, axis: Axis) -> PortalGraph:
             best = smallest.get(pair)
             if best is None or edge < best:
                 smallest[pair] = edge
+    row = region.index.row
     links = {
-        pair: (u, v) if owner[u] == pair[0] else (v, u)
+        pair: (row[u], row[v]) if owner[u] == pair[0] else (row[v], row[u])
         for pair, (u, v) in sorted(smallest.items())
     }
-    return PortalGraph(axis, tuple(portals), frozenset(links), links)
+    by_position = np.array([owner[p] for p in sorted(region.nodes)], dtype=np.int64)
+    return PortalGraph(axis, tuple(portals), links, region.rows, by_position)
 
 
 def split_many_reference(
@@ -475,7 +523,7 @@ def split_many_reference(
             raise DomainError(f"unknown side {cut.side!r} for axis {cut.axis.value}")
         neighbors = cut.node.neighborhood()
         if any(
-            not allowed >> d & 1 and region.has_edge(cut.node, q)
+            not allowed >> d & 1 and has_edge(region, cut.node, q)
             for d, (_, q) in enumerate(neighbors)
         ):
             raise DomainError(
@@ -571,7 +619,7 @@ def split_many_reference(
                 have = {(g.axis, g.side, g.nodes) for g in merged[key]}
                 merged[key] += [g for g in gates if (g.axis, g.side, g.nodes) not in have]
     return [
-        Region(nodes, edges, gates, id=i, lineage=region.lineage + (i,))
+        region_from_sets(nodes, edges, gates, id=i, lineage=region.lineage + (i,))
         for i, ((nodes, edges), gates) in enumerate(merged.items())
     ]
 
@@ -708,6 +756,8 @@ def boundary_test(structure, seed: int = 0, nhat: int | None = None):
 
 
 def _region_forest(world: World, region, axis):
+    if region.index.nodes != world.nodes:
+        raise DomainError("the region does not cover the world's structure")
     pg = portal_graph(region, axis)
     return portal_forest(world, [(pg, np.zeros((world.n, 6), dtype=np.int8))]), list(pg.portals)
 
@@ -776,8 +826,7 @@ def global_maxima_boundary(structure, direction, r_nodes=None, seed: int = 0, nh
     if r_nodes is None:
         r_mask[:] = True
     else:
-        for p in r_nodes:
-            r_mask[world.index[p]] = True
+        r_mask[structure.index.rows_of(list(r_nodes))] = True
     r_visit = r_mask[cyc.node] & real_visit
     # the marked set must lie on a single boundary cycle: pick the cycle
     # whose node set covers it (node sets of different cycles may overlap)
@@ -886,8 +935,7 @@ def global_maxima_general(structure, direction, r_nodes, seed: int = 0, nhat=Non
     psi = psi_values(world, direction)
 
     r_mask = np.zeros(world.n, dtype=bool)
-    for p in r_nodes:
-        r_mask[world.index[p]] = True
+    r_mask[structure.index.rows_of(list(r_nodes))] = True
 
     iters = int(np.ceil(np.log2(max(4, world.nhat)))) + 2
     candidates = r_mask.copy()

@@ -29,6 +29,7 @@ from harnesses import (
     global_maxima_boundary,
     global_maxima_oracle,
     portal_graph_is_tree,
+    portal_of,
     root_and_prune,
     tree_pasc_distances,
 )
@@ -135,6 +136,7 @@ def test_criterion_4_distance_identity_exact():
         assert structure.n <= 200
         region = Region.from_structure(structure)
         graphs = {axis: portal_graph(region, axis) for axis in AXES}
+        owners = {axis: portal_of(graphs[axis]) for axis in AXES}
         per_axis = {}
         for axis in AXES:
             pg = graphs[axis]
@@ -144,10 +146,10 @@ def test_criterion_4_distance_identity_exact():
         nodes = sorted(structure.nodes)
         for u in nodes:
             du = bfs_distances(structure, u)
-            pid = {axis: graphs[axis].portal_of(u).id for axis in AXES}
+            pid = {axis: owners[axis][u].id for axis in AXES}
             for v in nodes:
                 total = sum(
-                    per_axis[axis][pid[axis]][graphs[axis].portal_of(v).id]
+                    per_axis[axis][pid[axis]][owners[axis][v].id]
                     for axis in AXES
                 )
                 if total != 2 * du[v]:
@@ -263,7 +265,7 @@ def test_criterion_8_primitive_correctness():
         k = int(rng.integers(1, min(6, len(ids)) + 1))
         q = [ids[j] for j in rng.choice(len(ids), size=k, replace=False)]
         survivors, _, _ = root_and_prune(region, axis, q, q[0], seed=i)
-        g = nx.Graph(list(pg.adjacency))
+        g = nx.Graph(list(pg.links))
         g.add_nodes_from(ids)
         want = set()
         for qa in q:

@@ -106,9 +106,41 @@ def test_phase1_providers_agree_on_rotated_hand_built_inputs(asked, name, turns)
 )
 def test_engines_agree_and_verify_on_a_hole_with_interior_cells():
     s = AmoebotStructure.from_text((FIXTURES / "wide_hole_rot2.txt").read_text())
+    assert_engines_agree_and_verify(s)
+
+
+def assert_engines_agree_and_verify(s: AmoebotStructure) -> None:
     central = decompose(s)
     outcome = run_distributed(s, seed=0)
     assert outcome.decomposition.canonical() == central.canonical()
     assert fields(outcome.decomposition) == fields(central)
     report = verify_decomposition(s, central)
     assert report.all_ok, "\n".join(report.summary_lines())
+
+
+#: Holes whose every cell touches the structure, and the rotations at which
+#: both point gates of the middle region M lie on one of M's own portals.
+ONE_PORTAL_POINT_GATES = {"straight_hole_17": (0,), "triangular_hole_15": (0, 4)}
+
+
+def _rotated_fixtures():
+    for name, failing in sorted(ONE_PORTAL_POINT_GATES.items()):
+        for turns in range(6):
+            marks = ()
+            if turns in failing:
+                marks = pytest.mark.xfail(
+                    strict=True,
+                    raises=ContractViolation,
+                    reason=(
+                        "both point gates g and g' of M lie on one of M's q-portals, so "
+                        "d_q = 0 and _point_gate_plan cuts the median's node b on both q "
+                        "sides, which leaves two copies of b in one child"
+                    ),
+                )
+            yield pytest.param(name, turns, marks=marks, id=f"{name}-rot{turns}")
+
+
+@pytest.mark.parametrize(("name", "turns"), _rotated_fixtures())
+def test_engines_agree_and_verify_on_holes_whose_cells_all_touch_the_structure(name, turns):
+    pts = AmoebotStructure.from_text((FIXTURES / f"{name}.txt").read_text()).nodes
+    assert_engines_agree_and_verify(AmoebotStructure(rotate60(p, turns) for p in pts))

@@ -27,7 +27,13 @@ from amoegrid.oracle import (
 from amoegrid.portals import Axis, compute_portals
 from amoegrid.split import Region
 
-from harnesses import hole_split_specs_reference, point_gate_split, resolve_spec, rotate60
+from harnesses import (
+    hole_split_specs_reference,
+    point_gate_split,
+    region_from_sets,
+    resolve_spec,
+    rotate60,
+)
 from test_grid import HAND_BUILT, hexagon, parallelogram
 
 
@@ -194,7 +200,7 @@ def test_phase3_passes_through_single_gate_region():
 
 
 def test_phase3_rejects_three_gates():
-    from amoegrid.split import Gate, Region
+    from amoegrid.split import Gate
 
     nodes = set(parallelogram(6, 2))
     edges = AmoebotStructure(nodes).edges()
@@ -203,7 +209,7 @@ def test_phase3_rejects_three_gates():
         Gate(Axis.Y, "WNW", (GridPoint(5, 0), GridPoint(5, 1))),
         Gate(Axis.Y, "ESE", (GridPoint(2, 0), GridPoint(2, 1))),
     ]
-    region = Region(nodes, edges, gates)
+    region = region_from_sets(nodes, edges, gates)
     with pytest.raises(ContractViolation):
         phase3_convex(region)
 

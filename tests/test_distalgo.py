@@ -10,6 +10,7 @@ from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, GridPoint
 from amoegrid.oracle import verify_decomposition
 
+from harnesses import slot_between
 from test_grid import hexagon
 
 
@@ -159,7 +160,6 @@ def test_regions_sharing_a_gate_chain_take_opposite_pin_halves(name, monkeypatch
     from amoegrid.circuits import HALF_PINS, Meter, World
     from amoegrid.decompose import phase1_simple, phase2_tunnels
     from amoegrid.distalgo import _RegionSpace, dist_phase1, dist_phase2
-    from amoegrid.grid import slot_between
     from amoegrid.primitives.trees import K_INT1, _Contraction
 
     path = Path(__file__).parent / "fixtures" / f"{name}.txt"
@@ -176,8 +176,8 @@ def test_regions_sharing_a_gate_chain_take_opposite_pin_halves(name, monkeypatch
                     edge = (u, v) if u <= v else (v, u)
                     assert edge in r.edges
                     ends = (
-                        koff[world.index[u], slot_between(u, v)],
-                        koff[world.index[v], slot_between(v, u)],
+                        koff[s.index.row[u], slot_between(u, v)],
+                        koff[s.index.row[v], slot_between(v, u)],
                     )
                     offsets[edge].append(ends)
         assert offsets
@@ -211,4 +211,4 @@ def test_regions_sharing_a_gate_chain_take_opposite_pin_halves(name, monkeypatch
     for u, v in shared:
         for p, q in ((u, v), (v, u)):
             pin = slot_between(p, q) * world.c + K_INT1
-            assert pset[world.index[p], [pin, pin + HALF_PINS]].tolist() == [3, 3], (p, q)
+            assert pset[s.index.row[p], [pin, pin + HALF_PINS]].tolist() == [3, 3], (p, q)

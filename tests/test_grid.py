@@ -14,11 +14,11 @@ from amoegrid.grid import (
     Direction,
     GridPoint,
     find_holes,
-    slot_between,
+    sorted_contains,
 )
 from amoegrid.generator import generate_random
 from amoegrid.oracle import _IndexedGraph
-from harnesses import boundary_cycles_reference, find_holes_reference, rotate60
+from harnesses import boundary_cycles_reference, find_holes_reference, neighbor, rotate60, slot_between
 
 
 def hexagon(radius: int, center: GridPoint = GridPoint(0, 0)) -> list[GridPoint]:
@@ -42,28 +42,36 @@ def random_structure(rng: random.Random, n: int) -> AmoebotStructure:
     while len(pts) < n:
         base = rng.choice(sorted(pts))
         d = rng.choice(list(Direction))
-        pts.add(base.neighbor(d))
+        pts.add(neighbor(base, d))
     return AmoebotStructure(pts)
 
 
 def test_direction_opposites_partition_neighborhood():
-    assert {d.opposite for d in Direction} == set(Direction)
-    for d in Direction:
-        assert d.opposite.opposite is d
-        assert d.opposite is not d
+    # the opposite of slot d is slot (d + 3) % 6
+    for d, direction in enumerate(DIRECTIONS):
+        da, db = direction.offset
+        assert DIRECTIONS[(d + 3) % 6].offset == (-da, -db)
     offsets = {d.offset for d in Direction}
     assert len(offsets) == 6
     assert all(off != (0, 0) for off in offsets)
 
 
+def test_sorted_contains_matches_isin():
+    rng = np.random.default_rng(3)
+    for size in (0, 1, 7, 50):
+        ids = np.sort(rng.choice(100, size, replace=False))
+        values = rng.integers(-2, 103, (20, 3))
+        assert np.array_equal(sorted_contains(ids, values), np.isin(values, ids))
+
+
 def test_neighbor_offsets():
-    p = GridPoint(2, -1)
-    assert p.neighbor(Direction.E) == GridPoint(3, -1)
-    assert p.neighbor(Direction.W) == GridPoint(1, -1)
-    assert p.neighbor(Direction.NNE) == GridPoint(2, 0)
-    assert p.neighbor(Direction.SSW) == GridPoint(2, -2)
-    assert p.neighbor(Direction.NNW) == GridPoint(1, 0)
-    assert p.neighbor(Direction.SSE) == GridPoint(3, -2)
+    around = dict(GridPoint(2, -1).neighborhood())
+    assert around[Direction.E] == GridPoint(3, -1)
+    assert around[Direction.W] == GridPoint(1, -1)
+    assert around[Direction.NNE] == GridPoint(2, 0)
+    assert around[Direction.SSW] == GridPoint(2, -2)
+    assert around[Direction.NNW] == GridPoint(1, 0)
+    assert around[Direction.SSE] == GridPoint(3, -2)
 
 
 def test_neighbors_single_node():
@@ -90,7 +98,7 @@ def test_neighbors_matches_offset_scan():
         s = random_structure(rng, rng.randint(1, 60))
         for p in s.nodes:
             expected = [
-                (d, p.neighbor(d)) for d in Direction if p.neighbor(d) in s.nodes
+                (d, neighbor(p, d)) for d in Direction if neighbor(p, d) in s.nodes
             ]
             assert s.neighbors(p) == expected
 
@@ -104,6 +112,8 @@ def test_structure_index_matches_neighborhood(data):
     assert ix is s.index  # built once, then cached on the structure
     assert ix.nodes == sorted(s.nodes)
     assert all(ix.row[p] == i for i, p in enumerate(ix.nodes))
+    assert ix.rows_of(ix.nodes).tolist() == list(range(len(ix.nodes)))
+    assert ix.rows_of([GridPoint(10**6, 0)]).tolist() == [-1]
     assert ix.a.tolist() == [p.a for p in ix.nodes]
     assert ix.b.tolist() == [p.b for p in ix.nodes]
     for i, p in enumerate(ix.nodes):
@@ -129,9 +139,9 @@ def test_world_and_oracle_graph_read_the_structure_index():
     ix = s.index
     w = World(s, c=2)
     assert w.nbr is ix.nbr and w.a is ix.a and w.b is ix.b
-    assert w.nodes is ix.nodes and w.index is ix.row
+    assert w.nodes is ix.nodes
     g = _IndexedGraph(s)
-    assert g.nodes is ix.nodes and g.index is ix.row
+    assert g.nodes is ix.nodes and g.index is ix
     assert np.array_equal(g.neighbors, np.sort(ix.nbr, axis=1))
     assert World(s, c=10).nbr is ix.nbr
     with pytest.raises(ValueError):

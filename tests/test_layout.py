@@ -195,3 +195,31 @@ def test_no_engine_module_imports_find_holes():
         and any(alias.name.split(".")[-1] == "find_holes" for alias in node.names)
     ]
     assert importers == []
+
+
+def test_plans_name_a_node_by_its_index_row():
+    """Inside the plans a node is its index row: ``decompose.py`` and
+    ``distalgo.py`` neither import ``Direction`` nor step with ``.neighbor``,
+    and ``StructureIndex.rows_of`` is the one place that turns points into
+    rows: outside ``grid.py`` no module reads a ``.row`` attribute or
+    subscripts an ``.index`` attribute."""
+    steps = _sites(
+        lambda node: (isinstance(node, ast.alias) and node.name == "Direction")
+        or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "neighbor"
+        )
+    )
+    assert [site for site in steps if site.startswith(("decompose.py:", "distalgo.py:"))] == []
+    lookups = _sites(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == "row")
+        or (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "index"
+        )
+    )
+    assert [site for site in lookups if not site.startswith("grid.py:")] == []
+    converters = _sites(lambda node: isinstance(node, ast.FunctionDef) and node.name == "rows_of")
+    assert converters == ["grid.py:StructureIndex.rows_of"]

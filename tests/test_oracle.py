@@ -12,7 +12,7 @@ from amoegrid.cli import load_structure
 from amoegrid.decompose import Decomposition, decompose, occupied_run_count
 from amoegrid.errors import DomainError, InvalidStructureError
 from amoegrid.generator import generate_random
-from amoegrid.grid import AmoebotStructure, Direction, GridPoint, find_holes
+from amoegrid.grid import AmoebotStructure, Direction, GridPoint, StructureIndex, find_holes
 from amoegrid.oracle import (
     EXHAUSTIVE_CONVEXITY_LIMIT,
     RegionCheck,
@@ -33,6 +33,7 @@ from harnesses import (
     global_maxima_oracle,
     is_simple_reference,
     portal_distance_sums_reference,
+    region_from_sets,
     shortest_path_nodes,
 )
 from test_grid import hexagon, parallelogram, random_structure
@@ -248,7 +249,7 @@ def test_convexity_matches_definition(data):
 
 def _slit_region(s: AmoebotStructure, id: int) -> Region:
     slit = {(u, v) for u, v in s.edges() if {u.b, v.b} == {1, 2} and 1 <= min(u.a, v.a) <= 3}
-    return Region(s.nodes, s.edges() - slit, id=id)
+    return region_from_sets(s.nodes, s.edges() - slit, id=id)
 
 
 def _adjacent_unions(s: AmoebotStructure, regions: list[Region]) -> list[Region]:
@@ -258,7 +259,7 @@ def _adjacent_unions(s: AmoebotStructure, regions: list[Region]) -> list[Region]
         for b in regions[i + 1 :]:
             if any(q in b.nodes for p in a.nodes for _, q in s.neighbors(p)):
                 edges = (a.edges | b.edges) & s.edges()
-                unions.append(Region(a.nodes | b.nodes, edges, id=len(regions) + len(unions)))
+                unions.append(region_from_sets(a.nodes | b.nodes, edges, id=len(regions) + len(unions)))
     return unions
 
 
@@ -330,8 +331,10 @@ def test_occupied_run_count_matches_articulation_oracle():
                 if q in pts:
                     g.add_edge(p, q)
         cuts = set(nx.articulation_points(g))
-        for p in pts:
-            assert (occupied_run_count(pts, p) >= 2) == (p in cuts), (trial, p)
+        ix = StructureIndex(pts)
+        runs = occupied_run_count(ix, np.arange(len(pts)), np.arange(len(pts)))
+        for p, count in zip(ix.nodes, runs.tolist()):
+            assert (count >= 2) == (p in cuts), (trial, p)
             checked += 1
     assert checked > 500
 
@@ -366,8 +369,8 @@ def _c_shape_decomposition() -> tuple[AmoebotStructure, Decomposition]:
     """A C-shaped region with a witness, and the missing middle as an edgeless region."""
     s = AmoebotStructure(parallelogram(6, 4))
     c_nodes = [p for p in parallelogram(6, 4) if not (1 <= p.a <= 4 and p.b == 1)]
-    bad = Region(c_nodes, AmoebotStructure(c_nodes).edges() & s.edges(), id=0)
-    missing = Region(
+    bad = region_from_sets(c_nodes, AmoebotStructure(c_nodes).edges() & s.edges(), id=0)
+    missing = region_from_sets(
         [p for p in parallelogram(6, 4) if (1 <= p.a <= 4 and p.b == 1)],
         set(),
         id=1,
@@ -385,7 +388,8 @@ def test_verify_reports_witness_for_fabricated_bad_region():
 def test_verify_reports_retained_edge_leaving_its_region():
     s = AmoebotStructure(parallelogram(3, 1))
     a, b, c = sorted(s.nodes)
-    report = verify_decomposition(s, _fabricated([Region([a, b], [(a, b), (b, c)], id=0), Region([c], [], id=1)]))
+    regions = [region_from_sets([a, b], [(a, b), (b, c)], id=0), region_from_sets([c], [], id=1)]
+    report = verify_decomposition(s, _fabricated(regions))
     assert report.regions[0] == RegionCheck(0, True, True, False, False, None)
     assert report.regions[1] == RegionCheck(1, True, True, True, True, None)
     assert report.coverage_ok and not report.all_ok
@@ -395,7 +399,11 @@ def test_verify_reports_region_node_outside_structure():
     s = AmoebotStructure(parallelogram(3, 2))
     outside = [GridPoint(3, 0), GridPoint(3, 1)]
     deco = _fabricated(
-        [Region(s.nodes, s.edges(), id=0), Region(outside, [tuple(outside)], id=1), Region(outside[:1], [], id=2)]
+        [
+            region_from_sets(s.nodes, s.edges(), id=0),
+            region_from_sets(outside, [tuple(outside)], id=1),
+            region_from_sets(outside[:1], [], id=2),
+        ]
     )
     report = verify_decomposition(s, deco)
     assert report.regions[0] == RegionCheck(0, True, True, True, True, None)
@@ -407,7 +415,8 @@ def test_verify_reports_region_node_outside_structure():
 
 def test_verify_reports_empty_region():
     s = AmoebotStructure(parallelogram(3, 2))
-    report = verify_decomposition(s, _fabricated([Region(s.nodes, s.edges(), id=0), Region([], [], id=1)]))
+    regions = [region_from_sets(s.nodes, s.edges(), id=0), region_from_sets([], [], id=1)]
+    report = verify_decomposition(s, _fabricated(regions))
     assert report.regions[1] == RegionCheck(1, False, True, False, True, None)
     assert report.coverage_ok and not report.all_ok
 
@@ -452,7 +461,7 @@ def test_batched_convexity_matches_single_region_calls_across_search_blocks():
     s = AmoebotStructure(parallelogram(24, 24))
 
     def region(nodes, id):
-        return Region(nodes, {(u, v) for u, v in s.edges() if u in nodes and v in nodes}, id=id)
+        return region_from_sets(nodes, {(u, v) for u, v in s.edges() if u in nodes and v in nodes}, id=id)
 
     rows = [region({p for p in s.nodes if p.b == b}, b) for b in range(24)]
     c_shapes = [region(rows[b].nodes | rows[b + 2].nodes | {GridPoint(0, b + 1)}, 24 + b) for b in (3, 15)]
@@ -521,7 +530,7 @@ def test_batched_portal_sums_match_per_region_portal_graphs(n, holes, seed):
 
 def test_batched_identity_fails_on_slit_region_after_a_passing_one():
     s = AmoebotStructure(parallelogram(6, 4))
-    whole = Region(s.nodes, s.edges(), id=0)
+    whole = region_from_sets(s.nodes, s.edges(), id=0)
     assert verify_decomposition(s, _fabricated([whole])).distance_identity_ok
     report = _assert_batched_matches_single(s, _fabricated([whole, _slit_region(s, 1)]))
     assert all(c.simple_ok and c.convex_ok and c.connected_ok and c.edges_ok for c in report.regions)

@@ -5,11 +5,19 @@ import pytest
 from amoegrid.decompose import phase1_simple
 from amoegrid.errors import DomainError
 from amoegrid.generator import generate_random
-from amoegrid.grid import AmoebotStructure, GridPoint
-from amoegrid.portals import AXES, Axis, compute_portals, portal_graph
+from amoegrid.grid import DIRECTIONS, AmoebotStructure, GridPoint
+from amoegrid.portals import AXES, UP_SLOT, Axis, compute_portals, portal_graph
 from amoegrid.split import Region
 
-from harnesses import bfs_distances, portal_distance, portal_graph_is_tree, rotate60
+from harnesses import (
+    bfs_distances,
+    has_edge,
+    neighbor,
+    portal_distance,
+    portal_graph_is_tree,
+    portal_of,
+    rotate60,
+)
 from test_grid import HAND_BUILT, hexagon, parallelogram, random_structure
 
 
@@ -49,8 +57,8 @@ def test_portal_partition_matches_component_oracle():
                 for node in p.nodes:
                     owner[node] = p.id
             for u in region.nodes:
-                v = u.neighbor(axis.up)
-                if v in region.nodes and region.has_edge(u, v):
+                v = neighbor(u, DIRECTIONS[UP_SLOT[axis]])
+                if v in region.nodes and has_edge(region, u, v):
                     assert owner[u] == owner[v]
 
 
@@ -75,12 +83,14 @@ def test_designated_link_is_the_smallest_retained_edge_between_two_portals():
         for axis in AXES:
             pg = portal_graph(region, axis)
             owner = {p: portal.id for portal in pg.portals for p in portal.nodes}
+            row = region.index.row
             expected = {}
             for u, v in sorted(region.edges):
                 i, j = owner[u], owner[v]
                 if i != j:
-                    expected.setdefault((min(i, j), max(i, j)), (u, v) if i < j else (v, u))
-            assert list(pg.links) == sorted(pg.adjacency)
+                    link = (row[u], row[v]) if i < j else (row[v], row[u])
+                    expected.setdefault((min(i, j), max(i, j)), link)
+            assert list(pg.links) == sorted(pg.links)
             assert pg.links == expected
 
 
@@ -88,7 +98,7 @@ def test_portal_graph_single_portal():
     line = as_region([GridPoint(a, 0) for a in range(4)])
     g = portal_graph(line, Axis.X)
     assert len(g.portals) == 1
-    assert g.adjacency == frozenset()
+    assert g.links == {}
 
 
 def test_portal_graphs_of_simple_regions_are_trees():
@@ -105,7 +115,7 @@ def test_annulus_y_portal_graph_has_cycle():
     pts = [p for p in hexagon(2) if p != GridPoint(0, 0)]
     g = portal_graph(as_region(pts), Axis.Y)
     assert not portal_graph_is_tree(g)
-    assert len(g.adjacency) >= len(g.portals)
+    assert len(g.links) >= len(g.portals)
 
 
 def test_portal_distance_same_node():
@@ -135,16 +145,17 @@ def test_half_sum_distance_identity_on_simple_structures():
         s = generate_random(rng.randint(20, 160), 0, rng.randint(0, 10_000))
         region = Region.from_structure(s)
         graphs = {axis: portal_graph(region, axis) for axis in AXES}
+        owners = {axis: portal_of(graphs[axis]) for axis in AXES}
         nodes = sorted(s.nodes)
         sources = rng.sample(nodes, min(6, len(nodes)))
         for u in sources:
             dist = bfs_distances(s, u)
             per_axis = {
-                axis: graphs[axis].distances_from([graphs[axis].portal_of(u).id])
+                axis: graphs[axis].distances_from([owners[axis][u].id])
                 for axis in AXES
             }
             for v in nodes:
                 total = sum(
-                    per_axis[axis][graphs[axis].portal_of(v).id] for axis in AXES
+                    per_axis[axis][owners[axis][v].id] for axis in AXES
                 )
                 assert total == 2 * dist[v], (u, v)

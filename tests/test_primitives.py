@@ -11,7 +11,7 @@ from amoegrid import distalgo, primitives
 from amoegrid.circuits import Meter, World
 from amoegrid.errors import ContractViolation
 from amoegrid.generator import generate_random
-from amoegrid.grid import AmoebotStructure, Direction, GridPoint, find_holes, slot_between
+from amoegrid.grid import AmoebotStructure, Direction, GridPoint, find_holes
 from amoegrid.portals import AXES, Axis, portal_graph
 from amoegrid.primitives import (
     BoundaryTest,
@@ -34,6 +34,7 @@ from harnesses import (
     region_has,
     root_and_prune,
     rotate60,
+    slot_between,
     tree_pasc_distances,
 )
 from test_decisions import structures
@@ -145,7 +146,7 @@ def test_root_and_prune_matches_union_of_paths():
         ids = [p.id for p in pg.portals]
         q = rng.sample(ids, rng.randint(1, min(6, len(ids))))
         survivors, parents, _ = root_and_prune(region, axis, q, q[0], seed=trial)
-        g = nx.Graph(list(pg.adjacency))
+        g = nx.Graph(list(pg.links))
         g.add_nodes_from(ids)
         want = set()
         for qa in q:
@@ -186,14 +187,15 @@ def test_degree_check_against_counts():
         chain = [GridPoint(0, b) for b in range(k)]
         s = AmoebotStructure(chain)
         w = World(s, c=10)
+        rows = s.index.rows_of(chain)
         shifts = np.zeros(w.n, dtype=np.int64)
         total = 0
-        for p in chain:
+        for row in rows:
             v = rng.randint(0, 2)
-            shifts[w.index[p]] = v
+            shifts[row] = v
             total += v
         thr = rng.randint(1, 4)
-        (got,) = degree_check_batch(w, [(chain, shifts, thr, np.zeros((w.n, 6), dtype=np.int8))], Meter())
+        (got,) = degree_check_batch(w, [(rows, shifts, thr, np.zeros((w.n, 6), dtype=np.int8))], Meter())
         assert got == (total >= thr)
 
 
@@ -205,12 +207,12 @@ def test_region_has_matches_set_intersection():
         region = Region.from_structure(s)
         pins = []
         for u, v in region.edges:
-            iu, iv = w.index[u], w.index[v]
+            iu, iv = s.index.row[u], s.index.row[v]
             pins.append((iu, slot_between(u, v), 0))
             pins.append((iv, slot_between(v, u), 0))
         members = sorted(s.nodes)
         subset = rng.sample(members, rng.randint(0, len(members)))
-        got = region_has(w, pins, [w.index[p] for p in subset], Meter())
+        got = region_has(w, pins, s.index.rows_of(subset).tolist(), Meter())
         assert got == bool(subset)
 
 
@@ -221,13 +223,13 @@ def test_closest_on_portal_matches_linear_scan():
         chain = [GridPoint(0, b) for b in range(k)]
         s = AmoebotStructure(chain)
         w = World(s, c=10)
+        rows = s.index.rows_of(chain)
         marked = np.zeros(w.n, dtype=bool)
         ms = rng.sample(range(k), rng.randint(1, k))
-        for j in ms:
-            marked[w.index[chain[j]]] = True
+        marked[rows[ms]] = True
         end = rng.randint(0, 1)
-        (got,) = closest_on_portal_batch(w, [(chain, marked, end, np.zeros((w.n, 6), dtype=np.int8))], Meter())
-        assert got == (chain[min(ms)] if end == 0 else chain[max(ms)])
+        (got,) = closest_on_portal_batch(w, [(rows, marked, end, np.zeros((w.n, 6), dtype=np.int8))], Meter())
+        assert got == (rows[min(ms)] if end == 0 else rows[max(ms)])
 
 
 def test_global_maxima_boundary_matches_oracle():
@@ -350,8 +352,9 @@ def test_pin_roles_fit_in_one_pin_half():
     assert len(roles) == 12
     assert all(0 <= k < HALF_PINS for k in roles.values()), roles
 
-    chain = [GridPoint(0, b) for b in range(3)]
-    w = World(AmoebotStructure(chain), c=10)
+    s = AmoebotStructure(GridPoint(0, b) for b in range(3))
+    chain = s.index.rows_of(s.index.nodes)
+    w = World(s, c=10)
     no_offset = np.zeros((w.n, 6), dtype=np.int8)
     shifts = np.ones(w.n, dtype=np.int64)
     (got,) = degree_check_batch(w, [(chain, shifts, HALF_PINS - 1, no_offset)], Meter())

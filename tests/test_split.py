@@ -1,6 +1,7 @@
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,10 @@ from amoegrid.split import Gate, NodeCut, Region, split_many
 
 from harnesses import (
     SplitNodeSpec,
+    has_edge,
+    neighbor,
     portal_graph_reference,
+    region_from_sets,
     resolve_spec,
     rotate60,
     split_many_reference,
@@ -69,8 +73,8 @@ def test_split_wnw_copy_keeps_only_west_cross_edges():
     west = next(p for p in parts if GridPoint(0, 0) in p.nodes)
     east = next(p for p in parts if GridPoint(4, 0) in p.nodes)
     probe = GridPoint(2, 1)
-    west_dirs = {d for d, q in probe.neighborhood() if west.has_edge(probe, q)}
-    east_dirs = {d for d, q in probe.neighborhood() if east.has_edge(probe, q)}
+    west_dirs = {d for d, q in probe.neighborhood() if has_edge(west, probe, q)}
+    east_dirs = {d for d, q in probe.neighborhood() if has_edge(east, probe, q)}
     assert west_dirs <= {Direction.NNE, Direction.SSW, Direction.NNW, Direction.W}
     assert east_dirs <= {Direction.NNE, Direction.SSW, Direction.E, Direction.SSE}
 
@@ -138,7 +142,7 @@ def test_node_only_split_separates_gate_with_two_neighbor_portals():
     gate_nodes = tuple(GridPoint(1, b) for b in range(5))
     nodes = set(gate_nodes) | {GridPoint(0, 0), GridPoint(0, 1), GridPoint(0, 3), GridPoint(0, 4)}
     edges = AmoebotStructure(nodes).edges()
-    region = Region(nodes, edges, [Gate(Axis.Y, "WNW", gate_nodes)])
+    region = region_from_sets(nodes, edges, [Gate(Axis.Y, "WNW", gate_nodes)])
 
     cut_node = GridPoint(1, 1)
     parts = split_region_at_node(region, SplitNodeSpec(cut_node, GridPoint(0, 2)))
@@ -155,7 +159,7 @@ def test_node_only_split_noop_when_one_bundle():
     portal = y_portal_through(region, GridPoint(2, 0))
     west = next(p for p in split_many(region, [(portal, [])]) if GridPoint(0, 0) in p.nodes)
     top = GridPoint(2, 1)
-    parts = split_region_at_node(west, SplitNodeSpec(top, top.neighbor(Direction.NNE)))
+    parts = split_region_at_node(west, SplitNodeSpec(top, neighbor(top, Direction.NNE)))
     assert len(parts) == 1
     assert parts[0].nodes == west.nodes
     assert parts[0].edges == west.edges
@@ -186,11 +190,11 @@ def test_intra_portal_edges_shared_between_sides():
     }
     for part in parts:
         for e in chain_edges:
-            assert part.has_edge(*e)
+            assert has_edge(part, *e)
     # all other edges are in exactly one part
     for e in region.edges:
         u, v = e
-        owners = sum(1 for part in parts if part.has_edge(u, v))
+        owners = sum(1 for part in parts if has_edge(part, u, v))
         assert owners == (2 if e in chain_edges else 1)
 
 
@@ -268,8 +272,10 @@ def assert_splits_match_references(monkeypatch, structure: AmoebotStructure) -> 
     for region, portal_splits, node_cuts, got in calls:
         for axis in AXES:
             have, want = portal_graph(region, axis), portal_graph_reference(region, axis)
-            assert (have.portals, have.adjacency, have.links) == (want.portals, want.adjacency, want.links)
+            assert (have.portals, have.links) == (want.portals, want.links)
             assert list(have.links) == list(want.links)
+            assert np.array_equal(have.owner, want.owner)
+            assert all(np.array_equal(h.rows, w.rows) for h, w in zip(have.portals, want.portals))
             assert compute_portals(region, axis) == list(want.portals)
         if isinstance(got, ContractViolation):
             with pytest.raises(ContractViolation, match=str(got)):
@@ -338,7 +344,7 @@ def test_a_gate_run_breaks_at_an_edge_its_child_lacks_as_in_the_reference():
     # x-portal splitting now crosses the gate above the gap
     nodes = set(parallelogram(4, 5))
     edges = AmoebotStructure(nodes).edges() - {(GridPoint(3, 1), GridPoint(3, 2))}
-    region = Region(nodes, edges, [Gate(Axis.Y, "ESE", tuple(GridPoint(3, b) for b in range(5)))])
+    region = region_from_sets(nodes, edges, [Gate(Axis.Y, "ESE", tuple(GridPoint(3, b) for b in range(5)))])
     splitting = next(p for p in compute_portals(region, Axis.X) if GridPoint(0, 3) in p.node_set)
     want = region_fields(split_many_reference(region, [(splitting, [])]))
     assert region_fields(split_many(region, [(splitting, [])])) == want
