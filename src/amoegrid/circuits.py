@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SimulationFault
-from .grid import AmoebotStructure, GridPoint, components
+from .grid import AmoebotStructure, components
 
 #: labels below this bound are free for protocol circuits; idle pins park
 #: above it, so every parked pin pair forms a private two-pin channel.
@@ -93,8 +93,7 @@ class World:
         self.c = c
         self.seed = seed
         ix = structure.index
-        self.nodes: list[GridPoint] = ix.nodes
-        self.n = len(self.nodes)
+        self.n = len(ix.a)
         self.nhat = nhat if nhat is not None else self.n
         self.S = STAGE_LABELS + 6 * c  # stage labels plus one parking label per pin
         self.a, self.b, self.nbr = ix.a, ix.b, ix.nbr

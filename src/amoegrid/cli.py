@@ -35,6 +35,7 @@ def load_structure(path) -> AmoebotStructure:
 
 
 def decomposition_payload(decomposition: Decomposition, report=None, trace=None) -> dict:
+    ix = decomposition.regions[0].index  # the structure's index, which every region shares
     payload = {
         "regions": [
             {
@@ -50,7 +51,7 @@ def decomposition_payload(decomposition: Decomposition, report=None, trace=None)
             {
                 "axis": g.axis.value,
                 "side": g.side,
-                "nodes": [[p.a, p.b] for p in g.nodes],
+                "nodes": [[int(ix.a[i]), int(ix.b[i])] for i in g.rows],
             }
             for g in decomposition.phase1_gates
         ],

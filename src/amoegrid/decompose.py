@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractViolation
-from .grid import AmoebotStructure, GridPoint, StructureIndex, sorted_contains
+from .grid import AmoebotStructure, StructureIndex, sorted_contains
 from .portals import AXES, UP_SLOT, Axis, Portal, PortalGraph, compute_portals, portal_graph
 from .split import SIDES, Gate, NodeCut, Region, side_names, split_many
 
@@ -97,18 +98,16 @@ def _phase1_plan(structure: AmoebotStructure, decide) -> tuple[list[Region], lis
     # y-portal.  Likewise the ESE-most node's hole cells are W or NNW of it,
     # on the WNW side.  A node that is the WNW extreme of one hole and the
     # ESE extreme of another is cut on both sides.
-    cuts = [NodeCut(v, Axis.Y, "ESE") for v in sorted(wnw)]
-    cuts += [NodeCut(v, Axis.Y, "WNW") for v in sorted(ese)]
-    owner: dict[GridPoint, Portal] = {}
+    cuts = [NodeCut(v, Axis.Y, "ESE") for v in wnw.tolist()]
+    cuts += [NodeCut(v, Axis.Y, "WNW") for v in ese.tolist()]
+    owner = np.empty(root.n, dtype=np.int64)  # portal id by row: the root holds every row
     for portal in portals:
-        for p in portal.nodes:
-            owner[p] = portal
-    by_portal: dict[int, tuple[Portal, list[NodeCut]]] = {}
+        owner[portal.rows] = portal.id
+    by_portal: dict[int, list[NodeCut]] = {}
     for cut in cuts:
-        portal = owner[cut.node]
-        by_portal.setdefault(portal.id, (portal, []))[1].append(cut)
+        by_portal.setdefault(int(owner[cut.row]), []).append(cut)
 
-    regions = split_many(root, [entry for _, entry in sorted(by_portal.items())])
+    regions = split_many(root, [(portals[pid], cuts) for pid, cuts in sorted(by_portal.items())])
     gates = [g for r in regions for g in r.gates]
     return regions, gates, holes
 
@@ -184,7 +183,7 @@ def _phase2_plan(regions: list[Region], decide) -> list[Region]:
     for r in regions:
         if len(r.gates) >= 2:
             pg = portal_graph(r, Axis.Y)
-            heads = pg.portal_ids(r.index.rows_of([g.nodes[0] for g in r.gates]))
+            heads = pg.portal_ids([g.rows[0] for g in r.gates])
             trees.append(PortalTree(r, pg, set(heads.tolist())))
     if not trees:
         return list(regions)
@@ -207,15 +206,14 @@ def _phase2_plan(regions: list[Region], decide) -> list[Region]:
         kids.append([(child, []) for child in children])
         for child, cuts in kids[-1]:
             for gate in child.gates:
-                chain = child.index.rows_of(gate.nodes)
+                chain = np.array(gate.rows)
                 marks = northmost_marks(child, chain, gate.side, tree.survivor_rows)
                 if len(marks) >= 2:
                     asks.append((cuts, gate, marks))
                     queries.append(ChainQuery(tree.region, chain, marks, 1))
-    pts = trees[0].region.index.nodes
     for (cuts, gate, marks), top in zip(asks, decide.closest_marks(queries)):
         for p in marks.tolist():
-            cut = NodeCut(pts[p], gate.axis, gate.side)
+            cut = NodeCut(p, gate.axis, gate.side)
             if p != top and cut not in cuts:
                 cuts.append(cut)
 
@@ -240,49 +238,52 @@ def phase2_tunnels(region: Region) -> list[Region]:
 
 @dataclass(frozen=True)
 class AxisSplitInfo:
-    """Per-axis (x or z) record of the first splitting round of a tunnel."""
+    """Per-axis (x or z) record of the first splitting round of a tunnel;
+    portals are tuples of index rows and nodes are index rows."""
 
     axis: str
     case: int
-    upper: tuple[GridPoint, ...] | None = None  # case 1 northern portal
-    lower: tuple[GridPoint, ...] | None = None  # case 1 southern portal
-    near: tuple[GridPoint, ...] | None = None  # case 2 portal at gate G
-    far: tuple[GridPoint, ...] | None = None  # case 2 portal at gate G'
-    b_upper: GridPoint | None = None
-    b_lower: GridPoint | None = None
-    b_near: GridPoint | None = None
-    b_far: GridPoint | None = None
+    upper: tuple[int, ...] | None = None  # case 1 northern portal
+    lower: tuple[int, ...] | None = None  # case 1 southern portal
+    near: tuple[int, ...] | None = None  # case 2 portal at gate G
+    far: tuple[int, ...] | None = None  # case 2 portal at gate G'
+    b_upper: int | None = None
+    b_lower: int | None = None
+    b_near: int | None = None
+    b_far: int | None = None
     near_side: str | None = None  # side of `near` facing the middle
     far_side: str | None = None
-    near_crossing: GridPoint | None = None  # node shared with the own gate
-    far_crossing: GridPoint | None = None
+    near_crossing: int | None = None  # node shared with the own gate
+    far_crossing: int | None = None
 
 
 @dataclass(frozen=True)
 class MedianInfo:
-    """Per-axis record of the point-gate splitting of region M."""
+    """Per-axis record of the point-gate splitting of region M, in index rows."""
 
     axis: str
     d: int
-    portal: tuple[GridPoint, ...]
+    portal: tuple[int, ...]
     same_region: bool
-    b_node: GridPoint | None
+    b_node: int | None
 
 
 @dataclass
 class TunnelCaseData:
+    """The case record of one tunnel; ``g`` and ``g_prime`` are index rows."""
+
     tunnel_lineage: tuple[int, ...] = ()
     gate_count: int = 0
     x: AxisSplitInfo | None = None
     z: AxisSplitInfo | None = None
     m_present: bool = False
-    g: GridPoint | None = None
-    g_prime: GridPoint | None = None
+    g: int | None = None
+    g_prime: int | None = None
     medians: dict[str, MedianInfo] = field(default_factory=dict)
 
 
-def _gate_order_key(g: Gate) -> tuple:
-    return (g.line, -max(p.b for p in g.nodes), g.nodes[0])
+def _gate_order_key(ix: StructureIndex, g: Gate) -> tuple:
+    return (g.line, -int(ix.b[list(g.rows)].max()), g.rows[0])
 
 
 def _closest(decide, region: Region, chain: np.ndarray, marks: np.ndarray, end: int) -> int:
@@ -291,34 +292,33 @@ def _closest(decide, region: Region, chain: np.ndarray, marks: np.ndarray, end: 
 
 def _cut_beside(
     decide, tunnel: Region, portal: Portal, q: Axis, side: str, exclude: np.ndarray
-) -> GridPoint | None:
+) -> int | None:
     """Westernmost node of ``portal`` outside the sorted rows ``exclude``
     that misses a neighbor on ``side``."""
     chain = portal.rows
     candidates = chain[~sorted_contains(exclude, chain) & _touches_outside(tunnel, chain, q, side)]
     if not len(candidates):
         return None
-    return tunnel.index.nodes[_closest(decide, tunnel, chain, candidates, _west_end(q))]
+    return _closest(decide, tunnel, chain, candidates, _west_end(q))
 
 
 def _axis_round(
     tunnel: Region, q: Axis, gate_a: Gate, gate_b: Gate, decide
 ) -> tuple[list[tuple[Portal, list[NodeCut]]], AxisSplitInfo]:
     """Splitting portals and node cuts of the first phase-3 round for one axis."""
-    ix = tunnel.index
     qpg = portal_graph(tunnel, q)
     pids_a, pids_b = decide.crossing_portals(tunnel, qpg, gate_a, gate_b)
     common = pids_a & pids_b
 
     if common:
         # P-up and P-down cross G at its topmost and bottom-most common node.
-        chain = ix.rows_of(gate_a.nodes)
+        chain = np.array(gate_a.rows)
         crossing = chain[[pid in common for pid in qpg.portal_ids(chain).tolist()]]
         p_up, p_down = (
             qpg.portals[qpg.portal_ids(_closest(decide, tunnel, chain, crossing, end))]
             for end in (1, 0)
         )
-        gate_rows = np.sort(ix.rows_of(gate_a.nodes + gate_b.nodes))
+        gate_rows = np.sort(gate_a.rows + gate_b.rows)
         splits: list[tuple[Portal, list[NodeCut]]] = []
         b_nodes = []
         for portal, side in zip((p_up, p_down), side_names(q)):
@@ -330,8 +330,8 @@ def _axis_round(
         info = AxisSplitInfo(
             q.value,
             1,
-            upper=p_up.nodes,
-            lower=p_down.nodes,
+            upper=tuple(p_up.rows.tolist()),
+            lower=tuple(p_down.rows.tolist()),
             b_upper=b_nodes[0],
             b_lower=b_nodes[1],
         )
@@ -343,21 +343,18 @@ def _axis_round(
     for (pid, toward), own_gate, tag in zip(ends, (gate_a, gate_b), ("near", "far")):
         portal = qpg.portals[pid]
         side = _portal_side_toward(qpg, pid, toward)
-        own_rows = np.sort(ix.rows_of(own_gate.nodes))
+        own_rows = np.sort(own_gate.rows)
         crossing = portal.rows[sorted_contains(own_rows, portal.rows)]
         b = _cut_beside(decide, tunnel, portal, q, side, own_rows)
         splits.append((portal, [NodeCut(b, q, side)] if b is not None else []))
-        fields[tag] = portal.nodes
+        fields[tag] = tuple(portal.rows.tolist())
         fields[f"b_{tag}"] = b
         fields[f"{tag}_side"] = side
-        # rows number the nodes in sorted order, so the smallest row is the smallest node
-        fields[f"{tag}_crossing"] = ix.nodes[crossing.min()] if len(crossing) else None
+        fields[f"{tag}_crossing"] = int(crossing.min()) if len(crossing) else None
     return splits, AxisSplitInfo(q.value, 2, **fields)
 
 
-def _pick_point_gate(
-    m_region: Region, info: AxisSplitInfo, info_z: AxisSplitInfo, end: str
-) -> GridPoint | None:
+def _pick_point_gate(m_region: Region, info: AxisSplitInfo, info_z: AxisSplitInfo, end: str) -> int | None:
     """The single-node gate of M on one side, or None if the child holds none.
 
     It is the crossing point of the two case-2 gates, or failing that the
@@ -367,14 +364,14 @@ def _pick_point_gate(
     whose single-node gates are g and g', so a child lacking a candidate at
     one end is not M (see ``select_middle_region``).
     """
-    near_x = frozenset(info.near if end == "near" else info.far)
-    near_z = frozenset(info_z.near if end == "near" else info_z.far)
+    near_x = info.near if end == "near" else info.far
+    near_z = info_z.near if end == "near" else info_z.far
     b_x = info.b_near if end == "near" else info.b_far
     b_z = info_z.b_near if end == "near" else info_z.b_far
-    inter = near_x & near_z
-    candidates = [next(iter(inter))] if inter else []
+    # an x- and a z-portal cross in at most one node
+    candidates = sorted(set(near_x) & set(near_z))
     candidates += [b for b in (b_x, b_z) if b is not None]
-    inside = sorted_contains(m_region.rows, m_region.index.rows_of(candidates))
+    inside = sorted_contains(m_region.rows, np.array(candidates, dtype=np.int64))
     return candidates[int(inside.argmax())] if inside.any() else None
 
 
@@ -387,9 +384,9 @@ def _m_contact(child: Region, q: Axis, info: AxisSplitInfo, end: str) -> bool:
     for g in child.gates:
         if g.axis is not q or g.side != side:
             continue
-        if not g.node_set <= pset:
+        if not pset.issuperset(g.rows):
             continue
-        if b is not None and crossing is not None and crossing in g.node_set:
+        if b is not None and crossing is not None and crossing in g.rows:
             continue  # severed corner piece still holding the own gate
         return True
     return False
@@ -397,7 +394,7 @@ def _m_contact(child: Region, q: Axis, info: AxisSplitInfo, end: str) -> bool:
 
 def select_middle_region(
     children: list[Region], info_x: AxisSplitInfo, info_z: AxisSplitInfo
-) -> tuple[Region, GridPoint, GridPoint]:
+) -> tuple[Region, int, int]:
     """The middle region M of a case-2/case-2 tunnel and its point gates g, g'.
 
     A child qualifies as M if it meets a case-2 portal's gate at the near
@@ -438,12 +435,13 @@ def occupied_run_count(ix: StructureIndex, members: np.ndarray, rows: np.ndarray
 
 
 def _point_gate_plan(
-    m_region: Region, g: GridPoint, g2: GridPoint, decide
+    m_region: Region, g: int, g2: int, decide
 ) -> tuple[list[tuple[Portal, list[NodeCut]]], dict[str, MedianInfo]]:
     """Median portals of M per axis, each with its cut node where both point
-    gates lie on one side of it."""
+    gates, given by their index rows, lie on one side of it.  An axis on
+    which both point gates lie on one portal has no median split."""
     ix = m_region.index
-    point_gates = ix.rows_of([g, g2])
+    point_gates = np.array([g, g2])
     graphs, ends, paths = {}, {}, {}
     for q in AXES:
         pg = graphs[q] = portal_graph(m_region, q)
@@ -467,9 +465,10 @@ def _point_gate_plan(
         median = pg.portals[median_ids[0]]
 
         if d_q == 0:
-            same = True
-            sides = list(side_names(q))
-        elif d_q == 1:
+            # g and g' already share this q-portal: M is not split along q
+            medians[q.value] = MedianInfo(q.value, d_q, tuple(median.rows.tolist()), True, None)
+            continue
+        if d_q == 1:
             same = True
             sides = [_portal_side_toward(pg, median.id, pid_g)]
         else:
@@ -486,10 +485,10 @@ def _point_gate_plan(
         if same:
             on_portal = median.rows[sorted_contains(cut_set, median.rows)]
             if len(on_portal):
-                b_node = ix.nodes[_closest(decide, m_region, median.rows, on_portal, _west_end(q))]
+                b_node = _closest(decide, m_region, median.rows, on_portal, _west_end(q))
                 cuts = [NodeCut(b_node, q, s) for s in sides]
         splits.append((median, cuts))
-        medians[q.value] = MedianInfo(q.value, d_q, median.nodes, same, b_node)
+        medians[q.value] = MedianInfo(q.value, d_q, tuple(median.rows.tolist()), same, b_node)
     return splits, medians
 
 
@@ -535,20 +534,19 @@ class DirectDecisions:
     rounds; each method here is the reference for its decision.
     """
 
-    def hole_extreme_nodes(
-        self, ix: StructureIndex, y_portals: list[Portal]
-    ) -> tuple[frozenset[GridPoint], frozenset[GridPoint]]:
+    def hole_extreme_nodes(self, ix: StructureIndex, y_portals: list[Portal]) -> tuple[np.ndarray, np.ndarray]:
         """Phase 1: the WNW-most and the ESE-most boundary node of every
-        inner hole, each the NNE-most among ties, as (wnw, ese)."""
+        inner hole, each the NNE-most among ties, as sorted rows (wnw, ese)."""
         cyc = ix.cycles
         on_hole = cyc.inner[cyc.cycle_id]
-        boundaries: dict[int, list[GridPoint]] = {}
-        for c, i in zip(cyc.cycle_id[on_hole].tolist(), cyc.node[on_hole].tolist()):
-            boundaries.setdefault(c, []).append(ix.nodes[i])
-        return (
-            frozenset(min(b, key=lambda p: (p.a, -p.b)) for b in boundaries.values()),
-            frozenset(min(b, key=lambda p: (-p.a, -p.b)) for b in boundaries.values()),
-        )
+        node, cycle = cyc.node[on_hole].astype(np.int64), cyc.cycle_id[on_hole]
+        a, b = ix.a[node], ix.b[node]
+        extremes = []
+        for sign in (1, -1):
+            order = np.lexsort((-b, sign * a, cycle))  # each hole's extreme first
+            first = np.diff(cycle[order], prepend=-1) != 0
+            extremes.append(np.unique(node[order][first]))
+        return extremes[0], extremes[1]
 
     def surviving_portals(self, trees: list[PortalTree]) -> list[set[int]]:
         """Phase 2: per region, the portals left by pruning non-gate leaves."""
@@ -576,14 +574,13 @@ class DirectDecisions:
 
     def gate_order(self, tunnel: Region, gate_a: Gate, gate_b: Gate) -> tuple[Gate, Gate]:
         """Phase 3: G before G' (the smaller y line, then the higher top)."""
-        return tuple(sorted((gate_a, gate_b), key=_gate_order_key))
+        return tuple(sorted((gate_a, gate_b), key=partial(_gate_order_key, tunnel.index)))
 
     def crossing_portals(
         self, tunnel: Region, qpg: PortalGraph, gate_a: Gate, gate_b: Gate
     ) -> tuple[set[int], set[int]]:
         """Phase 3: the q-portals crossing each gate."""
-        rows_of = tunnel.index.rows_of
-        return tuple(set(qpg.portal_ids(rows_of(gate.nodes)).tolist()) for gate in (gate_a, gate_b))
+        return tuple(set(qpg.portal_ids(gate.rows).tolist()) for gate in (gate_a, gate_b))
 
     def case2_portals(
         self, tunnel: Region, qpg: PortalGraph, gate_a: Gate, pids_a: set[int], pids_b: set[int]
@@ -605,7 +602,7 @@ class DirectDecisions:
 
     def middle_region(
         self, children: list[Region], info_x: AxisSplitInfo, info_z: AxisSplitInfo
-    ) -> tuple[Region, GridPoint, GridPoint]:
+    ) -> tuple[Region, int, int]:
         """Phase 3: the middle region M and its point gates g, g'."""
         return select_middle_region(children, info_x, info_z)
 

@@ -40,7 +40,7 @@ from .decompose import (
     select_middle_region,
 )
 from .errors import ContractViolation, DomainError, RoundBudgetExceeded
-from .grid import AmoebotStructure, GridPoint, StructureIndex
+from .grid import AmoebotStructure, StructureIndex
 from .portals import AXES, UP_SLOT, Axis, Portal, PortalGraph, portal_graph
 from .split import Gate, Region, side_names
 from .primitives.basic import closest_on_portal_batch, degree_check_batch
@@ -77,7 +77,7 @@ class _RegionSpace:
         self.region = region
         shift = np.zeros(len(ix.eu), dtype=np.int8)
         for g in region.gates:
-            chain = ix.rows_of(g.nodes)
+            chain = np.array(g.rows)
             shift[ix.eid[chain[:-1], UP_SLOT[g.axis]]] = 0 if g.side == SIDE_FIRST[g.axis] else HALF_PINS
         slot = ix.eslot[eids]
         self.rows = np.concatenate((ix.eu[eids], ix.ev[eids]))
@@ -125,9 +125,7 @@ class CircuitDecisions:
 
     # -- phase 1 ---------------------------------------------------------------
 
-    def hole_extreme_nodes(
-        self, ix: StructureIndex, y_portals: list[Portal]
-    ) -> tuple[frozenset[GridPoint], frozenset[GridPoint]]:
+    def hole_extreme_nodes(self, ix: StructureIndex, y_portals: list[Portal]) -> tuple[np.ndarray, np.ndarray]:
         """Boundary classification, extreme-node selection, and one beep
         from the split nodes on their y-portals."""
         world, meter = self.world, self.meter
@@ -135,7 +133,7 @@ class CircuitDecisions:
         cyc = stage.cyc
         inner_cycle, leaders, real_visit = stage.run(meter)
         if not inner_cycle.any():
-            return frozenset(), frozenset()
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
 
         # WNW is the maximum of -a and ESE of +a, so both share one call's
         # streams; the NNE tie-breaks then share a second call
@@ -145,7 +143,7 @@ class CircuitDecisions:
         seconds = chain_maxima(
             world, cyc, leaders, inner_cycle, world.a + world.b, [(first, 1) for first in firsts], meter
         )
-        extremes: list[set[int]] = []
+        extremes: list[np.ndarray] = []
         for second in seconds:
             rows: set[int] = set()
             for c in np.flatnonzero(inner_cycle):
@@ -153,12 +151,11 @@ class CircuitDecisions:
                 if len(mine) != 1:
                     raise ContractViolation("extreme-node selection did not single out one amoebot")
                 rows |= mine
-            extremes.append(rows)
+            extremes.append(np.array(sorted(rows), dtype=np.int64))
 
         _wire_chains(world, [p.rows for p in y_portals], np.zeros((world.n, 6), dtype=np.int8))
-        _beep_from(world, np.fromiter(set.union(*extremes), dtype=np.int64), meter)
-        wnw, ese = (frozenset(world.nodes[i] for i in rows) for rows in extremes)
-        return wnw, ese
+        _beep_from(world, np.union1d(*extremes), meter)
+        return extremes[0], extremes[1]
 
     # -- phase 2 ---------------------------------------------------------------
 
@@ -172,7 +169,7 @@ class CircuitDecisions:
         # circuits wire
         candidates = np.zeros(world.n, dtype=bool)
         _wire_region_circuits(world, spaces)
-        tops = [world.structure.index.rows_of([g.nodes[-1] for g in t.region.gates]) for t in trees]
+        tops = [np.array([g.rows[-1] for g in t.region.gates]) for t in trees]
         for rows in tops:
             candidates[rows] = True
         leaders = run_election(
@@ -192,8 +189,11 @@ class CircuitDecisions:
             q[[base + pid for pid in t.gate_pids]] = True
             won = np.flatnonzero(leaders[rows])
             # the first elected gate; on an election failure, fall back deterministically
-            leader = t.region.gates[won[0]] if len(won) else min(t.region.gates, key=_gate_order_key)
-            (root,) = t.graph.portal_ids(t.region.index.rows_of(leader.nodes[:1]))
+            if len(won):
+                leader = t.region.gates[won[0]]
+            else:
+                leader = min(t.region.gates, key=partial(_gate_order_key, t.region.index))
+            (root,) = t.graph.portal_ids(leader.rows[:1])
             roots.append(base + int(root))
         _, keep = contract_tree(world, forest, roots, q, self.meter)
         return [{int(pid) for pid in np.flatnonzero(keep[a:b])} for a, b in zip(bases, bases[1:])]
@@ -239,7 +239,7 @@ class CircuitDecisions:
         world, meter = self.world, self.meter
         pg = portal_graph(tunnel, Axis.Y)
         forest = portal_forest(world, [(pg, self._space(tunnel).koff)])
-        pa, pb = pg.portal_ids(tunnel.index.rows_of([gate_a.nodes[0], gate_b.nodes[0]])).tolist()
+        pa, pb = pg.portal_ids([gate_a.rows[0], gate_b.rows[0]]).tolist()
         if pa == pb:
             raise ContractViolation("tunnel gates share a portal")
         q = np.zeros(forest.ne, dtype=bool)
@@ -262,7 +262,8 @@ class CircuitDecisions:
         n_east, n_west = stream_counts(world, forest, parents, keep, [east, west], meter)
         diff = (n_east[pb] + east[pb]) - (n_west[pb] + west[pb])  # line(pb) - line(pa)
         if diff == 0:  # same line: the gate with the higher top is G
-            a_first = max(p.b for p in gate_a.nodes) > max(p.b for p in gate_b.nodes)
+            b = tunnel.index.b
+            a_first = b[list(gate_a.rows)].max() > b[list(gate_b.rows)].max()
         else:
             a_first = diff > 0
         return (gate_a, gate_b) if a_first else (gate_b, gate_a)
@@ -271,7 +272,7 @@ class CircuitDecisions:
         self, tunnel: Region, qpg: PortalGraph, gate_a: Gate, gate_b: Gate
     ) -> tuple[set[int], set[int]]:
         """One beep round from both gates on the q-portal circuits."""
-        rows_a, rows_b = (tunnel.index.rows_of(gate.nodes) for gate in (gate_a, gate_b))
+        rows_a, rows_b = (np.array(gate.rows) for gate in (gate_a, gate_b))
         _wire_chains(self.world, [p.rows for p in qpg.portals], self._space(tunnel).koff)
         _beep_from(self.world, np.concatenate((rows_a, rows_b)), self.meter)
         return tuple(set(qpg.portal_ids(rows).tolist()) for rows in (rows_a, rows_b))
@@ -285,7 +286,7 @@ class CircuitDecisions:
         forest = portal_forest(self.world, [(qpg, self._space(tunnel).koff)])
         q_mask = np.zeros(forest.ne, dtype=bool)
         q_mask[list(pids_a | pids_b)] = True
-        (root_pid,) = qpg.portal_ids(tunnel.index.rows_of(gate_a.nodes[-1:]))
+        (root_pid,) = qpg.portal_ids(gate_a.rows[-1:])
         _, keep = contract_tree(self.world, forest, [root_pid], q_mask, self.meter)
 
         def bridge_end(mine: set[int]) -> tuple[int, int]:

@@ -16,8 +16,6 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .grid import GridPoint
-
 if TYPE_CHECKING:  # pragma: no cover
     from .split import Region
 
@@ -28,14 +26,6 @@ class Axis(Enum):
     X = "x"  # E-W edges, chains of constant b
     Y = "y"  # NNE-SSW edges, chains of constant a
     Z = "z"  # NNW-SSE edges, chains of constant a + b
-
-    def line_key(self, p: GridPoint) -> int:
-        """Identifier of the infinite grid line through ``p`` parallel to this axis."""
-        if self is Axis.X:
-            return p.b
-        if self is Axis.Y:
-            return p.a
-        return p.a + p.b
 
 
 AXES = (Axis.X, Axis.Y, Axis.Z)
@@ -48,27 +38,14 @@ _EDGE_SLOT = {Axis.X: 0, Axis.Y: 1, Axis.Z: 5}
 
 @dataclass(frozen=True)
 class Portal:
-    """A maximal chain of region nodes along one axis, in positive-axis order;
-    ``rows`` are the same nodes' index rows."""
+    """A maximal chain of region nodes along one axis: the nodes' index rows
+    in positive-axis order, and the axis line they lie on (b on x, a on y,
+    a + b on z)."""
 
     axis: Axis
-    nodes: tuple[GridPoint, ...]
+    rows: np.ndarray = field(compare=False)
     id: int
-    rows: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def line(self) -> int:
-        return self.axis.line_key(self.nodes[0])
-
-    @property
-    def node_set(self) -> frozenset[GridPoint]:
-        return frozenset(self.nodes)
-
-    def __contains__(self, p: GridPoint) -> bool:
-        return p in self.nodes
-
-    def __len__(self) -> int:
-        return len(self.nodes)
+    line: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,13 +95,14 @@ class PortalGraph:
         return dist
 
 
-def axis_chains(region: "Region", axis: Axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def axis_chains(region: "Region", axis: Axis) -> tuple[np.ndarray, ...]:
     """The maximal chains of region nodes joined by retained ``axis`` edges.
 
     Returns the region positions of its nodes sorted by (line, along), in
     which every chain is a run in positive-axis order; the bounds of the
-    runs, chain c being ``sorted[bounds[c]:bounds[c + 1]]``; and the chains
-    in the order of each one's smallest node, which is portal id order.
+    runs, chain c being ``sorted[bounds[c]:bounds[c + 1]]``; the chains in
+    the order of each one's smallest node, which is portal id order; and
+    the line of each chain.
     """
     ix, rows = region.index, region.rows
     a, b = ix.a[rows], ix.b[rows]
@@ -138,7 +116,7 @@ def axis_chains(region: "Region", axis: Axis) -> tuple[np.ndarray, np.ndarray, n
     joined = np.zeros(len(rows), dtype=bool)
     joined[(pv if axis is Axis.Z else pu)[along_axis]] = True
     bounds = np.concatenate(([0], np.flatnonzero(~joined[at[:-1]]) + 1, [len(at)]))
-    return at, bounds, np.argsort(np.minimum.reduceat(at, bounds[:-1]))
+    return at, bounds, np.argsort(np.minimum.reduceat(at, bounds[:-1])), line[at[bounds[:-1]]]
 
 
 def compute_portals(region: "Region", axis: Axis) -> list[Portal]:
@@ -149,22 +127,17 @@ def compute_portals(region: "Region", axis: Axis) -> list[Portal]:
     return _portals(region, axis, *axis_chains(region, axis))
 
 
-def _portals(region: "Region", axis: Axis, at, bounds, order) -> list[Portal]:
+def _portals(region: "Region", axis: Axis, at, bounds, order, lines) -> list[Portal]:
     rows = region.rows[at]
-    pts = region.index.nodes
-    nodes = [pts[i] for i in rows.tolist()]
-    b = bounds.tolist()
-    return [
-        Portal(axis, tuple(nodes[b[c] : b[c + 1]]), pid, rows[b[c] : b[c + 1]])
-        for pid, c in enumerate(order.tolist())
-    ]
+    b, lines = bounds.tolist(), lines.tolist()
+    return [Portal(axis, rows[b[c] : b[c + 1]], pid, lines[c]) for pid, c in enumerate(order.tolist())]
 
 
 def portal_graph(region: "Region", axis: Axis) -> PortalGraph:
     """Portal adjacency graph of the region for one axis, with the
     designated edge of every adjacent pair: a choice each portal can settle
     locally."""
-    at, bounds, order = axis_chains(region, axis)
+    at, bounds, order, lines = axis_chains(region, axis)
     pid = np.empty(len(order), dtype=np.int64)
     pid[order] = np.arange(len(order))
     owner = np.empty(len(at), dtype=np.int64)
@@ -185,4 +158,4 @@ def portal_graph(region: "Region", axis: Axis) -> PortalGraph:
     on_i = rows[np.where(u_is_i, pu[cross], pv[cross])]
     on_j = rows[np.where(u_is_i, pv[cross], pu[cross])]
     links = dict(zip(zip(lo.tolist(), hi.tolist()), zip(on_i.tolist(), on_j.tolist())))
-    return PortalGraph(axis, tuple(_portals(region, axis, at, bounds, order)), links, rows, owner)
+    return PortalGraph(axis, tuple(_portals(region, axis, at, bounds, order, lines)), links, rows, owner)

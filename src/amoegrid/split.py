@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ContractViolation, DomainError
-from .grid import AmoebotStructure, GridPoint, StructureIndex, components, sorted_contains
+from .grid import AmoebotStructure, StructureIndex, components, sorted_contains
 from .portals import UP_SLOT, Axis, Portal
 
 #: Per (axis, side): the slots (cross-up, cross-down) of the side's cross
@@ -65,32 +65,28 @@ _ALL_SLOTS = 0b111111
 
 @dataclass(frozen=True)
 class Gate:
-    """The intersection of a region with a splitting portal, on one side."""
+    """The intersection of a region with a splitting portal, on one side:
+    the index rows of a chain segment in positive-axis order, and the axis
+    line of the portal it was cut from."""
 
     axis: Axis
     side: str
-    nodes: tuple[GridPoint, ...]  # chain segment in positive-axis order
-
-    @property
-    def line(self) -> int:
-        return self.axis.line_key(self.nodes[0])
-
-    @property
-    def node_set(self) -> frozenset[GridPoint]:
-        return frozenset(self.nodes)
+    rows: tuple[int, ...]
+    line: int
 
 
 @dataclass(frozen=True)
 class NodeCut:
-    """Resolved node split: divide the ``side`` copy of ``node`` along ``axis``."""
+    """Resolved node split: divide the ``side`` copy of the node at index
+    row ``row`` along ``axis``."""
 
-    node: GridPoint
+    row: int
     axis: Axis
     side: str
 
 
 def _gate_key(g: Gate) -> tuple:
-    return (g.axis.value, g.line, g.side, g.nodes[0])
+    return (g.axis.value, g.line, g.side, g.rows[0])
 
 
 class Region:
@@ -128,14 +124,14 @@ class Region:
         return cls(ix, np.arange(len(ix.nodes)), np.arange(len(ix.eu)))
 
     @property
-    def nodes(self) -> frozenset[GridPoint]:
+    def nodes(self) -> frozenset[tuple[int, int]]:
         if self._nodes is None:
             pts = self.index.nodes
             self._nodes = frozenset([pts[i] for i in self.rows.tolist()])
         return self._nodes
 
     @property
-    def edges(self) -> frozenset[tuple[GridPoint, GridPoint]]:
+    def edges(self) -> frozenset[tuple[tuple[int, int], tuple[int, int]]]:
         if self._edges is None:
             ix, pts = self.index, self.index.nodes
             ends = zip(ix.eu[self.eids].tolist(), ix.ev[self.eids].tolist())
@@ -186,9 +182,9 @@ def split_many(
     ix, rows, eids = region.index, region.rows, region.eids
     # The chains the children's gates are read off, in positive-axis order:
     # the splitting portals, then the gates of the region.
-    chains = [portal.nodes for portal, _ in portal_splits] + [g.nodes for g in region.gates]
+    chains = [portal.rows for portal, _ in portal_splits] + [g.rows for g in region.gates]
     starts = np.cumsum([0] + [len(chain) for chain in chains]).tolist()
-    chain_rows = ix.rows_of([p for chain in chains for p in chain])
+    chain_rows = np.concatenate((np.zeros(0, dtype=np.int64), *chains))
     inside = sorted_contains(rows, chain_rows)
     chain_pos = np.searchsorted(rows, chain_rows)  # region position of each chain node
 
@@ -204,24 +200,23 @@ def split_many(
         for k in chain_pos[lo:hi].tolist():
             portal_at.setdefault(k, []).append(key)
         for cut in cuts:
-            if cut.node not in portal.node_set:
-                raise DomainError(f"split node {cut.node} not on the splitting portal")
-            k = int(chain_pos[lo + portal.nodes.index(cut.node)])
-            cuts_at.setdefault(k, []).append((cut.axis.value, key[1], cut.side))
+            at = np.flatnonzero(portal.rows == cut.row)
+            if not len(at):
+                raise DomainError(f"split node {cut.row} not on the splitting portal")
+            cuts_at.setdefault(int(chain_pos[lo + at[0]]), []).append((cut.axis.value, key[1], cut.side))
     for cut in node_cuts:
-        row = ix.rows_of([cut.node])
-        if not sorted_contains(rows, row)[0]:
-            raise DomainError(f"{cut.node} is not in the region")
+        if not sorted_contains(rows, np.array([cut.row]))[0]:
+            raise DomainError(f"node {cut.row} is not in the region")
         allowed = _SIDE_MASK.get((cut.axis, cut.side))
         if allowed is None:
             raise DomainError(f"unknown side {cut.side!r} for axis {cut.axis.value}")
         outside = [d for d in range(6) if not allowed >> d & 1]
-        if sorted_contains(eids, ix.eid[row[0], outside]).any():
+        if sorted_contains(eids, ix.eid[cut.row, outside]).any():
             raise DomainError(
-                f"{cut.node} retains edges outside the {cut.side} side of axis "
+                f"node {cut.row} retains edges outside the {cut.side} side of axis "
                 f"{cut.axis.value}; standalone cuts require a gate node"
             )
-        cuts_at.setdefault(int(np.searchsorted(rows, row[0])), []).append((cut.axis.value, None, cut.side))
+        cuts_at.setdefault(int(np.searchsorted(rows, cut.row)), []).append((cut.axis.value, None, cut.side))
 
     # Only nodes on a splitting portal or named by a cut have several
     # copies; every other node is its one copy with all six directions.
@@ -277,7 +272,7 @@ def split_many(
     child_eids = _cut(ce, np.searchsorted(edge_child, np.arange(n_children + 1)).tolist())
 
     edge_keys = edge_child * len(ix.eu) + ce
-    gates = _gates(region, portal_splits, chains, chain_rows, chain_pos, keys, copies, child_of, edge_keys)
+    gates = _gates(region, portal_splits, starts, chain_rows, chain_pos, keys, copies, child_of, edge_keys)
     merged: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray, list[Gate]]] = {}
     for r, e, g in zip(child_rows, child_eids, gates):
         key = (r.tobytes(), e.tobytes())
@@ -333,7 +328,7 @@ class _Copies(NamedTuple):
 def _gates(
     region: Region,
     portal_splits: Sequence[tuple[Portal, Sequence[NodeCut]]],
-    chains: list[tuple[GridPoint, ...]],
+    starts: list[int],
     chain_rows: np.ndarray,
     chain_pos: np.ndarray,
     keys: dict[tuple[str, int], int],
@@ -342,7 +337,7 @@ def _gates(
     edge_keys: np.ndarray,
 ) -> list[list[Gate]]:
     """The gates of every child, from the splitting portals and the region's
-    gates laid end to end in ``chains``.
+    gates laid end to end in ``chain_rows``, chain j starting at ``starts[j]``.
 
     A splitting portal becomes a gate of each child on each side, and a
     gate of the region is inherited, as the runs of chain nodes whose
@@ -353,8 +348,7 @@ def _gates(
     """
     ix, n_portals = region.index, len(portal_splits)
     owners = [portal for portal, _ in portal_splits] + list(region.gates)
-    starts = np.cumsum([0] + [len(chain) for chain in chains])
-    chain = np.repeat(np.arange(len(chains)), np.diff(starts))
+    chain = np.repeat(np.arange(len(owners)), np.diff(starts))
     # every (chain node, copy) pair with its source: 2 * portal + side for
     # a splitting portal, 2 * n_portals + gate for an inherited gate
     node, copy = copies.expand(chain_pos)
@@ -385,8 +379,7 @@ def _gates(
         j = int(chain[i])
         owner = owners[j]
         side = side_names(owner.axis)[src - 2 * j] if j < n_portals else owner.side
-        offset = i - int(starts[j])
-        gate = Gate(owner.axis, side, chains[j][offset : offset + hi - lo])
+        gate = Gate(owner.axis, side, tuple(chain_rows[i : i + hi - lo].tolist()), owner.line)
         if gate not in out[c]:
             out[c].append(gate)
     return out

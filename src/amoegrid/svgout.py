@@ -25,7 +25,7 @@ def _xy(p: GridPoint, b_max: int) -> tuple[float, float]:
 
 
 def render_svg(structure: AmoebotStructure, decomposition: Decomposition | None) -> str:
-    nodes = sorted(structure.nodes)
+    nodes = structure.index.nodes  # sorted, so a node's row indexes it
     b_max = max(p.b for p in nodes)
     xs = [_xy(p, b_max)[0] for p in nodes]
     ys = [_xy(p, b_max)[1] for p in nodes]
@@ -54,7 +54,7 @@ def render_svg(structure: AmoebotStructure, decomposition: Decomposition | None)
             parts.append(f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="{RADIUS:.1f}"/>')
         parts.append("</g>")
     else:
-        split_nodes = set()
+        split_rows = set()
         for r in decomposition.regions:
             color = PALETTE[r.id % len(PALETTE)]
             parts.append(f'<g stroke="{color}" stroke-width="2.0">')
@@ -69,38 +69,34 @@ def render_svg(structure: AmoebotStructure, decomposition: Decomposition | None)
             color = PALETTE[r.id % len(PALETTE)]
             parts.append(f'<g stroke="{color}" stroke-width="5.0" stroke-linecap="round">')
             for g in r.gates:
-                for u, v in zip(g.nodes, g.nodes[1:]):
+                chain = [nodes[i] for i in g.rows]
+                for u, v in zip(chain, chain[1:]):
                     ax, ay = _xy(u, b_max)
                     bx, by = _xy(v, b_max)
                     parts.append(
                         f'<line x1="{ax:.1f}" y1="{ay:.1f}" x2="{bx:.1f}" y2="{by:.1f}"/>'
                     )
-                if len(g.nodes) == 1:
-                    cx, cy = _xy(g.nodes[0], b_max)
+                if len(chain) == 1:
+                    cx, cy = _xy(chain[0], b_max)
                     parts.append(
                         f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="4.0" fill="none"/>'
                     )
             parts.append("</g>")
         for case in decomposition.tunnel_cases:
-            for node in filter(None, (case.g, case.g_prime)):
-                split_nodes.add(node)
+            split_rows.update((case.g, case.g_prime))
             for info in (case.x, case.z):
-                if info is None:
-                    continue
-                for node in (info.b_upper, info.b_lower, info.b_near, info.b_far):
-                    if node is not None:
-                        split_nodes.add(node)
-            for mi in case.medians.values():
-                if mi.b_node is not None:
-                    split_nodes.add(mi.b_node)
+                if info is not None:
+                    split_rows.update((info.b_upper, info.b_lower, info.b_near, info.b_far))
+            split_rows.update(mi.b_node for mi in case.medians.values())
         parts.append('<g fill="#333">')
         for p in nodes:
             cx, cy = _xy(p, b_max)
             parts.append(f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="{RADIUS * 0.55:.1f}"/>')
         parts.append("</g>")
         parts.append('<g fill="none" stroke="#111" stroke-width="1.2">')
-        for p in sorted(split_nodes):
-            cx, cy = _xy(p, b_max)
+        split_rows.discard(None)
+        for i in sorted(split_rows):
+            cx, cy = _xy(nodes[i], b_max)
             parts.append(f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="{RADIUS:.1f}"/>')
             parts.append(f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="{RADIUS + 2.5:.1f}"/>')
         parts.append("</g>")

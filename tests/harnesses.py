@@ -6,7 +6,9 @@ answer in terms the tests can compare with a brute-force oracle.  The
 general-set maxima (``global_maxima_general``) is the O(log^2 n) baseline
 the boundary-chain maxima improves on; no engine runs it.  The ``*_reference``
 splits and portal scans work on ``GridPoint`` sets and dicts, the
-representation the array versions in ``amoegrid`` replaced.
+representation the array versions in ``amoegrid`` replaced; the engines
+name nodes by index rows, which ``points_of`` and ``gate_points`` turn back
+into points for the comparisons.
 """
 
 from __future__ import annotations
@@ -98,6 +100,21 @@ def slot_between(u: GridPoint, v: GridPoint) -> int:
         return DIRECTIONS.index(Direction((v[0] - u[0], v[1] - u[1])))
     except ValueError:
         raise DomainError(f"{u} and {v} are not grid neighbors") from None
+
+
+def line_key(axis: Axis, p: GridPoint) -> int:
+    """The ``axis`` line through ``p``: b on x, a on y and a + b on z."""
+    return p.b if axis is Axis.X else p.a if axis is Axis.Y else p.a + p.b
+
+
+def points_of(ix: StructureIndex, rows) -> tuple[GridPoint, ...]:
+    """The points at index rows ``rows``."""
+    return tuple(ix.nodes[i] for i in rows)
+
+
+def gate_points(ix: StructureIndex, gate: Gate) -> tuple[Axis, str, tuple[GridPoint, ...]]:
+    """A gate as (axis, side, its chain's points)."""
+    return gate.axis, gate.side, points_of(ix, gate.rows)
 
 
 def rotate60(p: GridPoint, turns: int) -> GridPoint:
@@ -274,17 +291,22 @@ def portal_graph_is_tree(pg) -> bool:
 def region_from_sets(
     nodes: Iterable[GridPoint],
     edges: Iterable[tuple[GridPoint, GridPoint]],
-    gates: Iterable[Gate] = (),
+    gates: Iterable[tuple[Axis, str, Sequence[GridPoint]]] = (),
     id: int = 0,
     lineage: tuple[int, ...] = (),
 ) -> Region:
-    """The region of a node set and its retained edges, on a private index
-    of the nodes and edge ends given."""
+    """The region of a node set, its retained edges and its gates, each gate
+    given as (axis, side, chain points), on a private index of the nodes and
+    edge ends given."""
     nodes = frozenset(nodes)
     edges = frozenset((u, v) if u <= v else (v, u) for u, v in edges)
     ix = StructureIndex(nodes.union(*edges))
     slots = np.array([slot_between(u, v) for u, v in edges], dtype=np.int64)
     eids = ix.eid[ix.rows_of([u for u, _ in edges]), slots]
+    gates = [
+        Gate(axis, side, tuple(ix.rows_of(chain).tolist()), line_key(axis, chain[0]))
+        for axis, side, chain in gates
+    ]
     return Region(ix, np.sort(ix.rows_of(nodes)), np.sort(eids), gates, id, lineage)
 
 
@@ -293,9 +315,9 @@ def has_edge(region: Region, u: GridPoint, v: GridPoint) -> bool:
     return ((u, v) if u <= v else (v, u)) in region.edges
 
 
-def portal_of(pg: PortalGraph) -> dict[GridPoint, Portal]:
-    """The portal of ``pg`` through each node."""
-    return {p: portal for portal in pg.portals for p in portal.nodes}
+def portal_of(region: Region, pg: PortalGraph) -> dict[GridPoint, Portal]:
+    """The portal of ``region``'s portal graph ``pg`` through each node."""
+    return {p: portal for portal in pg.portals for p in points_of(region.index, portal.rows)}
 
 
 # -- splits and portal distances --------------------------------------------------
@@ -303,10 +325,8 @@ def portal_of(pg: PortalGraph) -> dict[GridPoint, Portal]:
 
 def gate_for_node(region: Region, p: GridPoint):
     """The first gate of the region that holds ``p``, or None."""
-    for g in region.gates:
-        if p in g.node_set:
-            return g
-    return None
+    row = region.index.row.get(p)
+    return next((g for g in region.gates if row in g.rows), None)
 
 
 @dataclass(frozen=True)
@@ -327,7 +347,7 @@ def side_of_direction(axis: Axis, d: Direction) -> str | None:
 
 def resolve_spec(region: Region, portal: Portal, spec: SplitNodeSpec) -> NodeCut:
     """Turn an empty-point node spec into a side-resolved cut."""
-    if spec.node not in portal.node_set:
+    if spec.node not in points_of(region.index, portal.rows):
         raise DomainError(f"{spec.node} does not lie on the splitting portal")
     if spec.empty_point in region.nodes:
         raise DomainError(f"specified point {spec.empty_point} is occupied")
@@ -336,7 +356,7 @@ def resolve_spec(region: Region, portal: Portal, spec: SplitNodeSpec) -> NodeCut
         raise DomainError(
             f"empty point of {spec.node} lies along the portal axis, not beside it"
         )
-    return NodeCut(spec.node, portal.axis, side)
+    return NodeCut(region.index.row[spec.node], portal.axis, side)
 
 
 def hole_split_specs_reference(
@@ -373,14 +393,15 @@ def split_region_at_node(region: Region, spec: SplitNodeSpec) -> list[Region]:
     side = side_of_direction(gate.axis, DIRECTIONS[slot_between(spec.node, spec.empty_point)])
     if side is not None and side != gate.side:
         raise DomainError("empty point lies on the far side of the gate")
-    return split_many(region, [], [NodeCut(spec.node, gate.axis, gate.side)])
+    return split_many(region, [], [NodeCut(region.index.row[spec.node], gate.axis, gate.side)])
 
 
 def point_gate_split(m_region: Region, g: GridPoint, g2: GridPoint) -> list[Region]:
     """Split the middle region at its three median portals (single-node gates)."""
     if g not in m_region.nodes or g2 not in m_region.nodes:
         raise DomainError("point gates must lie in the region")
-    splits, _ = _point_gate_plan(m_region, g, g2, DIRECT)
+    row = m_region.index.row
+    splits, _ = _point_gate_plan(m_region, row[g], row[g2], DIRECT)
     return split_many(m_region, splits)
 
 
@@ -392,7 +413,7 @@ def portal_distance_sums_reference(
     total = np.zeros(len(iu), dtype=np.int64)
     for axis in Axis:
         pg = portal_graph(region, axis)
-        owner = portal_of(pg)
+        owner = portal_of(region, pg)
         src = [owner[nodes[i]].id for i in iu]
         dst = [owner[nodes[j]].id for j in iv]
         rows = {s: pg.distances_from([s]) for s in set(src)}
@@ -405,7 +426,7 @@ def portal_distance(region: Region, u: GridPoint, v: GridPoint, axis: Axis) -> i
     if u not in region.nodes or v not in region.nodes:
         raise DomainError("both endpoints must lie in the region")
     graph = portal_graph(region, axis)
-    owner = portal_of(graph)
+    owner = portal_of(region, graph)
     pu, pv = owner[u].id, owner[v].id
     dist = graph.distances_from([pu])
     if pv not in dist:
@@ -435,7 +456,7 @@ def axis_chains_reference(
     """
     by_line: dict[int, list[GridPoint]] = {}
     for p in nodes:
-        by_line.setdefault(axis.line_key(p), []).append(p)
+        by_line.setdefault(line_key(axis, p), []).append(p)
 
     chains: list[tuple[GridPoint, ...]] = []
     for line_nodes in by_line.values():
@@ -458,17 +479,14 @@ def compute_portals_reference(region: Region, axis: Axis) -> list[Portal]:
     Portal ids follow the lexicographic order of each chain's minimal node.
     """
     chains = sorted(axis_chains_reference(region.nodes, axis, region.edges), key=min)
-    return [Portal(axis, c, i, region.index.rows_of(c)) for i, c in enumerate(chains)]
+    return [Portal(axis, region.index.rows_of(c), i, line_key(axis, c[0])) for i, c in enumerate(chains)]
 
 
 def portal_graph_reference(region: Region, axis: Axis) -> PortalGraph:
     """``portals.portal_graph`` by a dict scan of the region's edge set for
     the smallest edge between each pair of portals."""
     portals = compute_portals_reference(region, axis)
-    owner: dict[GridPoint, int] = {}
-    for portal in portals:
-        for p in portal.nodes:
-            owner[p] = portal.id
+    owner = {p: portal.id for portal in portals for p in points_of(region.index, portal.rows)}
     smallest: dict[tuple[int, int], tuple[GridPoint, GridPoint]] = {}
     for edge in region.edges:
         pu, pv = owner[edge[0]], owner[edge[1]]
@@ -499,38 +517,38 @@ def split_many_reference(
     Result regions are the connected components of the copy graph, ordered
     by their smallest copy; each inherits lineage from ``region``.
     """
+    pts = region.index.nodes
     for portal, cuts in portal_splits:
-        if not portal.node_set <= region.nodes:
+        chain = points_of(region.index, portal.rows)
+        if not set(chain) <= region.nodes:
             raise DomainError("splitting portal is not contained in the region")
         for cut in cuts:
-            if cut.node not in portal.node_set:
-                raise DomainError(f"split node {cut.node} not on the splitting portal")
+            if pts[cut.row] not in chain:
+                raise DomainError(f"split node {pts[cut.row]} not on the splitting portal")
 
     # Constraints per node.
     portal_at: dict[GridPoint, list[tuple[Axis, int]]] = {}
     cuts_at: dict[GridPoint, list[tuple[Axis, int | None, str]]] = {}
     for portal, cuts in portal_splits:
         key = (portal.axis, portal.line)
-        for p in portal.nodes:
+        for p in points_of(region.index, portal.rows):
             portal_at.setdefault(p, []).append(key)
         for cut in cuts:
-            cuts_at.setdefault(cut.node, []).append((cut.axis, portal.line, cut.side))
+            cuts_at.setdefault(pts[cut.row], []).append((cut.axis, portal.line, cut.side))
     for cut in node_cuts:
-        if cut.node not in region.nodes:
-            raise DomainError(f"{cut.node} is not in the region")
+        node = pts[cut.row]
+        if node not in region.nodes:
+            raise DomainError(f"{node} is not in the region")
         allowed = _SIDE_MASK.get((cut.axis, cut.side))
         if allowed is None:
             raise DomainError(f"unknown side {cut.side!r} for axis {cut.axis.value}")
-        neighbors = cut.node.neighborhood()
-        if any(
-            not allowed >> d & 1 and has_edge(region, cut.node, q)
-            for d, (_, q) in enumerate(neighbors)
-        ):
+        neighbors = node.neighborhood()
+        if any(not allowed >> d & 1 and has_edge(region, node, q) for d, (_, q) in enumerate(neighbors)):
             raise DomainError(
-                f"{cut.node} retains edges outside the {cut.side} side of axis "
+                f"{node} retains edges outside the {cut.side} side of axis "
                 f"{cut.axis.value}; standalone cuts require a gate node"
             )
-        cuts_at.setdefault(cut.node, []).append((cut.axis, None, cut.side))
+        cuts_at.setdefault(node, []).append((cut.axis, None, cut.side))
 
     def copies_of(p: GridPoint) -> list[tuple[_Copy, int]]:
         side_options = [
@@ -594,7 +612,7 @@ def split_many_reference(
     # Search from the copies in sorted order, so each component is found from
     # its smallest copy.  A node with no edge keeps its smallest copy.
     seen: set[_Key] = set()
-    merged: dict[tuple[frozenset, frozenset], list[Gate]] = {}
+    merged: dict[tuple[frozenset, frozenset], list[tuple[Axis, str, tuple[GridPoint, ...]]]] = {}
     for p in sorted(region.nodes):
         labels = [c for c, _ in copies.get(p, whole)]
         starts = sorted(c for c in labels if (p, c) in graph) or [min(labels)]
@@ -616,8 +634,7 @@ def split_many_reference(
             else:
                 # Copies on a side with no cross edges anywhere reproduce the
                 # input chain; identical children merge their gate lists.
-                have = {(g.axis, g.side, g.nodes) for g in merged[key]}
-                merged[key] += [g for g in gates if (g.axis, g.side, g.nodes) not in have]
+                merged[key] += [g for g in gates if g not in merged[key]]
     return [
         region_from_sets(nodes, edges, gates, id=i, lineage=region.lineage + (i,))
         for i, ((nodes, edges), gates) in enumerate(merged.items())
@@ -626,8 +643,9 @@ def split_many_reference(
 
 def _child_reference(
     region: Region, comp: list[_Key], graph: dict[_Key, list[_Key]]
-) -> tuple[frozenset[GridPoint], frozenset[tuple[GridPoint, GridPoint]], list[Gate]]:
-    """Nodes, retained edges and gates of the child region of one component.
+) -> tuple[frozenset[GridPoint], frozenset[tuple[GridPoint, GridPoint]], list[tuple]]:
+    """Nodes, retained edges and gates, as (axis, side, chain points), of
+    the child region of one component.
 
     The splitting portals become gates of the child, with the side read off
     its copies' tags, and the gates of ``region`` are inherited as the chain
@@ -648,21 +666,17 @@ def _child_reference(
         for tag in c:
             if tag[0] == "p":
                 marks.setdefault((tag[1], tag[3]), set()).add(p)
-    gates: list[Gate] = []
-    seen_runs: set[tuple[Axis, str, tuple[GridPoint, ...]]] = set()
+    gates: list[tuple[Axis, str, tuple[GridPoint, ...]]] = []
     for (axis_value, side), marked in sorted(marks.items()):
         axis = Axis(axis_value)
-        for run in axis_chains_reference(marked, axis, edges):
-            seen_runs.add((axis, side, run))
-            gates.append(Gate(axis, side, run))
+        gates += [(axis, side, run) for run in axis_chains_reference(marked, axis, edges)]
     for g in region.gates:
-        present = g.node_set & nodes
+        present = set(points_of(region.index, g.rows)) & nodes
         if not present:
             continue
         for run in axis_chains_reference(present, g.axis, edges):
-            if (g.axis, g.side, run) not in seen_runs:
-                seen_runs.add((g.axis, g.side, run))
-                gates.append(Gate(g.axis, g.side, run))
+            if (g.axis, g.side, run) not in gates:
+                gates.append((g.axis, g.side, run))
     return nodes, edges, gates
 
 
@@ -745,7 +759,7 @@ def boundary_test(structure, seed: int = 0, nhat: int | None = None):
         if not cyc.real[c]:
             continue
         vids = np.flatnonzero(cyc.cycle_id == c)
-        nodes = {world.nodes[i] for i in cyc.node[vids]}
+        nodes = {world.structure.index.nodes[i] for i in cyc.node[vids]}
         out.append(("inner" if inner_cycle[c] else "outer", frozenset(nodes)))
     if cyc.n_visits == 0:
         out.append(("outer", frozenset(structure.nodes)))
@@ -756,7 +770,7 @@ def boundary_test(structure, seed: int = 0, nhat: int | None = None):
 
 
 def _region_forest(world: World, region, axis):
-    if region.index.nodes != world.nodes:
+    if region.index.nodes != world.structure.index.nodes:
         raise DomainError("the region does not cover the world's structure")
     pg = portal_graph(region, axis)
     return portal_forest(world, [(pg, np.zeros((world.n, 6), dtype=np.int8))]), list(pg.portals)
@@ -847,7 +861,7 @@ def global_maxima_boundary(structure, direction, r_nodes=None, seed: int = 0, nh
 
     psi = psi_values(world, direction)
     (win,) = chain_maxima(world, cyc, leaders, cycles_mask, psi, [(r_visit, 1)], meter)
-    return {world.nodes[cyc.node[v]] for v in np.flatnonzero(win)}, meter
+    return {world.structure.index.nodes[cyc.node[v]] for v in np.flatnonzero(win)}, meter
 
 
 def level_pasc(
@@ -950,4 +964,4 @@ def global_maxima_general(structure, direction, r_nodes, seed: int = 0, nhat=Non
         recv = world.beep(np.flatnonzero(speak) * world.S, meter)
         heard = recv[:, 0]
         candidates &= ~(heard & ~value_bit)
-    return {world.nodes[i] for i in np.flatnonzero(candidates)}, meter
+    return {world.structure.index.nodes[i] for i in np.flatnonzero(candidates)}, meter

@@ -49,8 +49,8 @@ def circuits_of(world: World) -> list[Circuit]:
     out = []
     for sets in groups.values():
         sets.sort()
-        members = tuple(sorted({world.nodes[o] for o, _ in sets}))
-        out.append(Circuit(tuple((world.nodes[o], lab) for o, lab in sets), members))
+        members = tuple(sorted({world.structure.index.nodes[o] for o, _ in sets}))
+        out.append(Circuit(tuple((world.structure.index.nodes[o], lab) for o, lab in sets), members))
     out.sort(key=lambda circ: circ.partition_sets[0])
     return out
 
@@ -77,7 +77,7 @@ class ReferenceRunner:
         send = np.zeros((world.n, world.S), dtype=bool)
         idx_order = list(range(world.n)) if order is None else list(order)
         for i in idx_order:
-            p = world.nodes[i]
+            p = world.structure.index.nodes[i]
             state, pins, beeps = activation(p, states.get(p), inbox.get(p, frozenset()))
             new_states[p] = state
             if pins is not None:
@@ -103,7 +103,7 @@ class ReferenceRunner:
         recv = world.deliver(send)
         new_inbox: dict[GridPoint, frozenset] = {}
         for i in idx_order:
-            p = world.nodes[i]
+            p = world.structure.index.nodes[i]
             heard = {lab for lab, j in self.labels.get(i, {}).items() if recv[i, j]}
             new_inbox[p] = frozenset(heard)
         return new_states, new_inbox

@@ -136,7 +136,7 @@ def test_criterion_4_distance_identity_exact():
         assert structure.n <= 200
         region = Region.from_structure(structure)
         graphs = {axis: portal_graph(region, axis) for axis in AXES}
-        owners = {axis: portal_of(graphs[axis]) for axis in AXES}
+        owners = {axis: portal_of(region, graphs[axis]) for axis in AXES}
         per_axis = {}
         for axis in AXES:
             pg = graphs[axis]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -24,12 +25,15 @@ from amoegrid.oracle import (
     is_simple,
     verify_decomposition,
 )
-from amoegrid.portals import Axis, compute_portals
+from amoegrid.portals import Axis, portal_graph
 from amoegrid.split import Region
 
 from harnesses import (
     hole_split_specs_reference,
+    line_key,
     point_gate_split,
+    points_of,
+    portal_of,
     region_from_sets,
     resolve_spec,
     rotate60,
@@ -84,10 +88,10 @@ def assert_extremes_cut_on_the_side_of_their_hole_cells(s: AmoebotStructure) -> 
     WNW-most node, WNW for its ESE-most node."""
     pairs = hole_split_specs_reference(s)
     wnw, ese = DIRECT.hole_extreme_nodes(s.index, [])
-    assert wnw == {w.node for w, _ in pairs}
-    assert ese == {e.node for _, e in pairs}
+    assert points_of(s.index, wnw) == tuple(sorted({w.node for w, _ in pairs}))
+    assert points_of(s.index, ese) == tuple(sorted({e.node for _, e in pairs}))
     root = Region.from_structure(s)
-    owner = {p: portal for portal in compute_portals(root, Axis.Y) for p in portal.nodes}
+    owner = portal_of(root, portal_graph(root, Axis.Y))
     for w, e in pairs:
         assert resolve_spec(root, owner[w.node], w).side == "ESE"
         assert resolve_spec(root, owner[e.node], e).side == "WNW"
@@ -152,10 +156,8 @@ def test_phase2_five_gate_star_yields_five_tunnels():
             pts.add(GridPoint(a, b))
         arm_ends.append(GridPoint(4 if east else -4, b))
     region = Region.from_structure(AmoebotStructure(pts))
-    splits = []
-    for end in arm_ends:
-        portal = next(p for p in compute_portals(region, Axis.Y) if end in p.node_set)
-        splits.append((portal, []))
+    owner = portal_of(region, portal_graph(region, Axis.Y))
+    splits = [(owner[end], []) for end in arm_ends]
     starred, = split_many(region, splits)
     assert len(starred.gates) == 5
     tunnels = phase2_tunnels(starred)
@@ -172,8 +174,8 @@ def test_phase3_straight_corridor_case1():
 
     s = AmoebotStructure(parallelogram(5, 10))
     region = Region.from_structure(s)
-    left = next(p for p in compute_portals(region, Axis.Y) if GridPoint(1, 0) in p.node_set)
-    right = next(p for p in compute_portals(region, Axis.Y) if GridPoint(3, 0) in p.node_set)
+    owner = portal_of(region, portal_graph(region, Axis.Y))
+    left, right = owner[GridPoint(1, 0)], owner[GridPoint(3, 0)]
     middle = next(
         r for r in split_many(region, [(left, []), (right, [])]) if len(r.gates) == 2
     )
@@ -191,7 +193,7 @@ def test_phase3_passes_through_single_gate_region():
     region = Region.from_structure(s)
     from amoegrid.split import split_many
 
-    portal = next(p for p in compute_portals(region, Axis.Y) if GridPoint(3, 0) in p.node_set)
+    portal = portal_of(region, portal_graph(region, Axis.Y))[GridPoint(3, 0)]
     part = split_many(region, [(portal, [])])[0]
     assert len(part.gates) == 1
     out, data = phase3_convex(part)
@@ -200,14 +202,12 @@ def test_phase3_passes_through_single_gate_region():
 
 
 def test_phase3_rejects_three_gates():
-    from amoegrid.split import Gate
-
     nodes = set(parallelogram(6, 2))
     edges = AmoebotStructure(nodes).edges()
     gates = [
-        Gate(Axis.Y, "ESE", (GridPoint(0, 0), GridPoint(0, 1))),
-        Gate(Axis.Y, "WNW", (GridPoint(5, 0), GridPoint(5, 1))),
-        Gate(Axis.Y, "ESE", (GridPoint(2, 0), GridPoint(2, 1))),
+        (Axis.Y, "ESE", (GridPoint(0, 0), GridPoint(0, 1))),
+        (Axis.Y, "WNW", (GridPoint(5, 0), GridPoint(5, 1))),
+        (Axis.Y, "ESE", (GridPoint(2, 0), GridPoint(2, 1))),
     ]
     region = region_from_sets(nodes, edges, gates)
     with pytest.raises(ContractViolation):
@@ -234,11 +234,11 @@ def test_point_gate_split_medians_are_single_portals():
     s = AmoebotStructure(hexagon(3))
     region = Region.from_structure(s)
     g, g2 = GridPoint(-3, 0), GridPoint(3, 0)
-    plan, medians = _point_gate_plan(region, g, g2, DIRECT)
+    plan, medians = _point_gate_plan(region, s.index.row[g], s.index.row[g2], DIRECT)
     assert set(medians) == {"x", "y", "z"}
     for axis_name, info in medians.items():
         axis = Axis(axis_name)
-        line_keys = {axis.line_key(p) for p in info.portal}
+        line_keys = {line_key(axis, p) for p in points_of(s.index, info.portal)}
         assert len(line_keys) == 1  # a single portal per axis
         assert info.d >= 0
 
@@ -265,7 +265,7 @@ def test_point_gate_split_u_bend_triggers_node_split_and_stays_convex():
     g, g2 = GridPoint(0, 5), GridPoint(6, 5)
     from amoegrid.decompose import DIRECT, _point_gate_plan
 
-    plan, medians = _point_gate_plan(region, g, g2, DIRECT)
+    plan, medians = _point_gate_plan(region, s.index.row[g], s.index.row[g2], DIRECT)
     assert any(info.same_region for info in medians.values())
     assert any(info.b_node is not None for info in medians.values())
     parts = point_gate_split(region, g, g2)
@@ -325,7 +325,7 @@ def test_point_gate_plan_agrees_between_providers_on_rotated_u_bend(turns):
     g, g2 = rotate60(GridPoint(0, 5), turns), rotate60(GridPoint(6, 5), turns)
     outcomes = []
     for decide in (DIRECT, CircuitDecisions(World(s, c=10, seed=turns), Meter())):
-        plan, medians = _point_gate_plan(region, g, g2, decide)
+        plan, medians = _point_gate_plan(region, s.index.row[g], s.index.row[g2], decide)
         parts = split_many(region, plan)
         for r in parts:
             ok, witness = is_geodesically_convex(s, r.nodes)
@@ -354,8 +354,38 @@ def _digest(*parts) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
-def _gate_rows(gates) -> list:
-    return [(g.axis.value, g.side, g.nodes) for g in gates]
+def _gate_rows(ix, gates) -> list:
+    return [(g.axis.value, g.side, points_of(ix, g.rows)) for g in gates]
+
+
+def _case_points(ix, case):
+    """A tunnel case with its index rows read back as points, the form the
+    digests hash."""
+
+    def point(row):
+        return None if row is None else ix.nodes[row]
+
+    def chain(rows):
+        return None if rows is None else points_of(ix, rows)
+
+    def info(axis_info):
+        if axis_info is None:
+            return None
+        return dataclasses.replace(
+            axis_info,
+            **{f: chain(getattr(axis_info, f)) for f in ("upper", "lower", "near", "far")},
+            **{f: point(getattr(axis_info, f)) for f in ("b_upper", "b_lower", "b_near", "b_far")},
+            near_crossing=point(axis_info.near_crossing),
+            far_crossing=point(axis_info.far_crossing),
+        )
+
+    medians = {
+        q: dataclasses.replace(m, portal=chain(m.portal), b_node=point(m.b_node))
+        for q, m in case.medians.items()
+    }
+    return dataclasses.replace(
+        case, x=info(case.x), z=info(case.z), g=point(case.g), g_prime=point(case.g_prime), medians=medians
+    )
 
 
 @pytest.mark.parametrize("source,seed,central,distributed", GOLDEN_OUTPUTS)
@@ -370,10 +400,32 @@ def test_outputs_are_byte_identical_to_golden(source, seed, central, distributed
     d = decompose(s)
     assert _digest(
         json.dumps(decomposition_payload(d, None, None), sort_keys=True),
-        [(r.lineage, _gate_rows(r.gates)) for r in d.regions],
-        _gate_rows(d.phase1_gates),
-        repr(d.tunnel_cases),
+        [(r.lineage, _gate_rows(s.index, r.gates)) for r in d.regions],
+        _gate_rows(s.index, d.phase1_gates),
+        repr([_case_points(s.index, case) for case in d.tunnel_cases]),
     ) == central
     if seed is not None:
         trace = run_distributed(s, seed=seed).trace
         assert _digest(trace.export_text(), trace.rounds) == distributed
+
+
+# SHA-256 prefixes of ``render_svg`` of each GOLDEN_OUTPUTS input with its
+# central decomposition: gates, split nodes and point gates drawn from rows.
+GOLDEN_SVGS = [
+    ("gen_512_4_1", "b97f7185d6356184"),
+    ("gen_1024_8_7372", "e0dcc53ffc8a927f"),
+    ((256, 2, 11), "987fe438e8d3a096"),
+    ((384, 3, 12), "f5d59fb1e6bddc3b"),
+    ((512, 4, 13), "0c6ab42fd57dcbb6"),
+    ((512, 6, 14), "fa585045f00c76b9"),
+]
+
+
+@pytest.mark.parametrize("source,digest", GOLDEN_SVGS)
+def test_svg_is_byte_identical_to_golden(source, digest):
+    from amoegrid.cli import load_structure
+    from amoegrid.svgout import render_svg
+
+    s = load_structure(FIXTURES / f"{source}.txt") if isinstance(source, str) else generate_random(*source)
+    svg = render_svg(s, decompose(s))
+    assert hashlib.sha256(svg.encode()).hexdigest()[:16] == digest

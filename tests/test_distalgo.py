@@ -10,7 +10,7 @@ from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, GridPoint
 from amoegrid.oracle import verify_decomposition
 
-from harnesses import slot_between
+from harnesses import points_of, slot_between
 from test_grid import hexagon
 
 
@@ -172,7 +172,8 @@ def test_regions_sharing_a_gate_chain_take_opposite_pin_halves(name, monkeypatch
         for r in regions:
             koff = _RegionSpace(world, r).koff
             for g in r.gates:
-                for u, v in zip(g.nodes, g.nodes[1:]):
+                chain = points_of(s.index, g.rows)
+                for u, v in zip(chain, chain[1:]):
                     edge = (u, v) if u <= v else (v, u)
                     assert edge in r.edges
                     ends = (
@@ -204,7 +205,7 @@ def test_regions_sharing_a_gate_chain_take_opposite_pin_halves(name, monkeypatch
         for r in contracted
         if len(r.gates) >= 2
         for g in r.gates
-        for u, v in zip(g.nodes, g.nodes[1:])
+        for u, v in zip(points_of(s.index, g.rows), points_of(s.index, g.rows[1:]))
     )
     shared = [edge for edge, count in sharers.items() if count == 2]
     assert shared

@@ -139,7 +139,6 @@ def test_world_and_oracle_graph_read_the_structure_index():
     ix = s.index
     w = World(s, c=2)
     assert w.nbr is ix.nbr and w.a is ix.a and w.b is ix.b
-    assert w.nodes is ix.nodes
     g = _IndexedGraph(s)
     assert g.nodes is ix.nodes and g.index is ix
     assert np.array_equal(g.neighbors, np.sort(ix.nbr, axis=1))

@@ -198,11 +198,12 @@ def test_no_engine_module_imports_find_holes():
 
 
 def test_plans_name_a_node_by_its_index_row():
-    """Inside the plans a node is its index row: ``decompose.py`` and
-    ``distalgo.py`` neither import ``Direction`` nor step with ``.neighbor``,
-    and ``StructureIndex.rows_of`` is the one place that turns points into
-    rows: outside ``grid.py`` no module reads a ``.row`` attribute or
-    subscripts an ``.index`` attribute."""
+    """Inside the plans a node is its index row.  ``decompose.py`` and
+    ``distalgo.py`` neither import ``Direction`` nor step with ``.neighbor``;
+    none of the plan modules imports ``GridPoint``; outside ``grid.py`` no
+    module looks a point up in ``StructureIndex.row`` or subscripts an
+    ``.index`` attribute; and only the oracle calls ``rows_of``, the one
+    points-to-rows conversion, on the region node sets it is handed."""
     steps = _sites(
         lambda node: (isinstance(node, ast.alias) and node.name == "Direction")
         or (
@@ -212,8 +213,16 @@ def test_plans_name_a_node_by_its_index_row():
         )
     )
     assert [site for site in steps if site.startswith(("decompose.py:", "distalgo.py:"))] == []
+    plans = ("circuits.py:", "portals.py:", "split.py:", "decompose.py:", "distalgo.py:")
+    points = _sites(lambda node: isinstance(node, ast.alias) and node.name == "GridPoint")
+    assert [site for site in points if site.startswith(plans)] == []
+
+    def row_table(node) -> bool:  # ``x.row[...]`` or ``x.row.get(...)``
+        return isinstance(node, ast.Attribute) and node.attr == "row"
+
     lookups = _sites(
-        lambda node: (isinstance(node, ast.Attribute) and node.attr == "row")
+        lambda node: (isinstance(node, ast.Subscript) and row_table(node.value))
+        or (isinstance(node, ast.Attribute) and node.attr == "get" and row_table(node.value))
         or (
             isinstance(node, ast.Subscript)
             and isinstance(node.value, ast.Attribute)
@@ -223,3 +232,9 @@ def test_plans_name_a_node_by_its_index_row():
     assert [site for site in lookups if not site.startswith("grid.py:")] == []
     converters = _sites(lambda node: isinstance(node, ast.FunctionDef) and node.name == "rows_of")
     assert converters == ["grid.py:StructureIndex.rows_of"]
+    calls = _sites(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "rows_of"
+    )
+    assert calls and all(site.startswith("oracle.py:") for site in calls)

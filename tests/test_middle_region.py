@@ -64,13 +64,15 @@ def test_both_engines_decompose_and_agree(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_phase3_picks_the_middle_region_holding_both_point_gates(name):
     _, lineage, m_nodes, g, g2, not_m = CASES[name]
-    regions, _, _ = phase1_simple(load(name))
+    structure = load(name)
+    regions, _, _ = phase1_simple(structure)
     tunnel = next(t for r in regions for t in phase2_tunnels(r) if t.lineage == lineage)
     out, data = phase3_convex(tunnel)
     assert data.x.case == 2 and data.z.case == 2
     assert data.m_present
-    assert data.g == GridPoint(*g)
-    assert data.g_prime == GridPoint(*g2)
+    row = structure.index.row
+    assert data.g == row[GridPoint(*g)]
+    assert data.g_prime == row[GridPoint(*g2)]
     # The point-gate split of M is the only second split, so M is the union
     # of the outputs two lineage levels below the tunnel.
     chosen = set()

@@ -13,6 +13,7 @@ from harnesses import (
     bfs_distances,
     has_edge,
     neighbor,
+    points_of,
     portal_distance,
     portal_graph_is_tree,
     portal_of,
@@ -35,7 +36,7 @@ def test_horizontal_line_portals():
 
 def test_hexagon_y_portals_sizes():
     region = as_region(hexagon(1))
-    sizes = sorted(len(p) for p in compute_portals(region, Axis.Y))
+    sizes = sorted(len(p.rows) for p in compute_portals(region, Axis.Y))
     assert sizes == [2, 3, 2] or sizes == sorted([2, 3, 2])
 
 
@@ -48,14 +49,12 @@ def test_portal_partition_matches_component_oracle():
             # membership partition
             seen = set()
             for p in portals:
-                assert not (p.node_set & seen)
-                seen |= p.node_set
+                chain = set(points_of(region.index, p.rows))
+                assert not (chain & seen)
+                seen |= chain
             assert seen == set(region.nodes)
             # chains are maximal: no axis edge joins two different portals
-            owner = {}
-            for p in portals:
-                for node in p.nodes:
-                    owner[node] = p.id
+            owner = {node: p.id for p in portals for node in points_of(region.index, p.rows)}
             for u in region.nodes:
                 v = neighbor(u, DIRECTIONS[UP_SLOT[axis]])
                 if v in region.nodes and has_edge(region, u, v):
@@ -82,7 +81,7 @@ def test_designated_link_is_the_smallest_retained_edge_between_two_portals():
     for region in _link_rule_inputs():
         for axis in AXES:
             pg = portal_graph(region, axis)
-            owner = {p: portal.id for portal in pg.portals for p in portal.nodes}
+            owner = {p: portal.id for p, portal in portal_of(region, pg).items()}
             row = region.index.row
             expected = {}
             for u, v in sorted(region.edges):
@@ -145,7 +144,7 @@ def test_half_sum_distance_identity_on_simple_structures():
         s = generate_random(rng.randint(20, 160), 0, rng.randint(0, 10_000))
         region = Region.from_structure(s)
         graphs = {axis: portal_graph(region, axis) for axis in AXES}
-        owners = {axis: portal_of(graphs[axis]) for axis in AXES}
+        owners = {axis: portal_of(region, graphs[axis]) for axis in AXES}
         nodes = sorted(s.nodes)
         sources = rng.sample(nodes, min(6, len(nodes)))
         for u in sources:

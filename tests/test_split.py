@@ -11,13 +11,16 @@ from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, Direction, GridPoint
 from amoegrid.oracle import connected, is_geodesically_convex, is_simple
 from amoegrid.portals import AXES, Axis, compute_portals, portal_graph
-from amoegrid.split import Gate, NodeCut, Region, split_many
+from amoegrid.split import NodeCut, Region, split_many
 
 from harnesses import (
     SplitNodeSpec,
+    gate_points,
     has_edge,
     neighbor,
+    points_of,
     portal_graph_reference,
+    portal_of,
     region_from_sets,
     resolve_spec,
     rotate60,
@@ -33,7 +36,7 @@ def as_region(pts) -> Region:
 
 def y_portal_through(region: Region, p: GridPoint):
     for portal in compute_portals(region, Axis.Y):
-        if p in portal.node_set:
+        if p in points_of(region.index, portal.rows):
             return portal
     raise AssertionError(f"no portal through {p}")
 
@@ -59,11 +62,11 @@ def test_split_parallelogram_middle_portal():
     parts = split_many(region, [(portal, [])])
     assert len(parts) == 2
     overlap = parts[0].nodes & parts[1].nodes
-    assert overlap == portal.node_set
+    assert overlap == set(points_of(region.index, portal.rows))
     check_split_invariants(region, parts)
     for part in parts:
         assert len(part.gates) == 1
-        assert part.gates[0].node_set == portal.node_set
+        assert part.gates[0].rows == tuple(portal.rows.tolist())
 
 
 def test_split_wnw_copy_keeps_only_west_cross_edges():
@@ -136,13 +139,10 @@ def test_node_only_split_separates_gate_with_two_neighbor_portals():
     # Gate column at a=1 with two west portals separated by a gap at (0, 2).
     # Cutting the gate at the northernmost node adjacent to the southern
     # portal yields two regions sharing exactly that node.
-    from amoegrid.grid import AmoebotStructure
-    from amoegrid.split import Gate
-
     gate_nodes = tuple(GridPoint(1, b) for b in range(5))
     nodes = set(gate_nodes) | {GridPoint(0, 0), GridPoint(0, 1), GridPoint(0, 3), GridPoint(0, 4)}
     edges = AmoebotStructure(nodes).edges()
-    region = region_from_sets(nodes, edges, [Gate(Axis.Y, "WNW", gate_nodes)])
+    region = region_from_sets(nodes, edges, [(Axis.Y, "WNW", gate_nodes)])
 
     cut_node = GridPoint(1, 1)
     parts = split_region_at_node(region, SplitNodeSpec(cut_node, GridPoint(0, 2)))
@@ -185,9 +185,8 @@ def test_intra_portal_edges_shared_between_sides():
     region = as_region(parallelogram(5, 4))
     portal = y_portal_through(region, GridPoint(2, 0))
     parts = split_many(region, [(portal, [])])
-    chain_edges = {
-        (portal.nodes[i], portal.nodes[i + 1]) for i in range(len(portal.nodes) - 1)
-    }
+    chain = points_of(region.index, portal.rows)
+    chain_edges = set(zip(chain, chain[1:]))
     for part in parts:
         for e in chain_edges:
             assert has_edge(part, *e)
@@ -206,7 +205,7 @@ def test_simultaneous_multi_portal_split_matches_sequential():
 
     sequential = []
     for part in split_many(region, [(p1, [])]):
-        if p2.node_set <= part.nodes:
+        if set(points_of(region.index, p2.rows)) <= part.nodes:
             p2b = y_portal_through(part, GridPoint(6, 0))
             sequential.extend(split_many(part, [(p2b, [])]))
         else:
@@ -222,13 +221,15 @@ def test_split_many_rejects_out_of_domain_input():
     outside = y_portal_through(as_region(parallelogram(8, 3)), GridPoint(6, 0))
     with pytest.raises(DomainError, match="not contained in the region"):
         split_many(region, [(outside, [])])
+    row = region.index.row
     with pytest.raises(DomainError, match="not on the splitting portal"):
-        split_many(region, [(portal, [NodeCut(GridPoint(0, 0), Axis.Y, "WNW")])])
+        split_many(region, [(portal, [NodeCut(row[GridPoint(0, 0)], Axis.Y, "WNW")])])
+    west = next(part for part in split_many(region, [(portal, [])]) if GridPoint(0, 0) in part.nodes)
     with pytest.raises(DomainError, match="is not in the region"):
-        split_many(region, [], [NodeCut(GridPoint(9, 9), Axis.Y, "WNW")])
+        split_many(west, [], [NodeCut(row[GridPoint(4, 0)], Axis.Y, "WNW")])
     # an interior node retains edges on both sides of its y line
     with pytest.raises(DomainError, match="retains edges outside the WNW side"):
-        split_many(region, [], [NodeCut(GridPoint(2, 1), Axis.Y, "WNW")])
+        split_many(region, [], [NodeCut(row[GridPoint(2, 1)], Axis.Y, "WNW")])
 
 
 # -- the array split and portal scan against their dict-based references ------------
@@ -262,7 +263,9 @@ def recorded_splits(monkeypatch, structure: AmoebotStructure) -> list[tuple]:
 
 
 def region_fields(regions: list[Region]) -> list[tuple]:
-    return [(r.id, r.lineage, r.nodes, r.edges, r.gates) for r in regions]
+    """Each region's fields, its gates as points: the references build
+    their regions on indexes of their own."""
+    return [(r.id, r.lineage, r.nodes, r.edges, [gate_points(r.index, g) for g in r.gates]) for r in regions]
 
 
 def assert_splits_match_references(monkeypatch, structure: AmoebotStructure) -> int:
@@ -301,10 +304,22 @@ def test_splits_and_portal_graphs_match_references_on_rotated_inputs(monkeypatch
 
 
 def test_both_splits_raise_the_same_violation_on_a_wide_hole(monkeypatch):
+    """The middle region M of this hole has both point gates on one of its
+    z-portals.  A point-gate plan that cuts the median's node b on both z
+    sides of that portal, as the plan once did, joins two copies of b in one
+    child; both splits reject it in the same words."""
     s = AmoebotStructure.from_text((Path(__file__).parent / "fixtures" / "wide_hole_rot2.txt").read_text())
-    calls = recorded_splits(monkeypatch, s)
-    assert isinstance(calls[-1][3], ContractViolation)
-    assert str(calls[-1][3]) == "a split produced a region containing two copies of one node"
+    m_region = next(region for region, *_ in recorded_splits(monkeypatch, s) if region.lineage == (1, 1))
+    m_nodes = [(-11, 3), (-10, 2), (-10, 3), (-9, 1), (-9, 2), (-8, 1)]
+    assert sorted(m_region.nodes) == [GridPoint(*p) for p in m_nodes]
+    b = GridPoint(-9, 2)
+    median = {axis: portal_of(m_region, portal_graph(m_region, axis))[b] for axis in AXES}
+    cuts = [NodeCut(s.index.row[b], Axis.Z, side) for side in ("ENE", "WSW")]
+    plan = [(median[Axis.X], []), (median[Axis.Y], []), (median[Axis.Z], cuts)]
+    message = "a split produced a region containing two copies of one node"
+    for split in (split_many, split_many_reference):
+        with pytest.raises(ContractViolation, match=message):
+            split(m_region, plan)
     assert_splits_match_references(monkeypatch, s)
 
 
@@ -344,7 +359,7 @@ def test_a_gate_run_breaks_at_an_edge_its_child_lacks_as_in_the_reference():
     # x-portal splitting now crosses the gate above the gap
     nodes = set(parallelogram(4, 5))
     edges = AmoebotStructure(nodes).edges() - {(GridPoint(3, 1), GridPoint(3, 2))}
-    region = region_from_sets(nodes, edges, [Gate(Axis.Y, "ESE", tuple(GridPoint(3, b) for b in range(5)))])
-    splitting = next(p for p in compute_portals(region, Axis.X) if GridPoint(0, 3) in p.node_set)
+    region = region_from_sets(nodes, edges, [(Axis.Y, "ESE", tuple(GridPoint(3, b) for b in range(5)))])
+    splitting = next(p for p in compute_portals(region, Axis.X) if region.index.row[GridPoint(0, 3)] in p.rows)
     want = region_fields(split_many_reference(region, [(splitting, [])]))
     assert region_fields(split_many(region, [(splitting, [])])) == want
