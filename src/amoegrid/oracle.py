@@ -7,15 +7,30 @@ are the reference answers the fast paths are tested against.
 
 Distances are integer matrices, in the smallest signed integer dtype that
 holds twice the size searched (int16 up to n = 16383); scipy's float64
-output exists only in blocks of source rows.  Convexity is decided exactly
-at every region size from the region's exit edges: a shortest path that
-leaves region R crosses an edge (u', w) with u' in R and w outside, so R is
-convex iff no such edge and v in R have d(u', v) == 1 + d(w, v).  A region
-is searched from the smaller of its exit endpoints and its members, and
-``verify_decomposition`` runs one search per structure, from the union of
-those sets over all regions.  Only a non-convex region runs the all-pairs
-scan over its neighbor ring, which names the witness; sampling of sources
-above EXHAUSTIVE_CONVEXITY_LIMIT bounds only that witness search.
+output exists only in blocks of source rows.
+
+Most regions are certified convex by a lattice fact, with no search.  A
+shortest path of the triangular grid steps in two adjacent directions only,
+so a, b and c = a + b are monotone along it, and the lattice points of a
+region's hexagonal hull H(R), cut out by the minimum and maximum of a, b
+and c over R, are convex in the infinite grid.  A region that is exactly
+those points is convex in the structure: it is an induced subgraph, so its
+structure distances are grid distances, and every shortest structure path
+between members is a grid shortest path, which stays in H(R) = R.  Counting
+H(R)'s points column by column is O(|R|), since every column of the hull
+holds a point.  The certificate is a fact about the lattice, not engine
+code, so the oracle stays independent of the engines.
+
+Every other region is decided exactly from its exit edges: a shortest path
+that leaves region R crosses an edge (u', w) with u' in R and w outside, so
+R is convex iff no such edge and v in R have d(u', v) == 1 + d(w, v).  A
+region is searched from the smaller of its exit endpoints and its members,
+and ``verify_decomposition`` runs one search per structure, from the union
+of those sets over the uncertified regions.  Only a non-convex region runs
+the all-pairs scan over its neighbor ring, which names the witness;
+sampling of sources above EXHAUSTIVE_CONVEXITY_LIMIT bounds only that
+witness search.  Connectivity is one component search over the
+block-diagonal graph of every region's retained edges.
 
 The half-sum distance identity takes four searches per decomposition, each
 from the distinct first nodes of all sampled pairs: one over the
@@ -90,7 +105,8 @@ class _IndexedGraph:
         self.dtype = _distance_dtype(n)
 
     def members(self, nodes: Collection[GridPoint]) -> np.ndarray:
-        """Sorted indices of ``nodes``, which must all be structure nodes."""
+        """Sorted indices of ``nodes``; each node off the structure is a
+        leading -1."""
         return np.sort(self.index.rows_of(nodes))
 
     def distances_from(self, sources: Sequence[int]) -> np.ndarray:
@@ -148,9 +164,29 @@ class _ConvexityPlan(NamedTuple):
     searched: np.ndarray  # the exit endpoints, or ``members`` itself when not fewer
 
 
+def _hull_exact(index: StructureIndex, members: np.ndarray) -> bool:
+    """Whether the members are every lattice point of their hexagonal hull.
+
+    The hull is cut out by the minimum and maximum of a, b and c = a + b over
+    the members; column a of it holds b in [max(b0, c0 - a), min(b1, c1 - a)].
+    A lattice shortest path from an a0 member to an a1 member visits every
+    column between them inside the hull, so a hull with more columns than
+    members holds more points than members, and the count is O(|R|).
+    """
+    a, b = index.a[members], index.b[members]
+    c = a + b
+    a0, a1 = int(a.min()), int(a.max())
+    if a1 - a0 + 1 > len(members):
+        return False
+    cols = np.arange(a0, a1 + 1)
+    lo = np.maximum(b.min(), c.min() - cols)
+    hi = np.minimum(b.max(), c.max() - cols)
+    return int((hi - lo + 1).sum()) == len(members)
+
+
 def _plan_convexity(g: _IndexedGraph, members: np.ndarray) -> _ConvexityPlan | None:
     """The search a region needs; None when it is convex without one."""
-    if len(members) == len(g.nodes) or len(members) <= 1:
+    if len(members) == len(g.nodes) or len(members) <= 1 or _hull_exact(g.index, members):
         return None
     inside = np.zeros(len(g.nodes) + 1, dtype=bool)
     inside[members] = True
@@ -217,14 +253,18 @@ def is_geodesically_convex(
 ) -> tuple[bool, tuple[GridPoint, GridPoint, GridPoint] | None]:
     """Check that every shortest path between region nodes stays inside.
 
-    Returns (ok, witness); the witness is a violating (u, v, w) triple.
-    Convexity is decided exactly at every size, from the exit edges (u', w)
-    with u' inside and w outside: a shortest path that leaves the region
-    runs u' -> w -> v for some such edge and member v.  A non-convex region
-    gets the first witness of the all-pairs scan over its neighbor ring;
-    above EXHAUSTIVE_CONVEXITY_LIMIT that scan runs on a seeded sample of
-    sources, and when the sample holds no witness the exit witness
-    (u', v, w) is returned.
+    Returns (ok, witness); the witness is a violating (u, v, w) triple.  A
+    region that is every lattice point of its hexagonal hull is convex with
+    no search: grid shortest paths keep a, b and a + b monotone, so they
+    stay in the hull, and the region's shortest paths are grid shortest
+    paths.  That lattice fact, not engine code, certifies it, with an
+    O(|R|) count of the hull's points.  Any other region is decided exactly
+    at every size, from the exit edges (u', w) with u' inside and w outside:
+    a shortest path that leaves the region runs u' -> w -> v for some such
+    edge and member v.  A non-convex region gets the first witness of the
+    all-pairs scan over its neighbor ring; above EXHAUSTIVE_CONVEXITY_LIMIT
+    that scan runs on a seeded sample of sources, and when the sample holds
+    no witness the exit witness (u', v, w) is returned.
     """
     pts = frozenset(region_nodes)
     if not pts <= structure.nodes:
@@ -234,26 +274,6 @@ def is_geodesically_convex(
     if plan is None:
         return True, None
     return _decide_convexity(g, plan, g.distances_from(plan.searched))
-
-
-def connected(nodes: Iterable[GridPoint], edges: Iterable[tuple[GridPoint, GridPoint]]) -> bool:
-    pts = set(nodes)
-    if not pts:
-        return False
-    adj: dict[GridPoint, list[GridPoint]] = {p: [] for p in pts}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    start = next(iter(pts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        p = stack.pop()
-        for q in adj[p]:
-            if q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return len(seen) == len(pts)
 
 
 @dataclass
@@ -328,18 +348,19 @@ def verify_decomposition(
     )
     report.bound_checks["gates<=6H"] = len(decomposition.phase1_gates) <= 6 * n_holes
 
+    members = [graph.members(r.nodes) for r in regions]
+    inside = [not len(m) or m[0] >= 0 for m in members]
+    edges = [_edge_rows(structure.index, r) for r in regions]
+    joined = _connected(members, edges).tolist()
+
     # One search from the union of every region's searched set decides convexity.
-    inside = [r.nodes <= structure.nodes for r in regions]
-    plans = [
-        _plan_convexity(graph, graph.members(r.nodes)) if ok else None
-        for r, ok in zip(regions, inside)
-    ]
+    plans = [_plan_convexity(graph, m) if ok else None for m, ok in zip(members, inside)]
     searched = [plan.searched for plan in plans if plan is not None]
     union = np.unique(np.concatenate(searched)) if searched else np.empty(0, dtype=np.int64)
     dist = graph.distances_from(union)
-    for r, ok, plan in zip(regions, inside, plans):
-        edges_ok = _edges_inside(structure.index, r)
-        conn_ok = edges_ok and connected(r.nodes, r.edges)
+    for r, ok, plan, e, one_piece in zip(regions, inside, plans, edges, joined):
+        edges_ok = e is not None
+        conn_ok = edges_ok and one_piece
         simple_ok = bool(r.nodes) and is_simple(r.nodes)
         if not ok:  # nodes outside the structure
             convex_ok, witness = False, None
@@ -359,17 +380,43 @@ def verify_decomposition(
     return report
 
 
-def _edges_inside(index: StructureIndex, region: "Region") -> bool:
-    """Whether every retained edge is a sorted pair of grid neighbours that
-    are both region members and structure nodes."""
+def _edge_rows(index: StructureIndex, region: "Region") -> tuple[np.ndarray, np.ndarray] | None:
+    """Structure rows (i, j) of the retained edges, or None unless every one
+    is a sorted pair of grid neighbours that are both region members and
+    structure nodes."""
     nodes = region.nodes
     ends = [p for u, v in region.edges if u < v and u in nodes and v in nodes for p in (u, v)]
     if len(ends) != 2 * len(region.edges):
-        return False
+        return None
     i, j = index.rows_of(ends).reshape(-1, 2).T
-    if (i < 0).any() or (j < 0).any():
-        return False
-    return bool((index.nbr[i] == j[:, None]).any(axis=1).all())
+    if (i < 0).any() or (j < 0).any() or not (index.nbr[i] == j[:, None]).any(axis=1).all():
+        return None
+    return i, j
+
+
+def _connected(
+    members: Sequence[np.ndarray], edges: Sequence[tuple[np.ndarray, np.ndarray] | None]
+) -> np.ndarray:
+    """Whether each region's retained edges connect its members, from one
+    component search over the block-diagonal graph of all regions.
+
+    Each region's members are numbered by their place in its sorted rows,
+    from its own offset; a region whose edges are None contributes only its
+    nodes.  Every component lies in one region's block, so a region is
+    connected iff it holds exactly one component.
+    """
+    sizes = [len(m) for m in members]
+    offsets = np.cumsum([0] + sizes)
+    u, v = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for m, e, off in zip(members, edges, offsets.tolist()):
+        if e is not None:
+            u.append(off + np.searchsorted(m, e[0]))
+            v.append(off + np.searchsorted(m, e[1]))
+    n = int(offsets[-1])
+    _, label = connected_components(_adjacency(np.concatenate(u), np.concatenate(v), n), directed=False)
+    _, first = np.unique(label, return_index=True)
+    region_of = np.repeat(np.arange(len(members)), sizes)
+    return np.bincount(region_of[first], minlength=len(members)) == 1
 
 
 def _identity_samples(

@@ -88,6 +88,28 @@ def is_simple_reference(nodes) -> bool:
     return len(seen) == len(empty)
 
 
+def connected(nodes: Iterable[GridPoint], edges: Iterable[tuple[GridPoint, GridPoint]]) -> bool:
+    """Whether the edges connect a nonempty node set, by a depth-first search
+    over ``GridPoint`` dicts: the reference for the oracle's component search."""
+    pts = set(nodes)
+    if not pts:
+        return False
+    adj: dict[GridPoint, list[GridPoint]] = {p: [] for p in pts}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    start = next(iter(pts))
+    seen = {start}
+    stack = [start]
+    while stack:
+        p = stack.pop()
+        for q in adj[p]:
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return len(seen) == len(pts)
+
+
 def neighbor(p: GridPoint, d: Direction) -> GridPoint:
     """The grid neighbour of ``p`` in direction ``d``."""
     da, db = d.offset

@@ -19,16 +19,12 @@ from amoegrid.decompose import (
 from amoegrid.errors import ContractViolation
 from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, GridPoint, find_holes
-from amoegrid.oracle import (
-    connected,
-    is_geodesically_convex,
-    is_simple,
-    verify_decomposition,
-)
+from amoegrid.oracle import is_geodesically_convex, is_simple, verify_decomposition
 from amoegrid.portals import Axis, portal_graph
 from amoegrid.split import Region
 
 from harnesses import (
+    connected,
     hole_split_specs_reference,
     line_key,
     point_gate_split,

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from pathlib import Path
+from unittest.mock import patch
 
 import networkx as nx
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amoegrid.cli import load_structure
+import amoegrid.oracle as oracle
 from amoegrid.decompose import Decomposition, decompose, occupied_run_count
 from amoegrid.errors import DomainError, InvalidStructureError
 from amoegrid.generator import generate_random
@@ -30,13 +32,15 @@ from amoegrid.split import Region
 
 from harnesses import (
     bfs_distances,
+    connected,
     global_maxima_oracle,
     is_simple_reference,
     portal_distance_sums_reference,
     region_from_sets,
+    rotate60,
     shortest_path_nodes,
 )
-from test_grid import hexagon, parallelogram, random_structure
+from test_grid import HAND_BUILT, hexagon, parallelogram, random_structure
 
 
 def test_shortest_path_nodes_trivial():
@@ -185,13 +189,27 @@ def _members_and_exit_endpoints(s, region):
     return len(inside), len(ends)
 
 
+#: A block with a one-cell hole: a region whose hexagonal hull holds the hole
+#: is not certified by it, so the search decides it.
+PUNCTURED = set(parallelogram(30, 30)) - {GridPoint(15, 15)}
+
+
 def test_convexity_searches_from_members_when_they_are_fewer():
-    s = AmoebotStructure(parallelogram(30, 30))
-    line = [GridPoint(a, 7) for a in range(3, 25)]
-    members, ends = _members_and_exit_endpoints(s, line)
+    s = AmoebotStructure(PUNCTURED)
+    g = _IndexedGraph(s)
+    # the six nodes around the hole: convex, with twelve outside neighbours
+    ring = set(hexagon(1, GridPoint(15, 15))) - {GridPoint(15, 15)}
+    members, ends = _members_and_exit_endpoints(s, ring)
     assert ends > members
+    plan = _plan_convexity(g, g.members(ring))
+    assert plan is not None and plan.searched is plan.members
+    assert is_geodesically_convex(s, ring) == (True, None)
+    line = [GridPoint(a, 7) for a in range(3, 25)]
+    assert _plan_convexity(g, g.members(line)) is None  # its hull is the line
     assert is_geodesically_convex(s, line) == (True, None)
     bent = line + [GridPoint(24, 8), GridPoint(24, 9)]
+    members, ends = _members_and_exit_endpoints(s, bent)
+    assert ends > members
     ok, witness = is_geodesically_convex(s, bent)
     assert not ok
     u, v, w = witness
@@ -200,10 +218,13 @@ def test_convexity_searches_from_members_when_they_are_fewer():
 
 
 def test_convexity_searches_from_exit_endpoints_when_they_are_fewer():
-    s = AmoebotStructure(parallelogram(30, 30))
-    block = [p for p in s.nodes if 5 <= p.a < 25 and 5 <= p.b < 25]
+    s = AmoebotStructure(PUNCTURED)
+    g = _IndexedGraph(s)
+    block = [p for p in s.nodes if 5 <= p.a < 25 and 5 <= p.b < 25]  # around the hole
     members, ends = _members_and_exit_endpoints(s, block)
     assert ends < members
+    plan = _plan_convexity(g, g.members(block))
+    assert plan is not None and len(plan.searched) == ends
     assert is_geodesically_convex(s, block) == (True, None)
     notched = [p for p in block if not (p.b == 15 and 6 <= p.a < 24)]
     members, ends = _members_and_exit_endpoints(s, notched)
@@ -216,11 +237,14 @@ def test_convexity_searches_from_exit_endpoints_when_they_are_fewer():
 
 
 def test_convexity_large_convex_region_decided_exactly():
-    pts = parallelogram(70, 60)
-    s = AmoebotStructure(pts)
-    block = [p for p in pts if p.b <= 49]
+    # a one-cell hole inside the block keeps the certificate from deciding it
+    hole = GridPoint(35, 25)
+    s = AmoebotStructure(set(parallelogram(70, 60)) - {hole})
+    block = [p for p in s.nodes if p.b <= 49]
     assert len(block) > EXHAUSTIVE_CONVEXITY_LIMIT
-    assert is_geodesically_convex(s, block) == (True, None)
+    g = _IndexedGraph(s)
+    assert _plan_convexity(g, g.members(block)) is not None
+    assert is_geodesically_convex(s, block, graph=g) == (True, None)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -456,27 +480,127 @@ def test_batched_convexity_matches_single_region_calls(n, holes, seed):
 
 
 def test_batched_convexity_matches_single_region_calls_across_search_blocks():
-    # each row of the block is convex and searched from its members, so the
-    # rows together search from every node; two C shapes add witnesses
-    s = AmoebotStructure(parallelogram(24, 24))
+    # strips of three rows, each with one-cell holes in its middle row: each
+    # strip is convex, but its hexagonal hull holds the holes, so no strip is
+    # certified and the strips together search from most nodes; two C shapes
+    # add witnesses
+    holes = {GridPoint(a, b) for b in range(1, 24, 3) for a in (7, 15, 22)}
+    s = AmoebotStructure(set(parallelogram(30, 24)) - holes)
 
     def region(nodes, id):
         return region_from_sets(nodes, {(u, v) for u, v in s.edges() if u in nodes and v in nodes}, id=id)
 
-    rows = [region({p for p in s.nodes if p.b == b}, b) for b in range(24)]
-    c_shapes = [region(rows[b].nodes | rows[b + 2].nodes | {GridPoint(0, b + 1)}, 24 + b) for b in (3, 15)]
-    deco = _fabricated(rows + c_shapes)
+    strips = [region({p for p in s.nodes if 3 * k <= p.b < 3 * k + 3}, k) for k in range(8)]
+    c_shapes = [
+        region({p for p in s.nodes if p.b in (b, b + 2)} | {GridPoint(0, b + 1)}, 8 + b) for b in (3, 15)
+    ]
+    deco = _fabricated(strips + c_shapes)
     g = _IndexedGraph(s)
     plans = [_plan_convexity(g, g.members(r.nodes)) for r in deco.regions]
-    searched = np.unique(np.concatenate([p.searched for p in plans if p is not None]))
+    assert all(p is not None for p in plans)
+    searched = np.unique(np.concatenate([p.searched for p in plans]))
     assert len(searched) > _block_rows(s.n)
     report = _assert_batched_matches_single(s, deco)
-    assert [c.convex_ok for c in report.regions] == [True] * 24 + [False] * 2
+    assert [c.convex_ok for c in report.regions] == [True] * 8 + [False] * 2
+
+
+def _hull_points(nodes) -> int:
+    """Lattice points of the hexagonal hull of ``nodes``, counted cell by cell
+    over their bounding box."""
+    a, b, c = [p.a for p in nodes], [p.b for p in nodes], [p.a + p.b for p in nodes]
+    return sum(
+        min(c) <= x + y <= max(c)
+        for x in range(min(a), max(a) + 1)
+        for y in range(min(b), max(b) + 1)
+    )
+
+
+def _grown_regions(s: AmoebotStructure, rng: random.Random, count: int) -> list[Region]:
+    """``count`` connected node sets, each grown from a random node by random
+    steps to its rim, with every structure edge between their nodes."""
+    nodes = sorted(s.nodes)
+    out = []
+    for _ in range(count):
+        region = {rng.choice(nodes)}
+        for _ in range(rng.randrange(len(nodes))):
+            rim = sorted({q for p in region for _, q in s.neighbors(p)} - region)
+            if not rim:
+                break
+            region.add(rng.choice(rim))
+        edges = {(u, v) for u, v in s.edges() if u in region and v in region}
+        out.append(region_from_sets(region, edges))
+    return out
+
+
+def _assert_certificate_sound(s: AmoebotStructure, regions: list[Region]) -> None:
+    """A region the hull certifies is convex by the search path; every other
+    region of two or more nodes, short of the whole structure, reaches
+    ``_decide_convexity``.  The oracle's component search agrees with the
+    depth-first search on every region and on its copy with x edges only."""
+    g = _IndexedGraph(s)
+    exact = {r.nodes for r in regions if _hull_points(r.nodes) == len(r.nodes)}
+    with patch.object(oracle, "_decide_convexity", wraps=oracle._decide_convexity) as decide:
+        for r in regions:
+            certified = oracle._hull_exact(g.index, g.members(r.nodes))
+            assert certified == (r.nodes in exact)
+            calls = decide.call_count
+            verdict = is_geodesically_convex(s, r.nodes, graph=g)
+            assert decide.call_count - calls == (not certified and 1 < len(r.nodes) < s.n)
+            assert not certified or verdict == (True, None)
+    with patch.object(oracle, "_hull_exact", return_value=False):
+        assert all(is_geodesically_convex(s, nodes, graph=g) == (True, None) for nodes in exact)
+    x_only = [region_from_sets(r.nodes, {(u, v) for u, v in r.edges if u.b == v.b}) for r in regions]
+    report = verify_decomposition(s, _fabricated(regions + x_only))
+    for r, check in zip(regions + x_only, report.regions):
+        assert check.connected_ok == (check.edges_ok and connected(r.nodes, r.edges))
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(
+    n=st.integers(64, 256),
+    holes=st.integers(1, 3),
+    seed=st.integers(0, 2**30),
+)
+def test_hull_certificate_is_sound_on_decompositions(n, holes, seed):
+    s = generate_random(n, holes, seed)
+    regions = list(decompose(s).regions)
+    grown = _grown_regions(s, random.Random(seed), 10)
+    _assert_certificate_sound(s, regions + _adjacent_unions(s, regions) + grown)
+
+
+#: (structure, region) of hand-made non-convex regions: two arms along the x
+#: and y axes, whose ends are joined by a z line; a C shape around filled
+#: cells; a row bent over a one-cell hole, as short as the row under it.
+HAND_MADE = {
+    "L": (parallelogram(6, 6), [p for p in parallelogram(6, 6) if p.a == 0 or p.b == 0]),
+    "C": (parallelogram(6, 4), [p for p in parallelogram(6, 4) if not (1 <= p.a <= 4 and p.b == 1)]),
+    "bent_around_hole": (
+        set(parallelogram(9, 7)) - {GridPoint(4, 3)},
+        [GridPoint(a, 3) for a in range(9) if a != 4] + [GridPoint(3, 4), GridPoint(4, 4)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT) + sorted(HAND_MADE))
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**30))
+def test_hull_certificate_is_sound_on_hand_built_structures(name, seed):
+    # every rotation of the structure: its decomposition, the unions of its
+    # adjacent regions, grown node sets and the hand-made region, if any
+    pts, region = HAND_MADE.get(name, (HAND_BUILT.get(name), None))
+    for turns in range(6):
+        s = AmoebotStructure(rotate60(p, turns) for p in pts)
+        regions = list(decompose(s).regions)
+        regions += _adjacent_unions(s, regions) + _grown_regions(s, random.Random(seed), 6)
+        if region is not None:
+            nodes = {rotate60(p, turns) for p in region}
+            regions.append(region_from_sets(nodes, {(u, v) for u, v in s.edges() if u in nodes and v in nodes}))
+            assert _hull_points(nodes) > len(nodes)
+            assert not is_geodesically_convex(s, nodes)[0]
+        _assert_certificate_sound(s, regions)
 
 
 def test_verify_runs_one_search_per_structure_and_four_per_decomposition(monkeypatch):
-    import amoegrid.oracle as oracle
-
     s = generate_random(512, 4, 1)
     deco = decompose(s)
     searches = []  # (graph size, sources, source rows per csgraph call) per search
@@ -492,6 +616,17 @@ def test_verify_runs_one_search_per_structure_and_four_per_decomposition(monkeyp
         rows.append(len(kwargs["indices"]))
         return search(matrix, **kwargs)
 
+    g = _IndexedGraph(s)
+
+    def sources(regions):
+        plans = [_plan_convexity(g, g.members(r.nodes)) for r in regions]
+        return np.unique(np.concatenate([p.searched for p in plans if p is not None]))
+
+    with monkeypatch.context() as uncertified:
+        uncertified.setattr(oracle, "_hull_exact", lambda index, members: False)
+        assert len(sources(deco.regions)) == 326
+    hull_exact = [r for r in deco.regions if _hull_points(r.nodes) == len(r.nodes)]
+    assert 0 < len(hull_exact) < len(deco.regions)
     monkeypatch.setattr(oracle, "_search_blocks", recording_blocks)
     monkeypatch.setattr(oracle, "dijkstra", counting_dijkstra)
     assert verify_decomposition(s, deco).all_ok
@@ -499,6 +634,10 @@ def test_verify_runs_one_search_per_structure_and_four_per_decomposition(monkeyp
     # the regions' block-diagonal graph (overlapping regions make it larger),
     # then one search per axis over its portal quotient of that graph
     assert len(searches) == 5
+    # the convexity search starts only from the searched sets of the regions
+    # the hull does not certify
+    rest = [r for r in deco.regions if r not in hull_exact]
+    assert searches[0][1] == len(sources(rest)) == 124
     sizes = [size for size, _, _ in searches]
     assert sizes[0] == s.n and sizes[1] > s.n
     assert all(size < sizes[1] for size in sizes[2:])

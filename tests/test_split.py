@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from amoegrid.errors import ContractViolation, DomainError
 from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, Direction, GridPoint
-from amoegrid.oracle import connected, is_geodesically_convex, is_simple
+from amoegrid.oracle import is_geodesically_convex, is_simple
 from amoegrid.portals import AXES, Axis, compute_portals, portal_graph
 from amoegrid.split import NodeCut, Region, split_many
 
 from harnesses import (
     SplitNodeSpec,
+    connected,
     gate_points,
     has_edge,
     neighbor,
