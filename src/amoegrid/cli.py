@@ -66,11 +66,7 @@ def decomposition_payload(decomposition: Decomposition, report=None, trace=None)
             "distance_identity_ok": report.distance_identity_ok,
             "bound_checks": dict(sorted(report.bound_checks.items())),
             "counts": report.counts,
-            "failing_regions": [
-                r.region_id
-                for r in report.regions
-                if not (r.simple_ok and r.convex_ok and r.connected_ok and r.edges_ok)
-            ],
+            "failing_regions": [r.region_id for r in report.regions if not r.ok],
         }
     if trace is not None:
         payload["trace"] = {

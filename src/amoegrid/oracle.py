@@ -29,14 +29,16 @@ and ``verify_decomposition`` runs one search per structure, from the union
 of those sets over the uncertified regions.  Only a non-convex region runs
 the all-pairs scan over its neighbor ring, which names the witness;
 sampling of sources above EXHAUSTIVE_CONVEXITY_LIMIT bounds only that
-witness search.  Connectivity is one component search over the
-block-diagonal graph of every region's retained edges.
+witness search.
 
-The half-sum distance identity takes four searches per decomposition, each
-from the distinct first nodes of all sampled pairs: one over the
-block-diagonal graph of every checked region's retained edges, and one per
-axis over its quotient by the portals, the components of that axis's
-retained edges.
+Every region is read once, as its sorted member rows and retained edge
+rows, which number its nodes in one block-diagonal graph of all regions.
+Connectivity is one component search over that graph.  The half-sum
+distance identity takes four searches of it: one for d, and one per axis
+over its quotient by the portals, the components of that axis's retained
+edges.  They start from every member of each simple, connected region of
+at most IDENTITY_SOURCES members, and from that many seeded members of a
+larger one, and pair each source with every member of its region.
 """
 
 from __future__ import annotations
@@ -58,9 +60,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: The all-pairs witness scan of a non-convex region runs from every member
 #: up to this region size, and from this many seeded sample members above it.
 EXHAUSTIVE_CONVEXITY_LIMIT = 3000
-#: The half-sum distance identity is checked on all pairs of a region with at
-#: most this many pairs, and on this many seeded sample pairs otherwise.
-IDENTITY_PAIR_LIMIT = 400
+#: The half-sum distance identity is checked from every member of a region
+#: with at most this many members, and from this many seeded members above
+#: it; each source is paired with every member of its region.
+IDENTITY_SOURCES = 28
 #: A distance search holds at most this many float64 cells (2 MB) at once.
 _SEARCH_BLOCK_CELLS = 1 << 18
 
@@ -285,6 +288,10 @@ class RegionCheck:
     edges_ok: bool
     witness: tuple[GridPoint, GridPoint, GridPoint] | None = None
 
+    @property
+    def ok(self) -> bool:
+        return self.simple_ok and self.convex_ok and self.connected_ok and self.edges_ok
+
 
 @dataclass
 class VerificationReport:
@@ -300,10 +307,7 @@ class VerificationReport:
             self.coverage_ok
             and self.distance_identity_ok
             and all(v for v in self.bound_checks.values())
-            and all(
-                r.simple_ok and r.convex_ok and r.connected_ok and r.edges_ok
-                for r in self.regions
-            )
+            and all(r.ok for r in self.regions)
         )
 
     def summary_lines(self) -> list[str]:
@@ -313,7 +317,7 @@ class VerificationReport:
         ]
         for name, ok in sorted(self.bound_checks.items()):
             lines.append(f"{name}: {'ok' if ok else 'FAIL'}")
-        bad = [r for r in self.regions if not (r.simple_ok and r.convex_ok and r.connected_ok and r.edges_ok)]
+        bad = [r for r in self.regions if not r.ok]
         lines.append(f"regions: {len(self.regions)} checked, {len(bad)} failing")
         for r in bad:
             lines.append(
@@ -329,15 +333,13 @@ def verify_decomposition(
 ) -> VerificationReport:
     """Aggregate oracle checks for a full decomposition."""
     regions = decomposition.regions
-    covered = set()
-    for r in regions:
-        covered |= r.nodes
-    coverage_ok = covered == structure.nodes
-
     n_holes = 1 - euler_characteristic(structure.nodes)
     graph = _IndexedGraph(structure)
+    members = [graph.members(r.nodes) for r in regions]
+    edges = [_edge_rows(structure.index, r) for r in regions]
+    blocks = _region_blocks(members, edges)
 
-    report = VerificationReport(coverage_ok=coverage_ok)
+    report = VerificationReport(coverage_ok=np.array_equal(np.unique(blocks.rows), np.arange(structure.n)))
     report.counts = {
         "regions": len(regions),
         "gates": len(decomposition.phase1_gates),
@@ -348,17 +350,13 @@ def verify_decomposition(
     )
     report.bound_checks["gates<=6H"] = len(decomposition.phase1_gates) <= 6 * n_holes
 
-    members = [graph.members(r.nodes) for r in regions]
-    inside = [not len(m) or m[0] >= 0 for m in members]
-    edges = [_edge_rows(structure.index, r) for r in regions]
-    joined = _connected(members, edges).tolist()
-
     # One search from the union of every region's searched set decides convexity.
+    inside = [not len(m) or m[0] >= 0 for m in members]
     plans = [_plan_convexity(graph, m) if ok else None for m, ok in zip(members, inside)]
     searched = [plan.searched for plan in plans if plan is not None]
     union = np.unique(np.concatenate(searched)) if searched else np.empty(0, dtype=np.int64)
     dist = graph.distances_from(union)
-    for r, ok, plan, e, one_piece in zip(regions, inside, plans, edges, joined):
+    for r, ok, plan, e, one_piece in zip(regions, inside, plans, edges, _connected(blocks).tolist()):
         edges_ok = e is not None
         conn_ok = edges_ok and one_piece
         simple_ok = bool(r.nodes) and is_simple(r.nodes)
@@ -374,8 +372,7 @@ def verify_decomposition(
         )
     del dist
 
-    # Half-sum distance identity on a sample of pairs of each simple region.
-    two_d, portal_sums = _half_sum_sides(_identity_samples(regions, report.regions))
+    two_d, portal_sums = _half_sum_sides(structure.index, blocks, *_identity_pairs(blocks, report.regions))
     report.distance_identity_ok = np.array_equal(two_d, portal_sums)
     return report
 
@@ -394,55 +391,59 @@ def _edge_rows(index: StructureIndex, region: "Region") -> tuple[np.ndarray, np.
     return i, j
 
 
-def _connected(
+class _RegionBlocks(NamedTuple):
+    """The block-diagonal graph of every region's retained edges.  Region
+    k's members are the nodes ``offsets[k]`` to ``offsets[k + 1] - 1``, in the
+    order of its sorted structure rows, so node x has structure row
+    ``rows[x]``; a region whose edges are None contributes only its nodes."""
+
+    rows: np.ndarray
+    offsets: np.ndarray
+    u: np.ndarray  # the retained edges (u[k], v[k])
+    v: np.ndarray
+    matrix: csr_matrix
+
+
+def _region_blocks(
     members: Sequence[np.ndarray], edges: Sequence[tuple[np.ndarray, np.ndarray] | None]
-) -> np.ndarray:
-    """Whether each region's retained edges connect its members, from one
-    component search over the block-diagonal graph of all regions.
+) -> _RegionBlocks:
+    """The block graph of the regions with these sorted member rows and edge rows."""
+    offsets = np.cumsum([0] + [len(m) for m in members])
+    u, v = np.concatenate(
+        [np.zeros((2, 0), dtype=np.int64)]
+        + [off + np.searchsorted(m, e) for m, e, off in zip(members, edges, offsets.tolist()) if e is not None],
+        axis=1,
+    )
+    rows = np.concatenate([np.zeros(0, dtype=np.int64), *members])
+    return _RegionBlocks(rows, offsets, u, v, _adjacency(u, v, len(rows)))
 
-    Each region's members are numbered by their place in its sorted rows,
-    from its own offset; a region whose edges are None contributes only its
-    nodes.  Every component lies in one region's block, so a region is
-    connected iff it holds exactly one component.
-    """
-    sizes = [len(m) for m in members]
-    offsets = np.cumsum([0] + sizes)
-    u, v = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for m, e, off in zip(members, edges, offsets.tolist()):
-        if e is not None:
-            u.append(off + np.searchsorted(m, e[0]))
-            v.append(off + np.searchsorted(m, e[1]))
-    n = int(offsets[-1])
-    _, label = connected_components(_adjacency(np.concatenate(u), np.concatenate(v), n), directed=False)
+
+def _connected(blocks: _RegionBlocks) -> np.ndarray:
+    """Whether each region's retained edges connect its members.  Every
+    component lies in one region's block, so a region is connected iff it
+    holds exactly one component."""
+    _, label = connected_components(blocks.matrix, directed=False)
     _, first = np.unique(label, return_index=True)
-    region_of = np.repeat(np.arange(len(members)), sizes)
-    return np.bincount(region_of[first], minlength=len(members)) == 1
+    region_of = np.searchsorted(blocks.offsets, first, side="right") - 1
+    return np.bincount(region_of, minlength=len(blocks.offsets) - 1) == 1
 
 
-def _identity_samples(
-    regions: Sequence["Region"], checks: Sequence[RegionCheck]
-) -> list[tuple["Region", list[GridPoint], np.ndarray, np.ndarray]]:
-    """(region, sorted nodes, iu, iv) of each simple, connected region of two or
-    more nodes: all pairs up to IDENTITY_PAIR_LIMIT, seeded sample pairs above."""
+def _identity_pairs(blocks: _RegionBlocks, checks: Sequence[RegionCheck]) -> tuple[np.ndarray, np.ndarray]:
+    """Block nodes (src, dst) of the pairs the half-sum identity is checked
+    on: each simple, connected region of two or more members is searched
+    from every member up to IDENTITY_SOURCES members and from that many
+    seeded members above, and each source is paired with every member."""
     rng = np.random.default_rng(0)
-    samples = []
-    pair_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for r, check in zip(regions, checks):
-        if not (check.simple_ok and check.connected_ok):
+    src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for check, start, stop in zip(checks, blocks.offsets.tolist(), blocks.offsets[1:].tolist()):
+        if not (check.simple_ok and check.connected_ok) or stop - start < 2:
             continue
-        nodes = sorted(r.nodes)
-        if len(nodes) < 2:
-            continue
-        if len(nodes) * (len(nodes) - 1) // 2 <= IDENTITY_PAIR_LIMIT:
-            if len(nodes) not in pair_tables:
-                pair_tables[len(nodes)] = np.triu_indices(len(nodes), 1)
-            iu, iv = pair_tables[len(nodes)]
-        else:
-            idx = rng.integers(0, len(nodes), size=(IDENTITY_PAIR_LIMIT, 2))
-            idx = idx[idx[:, 0] != idx[:, 1]]
-            iu, iv = idx[:, 0], idx[:, 1]
-        samples.append((r, nodes, iu, iv))
-    return samples
+        block = np.arange(start, stop)
+        k = min(len(block), IDENTITY_SOURCES)
+        sources = block if k == len(block) else rng.choice(block, k, replace=False)
+        src.append(np.repeat(sources, len(block)))
+        dst.append(np.tile(block, len(sources)))
+    return np.concatenate(src), np.concatenate(dst)
 
 
 def _adjacency(u: np.ndarray, v: np.ndarray, n: int) -> csr_matrix:
@@ -461,31 +462,24 @@ def _pair_distances(matrix: csr_matrix, src: np.ndarray, dst: np.ndarray) -> np.
 
 
 def _half_sum_sides(
-    samples: list[tuple["Region", list[GridPoint], np.ndarray, np.ndarray]],
+    index: StructureIndex, blocks: _RegionBlocks, src: np.ndarray, dst: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(2 d, d_x + d_y + d_z) of every sampled pair over the regions' retained edges.
+    """(2 d, d_x + d_y + d_z) of each block pair (src[k], dst[k]) over the
+    regions' retained edges, each of whose regions must be connected.
 
-    Each region's sorted nodes are numbered from its own offset, so the
-    retained edges form one block-diagonal graph, searched once for d.  An
-    axis's portals are the components of its retained edges; one search over
-    their quotient by the other retained edges gives d_axis.  Every region
-    must be connected.
+    One search over the block graph gives d.  An axis's portals are the
+    components of its retained edges; one search over their quotient by the
+    other retained edges gives d_axis.
     """
-    if not samples:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    edges, src, dst, n = [], [], [], 0
-    for region, nodes, iu, iv in samples:
-        index = {p: n + i for i, p in enumerate(nodes)}
-        edges += [(index[p], index[q], p.a - q.a, p.b - q.b) for p, q in region.edges]
-        src.append(iu + n)
-        dst.append(iv + n)
-        n += len(nodes)
-    u, v, da, db = np.array(edges, dtype=np.int64).reshape(-1, 4).T
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    d = _pair_distances(_adjacency(u, v, n), src, dst)
+    if not len(src):
+        return src, src
+    u, v = blocks.u, blocks.v
+    a, b = index.a[blocks.rows], index.b[blocks.rows]
+    da, db = a[u] - a[v], b[u] - b[v]
+    d = _pair_distances(blocks.matrix, src, dst)
     portal_sums = np.zeros(len(src), dtype=np.int64)
     for along in (db == 0, da == 0, da + db == 0):  # x, y and z edges
-        k, portal = connected_components(_adjacency(u[along], v[along], n), directed=False)
+        k, portal = connected_components(_adjacency(u[along], v[along], len(blocks.rows)), directed=False)
         quotient = _adjacency(portal[u[~along]], portal[v[~along]], k)
         portal_sums += _pair_distances(quotient, portal[src], portal[dst])
     return 2 * d, portal_sums

@@ -17,12 +17,15 @@ from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, Direction, GridPoint, StructureIndex, find_holes
 from amoegrid.oracle import (
     EXHAUSTIVE_CONVEXITY_LIMIT,
+    IDENTITY_SOURCES,
     RegionCheck,
     _block_rows,
+    _edge_rows,
     _half_sum_sides,
-    _identity_samples,
+    _identity_pairs,
     _IndexedGraph,
     _plan_convexity,
+    _region_blocks,
     euler_characteristic,
     is_geodesically_convex,
     is_simple,
@@ -271,8 +274,10 @@ def test_convexity_matches_definition(data):
         assert w in shortest_path_nodes(s, u, v)
 
 
-def _slit_region(s: AmoebotStructure, id: int) -> Region:
-    slit = {(u, v) for u, v in s.edges() if {u.b, v.b} == {1, 2} and 1 <= min(u.a, v.a) <= 3}
+def _slit_region(s: AmoebotStructure, id: int, b: int = 1, a: range = range(1, 4)) -> Region:
+    """Every node of ``s``, without the edges between rows b and b + 1 whose
+    smaller a lies in ``a``."""
+    slit = {(u, v) for u, v in s.edges() if {u.b, v.b} == {b, b + 1} and min(u.a, v.a) in a}
     return region_from_sets(s.nodes, s.edges() - slit, id=id)
 
 
@@ -457,6 +462,26 @@ def test_verify_distance_identity_fails_on_slit_region():
     assert not report.all_ok
 
 
+@pytest.mark.parametrize("w,h,b,a", [(12, 8, 3, range(5, 7)), (30, 20, 10, range(14, 16))])
+def test_verify_distance_identity_fails_on_slit_in_sampled_region(w, h, b, a):
+    # a slit of four retained edges in a region of more than IDENTITY_SOURCES
+    # members, which is checked from a sample of its members only
+    s = AmoebotStructure(parallelogram(w, h))
+    assert s.n > IDENTITY_SOURCES
+    report = verify_decomposition(s, _fabricated([_slit_region(s, 0, b, a)]))
+    (check,) = report.regions
+    assert check.simple_ok and check.convex_ok and check.connected_ok and check.edges_ok
+    assert not report.distance_identity_ok
+
+
+def test_region_check_ok_needs_every_verdict():
+    assert RegionCheck(0, True, True, True, True).ok
+    for k in range(4):
+        verdicts = [True] * 4
+        verdicts[k] = False
+        assert not RegionCheck(0, *verdicts).ok
+
+
 def _assert_batched_matches_single(s: AmoebotStructure, deco: Decomposition):
     """Each region's convexity verdict in the batched report equals its own call."""
     report = verify_decomposition(s, deco)
@@ -638,6 +663,9 @@ def test_verify_runs_one_search_per_structure_and_four_per_decomposition(monkeyp
     # the hull does not certify
     rest = [r for r in deco.regions if r not in hull_exact]
     assert searches[0][1] == len(sources(rest)) == 124
+    # the identity search starts from every member of a region of at most
+    # IDENTITY_SOURCES members, and from that many of a larger one
+    assert searches[1][1] == sum(min(len(r.nodes), IDENTITY_SOURCES) for r in deco.regions if len(r.nodes) > 1) == 612
     sizes = [size for size, _, _ in searches]
     assert sizes[0] == s.n and sizes[1] > s.n
     assert all(size < sizes[1] for size in sizes[2:])
@@ -660,9 +688,25 @@ def test_batched_portal_sums_match_per_region_portal_graphs(n, holes, seed):
     regions = list(decompose(s).regions)
     deco = _fabricated(regions + _adjacent_unions(s, regions))
     report = verify_decomposition(s, deco)
-    samples = _identity_samples(deco.regions, report.regions)
-    two_d, portal_sums = _half_sum_sides(samples)
-    want = np.concatenate([portal_distance_sums_reference(*sample) for sample in samples])
+    g = _IndexedGraph(s)
+    members = [g.members(r.nodes) for r in deco.regions]
+    blocks = _region_blocks(members, [_edge_rows(s.index, r) for r in deco.regions])
+    src, dst = _identity_pairs(blocks, report.regions)
+    two_d, portal_sums = _half_sum_sides(s.index, blocks, src, dst)
+    # every simple, connected region of two or more members is sampled, from
+    # min(members, IDENTITY_SOURCES) sources paired with each of its members
+    region_of = np.searchsorted(blocks.offsets, src, side="right") - 1
+    sampled = [k for k, c in enumerate(report.regions) if c.simple_ok and c.connected_ok and len(members[k]) > 1]
+    assert np.unique(region_of).tolist() == sampled
+    want = []
+    for k in sampled:
+        at, off, size = region_of == k, blocks.offsets[k], len(members[k])
+        sources = min(size, IDENTITY_SOURCES)
+        assert len(np.unique(src[at])) == sources
+        assert (np.bincount(dst[at] - off, minlength=size) == sources).all()
+        nodes = [g.nodes[i] for i in members[k]]
+        want.append(portal_distance_sums_reference(deco.regions[k], nodes, src[at] - off, dst[at] - off))
+    want = np.concatenate(want)
     assert portal_sums.tolist() == want.tolist()
     assert report.distance_identity_ok == np.array_equal(two_d, want)
 
