@@ -15,11 +15,23 @@ partition set hears, and the round is added to the caller's ``Meter``.  The
 primitives in ``amoegrid.primitives`` are such protocols.  The tests keep a
 per-amoebot reference round and an explicit circuit listing
 (``tests/reference_circuits.py``) as the oracle of these semantics.
+
+A round costs only what changed.  ``World.wire`` keys the circuits it labels
+on the plan it is given (the bytes of its pins and labels) and keeps those of
+the last two distinct plans, so a protocol that repeats a wiring or switches
+between two gets its circuits back without a recompute; ``pset`` is rewritten
+all the same.  A direct ``pset`` write followed by ``mark_dirty`` is always
+labelled afresh and never kept.  ``beep`` sets its cells in one send buffer
+per world and clears them after the delivery.  Coins come from per-amoebot
+streams: each world folds ``(seed, a, b)`` once and every draw continues that
+fold with its salt and stream position, bit-identical to ``mix64`` over the
+whole tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,9 +48,14 @@ STAGE_LABELS = 96
 HALF_PINS = 5
 
 
-def mix64(*columns) -> np.ndarray:
-    """Deterministic 64-bit mixer over integer arrays (splitmix finalizer)."""
-    acc = np.zeros(1, dtype=np.uint64)
+def mix64(*columns, base: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic 64-bit mixer over integer arrays (splitmix finalizer).
+
+    The columns fold in order onto ``base``, the result of an earlier fold
+    (zero by default), so ``mix64(x, y, base=mix64(w))`` equals
+    ``mix64(w, x, y)``.
+    """
+    acc = np.zeros(1, dtype=np.uint64) if base is None else base
     for col in columns:
         acc = acc + np.asarray(col, dtype=np.int64).astype(np.uint64) * np.uint64(
             0x9E3779B97F4A7C15
@@ -81,6 +98,28 @@ class SimulationTrace:
         return "\n".join(lines) + "\n"
 
 
+class _Labelling(NamedTuple):
+    """The circuits of one pin configuration, as ``deliver`` reads them."""
+
+    stage_rows: np.ndarray  # flat pins on stage labels
+    cells: np.ndarray  # their (amoebot, label) cell of the set table
+    comp: np.ndarray  # their circuit
+    n_comp: int
+    set_comps: np.ndarray  # circuit of each partition set
+    set_recv: np.ndarray  # flat recv cell of each partition set
+    absorb_stage_comp: np.ndarray  # circuit of each stage pin facing a parked pin
+    absorb_recv: np.ndarray  # flat recv cell of that parked pin
+
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+_UNWIRED = _Labelling(_EMPTY, _EMPTY, _EMPTY, 1, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
+
+#: labellings ``World.wire`` keeps: the last two distinct plans, enough for a
+#: protocol that alternates between two wirings (``chain_maxima``'s echo) or
+#: repeats one (a counting PASC whose active set stopped changing)
+MEMO_PLANS = 2
+
+
 class World:
     """Array-backed amoebot world: geometry, pins, partition sets, beeps."""
 
@@ -116,25 +155,44 @@ class World:
         ).reshape(self.n, 6 * c)
         self.pset = self._isolated.copy()
         self._dirty = True
-        self._n_comp = 0
+        # circuit of every stage pin and of every (amoebot, label) cell of the
+        # labelling in force; unused entries hold -1
         self._stage_pin_comp = np.full(self.n * 6 * c, -1, dtype=np.int64)
         self._set_comp = np.full((self.n, STAGE_LABELS), -1, dtype=np.int32)
-        self._stage_rows = np.zeros(0, dtype=np.int64)
-        self._stage_cells = np.zeros(0, dtype=np.int64)
+        self._labelling = _UNWIRED
+        # key of the plan ``wire`` put on ``pset``, None after any other write;
+        # and the (key, labelling) pairs of recent plans, most recent last
+        self._plan: tuple[bytes, bytes] | None = None
+        self._memo: list[tuple[tuple[bytes, bytes], _Labelling]] = []
+        self._send = np.zeros((self.n, self.S), dtype=bool)  # beep's send buffer, all False between rounds
         self.rng_counter = np.zeros(self.n, dtype=np.int64)
+        self._coin_base = mix64(seed, self.a, self.b)  # each amoebot's coin stream, premixed
 
     # -- configuration -------------------------------------------------------
 
     def reset_pins_isolated(self) -> None:
-        self.pset = self._isolated.copy()
+        np.copyto(self.pset, self._isolated)
         self.mark_dirty()
 
     def wire(self, pins: np.ndarray, labels) -> None:
         """Isolate every pin, then put ``labels`` on the flat pins ``pins``:
-        a primitive's whole pin plan, written at once."""
+        a primitive's whole pin plan, written at once.
+
+        A plan this world labelled recently gets its circuits back from the
+        memo instead of a recompute.
+        """
+        pins = np.asarray(pins, dtype=np.int64)
+        labels = np.broadcast_to(np.asarray(labels, dtype=self.pset.dtype), pins.shape)
         self.reset_pins_isolated()
         np.put(self.pset, pins, labels)
         self.mark_dirty()
+        plan = (pins.tobytes(), labels.tobytes())
+        for at, (key, labelling) in enumerate(self._memo):
+            if key == plan:
+                self._memo.append(self._memo.pop(at))
+                self._install(labelling)
+                return
+        self._plan = plan
 
     def pin_index(self, rows, slots, k, koff: np.ndarray) -> np.ndarray:
         """Flat ``pset`` index of pin role ``k`` on edge slot ``slots`` of
@@ -174,16 +232,35 @@ class World:
         return rows, up, dn, start
 
     def mark_dirty(self) -> None:
+        """Declare ``pset`` rewritten: the next delivery labels it afresh."""
         self._dirty = True
+        self._plan = None
+
+    # -- coins -------------------------------------------------------------------
+
+    def coin_bits(self, rows: np.ndarray, salt, counters: np.ndarray) -> np.ndarray:
+        """Coin ``mix64(seed, a, b, salt, counter) & 1`` of each amoebot of
+        ``rows`` at stream position ``counters``; advances no stream."""
+        return (mix64(salt, counters, base=self._coin_base[rows]) & np.uint64(1)).astype(bool)
 
     def coins(self, tag: int, mask: np.ndarray) -> np.ndarray:
         """One fresh coin per masked amoebot from its private stream."""
         out = np.zeros(self.n, dtype=bool)
         idx = np.flatnonzero(mask)
-        if idx.size:
-            vals = mix64(self.seed, self.a[idx], self.b[idx], tag, self.rng_counter[idx])
-            out[idx] = (vals & np.uint64(1)).astype(bool)
-            self.rng_counter[idx] += 1
+        out[idx] = self.coin_bits(idx, tag, self.rng_counter[idx])
+        self.rng_counter[idx] += 1
+        return out
+
+    def coins_at(self, tag: int, rows) -> np.ndarray:
+        """One fresh coin per entry of ``rows``, drawn in list order: an
+        amoebot listed twice draws its next coin the second time."""
+        rows = np.asarray(rows, dtype=np.int64)
+        order = np.argsort(rows, kind="stable")
+        ranked = rows[order]
+        earlier = np.empty(len(rows), dtype=np.int64)
+        earlier[order] = np.arange(len(rows)) - np.searchsorted(ranked, ranked)
+        out = self.coin_bits(rows, tag, self.rng_counter[rows] + earlier)
+        np.add.at(self.rng_counter, rows, 1)
         return out
 
     # -- circuits and delivery -------------------------------------------------
@@ -202,10 +279,10 @@ class World:
         # A partition set is a cell of the (amoebot, label) table.  Number
         # the sets 0..m-1 through the table: of the pins sharing a cell,
         # the one whose write lands represents it.  Only the cells of the
-        # previous configuration need clearing.
+        # labelling in force need clearing.
         cell = owners * STAGE_LABELS + labels
         table = self._set_comp.reshape(-1)
-        table[self._stage_cells] = -1
+        table[self._labelling.cells] = -1
         order = np.arange(len(stage_rows), dtype=np.int32)
         table[cell] = order
         rep = table[cell] == order
@@ -223,28 +300,42 @@ class World:
             table[self.pin_owner[linked] * STAGE_LABELS + flat[linked]],
         )
         comp = root[pin_set]
-        table[cell] = comp
-        self._n_comp = max(m, 1)
-        # caches driving fast delivery
-        self._stage_pin_comp[self._stage_rows] = -1
-        self._stage_pin_comp[stage_rows] = comp
-        self._stage_rows = stage_rows
-        self._stage_cells = cell
-        self._set_comps = root
-        self._set_recv = owners[rep] * self.S + labels[rep]
         parked_partner = np.where(live_here & ~partner_stage, partner, -1)
         keepers = parked_partner >= 0
-        self._absorb_stage_comp = comp[keepers]
         absorbed = parked_partner[keepers]
-        self._absorb_recv = self.pin_owner[absorbed] * self.S + flat[absorbed]
+        labelling = _Labelling(
+            stage_rows,
+            cell,
+            comp,
+            max(m, 1),
+            root,
+            owners[rep] * self.S + labels[rep],
+            comp[keepers],
+            self.pin_owner[absorbed] * self.S + flat[absorbed],
+        )
+        self._install(labelling)
+        if self._plan is not None:
+            self._memo = [*self._memo[1 - MEMO_PLANS :], (self._plan, labelling)]
+
+    def _install(self, labelling: _Labelling) -> None:
+        """Put ``labelling`` in force in place of the current one."""
+        table = self._set_comp.reshape(-1)
+        table[self._labelling.cells] = -1
+        table[labelling.cells] = labelling.comp
+        self._stage_pin_comp[self._labelling.stage_rows] = -1
+        self._stage_pin_comp[labelling.stage_rows] = labelling.comp
+        self._labelling = labelling
         self._dirty = False
 
     def beep(self, cells: np.ndarray | list[int], meter: Meter) -> np.ndarray:
         """One charged round: the flat ``amoebot * S + label`` send cells
         ``cells`` beep, and ``meter`` counts the round; returns the recv."""
-        send = np.zeros((self.n, self.S), dtype=bool)
-        send.reshape(-1)[cells] = True
-        recv = self.deliver(send)
+        flat = self._send.reshape(-1)
+        flat[cells] = True
+        try:
+            recv = self.deliver(self._send)
+        finally:
+            flat[cells] = False
         meter.rounds += 1
         return recv
 
@@ -258,8 +349,9 @@ class World:
         if self._dirty:
             self._recompute_circuits()
         flat = self.pset.reshape(-1)
+        lab = self._labelling
         recv = np.zeros((self.n, self.S), dtype=bool)
-        hot = np.zeros(self._n_comp + 1, dtype=bool)
+        hot = np.zeros(lab.n_comp + 1, dtype=bool)
 
         beeps = np.flatnonzero(send)
         if beeps.size:
@@ -283,12 +375,12 @@ class World:
             recv[self.pin_owner[pr], flat[pr]] = True
 
         out = recv.reshape(-1)
-        if self._set_comps.size:
-            heard = hot[self._set_comps]
+        if lab.set_comps.size:
+            heard = hot[lab.set_comps]
             if heard.any():
-                out[self._set_recv[heard]] = True
-        if self._absorb_stage_comp.size:
-            heard = hot[self._absorb_stage_comp]
+                out[lab.set_recv[heard]] = True
+        if lab.absorb_stage_comp.size:
+            heard = hot[lab.absorb_stage_comp]
             if heard.any():
-                out[self._absorb_recv[heard]] = True
+                out[lab.absorb_recv[heard]] = True
         return recv

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..circuits import Meter, World, mix64
+from ..circuits import Meter, World
 from ..errors import ContractViolation
 from ..grid import CycleStructure
 from .chains import TURN_TRACKS, ChainSpace
@@ -30,14 +30,7 @@ def visit_coins(world: World, cyc: CycleStructure, active: np.ndarray, tag: int)
     idx = np.flatnonzero(active)
     if idx.size:
         nodes = cyc.node[idx]
-        vals = mix64(
-            world.seed,
-            world.a[nodes],
-            world.b[nodes],
-            np.full(len(idx), tag, dtype=np.int64) * 8 + cyc.d_prev[idx],
-            world.rng_counter[nodes],
-        )
-        out[idx] = (vals & np.uint64(1)).astype(bool)
+        out[idx] = world.coin_bits(nodes, np.int64(tag) * 8 + cyc.d_prev[idx], world.rng_counter[nodes])
         np.add.at(world.rng_counter, nodes, 1)
     return out
 

@@ -187,14 +187,12 @@ class _Contraction:
 
             # round 1: head coins broadcast on fragment circuits
             beep_at = self.wire_fragment_circuits()
-            coins: dict[int, bool] = {}
+            flips = world.coins_at(23, [beep_at[fid][0] for fid in unresolved])
+            coins: dict[int, bool] = dict(zip(unresolved, flips.tolist()))
             cells = []
             for fid in unresolved:
                 node, lab = beep_at[fid]
-                mask = np.zeros(world.n, dtype=bool)
-                mask[node] = True
-                coins[fid] = coin = bool(world.coins(23, mask)[node])
-                if coin and lab >= 0:
+                if coins[fid] and lab >= 0:
                     cells.append(node * world.S + lab)
             world.beep(cells, meter)
 

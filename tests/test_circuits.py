@@ -2,8 +2,9 @@ import random
 
 import numpy as np
 
-from amoegrid.circuits import STAGE_LABELS, Meter, SimulationTrace, World
+from amoegrid.circuits import STAGE_LABELS, Meter, SimulationTrace, World, mix64
 from amoegrid.grid import AmoebotStructure, GridPoint
+from amoegrid.primitives.boundary import visit_coins
 
 from reference_circuits import ReferenceRunner, circuits_of
 from test_grid import hexagon, random_structure
@@ -164,6 +165,40 @@ def test_parked_pins_form_private_channels():
     assert not recv[parked(3, 3, 1)]
 
 
+def test_memo_deliveries_equal_a_fresh_world():
+    """Plans wired again, in any order and with direct ``pset`` writes in
+    between, deliver what a fresh world with the same ``pset`` delivers."""
+    rng = random.Random(17)
+    for trial in range(6):
+        s = random_structure(rng, rng.randint(8, 30))
+        w = World(s, c=2)
+        pins_a = np.array(rng.sample(range(w.pset.size), w.pset.size // 2))
+        plans = [
+            (pins_a, np.array([rng.randrange(4) for _ in pins_a])),
+            (pins_a, np.array([rng.randrange(4) for _ in pins_a])),  # same pins, other labels
+            (pins_a, 1),
+            (np.array(rng.sample(range(w.pset.size), w.pset.size // 3)), 0),
+            (np.zeros(0, dtype=np.int64), 0),
+        ]
+        meter = Meter()
+        for step in range(60):
+            if rng.random() < 0.25:  # a direct write, right after a wire or not
+                i, slot = rng.randrange(w.n), rng.randrange(6 * w.c)
+                w.pset[i, slot] = rng.randrange(4)
+                w.mark_dirty()
+            else:
+                w.wire(*rng.choice(plans))
+            fresh = World(s, c=2)
+            fresh.pset[:] = w.pset
+            fresh.mark_dirty()
+            used = np.unique(np.arange(w.n)[:, None] * w.S + w.pset)
+            for _ in range(3):
+                cells = rng.sample(used.tolist(), rng.randint(1, 3))
+                send = np.zeros((w.n, w.S), dtype=bool)
+                send.reshape(-1)[cells] = True
+                assert np.array_equal(w.beep(cells, meter), fresh.deliver(send)), (trial, step)
+
+
 def test_coin_streams_deterministic_and_order_independent():
     s = AmoebotStructure(hexagon(1))
     w1 = World(s, c=2, seed=9)
@@ -178,6 +213,37 @@ def test_coin_streams_deterministic_and_order_independent():
     b_rest = w2.coins(5, rest)
     assert a[2] == b_sub[2]
     assert (a[rest] == b_rest[rest]).all()
+    # each coin is the low bit of the plain fold of (seed, a, b, tag, counter)
+    plain = mix64(9, w1.a, w1.b, 5, 0) & np.uint64(1)
+    assert a.tolist() == plain.astype(bool).tolist()
+    again = w1.coins(5, mask_all)
+    assert again.tolist() == (mix64(9, w1.a, w1.b, 5, 1) & np.uint64(1)).astype(bool).tolist()
+    # a cycle visit salts its node's stream with its tag and predecessor slot
+    cyc = s.index.cycles
+    active = np.ones(cyc.n_visits, dtype=bool)
+    counter = w1.rng_counter[cyc.node].copy()
+    visits = visit_coins(w1, cyc, active, 11)
+    nodes = cyc.node
+    plain = mix64(9, w1.a[nodes], w1.b[nodes], 11 * 8 + cyc.d_prev, counter) & np.uint64(1)
+    assert visits.tolist() == plain.astype(bool).tolist()
+
+
+def test_coins_at_draws_like_single_row_coins_in_list_order():
+    s = AmoebotStructure(hexagon(2))
+    w1 = World(s, c=2, seed=4)
+    w2 = World(s, c=2, seed=4)
+    uneven = np.arange(w1.n) % 3 == 0  # advance some streams first
+    assert np.array_equal(w1.coins(3, uneven), w2.coins(3, uneven))
+    rows = [5, 2, 5, 0, 5, 2, 7, 3]
+    want = []
+    for row in rows:
+        mask = np.zeros(w2.n, dtype=bool)
+        mask[row] = True
+        want.append(bool(w2.coins(23, mask)[row]))
+    assert w1.coins_at(23, rows).tolist() == want
+    assert np.array_equal(w1.rng_counter, w2.rng_counter)
+    assert w1.coins_at(23, []).tolist() == []
+    assert np.array_equal(w1.rng_counter, w2.rng_counter)
 
 
 def test_trace_export_deterministic():

@@ -149,6 +149,31 @@ def test_delivery_sequence_is_byte_identical_to_golden(monkeypatch):
     assert (deliveries, out.trace.rounds, digest.hexdigest()[:16]) == DELIVERY_DIGEST
 
 
+# (wire calls, circuit recomputes) of run_distributed(gen_512_4_1, seed=1):
+# the other 99 wirings repeat one of the last two distinct plans wired
+# and take their circuits from the memo.
+WIRINGS = (318, 219)
+
+
+def test_repeated_wiring_plans_reuse_their_labelling(monkeypatch):
+    from pathlib import Path
+
+    from amoegrid.circuits import World
+
+    calls = {"wire": 0, "_recompute_circuits": 0}
+    for name in calls:
+        method = getattr(World, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(World, name, counted)
+    path = Path(__file__).parent / "fixtures" / "gen_512_4_1.txt"
+    run_distributed(AmoebotStructure.from_text(path.read_text()), seed=1)
+    assert (calls["wire"], calls["_recompute_circuits"]) == WIRINGS
+
+
 @pytest.mark.parametrize("name", ["gen_512_4_1", "gen_1024_8_7372"])
 def test_regions_sharing_a_gate_chain_take_opposite_pin_halves(name, monkeypatch):
     """The two regions of every phase-1 and phase-2 gate retain its chain's
