@@ -73,18 +73,23 @@ class GridPoint(NamedTuple):
         return (self.a + self.b / 2.0, self.b * 0.8660254037844386)
 
 
-def is_connected(pts: AbstractSet[GridPoint]) -> bool:
-    """Whether a nonempty node set is connected under grid adjacency."""
+def is_connected(pts: AbstractSet[tuple[int, int]]) -> bool:
+    """Whether a nonempty set of (a, b) cells is connected under grid adjacency.
+
+    The search steps by coordinate offsets and looks up plain pairs, which
+    hash and compare equal to the ``GridPoint``s they name.
+    """
     start = next(iter(pts))
-    seen = {start}
+    todo = set(pts)
+    todo.discard(start)
     stack = [start]
-    while stack:
-        p = stack.pop()
-        for _, q in p.neighborhood():
-            if q in pts and q not in seen:
-                seen.add(q)
+    while stack and todo:
+        a, b = stack.pop()
+        for q in ((a + 1, b), (a, b + 1), (a - 1, b + 1), (a - 1, b), (a, b - 1), (a + 1, b - 1)):
+            if q in todo:
+                todo.discard(q)
                 stack.append(q)
-    return len(seen) == len(pts)
+    return not todo
 
 
 def sorted_contains(ids: np.ndarray, values: np.ndarray) -> np.ndarray:

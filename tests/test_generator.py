@@ -33,7 +33,10 @@ def test_too_small_for_holes():
 
 # SHA-256 prefixes of ``to_text()``; the acceptance corpus, the round sweep
 # and the fixtures under tests/fixtures/ all depend on these structures.
+# (13, 1, 0) is the smallest n the one-hole bound allows; (8192, 64, 0)
+# retries attempts and reaches coordinates beyond the other entries.
 GOLDEN = [
+    (13, 1, 0, "84241ab59370c9cb"),
     (60, 1, 0, "f7ffddcc797c3d10"),
     (100, 2, 1, "1a483cf1f8208c1c"),
     (160, 3, 2, "1586beef4ce74c80"),
@@ -42,6 +45,7 @@ GOLDEN = [
     (1024, 8, 7370, "dc7d46facfd3ab4f"),
     (1024, 8, 7372, "3ab4f75c695f1aa4"),
     (2048, 16, 7407, "1d2d271171b1f0bf"),
+    (8192, 64, 0, "cd65568c0e922f9b"),
 ]
 
 

@@ -13,7 +13,10 @@ from amoegrid.grid import (
     AmoebotStructure,
     Direction,
     GridPoint,
+    StructureIndex,
+    components,
     find_holes,
+    is_connected,
     sorted_contains,
 )
 from amoegrid.generator import generate_random
@@ -150,6 +153,22 @@ def test_world_and_oracle_graph_read_the_structure_index():
 def test_disconnected_structure_rejected():
     with pytest.raises(InvalidStructureError):
         AmoebotStructure([GridPoint(0, 0), GridPoint(5, 0)])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_is_connected_agrees_with_component_count(data):
+    # a grown structure with some nodes removed is sometimes disconnected
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    grown = sorted(random_structure(rng, data.draw(st.integers(1, 40), label="n")).nodes)
+    drop = data.draw(st.sets(st.integers(0, len(grown) - 1), max_size=len(grown) - 1), label="drop")
+    pts = {p for i, p in enumerate(grown) if i not in drop}
+    ix = StructureIndex(pts)
+    u, d = np.nonzero(ix.nbr >= 0)
+    root = components(len(ix.nodes), u, ix.nbr[u, d])
+    connected = np.count_nonzero(root == np.arange(len(root))) == 1
+    assert is_connected(pts) == connected
+    assert is_connected({(p.a + 7, p.b - 3) for p in pts}) == connected  # plain pairs, shifted
 
 
 def test_text_round_trip():
