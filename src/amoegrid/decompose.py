@@ -636,9 +636,7 @@ class Decomposition:
 
     def canonical(self) -> tuple:
         """Region multiset as sorted (nodes, edges) pairs, for comparisons."""
-        return tuple(
-            sorted((tuple(sorted(r.nodes)), tuple(sorted(r.edges))) for r in self.regions)
-        )
+        return tuple(sorted(r.canonical for r in self.regions))
 
 
 def assemble(

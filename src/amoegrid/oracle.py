@@ -9,6 +9,16 @@ Distances are integer matrices, in the smallest signed integer dtype that
 holds twice the size searched (int16 up to n = 16383); scipy's float64
 output exists only in blocks of source rows.
 
+Regions are read from their arrays, never from their point sets.
+``verify_decomposition`` lays every region's cells (``rows`` on the
+region's own index) and retained edges (``eids``) end to end, maps them to
+structure rows by one lookup on the coordinates, and checks all regions at
+once in segment passes over the concatenation, each a constant number of
+numpy calls per structure: member rows, edge validity, the Euler
+characteristic, the hull certificate and the identity pairs.  The checks
+of one node set, ``is_simple`` and ``is_geodesically_convex``, run the same
+passes on a single segment.
+
 Most regions are certified convex by a lattice fact, with no search.  A
 shortest path of the triangular grid steps in two adjacent directions only,
 so a, b and c = a + b are monotone along it, and the lattice points of a
@@ -31,8 +41,8 @@ the all-pairs scan over its neighbor ring, which names the witness;
 sampling of sources above EXHAUSTIVE_CONVEXITY_LIMIT bounds only that
 witness search.
 
-Every region is read once, as its sorted member rows and retained edge
-rows, which number its nodes in one block-diagonal graph of all regions.
+A region's members are its distinct cells in structure-row order, which
+number its nodes in one block-diagonal graph of all regions.
 Connectivity is one component search over that graph.  The half-sum
 distance identity takes four searches of it: one for d, and one per axis
 over its quotient by the portals, the components of that axis's retained
@@ -51,7 +61,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import DomainError
-from .grid import AmoebotStructure, GridPoint, StructureIndex
+from .grid import AmoebotStructure, GridPoint, StructureIndex, sorted_contains
 
 if TYPE_CHECKING:  # pragma: no cover
     from .decompose import Decomposition
@@ -124,6 +134,35 @@ class _IndexedGraph:
         return out
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(s, s + l)`` over (starts, lengths)."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _euler_characteristics(offsets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """V - E + T of each segment's points (a[k], b[k]), k in
+    [offsets[s], offsets[s + 1]): the complex of the points, their grid edges
+    and the unit triangles they fill.  A point listed twice counts once.
+
+    Every point is a key in one sorted array, and its x, y and z neighbours
+    (a + 1, b), (a, b + 1) and (a + 1, b - 1) are keys at fixed offsets, so
+    each edge is counted at its smaller end and each triangle, {p, p + x,
+    p + y} or {p, p + z, p + x}, at one corner p.
+    """
+    count = len(offsets) - 1
+    if not len(a):
+        return np.zeros(count, dtype=np.int64)
+    # a spare row and column on each side keep each neighbour key in its segment
+    w = int(b.max() - b.min()) + 3
+    per_segment = (int(a.max() - a.min()) + 3) * w
+    seg = np.repeat(np.arange(count), np.diff(offsets))
+    key = np.unique(seg * per_segment + (a - a.min() + 1) * w + (b - b.min() + 1))
+    x, y, z = (sorted_contains(key, key + step) for step in (w, 1, w - 1))
+    chi = np.bincount(key // per_segment, weights=1 - x - y - z + (x & y) + (z & x), minlength=count)
+    return chi.astype(np.int64)
+
+
 def euler_characteristic(nodes: Iterable[GridPoint]) -> int:
     """V - E + T of the complex of the nodes, their grid edges and the unit
     triangles they fill.
@@ -134,19 +173,8 @@ def euler_characteristic(nodes: Iterable[GridPoint]) -> int:
     pts = list(nodes)
     if not pts:
         raise DomainError("empty node set")
-    ab = np.array(pts, dtype=np.int64).reshape(len(pts), 2)
-    ab -= ab.min(axis=0)
-    occupied = np.zeros(tuple(ab.max(axis=0) + 1), dtype=bool)
-    occupied[ab[:, 0], ab[:, 1]] = True
-    cross = occupied[1:, :-1] & occupied[:-1, 1:]  # edges (a + 1, b)-(a, b + 1)
-    return int(
-        np.count_nonzero(occupied)
-        - np.count_nonzero(occupied[1:] & occupied[:-1])
-        - np.count_nonzero(occupied[:, 1:] & occupied[:, :-1])
-        - np.count_nonzero(cross)
-        + np.count_nonzero(cross & occupied[:-1, :-1])  # triangles with (a, b)
-        + np.count_nonzero(cross & occupied[1:, 1:])  # triangles with (a + 1, b + 1)
-    )
+    a, b = np.array(pts, dtype=np.int64).reshape(len(pts), 2).T
+    return int(_euler_characteristics(np.array([0, len(pts)]), a, b)[0])
 
 
 def is_simple(nodes: Iterable[GridPoint]) -> bool:
@@ -167,30 +195,50 @@ class _ConvexityPlan(NamedTuple):
     searched: np.ndarray  # the exit endpoints, or ``members`` itself when not fewer
 
 
-def _hull_exact(index: StructureIndex, members: np.ndarray) -> bool:
-    """Whether the members are every lattice point of their hexagonal hull.
+def _hull_exact_segments(offsets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each segment's points (a[k], b[k]), k in [offsets[s],
+    offsets[s + 1]), are every lattice point of their hexagonal hull; an
+    empty segment is not.  The points of a segment must be distinct.
 
     The hull is cut out by the minimum and maximum of a, b and c = a + b over
-    the members; column a of it holds b in [max(b0, c0 - a), min(b1, c1 - a)].
-    A lattice shortest path from an a0 member to an a1 member visits every
+    the points; column a of it holds b in [max(b0, c0 - a), min(b1, c1 - a)].
+    A lattice shortest path from an a0 point to an a1 point visits every
     column between them inside the hull, so a hull with more columns than
-    members holds more points than members, and the count is O(|R|).
+    points holds more points than that, and the columns counted are at most
+    the points.
     """
-    a, b = index.a[members], index.b[members]
-    c = a + b
-    a0, a1 = int(a.min()), int(a.max())
-    if a1 - a0 + 1 > len(members):
-        return False
-    cols = np.arange(a0, a1 + 1)
-    lo = np.maximum(b.min(), c.min() - cols)
-    hi = np.minimum(b.max(), c.max() - cols)
-    return int((hi - lo + 1).sum()) == len(members)
+    size = np.diff(offsets)
+    exact = np.zeros(len(size), dtype=bool)
+    filled = size > 0
+    if not filled.any():
+        return exact
+    starts, size = offsets[:-1][filled], size[filled]
+    a0, a1, b0, b1, c0, c1 = (
+        f.reduceat(values, starts) for values in (a, b, a + b) for f in (np.minimum, np.maximum)
+    )
+    cols = a1 - a0 + 1
+    cols[cols > size] = 0
+    hull = np.repeat(np.arange(len(cols)), cols)
+    col = _ranges(a0, cols)
+    column_points = np.minimum(b1[hull], c1[hull] - col) - np.maximum(b0[hull], c0[hull] - col) + 1
+    exact[filled] = np.bincount(hull, weights=column_points, minlength=len(cols)) == size
+    return exact
+
+
+def _hull_exact(index: StructureIndex, members: np.ndarray) -> bool:
+    """Whether the members are every lattice point of their hexagonal hull."""
+    return bool(_hull_exact_segments(np.array([0, len(members)]), index.a[members], index.b[members])[0])
 
 
 def _plan_convexity(g: _IndexedGraph, members: np.ndarray) -> _ConvexityPlan | None:
     """The search a region needs; None when it is convex without one."""
     if len(members) == len(g.nodes) or len(members) <= 1 or _hull_exact(g.index, members):
         return None
+    return _exit_plan(g, members)
+
+
+def _exit_plan(g: _IndexedGraph, members: np.ndarray) -> _ConvexityPlan | None:
+    """The search that decides a region from its exit edges; None when it has none."""
     inside = np.zeros(len(g.nodes) + 1, dtype=bool)
     inside[members] = True
     inside[-1] = True  # the -1 padding of ``g.neighbors`` is no exit
@@ -333,11 +381,12 @@ def verify_decomposition(
 ) -> VerificationReport:
     """Aggregate oracle checks for a full decomposition."""
     regions = decomposition.regions
-    n_holes = 1 - euler_characteristic(structure.nodes)
+    ix = structure.index
+    n_holes = 1 - int(_euler_characteristics(np.array([0, structure.n]), ix.a, ix.b)[0])
     graph = _IndexedGraph(structure)
-    members = [graph.members(r.nodes) for r in regions]
-    edges = [_edge_rows(structure.index, r) for r in regions]
-    blocks = _region_blocks(members, edges)
+    blocks = _read_regions(ix, regions)
+    offsets = blocks.offsets
+    sizes = np.diff(offsets)
 
     report = VerificationReport(coverage_ok=np.array_equal(np.unique(blocks.rows), np.arange(structure.n)))
     report.counts = {
@@ -350,72 +399,130 @@ def verify_decomposition(
     )
     report.bound_checks["gates<=6H"] = len(decomposition.phase1_gates) <= 6 * n_holes
 
+    simple = (sizes > 0) & (_euler_characteristics(offsets, blocks.a, blocks.b) == 1)
+    connected = blocks.edges_ok & _connected(blocks)
+    # a region's rows off the structure, -1, come first
+    inside = (sizes == 0) | (np.append(blocks.rows, 0)[offsets[:-1]] >= 0)
+    certified = (sizes <= 1) | (sizes == structure.n) | _hull_exact_segments(offsets, blocks.a, blocks.b)
+
     # One search from the union of every region's searched set decides convexity.
-    inside = [not len(m) or m[0] >= 0 for m in members]
-    plans = [_plan_convexity(graph, m) if ok else None for m, ok in zip(members, inside)]
-    searched = [plan.searched for plan in plans if plan is not None]
+    plans = {}
+    for k in np.flatnonzero(inside & ~certified).tolist():
+        plan = _exit_plan(graph, blocks.rows[offsets[k] : offsets[k + 1]])
+        if plan is not None:
+            plans[k] = plan
+    searched = [plan.searched for plan in plans.values()]
     union = np.unique(np.concatenate(searched)) if searched else np.empty(0, dtype=np.int64)
     dist = graph.distances_from(union)
-    for r, ok, plan, e, one_piece in zip(regions, inside, plans, edges, _connected(blocks).tolist()):
-        edges_ok = e is not None
-        conn_ok = edges_ok and one_piece
-        simple_ok = bool(r.nodes) and is_simple(r.nodes)
+    verdicts = zip(simple.tolist(), connected.tolist(), blocks.edges_ok.tolist(), inside.tolist())
+    for k, (r, (simple_ok, conn_ok, edges_ok, ok)) in enumerate(zip(regions, verdicts)):
         if not ok:  # nodes outside the structure
             convex_ok, witness = False, None
-        elif plan is None:
-            convex_ok, witness = True, None
+        elif k in plans:
+            rows = dist[np.searchsorted(union, plans[k].searched)]
+            convex_ok, witness = _decide_convexity(graph, plans[k], rows)
         else:
-            rows = dist[np.searchsorted(union, plan.searched)]
-            convex_ok, witness = _decide_convexity(graph, plan, rows)
+            convex_ok, witness = True, None
         report.regions.append(
             RegionCheck(r.id, simple_ok, convex_ok, conn_ok, edges_ok, witness)
         )
     del dist
 
-    two_d, portal_sums = _half_sum_sides(structure.index, blocks, *_identity_pairs(blocks, report.regions))
+    two_d, portal_sums = _half_sum_sides(blocks, *_identity_pairs(offsets, simple & connected))
     report.distance_identity_ok = np.array_equal(two_d, portal_sums)
     return report
 
 
-def _edge_rows(index: StructureIndex, region: "Region") -> tuple[np.ndarray, np.ndarray] | None:
-    """Structure rows (i, j) of the retained edges, or None unless every one
-    is a sorted pair of grid neighbours that are both region members and
-    structure nodes."""
-    nodes = region.nodes
-    ends = [p for u, v in region.edges if u < v and u in nodes and v in nodes for p in (u, v)]
-    if len(ends) != 2 * len(region.edges):
-        return None
-    i, j = index.rows_of(ends).reshape(-1, 2).T
-    if (i < 0).any() or (j < 0).any() or not (index.nbr[i] == j[:, None]).any(axis=1).all():
-        return None
-    return i, j
-
-
 class _RegionBlocks(NamedTuple):
-    """The block-diagonal graph of every region's retained edges.  Region
-    k's members are the nodes ``offsets[k]`` to ``offsets[k + 1] - 1``, in the
-    order of its sorted structure rows, so node x has structure row
-    ``rows[x]``; a region whose edges are None contributes only its nodes."""
+    """Every region's members and retained edges, end to end.  Region k's
+    members are the block nodes ``offsets[k]`` to ``offsets[k + 1] - 1``:
+    its distinct cells, at coordinates (a[x], b[x]), in the order of their
+    structure rows ``rows[x]``, where -1 (first) is a cell off the
+    structure.  ``edges_ok[k]`` says whether every retained edge of region k
+    joins two members that are grid neighbours on the structure; the
+    block-diagonal graph ``matrix`` has the retained edges (u[e], v[e]) of
+    those regions only."""
 
     rows: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     offsets: np.ndarray
-    u: np.ndarray  # the retained edges (u[k], v[k])
+    edges_ok: np.ndarray
+    u: np.ndarray
     v: np.ndarray
     matrix: csr_matrix
 
 
-def _region_blocks(
-    members: Sequence[np.ndarray], edges: Sequence[tuple[np.ndarray, np.ndarray] | None]
-) -> _RegionBlocks:
-    """The block graph of the regions with these sorted member rows and edge rows."""
-    offsets = np.cumsum([0] + [len(m) for m in members])
-    u, v = np.concatenate(
-        [np.zeros((2, 0), dtype=np.int64)]
-        + [off + np.searchsorted(m, e) for m, e, off in zip(members, edges, offsets.tolist()) if e is not None],
-        axis=1,
+def _concat(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """The arrays end to end, as int64 also when there are none."""
+    return np.concatenate([np.zeros(0, dtype=np.int64), *arrays])
+
+
+def _rows_at(index: StructureIndex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Structure row of each cell (a[k], b[k]), -1 off the structure, by one
+    lookup on the structure's sorted cell keys."""
+    if not len(a):
+        return np.zeros(0, dtype=np.int64)
+    lo_a, lo_b = min(a.min(), index.a.min()), min(b.min(), index.b.min())
+    w = int(max(b.max(), index.b.max()) - lo_b) + 1
+    cells = (index.a - lo_a) * w + (index.b - lo_b)  # increasing: rows are in (a, b) order
+    want = (a - lo_a) * w + (b - lo_b)
+    at = np.minimum(np.searchsorted(cells, want), len(cells) - 1)
+    return np.where(cells[at] == want, at, -1)
+
+
+def _read_regions(index: StructureIndex, regions: Sequence["Region"]) -> _RegionBlocks:
+    """The blocks of the regions over the structure with this index, read
+    from the regions' arrays in a constant number of numpy calls.
+
+    A region's ``rows`` and ``eids`` number its cells and retained edges on
+    its own index.  Each distinct index is read once: a cell is a position
+    in their node arrays laid end to end, and an edge a position in their
+    edge arrays, so one lookup by coordinates gives every structure row.
+    """
+    indices = list({id(r.index): r.index for r in regions}.values())
+    which = {id(ix): k for k, ix in enumerate(indices)}
+    table = np.array([which[id(r.index)] for r in regions], dtype=np.int64)
+    node_base = np.cumsum([0] + [len(ix.nodes) for ix in indices])
+    edge_base = np.cumsum([0] + [len(ix.eu) for ix in indices])
+    cell_a, cell_b = _concat(ix.a for ix in indices), _concat(ix.b for ix in indices)
+    row_of = _rows_at(index, cell_a, cell_b)
+    count, stride = len(regions), len(index.nodes) + 1
+
+    # Members: sorted by (region, structure row), off-structure cells first.
+    # The sort is stable and a region's rows are sorted, so a repeated cell
+    # follows itself and is dropped, as a set of points would hold it once.
+    sizes = np.array([len(r.rows) for r in regions], dtype=np.int64)
+    seg = np.repeat(np.arange(count), sizes)
+    cell = _concat(r.rows for r in regions) + node_base[table[seg]]
+    key = seg * stride + row_of[cell] + 1
+    order = np.argsort(key, kind="stable")
+    seg, cell, key = seg[order], cell[order], key[order]
+    distinct = np.ones(len(cell), dtype=bool)
+    distinct[1:] = (cell[1:] != cell[:-1]) | (seg[1:] != seg[:-1])
+    seg, cell, key = seg[distinct], cell[distinct], key[distinct]
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(seg, minlength=count))))
+
+    # Edges: each end must be a member, a structure node and a grid
+    # neighbour of the other end on the structure.
+    edge_count = np.array([len(r.eids) for r in regions], dtype=np.int64)
+    eseg = np.repeat(np.arange(count), edge_count)
+    edge = _concat(r.eids for r in regions) + edge_base[table[eseg]]
+    bases = node_base.tolist()
+    i = row_of[_concat(ix.eu + base for ix, base in zip(indices, bases))[edge]]
+    j = row_of[_concat(ix.ev + base for ix, base in zip(indices, bases))[edge]]
+    member_key = np.append(key, -1)  # a key past the last member finds -1
+    ki, kj = eseg * stride + i + 1, eseg * stride + j + 1
+    u, v = np.searchsorted(key, ki), np.searchsorted(key, kj)
+    valid = (member_key[u] == ki) & (member_key[v] == kj) & (i >= 0) & (j >= 0)
+    valid &= (index.nbr[i] == j[:, None]).any(axis=1)
+    edges_ok = np.bincount(eseg[~valid], minlength=count) == 0
+    kept = edges_ok[eseg]
+    u, v = u[kept], v[kept]
+    rows = key - seg * stride - 1
+    return _RegionBlocks(
+        rows, cell_a[cell], cell_b[cell], offsets, edges_ok, u, v, _adjacency(u, v, len(rows))
     )
-    rows = np.concatenate([np.zeros(0, dtype=np.int64), *members])
-    return _RegionBlocks(rows, offsets, u, v, _adjacency(u, v, len(rows)))
 
 
 def _connected(blocks: _RegionBlocks) -> np.ndarray:
@@ -428,22 +535,28 @@ def _connected(blocks: _RegionBlocks) -> np.ndarray:
     return np.bincount(region_of, minlength=len(blocks.offsets) - 1) == 1
 
 
-def _identity_pairs(blocks: _RegionBlocks, checks: Sequence[RegionCheck]) -> tuple[np.ndarray, np.ndarray]:
+def _identity_pairs(offsets: np.ndarray, sampled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Block nodes (src, dst) of the pairs the half-sum identity is checked
-    on: each simple, connected region of two or more members is searched
-    from every member up to IDENTITY_SOURCES members and from that many
-    seeded members above, and each source is paired with every member."""
+    on, region by region: each ``sampled`` region of two or more members is
+    searched from every member up to IDENTITY_SOURCES members and from that
+    many seeded members above, and each source is paired with every member."""
+    starts, sizes = offsets[:-1], np.diff(offsets)
+    sampled = sampled & (sizes >= 2)
+    small = sampled & (sizes <= IDENTITY_SOURCES)
+    # every member of a small region is a source, paired with its whole block
+    per_source = np.repeat(sizes[small], sizes[small])
+    src = [np.repeat(_ranges(starts[small], sizes[small]), per_source)]
+    dst = [_ranges(np.repeat(starts[small], sizes[small]), per_source)]
+    region = [np.repeat(np.flatnonzero(small), sizes[small] ** 2)]
     rng = np.random.default_rng(0)
-    src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for check, start, stop in zip(checks, blocks.offsets.tolist(), blocks.offsets[1:].tolist()):
-        if not (check.simple_ok and check.connected_ok) or stop - start < 2:
-            continue
-        block = np.arange(start, stop)
-        k = min(len(block), IDENTITY_SOURCES)
-        sources = block if k == len(block) else rng.choice(block, k, replace=False)
+    for k in np.flatnonzero(sampled & ~small).tolist():
+        block = np.arange(starts[k], starts[k] + sizes[k])
+        sources = rng.choice(block, IDENTITY_SOURCES, replace=False)
         src.append(np.repeat(sources, len(block)))
-        dst.append(np.tile(block, len(sources)))
-    return np.concatenate(src), np.concatenate(dst)
+        dst.append(np.tile(block, IDENTITY_SOURCES))
+        region.append(np.full(len(block) * IDENTITY_SOURCES, k))
+    order = np.argsort(np.concatenate(region), kind="stable")
+    return np.concatenate(src)[order], np.concatenate(dst)[order]
 
 
 def _adjacency(u: np.ndarray, v: np.ndarray, n: int) -> csr_matrix:
@@ -453,17 +566,20 @@ def _adjacency(u: np.ndarray, v: np.ndarray, n: int) -> csr_matrix:
 
 def _pair_distances(matrix: csr_matrix, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Undirected hop distances d(src[k], dst[k]), one search from the distinct sources."""
-    sources, row_of = np.unique(src, return_inverse=True)
+    # sorted by source, the pairs of each block of source rows are one slice
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    new = np.ones(len(src), dtype=bool)
+    new[1:] = src[1:] != src[:-1]
+    sources, row = src[new], np.cumsum(new) - 1
     out = np.empty(len(src), dtype=np.int64)
     for start, block in _search_blocks(matrix, sources, directed=False):
-        at = (row_of >= start) & (row_of < start + len(block))
-        out[at] = block[row_of[at] - start, dst[at]]
+        lo, hi = np.searchsorted(row, (start, start + len(block))).tolist()
+        out[order[lo:hi]] = block[row[lo:hi] - start, dst[lo:hi]]
     return out
 
 
-def _half_sum_sides(
-    index: StructureIndex, blocks: _RegionBlocks, src: np.ndarray, dst: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _half_sum_sides(blocks: _RegionBlocks, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(2 d, d_x + d_y + d_z) of each block pair (src[k], dst[k]) over the
     regions' retained edges, each of whose regions must be connected.
 
@@ -474,8 +590,7 @@ def _half_sum_sides(
     if not len(src):
         return src, src
     u, v = blocks.u, blocks.v
-    a, b = index.a[blocks.rows], index.b[blocks.rows]
-    da, db = a[u] - a[v], b[u] - b[v]
+    da, db = blocks.a[u] - blocks.a[v], blocks.b[u] - blocks.b[v]
     d = _pair_distances(blocks.matrix, src, dst)
     portal_sums = np.zeros(len(src), dtype=np.int64)
     for along in (db == 0, da == 0, da + db == 0):  # x, y and z edges

@@ -99,7 +99,7 @@ class Region:
     share one structure index through ``from_structure``.
     """
 
-    __slots__ = ("id", "lineage", "index", "rows", "eids", "gates", "_nodes", "_edges", "_ends")
+    __slots__ = ("id", "lineage", "index", "rows", "eids", "gates", "_nodes", "_edges", "_ends", "_canonical")
 
     def __init__(
         self,
@@ -116,7 +116,7 @@ class Region:
         self.gates: tuple[Gate, ...] = tuple(sorted(gates, key=_gate_key))
         self.id = id
         self.lineage = lineage
-        self._nodes = self._edges = self._ends = None
+        self._nodes = self._edges = self._ends = self._canonical = None
 
     @classmethod
     def from_structure(cls, structure: AmoebotStructure) -> "Region":
@@ -137,6 +137,20 @@ class Region:
             ends = zip(ix.eu[self.eids].tolist(), ix.ev[self.eids].tolist())
             self._edges = frozenset([(pts[u], pts[v]) for u, v in ends])
         return self._edges
+
+    @property
+    def canonical(self) -> tuple[tuple, tuple]:
+        """(sorted nodes, sorted edges) as tuples.  Index rows and edge ids
+        are numbered in sorted-point order, so the sorted arrays list them
+        in order."""
+        if self._canonical is None:
+            pts = self.index.nodes
+            ends = zip(self.index.eu[self.eids].tolist(), self.index.ev[self.eids].tolist())
+            self._canonical = (
+                tuple([pts[i] for i in self.rows.tolist()]),
+                tuple([(pts[u], pts[v]) for u, v in ends]),
+            )
+        return self._canonical
 
     @property
     def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:

@@ -34,6 +34,7 @@ from amoegrid.grid import (
     StructureIndex,
     find_holes,
 )
+from amoegrid.oracle import IDENTITY_SOURCES
 from amoegrid.portals import Axis, Portal, PortalGraph, portal_graph
 from amoegrid.primitives import (
     BoundaryTest,
@@ -86,6 +87,82 @@ def is_simple_reference(nodes) -> bool:
                 seen.add(q)
                 stack.append(q)
     return len(seen) == len(empty)
+
+
+def euler_characteristic_reference(nodes) -> int:
+    """``oracle.euler_characteristic`` over a boolean occupancy grid of the
+    bounding box, one count per edge direction and triangle type."""
+    pts = list(nodes)
+    ab = np.array(pts, dtype=np.int64).reshape(len(pts), 2)
+    ab -= ab.min(axis=0)
+    occupied = np.zeros(tuple(ab.max(axis=0) + 1), dtype=bool)
+    occupied[ab[:, 0], ab[:, 1]] = True
+    cross = occupied[1:, :-1] & occupied[:-1, 1:]  # edges (a + 1, b)-(a, b + 1)
+    return int(
+        np.count_nonzero(occupied)
+        - np.count_nonzero(occupied[1:] & occupied[:-1])
+        - np.count_nonzero(occupied[:, 1:] & occupied[:, :-1])
+        - np.count_nonzero(cross)
+        + np.count_nonzero(cross & occupied[:-1, :-1])  # triangles with (a, b)
+        + np.count_nonzero(cross & occupied[1:, 1:])  # triangles with (a + 1, b + 1)
+    )
+
+
+def hull_exact_reference(nodes) -> bool:
+    """Whether a nonempty point set is every lattice point of its hexagonal
+    hull, counted column by column over the points' a range."""
+    a = np.array([p[0] for p in nodes], dtype=np.int64)
+    b = np.array([p[1] for p in nodes], dtype=np.int64)
+    c = a + b
+    a0, a1 = int(a.min()), int(a.max())
+    if a1 - a0 + 1 > len(a):
+        return False
+    cols = np.arange(a0, a1 + 1)
+    lo = np.maximum(b.min(), c.min() - cols)
+    hi = np.minimum(b.max(), c.max() - cols)
+    return int((hi - lo + 1).sum()) == len(a)
+
+
+def member_rows_reference(index: StructureIndex, region: Region) -> np.ndarray:
+    """Sorted structure rows of the region's node set, -1 for each node off
+    the structure: the members the oracle reads."""
+    return np.sort(index.rows_of(region.nodes))
+
+
+def edge_rows_reference(index: StructureIndex, region: Region) -> tuple[np.ndarray, np.ndarray] | None:
+    """Structure rows (i, j) of the retained edges, or None unless every one
+    is a sorted pair of grid neighbours that are both region members and
+    structure nodes."""
+    nodes = region.nodes
+    ends = [p for u, v in region.edges if u < v and u in nodes and v in nodes for p in (u, v)]
+    if len(ends) != 2 * len(region.edges):
+        return None
+    i, j = index.rows_of(ends).reshape(-1, 2).T
+    if (i < 0).any() or (j < 0).any() or not (index.nbr[i] == j[:, None]).any(axis=1).all():
+        return None
+    return i, j
+
+
+def identity_pairs_reference(offsets: np.ndarray, sampled: Sequence[bool]) -> tuple[np.ndarray, np.ndarray]:
+    """``oracle._identity_pairs`` region by region: every member of a
+    sampled region of 2..IDENTITY_SOURCES members is a source, and
+    IDENTITY_SOURCES seeded members of a larger one."""
+    rng = np.random.default_rng(0)
+    src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for ok, start, stop in zip(sampled, offsets.tolist(), offsets[1:].tolist()):
+        if not ok or stop - start < 2:
+            continue
+        block = np.arange(start, stop)
+        k = min(len(block), IDENTITY_SOURCES)
+        sources = block if k == len(block) else rng.choice(block, k, replace=False)
+        src.append(np.repeat(sources, len(block)))
+        dst.append(np.tile(block, len(sources)))
+    return np.concatenate(src), np.concatenate(dst)
+
+
+def canonical_reference(decomposition) -> tuple:
+    """``Decomposition.canonical`` from the regions' point sets, sorted."""
+    return tuple(sorted((tuple(sorted(r.nodes)), tuple(sorted(r.edges))) for r in decomposition.regions))
 
 
 def connected(nodes: Iterable[GridPoint], edges: Iterable[tuple[GridPoint, GridPoint]]) -> bool:

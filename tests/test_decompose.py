@@ -24,6 +24,7 @@ from amoegrid.portals import Axis, portal_graph
 from amoegrid.split import Region
 
 from harnesses import (
+    canonical_reference,
     connected,
     hole_split_specs_reference,
     line_key,
@@ -403,6 +404,27 @@ def test_outputs_are_byte_identical_to_golden(source, seed, central, distributed
     if seed is not None:
         trace = run_distributed(s, seed=seed).trace
         assert _digest(trace.export_text(), trace.rounds) == distributed
+
+
+@pytest.mark.parametrize(
+    "source", sorted(path.stem for path in FIXTURES.glob("*.txt")) + [src for src, *_ in GOLDEN_OUTPUTS[2:]]
+)
+def test_canonical_equals_sorted_point_sets(source):
+    # read from the sorted rows and edge ids: the same tuples as sorting the
+    # point sets, on the structure's index and on private indices
+    from amoegrid.cli import load_structure
+
+    s = load_structure(FIXTURES / f"{source}.txt") if isinstance(source, str) else generate_random(*source)
+    d = decompose(s)
+    assert d.canonical() == canonical_reference(d)
+    rebuilt = [region_from_sets(r.nodes, r.edges, id=r.id) for r in d.regions]
+    rng = random.Random(source if isinstance(source, str) else source[2])
+    for r in rng.sample(d.regions, min(5, len(d.regions))):  # a node subset with edges that skip some nodes
+        nodes = {p for p in r.nodes if rng.random() < 0.7}
+        rebuilt.append(region_from_sets(nodes, [(u, v) for u, v in r.edges if u in nodes], id=len(rebuilt)))
+    private = dataclasses.replace(d, regions=rebuilt)
+    assert all(r.index is not s.index for r in rebuilt)
+    assert private.canonical() == canonical_reference(private)
 
 
 # SHA-256 prefixes of ``render_svg`` of each GOLDEN_OUTPUTS input with its

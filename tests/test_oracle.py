@@ -20,12 +20,14 @@ from amoegrid.oracle import (
     IDENTITY_SOURCES,
     RegionCheck,
     _block_rows,
-    _edge_rows,
+    _euler_characteristics,
     _half_sum_sides,
+    _hull_exact_segments,
     _identity_pairs,
     _IndexedGraph,
+    _pair_distances,
     _plan_convexity,
-    _region_blocks,
+    _read_regions,
     euler_characteristic,
     is_geodesically_convex,
     is_simple,
@@ -36,8 +38,13 @@ from amoegrid.split import Region
 from harnesses import (
     bfs_distances,
     connected,
+    edge_rows_reference,
+    euler_characteristic_reference,
     global_maxima_oracle,
+    hull_exact_reference,
+    identity_pairs_reference,
     is_simple_reference,
+    member_rows_reference,
     portal_distance_sums_reference,
     region_from_sets,
     rotate60,
@@ -98,6 +105,7 @@ def test_is_simple_matches_flood_fill_reference(data):
         except InvalidStructureError:  # empty or disconnected
             pass
     assert is_simple(pts) == is_simple_reference(pts)
+    assert euler_characteristic(pts) == euler_characteristic_reference(pts)
 
 
 @settings(derandomize=True, max_examples=12, deadline=None)
@@ -690,9 +698,9 @@ def test_batched_portal_sums_match_per_region_portal_graphs(n, holes, seed):
     report = verify_decomposition(s, deco)
     g = _IndexedGraph(s)
     members = [g.members(r.nodes) for r in deco.regions]
-    blocks = _region_blocks(members, [_edge_rows(s.index, r) for r in deco.regions])
-    src, dst = _identity_pairs(blocks, report.regions)
-    two_d, portal_sums = _half_sum_sides(s.index, blocks, src, dst)
+    blocks = _read_regions(s.index, deco.regions)
+    src, dst = _identity_pairs(blocks.offsets, np.array([c.simple_ok and c.connected_ok for c in report.regions]))
+    two_d, portal_sums = _half_sum_sides(blocks, src, dst)
     # every simple, connected region of two or more members is sampled, from
     # min(members, IDENTITY_SOURCES) sources paired with each of its members
     region_of = np.searchsorted(blocks.offsets, src, side="right") - 1
@@ -718,6 +726,106 @@ def test_batched_identity_fails_on_slit_region_after_a_passing_one():
     report = _assert_batched_matches_single(s, _fabricated([whole, _slit_region(s, 1)]))
     assert all(c.simple_ok and c.convex_ok and c.connected_ok and c.edges_ok for c in report.regions)
     assert not report.distance_identity_ok
+
+
+def _drawn_regions(data, s: AmoebotStructure, rng: random.Random) -> list[Region]:
+    """Regions of every shape the oracle reads: grown and scattered node sets
+    on the structure's index, some with retained edges that leave them or
+    with repeated rows; the same on private indices, with cells off the
+    structure; empty, single-node and whole-structure regions."""
+    ix, nodes = s.index, sorted(s.nodes)
+    rim = sorted({q for p in nodes for _, q in p.neighborhood()} - s.nodes)
+    regions = []
+    for _ in range(data.draw(st.integers(1, 8), label="regions")):
+        kind = data.draw(
+            st.sampled_from(["grown", "scattered", "private", "repeated", "empty", "single", "whole"]),
+            label="kind",
+        )
+        if kind == "empty":
+            regions.append(Region(ix, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)))
+            continue
+        if kind == "whole":
+            regions.append(Region.from_structure(s))
+            continue
+        if kind == "single":
+            picked = {rng.choice(nodes + rim)}
+        elif kind == "scattered":
+            picked = set(rng.sample(nodes, rng.randint(1, len(nodes))))
+        else:
+            picked = {rng.choice(nodes)}
+            for _ in range(rng.randrange(len(nodes))):
+                grow = sorted({q for p in picked for _, q in p.neighborhood() if q in s.nodes} - picked)
+                if grow:
+                    picked.add(rng.choice(grow))
+        if kind == "private" or not picked <= s.nodes:
+            picked |= set(rng.sample(rim, rng.randint(0, min(3, len(rim)))))
+            grid = {(p, q) for p in picked for _, q in p.neighborhood() if q in picked and p < q}
+            regions.append(region_from_sets(picked, rng.sample(sorted(grid), rng.randint(0, len(grid)))))
+            continue
+        rows = np.sort(ix.rows_of(picked))
+        touching = np.unique(ix.eid[rows][ix.eid[rows] >= 0])
+        inner = touching[np.isin(ix.eu[touching], rows) & np.isin(ix.ev[touching], rows)]
+        eids = inner[np.array([rng.random() < 0.9 for _ in inner], dtype=bool)]
+        if rng.random() < 0.3 and len(touching):  # an edge that may leave the region
+            eids = np.union1d(eids, [rng.choice(touching.tolist())])
+        if kind == "repeated":
+            rows = np.sort(np.concatenate((rows, rows[: rng.randint(1, len(rows))])))
+        regions.append(Region(ix, rows, eids))
+    return regions
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_segment_passes_match_per_region_references(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    s = random_structure(rng, data.draw(st.integers(1, 60), label="n"))
+    regions = _drawn_regions(data, s, rng)
+    blocks = _read_regions(s.index, regions)
+    off = blocks.offsets
+    chi = _euler_characteristics(off, blocks.a, blocks.b)
+    exact = _hull_exact_segments(off, blocks.a, blocks.b)
+    edge_region = np.searchsorted(off, blocks.u, side="right") - 1
+    report = verify_decomposition(s, _fabricated(regions))
+    for k, (r, check) in enumerate(zip(regions, report.regions)):
+        at = slice(off[k], off[k + 1])
+        # member rows: the node set, once each, off-structure cells first
+        assert blocks.rows[at].tolist() == member_rows_reference(s.index, r).tolist()
+        assert sorted(zip(blocks.a[at].tolist(), blocks.b[at].tolist())) == sorted(r.nodes)
+        # edge verdicts and the block graph's edges
+        want = edge_rows_reference(s.index, r)
+        assert blocks.edges_ok[k] == (want is not None) == check.edges_ok
+        got = {(blocks.rows[u], blocks.rows[v]) for u, v in zip(blocks.u[edge_region == k], blocks.v[edge_region == k])}
+        assert got == (set(zip(*want)) if want is not None else set())
+        assert check.connected_ok == (check.edges_ok and connected(r.nodes, r.edges))
+        # Euler characteristic, simplicity and the hull certificate
+        if r.nodes:
+            assert chi[k] == euler_characteristic_reference(r.nodes)
+            assert check.simple_ok == (chi[k] == 1)
+            grid = [(p, q) for p in r.nodes for _, q in p.neighborhood() if q in r.nodes]
+            if connected(r.nodes, grid):
+                assert check.simple_ok == is_simple_reference(r.nodes)
+            assert exact[k] == hull_exact_reference(r.nodes) == (_hull_points(r.nodes) == len(r.nodes))
+        else:
+            assert not check.simple_ok and not exact[k]
+        if r.nodes <= s.nodes:
+            assert (check.convex_ok, check.witness) == is_geodesically_convex(s, r.nodes)
+        else:
+            assert (check.convex_ok, check.witness) == (False, None)
+    sampled = np.array([rng.random() < 0.8 for _ in regions], dtype=bool)
+    got, want = _identity_pairs(off, sampled), identity_pairs_reference(off, sampled)
+    assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+
+
+def test_pair_distances_match_full_search_across_blocks():
+    # sources in no order, more of them than one block of source rows
+    s = generate_random(700, 2, 3)
+    g = _IndexedGraph(s)
+    rng = np.random.default_rng(5)
+    src = rng.integers(0, s.n, 3000)
+    dst = rng.integers(0, s.n, 3000)
+    assert len(np.unique(src)) > _block_rows(s.n)
+    want = g.distances_from(np.arange(s.n))[src, dst]
+    assert _pair_distances(g.matrix, src, dst).tolist() == want.tolist()
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
