@@ -1,15 +1,24 @@
 """Seeded random amoebot structures with a prescribed number of inner holes.
 
-Structures grow by biased accretion around the origin, then hole clusters
-are carved and re-validated with the hole finder.  Generation is
-deterministic per (n, holes, seed).
+Structures grow by biased accretion around the origin; then hole clusters
+are carved, the rim regrows to n nodes away from the holes, and the result
+is checked once against the index of the one ``AmoebotStructure`` built.
+Generation is deterministic per (n, holes, seed).
+
+Growth and regrowth can enclose pockets: empty cells that nobody carved,
+which would be extra holes.  An Euler count finds that they exist, at the
+cost of a few numpy calls, and only then are they searched for and filled;
+outer cells are then trimmed back to n.  So an attempt fails when carving
+does, near the bound n = 7 * holes + 6, and the hole cells are exactly the
+carved clusters, with no structure built to find them.  The fill and the
+trim touch neither the cells nor the random draws of an attempt that
+encloses no pocket.
 
 Inside the generator a cell is an integer key whose order is the (a, b)
 order of its coordinates (``_Keys``), so growth, carving and regrowth hash
-and sort plain ints; ``GridPoint``s are made only to build each
-``AmoebotStructure``.  The random draws, and so the structures, are the
-same as with ``GridPoint`` cells.  Growth still costs O(n^1.5): every step
-of ``rng.choices`` sums the weights of the whole frontier.
+and sort plain ints; ``GridPoint``s are made only to build the
+``AmoebotStructure``.  Growth still costs O(n^1.5): every step of
+``rng.choices`` sums the weights of the whole frontier.
 """
 
 from __future__ import annotations
@@ -18,8 +27,10 @@ import bisect
 import random
 from typing import Iterable
 
+import numpy as np
+
 from .errors import AmoegridError
-from .grid import DIRECTIONS, AmoebotStructure, find_holes, is_connected
+from .grid import DIRECTIONS, AmoebotStructure, components, euler_characteristics, is_connected
 
 
 class _Keys:
@@ -36,10 +47,6 @@ class _Keys:
         self.stride = stride = 2 * radius + 1
         self.steps = tuple(da * stride + db for da, db in (d.offset for d in DIRECTIONS))
         self.origin = radius * stride + radius
-
-    def keys(self, cells: Iterable[tuple[int, int]]) -> set[int]:
-        stride, shift = self.stride, self.origin
-        return {a * stride + b + shift for a, b in cells}
 
     def structure(self, keys: Iterable[int]) -> AmoebotStructure:
         stride, r = self.stride, self.radius
@@ -98,8 +105,11 @@ def _interior(pts: set[int], kx: _Keys) -> list[int]:
     )
 
 
-def _carve_one(pts: set[int], interior: list[int], rng: random.Random, max_cluster: int, kx: _Keys) -> bool:
-    """Try to carve one new hole; True on success (pts and interior mutated).
+def _carve_one(
+    pts: set[int], interior: list[int], rng: random.Random, max_cluster: int, kx: _Keys
+) -> set[int] | None:
+    """Try to carve one new hole; its cells on success (pts and interior
+    mutated), else None.
 
     A cluster grows through grid neighbors, so it is connected.  Removing it
     adds exactly one hole iff no cell of it touches an unoccupied cell; if
@@ -110,7 +120,7 @@ def _carve_one(pts: set[int], interior: list[int], rng: random.Random, max_clust
     remainder is searched.
     """
     if not interior:
-        return False
+        return None
     steps = kx.steps
     for _ in range(40):
         seed_cell = rng.choice(interior)
@@ -136,8 +146,8 @@ def _carve_one(pts: set[int], interior: list[int], rng: random.Random, max_clust
             i = bisect.bisect_left(interior, c)
             if i < len(interior) and interior[i] == c:
                 del interior[i]
-        return True
-    return False
+        return cluster
+    return None
 
 
 def _regrow(pts: set[int], n: int, forbidden: set[int], rng: random.Random, kx: _Keys) -> None:
@@ -176,11 +186,83 @@ def _regrow(pts: set[int], n: int, forbidden: set[int], rng: random.Random, kx: 
                 bisect.insort(rim, q)
 
 
-def generate_random(n: int, holes: int, seed: int) -> AmoebotStructure:
-    """Connected structure with exactly ``holes`` inner holes, about ``n`` nodes.
+def _fill_pockets(pts: set[int], holes: int, hole_cells: set[int], kx: _Keys) -> None:
+    """Occupy every pocket of the connected ``pts``: the empty cells it
+    encloses that no carved hole holds.
 
-    The node count is exact: carved cells are replaced by growing the rim at
-    positions that do not touch any hole.
+    ``pts`` encloses 1 - (V - E + T) components of empty cells, and each of
+    the ``holes`` carved clusters is one of them, so the search runs only
+    when there are more.  It joins the empty cells of the bounding box,
+    padded by one cell, to their empty x, y and z neighbours; the cells
+    outside the component of the padding are enclosed.
+    """
+    # coordinates shifted by the radius, which V - E + T does not see
+    a, b = np.divmod(np.fromiter(pts, dtype=np.int64, count=len(pts)), kx.stride)
+    if 1 - int(euler_characteristics(np.array([0, len(a)]), a, b)[0]) == holes:
+        return
+    a0, b0 = int(a.min()) - 1, int(b.min()) - 1
+    h, w = int(a.max()) - a0 + 2, int(b.max()) - b0 + 2
+    empty = np.ones(h * w, dtype=bool)
+    empty[(a - a0) * w + (b - b0)] = False
+    # flat steps to (a + 1, b), (a, b + 1) and (a + 1, b - 1); a step that
+    # wraps past the edge of a row joins two padding cells
+    u = [np.flatnonzero(empty[:-step] & empty[step:]) for step in (w, 1, w - 1)]
+    v = [f + step for f, step in zip(u, (w, 1, w - 1))]
+    root = components(h * w, np.concatenate(u), np.concatenate(v))
+    # cell 0 is a padding corner, the smallest node of its component
+    r, c = np.divmod(np.flatnonzero(empty & (root != 0)), w)
+    pts.update(set(((r + a0) * kx.stride + c + b0).tolist()) - hole_cells)
+
+
+def _trim(pts: set[int], n: int, hole_cells: set[int], rng: random.Random, kx: _Keys) -> bool:
+    """Remove outer cells from ``pts``, which has no pockets, until it has
+    ``n``; False if no cell can go first.
+
+    A cell may go if its occupied neighbors form one run round it.  The rest
+    stays connected through the run, and the cell joins the one component
+    of empty cells that its empty neighbors, one run too, lie in; so no
+    hole opens or merges.  A cell beside a hole cell stays, so the holes
+    stay the carved clusters and, with no pockets, the cells go to the
+    outside.  The candidates, cells with an empty neighbor, are kept sorted
+    and are updated around each removed cell.
+    """
+    if len(pts) == n:
+        return True
+    steps = kx.steps
+
+    def removable(p: int) -> bool:
+        occupied = [p + s in pts for s in steps]
+        runs = sum(o and not occupied[i - 1] for i, o in enumerate(occupied))
+        return runs == 1 and p + steps[occupied.index(False)] not in hole_cells
+
+    rim = sorted(p for p in pts.difference(_interior(pts, kx)) if removable(p))
+    while len(pts) > n:
+        if not rim:
+            return False
+        chosen = rim.pop(rng.randrange(len(rim)))
+        pts.remove(chosen)
+        for s in steps:
+            q = chosen + s
+            if q not in pts:
+                continue
+            i = bisect.bisect_left(rim, q)
+            listed = i < len(rim) and rim[i] == q
+            if removable(q) != listed:
+                if listed:
+                    del rim[i]
+                else:
+                    rim.insert(i, q)
+    return True
+
+
+def generate_random(n: int, holes: int, seed: int) -> AmoebotStructure:
+    """Connected structure with exactly ``n`` nodes and ``holes`` inner holes.
+
+    The blob's pockets are filled, ``holes`` clusters are carved, the rim
+    regrows to n nodes at positions that do not touch any hole, the pockets
+    that regrowth closed and did not fill are filled, and outer cells are
+    trimmed back to n.  Carving can fail near its bound n = 7 * holes + 6;
+    a failed attempt is retried with the next seed, up to 20 attempts.
     """
     if n < 1:
         raise AmoegridError("n must be positive")
@@ -188,30 +270,31 @@ def generate_random(n: int, holes: int, seed: int) -> AmoebotStructure:
         raise AmoegridError(f"holes must be non-negative, not {holes}")
     if holes > 0 and n < 7 * holes + 6:
         raise AmoegridError(f"n={n} is too small for {holes} holes")
-    # The structure stays connected with at most n cells, and it keeps a cell
-    # of the blob, which lies within n - 1 of the origin; so every cell it
-    # holds or touches lies within 2n + 2 of the origin.
+    # Every cell held or touched lies within 2n + 2 of the origin.  Blob
+    # cells lie within n - 1.  Regrowth adds cells to a connected set of
+    # fewer than n cells that keeps the rings of the carved holes, which are
+    # blob cells, and a pocket fill adds only cells that held cells enclose.
     kx = _Keys(2 * n + 2)
+    max_cluster = max(1, min(4, n // 200 + 1))
     for attempt in range(20):
         rng = random.Random(seed * 1_000_003 + n * 4099 + holes * 131 + attempt)
         pts = _grow_blob(n, rng, kx)
-        carved = 0
+        _fill_pockets(pts, 0, set(), kx)
         interior = _interior(pts, kx)
-        for _ in range(holes):
-            if _carve_one(pts, interior, rng, max_cluster=max(1, min(4, n // 200 + 1)), kx=kx):
-                carved += 1
-        if carved != holes:
+        clusters = [_carve_one(pts, interior, rng, max_cluster, kx) for _ in range(holes)]
+        if None in clusters:
             continue
+        hole_cells = set().union(*clusters)
         # Regrow to exact size without touching hole cells.
-        hole_cells: set[int] = set()
-        for h in find_holes(kx.structure(pts))[1]:
-            hole_cells |= kx.keys(h.cells)
         forbidden = {c + s for c in hole_cells for s in kx.steps} | hole_cells
         _regrow(pts, n, forbidden, rng, kx)
-        if len(pts) != n:
+        if len(pts) < n:
+            continue
+        _fill_pockets(pts, holes, hole_cells, kx)
+        if not _trim(pts, n, hole_cells, rng, kx):
             continue
         structure = kx.structure(pts)
-        if len(find_holes(structure)[1]) == holes:
+        if np.count_nonzero(structure.index.cycles.inner) == holes:
             return structure
     raise AmoegridError(
         f"could not generate a structure with n={n}, holes={holes}, seed={seed}"

@@ -100,6 +100,30 @@ def sorted_contains(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
     return ids.take(np.searchsorted(ids, values), mode="clip") == values
 
 
+def euler_characteristics(offsets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """V - E + T of each segment's points (a[k], b[k]), k in
+    [offsets[s], offsets[s + 1]): the complex of the points, their grid edges
+    and the unit triangles they fill.  A point listed twice counts once.  A
+    connected segment encloses 1 - (V - E + T) components of empty cells.
+
+    Every point is a key in one sorted array, and its x, y and z neighbours
+    (a + 1, b), (a, b + 1) and (a + 1, b - 1) are keys at fixed offsets, so
+    each edge is counted at its smaller end and each triangle, {p, p + x,
+    p + y} or {p, p + z, p + x}, at one corner p.
+    """
+    count = len(offsets) - 1
+    if not len(a):
+        return np.zeros(count, dtype=np.int64)
+    # a spare row and column on each side keep each neighbour key in its segment
+    w = int(b.max() - b.min()) + 3
+    per_segment = (int(a.max() - a.min()) + 3) * w
+    seg = np.repeat(np.arange(count), np.diff(offsets))
+    key = np.unique(seg * per_segment + (a - a.min() + 1) * w + (b - b.min() + 1))
+    x, y, z = (sorted_contains(key, key + step) for step in (w, 1, w - 1))
+    chi = np.bincount(key // per_segment, weights=1 - x - y - z + (x & y) + (z & x), minlength=count)
+    return chi.astype(np.int64)
+
+
 def components(m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Component root of each node of the undirected graph 0..m-1 with edges (u, v).
 

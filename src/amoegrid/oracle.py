@@ -61,7 +61,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import DomainError
-from .grid import AmoebotStructure, GridPoint, StructureIndex, sorted_contains
+from .grid import AmoebotStructure, GridPoint, StructureIndex, euler_characteristics
 
 if TYPE_CHECKING:  # pragma: no cover
     from .decompose import Decomposition
@@ -140,29 +140,6 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _euler_characteristics(offsets: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """V - E + T of each segment's points (a[k], b[k]), k in
-    [offsets[s], offsets[s + 1]): the complex of the points, their grid edges
-    and the unit triangles they fill.  A point listed twice counts once.
-
-    Every point is a key in one sorted array, and its x, y and z neighbours
-    (a + 1, b), (a, b + 1) and (a + 1, b - 1) are keys at fixed offsets, so
-    each edge is counted at its smaller end and each triangle, {p, p + x,
-    p + y} or {p, p + z, p + x}, at one corner p.
-    """
-    count = len(offsets) - 1
-    if not len(a):
-        return np.zeros(count, dtype=np.int64)
-    # a spare row and column on each side keep each neighbour key in its segment
-    w = int(b.max() - b.min()) + 3
-    per_segment = (int(a.max() - a.min()) + 3) * w
-    seg = np.repeat(np.arange(count), np.diff(offsets))
-    key = np.unique(seg * per_segment + (a - a.min() + 1) * w + (b - b.min() + 1))
-    x, y, z = (sorted_contains(key, key + step) for step in (w, 1, w - 1))
-    chi = np.bincount(key // per_segment, weights=1 - x - y - z + (x & y) + (z & x), minlength=count)
-    return chi.astype(np.int64)
-
-
 def euler_characteristic(nodes: Iterable[GridPoint]) -> int:
     """V - E + T of the complex of the nodes, their grid edges and the unit
     triangles they fill.
@@ -174,7 +151,7 @@ def euler_characteristic(nodes: Iterable[GridPoint]) -> int:
     if not pts:
         raise DomainError("empty node set")
     a, b = np.array(pts, dtype=np.int64).reshape(len(pts), 2).T
-    return int(_euler_characteristics(np.array([0, len(pts)]), a, b)[0])
+    return int(euler_characteristics(np.array([0, len(pts)]), a, b)[0])
 
 
 def is_simple(nodes: Iterable[GridPoint]) -> bool:
@@ -382,7 +359,7 @@ def verify_decomposition(
     """Aggregate oracle checks for a full decomposition."""
     regions = decomposition.regions
     ix = structure.index
-    n_holes = 1 - int(_euler_characteristics(np.array([0, structure.n]), ix.a, ix.b)[0])
+    n_holes = 1 - int(euler_characteristics(np.array([0, structure.n]), ix.a, ix.b)[0])
     graph = _IndexedGraph(structure)
     blocks = _read_regions(ix, regions)
     offsets = blocks.offsets
@@ -399,7 +376,7 @@ def verify_decomposition(
     )
     report.bound_checks["gates<=6H"] = len(decomposition.phase1_gates) <= 6 * n_holes
 
-    simple = (sizes > 0) & (_euler_characteristics(offsets, blocks.a, blocks.b) == 1)
+    simple = (sizes > 0) & (euler_characteristics(offsets, blocks.a, blocks.b) == 1)
     connected = blocks.edges_ok & _connected(blocks)
     # a region's rows off the structure, -1, come first
     inside = (sizes == 0) | (np.append(blocks.rows, 0)[offsets[:-1]] >= 0)

@@ -341,9 +341,9 @@ GOLDEN_OUTPUTS = [
     ("gen_512_4_1", 1, "8b2016ee1b8e3210", "4efe9d02868ff040"),
     ("gen_1024_8_7372", 3, "e89daa77b0095ed7", "57be7ae7f545ea4c"),
     ((256, 2, 11), None, "d456ec0b6c582f9f", None),
-    ((384, 3, 12), None, "83ab5857e06e3509", None),
-    ((512, 4, 13), None, "fa78b2d2d6553c87", None),
-    ((512, 6, 14), None, "fd9c962978059ef8", None),
+    ((384, 3, 12), None, "fe2543ce5b5aa35f", None),
+    ((512, 4, 13), None, "b9b8df0373e87b51", None),
+    ((512, 6, 14), None, "817b201ed049723e", None),
 ]
 
 
@@ -433,9 +433,9 @@ GOLDEN_SVGS = [
     ("gen_512_4_1", "b97f7185d6356184"),
     ("gen_1024_8_7372", "e0dcc53ffc8a927f"),
     ((256, 2, 11), "987fe438e8d3a096"),
-    ((384, 3, 12), "f5d59fb1e6bddc3b"),
-    ((512, 4, 13), "0c6ab42fd57dcbb6"),
-    ((512, 6, 14), "fa585045f00c76b9"),
+    ((384, 3, 12), "f0eac14a3fb5ceeb"),
+    ((512, 4, 13), "c00517b819796a20"),
+    ((512, 6, 14), "0852e716d7cabb92"),
 ]
 
 

@@ -96,9 +96,10 @@ def test_rounds_scale_logarithmically_small_sweep():
 @pytest.mark.parametrize("n", [64, 256, 1024])
 def test_phase1_rounds_follow_the_closed_form_schedule(n):
     """Phase 1 is the boundary test, two maxima calls and one beep: the
-    WNW/ESE pair, then the NNE tie-breaks.  A call's rounds are
-    4s + 9 + 3b with b = ceil(log2 6n) + 2 and s = max(2, ceil(log2(b + 1))),
-    whatever the seed."""
+    WNW/ESE pair, then the NNE tie-breaks.  The boundary test takes
+    5 ceil(log2 n) + 3 rounds, and a call 4s + 9 + 3b with
+    b = ceil(log2 6n) + 2 and s = max(2, ceil(log2(b + 1))), whatever the
+    seed."""
     from amoegrid.circuits import Meter, World
     from amoegrid.distalgo import dist_phase1
     from amoegrid.primitives import BoundaryTest
@@ -110,6 +111,7 @@ def test_phase1_rounds_follow_the_closed_form_schedule(n):
         structure = generate_random(n, max(1, n // 128), seed)
         boundary = Meter()
         BoundaryTest(World(structure, c=10, seed=seed)).run(boundary)
+        assert boundary.rounds == 5 * math.ceil(math.log2(n)) + 3
         phase1 = Meter()
         _, _, holes = dist_phase1(World(structure, c=10, seed=seed), structure, phase1)
         assert holes > 0
