@@ -73,8 +73,6 @@ class _RegionSpace:
         ix, eids = region.index, region.eids
         if ix is not world.structure.index:
             raise DomainError("the region does not lie on the world's structure index")
-        self.world = world
-        self.region = region
         shift = np.zeros(len(ix.eu), dtype=np.int8)
         for g in region.gates:
             chain = np.array(g.rows)
@@ -123,6 +121,25 @@ class CircuitDecisions:
             space = self._spaces[region] = _RegionSpace(self.world, region)
         return space
 
+    def _contract(self, trees: list[tuple[Region, PortalGraph, int, set[int]]]):
+        """One contraction over the portal trees of ``(region, graph, root,
+        marked)`` tuples, each rooted at portal ``root`` and pruned to its
+        ``marked`` portals.
+
+        Returns the forest, the bounds of each tree's elements in it (tree i
+        holds ``bases[i]:bases[i + 1]``), and the parent pointers and
+        survivors per element.
+        """
+        graphs = [(pg, self._space(region).koff) for region, pg, _, _ in trees]
+        forest = portal_forest(self.world, graphs)
+        bases = list(accumulate((len(pg.portals) for pg, _ in graphs), initial=0))
+        q = np.zeros(forest.ne, dtype=bool)
+        for base, (_, _, _, marked) in zip(bases, trees):
+            q[[base + pid for pid in marked]] = True
+        roots = [base + root for base, (_, _, root, _) in zip(bases, trees)]
+        parents, keep = contract_tree(self.world, forest, roots, q, self.meter)
+        return forest, bases, parents, keep
+
     # -- phase 1 ---------------------------------------------------------------
 
     def hole_extreme_nodes(self, ix: StructureIndex, y_portals: list[Portal]) -> tuple[np.ndarray, np.ndarray]:
@@ -145,13 +162,12 @@ class CircuitDecisions:
         )
         extremes: list[np.ndarray] = []
         for second in seconds:
-            rows: set[int] = set()
-            for c in np.flatnonzero(inner_cycle):
-                mine = set(cyc.node[second & (cyc.cycle_id == c)].tolist())
-                if len(mine) != 1:
-                    raise ContractViolation("extreme-node selection did not single out one amoebot")
-                rows |= mine
-            extremes.append(np.array(sorted(rows), dtype=np.int64))
+            # the (cycle, amoebot) pairs of the winning visits: one per inner cycle
+            won = second & inner_cycle[cyc.cycle_id]
+            cycles, rows = np.unique(np.stack((cyc.cycle_id[won], cyc.node[won])), axis=1)
+            if not np.array_equal(cycles, np.flatnonzero(inner_cycle)):
+                raise ContractViolation("extreme-node selection did not single out one amoebot")
+            extremes.append(np.unique(rows).astype(np.int64))
 
         _wire_chains(world, [p.rows for p in y_portals], np.zeros((world.n, 6), dtype=np.int8))
         _beep_from(world, np.union1d(*extremes), meter)
@@ -163,12 +179,11 @@ class CircuitDecisions:
         """An election of a root gate per region, then one contraction of
         every region's y-portal tree in lockstep."""
         world = self.world
-        spaces = [self._space(t.region) for t in trees]
         # leader gate per region: portal representatives are local (no NNE
         # edge); every amoebot listens on label 0, which only region
         # circuits wire
         candidates = np.zeros(world.n, dtype=bool)
-        _wire_region_circuits(world, spaces)
+        _wire_region_circuits(world, [self._space(t.region) for t in trees])
         tops = [np.array([g.rows[-1] for g in t.region.gates]) for t in trees]
         for rows in tops:
             candidates[rows] = True
@@ -181,12 +196,8 @@ class CircuitDecisions:
             self.meter,
         )
 
-        forest = portal_forest(world, [(t.graph, space.koff) for t, space in zip(trees, spaces)])
-        bases = list(accumulate((len(t.graph.portals) for t in trees), initial=0))
-        q = np.zeros(forest.ne, dtype=bool)
-        roots = []
-        for t, base, rows in zip(trees, bases, tops):
-            q[[base + pid for pid in t.gate_pids]] = True
+        jobs = []
+        for t, rows in zip(trees, tops):
             won = np.flatnonzero(leaders[rows])
             # the first elected gate; on an election failure, fall back deterministically
             if len(won):
@@ -194,8 +205,8 @@ class CircuitDecisions:
             else:
                 leader = min(t.region.gates, key=partial(_gate_order_key, t.region.index))
             (root,) = t.graph.portal_ids(leader.rows[:1])
-            roots.append(base + int(root))
-        _, keep = contract_tree(world, forest, roots, q, self.meter)
+            jobs.append((t.region, t.graph, int(root), t.gate_pids))
+        _, bases, _, keep = self._contract(jobs)
         return [{int(pid) for pid in np.flatnonzero(keep[a:b])} for a, b in zip(bases, bases[1:])]
 
     def branch_portals(self, trees: list[PortalTree]) -> list[list[int]]:
@@ -236,15 +247,11 @@ class CircuitDecisions:
     def gate_order(self, tunnel: Region, gate_a: Gate, gate_b: Gate) -> tuple[Gate, Gate]:
         """Line difference of the two gates by east/west hop counts on the
         rooted y-portal path between them."""
-        world, meter = self.world, self.meter
         pg = portal_graph(tunnel, Axis.Y)
-        forest = portal_forest(world, [(pg, self._space(tunnel).koff)])
         pa, pb = pg.portal_ids([gate_a.rows[0], gate_b.rows[0]]).tolist()
         if pa == pb:
             raise ContractViolation("tunnel gates share a portal")
-        q = np.zeros(forest.ne, dtype=bool)
-        q[pa] = q[pb] = True
-        parents, keep = contract_tree(world, forest, [pa], q, meter)
+        forest, _, parents, keep = self._contract([(tunnel, pg, pa, {pa, pb})])
         # east/west hop marks along the path toward the root pa
         east = np.zeros(forest.ne, dtype=bool)
         west = np.zeros(forest.ne, dtype=bool)
@@ -259,7 +266,7 @@ class CircuitDecisions:
                 east[e] = True
             elif line_e < line_p:
                 west[e] = True
-        n_east, n_west = stream_counts(world, forest, parents, keep, [east, west], meter)
+        n_east, n_west = stream_counts(self.world, forest, parents, keep, [east, west], self.meter)
         diff = (n_east[pb] + east[pb]) - (n_west[pb] + west[pb])  # line(pb) - line(pa)
         if diff == 0:  # same line: the gate with the higher top is G
             b = tunnel.index.b
@@ -283,11 +290,8 @@ class CircuitDecisions:
         """Prune the q-portal tree to the Steiner tree of both gates' portals,
         rooted at the portal of G's top member; each gate's bridge portal is
         its marked portal with a surviving unmarked neighbour."""
-        forest = portal_forest(self.world, [(qpg, self._space(tunnel).koff)])
-        q_mask = np.zeros(forest.ne, dtype=bool)
-        q_mask[list(pids_a | pids_b)] = True
         (root_pid,) = qpg.portal_ids(gate_a.rows[-1:])
-        _, keep = contract_tree(self.world, forest, [root_pid], q_mask, self.meter)
+        *_, keep = self._contract([(tunnel, qpg, int(root_pid), pids_a | pids_b)])
 
         def bridge_end(mine: set[int]) -> tuple[int, int]:
             found = []
@@ -307,15 +311,8 @@ class CircuitDecisions:
         return bridge_end(pids_a), bridge_end(pids_b)
 
     def middle_region(self, children: list[Region], info_x, info_z):
-        """Two rounds on the children's circuits for the gate-contact tests.
-
-        The rule is ``select_middle_region``'s, applied to the children; the
-        rounds carry no beeps (ROADMAP item 3).
-        """
-        world = self.world
-        _wire_region_circuits(world, [self._space(r) for r in children])
-        for _ in range(2):
-            world.beep([], self.meter)
+        """``select_middle_region``'s rule, applied to the children without
+        rounds: the gate-contact tests carry no beeps yet (ROADMAP item 3)."""
         return select_middle_region(children, info_x, info_z)
 
     def path_distances(
@@ -323,12 +320,9 @@ class CircuitDecisions:
     ) -> dict[int, int]:
         """Prune the portal tree to the g-g' path, then stream every path
         portal's distance from g's portal."""
-        world, meter = self.world, self.meter
-        forest = portal_forest(world, [(pg, self._space(m_region).koff)])
-        q_mask = np.zeros(forest.ne, dtype=bool)
-        q_mask[pid_g] = q_mask[pid_g2] = True
-        parents, keep = contract_tree(world, forest, [pid_g], q_mask, meter)
-        (dist,) = stream_counts(world, forest, parents, keep, [np.ones(forest.ne, dtype=bool)], meter)
+        forest, _, parents, keep = self._contract([(m_region, pg, pid_g, {pid_g, pid_g2})])
+        marks = [np.ones(forest.ne, dtype=bool)]
+        (dist,) = stream_counts(self.world, forest, parents, keep, marks, self.meter)
         return {int(e): int(dist[e]) for e in np.flatnonzero(keep)}
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -69,17 +70,13 @@ class PortalGraph:
         """Ids of the portals through the region nodes at index rows ``rows``."""
         return self.owner[np.searchsorted(self.rows, rows)]
 
-    @property
+    @cached_property
     def neighbor_map(self) -> dict[int, list[int]]:
-        try:
-            return self._neighbor_map
-        except AttributeError:
-            nm: dict[int, list[int]] = {p.id: [] for p in self.portals}
-            for i, j in self.links:
-                nm[i].append(j)
-                nm[j].append(i)
-            object.__setattr__(self, "_neighbor_map", nm)
-            return self._neighbor_map
+        nm: dict[int, list[int]] = {p.id: [] for p in self.portals}
+        for i, j in self.links:
+            nm[i].append(j)
+            nm[j].append(i)
+        return nm
 
     def distances_from(self, sources: Iterable[int]) -> dict[int, int]:
         """BFS distances from a set of portal ids; unreachable ids are absent."""

@@ -2,11 +2,15 @@
 
 Portals act as super-nodes: an internal circuit lets all members of a
 portal hear the same signals, and adjacent portals talk over one designated
-cross edge.  Rooting and pruning use randomized fragment contraction:
-path-shaped fragments merge by coin flips (head fragments merge into tails
-neighbors), pendant fragments resolve against their attachment, and a
-fragment that rakes away reports whether it contained a marked portal so
-the Steiner structure of the marked set survives.  Every decision travels
+cross edge.  Rooting and pruning use randomized fragment contraction.  A
+fragment is a path of elements joined by the links it merged over, with
+its external links at its two ends.  Fragments merge by coin flips (head
+fragments merge into tails neighbors); a pendant fragment without the root
+resolves against its attachment, and the rake kills its one link and
+reports whether it contained a marked portal, so the Steiner structure of
+the marked set survives; the fragment holding the root resolves once it
+has no external link.  A resolved fragment thus has no live link, and the
+contraction ends when every fragment has resolved.  Every decision travels
 as beeps: fragment broadcasts on fragment circuits, link bits on the parked
 two-pin channels of the designated edges.
 """
@@ -112,14 +116,18 @@ def portal_forest(world: World, graphs: list[tuple[PortalGraph, np.ndarray]]) ->
     return PortalForest(world, members, np.concatenate(internal), np.concatenate(links))
 
 
-@dataclass
-class _Fragment:
-    elems: list[int]  # path order; external links only at the two ends
-    has_r: bool = False
-    resolved: bool = False
-
-
 class _Contraction:
+    """Randomized fragment contraction of a portal forest.
+
+    A fragment is a path of elements joined by the links it merged over; it
+    has external links at its two ends only, and its key in ``frags`` is the
+    id it keeps while unresolved.  A fragment resolves in round 4 by raking
+    (one external link and no root: it points its path at the attachment,
+    and the rake beep kills that link) or as its tree's root fragment (no
+    external link is left).  So a resolved fragment has no live link, and
+    ``frags`` holds exactly the unresolved ones, in the order of their ids.
+    """
+
     def __init__(self, world: World, forest: PortalForest, roots: list[int], q_mask: np.ndarray):
         self.world = world
         self.forest = forest
@@ -130,43 +138,33 @@ class _Contraction:
         self.is_root[np.asarray(roots, dtype=np.int64)] = True
         self.pruned = np.zeros(ne, dtype=bool)
         self.live = np.ones(len(forest.link_table), dtype=bool)
-        self.frag_of = np.arange(ne, dtype=np.int64)
-        self.frags: dict[int, _Fragment] = {}
         self.joined = np.zeros(len(forest.link_table), dtype=bool)  # links merged into a fragment
-        for e in range(ne):
-            self.frags[e] = _Fragment([e], has_r=bool(self.is_root[e]))
+        self.frag_of = np.arange(ne, dtype=np.int64)
+        self.frags: dict[int, list[int]] = {e: [e] for e in range(ne)}
         self.links_of = forest.links_of()
         self.has_internal = np.zeros(ne, dtype=bool)
         self.has_internal[forest.internal[:, 0]] = True
 
-    # -- live link helpers ----------------------------------------------------
-
     def external_links(self, fid: int) -> list[tuple[int, int]]:
         """(link id, end element) of live links leaving the fragment."""
-        fr = self.frags[fid]
+        elems = self.frags[fid]
         out = []
-        for e in (fr.elems[0], fr.elems[-1]) if len(fr.elems) > 1 else (fr.elems[0],):
+        for e in dict.fromkeys((elems[0], elems[-1])):
             for lid in self.links_of[e]:
-                if not self.live[lid]:
-                    continue
-                e1, e2 = self.forest.link_ends[lid]
-                other = e2 if e1 == e else e1
-                if self.frag_of[other] != fid:
+                if self.live[lid] and self.frag_of[self._other_elem(lid, e)] != fid:
                     out.append((lid, e))
         return out
 
     def wire_fragment_circuits(self) -> dict[int, tuple[int, int]]:
-        """Label-3 circuits per unresolved fragment, over its elements'
-        internal tracks and the links joining them; returns a beep pin per fid."""
+        """Label-3 circuits per fragment, over its elements' internal tracks
+        and the links joining them; returns a beep pin per fid."""
         world, forest = self.world, self.forest
         open_elem = np.zeros(forest.ne, dtype=bool)
         beep_at: dict[int, tuple[int, int]] = {}
-        for fid, fr in self.frags.items():
-            if fr.resolved:
-                continue
-            open_elem[fr.elems] = True
-            wired = len(fr.elems) > 1 or self.has_internal[fr.elems].any()
-            beep_at[fid] = (int(forest.members[fr.elems[-1]][0]), 3 if wired else -1)
+        for fid, elems in self.frags.items():
+            open_elem[elems] = True
+            wired = len(elems) > 1 or self.has_internal[elems].any()
+            beep_at[fid] = (int(forest.members[elems[-1]][0]), 3 if wired else -1)
         elem, pins = forest.internal.T
         inside = self.joined & open_elem[forest.link_table[:, 0]]
         pins = [
@@ -176,14 +174,13 @@ class _Contraction:
         world.wire(np.concatenate(pins), 3)
         return beep_at
 
-    # -- main loop -------------------------------------------------------------
-
     def run(self, meter: Meter, max_iters: int) -> None:
         world, forest = self.world, self.forest
         for _ in range(max_iters):
-            unresolved = [fid for fid, fr in self.frags.items() if not fr.resolved]
+            unresolved = list(self.frags)
             if not unresolved:
                 break
+            rooted = set(self.frag_of[self.is_root].tolist())
 
             # round 1: head coins broadcast on fragment circuits
             beep_at = self.wire_fragment_circuits()
@@ -197,45 +194,35 @@ class _Contraction:
             world.beep(cells, meter)
 
             # round 2: coins and mergeability over live links
-            ext: dict[int, list[tuple[int, int]]] = {
-                fid: self.external_links(fid) for fid in unresolved
-            }
+            ext = {fid: self.external_links(fid) for fid in unresolved}
             cells = []
             for fid in unresolved:
-                mergeable = len(ext[fid]) <= 2
                 for lid, e in ext[fid]:
                     if coins[fid]:
                         cells.append(forest.channel(lid, e, 0)[0])
-                    if mergeable:
+                    if len(ext[fid]) <= 2:
                         cells.append(forest.channel(lid, e, 1)[0])
             heard = world.beep(cells, meter).reshape(-1)
-            partner_coin: dict[tuple[int, int], bool] = {}
-            partner_mergeable: dict[tuple[int, int], bool] = {}
-            for fid in unresolved:
-                for lid, e in ext[fid]:
-                    other = self._other_elem(lid, e)
-                    partner_coin[(fid, lid)] = bool(heard[forest.channel(lid, other, 0)[1]])
-                    partner_mergeable[(fid, lid)] = bool(heard[forest.channel(lid, other, 1)[1]])
 
             # round 3: heads fragments propose into one tails neighbor, whose
-            # end of the link hears the proposal
+            # end of the link hears the proposal; the fragment's last end
+            # is tried first
             proposals: dict[int, tuple[int, int]] = {}
-            cells = []
             for fid in unresolved:
-                if not coins[fid] or len(ext[fid]) > 2 or not ext[fid]:
+                if not coins[fid] or not 0 < len(ext[fid]) <= 2:
                     continue
-                choice = None
-                for lid, e in sorted(ext[fid], key=lambda t: -self._end_rank(fid, t[1])):
-                    if not partner_coin[(fid, lid)] and partner_mergeable[(fid, lid)]:
-                        choice = (lid, e)
+                last = self.frags[fid][-1]
+                for lid, e in sorted(ext[fid], key=lambda t: t[1] != last):
+                    other = self._other_elem(lid, e)
+                    partner_coin, partner_mergeable = (
+                        heard[forest.channel(lid, other, role)[1]] for role in (0, 1)
+                    )
+                    if partner_mergeable and not partner_coin:
+                        proposals[fid] = (lid, e)
                         break
-                if choice is None:
-                    continue
-                proposals[fid] = choice
-                cells.append(forest.channel(choice[0], choice[1], 0)[0])
-            heard = world.beep(cells, meter).reshape(-1)
-            accepted = {fid: pick for fid, pick in proposals.items() if heard[forest.channel(*pick, 0)[1]]}
-            if accepted != proposals:
+            heard = world.beep([forest.channel(*pick, 0)[0] for pick in proposals.values()], meter)
+            heard = heard.reshape(-1)
+            if not all(heard[forest.channel(*pick, 0)[1]] for pick in proposals.values()):
                 raise ContractViolation("a target did not hear the proposal sent to it")
 
             # round 4: rakes resolve and notify their attachment, which
@@ -246,12 +233,11 @@ class _Contraction:
                 if fid in proposals:
                     continue  # merging this iteration instead
                 links = ext[fid]
-                fr = self.frags[fid]
                 if len(links) == 0:
-                    if not fr.has_r:
+                    if fid not in rooted:
                         raise ContractViolation("isolated fragment without a root")
                     self._finalize_root_fragment(fid)
-                elif len(links) == 1 and not fr.has_r:
+                elif len(links) == 1 and fid not in rooted:
                     lid, e = links[0]
                     had_q = self._rake(fid, lid, e)
                     cells.append(forest.channel(lid, e, 0)[0])
@@ -266,93 +252,52 @@ class _Contraction:
                 self.live[lid] = False
                 if marked:
                     self.q[self._other_elem(lid, e)] = True
-            # kill links into resolved fragments
-            for lid in range(len(self.live)):
-                if not self.live[lid]:
-                    continue
-                e1, e2 = self.forest.link_ends[lid]
-                f1, f2 = self.frag_of[e1], self.frag_of[e2]
-                if self.frags[f1].resolved or self.frags[f2].resolved:
-                    self.live[lid] = False
 
-            for fid, (lid, e) in accepted.items():
+            for fid, (lid, e) in proposals.items():
                 other = self._other_elem(lid, e)
-                target = self.frag_of[other]
-                if self.frags[target].resolved or coins.get(target, True):
-                    continue  # partner raked away or was heads after all
-                self._merge(fid, lid, e, int(target), int(other))
+                target = int(self.frag_of[other])
+                if target in self.frags:  # else the partner raked away
+                    self._merge(fid, lid, e, target, other)
 
-        if any(not fr.resolved for fr in self.frags.values()):
+        if self.frags:
             raise ContractViolation("tree contraction did not finish in budget")
-
-    def _end_rank(self, fid: int, e: int) -> int:
-        fr = self.frags[fid]
-        return 1 if fr.elems[-1] == e else 0
 
     def _other_elem(self, lid: int, e: int) -> int:
         e1, e2 = self.forest.link_ends[lid]
         return e2 if e1 == e else e1
 
+    @staticmethod
+    def _ending_at(elems: list[int], e: int) -> list[int]:
+        """The fragment's elements in the path order that ends at ``e``."""
+        if elems[-1] == e:
+            return elems
+        if elems[0] != e:
+            raise ContractViolation("a link leaves the fragment between its ends")
+        return elems[::-1]
+
     def _rake(self, fid: int, lid: int, attach_elem: int) -> bool:
         """Resolve a pendant fragment against its attachment; True if it had Q."""
-        fr = self.frags[fid]
-        elems = list(fr.elems)
-        if elems[-1] != attach_elem:
-            elems.reverse()
-        if elems[-1] != attach_elem:
-            raise ContractViolation("attachment is not an end of the fragment")
-        other = self._other_elem(lid, attach_elem)
-        for a, b in zip(elems, elems[1:]):
-            self.parent_link[a] = b
-        self.parent_link[elems[-1]] = other
-        q_pos = [i for i, e in enumerate(elems) if self.q[e]]
-        if q_pos:
-            for i, e in enumerate(elems):
-                if i < q_pos[0]:
-                    self.pruned[e] = True
-        else:
-            for e in elems:
-                self.pruned[e] = True
-        fr.resolved = True
-        return bool(q_pos)
+        elems = self._ending_at(self.frags.pop(fid), attach_elem)
+        self.parent_link[elems] = elems[1:] + [self._other_elem(lid, attach_elem)]
+        marked = np.flatnonzero(self.q[elems])
+        self.pruned[elems[: marked[0]] if len(marked) else elems] = True
+        return len(marked) > 0
 
     def _finalize_root_fragment(self, fid: int) -> None:
-        fr = self.frags[fid]
-        elems = fr.elems
-        r_pos = [i for i, e in enumerate(elems) if self.is_root[e]]
+        elems = self.frags.pop(fid)
+        r_pos = np.flatnonzero(self.is_root[elems])
         if len(r_pos) != 1:
             raise ContractViolation("fragment should contain exactly one root")
-        r = r_pos[0]
-        for i, e in enumerate(elems):
-            if i < r:
-                self.parent_link[e] = elems[i + 1]
-            elif i > r:
-                self.parent_link[e] = elems[i - 1]
-            else:
-                self.parent_link[e] = -1
-        q_pos = [i for i, e in enumerate(elems) if self.q[e]]
-        lo, hi = min(q_pos), max(q_pos)
-        for i, e in enumerate(elems):
-            if i < lo or i > hi:
-                self.pruned[e] = True
-        fr.resolved = True
+        r = int(r_pos[0])
+        self.parent_link[elems[:r]] = elems[1 : r + 1]
+        self.parent_link[elems[r + 1 :]] = elems[r:-1]
+        marked = np.flatnonzero(self.q[elems])
+        self.pruned[elems[: marked[0]] + elems[marked[-1] + 1 :]] = True
 
     def _merge(self, fid: int, lid: int, my_end: int, target: int, other_end: int) -> None:
-        fr, tfr = self.frags[fid], self.frags[target]
-        a = list(fr.elems)
-        if a[-1] != my_end:
-            a.reverse()
-        b = list(tfr.elems)
-        if b[0] != other_end:
-            b.reverse()
-        if a[-1] != my_end or b[0] != other_end:
-            raise ContractViolation("merge endpoints are not fragment ends")
-        merged = a + b
-        tfr.elems = merged
-        tfr.has_r = tfr.has_r or fr.has_r
-        for e in a:
-            self.frag_of[e] = target
-        del self.frags[fid]
+        a = self._ending_at(self.frags.pop(fid), my_end)
+        self.frags[target] = a + self._ending_at(self.frags[target], other_end)[::-1]
+        self.frag_of[a] = target
         self.live[lid] = False
         self.joined[lid] = True
 

@@ -338,8 +338,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # then for the fixtures the distributed trace text and round count.
 # (structure, run_distributed seed or None, central digest, distributed digest)
 GOLDEN_OUTPUTS = [
-    ("gen_512_4_1", 1, "8b2016ee1b8e3210", "4efe9d02868ff040"),
-    ("gen_1024_8_7372", 3, "e89daa77b0095ed7", "57be7ae7f545ea4c"),
+    ("gen_512_4_1", 1, "8b2016ee1b8e3210", "a0ddd2ba61df0c18"),
+    ("gen_1024_8_7372", 3, "e89daa77b0095ed7", "4f64f34ca54e4709"),
     ((256, 2, 11), None, "d456ec0b6c582f9f", None),
     ((384, 3, 12), None, "fe2543ce5b5aa35f", None),
     ((512, 4, 13), None, "b9b8df0373e87b51", None),

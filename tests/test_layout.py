@@ -238,3 +238,16 @@ def test_plans_name_a_node_by_its_index_row():
         and node.func.attr == "rows_of"
     )
     assert calls and all(site.startswith("oracle.py:") for site in calls)
+
+
+def test_only_known_rounds_discard_what_they_heard():
+    """A ``beep(...)`` whose result is dropped as a bare statement charges a
+    round nobody reads.  Two are left (ROADMAP items 2 and 3): the beeps of
+    ``_beep_from``, whose marks the callers compute centrally, and round 1
+    of the contraction, whose fragment circuits are not yet parted."""
+    discarded = _sites(
+        lambda node: isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Call)
+        and "beep" in (getattr(node.value.func, "attr", None), getattr(node.value.func, "id", None))
+    )
+    assert discarded == ["distalgo.py:_beep_from", "primitives/trees.py:_Contraction.run"]

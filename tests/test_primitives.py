@@ -9,6 +9,7 @@ import pytest
 
 from amoegrid import distalgo, primitives
 from amoegrid.circuits import Meter, World
+from amoegrid.decompose import phase1_simple
 from amoegrid.errors import ContractViolation
 from amoegrid.generator import generate_random
 from amoegrid.grid import AmoebotStructure, Direction, GridPoint, find_holes
@@ -20,6 +21,7 @@ from amoegrid.primitives import (
     degree_check_batch,
     election_iters,
     run_election,
+    trees,
 )
 from amoegrid.split import Region
 
@@ -160,6 +162,54 @@ def test_root_and_prune_matches_union_of_paths():
                 steps += 1
                 assert steps <= len(ids)
             assert cur == q[0]
+
+
+def test_one_contraction_roots_and_prunes_several_regions_trees(monkeypatch):
+    """Phase 2 contracts every region's y-portal tree in one forest; each
+    tree, rooted at one of its own portals, is pruned to the union of paths
+    between its marks, every parent chain ends at that tree's root, and the
+    contraction leaves no link live."""
+    runs = []
+
+    class Recorded(trees._Contraction):
+        def run(self, meter, max_iters):
+            runs.append(self)
+            super().run(meter, max_iters)
+
+    monkeypatch.setattr(trees, "_Contraction", Recorded)
+    rng = random.Random(5)
+    for trial in range(4):
+        s = generate_random(rng.randint(250, 450), 3 + trial, trial + 90)
+        world = World(s, c=10, seed=trial)
+        regions, _, _ = phase1_simple(s)
+        assert len(regions) >= 2
+        graphs = [portal_graph(r, Axis.Y) for r in regions]
+        forest = trees.portal_forest(
+            world, [(pg, distalgo._RegionSpace(world, r).koff) for r, pg in zip(regions, graphs)]
+        )
+        q = np.zeros(forest.ne, dtype=bool)
+        roots, base, spans = [], 0, []
+        for pg in graphs:
+            ids = [p.id for p in pg.portals]
+            marks = rng.sample(ids, rng.randint(1, min(5, len(ids))))
+            q[[base + pid for pid in marks]] = True
+            roots.append(base + marks[0])
+            spans.append((base, pg, marks))
+            base += len(ids)
+        parents, keep = trees.contract_tree(world, forest, roots, q, Meter())
+        assert not runs[-1].live.any()
+        for (base, pg, marks), root in zip(spans, roots):
+            g = nx.Graph(list(pg.links))
+            g.add_nodes_from(p.id for p in pg.portals)
+            want = {base + pid for qa in marks for qb in marks for pid in nx.shortest_path(g, qa, qb)}
+            assert set(np.flatnonzero(keep[base : base + len(pg.portals)]) + base) == want
+            for e in range(base, base + len(pg.portals)):
+                for _ in range(len(pg.portals)):
+                    if parents[e] < 0:
+                        break
+                    e = int(parents[e])
+                    assert base <= e < base + len(pg.portals)
+                assert e == root
 
 
 def test_root_and_prune_star_and_path():
