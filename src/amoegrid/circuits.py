@@ -8,24 +8,29 @@ with no information about origin or multiplicity.
 Rounds are fully synchronous: activations read the previous round's inbox
 and their own state, emit a new pin configuration plus beeps, and beeps
 propagate on the updated configuration.  The implementation is array-based:
-a protocol writes the pin configuration of every amoebot into ``World.pset``
-and names the partition sets that beep; ``World.beep`` is the one charged
-round: it builds the send matrix, ``World.deliver`` returns what every
-partition set hears, and the round is added to the caller's ``Meter``.  The
+a protocol puts the pin configuration of every amoebot on ``World.pset``
+(``World.wire``) and names the partition sets that beep as flat
+``amoebot * S + label`` cells; ``World.beep`` is the one charged round: it
+hands those cells to ``World.deliver``, which returns what every partition
+set hears, and the round is added to the caller's ``Meter``.  The
 primitives in ``amoegrid.primitives`` are such protocols.  The tests keep a
 per-amoebot reference round and an explicit circuit listing
 (``tests/reference_circuits.py``) as the oracle of these semantics.
 
-A round costs only what changed.  ``World.wire`` keys the circuits it labels
-on the plan it is given (the bytes of its pins and labels) and keeps those of
-the last two distinct plans, so a protocol that repeats a wiring or switches
-between two gets its circuits back without a recompute; ``pset`` is rewritten
-all the same.  A direct ``pset`` write followed by ``mark_dirty`` is always
-labelled afresh and never kept.  ``beep`` sets its cells in one send buffer
-per world and clears them after the delivery.  Coins come from per-amoebot
-streams: each world folds ``(seed, a, b)`` once and every draw continues that
-fold with its salt and stream position, bit-identical to ``mix64`` over the
-whole tuple.
+A round costs what it touches, not the size of the world.  ``World.wire``
+restores only the pins the plan in force had set before it puts the new
+plan, and the labelling that follows reads only the new plan's pins.  It
+keys the circuits it labels on the plan it is given (the bytes of its pins
+and labels) and keeps those of the last two distinct plans, so a protocol
+that repeats a wiring or switches between two gets its circuits back
+without a recompute.  A direct ``pset`` write followed by ``mark_dirty`` is
+labelled afresh from the whole table, is never kept, and makes the next
+``wire`` restore the whole table.  ``beep`` hands its cells to ``deliver``,
+so only a caller holding a dense send pays for a scan of it; it also sets
+them in one send buffer per world, cleared after the delivery.  Coins come
+from per-amoebot streams: each world folds ``(seed, a, b)`` once and every
+draw continues that fold with its salt and stream position, bit-identical
+to ``mix64`` over the whole tuple.
 """
 
 from __future__ import annotations
@@ -153,8 +158,15 @@ class World:
         self._isolated = np.tile(
             STAGE_LABELS + np.arange(6 * c, dtype=np.int32), self.n
         ).reshape(self.n, 6 * c)
+        #: the pin configuration, one label per pin; write it through ``wire``,
+        #: or follow every direct write with ``mark_dirty``, since ``wire``
+        #: otherwise restores only the pins of the last plan it put
         self.pset = self._isolated.copy()
         self._dirty = True
+        # flat pins the plan in force set, and whether ``pset`` may hold
+        # writes outside them (a direct write, or no plan wired yet)
+        self._wired = _EMPTY
+        self._direct = True
         # circuit of every stage pin and of every (amoebot, label) cell of the
         # labelling in force; unused entries hold -1
         self._stage_pin_comp = np.full(self.n * 6 * c, -1, dtype=np.int64)
@@ -178,14 +190,20 @@ class World:
         """Isolate every pin, then put ``labels`` on the flat pins ``pins``:
         a primitive's whole pin plan, written at once.
 
-        A plan this world labelled recently gets its circuits back from the
-        memo instead of a recompute.
+        Only the last plan's pins go back to isolated, unless ``pset`` was
+        written directly since.  A plan this world labelled recently gets
+        its circuits back from the memo instead of a recompute.
         """
-        pins = np.asarray(pins, dtype=np.int64)
+        pins = np.array(pins, dtype=np.int64)  # a copy: the next wire restores these pins
         labels = np.broadcast_to(np.asarray(labels, dtype=self.pset.dtype), pins.shape)
-        self.reset_pins_isolated()
-        np.put(self.pset, pins, labels)
+        flat = self.pset.reshape(-1)
+        if self._direct:
+            np.copyto(self.pset, self._isolated)
+        else:
+            flat[self._wired] = self._isolated.reshape(-1)[self._wired]
+        flat[pins] = labels
         self.mark_dirty()
+        self._wired, self._direct = pins, False
         plan = (pins.tobytes(), labels.tobytes())
         for at, (key, labelling) in enumerate(self._memo):
             if key == plan:
@@ -234,6 +252,7 @@ class World:
     def mark_dirty(self) -> None:
         """Declare ``pset`` rewritten: the next delivery labels it afresh."""
         self._dirty = True
+        self._direct = True
         self._plan = None
 
     # -- coins -------------------------------------------------------------------
@@ -270,10 +289,17 @@ class World:
         # (label >= STAGE_LABELS, always its own slot's label) forms a private
         # two-pin channel with its partner, handled directly in deliver();
         # where a live edge joins a stage pin to a parked pin, the parked side
-        # is absorbed into the stage circuit.
+        # is absorbed into the stage circuit.  A wired plan has stage labels
+        # only on its own pins; a direct write may have put them anywhere.
         flat = self.pset.reshape(-1)
-        stage = flat < STAGE_LABELS
-        stage_rows = np.flatnonzero(stage)
+        if self._direct:
+            stage_rows = np.flatnonzero(flat < STAGE_LABELS)
+        else:
+            # sorted and deduplicated by hand: np.unique is many times slower
+            rows = np.sort(self._wired)
+            keep = flat[rows] < STAGE_LABELS
+            keep[1:] &= rows[1:] != rows[:-1]
+            stage_rows = rows[keep]
         owners = self.pin_owner[stage_rows]
         labels = flat[stage_rows]
         # A partition set is a cell of the (amoebot, label) table.  Number
@@ -292,7 +318,7 @@ class World:
         # a live edge between two stage pins joins their sets
         partner = self.pin_partner[stage_rows]
         live_here = self.pin_live[stage_rows]
-        partner_stage = live_here & stage[np.maximum(partner, 0)]
+        partner_stage = live_here & (flat[np.maximum(partner, 0)] < STAGE_LABELS)
         linked = partner[partner_stage]
         root = components(
             m,
@@ -330,21 +356,24 @@ class World:
     def beep(self, cells: np.ndarray | list[int], meter: Meter) -> np.ndarray:
         """One charged round: the flat ``amoebot * S + label`` send cells
         ``cells`` beep, and ``meter`` counts the round; returns the recv."""
+        cells = np.asarray(cells, dtype=np.int64)
         flat = self._send.reshape(-1)
         flat[cells] = True
         try:
-            recv = self.deliver(self._send)
+            recv = self.deliver(self._send, cells)
         finally:
             flat[cells] = False
         meter.rounds += 1
         return recv
 
-    def deliver(self, send: np.ndarray) -> np.ndarray:
+    def deliver(self, send: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
         """One synchronous beep exchange on the current pin configuration.
 
-        Cost scales with the stage-labeled pins plus the actual beeps; a
-        parked pin is a private two-pin channel handled straight from the
-        send side.
+        ``send`` marks the beeping ``(amoebot, label)`` cells; ``cells``, when
+        given, is an int64 array of the same cells flat (in any order,
+        repeats allowed), so that ``send`` need not be scanned.  Cost scales
+        with the stage-labeled pins plus the actual beeps; a parked pin is a
+        private two-pin channel handled straight from the send side.
         """
         if self._dirty:
             self._recompute_circuits()
@@ -353,7 +382,7 @@ class World:
         recv = np.zeros((self.n, self.S), dtype=bool)
         hot = np.zeros(lab.n_comp + 1, dtype=bool)
 
-        beeps = np.flatnonzero(send)
+        beeps = np.flatnonzero(send) if cells is None else cells
         if beeps.size:
             rows, cols = np.divmod(beeps, self.S)
             at_stage = cols < STAGE_LABELS

@@ -166,12 +166,15 @@ def test_parked_pins_form_private_channels():
 
 
 def test_memo_deliveries_equal_a_fresh_world():
-    """Plans wired again, in any order and with direct ``pset`` writes in
-    between, deliver what a fresh world with the same ``pset`` delivers."""
+    """Plans wired again, in any order and with resets and direct ``pset``
+    writes in between, leave ``pset`` as a fresh world's isolated table with
+    the last plan and every later write put, and ``beep`` delivers what a
+    fresh world with that ``pset`` delivers from a dense send."""
     rng = random.Random(17)
     for trial in range(6):
         s = random_structure(rng, rng.randint(8, 30))
         w = World(s, c=2)
+        isolated = World(s, c=2).pset
         pins_a = np.array(rng.sample(range(w.pset.size), w.pset.size // 2))
         plans = [
             (pins_a, np.array([rng.randrange(4) for _ in pins_a])),
@@ -181,22 +184,42 @@ def test_memo_deliveries_equal_a_fresh_world():
             (np.zeros(0, dtype=np.int64), 0),
         ]
         meter = Meter()
+        want = isolated.copy()
         for step in range(60):
-            if rng.random() < 0.25:  # a direct write, right after a wire or not
-                i, slot = rng.randrange(w.n), rng.randrange(6 * w.c)
-                w.pset[i, slot] = rng.randrange(4)
+            roll = rng.random()
+            if roll < 0.25:  # a direct write, right after a wire or not
+                i, slot, label = rng.randrange(w.n), rng.randrange(6 * w.c), rng.randrange(4)
+                w.pset[i, slot] = label
                 w.mark_dirty()
+                want[i, slot] = label
+            elif roll < 0.35:
+                w.reset_pins_isolated()
+                want = isolated.copy()
             else:
-                w.wire(*rng.choice(plans))
+                pins, labels = rng.choice(plans)
+                w.wire(pins, labels)
+                want = isolated.copy()
+                np.put(want, pins, labels)
+            assert np.array_equal(w.pset, want), (trial, step)
             fresh = World(s, c=2)
-            fresh.pset[:] = w.pset
+            fresh.pset[:] = want
             fresh.mark_dirty()
-            used = np.unique(np.arange(w.n)[:, None] * w.S + w.pset)
-            for _ in range(3):
-                cells = rng.sample(used.tolist(), rng.randint(1, 3))
+            used = np.unique(np.arange(w.n)[:, None] * w.S + want).tolist()
+            # parked cells of pins that now sit on a stage set: deliver skips them
+            staged = w.park_cell(np.flatnonzero(want.reshape(-1) < STAGE_LABELS)).tolist()
+            staged = rng.sample(staged, min(3, len(staged)))
+            assert not w.beep(staged, meter).any(), (trial, step)  # no set has their labels
+            twice = rng.sample(used, 2)
+            beeps = [
+                [],
+                [twice[1], twice[0], twice[1], twice[1]],
+                staged + rng.sample(used, 1),
+                *(rng.sample(used, rng.randint(1, 3)) for _ in range(3)),
+            ]
+            for cells in beeps:
                 send = np.zeros((w.n, w.S), dtype=bool)
                 send.reshape(-1)[cells] = True
-                assert np.array_equal(w.beep(cells, meter), fresh.deliver(send)), (trial, step)
+                assert np.array_equal(w.beep(cells, meter), fresh.deliver(send)), (trial, step, cells)
 
 
 def test_coin_streams_deterministic_and_order_independent():

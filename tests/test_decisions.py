@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amoegrid import distalgo
 from amoegrid.circuits import Meter, World
@@ -40,6 +42,12 @@ def same(got, want) -> bool:
 @pytest.fixture
 def asked(monkeypatch) -> Counter:
     """Swap in a provider that checks each circuit answer against the direct one."""
+    return install_checking_provider(monkeypatch)
+
+
+def install_checking_provider(monkeypatch) -> Counter:
+    """Patch ``distalgo.CircuitDecisions`` with a provider that asserts each
+    circuit answer equals the direct one; returns the per-decision counts."""
     counts: Counter = Counter()
 
     def checked(name):
@@ -88,6 +96,20 @@ def test_providers_agree_on_every_decision_and_output(asked):
         assert outcome.decomposition.canonical() == central.canonical(), label
         assert fields(outcome.decomposition) == fields(central), label
     assert sorted(asked) == DECISIONS
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(n=st.integers(1, 512), holes=st.integers(0, 8), seed=st.integers(0, 2**16))
+def test_providers_agree_and_verify_on_generated_structures(n, holes, seed):
+    holes = min(holes, max(0, (n - 6) // 7))  # the generator's hole limit
+    s = generate_random(n, holes, seed)
+    # hypothesis runs the body many times per test, so it cannot take the
+    # function-scoped ``asked`` fixture
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        install_checking_provider(monkeypatch)
+        outcome = run_distributed(s, seed=seed)
+    report = verify_decomposition(s, outcome.decomposition)
+    assert report.all_ok, "\n".join(report.summary_lines())
 
 
 @pytest.mark.parametrize("turns", range(6))

@@ -123,7 +123,8 @@ def test_phase1_rounds_follow_the_closed_form_schedule(n):
 # SHA-256 prefix of the delivery sequence of run_distributed(gen_512_4_1,
 # seed=1): per delivery, the flat (amoebot, label) cells that beeped and the
 # cells that heard.  A change to how the primitives wire their pins must
-# leave every beep and every hearer as they are.
+# leave every beep and every hearer as they are.  Every delivery comes from
+# World.beep, whose cell list must name exactly the cells of its send.
 DELIVERY_DIGEST = (608, 333, "636763b461ad8fe1")
 
 
@@ -137,9 +138,10 @@ def test_delivery_sequence_is_byte_identical_to_golden(monkeypatch):
     deliveries = 0
     deliver = World.deliver
 
-    def recorded(self, send):
+    def recorded(self, send, cells=None):
         nonlocal deliveries
-        recv = deliver(self, send)
+        assert np.array_equal(np.unique(cells), np.flatnonzero(send)), deliveries
+        recv = deliver(self, send, cells)
         digest.update(np.flatnonzero(send).astype(np.int64).tobytes() + b"|")
         digest.update(np.flatnonzero(recv).astype(np.int64).tobytes() + b";")
         deliveries += 1
