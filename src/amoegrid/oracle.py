@@ -5,9 +5,14 @@ distances come from plain BFS over the structure, simplicity and the hole
 count from an Euler characteristic, convexity from the definition.  These
 are the reference answers the fast paths are tested against.
 
-Distances are integer matrices, in the smallest signed integer dtype that
-holds twice the size searched (int16 up to n = 16383); scipy's float64
-output exists only in blocks of source rows.
+Every distance comes from one search, ``_bfs_planes``: a breadth-first
+search over a neighbour table padded with an empty row, with one bit (a
+lane) per source and 64 lanes to a machine word, so one pass of the table
+advances 64 searches.  Each level is ORed into bit-planes, one per bit of
+the level number, and a distance is read from one bit of each plane.  Rows
+of distances are integer matrices, in the smallest signed integer dtype that
+holds twice the size searched (int16 up to n = 16383), decoded from the
+planes in blocks of at most 2 MB.
 
 Regions are read from their arrays, never from their point sets.
 ``verify_decomposition`` lays every region's cells (``rows`` on the
@@ -48,7 +53,10 @@ distance identity takes four searches of it: one for d, and one per axis
 over its quotient by the portals, the components of that axis's retained
 edges.  They start from every member of each simple, connected region of
 at most IDENTITY_SOURCES members, and from that many seeded members of a
-larger one, and pair each source with every member of its region.
+larger one, and pair each source with every member of its region.  A
+source's lane is its rank among its region's sources.  Regions are apart
+in the block graph and in every quotient, so their sources share lanes,
+and one word per node carries them all.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ from typing import TYPE_CHECKING, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError
 from .grid import AmoebotStructure, GridPoint, StructureIndex, euler_characteristics
@@ -74,8 +82,11 @@ EXHAUSTIVE_CONVEXITY_LIMIT = 3000
 #: with at most this many members, and from this many seeded members above
 #: it; each source is paired with every member of its region.
 IDENTITY_SOURCES = 28
-#: A distance search holds at most this many float64 cells (2 MB) at once.
-_SEARCH_BLOCK_CELLS = 1 << 18
+#: A lane of a search is one bit of a 64-bit word, so the identity sources of
+#: a region, one lane each, fit in one word per node.
+assert IDENTITY_SOURCES <= 64
+#: Decoding distance rows holds at most this many bytes (2 MB) of them at once.
+_DECODE_BLOCK_BYTES = 1 << 21
 
 
 def _distance_dtype(n: int) -> np.dtype:
@@ -85,36 +96,92 @@ def _distance_dtype(n: int) -> np.dtype:
     )
 
 
-def _block_rows(n: int) -> int:
-    """Source rows per search block over an n-node graph."""
-    return max(1, _SEARCH_BLOCK_CELLS // n)
+def _bfs_planes(table: np.ndarray, nodes: np.ndarray, lanes: np.ndarray) -> list[np.ndarray]:
+    """Bit-parallel breadth-first search from the sources (nodes[k], lanes[k]).
+
+    ``table`` has shape (n, width): row v holds v's neighbours, padded with
+    n.  Every node carries one bit per lane, in 64-bit words, so a search
+    from 64 sources costs about one search from one.  Each level ORs the
+    frontier rows of the ``width`` neighbours and keeps the bits not seen
+    yet.  Plane b is an (n, words) array holding the bits reached at a level
+    whose bit b is set: d(source, v) is read from bit ``lane % 64`` of word
+    ``lane // 64`` of row v in each plane, and is 0 where v is unreached.
+    Sources on one lane must lie in components that do not meet.
+    """
+    n = len(table)
+    words = int(lanes.max()) // 64 + 1 if len(lanes) else 0
+    frontier = np.zeros((n + 1, words), dtype=np.uint64)  # row n: the padding, never reached
+    np.bitwise_or.at(frontier, (nodes, lanes // 64), np.left_shift(np.uint64(1), (lanes % 64).astype(np.uint64)))
+    unseen = ~frontier[:n]
+    following, gathered = np.zeros_like(frontier), np.empty((n, words), dtype=np.uint64)
+    columns = np.ascontiguousarray(table.T)
+    planes: list[np.ndarray] = []
+    level = 0
+    while True:
+        new = following[:n]
+        frontier.take(columns[0], axis=0, out=new, mode="clip")
+        for column in columns[1:]:
+            frontier.take(column, axis=0, out=gathered, mode="clip")
+            new |= gathered
+        new &= unseen
+        if not new.any():
+            return planes
+        unseen ^= new
+        level += 1
+        if level.bit_length() > len(planes):
+            planes.append(np.zeros((n, words), dtype=np.uint64))
+        for b, plane in enumerate(planes):
+            if level >> b & 1:
+                plane |= new
+        frontier, following = following, frontier
 
 
-def _search_blocks(matrix: csr_matrix, sources: np.ndarray, *, directed: bool = True):
-    """Yield (first row, float64 hop distances from the next ``_block_rows`` sources)."""
-    h = _block_rows(matrix.shape[0])
-    for start in range(0, len(sources), h):
-        yield start, dijkstra(
-            matrix, directed=directed, unweighted=True, indices=sources[start : start + h]
-        )
+def _read_rows(planes: list[np.ndarray], count: int, n: int, dtype: np.dtype) -> np.ndarray:
+    """The (count, n) distances from lanes 0..count-1 of a search over n
+    nodes, as integers of ``dtype``.
+
+    A lookup spreads each group of lane bits into the digits of a 64-bit
+    word, one digit per lane, wide enough for every plane; so each plane is
+    read once per group of lanes, and the digits are transposed into rows
+    once.  The rows are decoded in blocks that each hold at most
+    _DECODE_BLOCK_BYTES.
+    """
+    out = np.zeros((count, n), dtype=dtype)
+    if not planes:
+        return out
+    digit = next(bits for bits in (8, 16, 32, 64) if bits >= len(planes))
+    group = 64 // digit  # lanes per word of digits, and bits per lookup
+    spread = np.zeros(1 << group, dtype="<u8")  # digit i of spread[x] is bit i of x
+    for i in range(group):
+        spread |= ((np.arange(1 << group, dtype="<u8") >> i) & 1) << (digit * i)
+    shifts = np.arange(0, 8, group, dtype=np.uint8)
+    rows = max(8, _DECODE_BLOCK_BYTES // (n * max(dtype.itemsize, digit // 8)) // 8 * 8)
+    # lane j is bit j % 8 of byte j // 8 of a little-endian row of words
+    lane_bytes = [plane.astype("<u8", copy=False).view(np.uint8) for plane in planes]
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        digits = np.zeros((n, ((hi - lo + 7) // 8) * 8 // group), dtype="<u8")
+        for b, plane in enumerate(lane_bytes):
+            chunk = plane[:, lo // 8 : (hi + 7) // 8]
+            if group < 8:
+                chunk = ((chunk[:, :, None] >> shifts) & ((1 << group) - 1)).reshape(n, -1)
+            digits |= spread[chunk] << np.uint64(b)
+        out[lo:hi] = digits.view(f"<u{digit // 8}")[:, : hi - lo].T
+    return out
 
 
 class _IndexedGraph:
-    """Symmetric CSR adjacency over the structure's index, for batched BFS.
+    """The structure's neighbour table, for batched BFS.
 
     ``neighbors[i]`` holds the indices of node i's neighbours in ascending
-    order, after one -1 per missing neighbour.
+    order, then n once per missing neighbour.
     """
 
     def __init__(self, structure: AmoebotStructure):
         ix = self.index = structure.index
         self.nodes = ix.nodes
         n = len(self.nodes)
-        self.neighbors = neighbors = np.sort(ix.nbr, axis=1)
-        present = neighbors >= 0
-        indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
-        indices = neighbors[present]
-        self.matrix = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+        self.neighbors = np.sort(np.where(ix.nbr < 0, n, ix.nbr), axis=1)
         self.dtype = _distance_dtype(n)
 
     def members(self, nodes: Collection[GridPoint]) -> np.ndarray:
@@ -128,16 +195,23 @@ class _IndexedGraph:
         An ``AmoebotStructure`` is connected, so every distance is finite.
         """
         sources = np.asarray(sources, dtype=np.int64)
-        out = np.empty((len(sources), len(self.nodes)), dtype=self.dtype)
-        for start, block in _search_blocks(self.matrix, sources):
-            out[start : start + len(block)] = block
-        return out
+        planes = _bfs_planes(self.neighbors, sources, np.arange(len(sources)))
+        return _read_rows(planes, len(sources), len(self.nodes), self.dtype)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The concatenation of ``arange(s, s + l)`` over (starts, lengths)."""
     ends = np.cumsum(lengths)
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: ``np.unique`` by a sort and a
+    neighbour comparison, which is several times faster on int64."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 def euler_characteristic(nodes: Iterable[GridPoint]) -> int:
@@ -218,7 +292,7 @@ def _exit_plan(g: _IndexedGraph, members: np.ndarray) -> _ConvexityPlan | None:
     """The search that decides a region from its exit edges; None when it has none."""
     inside = np.zeros(len(g.nodes) + 1, dtype=bool)
     inside[members] = True
-    inside[-1] = True  # the -1 padding of ``g.neighbors`` is no exit
+    inside[-1] = True  # the padding n of ``g.neighbors`` is no exit
     nbrs = g.neighbors[members]
     leaves = ~inside[nbrs]
     if not leaves.any():
@@ -256,7 +330,7 @@ def _decide_convexity(
     if sources is not searched:
         del dist
         dist = g.distances_from(sources)  # (S, n)
-    ring_idx = np.unique(exit_w)
+    ring_idx = _distinct(exit_w)
     d_rr = dist[:, sources]  # (S, S) pair distances
     ring_cols = np.ascontiguousarray(dist[:, ring_idx].T)  # (W, S): d(w, .) per ring node
     del dist
@@ -365,7 +439,9 @@ def verify_decomposition(
     offsets = blocks.offsets
     sizes = np.diff(offsets)
 
-    report = VerificationReport(coverage_ok=np.array_equal(np.unique(blocks.rows), np.arange(structure.n)))
+    # every structure row is some region's member, and no member is off the structure
+    covered = bool((blocks.rows >= 0).all() and np.bincount(blocks.rows, minlength=structure.n).all())
+    report = VerificationReport(coverage_ok=covered)
     report.counts = {
         "regions": len(regions),
         "gates": len(decomposition.phase1_gates),
@@ -388,8 +464,7 @@ def verify_decomposition(
         plan = _exit_plan(graph, blocks.rows[offsets[k] : offsets[k + 1]])
         if plan is not None:
             plans[k] = plan
-    searched = [plan.searched for plan in plans.values()]
-    union = np.unique(np.concatenate(searched)) if searched else np.empty(0, dtype=np.int64)
+    union = _distinct(_concat(plan.searched for plan in plans.values()))
     dist = graph.distances_from(union)
     verdicts = zip(simple.tolist(), connected.tolist(), blocks.edges_ok.tolist(), inside.tolist())
     for k, (r, (simple_ok, conn_ok, edges_ok, ok)) in enumerate(zip(regions, verdicts)):
@@ -537,23 +612,30 @@ def _identity_pairs(offsets: np.ndarray, sampled: np.ndarray) -> tuple[np.ndarra
 
 
 def _adjacency(u: np.ndarray, v: np.ndarray, n: int) -> csr_matrix:
-    """The n-node graph with the edges (u[k], v[k]), for undirected searches."""
+    """The n-node graph with the edges (u[k], v[k]), for undirected component searches."""
     return csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
 
 
-def _pair_distances(matrix: csr_matrix, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Undirected hop distances d(src[k], dst[k]), one search from the distinct sources."""
-    # sorted by source, the pairs of each block of source rows are one slice
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    new = np.ones(len(src), dtype=bool)
-    new[1:] = src[1:] != src[:-1]
-    sources, row = src[new], np.cumsum(new) - 1
-    out = np.empty(len(src), dtype=np.int64)
-    for start, block in _search_blocks(matrix, sources, directed=False):
-        lo, hi = np.searchsorted(row, (start, start + len(block))).tolist()
-        out[order[lo:hi]] = block[row[lo:hi] - start, dst[lo:hi]]
-    return out
+def _neighbor_table(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The table ``_bfs_planes`` searches, of the n-node undirected graph with
+    the edges (u[k], v[k]): row i holds i's distinct neighbours, ascending,
+    padded with n.  Repeated edges and loops are dropped."""
+    u, v = u.astype(np.int64), v.astype(np.int64)  # component labels are int32
+    i, j = np.divmod(_distinct(np.concatenate((u * n + v, v * n + u))), max(n, 1))
+    edge = i != j
+    i, j = i[edge], j[edge]
+    degree = np.bincount(i, minlength=n)
+    table = np.full((n, max(1, int(degree.max(initial=0)))), n, dtype=np.int64)
+    table[i, np.arange(len(i)) - (np.cumsum(degree) - degree)[i]] = j
+    return table
+
+
+def _identity_lanes(offsets: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct block nodes of ``src``, ascending, and the lane of each:
+    its rank among the sources of its region, so below IDENTITY_SOURCES."""
+    sources = _distinct(src)
+    region = np.searchsorted(offsets, sources, side="right") - 1
+    return sources, np.arange(len(sources)) - np.searchsorted(region, region)
 
 
 def _half_sum_sides(blocks: _RegionBlocks, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -562,16 +644,25 @@ def _half_sum_sides(blocks: _RegionBlocks, src: np.ndarray, dst: np.ndarray) -> 
 
     One search over the block graph gives d.  An axis's portals are the
     components of its retained edges; one search over their quotient by the
-    other retained edges gives d_axis.
+    other retained edges gives d_axis.  A source's lane is its rank in its
+    region, so one word per node carries every region's sources: regions
+    are apart in the block graph and in every quotient.
     """
     if not len(src):
         return src, src
-    u, v = blocks.u, blocks.v
+    u, v, size = blocks.u, blocks.v, len(blocks.rows)
     da, db = blocks.a[u] - blocks.a[v], blocks.b[u] - blocks.b[v]
-    d = _pair_distances(blocks.matrix, src, dst)
+    sources, lanes = _identity_lanes(blocks.offsets, src)
+    lane, dtype = lanes[np.searchsorted(sources, src)], _distance_dtype(size)
+
+    def search(table: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """(lane, node) distances of one search from the sources at ``nodes``."""
+        return _read_rows(_bfs_planes(table, nodes, lanes), IDENTITY_SOURCES, len(table), dtype)
+
+    d = search(_neighbor_table(u, v, size), sources)[lane, dst]
     portal_sums = np.zeros(len(src), dtype=np.int64)
     for along in (db == 0, da == 0, da + db == 0):  # x, y and z edges
-        k, portal = connected_components(_adjacency(u[along], v[along], len(blocks.rows)), directed=False)
-        quotient = _adjacency(portal[u[~along]], portal[v[~along]], k)
-        portal_sums += _pair_distances(quotient, portal[src], portal[dst])
+        k, portal = connected_components(_adjacency(u[along], v[along], size), directed=False)
+        quotient = _neighbor_table(portal[u[~along]], portal[v[~along]], k)
+        portal_sums += search(quotient, portal[sources])[lane, portal[dst]]
     return 2 * d, portal_sums

@@ -98,8 +98,14 @@ def test_providers_agree_on_every_decision_and_output(asked):
     assert sorted(asked) == DECISIONS
 
 
+#: structure sizes up to 1,024, three draws in four above 64
+SIZES = st.sampled_from([False, True, True, True]).flatmap(
+    lambda large: st.integers(65, 1024) if large else st.integers(1, 64)
+)
+
+
 @settings(derandomize=True, max_examples=20, deadline=None)
-@given(n=st.integers(1, 512), holes=st.integers(0, 8), seed=st.integers(0, 2**16))
+@given(n=SIZES, holes=st.integers(0, 8), seed=st.integers(0, 2**16))
 def test_providers_agree_and_verify_on_generated_structures(n, holes, seed):
     holes = min(holes, max(0, (n - 6) // 7))  # the generator's hole limit
     s = generate_random(n, holes, seed)

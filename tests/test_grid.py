@@ -144,7 +144,7 @@ def test_world_and_oracle_graph_read_the_structure_index():
     assert w.nbr is ix.nbr and w.a is ix.a and w.b is ix.b
     g = _IndexedGraph(s)
     assert g.nodes is ix.nodes and g.index is ix
-    assert np.array_equal(g.neighbors, np.sort(ix.nbr, axis=1))
+    assert np.array_equal(g.neighbors, np.sort(np.where(ix.nbr < 0, len(ix.nodes), ix.nbr), axis=1))
     assert World(s, c=10).nbr is ix.nbr
     with pytest.raises(ValueError):
         ix.nbr[0, 0] = 0  # shared by every reader, so read-only

@@ -147,6 +147,20 @@ def test_oracle_imports_no_engine_module_at_run_time():
     assert "grid" in modules and not modules & {"portals", "split", "decompose"}
 
 
+def test_oracle_searches_only_by_its_own_bfs():
+    """Every distance the oracle reads comes from ``_bfs_planes``, so it
+    imports none of scipy's path searches; its component search stays."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    imported = {
+        alias.name.split(".")[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    searches = {"dijkstra", "shortest_path", "breadth_first_order", "bellman_ford", "johnson", "floyd_warshall"}
+    assert "connected_components" in imported and not imported & searches
+
+
 def _sites(match) -> list[str]:
     """``module:Class.function`` of every AST node of ``src/`` that
     ``match`` accepts, in file order."""

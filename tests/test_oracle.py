@@ -19,13 +19,15 @@ from amoegrid.oracle import (
     EXHAUSTIVE_CONVEXITY_LIMIT,
     IDENTITY_SOURCES,
     RegionCheck,
-    _block_rows,
+    _bfs_planes,
     _half_sum_sides,
     _hull_exact_segments,
+    _identity_lanes,
     _identity_pairs,
     _IndexedGraph,
-    _pair_distances,
+    _neighbor_table,
     _plan_convexity,
+    _read_rows,
     _read_regions,
     euler_characteristic,
     is_geodesically_convex,
@@ -128,17 +130,44 @@ def test_indexed_graph_integer_distances_match_bfs():
         assert row.tolist() == [want[p] for p in g.nodes]
 
 
-def test_distances_from_matches_bfs_across_block_boundary():
+@pytest.mark.parametrize("count", [63, 64, 65, 129])
+def test_distances_from_matches_bfs_across_word_boundaries(count, monkeypatch):
+    # a lane per source, 64 to a word; rows decoded 16 at a time
     s = generate_random(900, 3, 5)
     g = _IndexedGraph(s)
-    h = _block_rows(len(g.nodes))
-    sources = np.arange(0, len(g.nodes), 2)[: h + 5]
-    assert len(sources) > h
+    monkeypatch.setattr(oracle, "_DECODE_BLOCK_BYTES", 16 * s.n * 2)
+    sources = np.arange(0, len(g.nodes), 2)[:count]
     dist = g.distances_from(sources)
-    assert dist.shape == (len(sources), len(g.nodes)) and dist.dtype == np.int16
-    for k in (0, h - 1, h, len(sources) - 1):
+    assert dist.shape == (count, len(g.nodes)) and dist.dtype == np.int16
+    for k in sorted({0, 15, 16, 62, 63, 64, count - 1} & set(range(count))):
         want = bfs_distances(s, g.nodes[sources[k]])
         assert dist[k].tolist() == [want[p] for p in g.nodes]
+
+
+@pytest.mark.parametrize("planes", [1, 8, 9, 16, 17, 33])
+def test_row_decode_matches_bit_by_bit_reading(planes, monkeypatch):
+    # 8-, 16-, 32- and 64-bit digits, 70 lanes in two words, rows decoded
+    # 8 at a time
+    monkeypatch.setattr(oracle, "_DECODE_BLOCK_BYTES", 8 * 50 * 8)
+    rng = np.random.default_rng(planes)
+    bits = [rng.integers(0, 2**63, (50, 2), dtype=np.uint64) for _ in range(planes)]
+    got = _read_rows(bits, 70, 50, np.dtype(np.int64))
+    want = [
+        [sum((int(plane[v, lane // 64]) >> (lane % 64) & 1) << b for b, plane in enumerate(bits)) for v in range(50)]
+        for lane in range(70)
+    ]
+    assert got.tolist() == want
+
+
+def test_distances_from_matches_bfs_past_255_hops():
+    s = AmoebotStructure(parallelogram(300, 2))
+    g = _IndexedGraph(s)
+    sources = np.array([0, 1, 299, 300, 450])
+    dist = g.distances_from(sources)
+    assert dist.max() > 255
+    for row, k in zip(dist, sources.tolist()):
+        want = bfs_distances(s, g.nodes[k])
+        assert row.tolist() == [want[p] for p in g.nodes]
 
 
 def test_convexity_whole_structure_and_witness():
@@ -511,11 +540,11 @@ def test_batched_convexity_matches_single_region_calls(n, holes, seed):
     _assert_batched_matches_single(s, _fabricated(regions + _adjacent_unions(s, regions)))
 
 
-def test_batched_convexity_matches_single_region_calls_across_search_blocks():
+def test_batched_convexity_matches_single_region_calls_across_words():
     # strips of three rows, each with one-cell holes in its middle row: each
     # strip is convex, but its hexagonal hull holds the holes, so no strip is
-    # certified and the strips together search from most nodes; two C shapes
-    # add witnesses
+    # certified and the strips together search from most nodes, in many
+    # 64-bit words; two C shapes add witnesses
     holes = {GridPoint(a, b) for b in range(1, 24, 3) for a in (7, 15, 22)}
     s = AmoebotStructure(set(parallelogram(30, 24)) - holes)
 
@@ -531,9 +560,36 @@ def test_batched_convexity_matches_single_region_calls_across_search_blocks():
     plans = [_plan_convexity(g, g.members(r.nodes)) for r in deco.regions]
     assert all(p is not None for p in plans)
     searched = np.unique(np.concatenate([p.searched for p in plans]))
-    assert len(searched) > _block_rows(s.n)
+    assert len(searched) > 3 * 64
     report = _assert_batched_matches_single(s, deco)
     assert [c.convex_ok for c in report.regions] == [True] * 8 + [False] * 2
+
+
+@pytest.mark.parametrize(
+    "count,convex,bent",  # (width, structure holes) of a convex and of a bent strip
+    [(63, (11, 2), (11, 0)), (64, (11, 1), (11, 0)), (65, (12, 1), (11, 2)), (129, (22, 1), (22, 1))],
+)
+def test_batched_convexity_matches_single_region_calls_from_word_boundary_counts(count, convex, bent):
+    # a convex strip of three rows, uncertified by one-cell holes in its
+    # middle row, and a strip bent around a structure cell it leaves out;
+    # each searches from its members, ``count`` sources together
+    (wa, ha), (wb, hb) = convex, bent
+    holes = {GridPoint(2 + 3 * k, 3) for k in range(ha)} | {GridPoint(2 + 3 * k, 9) for k in range(hb)}
+    left_out = GridPoint(wb - 3, 9)
+    s = AmoebotStructure(set(parallelogram(24, 13)) - holes)
+
+    def region(nodes, id):
+        return region_from_sets(nodes, {(u, v) for u, v in s.edges() if u in nodes and v in nodes}, id=id)
+
+    strip = region({p for p in s.nodes if 2 <= p.b <= 4 and p.a < wa}, 0)
+    bent_strip = region({p for p in s.nodes if 8 <= p.b <= 10 and p.a < wb} - {left_out}, 1)
+    deco = _fabricated([strip, bent_strip])
+    g = _IndexedGraph(s)
+    plans = [_plan_convexity(g, g.members(r.nodes)) for r in deco.regions]
+    assert all(p is not None and p.searched is p.members for p in plans)
+    assert sum(len(p.searched) for p in plans) == count
+    report = _assert_batched_matches_single(s, deco)
+    assert [c.convex_ok for c in report.regions] == [True, False]
 
 
 def _hull_points(nodes) -> int:
@@ -635,18 +691,13 @@ def test_hull_certificate_is_sound_on_hand_built_structures(name, seed):
 def test_verify_runs_one_search_per_structure_and_four_per_decomposition(monkeypatch):
     s = generate_random(512, 4, 1)
     deco = decompose(s)
-    searches = []  # (graph size, sources, source rows per csgraph call) per search
-    blocks, search = oracle._search_blocks, oracle.dijkstra
+    searches = []  # (table rows, sources, words) per search
+    search = oracle._bfs_planes
 
-    def recording_blocks(matrix, sources, **kwargs):
-        searches.append((matrix.shape[0], len(sources), []))
-        return blocks(matrix, sources, **kwargs)
-
-    def counting_dijkstra(matrix, **kwargs):
-        size, _, rows = searches[-1]
-        assert matrix.shape[0] == size
-        rows.append(len(kwargs["indices"]))
-        return search(matrix, **kwargs)
+    def recording_search(table, nodes, lanes):
+        planes = search(table, nodes, lanes)
+        searches.append((len(table), len(nodes), planes[0].shape[1]))
+        return planes
 
     g = _IndexedGraph(s)
 
@@ -659,29 +710,24 @@ def test_verify_runs_one_search_per_structure_and_four_per_decomposition(monkeyp
         assert len(sources(deco.regions)) == 326
     hull_exact = [r for r in deco.regions if _hull_points(r.nodes) == len(r.nodes)]
     assert 0 < len(hull_exact) < len(deco.regions)
-    monkeypatch.setattr(oracle, "_search_blocks", recording_blocks)
-    monkeypatch.setattr(oracle, "dijkstra", counting_dijkstra)
+    monkeypatch.setattr(oracle, "_bfs_planes", recording_search)
     assert verify_decomposition(s, deco).all_ok
     # the convexity search over the structure, then the identity search over
     # the regions' block-diagonal graph (overlapping regions make it larger),
     # then one search per axis over its portal quotient of that graph
     assert len(searches) == 5
     # the convexity search starts only from the searched sets of the regions
-    # the hull does not certify
+    # the hull does not certify, one lane each
     rest = [r for r in deco.regions if r not in hull_exact]
-    assert searches[0][1] == len(sources(rest)) == 124
+    assert searches[0] == (s.n, len(sources(rest)), 2) and searches[0][1] == 124
     # the identity search starts from every member of a region of at most
-    # IDENTITY_SOURCES members, and from that many of a larger one
+    # IDENTITY_SOURCES members, and from that many of a larger one; a
+    # source's lane is its rank in its region, so one word holds them all
     assert searches[1][1] == sum(min(len(r.nodes), IDENTITY_SOURCES) for r in deco.regions if len(r.nodes) > 1) == 612
     sizes = [size for size, _, _ in searches]
-    assert sizes[0] == s.n and sizes[1] > s.n
-    assert all(size < sizes[1] for size in sizes[2:])
+    assert sizes[1] > s.n and all(size < sizes[1] for size in sizes[2:])
     # the quotient searches start from the portals of the identity sources
-    assert all(0 < k <= searches[1][1] for _, k, _ in searches[2:])
-    # each in full blocks of source rows but the last, covering every source
-    for size, k, rows in searches:
-        assert sum(rows) == k
-        assert all(r == _block_rows(size) for r in rows[:-1]) and 0 < rows[-1] <= _block_rows(size)
+    assert [(k, words) for _, k, words in searches[1:]] == [(612, 1)] * 4
 
 
 @settings(derandomize=True, max_examples=8, deadline=None)
@@ -716,6 +762,40 @@ def test_batched_portal_sums_match_per_region_portal_graphs(n, holes, seed):
     want = np.concatenate(want)
     assert portal_sums.tolist() == want.tolist()
     assert report.distance_identity_ok == np.array_equal(two_d, want)
+
+
+@pytest.mark.parametrize("n,holes,seed", [(256, 2, 21), (512, 4, 22)])
+def test_regions_that_share_lanes_stay_apart_in_every_identity_search(n, holes, seed):
+    # overlapping regions, the decomposition's and the unions of two adjacent
+    # ones with every structure edge between their nodes, whose blocks number
+    # their sources from lane 0 each
+    s = generate_random(n, holes, seed)
+    regions = list(decompose(s).regions)
+    unions = [
+        region_from_sets(r.nodes, {(u, v) for u, v in s.edges() if u in r.nodes and v in r.nodes}, id=r.id)
+        for r in _adjacent_unions(s, regions)
+    ]
+    deco = _fabricated(regions + unions)
+    blocks = _read_regions(s.index, deco.regions)
+    off = blocks.offsets
+    src, dst = _identity_pairs(off, np.ones(len(deco.regions), dtype=bool))
+    sources, lanes = _identity_lanes(off, src)
+    # every region numbers its sources 0, 1, ...: the lanes repeat across blocks
+    counts = np.bincount(np.searchsorted(off, sources, side="right") - 1, minlength=len(deco.regions))
+    assert counts.tolist() == np.minimum(np.diff(off), IDENTITY_SOURCES).tolist()
+    assert lanes.tolist() == [lane for c in counts.tolist() for lane in range(c)]
+    assert len(unions) > 2 and counts.max() == IDENTITY_SOURCES
+    two_d, portal_sums = _half_sum_sides(blocks, src, dst)
+    pair_region = np.searchsorted(off, src, side="right") - 1
+    for k, r in enumerate(deco.regions):
+        at = pair_region == k
+        i, j = src[at] - off[k], dst[at] - off[k]
+        block = slice(off[k], off[k + 1])
+        nodes = [GridPoint(a, b) for a, b in zip(blocks.a[block].tolist(), blocks.b[block].tolist())]
+        graph = nx.Graph(r.edges)
+        rows = {x: nx.single_source_shortest_path_length(graph, nodes[x]) for x in set(i.tolist())}
+        assert (two_d[at] // 2).tolist() == [rows[x][nodes[y]] for x, y in zip(i.tolist(), j.tolist())]
+        assert portal_sums[at].tolist() == portal_distance_sums_reference(r, nodes, i, j).tolist()
 
 
 def test_batched_identity_fails_on_slit_region_after_a_passing_one():
@@ -815,16 +895,23 @@ def test_segment_passes_match_per_region_references(data):
     assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
 
 
-def test_pair_distances_match_full_search_across_blocks():
-    # sources in no order, more of them than one block of source rows
+@pytest.mark.parametrize("count", [63, 64, 65, 129])
+def test_pair_reads_match_bfs_across_word_boundaries(count):
+    # pairs in no order, from ``count`` sources, one lane each, over the
+    # table of the structure's edge arrays given twice
     s = generate_random(700, 2, 3)
-    g = _IndexedGraph(s)
-    rng = np.random.default_rng(5)
-    src = rng.integers(0, s.n, 3000)
+    g, ix = _IndexedGraph(s), s.index
+    u, v = np.tile(ix.eu, 2), np.tile(ix.ev, 2)
+    table = _neighbor_table(u, v, s.n)
+    assert (np.sort(table, axis=1) == np.sort(g.neighbors, axis=1)).all()
+    rng = np.random.default_rng(count)
+    sources = np.sort(rng.choice(s.n, count, replace=False))
+    pick = rng.integers(0, count, 3000)
     dst = rng.integers(0, s.n, 3000)
-    assert len(np.unique(src)) > _block_rows(s.n)
-    want = g.distances_from(np.arange(s.n))[src, dst]
-    assert _pair_distances(g.matrix, src, dst).tolist() == want.tolist()
+    got = _read_rows(_bfs_planes(table, sources, np.arange(count)), count, s.n, g.dtype)[pick, dst]
+    rows = {k: bfs_distances(s, g.nodes[sources[k]]) for k in np.unique(pick).tolist()}
+    assert got.tolist() == [rows[k][g.nodes[j]] for k, j in zip(pick.tolist(), dst.tolist())]
+    assert (got == g.distances_from(sources)[pick, dst]).all()
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
