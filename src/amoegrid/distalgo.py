@@ -21,7 +21,6 @@ lists the pin roles, halves and label bands of every primitive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -31,7 +30,6 @@ from .decompose import (
     ChainQuery,
     Decomposition,
     PortalTree,
-    _gate_order_key,
     _phase1_plan,
     _phase2_plan,
     _phase3_plan,
@@ -45,7 +43,7 @@ from .portals import AXES, UP_SLOT, Axis, Portal, PortalGraph, portal_graph
 from .split import Gate, Region, side_names
 from .primitives.basic import closest_on_portal_batch, degree_check_batch
 from .primitives.boundary import BoundaryTest
-from .primitives.election import election_iters, run_election
+from .primitives.election import election_iters
 from .primitives.maxima import chain_maxima
 # run_counting_pasc stays bound here: perfbench's tracer test checks that its
 # patch reaches the engine module as well as the primitives that call it.
@@ -64,9 +62,9 @@ class DistributedOutcome:
 class _RegionSpace:
     """Pin bookkeeping for one region on the shared world.
 
-    ``rows``/``slots`` list both ends of every retained edge, and ``koff``
-    holds the region's pin offset at each of them: the pin half of its side
-    on the gate-chain edges it shares with a sibling, 0 elsewhere.
+    ``koff`` holds the region's pin offset at both ends of every retained
+    edge: the pin half of its side on the gate-chain edges it shares with a
+    sibling, 0 elsewhere.
     """
 
     def __init__(self, world: World, region: Region):
@@ -78,15 +76,10 @@ class _RegionSpace:
             chain = np.array(g.rows)
             shift[ix.eid[chain[:-1], UP_SLOT[g.axis]]] = 0 if g.side == SIDE_FIRST[g.axis] else HALF_PINS
         slot = ix.eslot[eids]
-        self.rows = np.concatenate((ix.eu[eids], ix.ev[eids]))
-        self.slots = np.concatenate((slot, (slot + 3) % 6))
+        rows = np.concatenate((ix.eu[eids], ix.ev[eids]))
+        slots = np.concatenate((slot, (slot + 3) % 6))
         self.koff = np.zeros((world.n, 6), dtype=np.int8)
-        self.koff[self.rows, self.slots] = np.tile(shift[eids], 2)
-
-
-def _wire_region_circuits(world: World, spaces: list[_RegionSpace]) -> None:
-    """Join each region's retained edges into one circuit on label 0, pin k = 0."""
-    world.wire(np.concatenate([world.pin_index(s.rows, s.slots, 0, s.koff) for s in spaces]), 0)
+        self.koff[rows, slots] = np.tile(shift[eids], 2)
 
 
 def _wire_chains(world: World, chains: list[np.ndarray], koff: np.ndarray) -> None:
@@ -121,10 +114,11 @@ class CircuitDecisions:
             space = self._spaces[region] = _RegionSpace(self.world, region)
         return space
 
-    def _contract(self, trees: list[tuple[Region, PortalGraph, int, set[int]]]):
+    def _contract(self, trees: list[tuple[Region, PortalGraph, int | None, set[int]]]):
         """One contraction over the portal trees of ``(region, graph, root,
         marked)`` tuples, each rooted at portal ``root`` and pruned to its
-        ``marked`` portals.
+        ``marked`` portals; with every ``root`` None, the contraction is
+        rootless and its parent pointers mean nothing.
 
         Returns the forest, the bounds of each tree's elements in it (tree i
         holds ``bases[i]:bases[i + 1]``), and the parent pointers and
@@ -136,7 +130,7 @@ class CircuitDecisions:
         q = np.zeros(forest.ne, dtype=bool)
         for base, (_, _, _, marked) in zip(bases, trees):
             q[[base + pid for pid in marked]] = True
-        roots = [base + root for base, (_, _, root, _) in zip(bases, trees)]
+        roots = [base + root for base, (_, _, root, _) in zip(bases, trees) if root is not None]
         parents, keep = contract_tree(self.world, forest, roots, q, self.meter)
         return forest, bases, parents, keep
 
@@ -176,37 +170,9 @@ class CircuitDecisions:
     # -- phase 2 ---------------------------------------------------------------
 
     def surviving_portals(self, trees: list[PortalTree]) -> list[set[int]]:
-        """An election of a root gate per region, then one contraction of
-        every region's y-portal tree in lockstep."""
-        world = self.world
-        # leader gate per region: portal representatives are local (no NNE
-        # edge); every amoebot listens on label 0, which only region
-        # circuits wire
-        candidates = np.zeros(world.n, dtype=bool)
-        _wire_region_circuits(world, [self._space(t.region) for t in trees])
-        tops = [np.array([g.rows[-1] for g in t.region.gates]) for t in trees]
-        for rows in tops:
-            candidates[rows] = True
-        leaders = run_election(
-            world,
-            np.arange(world.n) * world.S,
-            candidates,
-            partial(world.coins, 31),
-            election_iters(world.nhat),
-            self.meter,
-        )
-
-        jobs = []
-        for t, rows in zip(trees, tops):
-            won = np.flatnonzero(leaders[rows])
-            # the first elected gate; on an election failure, fall back deterministically
-            if len(won):
-                leader = t.region.gates[won[0]]
-            else:
-                leader = min(t.region.gates, key=partial(_gate_order_key, t.region.index))
-            (root,) = t.graph.portal_ids(leader.rows[:1])
-            jobs.append((t.region, t.graph, int(root), t.gate_pids))
-        _, bases, _, keep = self._contract(jobs)
+        """One rootless contraction of every region's y-portal tree in
+        lockstep, pruned to the Steiner tree of its gates' portals."""
+        _, bases, _, keep = self._contract([(t.region, t.graph, None, t.gate_pids) for t in trees])
         return [{int(pid) for pid in np.flatnonzero(keep[a:b])} for a, b in zip(bases, bases[1:])]
 
     def branch_portals(self, trees: list[PortalTree]) -> list[list[int]]:

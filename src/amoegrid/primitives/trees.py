@@ -5,14 +5,19 @@ portal hear the same signals, and adjacent portals talk over one designated
 cross edge.  Rooting and pruning use randomized fragment contraction.  A
 fragment is a path of elements joined by the links it merged over, with
 its external links at its two ends.  Fragments merge by coin flips (head
-fragments merge into tails neighbors); a pendant fragment without the root
-resolves against its attachment, and the rake kills its one link and
-reports whether it contained a marked portal, so the Steiner structure of
-the marked set survives; the fragment holding the root resolves once it
-has no external link.  A resolved fragment thus has no live link, and the
-contraction ends when every fragment has resolved.  Every decision travels
-as beeps: fragment broadcasts on fragment circuits, link bits on the parked
-two-pin channels of the designated edges.
+fragments merge into tails neighbors).  In a rooted contraction, a pendant
+fragment without the root resolves against its attachment, and the rake
+kills its one link and reports whether it contained a marked portal, so
+the Steiner structure of the marked set survives; the fragment holding the
+root resolves once it has no external link.  A rootless contraction (Miller
+and Reif's rake on unrooted trees) rakes only unmarked pendant fragments,
+which prune all of themselves, and stops a tree once none is left: every
+leaf of the tree is then marked, so each fragment keeps all of itself but
+what lies past its outermost mark at an end with no live link.  A resolved
+fragment thus has no live link, and the contraction ends when every
+fragment has resolved.  Every decision travels as beeps: fragment
+broadcasts on fragment circuits, the stop signal on tree circuits, link
+bits on the parked two-pin channels of the designated edges.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ from .pasc import ElementForest, bits_to_int, run_counting_pasc
 # pin roles on designated link edges: k2/k4 talk low-to-high, k3/k0 talk
 # high-to-low; k1/k4 double as the internal track pair for PASC
 K_INT1, K_LINK_P, K_LINK_S, K_INT2 = 1, 2, 3, 4
+# the roles no other track uses: a rootless contraction's tree circuit
+# joins the internal pins at k0 and the link pins at k1 on label 0
+K_TREE_INT, K_TREE_LINK, TREE_LABEL = 0, 1, 0
 
 
 @dataclass
@@ -121,11 +129,16 @@ class _Contraction:
 
     A fragment is a path of elements joined by the links it merged over; it
     has external links at its two ends only, and its key in ``frags`` is the
-    id it keeps while unresolved.  A fragment resolves in round 4 by raking
-    (one external link and no root: it points its path at the attachment,
-    and the rake beep kills that link) or as its tree's root fragment (no
-    external link is left).  So a resolved fragment has no live link, and
-    ``frags`` holds exactly the unresolved ones, in the order of their ids.
+    id it keeps while unresolved.  With roots, a fragment resolves in round
+    4 by raking (one external link and no root: it points its path at the
+    attachment, and the rake beep kills that link) or as its tree's root
+    fragment (no external link is left).  Without roots (an empty
+    ``roots``), only an unmarked pendant fragment rakes, and it neither
+    advertises nor proposes a merge; in round 1 it also beeps on its tree
+    circuit, and every fragment of a tree whose circuit stays silent
+    resolves there (``_stop``).  So a resolved fragment has no live link,
+    and ``frags`` holds exactly the unresolved ones, in the order of their
+    ids.
     """
 
     def __init__(self, world: World, forest: PortalForest, roots: list[int], q_mask: np.ndarray):
@@ -136,6 +149,7 @@ class _Contraction:
         self.parent_link = np.full(ne, -1, dtype=np.int64)  # resolved parent eid
         self.is_root = np.zeros(ne, dtype=bool)
         self.is_root[np.asarray(roots, dtype=np.int64)] = True
+        self.rootless = not len(roots)
         self.pruned = np.zeros(ne, dtype=bool)
         self.live = np.ones(len(forest.link_table), dtype=bool)
         self.joined = np.zeros(len(forest.link_table), dtype=bool)  # links merged into a fragment
@@ -144,6 +158,12 @@ class _Contraction:
         self.links_of = forest.links_of()
         self.has_internal = np.zeros(ne, dtype=bool)
         self.has_internal[forest.internal[:, 0]] = True
+        # a rootless contraction's tree circuits: every internal pin at role
+        # K_TREE_INT and both link pins at K_TREE_LINK, on label TREE_LABEL
+        self.tree_pins = np.zeros(0, dtype=np.int64)
+        if self.rootless:
+            ends = forest.link_pins(K_TREE_LINK)
+            self.tree_pins = np.concatenate((forest.internal[:, 1] + K_TREE_INT, *ends))
 
     def external_links(self, fid: int) -> list[tuple[int, int]]:
         """(link id, end element) of live links leaving the fragment."""
@@ -157,7 +177,8 @@ class _Contraction:
 
     def wire_fragment_circuits(self) -> dict[int, tuple[int, int]]:
         """Label-3 circuits per fragment, over its elements' internal tracks
-        and the links joining them; returns a beep pin per fid."""
+        and the links joining them, plus the tree circuits of a rootless
+        contraction; returns a beep pin per fid."""
         world, forest = self.world, self.forest
         open_elem = np.zeros(forest.ne, dtype=bool)
         beep_at: dict[int, tuple[int, int]] = {}
@@ -167,11 +188,11 @@ class _Contraction:
             beep_at[fid] = (int(forest.members[elems[-1]][0]), 3 if wired else -1)
         elem, pins = forest.internal.T
         inside = self.joined & open_elem[forest.link_table[:, 0]]
-        pins = [
-            pins[open_elem[elem]] + K_INT1,
-            *(end[inside] for end in forest.link_pins(K_LINK_P)),
-        ]
-        world.wire(np.concatenate(pins), 3)
+        pins = np.concatenate(
+            [pins[open_elem[elem]] + K_INT1, *(end[inside] for end in forest.link_pins(K_LINK_P))]
+        )
+        labels = np.repeat([3, TREE_LABEL], [len(pins), len(self.tree_pins)])
+        world.wire(np.concatenate((pins, self.tree_pins)), labels)
         return beep_at
 
     def run(self, meter: Meter, max_iters: int) -> None:
@@ -181,26 +202,46 @@ class _Contraction:
             if not unresolved:
                 break
             rooted = set(self.frag_of[self.is_root].tolist())
+            ext = {fid: self.external_links(fid) for fid in unresolved}
+            # pendant fragments that rake in round 4 unless they merge; a
+            # rootless contraction rakes only unmarked ones, and never merges them
+            rakers = {
+                fid
+                for fid in unresolved
+                if len(ext[fid]) == 1
+                and (not self.q[self.frags[fid]].any() if self.rootless else fid not in rooted)
+            }
+            eager = rakers if self.rootless else set()
 
-            # round 1: head coins broadcast on fragment circuits
+            # round 1: head coins broadcast on fragment circuits; rootless
+            # rakers beep on their tree circuit, and a tree that hears no
+            # such beep stops
             beep_at = self.wire_fragment_circuits()
-            flips = world.coins_at(23, [beep_at[fid][0] for fid in unresolved])
-            coins: dict[int, bool] = dict(zip(unresolved, flips.tolist()))
+            flippers = [fid for fid in unresolved if fid not in eager]
+            flips = world.coins_at(23, [beep_at[fid][0] for fid in flippers])
+            coins: dict[int, bool] = dict.fromkeys(eager, False) | dict(zip(flippers, flips.tolist()))
             cells = []
             for fid in unresolved:
                 node, lab = beep_at[fid]
                 if coins[fid] and lab >= 0:
                     cells.append(node * world.S + lab)
-            world.beep(cells, meter)
+            cells += [beep_at[fid][0] * world.S + TREE_LABEL for fid in eager]
+            heard = world.beep(cells, meter).reshape(-1)
+            if self.rootless:
+                for fid in unresolved:
+                    if not heard[beep_at[fid][0] * world.S + TREE_LABEL]:
+                        self._stop(fid, ext[fid])
+                unresolved = list(self.frags)
+                if not unresolved:
+                    break
 
             # round 2: coins and mergeability over live links
-            ext = {fid: self.external_links(fid) for fid in unresolved}
             cells = []
             for fid in unresolved:
                 for lid, e in ext[fid]:
                     if coins[fid]:
                         cells.append(forest.channel(lid, e, 0)[0])
-                    if len(ext[fid]) <= 2:
+                    if len(ext[fid]) <= 2 and fid not in eager:
                         cells.append(forest.channel(lid, e, 1)[0])
             heard = world.beep(cells, meter).reshape(-1)
 
@@ -209,7 +250,7 @@ class _Contraction:
             # is tried first
             proposals: dict[int, tuple[int, int]] = {}
             for fid in unresolved:
-                if not coins[fid] or not 0 < len(ext[fid]) <= 2:
+                if not coins[fid] or not 0 < len(ext[fid]) <= 2 or fid in eager:
                     continue
                 last = self.frags[fid][-1]
                 for lid, e in sorted(ext[fid], key=lambda t: t[1] != last):
@@ -232,13 +273,12 @@ class _Contraction:
             for fid in unresolved:
                 if fid in proposals:
                     continue  # merging this iteration instead
-                links = ext[fid]
-                if len(links) == 0:
+                if not ext[fid] and not self.rootless:
                     if fid not in rooted:
                         raise ContractViolation("isolated fragment without a root")
                     self._finalize_root_fragment(fid)
-                elif len(links) == 1 and fid not in rooted:
-                    lid, e = links[0]
+                elif fid in rakers:
+                    ((lid, e),) = ext[fid]
                     had_q = self._rake(fid, lid, e)
                     cells.append(forest.channel(lid, e, 0)[0])
                     if had_q:
@@ -294,6 +334,22 @@ class _Contraction:
         marked = np.flatnonzero(self.q[elems])
         self.pruned[elems[: marked[0]] + elems[marked[-1] + 1 :]] = True
 
+    def _stop(self, fid: int, links: list[tuple[int, int]]) -> None:
+        """Resolve a fragment of a rootless tree whose leaves are all marked:
+        prune past its outermost mark at every end with no live link, or all
+        of itself when it has neither mark nor live link; its links die."""
+        elems = self.frags.pop(fid)
+        marked = np.flatnonzero(self.q[elems])
+        open_ends = {e for _, e in links}
+        if len(marked):
+            if elems[0] not in open_ends:
+                self.pruned[elems[: marked[0]]] = True
+            if elems[-1] not in open_ends:
+                self.pruned[elems[marked[-1] + 1 :]] = True
+        elif not links:
+            self.pruned[elems] = True
+        self.live[[lid for lid, _ in links]] = False
+
     def _merge(self, fid: int, lid: int, my_end: int, target: int, other_end: int) -> None:
         a = self._ending_at(self.frags.pop(fid), my_end)
         self.frags[target] = a + self._ending_at(self.frags[target], other_end)[::-1]
@@ -309,7 +365,13 @@ def contract_tree(
     q_mask: np.ndarray,
     meter: Meter,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Parent pointers toward the root element of each tree, plus prune survivors."""
+    """Parent pointers toward the root element of each tree, plus prune
+    survivors.
+
+    With an empty ``roots`` every tree is contracted without a root: the
+    survivors are the same, the union of the paths between its marks, and
+    the parent pointers mean nothing.
+    """
     ctr = _Contraction(world, forest, roots, q_mask)
     budget = 8 * (int(np.ceil(np.log2(max(2, forest.ne)))) + 4)
     ctr.run(meter, budget)

@@ -13,6 +13,7 @@ into points for the comparisons.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -24,6 +25,7 @@ import numpy as np
 from amoegrid.circuits import Meter, World
 from amoegrid.decompose import DIRECT, _point_gate_plan
 from amoegrid.errors import ContractViolation, DomainError
+from amoegrid.generator import generate_random
 from amoegrid.grid import (
     DIRECTIONS,
     AmoebotStructure,
@@ -33,6 +35,7 @@ from amoegrid.grid import (
     Hole,
     StructureIndex,
     find_holes,
+    is_connected,
 )
 from amoegrid.oracle import IDENTITY_SOURCES
 from amoegrid.portals import Axis, Portal, PortalGraph, portal_graph
@@ -1064,3 +1067,33 @@ def global_maxima_general(structure, direction, r_nodes, seed: int = 0, nhat=Non
         heard = recv[:, 0]
         candidates &= ~(heard & ~value_bit)
     return {world.structure.index.nodes[i] for i in np.flatnonzero(candidates)}, meter
+
+
+# -- carved structures -----------------------------------------------------------------
+
+
+def carve_random(n: int, seed: int) -> AmoebotStructure:
+    """The blob of ``generate_random(n, 0, seed)`` with 1..6 shapes removed:
+    a cell, an axis line of 2..5 cells, or a 3-cell triangle.  A removal is
+    kept only if the rest stays connected, so shapes inside the blob leave
+    holes of their own form and shapes at its rim notch the outline."""
+    rng = random.Random(seed)
+    cells = {(p.a, p.b) for p in generate_random(n, 0, seed).nodes}
+    want, removed = rng.randint(1, 6), 0
+    for _ in range(20 * want):
+        if removed == want:
+            break
+        a, b = rng.choice(sorted(cells))
+        d = rng.randrange(6)
+        (da, db), (ea, eb) = DIRECTIONS[d].offset, DIRECTIONS[(d + 1) % 6].offset
+        kind = rng.randrange(3)
+        if kind == 0:
+            shape = {(a, b)}
+        elif kind == 1:
+            shape = {(a + i * da, b + i * db) for i in range(rng.randint(2, 5))}
+        else:
+            shape = {(a, b), (a + da, b + db), (a + ea, b + eb)}
+        rest = cells - shape
+        if rest and is_connected(rest):
+            cells, removed = rest, removed + 1
+    return AmoebotStructure(GridPoint(a, b) for a, b in sorted(cells))

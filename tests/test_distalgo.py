@@ -125,7 +125,7 @@ def test_phase1_rounds_follow_the_closed_form_schedule(n):
 # cells that heard.  A change to how the primitives wire their pins must
 # leave every beep and every hearer as they are.  Every delivery comes from
 # World.beep, whose cell list must name exactly the cells of its send.
-DELIVERY_DIGEST = (608, 333, "636763b461ad8fe1")
+DELIVERY_DIGEST = (568, 277, "2074f9f077b44cfc")
 
 
 def test_delivery_sequence_is_byte_identical_to_golden(monkeypatch):
@@ -156,7 +156,7 @@ def test_delivery_sequence_is_byte_identical_to_golden(monkeypatch):
 # (wire calls, circuit recomputes) of run_distributed(gen_512_4_1, seed=1):
 # the other 99 wirings repeat one of the last two distinct plans wired
 # and take their circuits from the memo.
-WIRINGS = (317, 218)
+WIRINGS = (318, 219)
 
 
 def test_repeated_wiring_plans_reuse_their_labelling(monkeypatch):
@@ -242,3 +242,58 @@ def test_regions_sharing_a_gate_chain_take_opposite_pin_halves(name, monkeypatch
         for p, q in ((u, v), (v, u)):
             pin = slot_between(p, q) * world.c + K_INT1
             assert pset[s.index.row[p], [pin, pin + HALF_PINS]].tolist() == [3, 3], (p, q)
+
+
+@pytest.mark.parametrize("name", ["gen_512_4_1", "gen_1024_8_7372"])
+def test_phase2_bills_only_rounds_its_primitives_heard(name, monkeypatch):
+    """A run elects once, in the boundary test, and phase 2 charges exactly
+    the rounds of its one contraction, its degree test and its closest-mark
+    queries: no election and no round outside a primitive."""
+    import sys
+    from pathlib import Path
+
+    from amoegrid import distalgo
+    from amoegrid.primitives.election import run_election
+
+    elections = 0
+
+    def counted(*args):
+        nonlocal elections
+        elections += 1
+        return run_election(*args)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("amoegrid"):
+            if getattr(module, "run_election", None) is run_election:
+                monkeypatch.setattr(module, "run_election", counted)
+
+    in_phase2, billed = [], []
+
+    def metered(primitive):
+        def call(world, *args):
+            meter = args[-1]
+            start = meter.rounds
+            out = primitive(world, *args)
+            if in_phase2:
+                billed.append((primitive.__name__, meter.rounds - start))
+            return out
+
+        return call
+
+    for primitive in ("contract_tree", "degree_check_batch", "closest_on_portal_batch"):
+        monkeypatch.setattr(distalgo, primitive, metered(getattr(distalgo, primitive)))
+    phase2 = distalgo.dist_phase2
+
+    def recorded(world, regions, meter):
+        in_phase2.append(True)
+        try:
+            return phase2(world, regions, meter)
+        finally:
+            in_phase2.clear()
+
+    monkeypatch.setattr(distalgo, "dist_phase2", recorded)
+    path = Path(__file__).parent / "fixtures" / f"{name}.txt"
+    out = run_distributed(AmoebotStructure.from_text(path.read_text()), seed=1)
+    assert elections == 1
+    assert [kind for kind, _ in billed].count("contract_tree") == 1
+    assert sum(rounds for _, rounds in billed) == out.trace.phase_rounds["phase2"] > 0

@@ -256,12 +256,25 @@ def test_plans_name_a_node_by_its_index_row():
 
 def test_only_known_rounds_discard_what_they_heard():
     """A ``beep(...)`` whose result is dropped as a bare statement charges a
-    round nobody reads.  Two are left (ROADMAP items 2 and 3): the beeps of
-    ``_beep_from``, whose marks the callers compute centrally, and round 1
-    of the contraction, whose fragment circuits are not yet parted."""
+    round nobody reads.  One is left (ROADMAP item 3): the beeps of
+    ``_beep_from``, whose marks the callers compute centrally.  Round 1 of
+    the contraction is read for a rootless contraction's stop signal, but
+    its head coins still come from the central draw, because the fragment
+    circuits of sibling regions are not yet parted (ROADMAP item 2)."""
     discarded = _sites(
         lambda node: isinstance(node, ast.Expr)
         and isinstance(node.value, ast.Call)
         and "beep" in (getattr(node.value.func, "attr", None), getattr(node.value.func, "id", None))
     )
-    assert discarded == ["distalgo.py:_beep_from", "primitives/trees.py:_Contraction.run"]
+    assert discarded == ["distalgo.py:_beep_from"]
+
+
+def test_one_election():
+    """The boundary test elects the cycle leaders, and nothing else calls
+    ``run_election``: phase 2 prunes its portal trees without electing a
+    root, so ``distalgo.py`` holds no election."""
+    calls = _sites(
+        lambda node: isinstance(node, ast.Call)
+        and "run_election" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    )
+    assert calls == ["primitives/boundary.py:BoundaryTest.run"]

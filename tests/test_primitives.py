@@ -164,11 +164,63 @@ def test_root_and_prune_matches_union_of_paths():
             assert cur == q[0]
 
 
+#: hand-built trees of one-amoebot elements, as (the (a, b) cell of each
+#: element, links, marked elements): two-element trees, a path whose only
+#: mark is a leaf, trees without a mark, single elements, a star whose
+#: leaves are all marked, and a nine-element caterpillar with marks 6 and 8
+#: on which a rule that let the last two fragments rake into each other
+#: kept element 5
+HAND_TREES = [
+    ([(0, 0), (1, 0)], [(0, 1)], [0]),
+    ([(0, 0), (1, 0)], [(0, 1)], [0, 1]),
+    ([(0, 0), (1, 0)], [(0, 1)], []),
+    ([(0, 0), (1, 0), (2, 0), (3, 0)], [(0, 1), (1, 2), (2, 3)], [3]),
+    ([(0, 0), (1, 0), (2, 0), (1, 1)], [(0, 1), (1, 2), (1, 3)], []),
+    ([(0, 0)], [], []),
+    ([(0, 0)], [], [0]),
+    (
+        [(1, 1), *((1 + d.offset[0], 1 + d.offset[1]) for d in Direction)],
+        [(0, leaf) for leaf in range(1, 7)],
+        list(range(1, 7)),
+    ),
+    (
+        [(0, 0), (1, 1), (1, 0), (2, 0), (3, 1), (3, 0), (4, 1), (4, 0), (5, 0)],
+        [(0, 2), (1, 2), (2, 3), (3, 5), (4, 5), (5, 7), (6, 7), (7, 8)],
+        [6, 8],
+    ),
+]
+
+
+def _hand_forest(world: World, rows_of) -> tuple[trees.PortalForest, list]:
+    """One portal forest over ``HAND_TREES``, tree i shifted by 4i along b;
+    returns it with the (base, links, marks) of every tree."""
+    members, links, spans = [], [], []
+    no_offset = np.zeros((world.n, 6), dtype=np.int8)
+    for i, (cells, tree_links, marks) in enumerate(HAND_TREES):
+        base = len(members)
+        rows = rows_of([GridPoint(a, b + 4 * i) for a, b in cells])
+        members += [rows[j : j + 1] for j in range(len(rows))]
+        for e1, e2 in tree_links:
+            slot = int(np.flatnonzero(world.nbr[rows[e1]] == rows[e2])[0])
+            ends = world.pin_index([rows[e1], rows[e2]], [slot, (slot + 3) % 6], 0, no_offset)
+            links.append([base + e1, base + e2, *ends.tolist()])
+        spans.append((base, len(cells), tree_links, marks))
+    internal = np.zeros((0, 2), dtype=np.int64)
+    return trees.PortalForest(world, members, internal, np.array(links, dtype=np.int64)), spans
+
+
+def _steiner(size: int, links, marks) -> set[int]:
+    """The union of the paths between every two marks of a tree."""
+    g = nx.Graph(links)
+    g.add_nodes_from(range(size))
+    return {pid for qa in marks for qb in marks for pid in nx.shortest_path(g, qa, qb)}
+
+
 def test_one_contraction_roots_and_prunes_several_regions_trees(monkeypatch):
     """Phase 2 contracts every region's y-portal tree in one forest; each
-    tree, rooted at one of its own portals, is pruned to the union of paths
-    between its marks, every parent chain ends at that tree's root, and the
-    contraction leaves no link live."""
+    tree, rooted at one of its own portals or rootless, is pruned to the
+    union of paths between its marks, every rooted parent chain ends at
+    that tree's root, and the contraction leaves no link live."""
     runs = []
 
     class Recorded(trees._Contraction):
@@ -196,22 +248,33 @@ def test_one_contraction_roots_and_prunes_several_regions_trees(monkeypatch):
             roots.append(base + marks[0])
             spans.append((base, pg, marks))
             base += len(ids)
-        parents, keep = trees.contract_tree(world, forest, roots, q, Meter())
+        for batch_roots in (roots, []):
+            parents, keep = trees.contract_tree(world, forest, batch_roots, q, Meter())
+            assert not runs[-1].live.any()
+            for (base, pg, marks), root in zip(spans, batch_roots or [None] * len(spans)):
+                size = len(pg.portals)
+                want = {base + pid for pid in _steiner(size, list(pg.links), marks)}
+                assert set(np.flatnonzero(keep[base : base + size]) + base) == want
+                for e in range(base, base + size) if root is not None else ():
+                    for _ in range(size):
+                        if parents[e] < 0:
+                            break
+                        e = int(parents[e])
+                        assert base <= e < base + size
+                    assert e == root
+
+    # rootless batches of hand-built trees, over several coin sequences
+    s = AmoebotStructure(GridPoint(a, b) for a in range(7) for b in range(4 * len(HAND_TREES)))
+    for seed in range(12):
+        world = World(s, c=10, seed=seed)
+        forest, spans = _hand_forest(world, s.index.rows_of)
+        q = np.zeros(forest.ne, dtype=bool)
+        for base, _, _, marks in spans:
+            q[[base + e for e in marks]] = True
+        _, keep = trees.contract_tree(world, forest, [], q, Meter())
         assert not runs[-1].live.any()
-        for (base, pg, marks), root in zip(spans, roots):
-            g = nx.Graph(list(pg.links))
-            g.add_nodes_from(p.id for p in pg.portals)
-            want = {base + pid for qa in marks for qb in marks for pid in nx.shortest_path(g, qa, qb)}
-            assert set(np.flatnonzero(keep[base : base + len(pg.portals)]) + base) == want
-            for e in range(base, base + len(pg.portals)):
-                for _ in range(len(pg.portals)):
-                    if parents[e] < 0:
-                        break
-                    e = int(parents[e])
-                    assert base <= e < base + len(pg.portals)
-                assert e == root
-
-
+        for base, size, links, marks in spans:
+            assert set(np.flatnonzero(keep[base : base + size])) == _steiner(size, links, marks), seed
 def test_root_and_prune_star_and_path():
     s = AmoebotStructure([GridPoint(a, b) for a in range(5) for b in range(3)])
     region = Region.from_structure(s)
@@ -399,7 +462,7 @@ def test_pin_roles_fit_in_one_pin_half():
     }
     roles["turning tracks"] = chains.TURN_TRACKS - 1
     roles["maxima instances"] = 2 * maxima.MAX_INSTANCES - 1
-    assert len(roles) == 12
+    assert len(roles) == 14
     assert all(0 <= k < HALF_PINS for k in roles.values()), roles
 
     s = AmoebotStructure(GridPoint(0, b) for b in range(3))
