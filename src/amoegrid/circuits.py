@@ -21,13 +21,13 @@ A round costs what it touches, not the size of the world.  ``World.wire``
 restores only the pins the plan in force had set before it puts the new
 plan, and the labelling that follows reads only the new plan's pins.  It
 keys the circuits it labels on the plan it is given (the bytes of its pins
-and labels) and keeps those of the last two distinct plans, so a protocol
-that repeats a wiring or switches between two gets its circuits back
-without a recompute.  A direct ``pset`` write followed by ``mark_dirty`` is
-labelled afresh from the whole table, is never kept, and makes the next
-``wire`` restore the whole table.  ``beep`` hands its cells to ``deliver``,
-so only a caller holding a dense send pays for a scan of it; it also sets
-them in one send buffer per world, cleared after the delivery.  Coins come
+and labels) and keeps those of the last plan it labelled, so a protocol
+that repeats a wiring gets its circuits back without a recompute.  A direct
+``pset`` write followed by ``mark_dirty`` is labelled afresh from the whole
+table, is never kept, and makes the next ``wire`` restore the whole table.
+``beep`` hands its cells to ``deliver``, so only a caller holding a dense
+send pays for a scan of it; it also sets them in one send buffer per world,
+cleared after the delivery.  Coins come
 from per-amoebot streams: each world folds ``(seed, a, b)`` once and every
 draw continues that fold with its salt and stream position, bit-identical
 to ``mix64`` over the whole tuple.
@@ -119,12 +119,6 @@ class _Labelling(NamedTuple):
 _EMPTY = np.zeros(0, dtype=np.int64)
 _UNWIRED = _Labelling(_EMPTY, _EMPTY, _EMPTY, 1, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
 
-#: labellings ``World.wire`` keeps: the last two distinct plans, enough for a
-#: protocol that alternates between two wirings (``chain_maxima``'s echo) or
-#: repeats one (a counting PASC whose active set stopped changing)
-MEMO_PLANS = 2
-
-
 class World:
     """Array-backed amoebot world: geometry, pins, partition sets, beeps."""
 
@@ -173,9 +167,11 @@ class World:
         self._set_comp = np.full((self.n, STAGE_LABELS), -1, dtype=np.int32)
         self._labelling = _UNWIRED
         # key of the plan ``wire`` put on ``pset``, None after any other write;
-        # and the (key, labelling) pairs of recent plans, most recent last
+        # and the (key, labelling) pair of the last plan labelled, which a
+        # repeated wiring (a counting PASC whose active set stopped changing)
+        # gets back
         self._plan: tuple[bytes, bytes] | None = None
-        self._memo: list[tuple[tuple[bytes, bytes], _Labelling]] = []
+        self._memo: tuple[tuple[bytes, bytes], _Labelling] | None = None
         self._send = np.zeros((self.n, self.S), dtype=bool)  # beep's send buffer, all False between rounds
         self.rng_counter = np.zeros(self.n, dtype=np.int64)
         self._coin_base = mix64(seed, self.a, self.b)  # each amoebot's coin stream, premixed
@@ -191,7 +187,7 @@ class World:
         a primitive's whole pin plan, written at once.
 
         Only the last plan's pins go back to isolated, unless ``pset`` was
-        written directly since.  A plan this world labelled recently gets
+        written directly since.  The plan this world labelled last gets
         its circuits back from the memo instead of a recompute.
         """
         pins = np.array(pins, dtype=np.int64)  # a copy: the next wire restores these pins
@@ -205,11 +201,9 @@ class World:
         self.mark_dirty()
         self._wired, self._direct = pins, False
         plan = (pins.tobytes(), labels.tobytes())
-        for at, (key, labelling) in enumerate(self._memo):
-            if key == plan:
-                self._memo.append(self._memo.pop(at))
-                self._install(labelling)
-                return
+        if self._memo is not None and self._memo[0] == plan:
+            self._install(self._memo[1])
+            return
         self._plan = plan
 
     def pin_index(self, rows, slots, k, koff: np.ndarray) -> np.ndarray:
@@ -341,7 +335,7 @@ class World:
         )
         self._install(labelling)
         if self._plan is not None:
-            self._memo = [*self._memo[1 - MEMO_PLANS :], (self._plan, labelling)]
+            self._memo = (self._plan, labelling)
 
     def _install(self, labelling: _Labelling) -> None:
         """Put ``labelling`` in force in place of the current one."""

@@ -183,6 +183,8 @@ def main(argv=None) -> int:
             structure = load_structure(args.file)
         else:
             parser.error("either FILE or --gen is required")
+        if args.nhat is not None and args.nhat < structure.n:
+            raise DomainError(f"--nhat must be at least n = {structure.n}, not {args.nhat}")
     except (InvalidStructureError, OSError, UnicodeDecodeError, AmoegridError) as exc:
         return invalid_input(exc)
 

@@ -338,6 +338,9 @@ def run_distributed(
 ) -> DistributedOutcome:
     """Full pipeline; the decomposition equals the centralized engine's."""
     world = World(structure, c=10, seed=seed, nhat=nhat)
+    if world.nhat < world.n:
+        # chain_maxima sizes its offsets to nhat, so a smaller one is unsafe
+        raise DomainError(f"nhat must be at least n = {world.n}, not {world.nhat}")
     trace = SimulationTrace(seed=seed, nhat=world.nhat)
     meter = Meter()
     budget = round_budget if round_budget is not None else 4000 * max(

@@ -2,11 +2,15 @@
 
 The elected leader cuts its cycle into an oriented chain; counting PASC
 streams hop counts, so every visit can follow its height offset to the
-leader under the ranking functional.  Blocks of about log(n) visits store
-the bits of their local winner's offset, and one bitwise pass over blocks
-selects the global maxima without recomputation.  One call serves up to two
-instances of one functional, each a marked set and a sign: they share every
-stream and beep their consensus in the same rounds.
+leader under the ranking functional.  Blocks of about log(n) visits agree
+on their local winner, store the bits of its offset, and one bitwise pass
+over blocks selects the global maxima without recomputation.  One call
+serves up to two instances of one functional, each a marked set and a sign:
+they share every stream and beep their consensus in the same rounds.
+
+Preconditions: the functional changes by at most 1 between neighbours (the
+up/down counts take each step as its sign), and ``world.nhat`` is at least
+the number of amoebots, so every offset fits in the stored bit width.
 """
 
 from __future__ import annotations
@@ -40,6 +44,50 @@ def chain_forest(
     )
 
 
+def window_beep(
+    space: ChainSpace, speak: list[np.ndarray], offsets: list[int], meter: Meter
+) -> list[np.ndarray]:
+    """One round: the visits of ``speak[i]`` (masks in ``space.vids``
+    order) beep on label window + ``offsets[i]``; per offset, which visits
+    heard a beep there."""
+    world = space.world
+    cell = space.node * world.S + space.win
+    cells = np.concatenate([cell[m] + off for m, off in zip(speak, offsets)])
+    recv = world.beep(cells, meter).reshape(-1)
+    return [recv[cell + off] for off in offsets]
+
+
+def chain_blocks(
+    space: ChainSpace, is_leader: np.ndarray, s: int, meter: Meter
+) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ranks): the blocks of the chains that run from each leader
+    to the visit before the next one, in s + 1 rounds.
+
+    A block starts at every 2**s-th visit of a chain, the leader first,
+    except at the chain's last such start past the leader, so every block of
+    a multi-block chain holds 2**s to 2**(s + 1) - 1 visits.  ``starts``
+    masks the visits that start a block; ``ranks`` is each visit's offset
+    from its block start, in ``space.vids`` order.
+    """
+    cyc, vids = space.cyc, space.vids
+    # 1. low position bits give the block starts
+    forest = chain_forest(space, is_leader, K_P1, K_S1, 12, 13)
+    (stream,) = run_counting_pasc(space.world, [forest], [np.ones(len(vids), dtype=bool)], s, meter)
+    pos_low = bits_to_int(stream)
+    start = np.zeros(cyc.n_visits, dtype=bool)
+    start[vids] = pos_low == 0
+
+    # 2. each chain's last visit beeps on its block circuit (k0) and each
+    # leader on its own (k1): a last block without the leader clears its
+    # start, so its members follow the full block before it
+    space.wire(space.cycle_plan(0, 0, start), space.cycle_plan(1, 1, start))
+    last = is_leader[cyc.next_visit[vids]]
+    heard_last, heard_leader = window_beep(space, [last, is_leader[vids]], [0, 1], meter)
+    merged = heard_last & ~heard_leader
+    start[vids[merged & start[vids]]] = False
+    return start, pos_low + merged * (1 << s)
+
+
 #: instances one call runs: instance k beeps on pin roles 2k and 2k + 1 and
 #: labels window + 2k and + 2k + 1, and a 5-pin half holds two such pairs
 MAX_INSTANCES = 2
@@ -55,12 +103,16 @@ def chain_maxima(
     meter: Meter,
 ) -> list[np.ndarray]:
     """Per instance (marked visits, sign), the visit mask of the maxima of
-    sign * psi over its marked visits on the chosen cycles.
+    sign * psi over its marked visits on the chosen cycles, in 3s + 5 + 2b
+    rounds with b = ceil(log2 nhat) + 1 and s = max(2, ceil(log2(b + 1))).
 
-    The block starts, ranks, up/down counts and offset streams depend on psi
-    only, so they run once; an instance of sign -1 reads the up and down
-    streams swapped.  Instance k's consensus and echo beeps use pin roles
-    2k/2k+1 and labels window + 2k/+2k+1, in the same rounds as the other's.
+    ``psi`` must change by at most 1 between neighbours and ``world.nhat``
+    must be at least ``world.n``: an offset to the leader then lies within
+    nhat - 1 and fits in b bits with its bias.  The block starts, ranks,
+    up/down counts and offset streams depend on psi only, so they run once;
+    an instance of sign -1 reads the up and down counts swapped.  Instance
+    k's consensus beeps use pin roles 2k/2k+1 and labels window + 2k/+2k+1,
+    in the same rounds as the other's.
     """
     if not 1 <= len(instances) <= MAX_INSTANCES:
         raise ValueError(f"chain_maxima runs 1 to {MAX_INSTANCES} instances")
@@ -70,125 +122,76 @@ def chain_maxima(
     if vids.size == 0:
         return [np.zeros(cyc.n_visits, dtype=bool) for _ in instances]
     space = ChainSpace(world, cyc, part)
-    # every visit's circuits: instance k's block circuit on pin 2k of its
-    # links and label window + 2k, at the flat send/recv cell ``cell`` + 2k;
-    # its cycle circuit on pin and label 2k + 1
-    node = space.node
-    cell = node * world.S + space.win
+    # instance k's block circuit on pin role 2k of its visits' links and
+    # label window + 2k; its cycle circuit on role and label 2k + 1
     roles = [2 * k for k in range(len(instances))]
-
-    def wire_blocks(cut: np.ndarray, roles: list[int]) -> None:
-        space.wire(*(space.cycle_plan(r, r, cut) for r in roles))
-
-    def beep(speak: list[np.ndarray], offsets: list[int]) -> list[np.ndarray]:
-        """One round: the visits of ``speak[i]`` beep at ``cell`` +
-        ``offsets[i]``; per offset, which visits heard a beep there."""
-        cells = np.concatenate([cell[m] + off for m, off in zip(speak, offsets)])
-        recv = world.beep(cells, meter).reshape(-1)
-        return [recv[cell + off] for off in offsets]
 
     is_leader = np.zeros(cyc.n_visits, dtype=bool)
     leaders = leader_of_cycle[cycles_mask]
     is_leader[leaders[leaders >= 0]] = True
 
-    b_global = int(np.ceil(np.log2(max(4, 6 * world.nhat)))) + 2
-    s = max(2, int(np.ceil(np.log2(b_global + 1))))
+    b = (int(world.nhat) - 1).bit_length() + 1
+    s = max(2, b.bit_length())
 
     delta = np.zeros(cyc.n_visits, dtype=np.int64)
-    delta[vids] = psi[node] - psi[cyc.node[cyc.prev_visit[vids]]]
+    delta[vids] = psi[space.node] - psi[cyc.node[cyc.prev_visit[vids]]]
     delta[is_leader] = 0
+    up, down = delta[vids] > 0, delta[vids] < 0
 
-    # 1. low position bits give the block starts
-    forest = chain_forest(space, is_leader, K_P1, K_S1, 12, 13)
-    streams = run_counting_pasc(world, [forest], [np.ones(len(vids), dtype=bool)], s, meter)
-    pos_low = bits_to_int(streams[0])
-    start = np.zeros(cyc.n_visits, dtype=bool)
-    start[vids] = pos_low == 0
-    start |= is_leader
+    # 1-2. block starts and ranks
+    start, rank = chain_blocks(space, is_leader, s, meter)
 
-    # 2. clear each chain's last start so no stored block is too short
-    wire_blocks(start, [0])
-    last = is_leader[cyc.next_visit[vids]]
-    (heard,) = beep([last], [0])
-    start[vids[start[vids] & ~is_leader[vids] & heard]] = False
-    cut_block = start.copy()
+    # 3. block-local heights: a block counts fewer than 2**(s + 1) visits
+    f_dn = chain_forest(space, start, K_P1, K_S1, 12, 13)
+    f_up = chain_forest(space, start, K_P2, K_S2, 14, 15)
+    c_dn, c_up = map(bits_to_int, run_counting_pasc(world, [f_dn, f_up], [down, up], s + 1, meter))
+    local_pot = (c_up + up) - (c_dn + down)
 
-    # 3. block-local rank and height offsets (small, stored per amoebot)
-    f_all = chain_forest(space, cut_block, K_P1, K_S1, 12, 13)
-    f_up = chain_forest(space, cut_block, K_P2, K_S2, 14, 15)
-    streams = run_counting_pasc(
-        world,
-        [f_all, f_up],
-        [np.ones(len(vids), dtype=bool), delta[vids] > 0],
-        s + 2,
-        meter,
-    )
-    rank = np.zeros(cyc.n_visits, dtype=np.int64)
-    rank[vids] = bits_to_int(streams[0])
-    c_up = bits_to_int(streams[1])
-    streams = run_counting_pasc(world, [f_all], [delta[vids] < 0], s + 2, meter)
-    c_dn = bits_to_int(streams[0])
-    local_pot = (c_up + (delta[vids] > 0)) - (c_dn + (delta[vids] < 0))
-
-    # 4. block-local consensus among each instance's marked visits
+    # 4. block-local consensus among each instance's marked visits on
+    # sign * local_pot + 2**(s + 2), which lies below 2**(s + 3); every
+    # member learns the block's top value from the rounds it heard a beep
     bias_local = 1 << (s + 2)
     winners = [marks & part for marks, _ in instances]
-    wire_blocks(cut_block, roles)
-    for t in range(s + 3, -1, -1):
+    tops = [np.zeros(len(vids), dtype=np.int64) for _ in instances]
+    space.wire(*(space.cycle_plan(r, r, start) for r in roles))
+    for t in range(s + 2, -1, -1):
         bits = [((sign * local_pot + bias_local) >> t & 1).astype(bool) for sign in signs]
-        heard = beep([w[vids] & bit for w, bit in zip(winners, bits)], roles)
-        for w, bit, h in zip(winners, bits, heard):
+        heard = window_beep(space, [w[vids] & bit for w, bit in zip(winners, bits)], roles, meter)
+        for w, top, bit, h in zip(winners, tops, bits, heard):
             w[vids[w[vids] & ~bit & h]] = False
+            top |= h.astype(np.int64) << t
 
     multi_block = np.zeros(cyc.n_cycles, dtype=bool)
     multi_block[cyc.cycle_id[start & ~is_leader]] = True
 
-    # 5. global offsets echoed into block storage (multi-block cycles only);
-    # per instance, a bit-serial sign * (ups - downs) with its own carry and
-    # borrow, seeded by the visit's own step
+    # 5. offset streams to the leader.  Each member m of a block forms the
+    # block winner w's biased offset sign * height(w) + 2**(b - 1) as
+    # sign * (height(m) - local_pot(m)) + top - bias_local + 2**(b - 1), bit
+    # by bit with its own carry as its streams arrive (here mod 2**b at
+    # once), and the member of rank j keeps bit j.  A block with no marked
+    # visit heard nothing in step 4 and keeps zeros.
     f_up_g = chain_forest(space, is_leader, K_P1, K_S1, 12, 13)
     f_dn_g = chain_forest(space, is_leader, K_P2, K_S2, 14, 15)
-    stored = [np.zeros((cyc.n_visits, b_global), dtype=bool) for _ in instances]
-    carry = [(sign * delta[vids] > 0).astype(np.int64) for sign in signs]
-    borrow = [(sign * delta[vids] < 0).astype(np.int64) for sign in signs]
-
-    def echo(j: int, bits_now) -> None:
-        speak = []
-        for k, sign in enumerate(signs):
-            ups, downs = bits_now if sign > 0 else bits_now[::-1]
-            t = ups + carry[k] - downs - borrow[k]
-            if j == b_global - 1:
-                t = t + 1  # bias 2**(b_global - 1) keeps offsets nonnegative
-            carry[k] = (t >= 2).astype(np.int64)
-            borrow[k] = (t < 0).astype(np.int64)
-            speak.append(winners[k][vids] & (t & 1).astype(bool))
-        wire_blocks(cut_block, roles)
-        for k, heard in enumerate(beep(speak, roles)):
-            stored[k][vids, j] |= (rank[vids] == j) & heard
-
-    run_counting_pasc(
-        world,
-        [f_up_g, f_dn_g],
-        [delta[vids] > 0, delta[vids] < 0],
-        b_global,
-        meter,
-        echo=echo,
-    )
+    ups, downs = map(bits_to_int, run_counting_pasc(world, [f_up_g, f_dn_g], [up, down], b, meter))
+    height = (ups + up) - (downs + down)
+    stored = []
+    for sign, top in zip(signs, tops):
+        value = (sign * (height - local_pot) + top - bias_local + (1 << (b - 1))) % (1 << b)
+        value[top == 0] = 0
+        # a rank of b or more keeps nothing: bit b of value is 0
+        stored.append((value >> np.minimum(rank, b) & 1).astype(bool))
 
     # 6. cross-block consensus on the stored bits, blocks speak by rank;
     # each instance's block and cycle circuits are wired once, since no
     # round rewires them
     cycle_roles = [r + 1 for r in roles]
-    blocks = [space.cycle_plan(r, r, cut_block) for r in roles]
+    blocks = [space.cycle_plan(r, r, start) for r in roles]
     space.wire(*blocks, *(space.cycle_plan(r, r) for r in cycle_roles))
     blk_alive = [part.copy() for _ in instances]
     in_multi = multi_block[cyc.cycle_id[vids]]
-    for t in range(b_global - 1, -1, -1):
-        speak = [
-            (rank[vids] == t) & st[vids, t] & alive[vids] & in_multi
-            for st, alive in zip(stored, blk_alive)
-        ]
-        heard = beep(speak + speak, cycle_roles + roles)
+    for t in range(b - 1, -1, -1):
+        speak = [(rank == t) & st & alive[vids] & in_multi for st, alive in zip(stored, blk_alive)]
+        heard = window_beep(space, speak + speak, cycle_roles + roles, meter)
         on_cycle, in_block = heard[: len(roles)], heard[len(roles) :]
         for alive, cyc_heard, blk_heard in zip(blk_alive, on_cycle, in_block):
             alive[vids[in_multi & alive[vids] & cyc_heard & ~blk_heard]] = False

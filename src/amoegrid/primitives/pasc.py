@@ -126,13 +126,11 @@ def run_counting_pasc(
     marked: list[np.ndarray],
     iters: int,
     meter: Meter,
-    echo=None,
 ) -> list[np.ndarray]:
     """Run ``iters`` lockstep counting iterations; one round per iteration.
 
     ``streams[s][e, j]`` is bit j of the count of marked elements strictly
-    before e in forest s.  ``echo(j, bits_list) -> extra rounds`` lets the
-    caller interleave per-iteration rounds (e.g. storing bits in blocks).
+    before e in forest s.
     """
     if len(forests) != len(marked):
         raise ValueError("one mark vector per forest")
@@ -143,14 +141,10 @@ def run_counting_pasc(
         plans = [forest.plan(act) for forest, act in zip(forests, active)]
         world.wire(*(np.concatenate(part) for part in zip(*plans)))
         recv = world.beep(np.concatenate([f.root_cell for f in forests]), meter)
-        bits_now = []
         for s, forest in enumerate(forests):
             heard = forest.hears_b(recv)
             bits = heard ^ flip[s]
             streams[s][:, j] = bits
             active[s] &= ~bits
             flip[s] |= bits
-            bits_now.append(bits)
-        if echo is not None:
-            echo(j, bits_now)
     return streams

@@ -162,6 +162,7 @@ def test_bench_invalid_input_exit_code(args, capsys):
     [
         (["--mode", "distributed", "--seed", "1", "--nhat", "0"], "--nhat must be at least 1"),
         (["--mode", "distributed", "--seed", "1", "--nhat", "-3"], "--nhat must be at least 1"),
+        (["--mode", "distributed", "--seed", "1", "--nhat", "63"], "--nhat must be at least n = 64, not 63"),
         (["--holes", "-1"], "holes must be non-negative"),  # rejected before any attempt
     ],
 )

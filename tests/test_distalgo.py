@@ -28,6 +28,15 @@ def test_nhat_below_one_raises(nhat):
         run_distributed(s, seed=0, nhat=nhat)
 
 
+def test_nhat_below_n_raises():
+    """The maxima size their offsets to nhat, so nhat must bound n; nhat = n
+    is enough."""
+    s = AmoebotStructure(hexagon(1))
+    with pytest.raises(DomainError, match="nhat must be at least n = 7, not 6"):
+        run_distributed(s, seed=0, nhat=6)
+    assert run_distributed(s, seed=0, nhat=7).decomposition.canonical() == decompose(s).canonical()
+
+
 def test_hole_free_single_region():
     s = AmoebotStructure(hexagon(2))
     out = run_distributed(s, seed=1)
@@ -93,29 +102,30 @@ def test_rounds_scale_logarithmically_small_sweep():
     assert ratios[-1] <= ratios[0] * 1.25
 
 
-@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("n", [64, 256, 300, 1024, 1500])
 def test_phase1_rounds_follow_the_closed_form_schedule(n):
     """Phase 1 is the boundary test, two maxima calls and one beep: the
     WNW/ESE pair, then the NNE tie-breaks.  The boundary test takes
-    5 ceil(log2 n) + 3 rounds, and a call 4s + 9 + 3b with
-    b = ceil(log2 6n) + 2 and s = max(2, ceil(log2(b + 1))), whatever the
+    5 ceil(log2 n) + 3 rounds, and a call 3s + 5 + 2b with
+    b = ceil(log2 n) + 1 and s = max(2, ceil(log2(b + 1))), whatever the
     seed."""
     from amoegrid.circuits import Meter, World
     from amoegrid.distalgo import dist_phase1
     from amoegrid.primitives import BoundaryTest
 
-    b = math.ceil(math.log2(6 * n)) + 2
+    b = math.ceil(math.log2(n)) + 1
     s = max(2, math.ceil(math.log2(b + 1)))
     rounds = set()
     for seed in range(3):
         structure = generate_random(n, max(1, n // 128), seed)
+        assert structure.n == n
         boundary = Meter()
         BoundaryTest(World(structure, c=10, seed=seed)).run(boundary)
         assert boundary.rounds == 5 * math.ceil(math.log2(n)) + 3
         phase1 = Meter()
         _, _, holes = dist_phase1(World(structure, c=10, seed=seed), structure, phase1)
         assert holes > 0
-        assert phase1.rounds == boundary.rounds + 2 * (4 * s + 9 + 3 * b) + 1
+        assert phase1.rounds == boundary.rounds + 2 * (3 * s + 5 + 2 * b) + 1
         rounds.add(phase1.rounds)
     assert len(rounds) == 1
 
@@ -125,7 +135,7 @@ def test_phase1_rounds_follow_the_closed_form_schedule(n):
 # cells that heard.  A change to how the primitives wire their pins must
 # leave every beep and every hearer as they are.  Every delivery comes from
 # World.beep, whose cell list must name exactly the cells of its send.
-DELIVERY_DIGEST = (568, 277, "2074f9f077b44cfc")
+DELIVERY_DIGEST = (508, 217, "e6ad4f34c6e85195")
 
 
 def test_delivery_sequence_is_byte_identical_to_golden(monkeypatch):
@@ -154,9 +164,9 @@ def test_delivery_sequence_is_byte_identical_to_golden(monkeypatch):
 
 
 # (wire calls, circuit recomputes) of run_distributed(gen_512_4_1, seed=1):
-# the other 99 wirings repeat one of the last two distinct plans wired
-# and take their circuits from the memo.
-WIRINGS = (318, 219)
+# the other 59 wirings repeat the last plan labelled and take its
+# circuits from the memo.
+WIRINGS = (268, 209)
 
 
 def test_repeated_wiring_plans_reuse_their_labelling(monkeypatch):

@@ -16,6 +16,7 @@ from amoegrid.grid import AmoebotStructure, Direction, GridPoint, find_holes
 from amoegrid.portals import AXES, Axis, portal_graph
 from amoegrid.primitives import (
     BoundaryTest,
+    ChainSpace,
     chain_maxima,
     closest_on_portal_batch,
     degree_check_batch,
@@ -23,6 +24,7 @@ from amoegrid.primitives import (
     run_election,
     trees,
 )
+from amoegrid.primitives.maxima import chain_blocks
 from amoegrid.split import Region
 
 from harnesses import (
@@ -425,6 +427,83 @@ def test_two_instance_maxima_equal_two_one_instance_calls_in_one_calls_rounds():
                 assert np.array_equal(mask, direct_maxima(cyc, cycles, psi, marks, sign)), label
         checked += 1
     assert checked == len(list(structures())) + 6 * (len(HAND_BUILT) - 1)
+
+
+def line(n: int, direction: Direction) -> AmoebotStructure:
+    da, db = direction.offset
+    return AmoebotStructure(GridPoint(i * da, i * db) for i in range(n))
+
+
+def wrong_maxima_on_lines(n: int, nhat: int, directions=(Direction.E, Direction.NNE, Direction.SSE)) -> int:
+    """Wrong maxima masks of chain_maxima on straight lines of n amoebots
+    along each direction (a, b and a - b by default), with the leader at
+    every real visit in turn, for psi = a and a + b at both signs."""
+    wrong = 0
+    for direction in directions:
+        world = World(line(n, direction), c=10, nhat=nhat)
+        stage = BoundaryTest(world)
+        cyc = stage.cyc
+        _, leaders, real_visit = stage.run(Meter())
+        pair = [(real_visit, -1), (real_visit, 1)]
+        for v in np.flatnonzero(real_visit):
+            lead = leaders.copy()
+            lead[cyc.cycle_id[v]] = v
+            for psi in (world.a, world.a + world.b):
+                got = chain_maxima(world, cyc, lead, cyc.real, psi, pair, Meter())
+                for (marks, sign), mask in zip(pair, got):
+                    wrong += not np.array_equal(mask, direct_maxima(cyc, cyc.real, psi, marks, sign))
+    return wrong
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 65])
+def test_chain_maxima_offsets_fit_in_the_width_of_nhat(n):
+    """Offsets to the leader reach n - 1 on a line, and b = ceil(log2 nhat) + 1
+    bits hold them with their bias: every leader position finds the direct
+    maxima with nhat = n."""
+    assert wrong_maxima_on_lines(n, n) == 0
+
+
+def test_chain_maxima_width_has_no_slack():
+    """With nhat = n - 1 the width loses a bit at n = 17, and some leader
+    position then stores an offset that wraps: the line test above sees it."""
+    assert wrong_maxima_on_lines(17, 16, [Direction.E]) > 0
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_block_ranks_are_offsets_from_the_block_start(s):
+    """Chains of m 2**s - 1, m 2**s and m 2**s + 1 visits, and single-block
+    ones, cut from one boundary cycle by placing leaders: a block starts at
+    every 2**s-th visit but the chain's last one past the leader, and the
+    ranks of step 1 and step 2 are offsets from it."""
+    world = World(line(80, Direction.E), c=10)
+    cyc = BoundaryTest(world).cyc
+    order = [0]
+    while cyc.next_visit[order[-1]] != 0:
+        order.append(int(cyc.next_visit[order[-1]]))
+    assert len(order) == cyc.n_visits
+    lengths = [m * (1 << s) + d for m in (1, 2, 3) for d in (-1, 0, 1)] + [1, 2]
+    lengths.append(len(order) - sum(lengths))
+    assert lengths[-1] > 0
+    is_leader = np.zeros(cyc.n_visits, dtype=bool)
+    want_start = np.zeros(cyc.n_visits, dtype=bool)
+    want_rank = np.zeros(cyc.n_visits, dtype=np.int64)
+    at = 0
+    for length in lengths:
+        chain = order[at : at + length]
+        at += length
+        is_leader[chain[0]] = True
+        starts = list(range(0, length, 1 << s))
+        if len(starts) > 1:
+            starts.pop()
+        for p, v in enumerate(chain):
+            want_start[v] = p in starts
+            want_rank[v] = p - max(q for q in starts if q <= p)
+    space = ChainSpace(world, cyc, np.ones(cyc.n_visits, dtype=bool))
+    meter = Meter()
+    start, rank = chain_blocks(space, is_leader, s, meter)
+    assert np.array_equal(start, want_start)
+    assert np.array_equal(rank, want_rank[space.vids])
+    assert meter.rounds == s + 1
 
 
 def test_chain_maxima_runs_at_most_two_instances():
