@@ -8,13 +8,14 @@ with no information about origin or multiplicity.
 Rounds are fully synchronous: activations read the previous round's inbox
 and their own state, emit a new pin configuration plus beeps, and beeps
 propagate on the updated configuration.  The implementation is array-based:
-a protocol puts the pin configuration of every amoebot on ``World.pset``
-(``World.wire``) and names the partition sets that beep as flat
-``amoebot * S + label`` cells; ``World.beep`` is the one charged round: it
-hands those cells to ``World.deliver``, which returns what every partition
-set hears, and the round is added to the caller's ``Meter``.  The
-primitives in ``amoegrid.primitives`` are such protocols.  The tests keep a
-per-amoebot reference round and an explicit circuit listing
+a protocol puts the pin configuration of every amoebot with ``World.wire``,
+the one writer of the pin table (``World.pset`` is a read-only view of it),
+and names the partition sets that beep as flat ``amoebot * S + label``
+cells; ``World.beep`` is the one charged round: it hands those cells to
+``World.deliver``, which returns what every partition set hears, and the
+round is added to the caller's ``Meter``.  The primitives in
+``amoegrid.primitives`` are such protocols.  The tests keep a per-amoebot
+reference round and an explicit circuit listing
 (``tests/reference_circuits.py``) as the oracle of these semantics.
 
 A round costs what it touches, not the size of the world.  ``World.wire``
@@ -22,9 +23,7 @@ restores only the pins the plan in force had set before it puts the new
 plan, and the labelling that follows reads only the new plan's pins.  It
 keys the circuits it labels on the plan it is given (the bytes of its pins
 and labels) and keeps those of the last plan it labelled, so a protocol
-that repeats a wiring gets its circuits back without a recompute.  A direct
-``pset`` write followed by ``mark_dirty`` is labelled afresh from the whole
-table, is never kept, and makes the next ``wire`` restore the whole table.
+that repeats a wiring gets its circuits back without a recompute.
 ``beep`` hands its cells to ``deliver``, so only a caller holding a dense
 send pays for a scan of it; it also sets them in one send buffer per world,
 cleared after the delivery.  Coins come
@@ -117,6 +116,7 @@ class _Labelling(NamedTuple):
 
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+#: the labelling of the isolated table: no pin on a stage label
 _UNWIRED = _Labelling(_EMPTY, _EMPTY, _EMPTY, 1, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
 
 class World:
@@ -149,62 +149,57 @@ class World:
         )
 
         # Default configuration: every pin isolated in its own parked set.
-        self._isolated = np.tile(
-            STAGE_LABELS + np.arange(6 * c, dtype=np.int32), self.n
-        ).reshape(self.n, 6 * c)
-        #: the pin configuration, one label per pin; write it through ``wire``,
-        #: or follow every direct write with ``mark_dirty``, since ``wire``
-        #: otherwise restores only the pins of the last plan it put
-        self.pset = self._isolated.copy()
-        self._dirty = True
-        # flat pins the plan in force set, and whether ``pset`` may hold
-        # writes outside them (a direct write, or no plan wired yet)
-        self._wired = _EMPTY
-        self._direct = True
+        self._isolated = np.tile(STAGE_LABELS + np.arange(6 * c, dtype=np.int32), self.n)
+        # the flat pin configuration, one label per pin; only ``wire`` writes it
+        self._pins = self._isolated.copy()
+        self._pset = self._pins.reshape(self.n, 6 * c)
+        self._pset.flags.writeable = False
+        self._wired = _EMPTY  # flat pins the plan in force set
         # circuit of every stage pin and of every (amoebot, label) cell of the
         # labelling in force; unused entries hold -1
         self._stage_pin_comp = np.full(self.n * 6 * c, -1, dtype=np.int64)
         self._set_comp = np.full((self.n, STAGE_LABELS), -1, dtype=np.int32)
         self._labelling = _UNWIRED
-        # key of the plan ``wire`` put on ``pset``, None after any other write;
-        # and the (key, labelling) pair of the last plan labelled, which a
-        # repeated wiring (a counting PASC whose active set stopped changing)
-        # gets back
-        self._plan: tuple[bytes, bytes] | None = None
-        self._memo: tuple[tuple[bytes, bytes], _Labelling] | None = None
+        self._dirty = False
+        # key of the plan in force (at first the empty plan: every pin
+        # isolated); and the (key, labelling) pair of the last plan labelled,
+        # which a repeated wiring (a counting PASC whose active set stopped
+        # changing) gets back
+        self._plan = (b"", b"")
+        self._memo = (self._plan, _UNWIRED)
         self._send = np.zeros((self.n, self.S), dtype=bool)  # beep's send buffer, all False between rounds
         self.rng_counter = np.zeros(self.n, dtype=np.int64)
         self._coin_base = mix64(seed, self.a, self.b)  # each amoebot's coin stream, premixed
 
     # -- configuration -------------------------------------------------------
 
+    @property
+    def pset(self) -> np.ndarray:
+        """The pin configuration, one label per pin (amoebot, ``d * c + k``):
+        a read-only view of the table ``wire`` writes."""
+        return self._pset
+
     def reset_pins_isolated(self) -> None:
-        np.copyto(self.pset, self._isolated)
-        self.mark_dirty()
+        self.wire(_EMPTY, _EMPTY)
 
     def wire(self, pins: np.ndarray, labels) -> None:
         """Isolate every pin, then put ``labels`` on the flat pins ``pins``:
         a primitive's whole pin plan, written at once.
 
-        Only the last plan's pins go back to isolated, unless ``pset`` was
-        written directly since.  The plan this world labelled last gets
-        its circuits back from the memo instead of a recompute.
+        Only the last plan's pins go back to isolated.  The plan this world
+        labelled last gets its circuits back from the memo instead of a
+        recompute.
         """
         pins = np.array(pins, dtype=np.int64)  # a copy: the next wire restores these pins
-        labels = np.broadcast_to(np.asarray(labels, dtype=self.pset.dtype), pins.shape)
-        flat = self.pset.reshape(-1)
-        if self._direct:
-            np.copyto(self.pset, self._isolated)
-        else:
-            flat[self._wired] = self._isolated.reshape(-1)[self._wired]
-        flat[pins] = labels
-        self.mark_dirty()
-        self._wired, self._direct = pins, False
-        plan = (pins.tobytes(), labels.tobytes())
-        if self._memo is not None and self._memo[0] == plan:
+        labels = np.broadcast_to(np.asarray(labels, dtype=self._pins.dtype), pins.shape)
+        self._pins[self._wired] = self._isolated[self._wired]
+        self._pins[pins] = labels
+        self._wired = pins
+        self._plan = (pins.tobytes(), labels.tobytes())
+        if self._memo[0] == self._plan:
             self._install(self._memo[1])
-            return
-        self._plan = plan
+        else:
+            self.mark_dirty()
 
     def pin_index(self, rows, slots, k, koff: np.ndarray) -> np.ndarray:
         """Flat ``pset`` index of pin role ``k`` on edge slot ``slots`` of
@@ -244,10 +239,8 @@ class World:
         return rows, up, dn, start
 
     def mark_dirty(self) -> None:
-        """Declare ``pset`` rewritten: the next delivery labels it afresh."""
+        """Drop the labelling in force: the next delivery labels the pins afresh."""
         self._dirty = True
-        self._direct = True
-        self._plan = None
 
     # -- coins -------------------------------------------------------------------
 
@@ -283,19 +276,15 @@ class World:
         # (label >= STAGE_LABELS, always its own slot's label) forms a private
         # two-pin channel with its partner, handled directly in deliver();
         # where a live edge joins a stage pin to a parked pin, the parked side
-        # is absorbed into the stage circuit.  A wired plan has stage labels
-        # only on its own pins; a direct write may have put them anywhere.
-        flat = self.pset.reshape(-1)
-        if self._direct:
-            stage_rows = np.flatnonzero(flat < STAGE_LABELS)
-        else:
-            # sorted and deduplicated by hand: np.unique is many times slower
-            rows = np.sort(self._wired)
-            keep = flat[rows] < STAGE_LABELS
-            keep[1:] &= rows[1:] != rows[:-1]
-            stage_rows = rows[keep]
+        # is absorbed into the stage circuit.  Only the plan's own pins can
+        # hold stage labels; they are sorted and deduplicated by hand, since
+        # np.unique is many times slower.
+        rows = np.sort(self._wired)
+        keep = self._pins[rows] < STAGE_LABELS
+        keep[1:] &= rows[1:] != rows[:-1]
+        stage_rows = rows[keep]
         owners = self.pin_owner[stage_rows]
-        labels = flat[stage_rows]
+        labels = self._pins[stage_rows]
         # A partition set is a cell of the (amoebot, label) table.  Number
         # the sets 0..m-1 through the table: of the pins sharing a cell,
         # the one whose write lands represents it.  Only the cells of the
@@ -312,12 +301,12 @@ class World:
         # a live edge between two stage pins joins their sets
         partner = self.pin_partner[stage_rows]
         live_here = self.pin_live[stage_rows]
-        partner_stage = live_here & (flat[np.maximum(partner, 0)] < STAGE_LABELS)
+        partner_stage = live_here & (self._pins[np.maximum(partner, 0)] < STAGE_LABELS)
         linked = partner[partner_stage]
         root = components(
             m,
             pin_set[partner_stage],
-            table[self.pin_owner[linked] * STAGE_LABELS + flat[linked]],
+            table[self.pin_owner[linked] * STAGE_LABELS + self._pins[linked]],
         )
         comp = root[pin_set]
         parked_partner = np.where(live_here & ~partner_stage, partner, -1)
@@ -331,11 +320,10 @@ class World:
             root,
             owners[rep] * self.S + labels[rep],
             comp[keepers],
-            self.pin_owner[absorbed] * self.S + flat[absorbed],
+            self.pin_owner[absorbed] * self.S + self._pins[absorbed],
         )
         self._install(labelling)
-        if self._plan is not None:
-            self._memo = (self._plan, labelling)
+        self._memo = (self._plan, labelling)
 
     def _install(self, labelling: _Labelling) -> None:
         """Put ``labelling`` in force in place of the current one."""
@@ -371,7 +359,6 @@ class World:
         """
         if self._dirty:
             self._recompute_circuits()
-        flat = self.pset.reshape(-1)
         lab = self._labelling
         recv = np.zeros((self.n, self.S), dtype=bool)
         hot = np.zeros(lab.n_comp + 1, dtype=bool)
@@ -387,15 +374,15 @@ class World:
             i = rows[~at_stage]
             slot = cols[~at_stage] - STAGE_LABELS
             r = i * (6 * self.c) + slot
-            parked = flat[r] == STAGE_LABELS + slot
+            parked = self._pins[r] == STAGE_LABELS + slot
             i, slot, r = i[parked], slot[parked], r[parked]
             recv[i, STAGE_LABELS + slot] = True  # own echo
             pr = self.pin_partner[r[self.pin_live[r]]]
-            to_stage = flat[pr] < STAGE_LABELS
+            to_stage = self._pins[pr] < STAGE_LABELS
             c = self._stage_pin_comp[pr[to_stage]]
             hot[c[c >= 0]] = True
             pr = pr[~to_stage]
-            recv[self.pin_owner[pr], flat[pr]] = True
+            recv[self.pin_owner[pr], self._pins[pr]] = True
 
         out = recv.reshape(-1)
         if lab.set_comps.size:

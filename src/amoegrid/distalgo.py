@@ -44,7 +44,7 @@ from .split import Gate, Region, side_names
 from .primitives.basic import closest_on_portal_batch, degree_check_batch
 from .primitives.boundary import BoundaryTest
 from .primitives.election import election_iters
-from .primitives.maxima import chain_maxima
+from .primitives.maxima import block_widths, chain_maxima
 # run_counting_pasc stays bound here: perfbench's tracer test checks that its
 # patch reaches the engine module as well as the primitives that call it.
 from .primitives.pasc import run_counting_pasc  # noqa: F401
@@ -364,13 +364,13 @@ def run_distributed(
         raise RoundBudgetExceeded("distributed pipeline exceeded budget", trace=trace)
 
     # memory audit: largest values a single amoebot had to hold; block-local
-    # offsets and ranks legitimately grow like log(n) and stay whitelisted
+    # values and ranks legitimately grow like log(n) and stay whitelisted
     log2n = max(1, int(np.ceil(np.log2(max(2, world.nhat)))))
-    block_span = 2 ** (max(2, int(np.ceil(np.log2(log2n + 8)))) + 1)
+    _, s = block_widths(world.nhat)
     trace.memory_audit = {
         "coin_draws": int(world.rng_counter.max()) if world.n else 0,
         "iteration_counter": election_iters(world.nhat),
-        "block_rank_or_offset": block_span,
+        "block_rank_or_offset": 1 << (s + 3),  # a block value; ranks stay below 2**(s + 1)
         "stream_flags_bits": 1,
     }
     limit = max(64, 4 * log2n**2)

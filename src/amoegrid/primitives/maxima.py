@@ -93,6 +93,15 @@ def chain_blocks(
 MAX_INSTANCES = 2
 
 
+def block_widths(nhat: int) -> tuple[int, int]:
+    """(b, s) of ``chain_maxima`` at ``nhat``: an offset to the leader takes
+    b = ceil(log2 nhat) + 1 bits with its bias, and s = max(2, ceil(log2(b +
+    1))) sizes the blocks, which count fewer than 2**(s + 1) visits and hold
+    block values below 2**(s + 3)."""
+    b = (int(nhat) - 1).bit_length() + 1
+    return b, max(2, b.bit_length())
+
+
 def chain_maxima(
     world: World,
     cyc: CycleStructure,
@@ -130,8 +139,7 @@ def chain_maxima(
     leaders = leader_of_cycle[cycles_mask]
     is_leader[leaders[leaders >= 0]] = True
 
-    b = (int(world.nhat) - 1).bit_length() + 1
-    s = max(2, b.bit_length())
+    b, s = block_widths(world.nhat)
 
     delta = np.zeros(cyc.n_visits, dtype=np.int64)
     delta[vids] = psi[space.node] - psi[cyc.node[cyc.prev_visit[vids]]]

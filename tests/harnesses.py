@@ -787,10 +787,7 @@ def _child_reference(
 
 def region_has(world: World, member_pins, s_nodes, meter: Meter) -> bool:
     """Whether the marked set meets the region, over the region's circuit."""
-    world.reset_pins_isolated()
-    for i, d, k in member_pins:
-        world.pset[i, d * world.c + k] = 0
-    world.mark_dirty()
+    world.wire([i * 6 * world.c + d * world.c + k for i, d, k in member_pins], 0)
     recv = world.beep([i * world.S for i in s_nodes], meter)
     return bool(recv[:, 0].any())
 
@@ -817,15 +814,15 @@ def election_trials(
     world = World(structure, c=2, seed=seed, nhat=n_candidates)
     # one circuit per segment: amoebots join their east and west pins, but
     # segment ends leave the bridging edge out
-    world.pset[:] = 1
+    table = np.ones_like(world.pset)
     seg = np.arange(total) // n_candidates
     left_end = np.arange(total) % n_candidates == 0
     right_end = np.arange(total) % n_candidates == n_candidates - 1
     # E pins live at dir 0, W pins at dir 3
     for k in range(world.c):
-        world.pset[right_end, 0 * world.c + k] = 2 + k
-        world.pset[left_end, 3 * world.c + k] = 4 + k
-    world.mark_dirty()
+        table[right_end, 0 * world.c + k] = 2 + k
+        table[left_end, 3 * world.c + k] = 4 + k
+    world.wire(np.arange(table.size), table.ravel())
     cell = np.arange(total) * world.S + 1  # every amoebot listens on label 1
 
     unique = failed = 0
@@ -998,24 +995,21 @@ def level_pasc(
     bits = np.zeros((n, iters), dtype=bool)
     c = world.c
     for j in range(iters):
-        world.reset_pins_isolated()
-        pset = world.pset
+        plan: dict[int, int] = {}  # flat pin -> label
         for i in range(n):
             a_lab, b_lab = 1, 2
-            for d, _ in dn_pins[i]:
-                pset[i, d * c + 0] = a_lab
-                pset[i, d * c + 1] = b_lab
-            for d, _ in lat_pins[i]:
-                pset[i, d * c + 0] = a_lab
-                pset[i, d * c + 1] = b_lab
+            base = i * 6 * c
+            for d, _ in dn_pins[i] + lat_pins[i]:
+                plan[base + d * c + 0] = a_lab
+                plan[base + d * c + 1] = b_lab
             for d, _ in up_pins[i]:
                 if active[i]:
-                    pset[i, d * c + 1] = a_lab  # S pin joins A: crossing
-                    pset[i, d * c + 0] = b_lab
+                    plan[base + d * c + 1] = a_lab  # S pin joins A: crossing
+                    plan[base + d * c + 0] = b_lab
                 else:
-                    pset[i, d * c + 0] = a_lab
-                    pset[i, d * c + 1] = b_lab
-        world.mark_dirty()
+                    plan[base + d * c + 0] = a_lab
+                    plan[base + d * c + 1] = b_lab
+        world.wire(list(plan), list(plan.values()))
         recv = world.beep(np.flatnonzero(root_mask) * world.S + 1, meter)
         heard_b = recv[:, 2]
         bit = (heard_b ^ flip) & ~root_mask
@@ -1059,9 +1053,7 @@ def global_maxima_general(structure, direction, r_nodes, seed: int = 0, nhat=Non
     for t in range(iters - 1, -1, -1):
         bits = level_pasc(world, psi, root_mask, iters, meter)
         value_bit = bits[:, t]
-        world.reset_pins_isolated()
-        world.pset[:, 2::world.c] = 0
-        world.mark_dirty()
+        world.wire(np.arange(world.n * 6) * world.c + 2, 0)
         speak = candidates & value_bit
         recv = world.beep(np.flatnonzero(speak) * world.S, meter)
         heard = recv[:, 0]

@@ -65,7 +65,9 @@ class ReferenceRunner:
     def step(
         self, activation: Callable, states: dict, inbox: dict, order: Iterable[int] | None = None
     ):
-        """One reference round: activations in any order, then delivery.
+        """One reference round: activations in any order, each writing its
+        own row of the pin table, then one ``wire`` of that table and the
+        delivery.
 
         ``activation(node, state, inbox_labels) -> (state, pins, beeps)``
         where pins maps a label to the (dir_idx, k) slots it groups and beeps
@@ -75,6 +77,7 @@ class ReferenceRunner:
         world = self.world
         new_states: dict[GridPoint, object] = {}
         send = np.zeros((world.n, world.S), dtype=bool)
+        table = world.pset.copy()  # each activation rewrites its own row
         idx_order = list(range(world.n)) if order is None else list(order)
         for i in idx_order:
             p = world.structure.index.nodes[i]
@@ -86,7 +89,7 @@ class ReferenceRunner:
                     raise SimulationFault(f"{p}: too many partition sets")
                 label_to_int = {lab: j for j, lab in enumerate(labels)}
                 claimed = set()
-                row = world.pset[i]
+                row = table[i]
                 for lab, slots in pins.items():
                     for (d_idx, k) in slots:
                         if (d_idx, k) in claimed:
@@ -94,12 +97,12 @@ class ReferenceRunner:
                         claimed.add((d_idx, k))
                         row[d_idx * world.c + k] = label_to_int[lab]
                 self.labels[i] = label_to_int
-                world.mark_dirty()
             for lab in beeps:
                 mapped = self.labels.get(i, {}).get(lab)
                 if mapped is None:
                     raise SimulationFault(f"{p}: beep on unknown set {lab!r}")
                 send[i, mapped] = True
+        world.wire(np.arange(table.size), table.ravel())
         recv = world.deliver(send)
         new_inbox: dict[GridPoint, frozenset] = {}
         for i in idx_order:

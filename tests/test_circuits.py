@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from amoegrid.circuits import STAGE_LABELS, Meter, SimulationTrace, World, mix64
 from amoegrid.grid import AmoebotStructure, GridPoint
@@ -14,18 +15,21 @@ def line_world(k: int, c: int = 2) -> World:
     return World(AmoebotStructure([GridPoint(a, 0) for a in range(k)]), c=c)
 
 
+def wire_table(w: World, table: np.ndarray) -> None:
+    """Wire a whole pin table: every pin of ``w`` takes its label in ``table``."""
+    w.wire(np.arange(w.pset.size), table.ravel())
+
+
 def test_idle_round_empty_inboxes():
     w = line_world(5)
-    w.pset[:] = 0
-    w.mark_dirty()
+    wire_table(w, np.zeros_like(w.pset))
     recv = w.deliver(np.zeros((w.n, w.S), dtype=bool))
     assert not recv.any()
 
 
 def test_single_global_circuit_broadcast():
     w = line_world(6)
-    w.pset[:] = 0
-    w.mark_dirty()
+    wire_table(w, np.zeros_like(w.pset))
     send = np.zeros((w.n, w.S), dtype=bool)
     send[3, 0] = True
     recv = w.deliver(send)
@@ -46,10 +50,11 @@ def test_circuits_match_component_oracle_on_random_configs():
     for trial in range(15):
         s = random_structure(rng, rng.randint(2, 40))
         w = World(s, c=2)
+        table = w.pset.copy()
         for i in range(w.n):
             for slot in range(12):
-                w.pset[i, slot] = rng.randrange(4)
-        w.mark_dirty()
+                table[i, slot] = rng.randrange(4)
+        wire_table(w, table)
         # oracle: union-find over (node,label) via live links
         parent = {}
 
@@ -97,11 +102,12 @@ def test_beep_is_one_charged_deliver_of_its_cells():
     for trial in range(15):
         s = random_structure(rng, rng.randint(2, 40))
         w = World(s, c=2)
+        table = w.pset.copy()
         for i in range(w.n):
             for slot in range(12):
                 if rng.random() < 0.7:  # the rest stay parked
-                    w.pset[i, slot] = rng.randrange(4)
-        w.mark_dirty()
+                    table[i, slot] = rng.randrange(4)
+        wire_table(w, table)
         labels = [*range(4), *(STAGE_LABELS + slot for slot in range(12))]
         chosen = [rng.randrange(w.n) * w.S + rng.choice(labels) for _ in range(rng.randint(1, 5))]
         meter = Meter()
@@ -166,10 +172,10 @@ def test_parked_pins_form_private_channels():
 
 
 def test_memo_deliveries_equal_a_fresh_world():
-    """Plans wired again, in any order and with resets and direct ``pset``
-    writes in between, leave ``pset`` as a fresh world's isolated table with
-    the last plan and every later write put, and ``beep`` delivers what a
-    fresh world with that ``pset`` delivers from a dense send."""
+    """Plans wired again, in any order and with resets and whole-table plans
+    in between, leave ``pset`` as a fresh world's isolated table with the
+    last plan put, and ``beep`` delivers what a fresh world wired to that
+    table delivers from a dense send."""
     rng = random.Random(17)
     for trial in range(6):
         s = random_structure(rng, rng.randint(8, 30))
@@ -187,11 +193,11 @@ def test_memo_deliveries_equal_a_fresh_world():
         want = isolated.copy()
         for step in range(60):
             roll = rng.random()
-            if roll < 0.25:  # a direct write, right after a wire or not
+            if roll < 0.25:  # the table in force with one pin relabelled, as a plan that may repeat
                 i, slot, label = rng.randrange(w.n), rng.randrange(6 * w.c), rng.randrange(4)
-                w.pset[i, slot] = label
-                w.mark_dirty()
                 want[i, slot] = label
+                plans.append((np.arange(want.size), want.ravel().copy()))
+                w.wire(*plans[-1])
             elif roll < 0.35:
                 w.reset_pins_isolated()
                 want = isolated.copy()
@@ -202,8 +208,7 @@ def test_memo_deliveries_equal_a_fresh_world():
                 np.put(want, pins, labels)
             assert np.array_equal(w.pset, want), (trial, step)
             fresh = World(s, c=2)
-            fresh.pset[:] = want
-            fresh.mark_dirty()
+            wire_table(fresh, want)
             used = np.unique(np.arange(w.n)[:, None] * w.S + want).tolist()
             # parked cells of pins that now sit on a stage set: deliver skips them
             staged = w.park_cell(np.flatnonzero(want.reshape(-1) < STAGE_LABELS)).tolist()
@@ -220,6 +225,16 @@ def test_memo_deliveries_equal_a_fresh_world():
                 send = np.zeros((w.n, w.S), dtype=bool)
                 send.reshape(-1)[cells] = True
                 assert np.array_equal(w.beep(cells, meter), fresh.deliver(send)), (trial, step, cells)
+
+
+def test_pin_table_is_written_only_by_wire():
+    """``pset`` is a read-only view: a direct write raises, and a plan shows
+    through it."""
+    w = line_world(3)
+    with pytest.raises(ValueError):
+        w.pset[0, 0] = 0
+    w.wire([1], [0])
+    assert w.pset[0, 1] == 0
 
 
 def test_coin_streams_deterministic_and_order_independent():

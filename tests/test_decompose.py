@@ -338,8 +338,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # then for the fixtures the distributed trace text and round count.
 # (structure, run_distributed seed or None, central digest, distributed digest)
 GOLDEN_OUTPUTS = [
-    ("gen_512_4_1", 1, "8b2016ee1b8e3210", "5a8bd40db942a88c"),
-    ("gen_1024_8_7372", 3, "e89daa77b0095ed7", "d8f9f8adbe07ee60"),
+    ("gen_512_4_1", 1, "8b2016ee1b8e3210", "8cac9e223995fa4d"),
+    ("gen_1024_8_7372", 3, "e89daa77b0095ed7", "b634127e6c576fb3"),
     ((256, 2, 11), None, "d456ec0b6c582f9f", None),
     ((384, 3, 12), None, "fe2543ce5b5aa35f", None),
     ((512, 4, 13), None, "b9b8df0373e87b51", None),

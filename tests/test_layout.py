@@ -196,6 +196,52 @@ def test_every_round_is_charged_by_world_beep():
     assert charges == ["circuits.py:World.beep", "distalgo.py:dist_phase3"]
 
 
+def _names_pins(node) -> bool:
+    """Whether ``node`` is ``<expr>._pins`` or a subscript, attribute or
+    method result of it, such as ``w._pins[i]`` or ``w._pins.reshape(-1)[i]``."""
+    while isinstance(node, (ast.Subscript, ast.Attribute, ast.Call)):
+        if isinstance(node, ast.Attribute) and node.attr == "_pins":
+            return True
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return False
+
+
+def test_world_wire_is_the_one_writer_of_the_pin_table():
+    """Only ``World.wire`` writes the pin table: it is the one site that
+    assigns into ``_pins`` or hands it to ``np.copyto``, and ``World``'s
+    constructor is the one that binds it or a view of it to a name."""
+
+    def targets(node):
+        if isinstance(node, ast.Assign):
+            return node.targets
+        return [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+
+    writes = _sites(
+        lambda node: any(isinstance(t, ast.Subscript) and _names_pins(t) for t in targets(node))
+        or isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "copyto"
+        and bool(node.args)
+        and _names_pins(node.args[0])
+    )
+    def is_pins(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "_pins"
+
+    # ``_pins`` itself, or a view such as ``_pins.reshape(...)``, bound to a name
+    binds = _sites(
+        lambda node: any(is_pins(t) for t in targets(node))
+        or isinstance(node, ast.Assign)
+        and (
+            is_pins(node.value)
+            or isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and is_pins(node.value.func.value)
+        )
+    )
+    assert set(writes) == {"circuits.py:World.wire"}
+    assert set(binds) == {"circuits.py:World.__init__"}
+
+
 def test_no_engine_module_imports_find_holes():
     """Both engines read the holes off the boundary orbits; ``find_holes``
     and its flood of hole interiors serve only the generator and the tests."""

@@ -48,8 +48,7 @@ from test_grid import HAND_BUILT
 def elect(structure, candidates_idx, seed):
     """Leaders among the candidates, elected on one circuit through every amoebot."""
     world = World(structure, c=2, seed=seed)
-    world.pset[:] = 0
-    world.mark_dirty()
+    world.wire(np.arange(world.pset.size), 0)
     candidates = np.zeros(world.n, dtype=bool)
     candidates[candidates_idx] = True
     meter = Meter()
